@@ -99,7 +99,7 @@ let faults_arg =
   Arg.(value & opt (some string) None
        & info [ "faults" ] ~docv:"SPEC"
            ~doc:"Inject deterministic faults (see docs/ROBUSTNESS.md for \
-                 the grammar, e.g. $(b,seed=7,post-pass\\@fir*1)).  The \
+                 the grammar, e.g. $(b,seed=7,post-pass@fir*1)).  The \
                  $(b,LP_FAULTS) environment variable is the equivalent.")
 
 let trace_file_arg =
@@ -1002,7 +1002,7 @@ let tune_cmd =
     Arg.(value & opt (some string) None
          & info [ "o"; "out" ] ~docv:"FILE"
              ~doc:"Write the best-improvement schedule as a schedule file \
-                   replayable with $(b,lpcc run --passes \\@FILE).")
+                   replayable with $(b,lpcc run --passes @FILE).")
   in
   let json_arg =
     Arg.(value & opt (some string) None

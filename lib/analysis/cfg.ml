@@ -9,6 +9,7 @@ type t = {
   succs : (Ir.label, Ir.label list) Hashtbl.t;
   preds : (Ir.label, Ir.label list) Hashtbl.t;
   rpo : Ir.label list;  (** reverse postorder from entry; entry first *)
+  reach : (Ir.label, unit) Hashtbl.t;  (** the members of [rpo], for lookup *)
 }
 
 let succs t l = try Hashtbl.find t.succs l with Not_found -> []
@@ -44,12 +45,12 @@ let build (f : Prog.func) : t =
         ss)
     !post;
   Hashtbl.filter_map_inplace (fun _ cur -> Some (List.rev cur)) preds;
-  { func = f; succs; preds; rpo = !post }
+  { func = f; succs; preds; rpo = !post; reach = visited }
 
 (** Blocks reachable from the entry. *)
 let reachable t = t.rpo
 
-let is_reachable t l = List.mem l t.rpo
+let is_reachable t l = Hashtbl.mem t.reach l
 
 (** Remove unreachable blocks from the function layout (and table),
     deciding reachability from an already-built [cfg] (the caller may

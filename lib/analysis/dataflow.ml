@@ -25,20 +25,23 @@ type direction = Forward | Backward
 let max_output_changes = 100_000
 
 module Make (L : LATTICE) = struct
+  (* Per-block values live in arrays indexed by label: labels come out of
+     the function's block generator, so its [peek] bounds them. *)
   type result = {
-    inputs : (Ir.label, L.t) Hashtbl.t;   (** value at block entry (forward)
-                                              or exit (backward) *)
-    outputs : (Ir.label, L.t) Hashtbl.t;  (** value after the transfer *)
+    inputs : L.t array;   (** value at block entry (forward) or exit
+                              (backward) *)
+    outputs : L.t array;  (** value after the transfer *)
   }
 
-  let get tbl l = try Hashtbl.find tbl l with Not_found -> L.bottom
+  let get a l = if l < Array.length a then a.(l) else L.bottom
 
   (** [run ~direction ~cfg ~init ~transfer] iterates to fixpoint.
       [init] seeds the entry (forward) or every exit block (backward). *)
   let run ~direction ~(cfg : Cfg.t) ~(init : L.t)
       ~(transfer : Ir.label -> L.t -> L.t) : result =
-    let inputs = Hashtbl.create 16 in
-    let outputs = Hashtbl.create 16 in
+    let n = Lp_util.Id_gen.peek cfg.Cfg.func.Lp_ir.Prog.block_gen in
+    let inputs = Array.make n L.bottom in
+    let outputs = Array.make n L.bottom in
     let blocks = cfg.Cfg.rpo in
     let order =
       match direction with Forward -> blocks | Backward -> List.rev blocks
@@ -55,46 +58,43 @@ module Make (L : LATTICE) = struct
     in
     (* exit blocks computed once: re-deriving [succs = []] on every
        backward visit is wasted work on the hot path *)
-    let exits = Hashtbl.create 8 in
-    List.iter
-      (fun l -> if Cfg.succs cfg l = [] then Hashtbl.replace exits l ())
-      blocks;
+    let exits = Array.make n false in
+    List.iter (fun l -> if Cfg.succs cfg l = [] then exits.(l) <- true) blocks;
     let is_boundary l =
       match direction with
       | Forward -> l = cfg.Cfg.func.Lp_ir.Prog.entry
-      | Backward -> Hashtbl.mem exits l
+      | Backward -> exits.(l)
     in
     let queue = Queue.create () in
-    let queued = Hashtbl.create 16 in
-    let changes = Hashtbl.create 16 in
+    let queued = Array.make n false in
+    let changes = Array.make n 0 in
     let enqueue l =
-      if not (Hashtbl.mem queued l) then begin
-        Hashtbl.replace queued l ();
+      if not queued.(l) then begin
+        queued.(l) <- true;
         Queue.push l queue
       end
     in
     List.iter enqueue order;
     while not (Queue.is_empty queue) do
       let l = Queue.pop queue in
-      Hashtbl.remove queued l;
+      queued.(l) <- false;
       let in_v =
         let base = if is_boundary l then init else L.bottom in
         List.fold_left
-          (fun acc p -> L.join acc (get outputs p))
+          (fun acc p -> L.join acc outputs.(p))
           base (neighbours_in l)
       in
       let out_v = transfer l in_v in
-      if not (L.equal (get inputs l) in_v) then Hashtbl.replace inputs l in_v;
-      if not (L.equal (get outputs l) out_v) then begin
-        let n = Option.value ~default:0 (Hashtbl.find_opt changes l) + 1 in
-        Hashtbl.replace changes l n;
-        if n > max_output_changes then
+      inputs.(l) <- in_v;
+      if not (L.equal outputs.(l) out_v) then begin
+        changes.(l) <- changes.(l) + 1;
+        if changes.(l) > max_output_changes then
           failwith
             (Printf.sprintf
                "Dataflow.run: monotonicity violation at block L%d (output \
                 changed %d times without converging)"
-               l n);
-        Hashtbl.replace outputs l out_v;
+               l changes.(l));
+        outputs.(l) <- out_v;
         List.iter enqueue (neighbours_out l)
       end
     done;
@@ -104,11 +104,10 @@ module Make (L : LATTICE) = struct
   let output r l = get r.outputs l
 end
 
-module Int_set = Set.Make (Int)
-
-module Reg_set_lattice = struct
-  type t = Int_set.t
-  let bottom = Int_set.empty
-  let equal = Int_set.equal
-  let join = Int_set.union
+(** Register sets as bit vectors (liveness). *)
+module Bitset_lattice = struct
+  type t = Bitset.t
+  let bottom = Bitset.empty
+  let equal = Bitset.equal
+  let join = Bitset.union
 end

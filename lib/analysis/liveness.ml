@@ -2,46 +2,49 @@
 
 module Ir = Lp_ir.Ir
 module Prog = Lp_ir.Prog
-module Flow = Dataflow.Make (Dataflow.Reg_set_lattice)
-module IS = Dataflow.Int_set
+module Flow = Dataflow.Make (Dataflow.Bitset_lattice)
 
 type t = {
   cfg : Cfg.t;
   result : Flow.result;
-  use_def : (Ir.label, IS.t * IS.t) Hashtbl.t;  (** per-block (use, def) *)
+  use_def : (Ir.label, Bitset.t * Bitset.t) Hashtbl.t;
+      (** per-block (use, def) *)
 }
 
-let block_use_def (b : Ir.block) : IS.t * IS.t =
+(** Capacity of the register sets of [f]: registers come out of its
+    [reg_gen]. *)
+let n_regs (f : Prog.func) = Lp_util.Id_gen.peek f.Prog.reg_gen
+
+let block_use_def nregs (b : Ir.block) : Bitset.t * Bitset.t =
   (* scan forward: a use counts only if not previously defined in block *)
-  let use = ref IS.empty in
-  let def = ref IS.empty in
-  let see_uses rs =
-    List.iter (fun r -> if not (IS.mem r !def) then use := IS.add r !use) rs
-  in
+  let use = Bitset.create nregs in
+  let def = Bitset.create nregs in
+  let see_use r = if not (Bitset.mem r def) then Bitset.set use r in
   List.iter
     (fun i ->
-      see_uses (Ir.uses i);
-      match Ir.def i with
-      | Some d -> def := IS.add d !def
-      | None -> ())
+      List.iter see_use (Ir.uses i);
+      match Ir.def i with Some d -> Bitset.set def d | None -> ())
     b.Ir.instrs;
-  see_uses (Ir.term_uses b.Ir.term);
-  (!use, !def)
+  List.iter see_use (Ir.term_uses b.Ir.term);
+  (use, def)
 
 (** Compute liveness over an already-built CFG (shared with other
     analyses via the manager); [compute] builds a fresh one. *)
 let compute_of_cfg (cfg : Cfg.t) : t =
   let f = cfg.Cfg.func in
+  let nregs = n_regs f in
   let use_def = Hashtbl.create 16 in
   List.iter
-    (fun b -> Hashtbl.replace use_def b.Ir.bid (block_use_def b))
+    (fun b -> Hashtbl.replace use_def b.Ir.bid (block_use_def nregs b))
     (Prog.blocks_in_order f);
   let transfer l out_set =
     match Hashtbl.find_opt use_def l with
-    | Some (use, def) -> IS.union use (IS.diff out_set def)
+    | Some (use, def) -> Bitset.transfer ~use ~def out_set
     | None -> out_set
   in
-  let result = Flow.run ~direction:Dataflow.Backward ~cfg ~init:IS.empty ~transfer in
+  let result =
+    Flow.run ~direction:Dataflow.Backward ~cfg ~init:Bitset.empty ~transfer
+  in
   { cfg; result; use_def }
 
 let compute (f : Prog.func) : t = compute_of_cfg (Cfg.build f)
@@ -49,8 +52,8 @@ let compute (f : Prog.func) : t = compute_of_cfg (Cfg.build f)
 (** Registers live at block exit. *)
 let live_out t l =
   List.fold_left
-    (fun acc s -> IS.union acc (Flow.output t.result s))
-    IS.empty
+    (fun acc s -> Bitset.union acc (Flow.output t.result s))
+    Bitset.empty
     (Cfg.succs t.cfg l)
 
 (** Registers live at block entry. *)
@@ -60,5 +63,5 @@ let live_in t l = Flow.output t.result l
     pressure indicator reported in compile statistics. *)
 let max_pressure t =
   List.fold_left
-    (fun acc l -> max acc (IS.cardinal (live_in t l)))
+    (fun acc l -> max acc (Bitset.cardinal (live_in t l)))
     0 t.cfg.Cfg.rpo

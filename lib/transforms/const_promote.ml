@@ -53,6 +53,9 @@ let pass : Pass.func_pass =
     preserves =
       Lp_analysis.Manager.[ Cfg; Dominators; Loops; Liveness ];
     (* program-scoped analysis; running it per function would be wrong,
-       so the pass recomputes the written set but only rewrites [f] *)
+       so the pass recomputes the written set but only rewrites [f].  The
+       set depends on every function, so an unchanged [f] may still need
+       promoting: not [local] *)
+    local = false;
     run = (fun _ prog f -> promote_func (written_globals prog) f);
   }

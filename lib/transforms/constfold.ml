@@ -166,6 +166,7 @@ let pass : Pass.func_pass =
     (* folding a constant branch rewrites terminators, so nothing
        CFG-derived survives *)
     preserves = [];
+    local = true;
     run =
       (fun _am _prog f ->
         let n =

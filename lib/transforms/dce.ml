@@ -9,7 +9,7 @@ module Prog = Lp_ir.Prog
 module Cfg = Lp_analysis.Cfg
 module Liveness = Lp_analysis.Liveness
 module Manager = Lp_analysis.Manager
-module IS = Lp_analysis.Dataflow.Int_set
+module Bitset = Lp_analysis.Bitset
 
 let pure (i : Ir.instr) : bool =
   match i.Ir.idesc with
@@ -27,41 +27,42 @@ let run_func (am : Manager.t) (f : Prog.func) : int =
   let pruned = Cfg.prune_unreachable_of (Manager.cfg am f) in
   let live = Manager.liveness am f in
   let removed = ref pruned in
+  let nregs = Liveness.n_regs f in
   Prog.iter_blocks f (fun b ->
-      let live_set =
-        ref
-          (List.fold_left
-             (fun acc r -> IS.add r acc)
-             (Liveness.live_out live b.Ir.bid)
-             (Ir.term_uses b.Ir.term))
-      in
+      (* one mutable set per block, walked backwards from the exit *)
+      let live_set = Bitset.extend (Liveness.live_out live b.Ir.bid) nregs in
+      List.iter (Bitset.set live_set) (Ir.term_uses b.Ir.term);
       let keep =
-        List.rev_map
-          (fun (i : Ir.instr) ->
+        List.fold_left
+          (fun kept (i : Ir.instr) ->
             let dead =
               pure i
               &&
               match Ir.def i with
-              | Some d -> not (IS.mem d !live_set)
+              | Some d -> not (Bitset.mem d live_set)
               | None -> true (* a pure instruction with no def is a no-op *)
             in
             if dead then begin
               incr removed;
-              None
+              kept
             end
             else begin
               (match Ir.def i with
-              | Some d -> live_set := IS.remove d !live_set
+              | Some d -> Bitset.clear live_set d
               | None -> ());
-              List.iter (fun u -> live_set := IS.add u !live_set) (Ir.uses i);
-              Some i
+              List.iter (Bitset.set live_set) (Ir.uses i);
+              i :: kept
             end)
-          (List.rev b.Ir.instrs)
-        |> List.filter_map Fun.id
+          [] (List.rev b.Ir.instrs)
       in
       b.Ir.instrs <- keep);
   if !removed > pruned then Prog.touch f;
   !removed
 
 let pass : Pass.func_pass =
-  { Pass.name = "dce"; preserves = []; run = (fun am _ f -> run_func am f) }
+  {
+    Pass.name = "dce";
+    preserves = [];
+    local = true;
+    run = (fun am _ f -> run_func am f);
+  }

@@ -102,6 +102,7 @@ let pass : Pass.func_pass =
   {
     Pass.name = "licm";
     preserves = [];
+    local = true;
     run =
       (fun am _ f ->
         run_func ~find_loops:(Manager.loops am) ~cfg_of:(Manager.cfg am) f);

@@ -79,5 +79,6 @@ let pass : Pass.func_pass =
     (* rewrites instructions in place without touching terminators, but
        register uses move (the mul's temporary dies), so liveness falls *)
     preserves = Lp_analysis.Manager.[ Cfg; Dominators; Loops ];
+    local = true;
     run = (fun _ _ f -> run_func f);
   }

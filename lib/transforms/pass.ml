@@ -15,7 +15,19 @@
     measurement (via the recorder's monotonic clock) and the [stats]
     list is the per-pass aggregation of those spans, so the T5 table and
     a [--trace] dump can never disagree.  With the disabled recorder the
-    measurement still happens (T5 needs it) but no span is stored. *)
+    measurement still happens (T5 needs it) but no span is stored.
+
+    Runs known to change nothing are skipped.  A [local] pass reads
+    nothing outside the function it rewrites, so its result on a function
+    depends only on that function; once it has run on a function and
+    changed nothing, running it again before the function's
+    {!Lp_ir.Prog.version} moves would change nothing either.  The manager
+    remembers that version per (pass, function) and skips the pass body
+    while it still matches.  A skipped run still counts in [runs], still
+    checks the deadline, and still reaches the [Post_pass] fault point
+    and the [on_pass] hook.  The memo is on exactly when analysis caching
+    is ([LP_NO_ANALYSIS_CACHE=1] turns both off), so the uncached run
+    stays the reference it is checked against. *)
 
 module Prog = Lp_ir.Prog
 module Obs = Lp_obs.Obs
@@ -33,6 +45,9 @@ type func_pass = {
   name : string;
   preserves : Manager.kind list;
       (** analyses still valid for a function this pass changed *)
+  local : bool;
+      (** reads nothing outside the function it runs on, so a repeat run
+          on an unchanged function can be skipped *)
   run : Manager.t -> Prog.t -> Prog.func -> int;
       (** returns number of changes *)
 }
@@ -46,12 +61,17 @@ type manager = {
   on_pass : (string -> Prog.t -> unit) option;
       (** called after every pass run (fuzzing hooks verification in
           here); may raise to abort the compile *)
-  caching : bool;  (** analysis managers memoize (LP_NO_ANALYSIS_CACHE off) *)
+  caching : bool;
+      (** analysis managers memoize and no-op reruns are skipped
+          (LP_NO_ANALYSIS_CACHE off) *)
   deadline : Lp_util.Deadline.t;
       (** cooperative per-request deadline, checked before every pass and
           before every per-function run; expiry raises [E_DEADLINE] *)
   mutable am : (Prog.t * Manager.t) option;
       (** analysis manager of the program last run, created lazily *)
+  clean : (string * string, int) Hashtbl.t;
+      (** (pass, function) -> the function's version after the last run
+          of a [local] pass that changed nothing; reset with [am] *)
 }
 
 let create_manager ?(obs = Obs.disabled) ?(report = Report.disabled)
@@ -65,6 +85,7 @@ let create_manager ?(obs = Obs.disabled) ?(report = Report.disabled)
     caching;
     deadline;
     am = None;
+    clean = Hashtbl.create 64;
   }
 
 (** The analysis manager serving [prog] (created on first use; one pass
@@ -75,6 +96,7 @@ let analysis_manager m (prog : Prog.t) : Manager.t =
   | Some _ | None ->
     let am = Manager.create ~obs:m.obs ~caching:m.caching prog in
     m.am <- Some (prog, am);
+    Hashtbl.reset m.clean;
     am
 
 let stats_for m name =
@@ -95,11 +117,23 @@ let run_pass m (p : func_pass) (prog : Prog.t) : int =
   let traced = Obs.enabled m.obs in
   let audited = Report.enabled m.report in
   let instrs_before = if audited then Prog.total_instrs prog else 0 in
+  let memo = m.caching && p.local in
   let run_func f =
     Lp_util.Deadline.check m.deadline;
-    let n = p.run am prog f in
-    if n > 0 then Manager.invalidate am ~preserves:p.preserves f;
-    n
+    let v = Prog.version f in
+    let clean () =
+      match Hashtbl.find_opt m.clean (p.name, f.Prog.fname) with
+      | Some v' -> v' = v
+      | None -> false
+    in
+    if memo && clean () then 0
+    else begin
+      let n = p.run am prog f in
+      if n > 0 then Manager.invalidate am ~preserves:p.preserves f
+      else if memo && Prog.version f = v then
+        Hashtbl.replace m.clean (p.name, f.Prog.fname) v;
+      n
+    end
   in
   let t0 = Obs.now_ns m.obs in
   let changes =

@@ -58,39 +58,46 @@ let thread_empty (f : Prog.func) : int =
   !n
 
 (** Merge [b -> c] when [b] ends in [Jmp c] and [c] has exactly one
-    predecessor (and is not the entry).  The CFG is re-queried through
-    the manager after every merge (each merge touches [f], so the query
-    recomputes; between two clean sweeps it is served from cache). *)
+    predecessor (and is not the entry).  One forward pass over the
+    layout: each block absorbs successors while it can, and the
+    predecessor lists are patched as blocks disappear.  A merge only
+    renames [c] to [b] in the predecessor lists of [c]'s successors, so
+    it never makes an earlier block mergeable: this makes the same merges
+    in the same order as rescanning from the first block after each one.
+    Every block is reachable here ([run_func] prunes first), so the CFG's
+    predecessor lists cover the whole layout. *)
 let merge_linear (am : Manager.t) (f : Prog.func) : int =
-  let n = ref 0 in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let cfg = Manager.cfg am f in
-    let merged = ref false in
-    List.iter
-      (fun bid ->
-        if not !merged then begin
-          let b = Prog.block f bid in
-          match b.Ir.term with
-          | Ir.Jmp c_id
-            when c_id <> f.Prog.entry && c_id <> bid
-                 && Cfg.preds cfg c_id = [ bid ] ->
-            let c = Prog.block f c_id in
-            b.Ir.instrs <- b.Ir.instrs @ c.Ir.instrs;
-            b.Ir.term <- c.Ir.term;
-            f.Prog.block_order <-
-              List.filter (fun l -> l <> c_id) f.Prog.block_order;
-            Hashtbl.remove f.Prog.blocks c_id;
-            Prog.touch f;
-            incr n;
-            merged := true;
-            changed := true
-          | Ir.Jmp _ | Ir.Br _ | Ir.Ret _ -> ()
-        end)
-      (List.map (fun b -> b.Ir.bid) (Prog.blocks_in_order f))
-  done;
-  !n
+  let preds = Hashtbl.copy (Manager.cfg am f).Cfg.preds in
+  let preds_of l = try Hashtbl.find preds l with Not_found -> [] in
+  let merged = Hashtbl.create 8 in
+  let rec absorb (b : Ir.block) =
+    match b.Ir.term with
+    | Ir.Jmp c_id
+      when c_id <> f.Prog.entry && c_id <> b.Ir.bid
+           && preds_of c_id = [ b.Ir.bid ] ->
+      let c = Prog.block f c_id in
+      b.Ir.instrs <- b.Ir.instrs @ c.Ir.instrs;
+      b.Ir.term <- c.Ir.term;
+      List.iter
+        (fun s ->
+          Hashtbl.replace preds s
+            (List.map (fun p -> if p = c_id then b.Ir.bid else p) (preds_of s)))
+        (Ir.term_succs c.Ir.term);
+      Hashtbl.remove f.Prog.blocks c_id;
+      Hashtbl.replace merged c_id ();
+      absorb b
+    | Ir.Jmp _ | Ir.Br _ | Ir.Ret _ -> ()
+  in
+  List.iter
+    (fun bid -> if not (Hashtbl.mem merged bid) then absorb (Prog.block f bid))
+    f.Prog.block_order;
+  let n = Hashtbl.length merged in
+  if n > 0 then begin
+    f.Prog.block_order <-
+      List.filter (fun l -> not (Hashtbl.mem merged l)) f.Prog.block_order;
+    Prog.touch f
+  end;
+  n
 
 let run_func (am : Manager.t) (f : Prog.func) : int =
   let c1 = collapse_trivial_br f in
@@ -103,5 +110,6 @@ let pass : Pass.func_pass =
   {
     Pass.name = "simplify-cfg";
     preserves = [];
+    local = true;
     run = (fun am _ f -> run_func am f);
   }

@@ -42,5 +42,6 @@ let pass : Pass.func_pass =
        uses, so even liveness survives *)
     preserves =
       Lp_analysis.Manager.[ Cfg; Dominators; Loops; Liveness ];
+    local = true;
     run = (fun _ _ f -> run_func f);
   }

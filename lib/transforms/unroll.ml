@@ -89,6 +89,7 @@ let pass : Pass.func_pass =
   {
     Pass.name = "unroll";
     preserves = [];
+    local = true;
     run =
       (fun am _ f ->
         run_func ~opts:default_options

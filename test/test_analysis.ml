@@ -14,7 +14,7 @@ module Est = Lp_analysis.Est
 module Manager = Lp_analysis.Manager
 module Component = Lp_power.Component
 module CS = Component.Set
-module IS = Dataflow.Int_set
+module Bitset = Lp_analysis.Bitset
 
 let check = Alcotest.check
 let fail = Alcotest.fail
@@ -117,13 +117,13 @@ let test_cfg_unreachable_pruned () =
 let test_dataflow_forward_join () =
   let (f, t, _, j, _) = diamond () in
   let cfg = Cfg.build f in
-  let module Flow = Dataflow.Make (Dataflow.Reg_set_lattice) in
+  let module Flow = Dataflow.Make (Dataflow.Bitset_lattice) in
   (* transfer: add the block id as a fake "fact" *)
-  let transfer l inp = IS.add l inp in
-  let r = Flow.run ~direction:Dataflow.Forward ~cfg ~init:IS.empty ~transfer in
+  let transfer l inp = Bitset.add l inp in
+  let r = Flow.run ~direction:Dataflow.Forward ~cfg ~init:Bitset.empty ~transfer in
   let at_join = Flow.input r j in
-  if not (IS.mem f.Prog.entry at_join) then fail "entry fact lost";
-  if not (IS.mem t at_join) then fail "then fact not joined"
+  if not (Bitset.mem f.Prog.entry at_join) then fail "entry fact lost";
+  if not (Bitset.mem t at_join) then fail "then fact not joined"
 
 (* ---------------- liveness ---------------- *)
 
@@ -131,11 +131,11 @@ let test_liveness_diamond () =
   let (f, t, e, _, r) = diamond () in
   let live = Liveness.compute f in
   (* r is live out of both definition blocks *)
-  if not (IS.mem r (Liveness.live_out live t)) then fail "r dead after then";
-  if not (IS.mem r (Liveness.live_out live e)) then fail "r dead after else";
+  if not (Bitset.mem r (Liveness.live_out live t)) then fail "r dead after then";
+  if not (Bitset.mem r (Liveness.live_out live e)) then fail "r dead after else";
   (* the parameter is live into the entry *)
   let (p, _) = List.hd f.Prog.params in
-  if not (IS.mem p (Liveness.live_in live f.Prog.entry)) then fail "param not live-in";
+  if not (Bitset.mem p (Liveness.live_in live f.Prog.entry)) then fail "param not live-in";
   if Liveness.max_pressure live < 1 then fail "pressure"
 
 let test_liveness_loop_carried () =
@@ -148,7 +148,7 @@ let test_liveness_loop_carried () =
   check Alcotest.int "one loop" 1 (List.length loops);
   let l = List.hd loops in
   (* something must be live around the back edge (s and i) *)
-  if IS.cardinal (Liveness.live_in live l.Loops.header) < 2 then
+  if Bitset.cardinal (Liveness.live_in live l.Loops.header) < 2 then
     fail "loop-carried registers not live at header"
 
 (* ---------------- dominators ---------------- *)

@@ -166,11 +166,27 @@ let same_loops la lb =
          && Loops.LS.equal x.Loops.blocks y.Loops.blocks)
        la lb
 
+let gen_lowered seed = lowered (Lp_robust.Gen.generate ~seed).Lp_robust.Gen.source
+
+(** The default schedule over a fuzzer program: printed IR and per-pass
+    (name, runs, changes). *)
+let default_schedule ~caching seed =
+  let prog = gen_lowered seed in
+  let pm = Pass.create_manager ~caching () in
+  Pipeline.execute pm ~mac_fusion:true Pipeline.default prog;
+  ( Lp_ir.Printer.prog_to_string prog,
+    List.map
+      (fun (s : Pass.stats) -> (s.Pass.pass_name, s.Pass.runs, s.Pass.changes))
+      (Pass.stats pm) )
+
 (** Run a random pass sequence twice — analysis cache on and off — over
     the same random kernel: the resulting IR must be byte-identical, and
     every analysis the warm cache serves at the end must equal a fresh
     recomputation.  This is the contract that lets passes share analyses
-    through the manager at all. *)
+    through the manager at all.  The default schedule over a fuzzer
+    program must likewise give the same IR and the same per-pass runs and
+    changes with caching on and off, which pins the pass manager's
+    skipping of runs known to change nothing (on only with the cache). *)
 let prop_cache_transparent =
   QCheck.Test.make ~count:30
     ~name:"analysis cache: same IR as uncached, cached == fresh"
@@ -202,7 +218,62 @@ let prop_cache_transparent =
             && same_loops (Manager.loops am f) (Loops.find f))
           (Prog.funcs pa)
       in
-      same_ir && cached_fresh)
+      same_ir && cached_fresh
+      && default_schedule ~caching:true seed = default_schedule ~caching:false seed)
+
+(* ---------------- rewritten analyses vs reference oracles ---------------- *)
+
+module Ref = Reference_analyses
+module Constprop = Lp_transforms.Constprop
+module Liveness = Lp_analysis.Liveness
+module Bitset = Lp_analysis.Bitset
+
+(** [check prog] on a fuzzer program after lowering and after every pass
+    of the default schedule. *)
+let holds_through_schedule (check : Prog.t -> bool) seed =
+  let prog = gen_lowered seed in
+  let ok = ref (check prog) in
+  let on_pass _ prog = if !ok then ok := check prog in
+  let pm = Pass.create_manager ~on_pass () in
+  Pipeline.execute pm ~mac_fusion:true Pipeline.default prog;
+  !ok
+
+let constprop_agrees (prog : Prog.t) =
+  List.for_all
+    (fun (f : Prog.func) ->
+      let got = Constprop.analyse f in
+      let want = Ref.constprop_entry_states f in
+      List.for_all
+        (fun l ->
+          match Hashtbl.find_opt want l with
+          | Some st -> Constprop.equal_state st got.(l)
+          | None -> Array.length got.(l) = 0)
+        f.Prog.block_order)
+    (Prog.funcs prog)
+
+let liveness_agrees (prog : Prog.t) =
+  List.for_all
+    (fun (f : Prog.func) ->
+      let got = Liveness.compute f in
+      let want = Ref.liveness f in
+      List.for_all
+        (fun l ->
+          Bitset.elements (Liveness.live_in got l) = want.Ref.live_in l
+          && Bitset.elements (Liveness.live_out got l) = want.Ref.live_out l)
+        f.Prog.block_order)
+    (Prog.funcs prog)
+
+let prop_constprop_oracle =
+  QCheck.Test.make ~count:40
+    ~name:"constprop entry states == round-robin reference"
+    QCheck.(int_range 0 1_000_000)
+    (holds_through_schedule constprop_agrees)
+
+let prop_liveness_oracle =
+  QCheck.Test.make ~count:40
+    ~name:"bitset liveness == Int_set reference"
+    QCheck.(int_range 0 1_000_000)
+    (holds_through_schedule liveness_agrees)
 
 (* ---------------- folder vs interpreter agreement ---------------- *)
 
@@ -248,6 +319,8 @@ let suite =
     QCheck_alcotest.to_alcotest ~long:true prop_differential;
     QCheck_alcotest.to_alcotest prop_generated_patterns_detected;
     QCheck_alcotest.to_alcotest prop_cache_transparent;
+    QCheck_alcotest.to_alcotest prop_constprop_oracle;
+    QCheck_alcotest.to_alcotest prop_liveness_oracle;
     QCheck_alcotest.to_alcotest prop_fold_matches_interp;
     QCheck_alcotest.to_alcotest prop_unop_matches_interp;
   ]

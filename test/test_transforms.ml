@@ -124,6 +124,43 @@ let test_simplify_threads_empty () =
   if changes = 0 then fail "no simplification";
   check Alcotest.int "one block" 1 (List.length f.Prog.block_order)
 
+(* A chain entry -> a -> b -> c, laid out backwards, collapses in one
+   merge call: each merge hands the absorbed block's successor its new
+   sole predecessor, so the same block keeps absorbing. *)
+let test_simplify_merges_chain_in_one_call () =
+  let f = Prog.create_func ~name:"main" ~params:[] ~ret:(Some Ir.I) in
+  let a = Prog.new_block f in
+  let b = Prog.new_block f in
+  let c = Prog.new_block f in
+  let entry = Prog.block f f.Prog.entry in
+  (* one instruction per block, so none is an empty forwarding block *)
+  let def (blk : Ir.block) k =
+    let r = Prog.new_reg f in
+    blk.Ir.instrs <- [ Prog.new_instr f (Ir.Const (r, Ir.Cint k)) ];
+    r
+  in
+  List.iteri (fun k blk -> ignore (def blk k)) [ entry; a; b ];
+  let r = def c 3 in
+  entry.Ir.term <- Ir.Jmp a.Ir.bid;
+  a.Ir.term <- Ir.Jmp b.Ir.bid;
+  b.Ir.term <- Ir.Jmp c.Ir.bid;
+  c.Ir.term <- Ir.Ret (Some (Ir.Reg r));
+  f.Prog.block_order <- [ f.Prog.entry; c.Ir.bid; b.Ir.bid; a.Ir.bid ];
+  Prog.touch f;
+  let prog = Prog.create ~globals:[] in
+  Prog.add_func prog f;
+  let merged =
+    T.Simplify_cfg.merge_linear (Lp_analysis.Manager.create prog) f
+  in
+  check Alcotest.int "three merges in one call" 3 merged;
+  check Alcotest.(list int) "one block left" [ f.Prog.entry ] f.Prog.block_order;
+  check Alcotest.(list int) "instructions in chain order" [ 0; 1; 2; 3 ]
+    (List.filter_map
+       (fun (i : Ir.instr) ->
+         match i.Ir.idesc with Ir.Const (_, Ir.Cint k) -> Some k | _ -> None)
+       entry.Ir.instrs);
+  Verify.verify_prog prog
+
 (* ---------------- mac fusion ---------------- *)
 
 let test_mac_fusion_fuses () =
@@ -261,6 +298,70 @@ let test_pass_manager_stats () =
     check Alcotest.int "runs" 2 s.T.Pass.runs
   | _ -> fail "stats aggregation"
 
+(* ---------------- no-op pass-run memo ---------------- *)
+
+(** [p] plus a count of how often its body actually ran. *)
+let counted (p : T.Pass.func_pass) =
+  let calls = ref 0 in
+  ( { p with T.Pass.run = (fun am prog f -> incr calls; p.T.Pass.run am prog f) },
+    calls )
+
+let test_pass_memo () =
+  let prog =
+    lower
+      "int g[4] = {1, 2, 3, 4};
+       int twice(int x) { int unused = x + 7; return x * 2; }
+       int main() { int s = 0; for (int i = 0; i < 4; i = i + 1) { s = s + twice(g[i]); } return s; }"
+  in
+  let nfuncs = List.length (Prog.funcs prog) in
+  let pm = T.Pass.create_manager () in
+  let (dce, dce_calls) = counted T.Dce.pass in
+  let runs () =
+    (List.find (fun s -> s.T.Pass.pass_name = "dce") (T.Pass.stats pm)).T.Pass.runs
+  in
+  check Alcotest.bool "first dce run removes code" true
+    (T.Pass.run_pass pm dce prog > 0);
+  while T.Pass.run_pass pm dce prog > 0 do () done;
+  (* the last run changed nothing: every function is clean at its
+     current version *)
+  let settled = !dce_calls and settled_runs = runs () in
+  check Alcotest.int "repeat changes nothing" 0 (T.Pass.run_pass pm dce prog);
+  check Alcotest.int "repeat on untouched functions does no work" settled
+    !dce_calls;
+  check Alcotest.int "skipped runs still count" (settled_runs + 1) (runs ());
+  Prog.touch (Prog.func_exn prog "main");
+  ignore (T.Pass.run_pass pm dce prog);
+  check Alcotest.int "after touch, dce runs again (on main only)"
+    (settled + 1) !dce_calls;
+  (* const-promote reads every function's stores: never skipped, even
+     after a run that changed nothing *)
+  let (promote, promote_calls) = counted T.Const_promote.pass in
+  for _ = 1 to 3 do
+    ignore (T.Pass.run_pass pm promote prog)
+  done;
+  check Alcotest.int "const-promote never skipped" (3 * nfuncs) !promote_calls;
+  (* with the analysis cache off the memo is off too *)
+  let pm_off = T.Pass.create_manager ~caching:false () in
+  let (dce_off, off_calls) = counted T.Dce.pass in
+  ignore (T.Pass.run_pass pm_off dce_off prog);
+  ignore (T.Pass.run_pass pm_off dce_off prog);
+  check Alcotest.int "cache off: every run executes" (2 * nfuncs) !off_calls
+
+(* A NaN constant used to keep constprop's fixpoint from ever settling:
+   under polymorphic equality [nan <> nan], so every sweep "changed". *)
+let test_constprop_nan_terminates () =
+  let src =
+    "int main() { float z = 0.0; float x = z / z; int r = 0; if (r < 1) { r = 2; } if (x == x) { r = r + 1; } return r; }"
+  in
+  let machine = Lp_machine.Machine.generic () in
+  List.iter
+    (fun (name, opts) ->
+      let (_, out) = Lowpower.Compile.run ~opts ~machine src in
+      check Alcotest.bool (name ^ " returns 2") true
+        (out.Lp_sim.Sim.ret = Some (Lp_sim.Value.Vint 2)))
+    [ ("baseline", Lowpower.Compile.baseline);
+      ("full", Lowpower.Compile.full ~n_cores:4) ]
+
 let suite =
   [
     Alcotest.test_case "constfold arith" `Quick test_constfold_arith;
@@ -273,6 +374,8 @@ let suite =
     Alcotest.test_case "dce keeps calls" `Quick test_dce_keeps_calls;
     Alcotest.test_case "simplify merges" `Quick test_simplify_merges_blocks;
     Alcotest.test_case "simplify threads empty" `Quick test_simplify_threads_empty;
+    Alcotest.test_case "simplify merges a chain in one call" `Quick
+      test_simplify_merges_chain_in_one_call;
     Alcotest.test_case "mac fusion" `Quick test_mac_fusion_fuses;
     Alcotest.test_case "mac fusion multi-use" `Quick test_mac_fusion_respects_multiuse;
     Alcotest.test_case "strength pow2" `Quick test_strength_pow2;
@@ -283,6 +386,9 @@ let suite =
     Alcotest.test_case "const promote" `Quick test_const_promote;
     Alcotest.test_case "const promote scalar" `Quick test_const_promote_faa_blocks;
     Alcotest.test_case "pass manager stats" `Quick test_pass_manager_stats;
+    Alcotest.test_case "pass memo skips no-op reruns" `Quick test_pass_memo;
+    Alcotest.test_case "constprop NaN terminates" `Quick
+      test_constprop_nan_terminates;
   ]
 
 (* ---------------- global constant propagation ---------------- *)
