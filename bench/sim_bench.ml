@@ -6,11 +6,12 @@
     lib/experiments/simbench.mli) — the artifact CI uploads so the
     simulator's raw speed is tracked from PR to PR.
 
-    [--metrics PATH] instead writes the {e deterministic} per-workload
-    simulated metrics (no wall-clock anywhere) under the mode selected
-    by [--no-sim-predecode] / [LP_NO_SIM_PREDECODE]; CI runs it once per
-    mode and byte-diffs the two files, proving the modes agree on every
-    workload of the suite.
+    [--metrics PATH] instead writes the {e deterministic} simulated
+    metrics of every workload on every zoo machine (schema
+    [lowpower-sim-metrics/2], no wall-clock anywhere) under the mode
+    selected by [--no-sim-predecode] / [LP_NO_SIM_PREDECODE]; CI runs it
+    once per mode and byte-diffs the two files, proving the modes agree
+    on every cell.
 
     Usage:
       dune exec bench/sim_bench.exe                    # BENCH_sim.json

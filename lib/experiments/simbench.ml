@@ -7,10 +7,11 @@
       predecode vs the interpretive reference stepper) over the
       committed workload suite and returns the throughput table that
       [BENCH_sim.json] serialises;
-    - {!metrics} produces the {e deterministic} per-workload simulated
-      metrics (cycles, energy, instructions — no wall-clock anywhere)
-      that CI writes once per mode and diffs byte-for-byte, proving the
-      two modes agree on every workload, not just the baseline cells.
+    - {!metrics} produces the {e deterministic} simulated metrics of
+      every workload on every zoo machine (cycles, duration, the full
+      energy ledger, instructions — no wall-clock anywhere) that CI
+      writes once per mode and diffs byte-for-byte, proving the two
+      modes agree on every cell, not just the baseline ones.
 
     The JSON schema ([lowpower-bench-sim/1]) round-trips through
     {!to_json}/{!of_json}; a golden test locks that down so downstream
@@ -160,36 +161,46 @@ let measure ?(min_wall_s = 0.2) ?(min_runs = 3) () : t =
 (* ------------------------------------------------------------------ *)
 
 let metrics ~predecode () : J.t =
-  let machine = bench_machine () in
-  let opts = bench_config () in
+  let cell (machine : Machine.t) (w : Workload.t) =
+    let key =
+      [ ("workload", J.Str w.Workload.name);
+        ("machine", J.Str machine.Machine.name) ]
+    in
+    let opts = Compile.full ~n_cores:(Machine.n_cores machine) in
+    match
+      Result.bind (Compile.compile_result ~opts ~machine w.Workload.source)
+        (fun compiled ->
+          Sim.run_result
+            ~opts:{ Sim.default_options with Sim.predecode }
+            ~machine compiled.Compile.prog)
+    with
+    | Error d -> J.Obj (key @ [ ("status", J.Str d.Lp_util.Diag.code) ])
+    | Ok o ->
+      let cycles =
+        Array.fold_left
+          (fun acc c -> acc +. float_of_int c)
+          0.0 o.Sim.cycles_per_core
+      in
+      J.Obj
+        (key
+        @ [
+            ("cycles", J.Num cycles);
+            ("duration_ns", J.Num o.Sim.duration_ns);
+            ("instrs", J.Num (float_of_int o.Sim.instr_total));
+            ("steps", J.Num (float_of_int o.Sim.steps));
+            ("energy", Ledger.to_json o.Sim.energy);
+          ])
+  in
   let cells =
-    List.filter_map
-      (fun (w : Workload.t) ->
-        match Compile.compile ~opts ~machine w.Workload.source with
-        | exception _ -> None
-        | compiled -> (
-          match simulate compiled ~machine ~predecode with
-          | exception _ -> None
-          | o ->
-            let cycles =
-              Array.fold_left
-                (fun acc c -> acc +. float_of_int c)
-                0.0 o.Sim.cycles_per_core
-            in
-            Some
-              (J.Obj
-                 [
-                   ("workload", J.Str w.Workload.name);
-                   ("cycles", J.Num cycles);
-                   ("energy_nj", J.Num (Ledger.total o.Sim.energy));
-                   ("instrs", J.Num (float_of_int o.Sim.instr_total));
-                   ("steps", J.Num (float_of_int o.Sim.steps));
-                 ])))
-      Suite.all
+    List.concat_map
+      (fun (_, _, (mk : ?cores:int -> unit -> Machine.t)) ->
+        let machine = mk () in
+        List.map (cell machine) Suite.all)
+      Machine.registry
   in
   (* deliberately no mode marker: the two modes' files must be
      byte-identical, which is exactly what CI diffs *)
-  J.Obj [ ("schema", J.Str "lowpower-sim-metrics/1"); ("cells", J.List cells) ]
+  J.Obj [ ("schema", J.Str "lowpower-sim-metrics/2"); ("cells", J.List cells) ]
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_sim.json schema                                               *)

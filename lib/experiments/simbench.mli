@@ -35,10 +35,13 @@ type t = {
     [min_runs] repetitions, default 3). *)
 val measure : ?min_wall_s:float -> ?min_runs:int -> unit -> t
 
-(** Deterministic per-workload simulated metrics (cycles, energy,
-    instructions, steps — no wall-clock, no mode marker) under the given
-    simulator mode.  CI writes this once per mode and diffs the two
-    files byte-for-byte. *)
+(** Deterministic simulated metrics of every workload on every zoo
+    machine ([Compile.full] on all of the machine's cores): cycles,
+    duration, instructions, steps and the full energy ledger, or the
+    diagnostic code of a cell that fails (an FPU workload on a machine
+    without one).  Schema [lowpower-sim-metrics/2].  No wall-clock, no
+    mode marker: CI writes this once per simulator mode and diffs the
+    two files byte-for-byte. *)
 val metrics : predecode:bool -> unit -> Lp_util.Json.t
 
 val schema : string

@@ -36,6 +36,9 @@ val raw_by_category : t -> float array
 val raw_by_component : t -> float array
 val raw_total : t -> float array
 
+(** The index of a category on the {!raw_by_category} axis. *)
+val category_index : category -> int
+
 (** Raises the [Invalid_argument] that {!charge} raises on negative
     energy. *)
 val negative_energy : unit -> 'a

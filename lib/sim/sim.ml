@@ -77,10 +77,9 @@ type frame = {
   dfunc : Predecode.dfunc;
   cfun : cfun;
   regs : Value.t array;
-  fmem : (string, Value.t array) Hashtbl.t;
   farrs : Value.t array array;
-      (** the same arrays as [fmem], in [Prog.frame_arrays] position
-          order, for the compiled mode's index-resolved accesses *)
+      (** the frame arrays, in [Prog.frame_arrays] position order; a
+          name resolves to its position through [dfunc.df_frame_idx] *)
   mutable block : Ir.label;
   mutable idx : int;
   mutable pending_dst : Ir.reg option;
@@ -179,7 +178,9 @@ type options = {
       (** model the compiler gating every gateable component of cores the
           program does not occupy *)
   trace_limit : int;
-      (** record up to this many power/communication events (0 = off) *)
+      (** record up to this many power/communication events (0 = off);
+          while on, the compiled mode single-steps like the reference,
+          so the trace interleaves the cores in reference order *)
   predecode : bool;
       (** run closure-compiled blocks (default); [false] selects the
           interpretive reference stepper *)
@@ -213,7 +214,6 @@ type t = {
   machine : Machine.t;
   opts : options;
   fsyms : (string, cfun) Hashtbl.t;  (** every function, by name *)
-  dfuncs : (string, Predecode.dfunc) Hashtbl.t;
   decoded_blocks : int;   (** total blocks decoded (once, at creation) *)
   cores : core array;          (** one per entry function *)
   shared : (string, Value.t array) Hashtbl.t;
@@ -314,14 +314,12 @@ let dummy_cblock =
 let make_frame (fcore : core) (cf : cfun) : frame =
   let f = cf.cf_fe.fe_func in
   let nregs = Lp_util.Id_gen.peek f.Prog.reg_gen in
-  let fmem = Hashtbl.create 4 in
-  let farrs = Array.make (List.length f.Prog.frame_arrays) [||] in
-  List.iteri
-    (fun k (name, ty, len) ->
-      let a = Array.make len (Value.zero_of_ty ty) in
-      Hashtbl.replace fmem name a;
-      farrs.(k) <- a)
-    f.Prog.frame_arrays;
+  let farrs =
+    Array.of_list
+      (List.map
+         (fun (_, ty, len) -> Array.make len (Value.zero_of_ty ty))
+         f.Prog.frame_arrays)
+  in
   let cblk =
     if Array.length cf.cf_blocks > 0 then cf.cf_blocks.(f.Prog.entry)
     else dummy_cblock
@@ -332,7 +330,6 @@ let make_frame (fcore : core) (cf : cfun) : frame =
     dfunc = cf.cf_fe.fe_dfunc;
     cfun = cf;
     regs = Array.make (max 1 nregs) (Value.Vint 0);
-    fmem;
     farrs;
     block = f.Prog.entry;
     idx = 0;
@@ -413,10 +410,6 @@ let record_thunk t (c : core) f =
    a plain comparison computes the identical value. *)
 let[@inline always] fmax a b : float = if a >= b then a else b
 
-(* via the ns-per-cycle cache so the class perf scale applies; on scale
-   1.0 this is bitwise [Operating_point.ns_of_cycles c.point n] *)
-let cycle_ns (c : core) n = float_of_int n *. c.clk.ns_per_cycle
-
 (* the bus and shared memory tick at the machine's reference clock:
    nominal frequency of core class 0 *)
 let nominal_ns t n =
@@ -453,23 +446,32 @@ let[@inline always] advance t (c : core) dt ~idle =
 let resume_at t (c : core) target =
   if target > c.clk.time then advance t c (target -. c.clk.time) ~idle:true
 
-(** Issue [n] compute cycles on [c]: advances its clock (stretched by the
-    current operating point) and feeds the per-core cycle counter. *)
-let spend t (c : core) n =
+(** Issue [n] compute cycles on [c] ([nf] is [n] pre-floated): advances
+    its clock, stretched by the current operating point through the
+    ns-per-cycle cache so the class perf scale applies (on scale 1.0
+    this is bitwise [Operating_point.ns_of_cycles c.point n]), and feeds
+    the per-core cycle counter. *)
+let[@inline always] spend_nf t (c : core) n nf =
   c.cycles <- c.cycles + n;
   if c.prof_on then
     c.prof_cur.Profile.sl_cycles <- c.prof_cur.Profile.sl_cycles + n;
-  advance t c (cycle_ns c n) ~idle:false
+  advance t c (nf *. c.clk.ns_per_cycle) ~idle:false
 
-let charge_dynamic _t (c : core) comp =
-  let pm = c.pm in
-  let nj = Power_model.dynamic_energy pm ~comp ~point:c.point ~ops:1 in
-  Energy_ledger.charge c.ledger ~category:Energy_ledger.Dynamic ~component:comp
-    nj;
+let spend t (c : core) n = spend_nf t c n (float_of_int n)
+
+(** Charge [nj] to [c]'s ledger and, when profiling, to the same
+    category of the slot the charge attributes to. *)
+let charge ?component (c : core) category nj =
+  Energy_ledger.charge c.ledger ~category ?component nj;
   if c.prof_on then begin
     let sc = c.prof_cur.Profile.sl_cat in
-    Array.unsafe_set sc 0 (Array.unsafe_get sc 0 +. nj)
+    let k = Energy_ledger.category_index category in
+    Array.unsafe_set sc k (Array.unsafe_get sc k +. nj)
   end
+
+let charge_dynamic _t (c : core) comp =
+  charge c Energy_ledger.Dynamic ~component:comp
+    (Power_model.dynamic_energy c.pm ~comp ~point:c.point ~ops:1)
 
 (** Serialise a shared-bus transaction: the core waits for the bus, holds
     it for the transfer, then pays [extra_ns] (e.g. memory array access)
@@ -486,20 +488,18 @@ let bus_access t (c : core) ~words ~extra_ns =
   c.bus_txns <- c.bus_txns + 1;
   c.bus_words <- c.bus_words + words;
   c.clk.bus_wait_ns <- c.clk.bus_wait_ns +. (start -. c.clk.time);
-  let nj = float_of_int words *. m.Machine.bus_energy_per_word_nj in
   if c.prof_on then begin
     let s = c.prof_cur in
     s.Profile.sl_bus_txns <- s.Profile.sl_bus_txns + 1;
     s.Profile.sl_bus_words <- s.Profile.sl_bus_words + words;
     s.Profile.sl_bus_wait_ns <-
-      s.Profile.sl_bus_wait_ns +. (start -. c.clk.time);
-    let sc = s.Profile.sl_cat in
-    Array.unsafe_set sc 5 (Array.unsafe_get sc 5 +. nj)
+      s.Profile.sl_bus_wait_ns +. (start -. c.clk.time)
   end;
   t.bus_free.(0) <- start +. bus_ns;
   let finish = start +. bus_ns +. extra_ns in
   advance t c (finish -. c.clk.time) ~idle:false;
-  Energy_ledger.charge c.ledger ~category:Energy_ledger.Communication nj
+  charge c Energy_ledger.Communication
+    (float_of_int words *. m.Machine.bus_energy_per_word_nj)
 
 (** Interpretive-mode shared access: one bus transaction plus the
     latency of the tier the symbol lives in; a far-tier access also pays
@@ -508,12 +508,7 @@ let bus_access t (c : core) ~words ~extra_ns =
 let shared_access t (c : core) (s : Ir.sym) =
   if Hashtbl.mem t.far_syms s.Ir.sym_name then begin
     bus_access t c ~words:1 ~extra_ns:t.far_extra_ns;
-    let nj = t.far_energy_nj in
-    Energy_ledger.charge c.ledger ~category:Energy_ledger.Communication nj;
-    if c.prof_on then begin
-      let sc = c.prof_cur.Profile.sl_cat in
-      Array.unsafe_set sc 5 (Array.unsafe_get sc 5 +. nj)
-    end
+    charge c Energy_ledger.Communication t.far_energy_nj
   end
   else
     bus_access t c ~words:1
@@ -528,12 +523,7 @@ let local_miss t (c : core) =
     if c.local_accs >= t.cache_miss_period then begin
       c.local_accs <- 0;
       spend t c t.cache_miss_penalty;
-      let nj = t.cache_miss_energy_nj in
-      Energy_ledger.charge c.ledger ~category:Energy_ledger.Communication nj;
-      if c.prof_on then begin
-        let sc = c.prof_cur.Profile.sl_cat in
-        Array.unsafe_set sc 5 (Array.unsafe_get sc 5 +. nj)
-      end
+      charge c Energy_ledger.Communication t.cache_miss_energy_nj
     end
   end
 
@@ -550,22 +540,24 @@ let mem_array t (fr : frame) (s : Ir.sym) : Value.t array =
     | Some a -> a
     | None -> runtime_err "unknown global %s" s.Ir.sym_name)
   | Ir.Frame -> (
-    match Hashtbl.find_opt fr.fmem s.Ir.sym_name with
-    | Some a -> a
+    match Hashtbl.find_opt fr.dfunc.Predecode.df_frame_idx s.Ir.sym_name with
+    | Some k -> fr.farrs.(k)
     | None -> runtime_err "unknown frame array %s" s.Ir.sym_name)
+
+let oob_err what sym idx (a : Value.t array) (fr : frame) =
+  runtime_err "out-of-bounds %s %s[%d] (len %d) in %s" what sym idx
+    (Array.length a) fr.func.Prog.fname
 
 let mem_read t fr s idx =
   let a = mem_array t fr s in
   if idx < 0 || idx >= Array.length a then
-    runtime_err "out-of-bounds read %s[%d] (len %d) in %s" (Ir.sym_to_string s)
-      idx (Array.length a) fr.func.Prog.fname;
+    oob_err "read" (Ir.sym_to_string s) idx a fr;
   a.(idx)
 
 let mem_write t fr s idx v =
   let a = mem_array t fr s in
   if idx < 0 || idx >= Array.length a then
-    runtime_err "out-of-bounds write %s[%d] (len %d) in %s" (Ir.sym_to_string s)
-      idx (Array.length a) fr.func.Prog.fname;
+    oob_err "write" (Ir.sym_to_string s) idx a fr;
   a.(idx) <- v
 
 (* ------------------------------------------------------------------ *)
@@ -589,13 +581,7 @@ let ensure_powered t (c : core) comp =
     c.implicit_wakeups <- c.implicit_wakeups + 1;
     record t c "IMPLICIT WAKEUP of %s" (Component.to_string comp);
     c.gate_transitions <- c.gate_transitions + 1;
-    Energy_ledger.charge c.ledger ~category:Energy_ledger.Gating_overhead
-      pm.Power_model.gate_energy_nj;
-    if c.prof_on then begin
-      let sc = c.prof_cur.Profile.sl_cat in
-      Array.unsafe_set sc 3
-        (Array.unsafe_get sc 3 +. pm.Power_model.gate_energy_nj)
-    end;
+    charge c Energy_ledger.Gating_overhead pm.Power_model.gate_energy_nj;
     spend t c pm.Power_model.wake_latency_cycles
   end
 
@@ -609,15 +595,9 @@ let complete_send t (sender : core) chan_id v =
     nominal_ns t (m.Machine.bus_latency_cycles + m.Machine.bus_word_cycles)
   in
   advance t sender link_ns ~idle:false;
-  Energy_ledger.charge sender.ledger ~category:Energy_ledger.Communication
-    m.Machine.bus_energy_per_word_nj;
-  if sender.prof_on then begin
-    (* a sender unblocked by [unblock_pass] still points at its Send
-       slot, so the deferred transfer energy attributes correctly *)
-    let sc = sender.prof_cur.Profile.sl_cat in
-    Array.unsafe_set sc 5
-      (Array.unsafe_get sc 5 +. m.Machine.bus_energy_per_word_nj)
-  end;
+  (* a sender unblocked by [unblock_pass] still points at its Send slot,
+     so the deferred transfer energy attributes correctly *)
+  charge sender Energy_ledger.Communication m.Machine.bus_energy_per_word_nj;
   Queue.push (v, sender.clk.time) ch.queue;
   ch.total_msgs <- ch.total_msgs + 1;
   (* a blocked receiver may now have data *)
@@ -763,13 +743,7 @@ let exec_instr t (c : core) (fr : frame) (di : Predecode.dinstr) =
         if c.powered.(k) then begin
           c.powered.(k) <- false;
           c.gate_transitions <- c.gate_transitions + 1;
-          Energy_ledger.charge c.ledger ~category:Energy_ledger.Gating_overhead
-            pm.Power_model.gate_energy_nj;
-          if c.prof_on then begin
-            let sc = c.prof_cur.Profile.sl_cat in
-            Array.unsafe_set sc 3
-              (Array.unsafe_get sc 3 +. pm.Power_model.gate_energy_nj)
-          end
+          charge c Energy_ledger.Gating_overhead pm.Power_model.gate_energy_nj
         end)
       comps;
     recompute_leak t c
@@ -783,13 +757,7 @@ let exec_instr t (c : core) (fr : frame) (di : Predecode.dinstr) =
           c.powered.(k) <- true;
           any := true;
           c.gate_transitions <- c.gate_transitions + 1;
-          Energy_ledger.charge c.ledger ~category:Energy_ledger.Gating_overhead
-            pm.Power_model.gate_energy_nj;
-          if c.prof_on then begin
-            let sc = c.prof_cur.Profile.sl_cat in
-            Array.unsafe_set sc 3
-              (Array.unsafe_get sc 3 +. pm.Power_model.gate_energy_nj)
-          end
+          charge c Energy_ledger.Gating_overhead pm.Power_model.gate_energy_nj
         end)
       comps;
     recompute_leak t c;
@@ -800,13 +768,7 @@ let exec_instr t (c : core) (fr : frame) (di : Predecode.dinstr) =
     let target = Power_model.point pm level in
     if target.Operating_point.level <> c.point.Operating_point.level then begin
       spend t c pm.Power_model.dvfs_latency_cycles;
-      Energy_ledger.charge c.ledger ~category:Energy_ledger.Dvfs_overhead
-        pm.Power_model.dvfs_energy_nj;
-      if c.prof_on then begin
-        let sc = c.prof_cur.Profile.sl_cat in
-        Array.unsafe_set sc 4
-          (Array.unsafe_get sc 4 +. pm.Power_model.dvfs_energy_nj)
-      end;
+      charge c Energy_ledger.Dvfs_overhead pm.Power_model.dvfs_energy_nj;
       c.point <- target;
       refresh_point_caches t c;
       c.dvfs_transitions <- c.dvfs_transitions + 1;
@@ -916,7 +878,10 @@ let step_interp t (c : core) =
    the IR, the machine, or the current operating point resolved ahead of
    time: operand fetches, memory symbols, call targets, per-component
    dynamic energies (no [**] per instruction), and cycle→ns factors (no
-   division per instruction). *)
+   division per instruction).  The closures are assembled from the
+   [@inline always] helpers below, so every step of the per-instruction
+   protocol is written once and still compiles to straight-line code,
+   with no call per step. *)
 
 let bump (c : core) =
   c.instr_count <- c.instr_count + 1;
@@ -924,23 +889,6 @@ let bump (c : core) =
     c.prof_cur.Profile.sl_instrs <- c.prof_cur.Profile.sl_instrs + 1
 
 let branch_idx = Component.index Component.Branch_unit
-
-let[@inline always] spend1 t (c : core) =
-  c.cycles <- c.cycles + 1;
-  if c.prof_on then
-    c.prof_cur.Profile.sl_cycles <- c.prof_cur.Profile.sl_cycles + 1;
-  advance t c c.clk.ns_per_cycle ~idle:false
-
-let[@inline always] spend_nf t (c : core) n fn =
-  c.cycles <- c.cycles + n;
-  if c.prof_on then
-    c.prof_cur.Profile.sl_cycles <- c.prof_cur.Profile.sl_cycles + n;
-  advance t c (fn *. c.clk.ns_per_cycle) ~idle:false
-
-(* A cycle cost known at decode time compiles to a direct [spend_nf]
-   call with the count pre-floated.  [n = 1] needs no special case:
-   [1.0 *. x] is exactly [x], so the charged duration is bit-identical
-   to [spend1]. *)
 
 (* hand-inlined [Energy_ledger.charge ~category:Dynamic ~component]:
    category, then component, then total — the same order, bit for bit *)
@@ -955,82 +903,6 @@ let[@inline always] charge_dyn (c : core) ci =
     Array.unsafe_set sc 0 (Array.unsafe_get sc 0 +. nj)
   end
 
-(** Is it [c]'s turn to execute a {e globally-visible} instruction —
-    one that touches state other cores can observe (shared memory, the
-    bus, channels, barriers)?  Such instructions must execute in the
-    exact (local time, core id) order of the per-step reference
-    scheduler.  Core-local instructions commute with other cores'
-    work, so batches run through them freely (when tracing is off) and
-    only the visible ones re-check the race against the runner-up. *)
-let[@inline always] visible_turn t (c : core) =
-  let oi = t.batch_other in
-  oi < 0
-  ||
-  let o = Array.unsafe_get t.cores oi in
-  c.clk.time < o.clk.time || (c.clk.time = o.clk.time && c.id < o.id)
-
-(** One-word shared-memory bus transaction (loads, stores, faa). *)
-let bus_access1 t (c : core) =
-  if t.faults_armed then
-    Lp_util.Fault.check Lp_util.Fault.Sim_bus ~key:"bus";
-  let start = fmax c.clk.time (Array.unsafe_get t.bus_free 0) in
-  c.bus_txns <- c.bus_txns + 1;
-  c.bus_words <- c.bus_words + 1;
-  c.clk.bus_wait_ns <- c.clk.bus_wait_ns +. (start -. c.clk.time);
-  if c.prof_on then begin
-    let s = c.prof_cur in
-    s.Profile.sl_bus_txns <- s.Profile.sl_bus_txns + 1;
-    s.Profile.sl_bus_words <- s.Profile.sl_bus_words + 1;
-    s.Profile.sl_bus_wait_ns <-
-      s.Profile.sl_bus_wait_ns +. (start -. c.clk.time);
-    let sc = s.Profile.sl_cat in
-    Array.unsafe_set sc 5 (Array.unsafe_get sc 5 +. t.bus_word_energy_nj)
-  end;
-  Array.unsafe_set t.bus_free 0 (start +. t.bus_txn1_ns);
-  let finish = start +. t.bus_txn1_ns +. t.shared_extra_ns in
-  advance t c (finish -. c.clk.time) ~idle:false;
-  (* hand-inlined [Energy_ledger.charge ~category:Communication] *)
-  let nj = t.bus_word_energy_nj in
-  if nj < 0.0 then Energy_ledger.negative_energy ();
-  Array.unsafe_set c.lg_cat 5 (Array.unsafe_get c.lg_cat 5 +. nj);
-  Array.unsafe_set c.lg_tot 0 (Array.unsafe_get c.lg_tot 0 +. nj)
-
-(** Far-tier variant of {!bus_access1}: the off-bus latency is the far
-    tier's, and the tier's per-access energy is charged on top.  Chosen
-    at compile time per symbol, so near-only machines never branch. *)
-let bus_access1_far t (c : core) =
-  if t.faults_armed then
-    Lp_util.Fault.check Lp_util.Fault.Sim_bus ~key:"bus";
-  let start = fmax c.clk.time (Array.unsafe_get t.bus_free 0) in
-  c.bus_txns <- c.bus_txns + 1;
-  c.bus_words <- c.bus_words + 1;
-  c.clk.bus_wait_ns <- c.clk.bus_wait_ns +. (start -. c.clk.time);
-  if c.prof_on then begin
-    let s = c.prof_cur in
-    s.Profile.sl_bus_txns <- s.Profile.sl_bus_txns + 1;
-    s.Profile.sl_bus_words <- s.Profile.sl_bus_words + 1;
-    s.Profile.sl_bus_wait_ns <-
-      s.Profile.sl_bus_wait_ns +. (start -. c.clk.time);
-    let sc = s.Profile.sl_cat in
-    Array.unsafe_set sc 5 (Array.unsafe_get sc 5 +. t.bus_word_energy_nj)
-  end;
-  Array.unsafe_set t.bus_free 0 (start +. t.bus_txn1_ns);
-  let finish = start +. t.bus_txn1_ns +. t.far_extra_ns in
-  advance t c (finish -. c.clk.time) ~idle:false;
-  let nj = t.bus_word_energy_nj in
-  if nj < 0.0 then Energy_ledger.negative_energy ();
-  Array.unsafe_set c.lg_cat 5 (Array.unsafe_get c.lg_cat 5 +. nj);
-  Array.unsafe_set c.lg_tot 0 (Array.unsafe_get c.lg_tot 0 +. nj);
-  (* far-tier per-access energy, also Communication *)
-  let fnj = t.far_energy_nj in
-  if fnj < 0.0 then Energy_ledger.negative_energy ();
-  Array.unsafe_set c.lg_cat 5 (Array.unsafe_get c.lg_cat 5 +. fnj);
-  Array.unsafe_set c.lg_tot 0 (Array.unsafe_get c.lg_tot 0 +. fnj);
-  if c.prof_on then begin
-    let sc = c.prof_cur.Profile.sl_cat in
-    Array.unsafe_set sc 5 (Array.unsafe_get sc 5 +. fnj)
-  end
-
 (** Implicit wakeup, compiled mode: identical to {!ensure_powered}'s slow
     path except leakage refresh is deferred to the wake-stall advance. *)
 let wakeup_compiled t (c : core) comp ci =
@@ -1040,24 +912,108 @@ let wakeup_compiled t (c : core) comp ci =
   c.implicit_wakeups <- c.implicit_wakeups + 1;
   record_thunk t c (fun () -> "IMPLICIT WAKEUP of " ^ Component.to_string comp);
   c.gate_transitions <- c.gate_transitions + 1;
-  Energy_ledger.charge c.ledger ~category:Energy_ledger.Gating_overhead
-    pm.Power_model.gate_energy_nj;
-  if c.prof_on then begin
-    let sc = c.prof_cur.Profile.sl_cat in
-    Array.unsafe_set sc 3
-      (Array.unsafe_get sc 3 +. pm.Power_model.gate_energy_nj)
-  end;
-  spend_nf t c pm.Power_model.wake_latency_cycles
-    (float_of_int pm.Power_model.wake_latency_cycles)
+  charge c Energy_ledger.Gating_overhead pm.Power_model.gate_energy_nj;
+  spend t c pm.Power_model.wake_latency_cycles
+
+(** The implicit wakeup of the instruction's component, when it is
+    gated: on its own for the power-control instructions, which pay no
+    dynamic charge, and as the first step of {!issue} for the rest. *)
+let[@inline always] wake t (c : core) comp ci =
+  if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci
+
+(* [n] cycles ([nf] is [n] pre-floated; [1.0 *. x] is exactly [x], so one
+   cycle needs no special case), then — for a local access on a cache
+   machine, when [miss] — the periodic miss, then the dynamic charge *)
+let[@inline always] cost t (c : core) ci n nf ~miss =
+  spend_nf t c n nf;
+  if miss then local_miss t c;
+  charge_dyn c ci
+
+let issue_gated t (c : core) comp ci n nf ~miss =
+  wake t c comp ci;
+  cost t c ci n nf ~miss
+
+(** Issue an instruction: the wakeup, then its cycles, then (see
+    [cost]) the dynamic charge — the order {!exec_instr} performs them
+    in.  The wakeup path is out of line, so the common path makes no
+    call before the cost is paid. *)
+let[@inline always] issue_miss t (c : core) comp ci n nf ~miss =
+  if Array.unsafe_get c.powered ci then cost t c ci n nf ~miss
+  else issue_gated t c comp ci n nf ~miss
+
+let[@inline always] issue t c comp ci n nf =
+  issue_miss t c comp ci n nf ~miss:false
+
+(** Retire an instruction: its result register, then the instruction
+    count. *)
+let[@inline always] retire (fr : frame) d v =
+  Array.unsafe_set fr.regs d v;
+  bump fr.fcore
 
 (* Register indices come out of the function's [reg_gen], and frames
    size [regs] from the same generator's high-water mark, so every
    compiled register access is in bounds by construction — the
    compiled closures use unchecked accesses. *)
+let[@inline always] reg (fr : frame) r = Array.unsafe_get fr.regs r
+
+(** The turn guard of a {e globally-visible} instruction — one that
+    touches state other cores can observe (shared memory, the bus,
+    channels, barriers).  Such instructions must execute in the exact
+    (local time, core id) order of the per-step reference scheduler.
+    Core-local instructions commute with other cores' work, so batches
+    run through them freely and only the visible ones re-check the race
+    against the runner-up ([t.batch_other], -1 when there is none).
+    [false] when it is not [fr]'s core's turn: the instruction is then
+    rewound to replay when the core is re-picked (the attempt is not a
+    step, or step counts would diverge from the per-step reference) and
+    control goes back to the scheduler. *)
+let[@inline always] visible_turn t (fr : frame) =
+  let c = fr.fcore in
+  let oi = t.batch_other in
+  oi < 0
+  || (let o = Array.unsafe_get t.cores oi in
+      c.clk.time < o.clk.time || (c.clk.time = o.clk.time && c.id < o.id))
+  || begin
+       fr.idx <- fr.idx - 1;
+       t.steps <- t.steps - 1;
+       t.sched_event <- true;
+       false
+     end
+
+(** One-word shared-memory bus transaction (loads, stores, faa), the
+    compiled {!shared_access}: [extra_ns] is the off-bus latency of the
+    symbol's memory tier, and a far-tier symbol ([far]) also pays the
+    tier's per-access energy.  Both are resolved when the closure is
+    compiled, so near-only machines never take the far branch. *)
+let bus_word t (c : core) extra_ns far =
+  if t.faults_armed then
+    Lp_util.Fault.check Lp_util.Fault.Sim_bus ~key:"bus";
+  let start = fmax c.clk.time (Array.unsafe_get t.bus_free 0) in
+  c.bus_txns <- c.bus_txns + 1;
+  c.bus_words <- c.bus_words + 1;
+  c.clk.bus_wait_ns <- c.clk.bus_wait_ns +. (start -. c.clk.time);
+  if c.prof_on then begin
+    let s = c.prof_cur in
+    s.Profile.sl_bus_txns <- s.Profile.sl_bus_txns + 1;
+    s.Profile.sl_bus_words <- s.Profile.sl_bus_words + 1;
+    s.Profile.sl_bus_wait_ns <-
+      s.Profile.sl_bus_wait_ns +. (start -. c.clk.time);
+    let sc = s.Profile.sl_cat in
+    Array.unsafe_set sc 5 (Array.unsafe_get sc 5 +. t.bus_word_energy_nj)
+  end;
+  Array.unsafe_set t.bus_free 0 (start +. t.bus_txn1_ns);
+  let finish = start +. t.bus_txn1_ns +. extra_ns in
+  advance t c (finish -. c.clk.time) ~idle:false;
+  (* hand-inlined [Energy_ledger.charge ~category:Communication] *)
+  let nj = t.bus_word_energy_nj in
+  if nj < 0.0 then Energy_ledger.negative_energy ();
+  Array.unsafe_set c.lg_cat 5 (Array.unsafe_get c.lg_cat 5 +. nj);
+  Array.unsafe_set c.lg_tot 0 (Array.unsafe_get c.lg_tot 0 +. nj);
+  if far then charge c Energy_ledger.Communication t.far_energy_nj
 
 let compile_operand (o : Ir.operand) : frame -> Value.t =
   match o with
-  | Ir.Reg r -> fun fr -> Array.unsafe_get fr.regs r
+  | Ir.Reg r -> fun fr -> reg fr r
   | Ir.Imm cst ->
     let v = Value.of_const cst in
     fun _ -> v
@@ -1068,7 +1024,7 @@ let compile_operand (o : Ir.operand) : frame -> Value.t =
     [Value.t]-returning closure first. *)
 let compile_int_operand (o : Ir.operand) : frame -> int =
   match o with
-  | Ir.Reg r -> fun fr -> Value.to_int (Array.unsafe_get fr.regs r)
+  | Ir.Reg r -> fun fr -> Value.to_int (reg fr r)
   | Ir.Imm cst ->
     let n = Value.to_int (Value.of_const cst) in
     fun _ -> n
@@ -1088,486 +1044,248 @@ let compile_sym t (df : Predecode.dfunc) (s : Ir.sym) : frame -> Value.t array =
     | Some k -> fun fr -> fr.farrs.(k)
     | None -> fun _ -> runtime_err "unknown frame array %s" s.Ir.sym_name)
 
+(** A memory operand resolved at compile time: its backing array, its
+    printed name (for the out-of-bounds error) and what one access
+    costs — the cycles it issues, whether a local access takes the
+    cache's periodic miss, and a shared access's tier latency and
+    far-tier flag (see {!bus_word}). *)
+type mem_op = {
+  m_arr : frame -> Value.t array;
+  m_sym : string;
+  m_cycles : int;
+  m_cyclesf : float;
+  m_miss : bool;
+  m_extra_ns : float;
+  m_far : bool;
+}
+
+let compile_mem t df (s : Ir.sym) ~cycles =
+  let far = Hashtbl.mem t.far_syms s.Ir.sym_name in
+  {
+    m_arr = compile_sym t df s;
+    m_sym = Ir.sym_to_string s;
+    m_cycles = cycles;
+    m_cyclesf = float_of_int cycles;
+    m_miss = t.cache_miss_period > 0;
+    m_extra_ns = (if far then t.far_extra_ns else t.shared_extra_ns);
+    m_far = far;
+  }
+
+(** One memory access, after its operands are read: issue it (a local
+    access on a cache machine takes the periodic miss), then a shared
+    access's bus transaction, then the bounds check of [idx]
+    ([what] names the access in the error).  Returns the array. *)
+let[@inline always] access t (fr : frame) comp ci m ~shared what idx =
+  let c = fr.fcore in
+  if shared then begin
+    issue t c comp ci m.m_cycles m.m_cyclesf;
+    bus_word t c m.m_extra_ns m.m_far
+  end
+  else issue_miss t c comp ci m.m_cycles m.m_cyclesf ~miss:m.m_miss;
+  let a = m.m_arr fr in
+  if idx < 0 || idx >= Array.length a then oob_err what m.m_sym idx a fr;
+  a
+
+(** Gate ([on = false]) or ungate every component of [idxs] not already
+    in that state, charging each transition with the executing core's
+    class energy (closures are shared across cores of different
+    classes); true if any component changed. *)
+let gate_set (c : core) idxs ~on =
+  let any = ref false in
+  Array.iter
+    (fun k ->
+      if c.powered.(k) <> on then begin
+        c.powered.(k) <- on;
+        any := true;
+        c.gate_transitions <- c.gate_transitions + 1;
+        charge c Energy_ledger.Gating_overhead c.pm.Power_model.gate_energy_nj
+      end)
+    idxs;
+  !any
+
 let compile_instr t (df : Predecode.dfunc) (di : Predecode.dinstr) :
     frame -> unit =
   let comp = di.Predecode.di_comp in
   let ci = di.Predecode.di_comp_idx in
   let lat = di.Predecode.di_latency in
   let latf = float_of_int lat in
+  let local_cycles = 1 + Machine.spm_latency_cycles t.machine in
   match di.Predecode.di_instr.Ir.idesc with
   | Ir.Const (d, cst) ->
     let v = Value.of_const cst in
-    fun fr -> let c = fr.fcore in
-      if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-      spend_nf t c lat latf;
-      charge_dyn c ci;
-      Array.unsafe_set fr.regs d v;
-      bump c
+    fun fr -> issue t fr.fcore comp ci lat latf; retire fr d v
   | Ir.Move (d, a) ->
     let geta = compile_operand a in
-    fun fr -> let c = fr.fcore in
-      if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-      spend_nf t c lat latf;
-      charge_dyn c ci;
-      Array.unsafe_set fr.regs d (geta fr);
-      bump c
-  | Ir.Binop (op, d, Ir.Reg ra, Ir.Reg rb) ->
-    (* opcode dispatch hoisted to compile time ([Value.binop_fn]) and
-       the register-register operand shape read directly — the common
-       case costs one indirect call, not three plus an opcode match *)
-    (* frequent opcodes fuse the arithmetic into the closure as a
-       direct (inlined) call; the rest go through the [binop_fn]
-       closure, which costs a generic 2-ary application *)
-    (match op with
+    fun fr -> issue t fr.fcore comp ci lat latf; retire fr d (geta fr)
+  | Ir.Binop (op, d, Ir.Reg ra, Ir.Reg rb) -> (
+    (* opcode dispatch hoisted to compile time and the register operands
+       read directly; the frequent opcodes fuse their arithmetic into the
+       closure as a direct (inlined) call, the rest go through the
+       [binop_fn] closure, which costs a generic 2-ary application *)
+    match op with
     | Ir.Add ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_add (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_add (reg fr ra) (reg fr rb))
     | Ir.Sub ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_sub (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_sub (reg fr ra) (reg fr rb))
     | Ir.Mul ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_mul (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_mul (reg fr ra) (reg fr rb))
     | Ir.Lt ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_lt (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_lt (reg fr ra) (reg fr rb))
     | Ir.Le ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_le (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_le (reg fr ra) (reg fr rb))
     | Ir.Gt ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_gt (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_gt (reg fr ra) (reg fr rb))
     | Ir.Ge ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_ge (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_ge (reg fr ra) (reg fr rb))
     | Ir.Eq ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_eq (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_eq (reg fr ra) (reg fr rb))
     | Ir.Ne ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_ne (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_ne (reg fr ra) (reg fr rb))
     | Ir.Fadd ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_fadd (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_fadd (reg fr ra) (reg fr rb))
     | Ir.Fsub ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_fsub (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_fsub (reg fr ra) (reg fr rb))
     | Ir.Fmul ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (Value.v_fmul (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_fmul (reg fr ra) (reg fr rb))
     | _ ->
       let f = Value.binop_fn op in
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d
-          (f (Array.unsafe_get fr.regs ra) (Array.unsafe_get fr.regs rb));
-        bump c)
-  | Ir.Binop (op, d, Ir.Reg ra, Ir.Imm cb) ->
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (f (reg fr ra) (reg fr rb)))
+  | Ir.Binop (op, d, Ir.Reg ra, Ir.Imm cb) -> (
     let vb = Value.of_const cb in
-    (match op with
+    match op with
     | Ir.Add ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_add (Array.unsafe_get fr.regs ra) vb);
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_add (reg fr ra) vb)
     | Ir.Sub ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_sub (Array.unsafe_get fr.regs ra) vb);
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_sub (reg fr ra) vb)
     | Ir.Mul ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_mul (Array.unsafe_get fr.regs ra) vb);
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_mul (reg fr ra) vb)
     | Ir.Lt ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_lt (Array.unsafe_get fr.regs ra) vb);
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_lt (reg fr ra) vb)
     | Ir.Le ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_le (Array.unsafe_get fr.regs ra) vb);
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_le (reg fr ra) vb)
     | Ir.Gt ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_gt (Array.unsafe_get fr.regs ra) vb);
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_gt (reg fr ra) vb)
     | Ir.Ge ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_ge (Array.unsafe_get fr.regs ra) vb);
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_ge (reg fr ra) vb)
     | Ir.Eq ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_eq (Array.unsafe_get fr.regs ra) vb);
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_eq (reg fr ra) vb)
     | Ir.Ne ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_ne (Array.unsafe_get fr.regs ra) vb);
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_ne (reg fr ra) vb)
     | Ir.Fadd ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_fadd (Array.unsafe_get fr.regs ra) vb);
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_fadd (reg fr ra) vb)
     | Ir.Fsub ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_fsub (Array.unsafe_get fr.regs ra) vb);
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_fsub (reg fr ra) vb)
     | Ir.Fmul ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (Value.v_fmul (Array.unsafe_get fr.regs ra) vb);
-        bump c
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (Value.v_fmul (reg fr ra) vb)
     | _ ->
       let f = Value.binop_fn op in
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        Array.unsafe_set fr.regs d (f (Array.unsafe_get fr.regs ra) vb);
-        bump c)
+      fun fr -> issue t fr.fcore comp ci lat latf;
+        retire fr d (f (reg fr ra) vb))
   | Ir.Binop (op, d, a, b) ->
     let f = Value.binop_fn op in
     let geta = compile_operand a and getb = compile_operand b in
-    fun fr -> let c = fr.fcore in
-      if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-      spend_nf t c lat latf;
-      charge_dyn c ci;
-      Array.unsafe_set fr.regs d (f (geta fr) (getb fr));
-      bump c
+    fun fr -> issue t fr.fcore comp ci lat latf;
+      retire fr d (f (geta fr) (getb fr))
   | Ir.Unop (op, d, Ir.Reg ra) ->
     (* register shape specialised: reads the register directly instead
        of through a [compile_operand] closure *)
     let f = Value.unop_fn op in
-    fun fr -> let c = fr.fcore in
-      if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-      spend_nf t c lat latf;
-      charge_dyn c ci;
-      Array.unsafe_set fr.regs d (f (Array.unsafe_get fr.regs ra));
-      bump c
+    fun fr -> issue t fr.fcore comp ci lat latf; retire fr d (f (reg fr ra))
   | Ir.Unop (op, d, a) ->
     let f = Value.unop_fn op in
     let geta = compile_operand a in
-    fun fr -> let c = fr.fcore in
-      if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-      spend_nf t c lat latf;
-      charge_dyn c ci;
-      Array.unsafe_set fr.regs d (f (geta fr));
-      bump c
+    fun fr -> issue t fr.fcore comp ci lat latf; retire fr d (f (geta fr))
   | Ir.Mac (d, Ir.Reg ra, Ir.Reg rb, Ir.Reg rc) ->
     (* the kernel-loop shape (all three operands in registers): three
        direct register reads instead of three operand closures *)
-    fun fr -> let c = fr.fcore in
-      if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-      spend_nf t c lat latf;
-      charge_dyn c ci;
-      let regs = fr.regs in
-      Array.unsafe_set regs d
-        (Value.mac
-           (Array.unsafe_get regs ra)
-           (Array.unsafe_get regs rb)
-           (Array.unsafe_get regs rc));
-      bump c
+    fun fr -> issue t fr.fcore comp ci lat latf;
+      retire fr d (Value.mac (reg fr ra) (reg fr rb) (reg fr rc))
   | Ir.Mac (d, a, b, cc) ->
     let geta = compile_operand a
     and getb = compile_operand b
     and getc = compile_operand cc in
-    fun fr -> let c = fr.fcore in
-      if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-      spend_nf t c lat latf;
-      charge_dyn c ci;
-      Array.unsafe_set fr.regs d (Value.mac (geta fr) (getb fr) (getc fr));
-      bump c
+    fun fr -> issue t fr.fcore comp ci lat latf;
+      retire fr d (Value.mac (geta fr) (getb fr) (getc fr))
+  (* Memory operands are read before the access is issued: a read is
+     pure, and one that raises aborts the run, so the order is
+     unobservable. *)
   | Ir.Load (d, s, idxo) -> (
     let geti = compile_int_operand idxo in
-    let geta = compile_sym t df s in
-    let sstr = Ir.sym_to_string s in
     match s.Ir.sym_space with
-    | Ir.Shared when Hashtbl.mem t.far_syms s.Ir.sym_name ->
-      (* far-tier symbol: same closure with the far bus transaction *)
-      fun fr -> let c = fr.fcore in
-        if not (visible_turn t c) then begin
-          fr.idx <- fr.idx - 1;
-          t.steps <- t.steps - 1;
-          t.sched_event <- true
-        end
-        else begin
-          if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-          let idx = geti fr in
-          spend1 t c;
-          charge_dyn c ci;
-          bus_access1_far t c;
-          let a = geta fr in
-          if idx < 0 || idx >= Array.length a then
-            runtime_err "out-of-bounds read %s[%d] (len %d) in %s" sstr idx
-              (Array.length a) fr.func.Prog.fname;
-          Array.unsafe_set fr.regs d (Array.unsafe_get a idx);
-          bump c
-        end
     | Ir.Shared ->
-      fun fr -> let c = fr.fcore in
-        if not (visible_turn t c) then begin
-          (* not this core's turn: replay when re-picked; the attempt
-             is not a step, or step counts would diverge from the
-             per-step reference *)
-          fr.idx <- fr.idx - 1;
-          t.steps <- t.steps - 1;
-          t.sched_event <- true
-        end
-        else begin
-          if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
+      let m = compile_mem t df s ~cycles:1 in
+      fun fr ->
+        if visible_turn t fr then begin
           let idx = geti fr in
-          spend1 t c;
-          charge_dyn c ci;
-          bus_access1 t c;
-          let a = geta fr in
-          if idx < 0 || idx >= Array.length a then
-            runtime_err "out-of-bounds read %s[%d] (len %d) in %s" sstr idx
-              (Array.length a) fr.func.Prog.fname;
-          Array.unsafe_set fr.regs d (Array.unsafe_get a idx);
-          bump c
+          let a = access t fr comp ci m ~shared:true "read" idx in
+          retire fr d (Array.unsafe_get a idx)
         end
     | Ir.Rom | Ir.Frame ->
-      let spm_lat = 1 + Machine.spm_latency_cycles t.machine in
-      let spm_latf = float_of_int spm_lat in
-      if t.cache_miss_period > 0 then
-        (* cache local store: count the access and take periodic misses *)
-        fun fr -> let c = fr.fcore in
-          if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-          let idx = geti fr in
-          spend_nf t c spm_lat spm_latf;
-          local_miss t c;
-          charge_dyn c ci;
-          let a = geta fr in
-          if idx < 0 || idx >= Array.length a then
-            runtime_err "out-of-bounds read %s[%d] (len %d) in %s" sstr idx
-              (Array.length a) fr.func.Prog.fname;
-          Array.unsafe_set fr.regs d (Array.unsafe_get a idx);
-          bump c
-      else
-        fun fr -> let c = fr.fcore in
-          if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-          let idx = geti fr in
-          spend_nf t c spm_lat spm_latf;
-          charge_dyn c ci;
-          let a = geta fr in
-          if idx < 0 || idx >= Array.length a then
-            runtime_err "out-of-bounds read %s[%d] (len %d) in %s" sstr idx
-              (Array.length a) fr.func.Prog.fname;
-          Array.unsafe_set fr.regs d (Array.unsafe_get a idx);
-          bump c)
+      let m = compile_mem t df s ~cycles:local_cycles in
+      fun fr ->
+        let idx = geti fr in
+        let a = access t fr comp ci m ~shared:false "read" idx in
+        retire fr d (Array.unsafe_get a idx))
   | Ir.Store (s, idxo, vo) -> (
     let geti = compile_int_operand idxo in
     let getv = compile_operand vo in
-    let geta = compile_sym t df s in
-    let sstr = Ir.sym_to_string s in
     match s.Ir.sym_space with
-    | Ir.Shared when Hashtbl.mem t.far_syms s.Ir.sym_name ->
-      (* far-tier symbol: same closure with the far bus transaction *)
-      fun fr -> let c = fr.fcore in
-        if not (visible_turn t c) then begin
-          fr.idx <- fr.idx - 1;
-          t.steps <- t.steps - 1;
-          t.sched_event <- true
-        end
-        else begin
-          if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-          let idx = geti fr in
-          let v = getv fr in
-          spend1 t c;
-          charge_dyn c ci;
-          bus_access1_far t c;
-          let a = geta fr in
-          if idx < 0 || idx >= Array.length a then
-            runtime_err "out-of-bounds write %s[%d] (len %d) in %s" sstr idx
-              (Array.length a) fr.func.Prog.fname;
-          Array.unsafe_set a idx v;
-          bump c
-        end
     | Ir.Shared ->
-      fun fr -> let c = fr.fcore in
-        if not (visible_turn t c) then begin
-          (* not this core's turn: replay when re-picked; the attempt
-             is not a step, or step counts would diverge from the
-             per-step reference *)
-          fr.idx <- fr.idx - 1;
-          t.steps <- t.steps - 1;
-          t.sched_event <- true
-        end
-        else begin
-          if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
+      let m = compile_mem t df s ~cycles:1 in
+      fun fr ->
+        if visible_turn t fr then begin
           let idx = geti fr in
           let v = getv fr in
-          spend1 t c;
-          charge_dyn c ci;
-          bus_access1 t c;
-          let a = geta fr in
-          if idx < 0 || idx >= Array.length a then
-            runtime_err "out-of-bounds write %s[%d] (len %d) in %s" sstr idx
-              (Array.length a) fr.func.Prog.fname;
-          Array.unsafe_set a idx v;
-          bump c
+          Array.unsafe_set (access t fr comp ci m ~shared:true "write" idx) idx v;
+          bump fr.fcore
         end
     | Ir.Rom | Ir.Frame ->
-      let spm_lat = 1 + Machine.spm_latency_cycles t.machine in
-      let spm_latf = float_of_int spm_lat in
-      if t.cache_miss_period > 0 then
-        (* cache local store: count the access and take periodic misses *)
-        fun fr -> let c = fr.fcore in
-          if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-          let idx = geti fr in
-          let v = getv fr in
-          spend_nf t c spm_lat spm_latf;
-          local_miss t c;
-          charge_dyn c ci;
-          let a = geta fr in
-          if idx < 0 || idx >= Array.length a then
-            runtime_err "out-of-bounds write %s[%d] (len %d) in %s" sstr idx
-              (Array.length a) fr.func.Prog.fname;
-          Array.unsafe_set a idx v;
-          bump c
-      else
-        fun fr -> let c = fr.fcore in
-          if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-          let idx = geti fr in
-          let v = getv fr in
-          spend_nf t c spm_lat spm_latf;
-          charge_dyn c ci;
-          let a = geta fr in
-          if idx < 0 || idx >= Array.length a then
-            runtime_err "out-of-bounds write %s[%d] (len %d) in %s" sstr idx
-              (Array.length a) fr.func.Prog.fname;
-          Array.unsafe_set a idx v;
-          bump c)
+      let m = compile_mem t df s ~cycles:local_cycles in
+      fun fr ->
+        let idx = geti fr in
+        let v = getv fr in
+        Array.unsafe_set (access t fr comp ci m ~shared:false "write" idx) idx v;
+        bump fr.fcore)
   | Ir.Faa (d, s, amt) ->
     let getv = compile_operand amt in
-    let geta = compile_sym t df s in
-    let sstr = Ir.sym_to_string s in
-    let far = Hashtbl.mem t.far_syms s.Ir.sym_name in
-    fun fr -> let c = fr.fcore in
-      if not (visible_turn t c) then begin
-        (* not this core's turn: replay when re-picked; the attempt
-           is not a step, or step counts would diverge from the
-           per-step reference *)
-        fr.idx <- fr.idx - 1;
-        t.steps <- t.steps - 1;
-        t.sched_event <- true
-      end
-      else begin
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
+    let m = compile_mem t df s ~cycles:lat in
+    fun fr ->
+      if visible_turn t fr then begin
         let amount = Value.to_int (getv fr) in
-        spend_nf t c lat latf;
-        charge_dyn c ci;
-        if far then bus_access1_far t c else bus_access1 t c;
-        let a = geta fr in
-        if Array.length a = 0 then
-          runtime_err "out-of-bounds read %s[%d] (len %d) in %s" sstr 0 0
-            fr.func.Prog.fname;
+        let a = access t fr comp ci m ~shared:true "read" 0 in
         let old = Value.to_int a.(0) in
         a.(0) <- Value.Vint (Value.wrap32 (old + amount));
-        Array.unsafe_set fr.regs d (Value.Vint old);
-        bump c
+        retire fr d (Value.Vint old)
       end
   | Ir.Call (dst, callee, args) -> (
     match Hashtbl.find_opt t.fsyms callee with
     | None ->
-      fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
+      fun fr -> issue t fr.fcore comp ci lat latf;
         runtime_err "call to unknown function %s" callee
     | Some target_cf ->
       let params = target_cf.cf_fe.fe_params in
@@ -1576,9 +1294,7 @@ let compile_instr t (df : Predecode.dfunc) (di : Predecode.dinstr) :
       let getvs = Array.of_list (List.map compile_operand args) in
       let nbind = min nargs nparams in
       fun fr -> let c = fr.fcore in
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c lat latf;
-        charge_dyn c ci;
+        issue t c comp ci lat latf;
         let new_fr = make_frame c target_cf in
         for k = 0 to nbind - 1 do
           new_fr.regs.(params.(k)) <- getvs.(k) fr
@@ -1595,28 +1311,10 @@ let compile_instr t (df : Predecode.dfunc) (di : Predecode.dinstr) :
       Array.of_list (List.map Component.index (Component.Set.elements comps))
     in
     fun fr -> let c = fr.fcore in
-      if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-      (* gate energy from the executing core's class: the closure is
-         shared across cores of different classes *)
-      let ge = c.pm.Power_model.gate_energy_nj in
-      spend1 t c;
+      wake t c comp ci;
+      spend t c 1;
       record_thunk t c (fun () -> "pg_off " ^ setstr);
-      let any = ref false in
-      Array.iter
-        (fun k ->
-          if c.powered.(k) then begin
-            c.powered.(k) <- false;
-            any := true;
-            c.gate_transitions <- c.gate_transitions + 1;
-            Energy_ledger.charge c.ledger
-              ~category:Energy_ledger.Gating_overhead ge;
-            if c.prof_on then begin
-              let sc = c.prof_cur.Profile.sl_cat in
-              Array.unsafe_set sc 3 (Array.unsafe_get sc 3 +. ge)
-            end
-          end)
-        idxs;
-      if !any then c.leak_dirty <- true;
+      if gate_set c idxs ~on:false then c.leak_dirty <- true;
       bump c
   | Ir.Pg_on comps ->
     let setstr = Component.Set.to_string comps in
@@ -1624,31 +1322,14 @@ let compile_instr t (df : Predecode.dfunc) (di : Predecode.dinstr) :
       Array.of_list (List.map Component.index (Component.Set.elements comps))
     in
     fun fr -> let c = fr.fcore in
-      if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-      let ge = c.pm.Power_model.gate_energy_nj in
+      wake t c comp ci;
       record_thunk t c (fun () -> "pg_on " ^ setstr);
-      let any = ref false in
-      Array.iter
-        (fun k ->
-          if not c.powered.(k) then begin
-            c.powered.(k) <- true;
-            any := true;
-            c.gate_transitions <- c.gate_transitions + 1;
-            Energy_ledger.charge c.ledger
-              ~category:Energy_ledger.Gating_overhead ge;
-            if c.prof_on then begin
-              let sc = c.prof_cur.Profile.sl_cat in
-              Array.unsafe_set sc 3 (Array.unsafe_get sc 3 +. ge)
-            end
-          end)
-        idxs;
-      if !any then begin
+      if gate_set c idxs ~on:true then begin
         c.leak_dirty <- true;
         (* components wake in parallel: one wake latency (this class's) *)
-        let wake_lat = 1 + c.pm.Power_model.wake_latency_cycles in
-        spend_nf t c wake_lat (float_of_int wake_lat)
+        spend t c (1 + c.pm.Power_model.wake_latency_cycles)
       end
-      else spend1 t c;
+      else spend t c 1;
       bump c
   | Ir.Dvfs level ->
     (* the ladder belongs to the executing core's class, and the closure
@@ -1657,44 +1338,29 @@ let compile_instr t (df : Predecode.dfunc) (di : Predecode.dinstr) :
        interpreter raises it.  Dvfs instructions are region boundaries,
        not loop bodies, so the lookup is off the hot path. *)
     fun fr -> let c = fr.fcore in
-      if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
+      wake t c comp ci;
       let pm = c.pm in
       let target = Power_model.point pm level in
       if target.Operating_point.level <> c.point.Operating_point.level
       then begin
-        let dvfs_lat = pm.Power_model.dvfs_latency_cycles in
-        spend_nf t c dvfs_lat (float_of_int dvfs_lat);
-        let de = pm.Power_model.dvfs_energy_nj in
-        Energy_ledger.charge c.ledger ~category:Energy_ledger.Dvfs_overhead de;
-        if c.prof_on then begin
-          let sc = c.prof_cur.Profile.sl_cat in
-          Array.unsafe_set sc 4 (Array.unsafe_get sc 4 +. de)
-        end;
+        spend t c pm.Power_model.dvfs_latency_cycles;
+        charge c Energy_ledger.Dvfs_overhead pm.Power_model.dvfs_energy_nj;
         c.point <- target;
         refresh_point_caches t c;
         c.leak_dirty <- true;
         c.dvfs_transitions <- c.dvfs_transitions + 1;
         record_thunk t c (fun () -> "dvfs -> " ^ Operating_point.to_string target)
       end
-      else spend1 t c;
+      else spend t c 1;
       bump c
   | Ir.Send (chan_id, vo) ->
     let getv = compile_operand vo in
-    let setup_lat = t.machine.Machine.channel_setup_cycles in
-    let setup_latf = float_of_int setup_lat in
-    fun fr -> let c = fr.fcore in
-      if not (visible_turn t c) then begin
-        (* not this core's turn: replay when re-picked; the attempt
-           is not a step, or step counts would diverge from the
-           per-step reference *)
-        fr.idx <- fr.idx - 1;
-        t.steps <- t.steps - 1;
-        t.sched_event <- true
-      end
-      else begin
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c setup_lat setup_latf;
-        charge_dyn c ci;
+    let setup = t.machine.Machine.channel_setup_cycles in
+    let setupf = float_of_int setup in
+    fun fr ->
+      if visible_turn t fr then begin
+        let c = fr.fcore in
+        issue t c comp ci setup setupf;
         let v = getv fr in
         let ch = t.chans.(chan_id) in
         if Queue.length ch.queue >= ch.cap then begin
@@ -1709,28 +1375,20 @@ let compile_instr t (df : Predecode.dfunc) (di : Predecode.dinstr) :
         bump c
       end
   | Ir.Recv (d, chan_id, ty) ->
-    let setup_lat = t.machine.Machine.channel_setup_cycles in
-    let setup_latf = float_of_int setup_lat in
-    fun fr -> let c = fr.fcore in
-      if not (visible_turn t c) then begin
-        (* not this core's turn: replay when re-picked; the attempt
-           is not a step, or step counts would diverge from the
-           per-step reference *)
-        fr.idx <- fr.idx - 1;
-        t.steps <- t.steps - 1;
-        t.sched_event <- true
-      end
-      else begin
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend_nf t c setup_lat setup_latf;
-        charge_dyn c ci;
+    let setup = t.machine.Machine.channel_setup_cycles in
+    let setupf = float_of_int setup in
+    fun fr ->
+      if visible_turn t fr then begin
+        let c = fr.fcore in
+        issue t c comp ci setup setupf;
         let ch = t.chans.(chan_id) in
         if Queue.is_empty ch.queue then begin
           c.recv_blocks <- c.recv_blocks + 1;
           record_thunk t c (fun () ->
               Printf.sprintf "blocked receiving on ch%d" chan_id);
           c.status <- Blocked_recv (chan_id, d, ty);
-          t.unblock_dirty <- true
+          t.unblock_dirty <- true;
+          bump c
         end
         else begin
           let (v, ready) = Queue.pop ch.queue in
@@ -1742,24 +1400,14 @@ let compile_instr t (df : Predecode.dfunc) (di : Predecode.dinstr) :
           (match (ty, v) with
           | (Ir.I, Value.Vint _) | (Ir.F, Value.Vfloat _) -> ()
           | _ -> runtime_err "channel %d type mismatch" chan_id);
-          Array.unsafe_set fr.regs d v
-        end;
-        bump c
+          retire fr d v
+        end
       end
   | Ir.Barrier bid ->
-    fun fr -> let c = fr.fcore in
-      if not (visible_turn t c) then begin
-        (* not this core's turn: replay when re-picked; the attempt
-           is not a step, or step counts would diverge from the
-           per-step reference *)
-        fr.idx <- fr.idx - 1;
-        t.steps <- t.steps - 1;
-        t.sched_event <- true
-      end
-      else begin
-        if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci;
-        spend1 t c;
-        charge_dyn c ci;
+    fun fr ->
+      if visible_turn t fr then begin
+        let c = fr.fcore in
+        issue t c comp ci 1 1.0;
         let b = t.barriers.(bid) in
         record_thunk t c (fun () ->
             Printf.sprintf "arrived at barrier %d" bid);
@@ -1797,26 +1445,27 @@ let compile_goto (cf : cfun) l : frame -> unit =
       fr.cblk <- pb
   end
 
+(** A terminator's share of the protocol: one cycle and the branch
+    unit's dynamic charge (terminators never wake a gated unit, as in
+    {!exec_term}). *)
+let[@inline always] branch t (c : core) =
+  spend_nf t c 1 1.0;
+  charge_dyn c branch_idx
+
 let compile_term t (cf : cfun) (term : Ir.term) : frame -> unit =
   match term with
   | Ir.Jmp l ->
     let go = compile_goto cf l in
-    fun fr -> let c = fr.fcore in
-      spend1 t c;
-      charge_dyn c branch_idx;
-      go fr
+    fun fr -> branch t fr.fcore; go fr
   | Ir.Br (cond, l1, l2) ->
     let getc = compile_operand cond in
     let go1 = compile_goto cf l1 and go2 = compile_goto cf l2 in
-    fun fr -> let c = fr.fcore in
-      spend1 t c;
-      charge_dyn c branch_idx;
+    fun fr -> branch t fr.fcore;
       if Value.is_true (getc fr) then go1 fr else go2 fr
   | Ir.Ret v_opt ->
     let getv = Option.map compile_operand v_opt in
     fun fr -> let c = fr.fcore in
-      spend1 t c;
-      charge_dyn c branch_idx;
+      branch t c;
       let v = match getv with Some g -> Some (g fr) | None -> None in
       (match c.stack with
       | [] -> runtime_err "return with empty stack"
@@ -1932,16 +1581,20 @@ let step_compiled (c : core) =
 (* Construction (continued): ties decode + compilation together        *)
 (* ------------------------------------------------------------------ *)
 
+(* Keyed on the program and its mutation stamp: a pass that rewrites a
+   function in place bumps [Prog.prog_version], so re-simulating an
+   optimised program never runs its old decode. *)
 let decode_cache :
-    (Prog.t * ((string, Predecode.dfunc) Hashtbl.t * int)) option ref =
+    (Prog.t * int * ((string, Predecode.dfunc) Hashtbl.t * int)) option ref =
   ref None
 
 let decode_prog_cached prog =
+  let version = Prog.prog_version prog in
   match !decode_cache with
-  | Some (p, res) when p == prog -> res
+  | Some (p, v, res) when p == prog && v = version -> res
   | _ ->
     let res = Predecode.decode_prog prog in
-    decode_cache := Some (prog, res);
+    decode_cache := Some (prog, version, res);
     res
 
 let create ?(opts = default_options) ~(machine : Machine.t) (prog : Prog.t) : t =
@@ -2051,7 +1704,6 @@ let create ?(opts = default_options) ~(machine : Machine.t) (prog : Prog.t) : t 
       machine;
       opts;
       fsyms;
-      dfuncs;
       decoded_blocks;
       cores;
       shared;
@@ -2193,138 +1845,99 @@ let describe_blocked t =
   String.concat " " parts
 
 (** Batched stepping for the compiled mode: keep stepping [c] while it
-    provably remains the scheduler's choice.  That holds while
+    stays [Ready] (blocking or halting hands control back) and no
+    {e scheduling event} has fired ([t.sched_event]: a channel push/pop
+    or barrier release, which could make a blocked core schedulable or
+    move another core's clock).
 
-    - [c] stays [Ready] (blocking or halting hands control back),
-    - no {e scheduling event} has fired ([t.sched_event]: a channel
-      push/pop or barrier release, which could make a blocked core
-      schedulable or move another core's clock), and
-    - [c]'s local time keeps it ahead of the best {e other} ready core
-      under the pick rule (smallest time, ties to the lowest core id).
-
-    Other ready cores' clocks only move when they are stepped, so the
-    runner-up bound ([other_time], [other_id]) captured at pick time
-    stays valid for the whole batch.  The interleaving is therefore
-    exactly the one the per-step scheduler would produce; skipped
-    [unblock_pass] calls are provably no-ops because every state change
-    they react to raises [t.sched_event].  [t.steps] is maintained
-    per-instruction so [Step_limit_exceeded] fires after exactly the
-    same step as the one-at-a-time loop. *)
-let[@inline always] batch_step t (c : core) lim =
-  t.steps <- t.steps + 1;
-  if t.steps > lim then raise Step_limit_exceeded;
-  match c.stack with
-  | [] -> runtime_err "core %d has empty stack" c.id
-  | fr :: _ ->
-    let cb = fr.cblk in
-    if fr.idx < cb.cb_n then begin
-      (* safe: [cb_n = Array.length cb_instrs] by construction *)
-      let f = Array.unsafe_get cb.cb_instrs fr.idx in
-      fr.idx <- fr.idx + 1;
-      f fr
-    end
-    else cb.cb_term fr
-
+    Core-local instructions (registers, frame and ROM memory, power
+    state, calls) commute with other cores' work, so the batch runs
+    through them regardless of the clock race.  Globally-visible
+    instructions carry a compiled-in turn guard ({!visible_turn}) that
+    yields back to the scheduler exactly when the per-step reference
+    would have run the runner-up ([other_i], -1 when there is none)
+    first: other ready cores' clocks only move when they are stepped, so
+    the runner-up bound captured at pick time stays valid for the whole
+    batch, and shared memory, bus, channel and barrier operations
+    execute in the reference (time, id) order.  Skipped [unblock_pass]
+    calls are provably no-ops because every state change they react to
+    raises [t.sched_event].  [t.steps] is maintained per instruction so
+    [Step_limit_exceeded] fires after exactly the same step as the
+    one-at-a-time loop.  The one observable batching reorders is the
+    interleaving of per-core entries in the event trace, which is why
+    {!run_loop} single-steps instead when tracing is on. *)
 let run_sched_batch t (c : core) ~other_i =
   let lim = t.opts.max_steps in
   t.batch_other <- other_i;
-  if other_i < 0 || t.opts.trace_limit = 0 then
-    (* Aggressive batch: core-local instructions (registers, frame and
-       ROM memory, power state, calls) commute with other cores' work,
-       so the batch runs through them regardless of the clock race.
-       Globally-visible instructions carry a compiled-in turn guard
-       ({!visible_turn}) that yields back to the scheduler exactly
-       when the per-step reference would have run the runner-up first,
-       so shared memory, bus, channel and barrier operations still
-       execute in the reference (time, id) order.  The one observable
-       this reorders is the interleaving of per-core entries in the
-       event trace, so with tracing on ([trace_limit > 0]) the
-       conservative per-step race check below is used instead. *)
-    while
-      (match c.status with
-      | Ready -> true
-      | Blocked_send _ | Blocked_recv _ | Blocked_barrier _ | Halted _ ->
-        false)
-      && not t.sched_event
-    do
-      (* a single-core (or far-ahead) batch can run the whole program
-         without yielding to the scheduler, so the cooperative deadline
-         must also be checked here — once per straight-line segment *)
-      Lp_util.Deadline.check t.opts.deadline;
-      match c.stack with
-      | [] -> runtime_err "core %d has empty stack" c.id
-      | fr :: _ ->
-        (* Straight-line segment: the frame and block stay current
-           until a terminator runs (re-fetched unconditionally after)
-           or a [Call] pushes a frame ([frames_dirty]), so the head of
-           the stack and the block arrays load once per segment, not
-           once per instruction. *)
-        let cb = fr.cblk in
-        let instrs = cb.cb_instrs in
-        let pure = cb.cb_pure in
-        let n = cb.cb_n in
-        t.frames_dirty <- false;
-        while
-          fr.idx < n
-          && (not t.frames_dirty)
-          && (match c.status with
-             | Ready -> true
-             | Blocked_send _ | Blocked_recv _ | Blocked_barrier _
-             | Halted _ -> false)
-          && not t.sched_event
-        do
-          (* a run of pure instructions can neither invalidate any of
-             the loop conditions above nor hit the step limit (checked
-             up front), so it executes with no per-instruction checks *)
-          let run = Array.unsafe_get pure fr.idx in
-          if run > 0 && t.steps + run <= lim then begin
-            t.steps <- t.steps + run;
-            let stop = fr.idx + run in
-            while fr.idx < stop do
-              (* safe: [cb_n = Array.length cb_instrs] by construction *)
-              let f = Array.unsafe_get instrs fr.idx in
-              fr.idx <- fr.idx + 1;
-              f fr
-            done
-          end
-          else begin
-            t.steps <- t.steps + 1;
-            if t.steps > lim then raise Step_limit_exceeded;
+  while
+    (match c.status with
+    | Ready -> true
+    | Blocked_send _ | Blocked_recv _ | Blocked_barrier _ | Halted _ ->
+      false)
+    && not t.sched_event
+  do
+    (* a single-core (or far-ahead) batch can run the whole program
+       without yielding to the scheduler, so the cooperative deadline
+       must also be checked here — once per straight-line segment *)
+    Lp_util.Deadline.check t.opts.deadline;
+    match c.stack with
+    | [] -> runtime_err "core %d has empty stack" c.id
+    | fr :: _ ->
+      (* Straight-line segment: the frame and block stay current until a
+         terminator runs (re-fetched unconditionally after) or a [Call]
+         pushes a frame ([frames_dirty]), so the head of the stack and
+         the block arrays load once per segment, not once per
+         instruction. *)
+      let cb = fr.cblk in
+      let instrs = cb.cb_instrs in
+      let pure = cb.cb_pure in
+      let n = cb.cb_n in
+      t.frames_dirty <- false;
+      while
+        fr.idx < n
+        && (not t.frames_dirty)
+        && (match c.status with
+           | Ready -> true
+           | Blocked_send _ | Blocked_recv _ | Blocked_barrier _
+           | Halted _ -> false)
+        && not t.sched_event
+      do
+        (* a run of pure instructions can neither invalidate any of the
+           loop conditions above nor hit the step limit (checked up
+           front), so it executes with no per-instruction checks *)
+        let run = Array.unsafe_get pure fr.idx in
+        if run > 0 && t.steps + run <= lim then begin
+          t.steps <- t.steps + run;
+          let stop = fr.idx + run in
+          while fr.idx < stop do
+            (* safe: [cb_n = Array.length cb_instrs] by construction *)
             let f = Array.unsafe_get instrs fr.idx in
             fr.idx <- fr.idx + 1;
             f fr
-          end
-        done;
-        if
-          fr.idx >= n
-          && (not t.frames_dirty)
-          && (match c.status with
-             | Ready -> true
-             | Blocked_send _ | Blocked_recv _ | Blocked_barrier _
-             | Halted _ -> false)
-          && not t.sched_event
-        then begin
+          done
+        end
+        else begin
           t.steps <- t.steps + 1;
           if t.steps > lim then raise Step_limit_exceeded;
-          cb.cb_term fr
+          let f = Array.unsafe_get instrs fr.idx in
+          fr.idx <- fr.idx + 1;
+          f fr
         end
-    done
-  else begin
-    let o = t.cores.(other_i) in
-    let oid = o.id in
-    while
-      (match c.status with
-      | Ready -> true
-      | Blocked_send _ | Blocked_recv _ | Blocked_barrier _ | Halted _ ->
-        false)
-      && (not t.sched_event)
-      && (c.clk.time < o.clk.time
-         || (c.clk.time = o.clk.time && c.id < oid))
-    do
-      Lp_util.Deadline.check t.opts.deadline;
-      batch_step t c lim
-    done
-  end
+      done;
+      if
+        fr.idx >= n
+        && (not t.frames_dirty)
+        && (match c.status with
+           | Ready -> true
+           | Blocked_send _ | Blocked_recv _ | Blocked_barrier _
+           | Halted _ -> false)
+        && not t.sched_event
+      then begin
+        t.steps <- t.steps + 1;
+        if t.steps > lim then raise Step_limit_exceeded;
+        cb.cb_term fr
+      end
+  done
 
 let run_loop t =
   let predecode = t.opts.predecode in
@@ -2381,11 +1994,13 @@ let run_loop t =
       else begin
         let c = t.cores.(!best_i) in
         if predecode then
-          if t.sched_event then begin
-            (* the unblock pass itself completed a send: another pass
-               may unblock more, so single-step like the per-step
-               scheduler.  [c] won the full pick scan, so a visible
-               instruction needs no turn guard here *)
+          if t.sched_event || t.opts.trace_limit > 0 then begin
+            (* single-step like the per-step scheduler: the unblock pass
+               itself completed a send (another pass may unblock more),
+               or tracing is on and the event trace must interleave the
+               cores exactly as the reference does.  [c] won the full
+               pick scan, so a visible instruction needs no turn guard
+               here *)
             t.batch_other <- -1;
             t.steps <- t.steps + 1;
             if t.steps > t.opts.max_steps then raise Step_limit_exceeded;

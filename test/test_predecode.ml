@@ -1,15 +1,17 @@
 (** The predecode equivalence contract: the closure-compiled stepper
     and the interpretive reference must be {e bit-identical} on every
-    observable — cycles, the full energy ledger, per-core instruction
-    counts, final shared memory, the return value — not merely "close".
+    observable — cycles, every energy ledger, per-core counters, the
+    event trace, the energy profile, final shared memory, the return
+    value, and the diagnostic of a run that fails — not merely "close".
     The property below throws randomly generated parallel programs at
-    both modes; the unit tests pin the new outcome counters and the
-    [BENCH_sim.json] schema. *)
+    both modes on every zoo machine; the unit tests pin the new outcome
+    counters and the [BENCH_sim.json] schema. *)
 
 module Compile = Lowpower.Compile
 module Machine = Lp_machine.Machine
 module Sim = Lp_sim.Sim
 module Value = Lp_sim.Value
+module Profile = Lp_sim.Profile
 module Ledger = Lp_power.Energy_ledger
 module Gen = Lp_robust.Gen
 module Simbench = Lp_experiments.Simbench
@@ -28,53 +30,164 @@ let run_both source =
   ( run_mode compiled.Compile.prog ~predecode:true,
     run_mode compiled.Compile.prog ~predecode:false )
 
-(* Float comparisons below are deliberately [=]: the contract is exact
-   agreement (same operations in the same order), not tolerance. None
-   of the compared quantities can be NaN. *)
+(* ---------------- every observable, rendered exactly ---------------- *)
 
-let ledger_equal a b =
-  Ledger.total a = Ledger.total b
-  && List.for_all
-       (fun c -> Ledger.of_category a c = Ledger.of_category b c)
-       Ledger.all_categories
-
-let shared_equal globals a b =
-  List.for_all
-    (fun g ->
-      match (Sim.shared_array a g, Sim.shared_array b g) with
-      | (Some xa, Some xb) ->
-        Array.length xa = Array.length xb && Array.for_all2 Value.equal xa xb
-      | (None, None) -> true
-      | _ -> false)
-    globals
-
-let outcomes_identical ~globals (on : Sim.outcome) (off : Sim.outcome) =
-  on.Sim.instr_total = off.Sim.instr_total
-  && on.Sim.steps = off.Sim.steps
-  && on.Sim.duration_ns = off.Sim.duration_ns
-  && on.Sim.cycles_per_core = off.Sim.cycles_per_core
-  && on.Sim.instrs_per_core = off.Sim.instrs_per_core
-  && on.Sim.bus_txns_per_core = off.Sim.bus_txns_per_core
-  && on.Sim.bus_words_per_core = off.Sim.bus_words_per_core
-  && on.Sim.channel_msgs = off.Sim.channel_msgs
-  && ledger_equal on.Sim.energy off.Sim.energy
-  && Array.for_all2 ledger_equal on.Sim.core_ledgers off.Sim.core_ledgers
-  && (match (on.Sim.ret, off.Sim.ret) with
-     | (Some x, Some y) -> Value.equal x y
-     | (None, None) -> true
-     | _ -> false)
-  && shared_equal globals on off
+(** Every field of an outcome except the two that differ by design —
+    [leak_recomputes] (the compiled mode refreshes leakage lazily) and
+    [predecode] itself — one field per line, floats in hex ([%h]) so
+    equal text means bit-equal values. *)
+let fingerprint (o : Sim.outcome) =
+  let b = Buffer.create 4096 in
+  let fl x = Printf.bprintf b " %h" x and int n = Printf.bprintf b " %d" n in
+  let row name f xs =
+    Buffer.add_string b name;
+    Array.iter f xs;
+    Buffer.add_char b '\n'
+  in
+  let value = function
+    | Value.Vint n -> Printf.bprintf b " %d" n
+    | Value.Vfloat x -> Printf.bprintf b " f%h" x
+  in
+  let ledger name l =
+    row (name ^ " by_category") fl (Ledger.raw_by_category l);
+    row (name ^ " by_component") fl (Ledger.raw_by_component l);
+    row (name ^ " total") fl (Ledger.raw_total l)
+  in
+  row "ret" value (Option.to_list o.Sim.ret |> Array.of_list);
+  row "duration_ns" fl [| o.Sim.duration_ns |];
+  ledger "energy" o.Sim.energy;
+  Array.iteri (fun i l -> ledger (Printf.sprintf "core%d" i) l)
+    o.Sim.core_ledgers;
+  List.iter (fun (cls, l) -> ledger ("class " ^ cls) l) o.Sim.class_energy;
+  List.iter
+    (fun (name, a) -> row ("shared " ^ name) value a)
+    (List.sort compare
+       (Hashtbl.fold (fun k a acc -> (k, a) :: acc) o.Sim.shared_final []));
+  row "counts" int
+    [| o.Sim.instr_total; o.Sim.implicit_wakeups; o.Sim.gate_transitions;
+       o.Sim.dvfs_transitions; o.Sim.channel_msgs; o.Sim.steps;
+       o.Sim.decoded_blocks |];
+  row "busy_ns" fl o.Sim.busy_ns;
+  row "instrs_per_core" int o.Sim.instrs_per_core;
+  row "send_blocks" int o.Sim.send_blocks;
+  row "recv_blocks" int o.Sim.recv_blocks;
+  row "cycles_per_core" int o.Sim.cycles_per_core;
+  row "bus_txns_per_core" int o.Sim.bus_txns_per_core;
+  row "bus_words_per_core" int o.Sim.bus_words_per_core;
+  row "bus_wait_ns_per_core" fl o.Sim.bus_wait_ns_per_core;
+  List.iter
+    (fun (e : Sim.event) ->
+      Printf.bprintf b "event core%d %h %s\n" e.Sim.ev_core e.Sim.ev_ns
+        e.Sim.ev_what)
+    o.Sim.events;
+  Option.iter
+    (Array.iter (fun (s : Profile.slot) ->
+         row
+           (Printf.sprintf "slot %s:%d %d %d %d %d" s.Profile.sl_func
+              s.Profile.sl_line s.Profile.sl_cycles s.Profile.sl_instrs
+              s.Profile.sl_bus_txns s.Profile.sl_bus_words)
+           fl
+           (Array.append [| s.Profile.sl_bus_wait_ns |] s.Profile.sl_cat)))
+    o.Sim.profile;
+  Buffer.contents b
 
 (* ---------------- the equivalence property ---------------- *)
 
+(** The whole zoo plus two variants that reach paths the registry
+    shapes leave cold:
+    - farmem with its far-tier threshold below the generator's array
+      sizes (generated arrays have at most 48 words, so at the registry
+      threshold of 1024 no generated access would take the far tier);
+    - big.LITTLE with one big core and seven little ones, so programs of
+      more than one core run DVFS regions on both classes' ladders. *)
+let zoo =
+  List.map
+    (fun (name, _, (mk : ?cores:int -> unit -> Machine.t)) -> (name, mk ()))
+    Machine.registry
+  @ [
+      (let m = Machine.farmem () in
+       ( "farmem/far8",
+         { m with
+           Machine.mem = { m.Machine.mem with Machine.far_threshold_words = 8 } } ));
+      (let m = Machine.biglittle () in
+       let cls = m.Machine.classes in
+       ( "biglittle/1+7",
+         { m with
+           Machine.classes =
+             [| { (cls.(0)) with Machine.cc_count = 1 };
+                { (cls.(1)) with Machine.cc_count = 7 } |] } ));
+    ]
+
+(** Compile and simulate [source] end to end under one simulator mode:
+    the whole pipeline runs per mode, so a program that fails anywhere
+    (an FPU program on pacduo-2c fails to compile) must fail with the
+    same diagnostic in both. *)
+let observe ~machine ~predecode ~instrumented source =
+  let sim_opts =
+    { Sim.default_options with
+      Sim.predecode;
+      trace_limit = (if instrumented then 64 else 0);
+      profile = instrumented }
+  in
+  match
+    Compile.run_result ~opts:(Compile.full ~n_cores:(Machine.n_cores machine))
+      ~sim_opts ~machine source
+  with
+  | Ok (_, o) -> fingerprint o
+  | Error d -> "error " ^ Lp_util.Diag.to_string d
+
+(** First line where two fingerprints differ, for the failure report. *)
+let first_diff a b =
+  let la = String.split_on_char '\n' a and lb = String.split_on_char '\n' b in
+  let rec go = function
+    | (x :: xs, y :: ys) -> if x = y then go (xs, ys) else (x, y)
+    | (x :: _, []) -> (x, "<end>")
+    | ([], y :: _) -> ("<end>", y)
+    | ([], []) -> ("", "")
+  in
+  go (la, lb)
+
+(** The first disagreement between the two modes on [source], on any
+    zoo machine, plain (tracing and profiling off: the batched
+    scheduler's fast path) or instrumented (a 64-event trace and the
+    energy profile on); [None] when they agree everywhere. *)
+let disagreement source =
+  List.find_map
+    (fun (name, machine) ->
+      List.find_map
+        (fun instrumented ->
+          let on = observe ~machine ~predecode:true ~instrumented source in
+          let off = observe ~machine ~predecode:false ~instrumented source in
+          if on = off then None
+          else
+            let (x, y) = first_diff on off in
+            Some
+              (Printf.sprintf "%s%s: compiled %S, interpretive %S" name
+                 (if instrumented then " (traced, profiled)" else "")
+                 x y))
+        [ false; true ])
+    zoo
+
 let prop_modes_identical =
   QCheck.Test.make ~count:40
-    ~name:"compiled and interpretive modes are bit-identical"
+    ~name:"compiled and interpretive modes are bit-identical on every machine"
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
-      let g = Gen.generate ~seed in
-      let (on, off) = run_both g.Gen.source in
-      outcomes_identical ~globals:g.Gen.check_globals on off)
+      match disagreement (Gen.generate ~seed).Gen.source with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
+(** Fixed programs the generator cannot produce: floating point (which
+    pacduo-2c, having no FPU, rejects at compile time), and DVFS
+    regions (generated programs never get one). *)
+let test_modes_identical_workloads () =
+  List.iter
+    (fun wname ->
+      let w = Lp_workloads.Suite.find_exn wname in
+      Option.iter
+        (fun msg -> Alcotest.failf "%s: %s" wname msg)
+        (disagreement w.Lp_workloads.Workload.source))
+    [ "fdotprod"; "histogram"; "jpegblocks" ]
 
 (* ---------------- outcome counters ---------------- *)
 
@@ -153,6 +266,8 @@ let test_schema_rejects () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_modes_identical;
+    Alcotest.test_case "modes agree on fixed workloads" `Quick
+      test_modes_identical_workloads;
     Alcotest.test_case "outcome counters" `Quick test_counters;
     Alcotest.test_case "BENCH_sim.json round trip" `Quick
       test_schema_round_trip;

@@ -16,11 +16,12 @@ let fail = Alcotest.fail
 let machine1 = Machine.generic ~n_cores:1 ()
 let machine4 = Machine.generic ~n_cores:4 ()
 
-let run_src ?(machine = machine1) src =
+let lower src =
   let ast = Lp_lang.Parser.parse_program src in
   Lp_lang.Typecheck.check_program ast;
-  let prog = Lp_ir.Lower.lower_program ast in
-  Sim.run ~machine prog
+  Lp_ir.Lower.lower_program ast
+
+let run_src ?(machine = machine1) src = Sim.run ~machine (lower src)
 
 let ret_int (o : Sim.outcome) =
   match o.Sim.ret with
@@ -428,6 +429,28 @@ let test_trace_limit_respected () =
   in
   check Alcotest.int "bounded" 5 (List.length o.Sim.events)
 
+(* ---------------- decode cache ---------------- *)
+
+(** The simulator caches a program's decode between runs; a program
+    optimised in place must not run its old code.  The classic passes
+    fold this body to [return 10], so the second run executes no
+    instructions at all. *)
+let test_decode_cache_sees_in_place_changes () =
+  let prog =
+    lower
+      "int main() { int x = 5; int a = x * 1; int b = x + 0; int c = x * 0; \
+       return a + b + c; }"
+  in
+  let before = Sim.run ~machine:machine1 prog in
+  check Alcotest.int "unoptimised instructions" 9 before.Sim.instr_total;
+  let module T = Lp_transforms in
+  T.Pass.run_to_fixpoint (T.Pass.create_manager ())
+    [ T.Simplify_cfg.pass; T.Constfold.pass; T.Dce.pass ]
+    prog;
+  let after = Sim.run ~machine:machine1 prog in
+  check Alcotest.int "optimised instructions" 0 after.Sim.instr_total;
+  check Alcotest.int "same result" (ret_int before) (ret_int after)
+
 let suite =
   [
     Alcotest.test_case "C arithmetic semantics" `Quick test_arith_c_semantics;
@@ -453,4 +476,6 @@ let suite =
     Alcotest.test_case "trace records events" `Quick test_trace_records_events;
     Alcotest.test_case "trace off by default" `Quick test_trace_off_by_default;
     Alcotest.test_case "trace limit" `Quick test_trace_limit_respected;
+    Alcotest.test_case "decode cache sees in-place changes" `Quick
+      test_decode_cache_sees_in_place_changes;
   ]
