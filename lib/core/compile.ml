@@ -240,17 +240,17 @@ let parse_and_check_exn source =
 
 let parse_and_check source = wrap_legacy (fun () -> parse_and_check_exn source)
 
-(** Compile [source] for [machine] under [opts].  Raises the raw
-    per-stage exceptions; [compile] wraps them for the legacy API and
-    [compile_result] maps them to diagnostics.  [verify_each] re-runs the
-    IR verifier after every optimisation pass (the fuzzer's oracle).
-    [ctx] supplies the telemetry recorder: every phase below runs inside
-    a span (the [compile → fixpoint round → pass → function] hierarchy
-    of docs/OBSERVABILITY.md), all free when the recorder is off. *)
-let compile_exn ?(ctx = default_ctx) ?(verify_each = false) ?(opts = baseline)
-    ~(machine : Machine.t) (source : string) : compiled =
-  let obs = ctx.obs in
-  Obs.span obs ~cat:"compile"
+(** One compile phase, inside its span.  The cooperative deadline is
+    checked at every phase boundary; the pass fixpoint and the simulator
+    check at finer grain themselves. *)
+let phase ctx name f =
+  Lp_util.Deadline.check ctx.deadline;
+  Obs.span ctx.obs ~cat:"phase" name f
+
+(** Run [f] inside the [compile] span, after rejecting options that ask
+    for more cores than [machine] has. *)
+let in_compile_span ~ctx ~opts ~(machine : Machine.t) f =
+  Obs.span ctx.obs ~cat:"compile"
     ~args:[ ("machine", Obs.Str machine.Machine.name);
             ("cores", Obs.Int opts.n_cores) ]
     "compile"
@@ -260,13 +260,20 @@ let compile_exn ?(ctx = default_ctx) ?(verify_each = false) ?(opts = baseline)
       (Compile_error
          (Printf.sprintf "options ask for %d cores, machine has %d"
             opts.n_cores (Machine.n_cores machine)));
-  let phase name f =
-    (* cooperative deadline: checked at every phase boundary; the pass
-       fixpoint and the simulator check at finer grain themselves *)
-    Lp_util.Deadline.check ctx.deadline;
-    Obs.span obs ~cat:"phase" name f
-  in
-  let ast = phase "frontend" (fun () -> parse_and_check_exn source) in
+  f ()
+
+(** Every phase after the frontend, on a type-checked [ast] (which no
+    phase mutates).  Raises the raw per-stage exceptions; [compile]
+    wraps them for the legacy API and [compile_result] maps them to
+    diagnostics.  [verify_each] re-runs the IR verifier after every
+    optimisation pass (the fuzzer's oracle).  [ctx] supplies the
+    telemetry recorder: every phase below runs inside a span (the
+    [compile → fixpoint round → pass → function] hierarchy of
+    docs/OBSERVABILITY.md), all free when the recorder is off. *)
+let compile_checked_exn ~ctx ~verify_each ~opts ~(machine : Machine.t)
+    (ast : Ast.program) : compiled =
+  let obs = ctx.obs in
+  let phase name f = phase ctx name f in
   let detection = phase "detect" (fun () -> Detect.detect ast) in
   Obs.add obs "compile.patterns_detected"
     (List.length detection.Pattern.instances);
@@ -413,6 +420,14 @@ let compile_exn ?(ctx = default_ctx) ?(verify_each = false) ?(opts = baseline)
     options = opts;
   }
 
+(** Compile [source] for [machine] under [opts]: the frontend phase, then
+    {!compile_checked_exn}. *)
+let compile_exn ?(ctx = default_ctx) ?(verify_each = false) ?(opts = baseline)
+    ~(machine : Machine.t) (source : string) : compiled =
+  in_compile_span ~ctx ~opts ~machine @@ fun () ->
+  let ast = phase ctx "frontend" (fun () -> parse_and_check_exn source) in
+  compile_checked_exn ~ctx ~verify_each ~opts ~machine ast
+
 (** Compile [source] for [machine]; the raising entry point
     ([Compile_error] covers front-end, lowering, verification and driver
     failures, exactly as before diagnostics existed). *)
@@ -483,27 +498,36 @@ let diag_of_exn : exn -> Diag.t option = function
   | Compile_error msg -> Some (Diag.make Diag.Driver ~code:"E_COMPILE" msg)
   | e -> Lp_sim.Sim.diag_of_exn e
 
-(** [compile], but failures come back as diagnostics.  Foreign
-    exceptions still propagate: they are bugs, not diagnostics. *)
-let compile_result ?(ctx = default_ctx) ?verify_each ?opts
-    ~(machine : Machine.t) (source : string) : (compiled, Diag.t) result =
-  match compile_exn ~ctx ?verify_each ?opts ~machine source with
-  | c -> Ok c
+(** [f ()], with pipeline failures as diagnostics.  Foreign exceptions
+    still propagate: they are bugs, not diagnostics. *)
+let as_result f =
+  match f () with
+  | v -> Ok v
   | exception e -> (
     match diag_of_exn e with Some d -> Error d | None -> raise e)
 
+(** [compile], but failures come back as diagnostics. *)
+let compile_result ?(ctx = default_ctx) ?verify_each ?opts
+    ~(machine : Machine.t) (source : string) : (compiled, Diag.t) result =
+  as_result (fun () -> compile_exn ~ctx ?verify_each ?opts ~machine source)
+
+let compile_checked ?(ctx = default_ctx) ?(opts = baseline)
+    ~(machine : Machine.t) (ast : Ast.program) : (compiled, Diag.t) result =
+  as_result (fun () ->
+      in_compile_span ~ctx ~opts ~machine (fun () ->
+          compile_checked_exn ~ctx ~verify_each:false ~opts ~machine ast))
+
+(** [simulate_compiled], but failures come back as diagnostics. *)
+let simulate_result ?(ctx = default_ctx) ?sim_opts (compiled : compiled) :
+    (Lp_sim.Sim.outcome, Diag.t) result =
+  as_result (fun () -> simulate_compiled ~ctx ?sim_opts compiled)
+
 (** [run], but failures come back as diagnostics. *)
-let run_result ?(ctx = default_ctx) ?verify_each ?(opts = baseline)
-    ?(sim_opts = Lp_sim.Sim.default_options) ~(machine : Machine.t)
-    (source : string) : (compiled * Lp_sim.Sim.outcome, Diag.t) result =
-  match compile_result ~ctx ?verify_each ~opts ~machine source with
-  | Error d -> Error d
-  | Ok compiled -> (
-    let sim_opts = effective_sim_opts ~ctx ~opts sim_opts in
-    match
-      Lp_sim.Sim.run_result ~opts:sim_opts ~obs:ctx.obs ~machine compiled.prog
-    with
-    | Ok outcome ->
-      record_outcome ctx.report outcome;
-      Ok (compiled, outcome)
-    | Error d -> Error d)
+let run_result ?(ctx = default_ctx) ?verify_each ?opts ?sim_opts
+    ~(machine : Machine.t) (source : string) :
+    (compiled * Lp_sim.Sim.outcome, Diag.t) result =
+  Result.bind (compile_result ~ctx ?verify_each ?opts ~machine source)
+    (fun compiled ->
+      Result.map
+        (fun outcome -> (compiled, outcome))
+        (simulate_result ~ctx ?sim_opts compiled))

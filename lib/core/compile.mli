@@ -199,7 +199,7 @@ val run :
     (same unused-core gating, predecode and deadline resolution).  The
     compile server re-simulates warm-cache hits through this, which is
     what makes a cached reply byte-identical to a cold one.  Raises like
-    [Lp_sim.Sim.run]; wrap with {!diag_of_exn} for diagnostics. *)
+    [Lp_sim.Sim.run]; {!simulate_result} returns diagnostics instead. *)
 val simulate_compiled :
   ?ctx:ctx ->
   ?sim_opts:Lp_sim.Sim.options ->
@@ -230,6 +230,32 @@ val compile_result :
   machine:Machine.t ->
   string ->
   (compiled, Lp_util.Diag.t) result
+
+(** [compile_result] from an already parsed program: every phase after
+    the frontend, inside the same [compile] span, core-count check and
+    deadline checks.  Precondition: [ast] came from
+    {!parse_and_check_exn} (or {!parse_and_check}), so it has passed
+    the type checker; an unchecked AST is not rejected and may fail in
+    lowering or verification instead.  No phase mutates [ast], so one
+    parse may feed many compiles, concurrently too: the autotuner parses
+    its workload once per search and compiles every candidate schedule
+    from the result.  [compile_result ~opts ~machine src] equals
+    [compile_checked ~opts ~machine (parse_and_check_exn src)] whenever
+    [src] type-checks. *)
+val compile_checked :
+  ?ctx:ctx ->
+  ?opts:options ->
+  machine:Machine.t ->
+  Ast.program ->
+  (compiled, Lp_util.Diag.t) result
+
+(** {!simulate_compiled} with diagnostics instead of exceptions, mapped
+    by {!diag_of_exn}. *)
+val simulate_result :
+  ?ctx:ctx ->
+  ?sim_opts:Lp_sim.Sim.options ->
+  compiled ->
+  (Lp_sim.Sim.outcome, Lp_util.Diag.t) result
 
 (** [run] with diagnostics instead of exceptions. *)
 val run_result :

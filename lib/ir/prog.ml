@@ -165,3 +165,39 @@ let total_instrs t =
     cached against this. *)
 let prog_version t =
   Hashtbl.fold (fun _ f acc -> acc + f.version) t.funcs (Hashtbl.length t.funcs)
+
+(** Exact content digest of everything the simulator reads from a
+    program: the globals and the layout; per function, in name order,
+    its signature, entry, frame arrays, register and label high-water
+    marks; and every block of [blocks] by label (a block missing from
+    [block_order] is still decoded), each instruction with its [loc]
+    (the profiler keys on it).  Programs with equal digests simulate
+    identically under the same machine and simulator options.  The
+    digest is taken over a marshalled canonical value, so floats
+    compare by their bits; the printed IR could not serve, since
+    {!Ir.const_to_string} prints floats with [%g].  Gating sets enter
+    as element lists, so equal sets of different tree shapes agree.
+    Mutation stamps, instruction ids and [block_order] are left out:
+    the simulator reads none of them. *)
+let digest (t : t) : Digest.t =
+  let idesc = function
+    | Ir.Pg_off s -> `Gate (false, Lp_power.Component.Set.elements s)
+    | Ir.Pg_on s -> `Gate (true, Lp_power.Component.Set.elements s)
+    | d -> `Instr d
+  in
+  let block l (b : Ir.block) =
+    (l, b.Ir.bid, List.map (fun i -> (idesc i.Ir.idesc, i.Ir.loc)) b.Ir.instrs,
+     b.Ir.term)
+  in
+  let func f =
+    let blocks =
+      Hashtbl.fold (fun l b acc -> block l b :: acc) f.blocks []
+      |> List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b)
+    in
+    (f.fname, f.params, f.ret, f.entry, f.frame_arrays,
+     Lp_util.Id_gen.peek f.reg_gen, Lp_util.Id_gen.peek f.block_gen, blocks)
+  in
+  Digest.string
+    (Marshal.to_string
+       (t.globals, t.layout, List.map func (funcs t))
+       [ Marshal.No_sharing ])

@@ -3,10 +3,12 @@
     The search loop is deliberately structured for reproducibility
     across pool sizes: each round *generates* its candidates
     sequentially from the one seeded RNG, then *evaluates* the unique
-    uncached ones in parallel ([Domain_pool.parallel_map] preserves
-    order and compilation + simulation are deterministic), then *selects*
-    sequentially (ties keep the earliest proposal).  The RNG is never
-    touched from a worker domain. *)
+    uncached ones (compiled in parallel, their programs digested and
+    de-duplicated sequentially, the new programs simulated in parallel;
+    [Domain_pool.parallel_map] preserves order and compilation +
+    simulation are deterministic), then *selects* sequentially (ties
+    keep the earliest proposal).  The RNG is never touched from a
+    worker domain. *)
 
 module Compile = Lowpower.Compile
 module Pipeline = Lowpower.Pipeline
@@ -21,6 +23,8 @@ module Domain_pool = Lp_util.Domain_pool
 module Json = Lp_util.Json
 module Table = Lp_util.Table
 module Obs = Lp_obs.Obs
+module Prog = Lp_ir.Prog
+module Fault = Lp_util.Fault
 
 (* ------------------------------------------------------------------ *)
 (* Objective                                                           *)
@@ -160,25 +164,26 @@ let mutate (rng : Rng.t) (t : Pipeline.t) : Pipeline.t =
 (* Evaluation                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let evaluate ~(ctx : Compile.ctx) (cfg : config) (w : Workload.t)
-    (spec : string) : (objective, Diag.t) result =
+(** Deadline expiry aborts the whole tune; it does not score. *)
+let scored = function
+  | Error d when d.Diag.code = Deadline.code -> raise (Diag.Error d)
+  | r -> r
+
+let compile_candidate ~ctx (cfg : config) ast spec =
   match Pipeline.parse spec with
   | Error d -> Error d
-  | Ok pipeline -> (
+  | Ok pipeline ->
     let opts = Compile.Options.update ~pipeline cfg.opts in
-    match
-      Compile.run_result ~ctx ~opts ~machine:cfg.machine w.Workload.source
-    with
-    | Ok (_, o) ->
-      Ok
-        {
-          energy_nj = Ledger.total o.Sim.energy;
-          cycles = Array.fold_left ( + ) 0 o.Sim.cycles_per_core;
-        }
-    | Error d when d.Diag.code = Deadline.code ->
-      (* deadline expiry aborts the whole tune, it does not score *)
-      raise (Diag.Error d)
-    | Error d -> Error d)
+    scored (Compile.compile_checked ~ctx ~opts ~machine:cfg.machine ast)
+
+let simulate ~ctx (c : Compile.compiled) : (objective, Diag.t) result =
+  Compile.simulate_result ~ctx c
+  |> Result.map (fun o ->
+         {
+           energy_nj = Ledger.total o.Sim.energy;
+           cycles = Array.fold_left ( + ) 0 o.Sim.cycles_per_core;
+         })
+  |> scored
 
 (* ------------------------------------------------------------------ *)
 (* Results                                                             *)
@@ -231,16 +236,61 @@ let tune_workload ?(ctx = Compile.default_ctx) ?pool (cfg : config)
     Rng.create ~seed:((cfg.seed * 0x1000193) + name_seed w.Workload.name)
   in
   (* memoised evaluations, keyed by spec string: duplicate candidates
-     are never re-simulated (the Exp_common cell discipline; here all
-     cache access is sequential, only evaluation fans out) *)
+     are never recompiled (the Exp_common cell discipline; here all
+     cache access is sequential, only compiling and simulating fan out) *)
   let cache : (string, (objective, Diag.t) result) Hashtbl.t =
     Hashtbl.create 64
   in
+  (* simulation results by program digest: most schedules compile to a
+     program an earlier one already produced.  Within one search the
+     machine and every option but the schedule are fixed, so the digest
+     alone is the key.  Injected faults make a simulation
+     attempt-dependent, so an armed spec simulates every program. *)
+  let sims : (Digest.t, (objective, Diag.t) result) Hashtbl.t =
+    Hashtbl.create 64
+  in
+  let memo = not (Fault.active ()) in
   let evaluated = ref 0 in
-  let eval_specs specs =
+  let eval_specs ast specs =
+    let compiled =
+      Domain_pool.parallel_map ?pool (compile_candidate ~ctx cfg ast) specs
+    in
     let objs =
-      Domain_pool.parallel_map ?pool (fun spec -> evaluate ~ctx cfg w spec)
-        specs
+      if memo then begin
+        (* digest and de-duplicate sequentially, in proposal order, so
+           which program gets simulated does not depend on the pool *)
+        let keyed =
+          List.map
+            (Result.map (fun c -> (Prog.digest c.Compile.prog, c)))
+            compiled
+        in
+        let chosen = Hashtbl.create 8 in
+        let to_sim =
+          List.filter_map
+            (function
+              | Ok (d, c) when not (Hashtbl.mem sims d || Hashtbl.mem chosen d)
+                ->
+                Hashtbl.replace chosen d ();
+                Some (d, c)
+              | Ok _ | Error _ -> None)
+            keyed
+        in
+        Obs.add obs "tune.simulations" (List.length to_sim);
+        let results =
+          Domain_pool.parallel_map ?pool (fun (_, c) -> simulate ~ctx c) to_sim
+        in
+        List.iter2 (fun (d, _) r -> Hashtbl.replace sims d r) to_sim results;
+        List.map
+          (fun k -> Result.bind k (fun (d, _) -> Hashtbl.find sims d))
+          keyed
+      end
+      else begin
+        Obs.add obs "tune.simulations"
+          (List.length (List.filter Result.is_ok compiled));
+        Domain_pool.parallel_map ?pool
+          (fun c -> Result.bind c (simulate ~ctx))
+          compiled
+      end
     in
     List.iter2 (fun s o -> Hashtbl.replace cache s o) specs objs;
     evaluated := !evaluated + List.length specs
@@ -253,12 +303,27 @@ let tune_workload ?(ctx = Compile.default_ctx) ?pool (cfg : config)
   in
   let candidates = ref 0 and cache_hits = ref 0 and restarts = ref 0 in
   try
+    (* parsed and type-checked once; every candidate compiles from it *)
+    let ast =
+      let source = w.Workload.source in
+      match Compile.parse_and_check_exn source with
+      | ast -> ast
+      | exception _ -> (
+        (* fail as a full compile does: its core-count and deadline
+           checks come before the frontend *)
+        match
+          Compile.compile_result ~ctx ~opts:cfg.opts ~machine:cfg.machine
+            source
+        with
+        | Error d -> raise (Diag.Error d)
+        | Ok _ -> assert false)
+    in
     let start =
       Pipeline.flatten ~mac_fusion:cfg.opts.Compile.mac_fusion
         (Option.value ~default:Pipeline.default cfg.opts.Compile.pipeline)
     in
     let start_spec = Pipeline.to_spec start in
-    eval_specs [ start_spec ];
+    eval_specs ast [ start_spec ];
     let baseline_obj =
       match Hashtbl.find cache start_spec with
       | Ok o -> o
@@ -283,7 +348,7 @@ let tune_workload ?(ctx = Compile.default_ctx) ?pool (cfg : config)
           incr cache_hits;
           Obs.add obs "tune.cache_hits" 1
         end
-        else if !evaluated < cfg.budget then eval_specs [ spec ];
+        else if !evaluated < cfg.budget then eval_specs ast [ spec ];
         current := c;
         current_obj := Option.value (objective_of spec) ~default:worst
       end;
@@ -312,7 +377,7 @@ let tune_workload ?(ctx = Compile.default_ctx) ?pool (cfg : config)
         Obs.add obs "tune.cache_hits" (List.length hits)
       end;
       let to_eval = take (cfg.budget - !evaluated) misses in
-      if to_eval <> [] then eval_specs to_eval;
+      if to_eval <> [] then eval_specs ast to_eval;
       (* move to the round's best strict improvement, ties keep the
          earliest proposal *)
       let round_best =

@@ -5,7 +5,7 @@
     random restarts: from the flattened default schedule it proposes a
     fixed-size round of mutated candidates (swap/move/drop/duplicate a
     step, split or merge a [fix(...)] group), evaluates each through
-    [Compile.run_result] and the simulator's energy ledger (objective:
+    the compiler and the simulator's energy ledger (objective:
     total energy in nJ, total compute cycles as tie-break), and moves to
     the best strict improvement.  After [restart_after] stalled rounds
     it restarts from a seeded shuffle of the starting schedule.
@@ -15,12 +15,17 @@
     sequentially and only their (deterministic) evaluations fan out over
     {!Lp_util.Domain_pool.parallel_map}, so the tuned schedule and every
     reported statistic are byte-identical whatever the pool size.
-    Duplicate candidates are never re-simulated: evaluations are memoised
-    per spec string, exactly the cell discipline of [Exp_common].
+    Duplicate candidates are never recompiled: evaluations are memoised
+    per spec string, exactly the cell discipline of [Exp_common].  Each
+    search parses its workload once and compiles every candidate from
+    that AST ({!Compile.compile_checked}); a program is simulated only
+    if no earlier candidate of the same search compiled to the same
+    {!Lp_ir.Prog.digest} (unless a fault spec is armed: then every
+    candidate is simulated).  docs/TUNING.md has the details.
 
-    Observability: runs add the [tune.candidates], [tune.cache_hits] and
-    [tune.improved] counters to the context's recorder
-    (docs/OBSERVABILITY.md). *)
+    Observability: runs add the [tune.candidates], [tune.cache_hits],
+    [tune.simulations] and [tune.improved] counters to the context's
+    recorder (docs/OBSERVABILITY.md). *)
 
 module Compile = Lowpower.Compile
 module Pipeline = Lowpower.Pipeline
@@ -81,7 +86,9 @@ type workload_result = {
   tw_best : objective;
   tw_best_spec : string;  (** one-line spec of the best schedule *)
   tw_candidates : int;  (** mutation proposals generated *)
-  tw_evaluated : int;  (** unique schedules compiled + simulated *)
+  tw_evaluated : int;
+      (** unique schedules compiled, and simulated unless an earlier
+          schedule of the same search compiled to the same program *)
   tw_cache_hits : int;  (** proposals answered from the memo cache *)
   tw_restarts : int;
 }
