@@ -106,7 +106,9 @@ let () =
   let cache_cap =
     Arg.(value & opt int 128
          & info [ "cache-cap" ] ~docv:"N"
-             ~doc:"Warm compile cache entries shared across requests.")
+             ~doc:"Warm cache entries shared across requests: compiled \
+                   programs and their memoised $(b,run) replies, evicted \
+                   least recently used first.")
   in
   let default_deadline =
     Arg.(value & opt (some int) None

@@ -453,7 +453,7 @@ let effective_sim_opts ~(ctx : ctx) ~(opts : options)
        else sim_opts.Lp_sim.Sim.deadline) }
 
 (** Simulate an already-compiled program exactly as [run] would have:
-    the compile server uses this to re-simulate warm-cache hits and get
+    the compile server uses this to simulate warm-cache entries and get
     byte-identical outcomes. *)
 let simulate_compiled ?(ctx = default_ctx)
     ?(sim_opts = Lp_sim.Sim.default_options) (compiled : compiled) :

@@ -197,7 +197,7 @@ val run :
 
 (** Simulate an already-[compile]d program exactly as {!run} would have
     (same unused-core gating, predecode and deadline resolution).  The
-    compile server re-simulates warm-cache hits through this, which is
+    compile server simulates warm-cache entries through this, which is
     what makes a cached reply byte-identical to a cold one.  Raises like
     [Lp_sim.Sim.run]; {!simulate_result} returns diagnostics instead. *)
 val simulate_compiled :

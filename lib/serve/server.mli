@@ -1,8 +1,8 @@
 (** The [lpccd] compile server: a long-running daemon accepting
     concurrent compile/run/explain/pipeline requests over a Unix-domain
-    socket (line-delimited JSON, {!Protocol}), sharing a warm compile
-    cache across requests and dispatching work onto worker domains
-    through a bounded queue.
+    socket (line-delimited JSON, {!Protocol}), sharing a warm LRU cache
+    of compiled programs and their [run] replies across requests and
+    dispatching work onto worker domains through a bounded queue.
 
     Robustness properties (docs/SERVING.md has the full contract):
 
@@ -32,7 +32,7 @@ type opts = {
   max_frame_bytes : int;           (** larger frames are rejected E_DECODE *)
   default_deadline_ms : int option;(** applied when the request has none *)
   stuck_ms : int;                  (** watchdog limit for deadline-less requests *)
-  cache_capacity : int;            (** warm compile cache entries *)
+  cache_capacity : int;            (** warm cache entries (LRU) *)
   drain_ms : int;                  (** max wait for in-flight work on stop *)
 }
 

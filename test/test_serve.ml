@@ -1,4 +1,5 @@
-(** The [lpccd] compile server: bounded queue, wire protocol, and
+(** The [lpccd] compile server: bounded queue, LRU warm cache, wire
+    protocol, the memoised [run] replies, and
     end-to-end robustness over a real Unix-domain socket — backpressure
     sheds with [E_OVERLOAD], deadlines expire as [E_DEADLINE], malformed
     frames and per-request crashes never take down the connection, and a
@@ -16,10 +17,10 @@ let tmp_socket name =
     (Filename.get_temp_dir_name ())
     (Printf.sprintf "lp-serve-test-%s-%d.sock" name (Unix.getpid ()))
 
-let with_server ?(tune = fun o -> o) name f =
+let with_server ?(tune = fun o -> o) ?ctx name f =
   let socket_path = tmp_socket name in
   let opts = tune (Server.default_opts ~socket_path) in
-  let server = Server.start opts in
+  let server = Server.start ?ctx opts in
   Fun.protect
     ~finally:(fun () ->
       Server.stop server;
@@ -96,6 +97,71 @@ let test_bqueue () =
   Alcotest.(check (option int)) "drains 2" (Some 2) (Bqueue.pop q);
   Alcotest.(check (option int)) "drains 3" (Some 3) (Bqueue.pop q);
   Alcotest.(check (option int)) "then None" None (Bqueue.pop q)
+
+(* ------------------------------------------------------------------ *)
+(* Warm cache eviction                                                 *)
+(* ------------------------------------------------------------------ *)
+
+module Cache = Lp_serve.Cache
+
+(** A key removed and added again is as recent as its new insertion:
+    the next eviction takes the older live key, not the re-added one. *)
+let test_cache_readd_after_remove () =
+  let c = Cache.create ~capacity:2 in
+  Cache.add c "a" 1;
+  Cache.remove c "a";
+  Cache.add c "b" 2;
+  Cache.add c "a" 3;
+  Cache.add c "c" 4;
+  Alcotest.(check int) "at capacity" 2 (Cache.length c);
+  Alcotest.(check (option int)) "older b evicted" None (Cache.find c "b");
+  Alcotest.(check (option int)) "re-added a kept" (Some 3) (Cache.find c "a");
+  Alcotest.(check (option int)) "newest c kept" (Some 4) (Cache.find c "c");
+  Alcotest.(check int) "one invalidation" 1 (Cache.invalidations c)
+
+(** A [find] hit makes its key the most recent, so the next eviction
+    takes the entry that was not used. *)
+let test_cache_hit_refreshes () =
+  let c = Cache.create ~capacity:2 in
+  Cache.add c "a" 1;
+  Cache.add c "b" 2;
+  Alcotest.(check (option int)) "a hits" (Some 1) (Cache.find c "a");
+  Cache.add c "c" 3;
+  Alcotest.(check (option int)) "unused b evicted" None (Cache.find c "b");
+  Alcotest.(check (option int)) "used a kept" (Some 1) (Cache.find c "a");
+  Alcotest.(check (option int)) "newest c kept" (Some 3) (Cache.find c "c");
+  Alcotest.(check int) "hits counted" 3 (Cache.hits c);
+  Alcotest.(check int) "misses counted" 1 (Cache.misses c)
+
+(** The serve-mixed key stream through the server's 128 slots: a
+    42-key hot set visited in shuffled rounds, with a one-shot key after
+    every visit, each missed key added as the server adds it.  Between
+    two visits of a hot key at most 41 other hot keys and 83 one-shot
+    keys are touched, so every hot visit after the first round must hit;
+    insertion-order eviction drops hot keys that are still in use. *)
+let test_cache_keeps_hot_set () =
+  let c = Cache.create ~capacity:128 in
+  let visit key =
+    match Cache.find c key with
+    | Some () -> true
+    | None ->
+      Cache.add c key ();
+      false
+  in
+  let rng = Lp_util.Rng.create ~seed:1 in
+  let hot = List.init 42 (Printf.sprintf "hot%d") in
+  let one_shots = ref 0 in
+  for round = 1 to 10 do
+    List.iter
+      (fun key ->
+        if (not (visit key)) && round > 1 then
+          Alcotest.failf "round %d: hot key %s missed" round key;
+        incr one_shots;
+        ignore (visit (Printf.sprintf "once%d" !one_shots)))
+      (Lp_util.Rng.shuffle rng hot)
+  done;
+  Alcotest.(check int) "hits: every hot visit after round 1" (9 * 42)
+    (Cache.hits c)
 
 (* ------------------------------------------------------------------ *)
 (* Wire protocol                                                       *)
@@ -311,6 +377,99 @@ let test_cache_reuse () =
     (Json.to_compact_string (strip [ "id"; "cached" ] first.P.r_payload))
     (Json.to_compact_string (strip [ "id"; "cached" ] second.P.r_payload))
 
+(** A server context whose recorder counts simulations ([sim.runs]). *)
+let counting_ctx () =
+  { Lowpower.Compile.default_ctx with Lowpower.Compile.obs = Lp_obs.Obs.create () }
+
+let sim_runs (ctx : Lowpower.Compile.ctx) =
+  Option.value ~default:0
+    (List.assoc_opt "sim.runs" (Lp_obs.Obs.counters ctx.Lowpower.Compile.obs))
+
+(** One round trip on [fd]: the raw reply frame. *)
+let ask fd frame =
+  send_all fd frame;
+  List.hd (read_frames fd 1)
+
+(** [frame] without its leading [prefix] (which must be there). *)
+let after ~prefix frame =
+  let n = String.length prefix in
+  if String.length frame >= n && String.sub frame 0 n = prefix then
+    String.sub frame n (String.length frame - n)
+  else Alcotest.failf "reply %s does not start with %s" frame prefix
+
+(** A warm [run] replies from its cache entry's memo without simulating
+    again, and its frame is byte-identical to the cold one apart from
+    [id] and [cached]. *)
+let test_run_memo () =
+  let ctx = counting_ctx () in
+  with_server ~ctx "memo" @@ fun path _server ->
+  let fd = connect path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let cold = ask fd (run_frame ~id:(Json.Num 1.0) (P.Workload "dotprod")) in
+  let warm = ask fd (run_frame ~id:(Json.Num 2.0) (P.Workload "dotprod")) in
+  Alcotest.(check bool) "cold reply ok" true (parse_reply cold).P.r_ok;
+  Alcotest.(check string) "warm frame byte-identical apart from id/cached"
+    (after ~prefix:{|{"id":1,"ok":true,"op":"run",|} cold)
+    (after ~prefix:{|{"id":2,"ok":true,"op":"run","cached":true,|} warm);
+  Alcotest.(check int) "one simulation for two runs" 1 (sim_runs ctx)
+
+(** A failed simulation never fills the memo: after a [compile] warmed
+    the entry, a [run] that expires ([E_DEADLINE]) leaves it empty, so
+    the next [run] simulates and only the one after it is memoised. *)
+let test_run_memo_skips_failures () =
+  let ctx = counting_ctx () in
+  with_server ~ctx "memo-fail" @@ fun path _server ->
+  let fd = connect path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let reply frame = parse_reply (ask fd frame) in
+  let warmed =
+    reply
+      (P.frame_of_request
+         { P.default_request with
+           P.id = Json.Num 1.0; op = P.Compile; src = P.Workload "matmul";
+           config = "full" })
+  in
+  Alcotest.(check bool) "compile warms the entry" true warmed.P.r_ok;
+  let expired =
+    reply (run_frame ~id:(Json.Num 2.0) ~deadline_ms:1 (P.Workload "matmul"))
+  in
+  Alcotest.(check string) "warm run expires" "E_DEADLINE" (code_of expired);
+  Alcotest.(check int) "no simulation completed yet" 0 (sim_runs ctx);
+  let again = reply (run_frame ~id:(Json.Num 3.0) (P.Workload "matmul")) in
+  Alcotest.(check bool) "next run ok" true again.P.r_ok;
+  Alcotest.(check bool) "next run is a cache hit" true
+    (Json.member "cached" again.P.r_payload = Some (Json.Bool true));
+  Alcotest.(check int) "next run simulated" 1 (sim_runs ctx);
+  let memo = reply (run_frame ~id:(Json.Num 4.0) (P.Workload "matmul")) in
+  Alcotest.(check bool) "memoised run ok" true memo.P.r_ok;
+  Alcotest.(check int) "then the memo answers" 1 (sim_runs ctx)
+
+(** An armed fault spec bypasses the cache and so the memo: every
+    [run] simulates, even of a program served before. *)
+let test_run_memo_bypassed_under_faults () =
+  let ctx = counting_ctx () in
+  with_server ~ctx "memo-faults" @@ fun path _server ->
+  let fd = connect path in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close fd;
+      Lp_util.Fault.clear ())
+  @@ fun () ->
+  (* a clause whose scope never matches: armed, but never fires *)
+  (match Lp_util.Fault.configure "pre-simulate@no-such-scope" with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "fault spec: %s" e);
+  for i = 1 to 3 do
+    let r =
+      parse_reply
+        (ask fd (run_frame ~id:(Json.Num (float_of_int i)) (P.Workload "dotprod")))
+    in
+    Alcotest.(check bool) "run ok" true r.P.r_ok;
+    Alcotest.(check bool) "never cached" true
+      (Json.member "cached" r.P.r_payload = None)
+  done;
+  Alcotest.(check int) "every run simulated" 3 (sim_runs ctx)
+
 (** The v2 [tune] op end to end: a small-budget tune over the socket
     returns a replayable spec plus the energy delta, echoes the request
     version, and versionless frames keep the v1 reply shape. *)
@@ -499,6 +658,12 @@ let suite =
   [
     Alcotest.test_case "bounded queue: FIFO, backpressure, close" `Quick
       test_bqueue;
+    Alcotest.test_case "cache keeps a key re-added after remove" `Quick
+      test_cache_readd_after_remove;
+    Alcotest.test_case "cache hit saves an entry from eviction" `Quick
+      test_cache_hit_refreshes;
+    Alcotest.test_case "cache keeps a hot set among one-shot keys" `Quick
+      test_cache_keeps_hot_set;
     Alcotest.test_case "protocol round-trips every field" `Quick
       test_protocol_round_trip;
     Alcotest.test_case "malformed frames decode to E_DECODE" `Quick
@@ -515,6 +680,11 @@ let suite =
     Alcotest.test_case "per-request crash isolation" `Quick
       test_crash_isolation;
     Alcotest.test_case "warm cache byte-identity" `Quick test_cache_reuse;
+    Alcotest.test_case "warm run replies from its memo" `Quick test_run_memo;
+    Alcotest.test_case "failed runs are never memoised" `Quick
+      test_run_memo_skips_failures;
+    Alcotest.test_case "armed faults bypass the run memo" `Quick
+      test_run_memo_bypassed_under_faults;
     Alcotest.test_case "serve-bench acceptance gate end to end" `Slow
       test_serve_bench_acceptance;
     Alcotest.test_case "graceful drain on stop" `Quick test_graceful_drain;
