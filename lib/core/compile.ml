@@ -493,8 +493,6 @@ let diag_of_exn : exn -> Diag.t option = function
     Some (Diag.make Diag.Parallelize ~code:"E_PAR" msg)
   | Lower.Lower_error msg -> Some (Diag.make Diag.Lower ~code:"E_LOWER" msg)
   | Verify.Invalid msg -> Some (Diag.make Diag.Verify ~code:"E_VERIFY" msg)
-  | Lp_sched.Taskgraph.Invalid_graph msg ->
-    Some (Diag.make Diag.Schedule ~code:"E_GRAPH" msg)
   | Compile_error msg -> Some (Diag.make Diag.Driver ~code:"E_COMPILE" msg)
   | e -> Lp_sim.Sim.diag_of_exn e
 

@@ -210,7 +210,7 @@ val simulate_compiled :
 
     The [*_result] entry points never raise for pipeline failures: every
     exception the pipeline owns (lex/parse/type errors, [Par_error],
-    [Lower_error], [Verify.Invalid], [Invalid_graph], [Compile_error],
+    [Lower_error], [Verify.Invalid], [Compile_error],
     simulator deadlock/step-limit/runtime errors, injected faults) comes
     back as an [Error] carrying a {!Lp_util.Diag.t} with a stable code.
     A foreign exception still propagates — it is a bug, and the fuzzer

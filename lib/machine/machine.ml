@@ -78,7 +78,6 @@ let class_index_of_core t id =
 
 let class_of_core t id = t.classes.(class_index_of_core t id)
 let power_of_core t id = (class_of_core t id).cc_power
-let perf_scale_of_core t id = (class_of_core t id).cc_perf_scale
 let ref_power t = t.classes.(0).cc_power
 let homogeneous t = Array.length t.classes = 1
 
@@ -89,21 +88,10 @@ let spm_latency_cycles t =
   | Scratchpad { spm_latency_cycles = l; _ } -> l
   | Cache { hit_latency_cycles = l; _ } -> l
 
-let tier_of_words t words =
-  match t.mem.far with
-  | Some far when words >= t.mem.far_threshold_words -> far
-  | Some _ | None -> t.mem.near
-
 let is_far t words =
   match t.mem.far with
   | Some _ -> words >= t.mem.far_threshold_words
   | None -> false
-
-let dma_transfer_cycles t ~words =
-  match t.mem.local with
-  | Scratchpad { dma_setup_cycles; dma_word_cycles; _ } ->
-    dma_setup_cycles + (words * dma_word_cycles)
-  | Cache _ -> t.bus_latency_cycles + (words * t.bus_word_cycles)
 
 let validate t =
   if Array.length t.classes < 1 then

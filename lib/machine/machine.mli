@@ -29,7 +29,8 @@ type mem_tier = {
 
 (** Per-core local store.  A scratchpad is software-managed with an
     explicit DMA engine (block transfers pay setup once, then stream);
-    a cache hits at a fixed latency and pays a deterministic periodic
+    only the machine listing reads the DMA costs, nothing charges them.
+    A cache hits at a fixed latency and pays a deterministic periodic
     miss penalty (a first-order stand-in for a real miss stream). *)
 type local_store =
   | Scratchpad of {
@@ -75,7 +76,6 @@ val class_index_of_core : t -> int -> int
 
 val class_of_core : t -> int -> core_class
 val power_of_core : t -> int -> Power_model.t
-val perf_scale_of_core : t -> int -> float
 
 (** Power model of class 0 — the machine's reference clock: bus and
     shared-memory latencies are expressed in nominal cycles of this
@@ -92,15 +92,8 @@ val shared_mem_latency_cycles : t -> int
 (** Local-store access latency (scratchpad latency / cache hit). *)
 val spm_latency_cycles : t -> int
 
-(** The tier a shared allocation of [words] words lands in. *)
-val tier_of_words : t -> int -> mem_tier
-
 (** True when an allocation of [words] words lives in the far tier. *)
 val is_far : t -> int -> bool
-
-(** Cycles of one DMA block transfer of [words] words (setup + stream).
-    On a cache machine this falls back to bus word-by-word cost. *)
-val dma_transfer_cycles : t -> words:int -> int
 
 (** Raises [Invalid_argument] on inconsistent descriptions (no classes,
     empty class, no ALU, duplicate/overlapping ladder levels, bad perf

@@ -29,6 +29,12 @@ let dynamic_scale ~nominal t =
 (** Leakage-power scale factor relative to nominal: linear in voltage. *)
 let leakage_scale ~nominal t = t.voltage /. nominal.voltage
 
+(** Run-time stretch of a region at this point relative to nominal, when
+    a fraction [mu] of its nominal time waits on the fixed-frequency bus
+    and memory: only the compute fraction scales with [f_nom / f]. *)
+let slowdown ~nominal ~mu t =
+  ((1.0 -. mu) *. (nominal.freq_mhz /. t.freq_mhz)) +. mu
+
 let to_string t =
   Printf.sprintf "L%d(%.0fMHz,%.2fV)" t.level t.freq_mhz t.voltage
 

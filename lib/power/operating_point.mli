@@ -18,6 +18,12 @@ val dynamic_scale : nominal:t -> t -> float
 (** Leakage-power scale relative to [nominal]: [v/v_nom]. *)
 val leakage_scale : nominal:t -> t -> float
 
+(** The compiler's one run-time model: [slowdown ~nominal ~mu p] is
+    [(1 - mu) * f_nom/f + mu], the factor by which a region whose
+    nominal time is a fraction [mu] memory-bound stretches at [p].  It
+    prices no leakage.  Loop DVFS and pipeline balancing both use it. *)
+val slowdown : nominal:t -> mu:float -> t -> float
+
 val to_string : t -> string
 
 (** [ladder ~n ~fmin ~fmax ~vmin ~vmax] builds [n] evenly spaced points,

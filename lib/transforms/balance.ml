@@ -19,9 +19,8 @@ module Machine = Lp_machine.Machine
 module Est = Lp_analysis.Est
 module Pattern = Lp_patterns.Pattern
 
-type options = { headroom : float (** over-provision factor, e.g. 1.1 *) }
-
-let default_options = { headroom = 1.10 }
+(** Over-provision factor on a stage's stretched time. *)
+let headroom = 1.10
 
 (** Per-iteration nominal-time estimate (ns) of one stage function. *)
 let stage_time ?am (m : Machine.t) (prog : Prog.t) name : Est.func_est option
@@ -53,16 +52,13 @@ let prepend_dvfs (prog : Prog.t) name level : bool =
 
 (** Pick the lowest level at which a stage with nominal estimate [est]
     still completes within [budget_cycles] (both in nominal cycles). *)
-let choose_level (pm : Power_model.t) (est : Est.func_est) ~budget_cycles
-    ~headroom : int =
+let choose_level (pm : Power_model.t) (est : Est.func_est) ~budget_cycles :
+    int =
   let nominal = Power_model.nominal pm in
   let mu = est.Est.mem_fraction in
   let fits (p : Operating_point.t) =
     let stretched =
-      est.Est.total_cycles
-      *. (((1.0 -. mu)
-           *. (nominal.Operating_point.freq_mhz /. p.Operating_point.freq_mhz))
-          +. mu)
+      est.Est.total_cycles *. Operating_point.slowdown ~nominal ~mu p
     in
     stretched *. headroom <= budget_cycles
   in
@@ -70,8 +66,7 @@ let choose_level (pm : Power_model.t) (est : Est.func_est) ~budget_cycles
   | Some p -> p.Operating_point.level
   | None -> nominal.Operating_point.level
 
-let run ?(opts = default_options) ?am (m : Machine.t) (prog : Prog.t)
-    (info : Par_info.t) : int =
+let run ?am (m : Machine.t) (prog : Prog.t) (info : Par_info.t) : int =
   let entries = Prog.entries prog in
   (* power model of the core a stage entry function runs on: entry [i]
      executes on core [i] (the simulator's layout) *)
@@ -105,10 +100,7 @@ let run ?(opts = default_options) ?am (m : Machine.t) (prog : Prog.t)
               if s > 0 then begin
                 let est = List.nth ests s in
                 let pm = pm_of_entry name in
-                let level =
-                  choose_level pm est ~budget_cycles:bottleneck
-                    ~headroom:opts.headroom
-                in
+                let level = choose_level pm est ~budget_cycles:bottleneck in
                 if level <> Power_model.max_level pm then
                   if prepend_dvfs prog name level then incr changes
               end)

@@ -75,14 +75,6 @@ let loop_has_comm (comm : (string, bool) Hashtbl.t) (f : Prog.func)
         b.Ir.instrs)
     l.Loops.blocks
 
-(** Slowdown of a loop with memory fraction [mu] at point [p]: only the
-    compute fraction stretches with the frequency ratio. *)
-let slowdown_at (pm : Power_model.t) ~mu (p : Operating_point.t) =
-  let nominal = Power_model.nominal pm in
-  ((1.0 -. mu)
-  *. (nominal.Operating_point.freq_mhz /. p.Operating_point.freq_mhz))
-  +. mu
-
 (** Lowest operating level whose slowdown on a loop with memory fraction
     [mu] stays within [max_slowdown] ([None] if only nominal qualifies),
     plus every rejected non-nominal point with the reason — the audit
@@ -95,7 +87,7 @@ let choose_level_explained (pm : Power_model.t) ~mu ~max_slowdown :
   List.iter
     (fun (p : Operating_point.t) ->
       if p.Operating_point.level <> nominal.Operating_point.level then
-        let s = slowdown_at pm ~mu p in
+        let s = Operating_point.slowdown ~nominal ~mu p in
         if s > 1.0 +. max_slowdown then
           rejected :=
             ( Printf.sprintf "L%d@%.0fMHz" p.Operating_point.level

@@ -4,13 +4,9 @@ type stage =
   | Lex
   | Parse
   | Typecheck
-  | Pattern
   | Parallelize
   | Lower
-  | Transform
   | Verify
-  | Schedule
-  | Machine
   | Driver
   | Simulate
   | Serve
@@ -39,13 +35,9 @@ let stage_name = function
   | Lex -> "lex"
   | Parse -> "parse"
   | Typecheck -> "typecheck"
-  | Pattern -> "pattern"
   | Parallelize -> "parallelize"
   | Lower -> "lower"
-  | Transform -> "transform"
   | Verify -> "verify"
-  | Schedule -> "schedule"
-  | Machine -> "machine"
   | Driver -> "driver"
   | Simulate -> "simulate"
   | Serve -> "serve"

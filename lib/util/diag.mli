@@ -15,13 +15,9 @@ type stage =
   | Lex
   | Parse
   | Typecheck
-  | Pattern
   | Parallelize
   | Lower
-  | Transform
   | Verify
-  | Schedule
-  | Machine
   | Driver      (** the compile driver's own checks *)
   | Simulate
   | Serve       (** the [lpccd] compile server's own failures

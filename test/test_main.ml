@@ -15,7 +15,6 @@ let () =
       ("parallel", Test_parallel.suite);
       ("parallel-harness", Test_parallel_harness.suite);
       ("experiments", Test_experiments.suite);
-      ("sched", Test_sched.suite);
       ("properties", Test_props.suite);
       ("workloads-e2e", Test_workloads.suite);
       ("robustness", Test_robustness.suite);

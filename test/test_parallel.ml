@@ -295,6 +295,20 @@ let test_balance_slows_light_stage () =
   in
   if not stage_has_dvfs then fail "no stage was balanced down"
 
+let test_balance_choose_level () =
+  (* ladder 100/200/300/400 MHz; a stage of 1000 nominal cycles, half of
+     them memory-bound, stretches to 2750 cycles at L0 and 1650 at L1
+     with the 10% headroom *)
+  let pm = Lp_power.Power_model.default () in
+  let est = { Lp_analysis.Est.total_cycles = 1000.0; mem_fraction = 0.5 } in
+  List.iter
+    (fun (budget_cycles, want) ->
+      check Alcotest.int
+        (Printf.sprintf "budget %.0f" budget_cycles)
+        want
+        (T.Balance.choose_level pm est ~budget_cycles))
+    [ (3000.0, 0); (2000.0, 1); (1000.0, Lp_power.Power_model.max_level pm) ]
+
 let test_balance_preserves_results () =
   (* already covered by e2e, but assert balancing does not slow the
      pipeline beyond the bottleneck by much *)
@@ -327,6 +341,7 @@ let suite =
     Alcotest.test_case "dvfs compute-bound" `Quick test_dvfs_skips_compute_bound;
     Alcotest.test_case "dvfs choose level" `Quick test_dvfs_choose_level;
     Alcotest.test_case "balance slows light stage" `Quick test_balance_slows_light_stage;
+    Alcotest.test_case "balance choose level" `Quick test_balance_choose_level;
     Alcotest.test_case "balance cheap" `Quick test_balance_preserves_results;
   ]
 

@@ -45,7 +45,15 @@ let test_scaling_factors () =
   check feq "dynamic quarter" 0.25 (Operating_point.dynamic_scale ~nominal:hi lo);
   check feq "leakage half" 0.5 (Operating_point.leakage_scale ~nominal:hi lo);
   check feq "cycles stretch" 2.0
-    (Operating_point.ns_of_cycles lo 100 /. Operating_point.ns_of_cycles hi 100)
+    (Operating_point.ns_of_cycles lo 100 /. Operating_point.ns_of_cycles hi 100);
+  (* only the compute share of a region stretches with the clock *)
+  List.iter
+    (fun (mu, p, want) ->
+      check feq
+        (Printf.sprintf "slowdown mu=%.1f at L%d" mu p.Operating_point.level)
+        want
+        (Operating_point.slowdown ~nominal:hi ~mu p))
+    [ (0.0, lo, 2.0); (0.5, lo, 1.5); (1.0, lo, 1.0); (0.5, hi, 1.0) ]
 
 (* ---------------- power model ---------------- *)
 

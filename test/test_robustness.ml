@@ -39,7 +39,6 @@ let test_diag_round_trip () =
       (Lp_transforms.Parallelize.Par_error "bad split", "E_PAR", None);
       (Lp_ir.Lower.Lower_error "no such var", "E_LOWER", None);
       (Lp_ir.Verify.Invalid "undefined register", "E_VERIFY", None);
-      (Lp_sched.Taskgraph.Invalid_graph "cycle", "E_GRAPH", None);
       (Compile.Compile_error "driver says no", "E_COMPILE", None);
       (Lp_sim.Sim.Deadlock "all cores blocked", "E_DEADLOCK", None);
       (Lp_sim.Sim.Step_limit_exceeded, "E_STEP_LIMIT", None);
