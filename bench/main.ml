@@ -7,7 +7,7 @@
     experiment, pool size, and — when a sequential reference pass ran —
     the speedup) so the repo accumulates a perf trajectory.
 
-    Usage:
+    Usage ([--help] lists every flag; unknown flags exit 124):
       dune exec bench/main.exe                 # everything, default pool
       dune exec bench/main.exe -- t3 f1        # selected experiments
       dune exec bench/main.exe -- sweep        # machine-zoo design-space
@@ -15,7 +15,8 @@
       dune exec bench/main.exe -- t1 --jobs 4  # 4-domain pool, plus a
                                                # sequential reference pass
       dune exec bench/main.exe -- t1 --jobs 4 --no-compare   # skip the ref
-      dune exec bench/main.exe -- seq          # force sequential (jobs=1)
+      dune exec bench/main.exe -- seq          # force sequential (jobs=1,
+                                               # also spelled --seq)
       dune exec bench/main.exe -- bechamel     # only the pass micro-benches *)
 
 module E = Lp_experiments.Experiments
@@ -23,8 +24,7 @@ module Baseline = Lp_experiments.Baseline
 module Exp_common = Lp_experiments.Exp_common
 module DP = Lp_util.Domain_pool
 module Runtime_config = Lp_util.Runtime_config
-module Obs = Lp_obs.Obs
-module Report = Lp_obs.Report
+open Cmdliner
 
 (* ------------------------------------------------------------------ *)
 (* B1: bechamel micro-benchmarks of individual compiler passes          *)
@@ -120,209 +120,80 @@ let bechamel_passes () =
     [energy_nj], [cells_evaluated]) — the numbers the regression
     baseline tracks.  [cells] carries the per-cell status of the
     evaluation matrix: which (workload, config, machine) triples
-    degraded to a diagnostic, and how many attempts each took.
-
-    The file is written atomically (temp file in the same directory, then
-    rename) so a crash mid-write never leaves a truncated snapshot. *)
+    degraded to a diagnostic, and how many attempts each took.  The
+    file is written atomically ({!Lp_util.Json.write_file}). *)
 let write_bench_json ~path ~jobs ~(par : (string * float) list)
     ~(seq : (string * float) list option)
     ~(exp_metrics : (string * (float * float * int)) list) =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () ->
-      close_out_noerr oc;
-      if Sys.file_exists tmp then Sys.remove tmp)
-    (fun () ->
-      let fnum x = Printf.sprintf "%.6f" x in
-      let total xs = List.fold_left (fun a (_, s) -> a +. s) 0.0 xs in
-      let seq_of id =
-        Option.bind seq (fun s -> List.assoc_opt id s)
+  let b = Buffer.create 4096 in
+  let fnum x = Printf.sprintf "%.6f" x in
+  let total xs = List.fold_left (fun a (_, s) -> a +. s) 0.0 xs in
+  let seq_of id = Option.bind seq (fun s -> List.assoc_opt id s) in
+  let opt_num = function Some x -> fnum x | None -> "null" in
+  Printf.bprintf b
+    "{\n  \"schema\": \"lowpower-bench-eval/1\",\n  \"pool_jobs\": %d,\n  \
+     \"recommended_domains\": %d,\n  \"experiments\": [\n"
+    jobs
+    (Domain.recommended_domain_count ());
+  List.iteri
+    (fun i (id, s) ->
+      let speedup = Option.map (fun sq -> sq /. s) (seq_of id) in
+      let (cycles, energy, n_cells) =
+        Option.value ~default:(0.0, 0.0, 0) (List.assoc_opt id exp_metrics)
       in
-      let opt_num = function Some x -> fnum x | None -> "null" in
-      Printf.fprintf oc
-        "{\n  \"schema\": \"lowpower-bench-eval/1\",\n  \"pool_jobs\": %d,\n  \
-         \"recommended_domains\": %d,\n  \"experiments\": [\n"
-        jobs
-        (Domain.recommended_domain_count ());
-      List.iteri
-        (fun i (id, s) ->
-          let speedup = Option.map (fun sq -> sq /. s) (seq_of id) in
-          let (cycles, energy, n_cells) =
-            Option.value ~default:(0.0, 0.0, 0)
-              (List.assoc_opt id exp_metrics)
-          in
-          Printf.fprintf oc
-            "    {\"id\": %S, \"wall_s\": %s, \"seq_wall_s\": %s, \
-             \"speedup\": %s, \"cycles\": %s, \"energy_nj\": %s, \
-             \"cells_evaluated\": %d}%s\n"
-            id (fnum s)
-            (opt_num (seq_of id))
-            (opt_num speedup)
-            (Lp_util.Json.num_to_string cycles)
-            (Lp_util.Json.num_to_string energy)
-            n_cells
-            (if i = List.length par - 1 then "" else ","))
-        par;
-      let tp = total par in
-      let ts = Option.map total seq in
-      let cells = Lp_experiments.Exp_common.cell_statuses () in
-      let n_failed =
-        List.length (List.filter (fun (_, _, code) -> code <> None) cells)
-      in
-      Printf.fprintf oc
-        "  ],\n  \"total_wall_s\": %s,\n  \"seq_total_wall_s\": %s,\n  \
-         \"speedup\": %s,\n  \"cells_total\": %d,\n  \"cells_failed\": %d,\n  \
-         \"cells\": [\n"
-        (fnum tp) (opt_num ts)
-        (opt_num (Option.map (fun t -> t /. tp) ts))
-        (List.length cells) n_failed;
-      List.iteri
-        (fun i ((w, c, m), attempts, code) ->
-          Printf.fprintf oc
-            "    {\"workload\": %S, \"config\": %S, \"machine\": %S, \
-             \"attempts\": %d, \"status\": %s}%s\n"
-            w c m attempts
-            (match code with
-            | None -> "\"ok\""
-            | Some code -> Printf.sprintf "%S" code)
-            (if i = List.length cells - 1 then "" else ","))
-        cells;
-      Printf.fprintf oc "  ]\n}\n";
-      close_out oc;
-      Sys.rename tmp path)
+      Printf.bprintf b
+        "    {\"id\": %S, \"wall_s\": %s, \"seq_wall_s\": %s, \
+         \"speedup\": %s, \"cycles\": %s, \"energy_nj\": %s, \
+         \"cells_evaluated\": %d}%s\n"
+        id (fnum s)
+        (opt_num (seq_of id))
+        (opt_num speedup)
+        (Lp_util.Json.num_to_string cycles)
+        (Lp_util.Json.num_to_string energy)
+        n_cells
+        (if i = List.length par - 1 then "" else ","))
+    par;
+  let tp = total par in
+  let ts = Option.map total seq in
+  let cells = Exp_common.cell_statuses () in
+  let n_failed =
+    List.length (List.filter (fun (_, _, code) -> code <> None) cells)
+  in
+  Printf.bprintf b
+    "  ],\n  \"total_wall_s\": %s,\n  \"seq_total_wall_s\": %s,\n  \
+     \"speedup\": %s,\n  \"cells_total\": %d,\n  \"cells_failed\": %d,\n  \
+     \"cells\": [\n"
+    (fnum tp) (opt_num ts)
+    (opt_num (Option.map (fun t -> t /. tp) ts))
+    (List.length cells) n_failed;
+  List.iteri
+    (fun i ((w, c, m), attempts, code) ->
+      Printf.bprintf b
+        "    {\"workload\": %S, \"config\": %S, \"machine\": %S, \
+         \"attempts\": %d, \"status\": %s}%s\n"
+        w c m attempts
+        (match code with
+        | None -> "\"ok\""
+        | Some code -> Printf.sprintf "%S" code)
+        (if i = List.length cells - 1 then "" else ","))
+    cells;
+  Buffer.add_string b "  ]\n}\n";
+  Lp_util.Json.write_file ~path (Buffer.contents b)
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let usage () =
-  prerr_endline
-    "usage: main.exe [ID ...] [--jobs N | seq] [--no-compare] [--json PATH] \
-     [--faults SPEC] [--retries N] [--trace FILE] [--report FILE] \
-     [--check-baseline FILE] [--write-baseline FILE] [--no-analysis-cache] \
-     [--no-sim-predecode]";
-  exit 2
-
-let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let ids = ref [] in
-  let jobs_flag = ref None in
-  let retries_flag = ref None in
-  let faults_flag = ref None in
-  let trace_flag = ref None in
-  let report_flag = ref None in
-  let check_baseline = ref None in
-  let write_baseline = ref None in
-  let compare = ref true in
-  let no_analysis_cache = ref false in
-  let no_sim_predecode = ref false in
-  let json_path = ref "BENCH_eval.json" in
-  let rec parse = function
-    | [] -> ()
-    | "--jobs" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some n when n >= 1 ->
-        jobs_flag := Some n;
-        parse rest
-      | _ -> usage ())
-    | [ "--jobs" ] -> usage ()
-    | ("--seq" | "seq") :: rest ->
-      jobs_flag := Some 1;
-      parse rest
-    | "--no-compare" :: rest ->
-      compare := false;
-      parse rest
-    | "--json" :: path :: rest ->
-      json_path := path;
-      parse rest
-    | [ "--json" ] -> usage ()
-    | "--faults" :: spec :: rest ->
-      faults_flag := Some spec;
-      parse rest
-    | [ "--faults" ] -> usage ()
-    | "--retries" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some n when n >= 0 ->
-        retries_flag := Some n;
-        parse rest
-      | _ -> usage ())
-    | [ "--retries" ] -> usage ()
-    | "--trace" :: path :: rest ->
-      trace_flag := Some path;
-      parse rest
-    | [ "--trace" ] -> usage ()
-    | "--report" :: path :: rest ->
-      report_flag := Some path;
-      parse rest
-    | [ "--report" ] -> usage ()
-    | "--check-baseline" :: path :: rest ->
-      check_baseline := Some path;
-      parse rest
-    | [ "--check-baseline" ] -> usage ()
-    | "--write-baseline" :: path :: rest ->
-      write_baseline := Some path;
-      parse rest
-    | [ "--write-baseline" ] -> usage ()
-    | "--no-analysis-cache" :: rest ->
-      no_analysis_cache := true;
-      parse rest
-    | "--no-sim-predecode" :: rest ->
-      no_sim_predecode := true;
-      parse rest
-    | id :: rest ->
-      ids := !ids @ [ id ];
-      parse rest
-  in
-  parse args;
-  (* one configuration surface: flag > environment > default *)
-  let config =
-    Runtime_config.resolve ?jobs:!jobs_flag ?retries:!retries_flag
-      ?faults:!faults_flag ?trace:!trace_flag ?report:!report_flag
-      ~no_analysis_cache:!no_analysis_cache
-      ~no_sim_predecode:!no_sim_predecode
-      (Runtime_config.from_env ())
-  in
-  (match config.Runtime_config.faults with
-  | None -> ()
-  | Some spec -> (
-    match Lp_util.Fault.configure spec with
-    | Ok () -> ()
-    | Error msg ->
-      Printf.eprintf "invalid fault spec: %s\n" msg;
-      exit 2));
-  let obs =
-    match config.Runtime_config.trace with
-    | Some _ -> Obs.create ()
-    | None -> Obs.disabled
-  in
-  let report =
-    match config.Runtime_config.report with
-    | Some _ -> Report.create ()
-    | None -> Report.disabled
-  in
-  Lp_experiments.Exp_common.set_ctx
-    (Lowpower.Compile.make_ctx ~obs ~report ~config ());
-  (* write the trace and the audit report on every exit path, including
-     the degraded-cell exit 1 below *)
-  at_exit (fun () ->
-      (match config.Runtime_config.trace with
-      | Some path when Obs.enabled obs ->
-        Obs.write_chrome obs ~path;
-        Printf.eprintf "%s\ntrace written to %s\n%!" (Obs.summary obs) path
-      | _ -> ());
-      match config.Runtime_config.report with
-      | Some path when Report.enabled report ->
-        Report.write report ~path;
-        Printf.eprintf "power report written to %s\n%!" path
-      | _ -> ());
-  Option.iter DP.set_default_jobs config.Runtime_config.jobs;
+(** The whole run, inside the session: returns the exit code (1 on a
+    degraded cell or a failed baseline gate, 2 on an unreadable
+    baseline) so the session still writes the trace and the report. *)
+let run ids compare json_path check_baseline write_baseline =
   let jobs = DP.default_jobs () in
-  let want id = !ids = [] || List.mem id !ids in
+  let want id = ids = [] || List.mem id ids in
   let entries = List.filter (fun (e : E.entry) -> want e.E.id) E.all in
   (* cold sequential reference pass, for the speedup column *)
   let seq_timings =
-    if entries <> [] && jobs > 1 && !compare then begin
+    if entries <> [] && jobs > 1 && compare then begin
       Printf.printf
         "== sequential reference pass (%d experiments, jobs=1) ==\n%!"
         (List.length entries);
@@ -374,7 +245,7 @@ let () =
       !exp_metric_rows
   in
   if entries <> [] then begin
-    write_bench_json ~path:!json_path ~jobs ~par:par_timings ~seq:seq_timings
+    write_bench_json ~path:json_path ~jobs ~par:par_timings ~seq:seq_timings
       ~exp_metrics;
     let total = List.fold_left (fun a (_, s) -> a +. s) 0.0 par_timings in
     (match seq_timings with
@@ -384,19 +255,19 @@ let () =
         "sweep total: %.2fs with jobs=%d vs %.2fs sequential (speedup %.2fx)\n"
         total jobs ts (ts /. total)
     | None -> Printf.printf "sweep total: %.2fs with jobs=%d\n" total jobs);
-    Printf.printf "wrote %s\n%!" !json_path
+    Printf.printf "wrote %s\n%!" json_path
   end;
   (* opt-in design-space sweep across the machine zoo: shares the memo
      cache with the experiments above, renders sequentially, and leaves
      its own committed artifact next to BENCH_eval.json *)
-  if List.mem "sweep" !ids then begin
+  if List.mem "sweep" ids then begin
     let module Sweep = Lp_experiments.Sweep in
     let t0 = Unix.gettimeofday () in
     let t = Sweep.run () in
     Lp_util.Table.print (Sweep.crossover_table t);
     Printf.printf "(sweep finished in %.1fs, jobs=%d)\n\n%!"
       (Unix.gettimeofday () -. t0) jobs;
-    Sweep.write_json ~path:"BENCH_sweep.json" t;
+    Lp_util.Json.write_file ~path:"BENCH_sweep.json" (Sweep.to_json t);
     Printf.printf "wrote BENCH_sweep.json\n%!"
   end;
   if want "bechamel" then bechamel_passes ();
@@ -413,47 +284,113 @@ let () =
     let cells = Baseline.cell_rows_of_metrics (Exp_common.cell_metrics ()) in
     (exps, cells)
   in
-  (match !write_baseline with
+  (match write_baseline with
   | None -> ()
   | Some path ->
     let (exps, cells) = baseline_rows () in
     Baseline.write (Baseline.make ~exps ~cells ()) ~path;
     Printf.printf "wrote baseline %s (%d cells, %d experiments)\n%!" path
       (List.length cells) (List.length exps));
-  let gate_failed =
-    match !check_baseline with
-    | None -> false
+  let gate =
+    match check_baseline with
+    | None -> Ok true
     | Some path -> (
       match Baseline.load ~path with
-      | Error msg ->
-        Printf.eprintf "baseline: %s\n" msg;
-        exit 2
+      | Error msg -> Error msg
       | Ok base ->
         let (exps, cells) = baseline_rows () in
         let verdict = Baseline.check base ~exps ~cells in
         print_string (Baseline.verdict_to_string verdict);
-        not (Baseline.passed verdict))
+        Ok (Baseline.passed verdict))
   in
   (* failure summary: degraded cells render as ERR(<code>) in the tables
      above; recap them here and make the exit code reflect them.  When
      the zoo sweep ran, compile-time machine incompatibilities (e.g. an
      FPU workload on pacduo) are expected sweep data, not failures. *)
-  (match Lp_experiments.Exp_common.failed_cells () with
-  | [] -> ()
-  | failed ->
-    Printf.eprintf "\n== %d cell(s) degraded to a diagnostic ==\n"
-      (List.length failed);
-    List.iter
-      (fun ((w, c, m), attempts, d) ->
-        Printf.eprintf "  %s/%s@%s (attempt %d): %s\n" w c m attempts
-          (Lp_util.Diag.to_string d))
-      failed;
+  match gate with
+  | Error msg ->
+    Printf.eprintf "baseline: %s\n" msg;
+    2
+  | Ok gate_passed ->
     let fatal =
-      if List.mem "sweep" !ids then
-        List.filter
-          (fun (_, _, (d : Lp_util.Diag.t)) -> d.Lp_util.Diag.code <> "E_COMPILE")
-          failed
-      else failed
+      match Exp_common.failed_cells () with
+      | [] -> []
+      | failed ->
+        Printf.eprintf "\n== %d cell(s) degraded to a diagnostic ==\n"
+          (List.length failed);
+        List.iter
+          (fun ((w, c, m), attempts, d) ->
+            Printf.eprintf "  %s/%s@%s (attempt %d): %s\n" w c m attempts
+              (Lp_util.Diag.to_string d))
+          failed;
+        if List.mem "sweep" ids then
+          List.filter
+            (fun (_, _, (d : Lp_util.Diag.t)) ->
+              d.Lp_util.Diag.code <> "E_COMPILE")
+            failed
+        else failed
     in
-    if fatal <> [] then exit 1);
-  if gate_failed then exit 1
+    if fatal <> [] || not gate_passed then 1 else 0
+
+let () =
+  let ids =
+    Arg.(value & pos_all string [] & info [] ~docv:"ID"
+           ~doc:"Experiments to run: $(b,t1)..$(b,t5), $(b,t3b), \
+                 $(b,f1)..$(b,f6), $(b,a1)..$(b,a3), $(b,bechamel) (the \
+                 pass micro-benchmarks) and $(b,sweep) (the machine-zoo \
+                 sweep, written to BENCH_sweep.json); every experiment and \
+                 bechamel when omitted.  $(b,seq) is $(b,--seq).")
+  in
+  let seq =
+    Arg.(value & flag
+         & info [ "seq" ] ~doc:"Run sequentially: $(b,--jobs 1).")
+  in
+  let no_compare =
+    Arg.(value & flag
+         & info [ "no-compare" ]
+             ~doc:"Skip the cold sequential reference pass that a pool of \
+                   more than one domain otherwise times first for the \
+                   speedup column.")
+  in
+  let json =
+    Arg.(value & opt string "BENCH_eval.json"
+         & info [ "json" ] ~docv:"PATH"
+             ~doc:"Write the $(b,lowpower-bench-eval/1) record to $(docv).")
+  in
+  let check_baseline =
+    Arg.(value & opt (some string) None
+         & info [ "check-baseline" ] ~docv:"FILE"
+             ~doc:"Compare every simulated cell and experiment total with \
+                   the committed baseline $(docv); exit 1 on a regression.")
+  in
+  let write_baseline =
+    Arg.(value & opt (some string) None
+         & info [ "write-baseline" ] ~docv:"FILE"
+             ~doc:"Write the simulated metrics of this run as a baseline \
+                   to $(docv).")
+  in
+  let main ids seq no_compare json check_baseline write_baseline config =
+    let seq = seq || List.mem "seq" ids in
+    let ids = List.filter (( <> ) "seq") ids in
+    let config =
+      if seq then { config with Runtime_config.jobs = Some 1 } else config
+    in
+    match
+      Lowpower.Compile.with_session config (fun ctx ->
+          Exp_common.set_ctx ctx;
+          run ids (not no_compare) json check_baseline write_baseline)
+    with
+    | Ok code -> code
+    | Error msg ->
+      prerr_endline msg;
+      2
+  in
+  let doc =
+    "regenerate the evaluation's tables and figures, time them, and gate \
+     their simulated metrics against a baseline"
+  in
+  exit
+    (Cmd.eval'
+       (Cmd.v (Cmd.info "main.exe" ~doc)
+          Term.(const main $ ids $ seq $ no_compare $ json $ check_baseline
+                $ write_baseline $ Lp_cli.Cli.runtime_t)))

@@ -13,7 +13,7 @@
     once per mode and byte-diffs the two files, proving the modes agree
     on every cell.
 
-    Usage:
+    Usage ([--help] lists the flags; unknown flags exit 124):
       dune exec bench/sim_bench.exe                    # BENCH_sim.json
       dune exec bench/sim_bench.exe -- --json PATH     # custom output
       dune exec bench/sim_bench.exe -- --min-wall 0.5  # steadier timing
@@ -22,71 +22,24 @@
 module Simbench = Lp_experiments.Simbench
 module Runtime_config = Lp_util.Runtime_config
 module J = Lp_util.Json
+open Cmdliner
 
-let usage () =
-  prerr_endline
-    "usage: sim_bench.exe [--json PATH] [--min-wall SECONDS] \
-     [--metrics PATH] [--no-sim-predecode]";
-  exit 2
-
-(* same atomic-write discipline as BENCH_eval.json: temp file in the
-   same directory, then rename *)
-let write_file path contents =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect
-    ~finally:(fun () ->
-      close_out_noerr oc;
-      if Sys.file_exists tmp then Sys.remove tmp)
-    (fun () ->
-      output_string oc contents;
-      close_out oc;
-      Sys.rename tmp path)
-
-let () =
-  let json_path = ref "BENCH_sim.json" in
-  let metrics_path = ref None in
-  let min_wall = ref None in
-  let no_sim_predecode = ref false in
-  let rec parse = function
-    | [] -> ()
-    | "--json" :: path :: rest ->
-      json_path := path;
-      parse rest
-    | [ "--json" ] -> usage ()
-    | "--metrics" :: path :: rest ->
-      metrics_path := Some path;
-      parse rest
-    | [ "--metrics" ] -> usage ()
-    | "--min-wall" :: s :: rest -> (
-      match float_of_string_opt s with
-      | Some w when w > 0.0 ->
-        min_wall := Some w;
-        parse rest
-      | _ -> usage ())
-    | [ "--min-wall" ] -> usage ()
-    | "--no-sim-predecode" :: rest ->
-      no_sim_predecode := true;
-      parse rest
-    | _ -> usage ()
-  in
-  parse (List.tl (Array.to_list Sys.argv));
+let main json_path metrics_path min_wall no_sim_predecode =
   (* flag > environment > default, like every other entry point *)
   let config =
-    Runtime_config.resolve ~no_sim_predecode:!no_sim_predecode
-      (Runtime_config.from_env ())
+    Runtime_config.resolve ~no_sim_predecode (Runtime_config.from_env ())
   in
-  match !metrics_path with
+  match metrics_path with
   | Some path ->
     let predecode = not config.Runtime_config.no_sim_predecode in
     let j = Simbench.metrics ~predecode () in
-    write_file path (J.to_string j ^ "\n");
+    J.write_file ~path (J.to_string j ^ "\n");
     Printf.printf "wrote %s (predecode %s)\n%!" path
       (if predecode then "on" else "off")
   | None ->
     (* throughput mode times both simulator modes by construction, so
        the escape hatch does not apply here *)
-    let t = Simbench.measure ?min_wall_s:!min_wall () in
+    let t = Simbench.measure ?min_wall_s:min_wall () in
     Printf.printf "== sim microbenchmark (%s machine, %s config) ==\n"
       t.Simbench.sb_machine t.Simbench.sb_config;
     Printf.printf "%-16s %10s %14s %14s %8s\n" "workload" "instrs"
@@ -103,5 +56,41 @@ let () =
       (t.Simbench.sb_total_on /. 1e6)
       (t.Simbench.sb_total_off /. 1e6)
       t.Simbench.sb_total_speedup;
-    write_file !json_path (J.to_string (Simbench.to_json t) ^ "\n");
-    Printf.printf "wrote %s\n%!" !json_path
+    J.write_file ~path:json_path (J.to_string (Simbench.to_json t) ^ "\n");
+    Printf.printf "wrote %s\n%!" json_path
+
+let () =
+  let json =
+    Arg.(value & opt string "BENCH_sim.json"
+         & info [ "json" ] ~docv:"PATH"
+             ~doc:"Write the $(b,lowpower-bench-sim/1) throughput table to \
+                   $(docv).")
+  in
+  let metrics =
+    Arg.(value & opt (some string) None
+         & info [ "metrics" ] ~docv:"PATH"
+             ~doc:"Instead of timing, write the deterministic \
+                   $(b,lowpower-sim-metrics/2) metrics of every workload on \
+                   every zoo machine to $(docv), under the simulator mode \
+                   $(b,--no-sim-predecode) selects.")
+  in
+  let min_wall =
+    let positive =
+      Arg.conv
+        ( (fun s ->
+            match float_of_string_opt s with
+            | Some w when w > 0.0 -> Ok w
+            | _ -> Error (`Msg (Printf.sprintf "expected seconds > 0, got %S" s))),
+          Format.pp_print_float )
+    in
+    Arg.(value & opt (some positive) None
+         & info [ "min-wall" ] ~docv:"SECONDS"
+             ~doc:"Time each workload for at least $(docv) per mode \
+                   (steadier numbers).")
+  in
+  let doc = "simulator throughput (predecode on/off) and mode-equivalence metrics" in
+  exit
+    (Cmd.eval
+       (Cmd.v (Cmd.info "sim_bench.exe" ~doc)
+          Term.(const main $ json $ metrics $ min_wall
+                $ Lp_cli.Cli.no_sim_predecode)))

@@ -22,11 +22,13 @@ module Sim = Lp_sim.Sim
 module Ledger = Lp_power.Energy_ledger
 module Pattern = Lp_patterns.Pattern
 module W = Lp_workloads.Workload
+module Suite = Lp_workloads.Suite
 module Diag = Lp_util.Diag
 module Fault = Lp_util.Fault
-module Runtime_config = Lp_util.Runtime_config
-module Obs = Lp_obs.Obs
+module Json = Lp_util.Json
 module Report = Lp_obs.Report
+module Protocol = Lp_serve.Protocol
+module Cli = Lp_cli.Cli
 open Cmdliner
 
 (* ---------------- shared arguments ---------------- *)
@@ -41,104 +43,19 @@ let with_diagnostics f =
     | Some d -> `Error (false, Diag.to_string d)
     | None -> `Error (false, "internal error: " ^ Printexc.to_string e))
 
-(** Resolve the runtime configuration (flag > environment > default),
-    apply it (pool size, fault plan), install the driver context, and run
-    the subcommand body with it.  When the configuration asks for a
-    trace or an audit report, the Chrome JSON / report JSON are written
-    after the body returns — success or failure, so a diagnosed run
-    still leaves its profile and audit behind. *)
-let with_ctx ?jobs ?retries ?faults ?trace ?report ?no_analysis_cache
-    ?no_sim_predecode ?deadline_ms f =
-  let config =
-    Runtime_config.resolve ?jobs ?retries ?faults ?trace ?report
-      ?no_analysis_cache ?no_sim_predecode ?deadline_ms
-      (Runtime_config.from_env ())
-  in
-  Option.iter Lp_util.Domain_pool.set_default_jobs
-    config.Runtime_config.jobs;
+(** A pipeline result, its diagnostic raised for {!with_diagnostics}. *)
+let get = function Ok r -> r | Error d -> raise (Diag.Error d)
+
+(** Run the subcommand body in the runtime session ({!Compile.with_session})
+    and hand its ctx to the experiments too. *)
+let session config f =
   match
-    match config.Runtime_config.faults with
-    | None -> Ok ()
-    | Some spec -> Fault.configure spec
+    Compile.with_session config (fun ctx ->
+        Lp_experiments.Exp_common.set_ctx ctx;
+        f ctx)
   with
-  | Error msg -> `Error (false, "invalid fault spec: " ^ msg)
-  | Ok () ->
-    let obs =
-      match config.Runtime_config.trace with
-      | Some _ -> Obs.create ()
-      | None -> Obs.disabled
-    in
-    let rep =
-      match config.Runtime_config.report with
-      | Some _ -> Report.create ()
-      | None -> Report.disabled
-    in
-    (* the deadline clock starts here: one CLI invocation = one request *)
-    let deadline =
-      match config.Runtime_config.deadline_ms with
-      | Some ms -> Lp_util.Deadline.after_ms ms
-      | None -> Lp_util.Deadline.none
-    in
-    let ctx = Compile.make_ctx ~obs ~report:rep ~config ~deadline () in
-    Lp_experiments.Exp_common.set_ctx ctx;
-    let finish () =
-      (match config.Runtime_config.trace with
-      | Some path when Obs.enabled obs ->
-        Obs.write_chrome obs ~path;
-        Printf.eprintf "%s\ntrace written to %s\n%!" (Obs.summary obs) path
-      | _ -> ());
-      match config.Runtime_config.report with
-      | Some path when Report.enabled rep ->
-        Report.write rep ~path;
-        Printf.eprintf "power report written to %s\n%!" path
-      | _ -> ()
-    in
-    Fun.protect ~finally:finish (fun () -> f ctx)
-
-let faults_arg =
-  Arg.(value & opt (some string) None
-       & info [ "faults" ] ~docv:"SPEC"
-           ~doc:"Inject deterministic faults (see docs/ROBUSTNESS.md for \
-                 the grammar, e.g. $(b,seed=7,post-pass@fir*1)).  The \
-                 $(b,LP_FAULTS) environment variable is the equivalent.")
-
-let trace_file_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Write a Chrome trace-event JSON profile of this invocation \
-                 to $(docv) (open in chrome://tracing or Perfetto) and print \
-                 a span/counter summary to stderr.  The $(b,LP_TRACE) \
-                 environment variable is the equivalent.")
-
-let report_file_arg =
-  Arg.(value & opt (some string) None
-       & info [ "report" ] ~docv:"FILE"
-           ~doc:"Write the power-decision audit report (JSON, schema in \
-                 docs/OBSERVABILITY.md) to $(docv): pattern verdicts, \
-                 gating and DVFS decisions, Sink-N-Hoist merges, per-pass \
-                 IR deltas, and the full per-core energy-ledger breakdown \
-                 of every simulation.  The $(b,LP_REPORT) environment \
-                 variable is the equivalent.")
-
-let no_cache_arg =
-  Arg.(value & flag
-       & info [ "no-analysis-cache" ]
-           ~doc:"Make the analysis manager recompute every query instead of \
-                 serving cached results.  Output must be byte-identical with \
-                 and without this flag; it exists to prove that and to debug \
-                 suspected stale-analysis miscompiles.  The \
-                 $(b,LP_NO_ANALYSIS_CACHE) environment variable is the \
-                 equivalent.")
-
-let no_predecode_arg =
-  Arg.(value & flag
-       & info [ "no-sim-predecode" ]
-           ~doc:"Run the simulator's interpretive reference stepper instead \
-                 of the closure-compiled one.  Simulated cycles, energy and \
-                 traces must be byte-identical with and without this flag; \
-                 it exists to prove that and to bisect suspected predecode \
-                 bugs.  The $(b,LP_NO_SIM_PREDECODE) environment variable \
-                 is the equivalent.")
+  | Ok r -> r
+  | Error msg -> `Error (false, msg)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -146,15 +63,21 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* the one check of a workload name, for every subcommand that takes one *)
+let workload_conv =
+  let parse name =
+    match Suite.find name with
+    | Some w -> Ok w
+    | None ->
+      Error
+        (`Msg (Printf.sprintf "unknown workload %S (try: lpcc workloads)" name))
+  in
+  Arg.conv (parse, fun ppf (w : W.t) -> Format.pp_print_string ppf w.W.name)
+
 let source_of ~file ~workload =
   match (file, workload) with
   | (Some f, None) -> Ok (read_file f, Filename.basename f)
-  | (None, Some name) -> (
-    match Lp_workloads.Suite.find name with
-    | Some w -> Ok (w.W.source, name)
-    | None ->
-      Error
-        (Printf.sprintf "unknown workload %S (try: lpcc workloads)" name))
+  | (None, Some (w : W.t)) -> Ok (w.W.source, w.W.name)
   | (None, None) -> Error "give a source file or --workload NAME"
   | (Some _, Some _) -> Error "give either a file or --workload, not both"
 
@@ -162,7 +85,7 @@ let file_arg =
   Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"MiniC source file.")
 
 let workload_arg =
-  Arg.(value & opt (some string) None
+  Arg.(value & opt (some workload_conv) None
        & info [ "w"; "workload" ] ~docv:"NAME" ~doc:"Use a bundled workload instead of a file.")
 
 (* every zoo machine is a valid --machine value: the registry is the one
@@ -193,28 +116,60 @@ let events_arg =
        & info [ "t"; "events" ] ~docv:"N"
            ~doc:"Print the first $(docv) power/communication events.")
 
-let config_arg =
-  let conv_config = Arg.enum
-      [ ("baseline", `Baseline); ("pg", `Pg); ("dvfs", `Dvfs);
-        ("pg+dvfs", `PgDvfs); ("par", `Par); ("full", `Full) ]
+let passes_arg =
+  Arg.(value & opt (some string) None
+       & info [ "passes" ] ~docv:"SPEC"
+           ~doc:"Override the classic-optimisation schedule: comma-separated \
+                 pass names, with $(b,fix(name,...)) running a group to \
+                 fixpoint — e.g. \
+                 $(b,--passes constprop,fix(simplify-cfg,dce),strength-reduce). \
+                 $(b,lpcc pipeline) lists the vocabulary and the default \
+                 schedule.")
+
+(** The compile target, [-m -c -k] and (with [~passes:true]) [--passes],
+    as the request lpccd would get: {!resolve_target} is lpccd's
+    resolver. *)
+let target_t ?(passes = false) ~config () =
+  let config_arg =
+    Arg.(value & opt (enum (List.map (fun n -> (n, n)) Compile.config_names))
+           config
+         & info [ "k"; "config" ] ~docv:"CONFIG"
+             ~doc:("Compiler configuration: "
+                   ^ String.concat ", "
+                       (List.map (Printf.sprintf "$(b,%s)")
+                          Compile.config_names)
+                   ^ "."))
   in
-  Arg.(value & opt conv_config `Full
-       & info [ "k"; "config" ] ~docv:"CONFIG"
-           ~doc:"Compiler configuration: $(b,baseline), $(b,pg), $(b,dvfs), \
-                 $(b,pg+dvfs), $(b,par) or $(b,full).")
+  let request machine cores config passes =
+    { Protocol.default_request with machine; cores; config; passes }
+  in
+  Term.(const request $ machine_arg $ cores_arg $ config_arg
+        $ if passes then passes_arg else const None)
 
-let machine_of ~cores name =
-  match Machine.of_name ~cores name with
-  | Some m -> m
-  | None -> assert false (* machine_arg already validated the name *)
+let resolve_target (req : Protocol.request) =
+  match Protocol.resolve_target req with
+  | Error d -> Error (Diag.to_string d)
+  | Ok (machine, opts) ->
+    (* unlike lpccd, whose replies name the machine used, lpcc says when
+       it clamps the core count *)
+    ignore (Machine.clamp_cores machine req.Protocol.cores);
+    Ok (machine, opts)
 
-let opts_of ~cores = function
-  | `Baseline -> Compile.baseline
-  | `Pg -> Compile.pg_only
-  | `Dvfs -> Compile.dvfs_only
-  | `PgDvfs -> Compile.pg_dvfs
-  | `Par -> Compile.par_only ~n_cores:cores
-  | `Full -> Compile.full ~n_cores:cores
+(** One compile request from the command line: [f] runs in the session
+    with the source and its resolved target, failures become
+    diagnostics, and faults and audit events are scoped by the source's
+    name. *)
+let with_request ~file ~workload target config f =
+  match source_of ~file ~workload with
+  | Error e -> `Error (false, e)
+  | Ok (src, name) -> (
+    match resolve_target target with
+    | Error e -> `Error (false, e)
+    | Ok (machine, opts) ->
+      session config @@ fun ctx ->
+      with_diagnostics @@ fun () ->
+      Fault.with_scope name @@ fun () ->
+      Report.with_scope name @@ fun () -> f ctx ~src ~name ~machine ~opts)
 
 (* ---------------- detect ---------------- *)
 
@@ -257,129 +212,71 @@ let detect_cmd =
 
 (* ---------------- run ---------------- *)
 
-let run_cmd_run file workload machine_kind cores config events faults trace
-    report no_analysis_cache no_sim_predecode passes deadline_ms =
-  match source_of ~file ~workload with
-  | Error e -> `Error (false, e)
-  | Ok (src, name) -> (
-    let pipeline =
-      match passes with
-      | None -> Ok None
-      | Some spec ->
-        Result.map Option.some (Lowpower.Pipeline.resolve_spec spec)
-    in
-    match pipeline with
-    | Error d -> `Error (false, Lp_util.Diag.to_string d)
-    | Ok pipeline ->
-    with_ctx ?faults ?trace ?report ~no_analysis_cache ~no_sim_predecode
-      ?deadline_ms
-    @@ fun ctx ->
-    with_diagnostics @@ fun () ->
-    Fault.with_scope name @@ fun () ->
-    Report.with_scope name @@ fun () ->
-      let machine = machine_of ~cores machine_kind in
-      let cores = Machine.clamp_cores machine cores in
-      let opts = opts_of ~cores config in
-      let opts = Compile.Options.update ?pipeline opts in
-      let sim_opts =
-        { Sim.default_options with Sim.trace_limit = max 0 events }
-      in
-      let (compiled, o) =
-        match Compile.run_result ~ctx ~opts ~sim_opts ~machine src with
-        | Ok r -> r
-        | Error d -> raise (Diag.Error d)
-      in
-      Printf.printf "%s on %s\n" name machine.Machine.name;
-      Printf.printf "  patterns: %s\n"
-        (match compiled.Compile.detection.Pattern.instances with
-        | [] -> "(none)"
-        | l ->
-          String.concat ", "
-            (List.map (fun (i : Pattern.instance) ->
-                 Pattern.kind_name i.Pattern.kind) l));
-      Printf.printf "  cores used: %d\n"
-        (List.length (Lp_ir.Prog.entries compiled.Compile.prog));
-      (match o.Sim.ret with
-      | Some v -> Printf.printf "  result: %s\n" (Lp_sim.Value.to_string v)
-      | None -> ());
-      Printf.printf "  time:   %.1f us\n" (o.Sim.duration_ns /. 1e3);
-      Printf.printf "  energy: %.1f uJ\n" (Ledger.total o.Sim.energy /. 1e3);
-      List.iter
-        (fun (cat, e) ->
-          if e > 0.0 then
-            Printf.printf "    %-12s %8.1f uJ\n"
-              (Ledger.category_to_string cat)
-              (e /. 1e3))
-        (Ledger.breakdown o.Sim.energy);
-      Printf.printf "  EDP: %.1f nJ*ms; %d instructions; %d msgs; %d gate transitions; %d dvfs switches\n"
-        (Sim.edp o) o.Sim.instr_total o.Sim.channel_msgs o.Sim.gate_transitions
-        o.Sim.dvfs_transitions;
-      if o.Sim.implicit_wakeups > 0 then
-        Printf.printf "  WARNING: %d implicit wakeups (compiler bug!)\n"
-          o.Sim.implicit_wakeups;
-      if events > 0 then begin
-        Printf.printf "  first %d power/communication events:\n"
-          (List.length o.Sim.events);
-        List.iter
-          (fun (e : Sim.event) ->
-            Printf.printf "    %10.1fns core%d %s\n" e.Sim.ev_ns e.Sim.ev_core
-              e.Sim.ev_what)
-          o.Sim.events
-      end;
-      `Ok ())
-
-let passes_arg =
-  Arg.(value & opt (some string) None
-       & info [ "passes" ] ~docv:"SPEC"
-           ~doc:"Override the classic-optimisation schedule: comma-separated \
-                 pass names, with $(b,fix(name,...)) running a group to \
-                 fixpoint — e.g. \
-                 $(b,--passes constprop,fix(simplify-cfg,dce),strength-reduce). \
-                 $(b,lpcc pipeline) lists the vocabulary and the default \
-                 schedule.")
-
-let deadline_arg =
-  Arg.(value & opt (some int) None
-       & info [ "deadline-ms" ] ~docv:"N"
-           ~doc:"Cooperative wall-clock deadline for this invocation in \
-                 milliseconds.  The pipeline and simulator check it at \
-                 phase, pass and scheduling boundaries; exceeding it \
-                 reports the stable $(b,E_DEADLINE) diagnostic instead of \
-                 running forever.  The $(b,LP_DEADLINE_MS) environment \
-                 variable is the equivalent.")
+let run_cmd_run file workload target events config =
+  with_request ~file ~workload target config
+  @@ fun ctx ~src ~name ~machine ~opts ->
+  let sim_opts = { Sim.default_options with Sim.trace_limit = max 0 events } in
+  let (compiled, o) = get (Compile.run_result ~ctx ~opts ~sim_opts ~machine src) in
+  Printf.printf "%s on %s\n" name machine.Machine.name;
+  Printf.printf "  patterns: %s\n"
+    (match compiled.Compile.detection.Pattern.instances with
+    | [] -> "(none)"
+    | l ->
+      String.concat ", "
+        (List.map (fun (i : Pattern.instance) ->
+             Pattern.kind_name i.Pattern.kind) l));
+  Printf.printf "  cores used: %d\n"
+    (List.length (Lp_ir.Prog.entries compiled.Compile.prog));
+  (match o.Sim.ret with
+  | Some v -> Printf.printf "  result: %s\n" (Lp_sim.Value.to_string v)
+  | None -> ());
+  Printf.printf "  time:   %.1f us\n" (o.Sim.duration_ns /. 1e3);
+  Printf.printf "  energy: %.1f uJ\n" (Ledger.total o.Sim.energy /. 1e3);
+  List.iter
+    (fun (cat, e) ->
+      if e > 0.0 then
+        Printf.printf "    %-12s %8.1f uJ\n"
+          (Ledger.category_to_string cat)
+          (e /. 1e3))
+    (Ledger.breakdown o.Sim.energy);
+  Printf.printf "  EDP: %.1f nJ*ms; %d instructions; %d msgs; %d gate transitions; %d dvfs switches\n"
+    (Sim.edp o) o.Sim.instr_total o.Sim.channel_msgs o.Sim.gate_transitions
+    o.Sim.dvfs_transitions;
+  if o.Sim.implicit_wakeups > 0 then
+    Printf.printf "  WARNING: %d implicit wakeups (compiler bug!)\n"
+      o.Sim.implicit_wakeups;
+  if events > 0 then begin
+    Printf.printf "  first %d power/communication events:\n"
+      (List.length o.Sim.events);
+    List.iter
+      (fun (e : Sim.event) ->
+        Printf.printf "    %10.1fns core%d %s\n" e.Sim.ev_ns e.Sim.ev_core
+          e.Sim.ev_what)
+      o.Sim.events
+  end;
+  `Ok ()
 
 let run_cmd =
   let doc = "compile and simulate a MiniC program" in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(ret (const run_cmd_run $ file_arg $ workload_arg $ machine_arg
-               $ cores_arg $ config_arg $ events_arg $ faults_arg
-               $ trace_file_arg $ report_file_arg $ no_cache_arg
-               $ no_predecode_arg $ passes_arg $ deadline_arg))
+    Term.(ret (const run_cmd_run $ file_arg $ workload_arg
+               $ target_t ~passes:true ~config:"full" () $ events_arg
+               $ Cli.runtime_t))
 
 (* ---------------- explain ---------------- *)
 
-let explain_cmd_run file workload machine_kind cores config no_sim_predecode =
-  match source_of ~file ~workload with
-  | Error e -> `Error (false, e)
-  | Ok (src, name) ->
-    (* a fresh always-on report, independent of LP_REPORT: explain IS the
-       report, printed human-readably instead of exported *)
-    let rep = Report.create () in
-    let rc =
-      Runtime_config.resolve ~no_sim_predecode (Runtime_config.from_env ())
-    in
-    let ctx = Compile.make_ctx ~report:rep ~config:rc () in
-    with_diagnostics @@ fun () ->
-    Fault.with_scope name @@ fun () ->
-    Report.with_scope name @@ fun () ->
-      let machine = machine_of ~cores machine_kind in
-      let cores = Machine.clamp_cores machine cores in
-      let opts = opts_of ~cores config in
-      (match Compile.run_result ~ctx ~opts ~machine src with
-      | Ok _ -> ()
-      | Error d -> raise (Diag.Error d));
-      print_string (Report.to_text rep);
-      `Ok ()
+let explain_cmd_run file workload target config =
+  with_request ~file ~workload target config
+  @@ fun ctx ~src ~name:_ ~machine ~opts ->
+  (* explain IS the report, printed human-readably: the session's when
+     --report/LP_REPORT exports one too, a fresh always-on one otherwise *)
+  let ctx =
+    if Report.enabled ctx.Compile.report then ctx
+    else { ctx with Compile.report = Report.create () }
+  in
+  ignore (get (Compile.run_result ~ctx ~opts ~machine src));
+  print_string (Report.to_text ctx.Compile.report);
+  `Ok ()
 
 let explain_cmd =
   let doc =
@@ -389,8 +286,8 @@ let explain_cmd =
      breakdown of the simulation"
   in
   Cmd.v (Cmd.info "explain" ~doc)
-    Term.(ret (const explain_cmd_run $ file_arg $ workload_arg $ machine_arg
-               $ cores_arg $ config_arg $ no_predecode_arg))
+    Term.(ret (const explain_cmd_run $ file_arg $ workload_arg
+               $ target_t ~config:"full" () $ Cli.runtime_t))
 
 (* ---------------- dump ---------------- *)
 
@@ -400,42 +297,34 @@ let source_flag =
            ~doc:"Print the transformed MiniC source (after pattern-driven \
                  parallelisation) instead of the IR.")
 
-let dump_cmd_run file workload machine_kind cores config as_source =
-  match source_of ~file ~workload with
-  | Error e -> `Error (false, e)
-  | Ok (src, _) ->
-    with_ctx @@ fun ctx ->
-    with_diagnostics @@ fun () ->
-      let machine = machine_of ~cores machine_kind in
-      let cores = Machine.clamp_cores machine cores in
-      if as_source then begin
-        let ast = Compile.parse_and_check_exn src in
-        let det = Lp_patterns.Detect.detect ast in
-        let (gen, _) =
-          Lp_transforms.Parallelize.run ~n_cores:cores ast
-            (Compile.feasible_instances ~n_cores:cores
-               det.Lp_patterns.Pattern.instances)
-        in
-        print_string (Lp_lang.Ast_printer.program_to_string gen)
-      end
-      else begin
-        let compiled =
-          match
-            Compile.compile_result ~ctx ~opts:(opts_of ~cores config) ~machine
-              src
-          with
-          | Ok c -> c
-          | Error d -> raise (Diag.Error d)
-        in
-        print_string (Lp_ir.Printer.prog_to_string compiled.Compile.prog)
-      end;
-      `Ok ()
+let dump_cmd_run file workload target as_source config =
+  with_request ~file ~workload target config
+  @@ fun ctx ~src ~name:_ ~machine ~opts ->
+  if as_source then begin
+    (* parallelised for the requested (clamped) cores, whatever -k says *)
+    let cores =
+      Machine.clamp_cores ~warn:false machine target.Protocol.cores
+    in
+    let ast = Compile.parse_and_check_exn src in
+    let det = Lp_patterns.Detect.detect ast in
+    let (gen, _) =
+      Lp_transforms.Parallelize.run ~n_cores:cores ast
+        (Compile.feasible_instances ~n_cores:cores
+           det.Lp_patterns.Pattern.instances)
+    in
+    print_string (Lp_lang.Ast_printer.program_to_string gen)
+  end
+  else
+    print_string
+      (Lp_ir.Printer.prog_to_string
+         (get (Compile.compile_result ~ctx ~opts ~machine src)).Compile.prog);
+  `Ok ()
 
 let dump_cmd =
   let doc = "print the compiled IR (or, with --source, the parallelised MiniC)" in
   Cmd.v (Cmd.info "dump" ~doc)
-    Term.(ret (const dump_cmd_run $ file_arg $ workload_arg $ machine_arg
-               $ cores_arg $ config_arg $ source_flag))
+    Term.(ret (const dump_cmd_run $ file_arg $ workload_arg
+               $ target_t ~config:"full" () $ source_flag $ Cli.runtime_t))
 
 (* ---------------- workloads ---------------- *)
 
@@ -472,30 +361,21 @@ let machines_cmd =
 
 (* ---------------- sweep ---------------- *)
 
-let sweep_cmd_run machines workloads json jobs retries faults trace report
-    no_analysis_cache no_sim_predecode =
+let sweep_cmd_run machines workloads json config =
   let module Sweep = Lp_experiments.Sweep in
   let machines = if machines = [] then Sweep.default_machines else machines in
   let workloads =
-    if workloads = [] then Lp_workloads.Suite.names else workloads
+    if workloads = [] then Suite.names
+    else List.map (fun (w : W.t) -> w.W.name) workloads
   in
-  match
-    ( List.find_opt (fun m -> Machine.of_name m = None) machines,
-      List.find_opt (fun w -> Lp_workloads.Suite.find w = None) workloads )
-  with
-  | (Some bad, _) ->
+  match List.find_opt (fun m -> Machine.of_name m = None) machines with
+  | Some bad ->
     `Error
       ( false,
         Printf.sprintf "unknown machine %S (known: %s)" bad
           (String.concat ", " Machine.names) )
-  | (_, Some bad) ->
-    `Error
-      (false,
-       Printf.sprintf "unknown workload %S (try: lpcc workloads)" bad)
-  | (None, None) ->
-    with_ctx ?jobs ?retries ?faults ?trace ?report ~no_analysis_cache
-      ~no_sim_predecode
-    @@ fun _ctx ->
+  | None ->
+    session config @@ fun _ctx ->
     with_diagnostics @@ fun () ->
     let t = Sweep.run ~machines ~workloads () in
     Lp_util.Table.print (Sweep.crossover_table t);
@@ -512,7 +392,7 @@ let sweep_cmd_run machines workloads json jobs retries faults trace report
         xs);
     Option.iter
       (fun path ->
-        Sweep.write_json ~path t;
+        Json.write_file ~path (Sweep.to_json t);
         Printf.printf "sweep json written to %s\n" path)
       json;
     (* a machine that cannot run a workload (e.g. pacduo has no FPU) is
@@ -541,8 +421,7 @@ let sweep_cmd_run machines workloads json jobs retries faults trace report
 
 (* ---------------- bench ---------------- *)
 
-let bench_cmd_run jobs retries faults trace report no_analysis_cache
-    no_sim_predecode ids =
+let bench_cmd_run ids config =
   let known = List.map (fun e -> e.Lp_experiments.Experiments.id)
       Lp_experiments.Experiments.all in
   match List.filter (fun id -> not (List.mem id known)) ids with
@@ -550,9 +429,7 @@ let bench_cmd_run jobs retries faults trace report no_analysis_cache
     `Error (false, Printf.sprintf "unknown experiment %S (known: %s)" bad
               (String.concat " " known))
   | [] -> (
-    with_ctx ?jobs ?retries ?faults ?trace ?report ~no_analysis_cache
-      ~no_sim_predecode
-    @@ fun _ctx ->
+    session config @@ fun _ctx ->
     List.iter
       (fun (e : Lp_experiments.Experiments.entry) ->
         if ids = [] || List.mem e.Lp_experiments.Experiments.id ids then
@@ -572,19 +449,6 @@ let bench_cmd_run jobs retries faults trace report no_analysis_cache
                       attempts (Diag.to_string d))
                   failed)) ))
 
-let jobs_arg =
-  Arg.(value & opt (some int) None
-       & info [ "j"; "jobs" ] ~docv:"N"
-           ~doc:"Domains the evaluation matrix may fan out over (default: \
-                 $(b,LP_JOBS) or the host's recommended domain count minus \
-                 one; 1 runs sequentially).")
-
-let retries_arg =
-  Arg.(value & opt (some int) None
-       & info [ "retries" ] ~docv:"N"
-           ~doc:"Retries after a transient matrix-cell failure (default: \
-                 $(b,LP_RETRIES) or 2).")
-
 let bench_cmd =
   let doc = "regenerate evaluation tables/figures (all, or the given ids)" in
   let ids =
@@ -592,9 +456,7 @@ let bench_cmd =
            ~doc:"Experiment ids (t1..t5, t3b, f1..f6, a1..a3); all when omitted.")
   in
   Cmd.v (Cmd.info "bench" ~doc)
-    Term.(ret (const bench_cmd_run $ jobs_arg $ retries_arg $ faults_arg
-               $ trace_file_arg $ report_file_arg $ no_cache_arg
-               $ no_predecode_arg $ ids))
+    Term.(ret (const bench_cmd_run $ ids $ Cli.runtime_t))
 
 let sweep_cmd =
   let doc =
@@ -609,7 +471,7 @@ let sweep_cmd =
                    see $(b,lpcc machines)).")
   in
   let workloads_arg =
-    Arg.(value & opt_all string []
+    Arg.(value & opt_all workload_conv []
          & info [ "w"; "workload" ] ~docv:"NAME"
              ~doc:"Workload to sweep (repeatable; default: every bundled \
                    workload).")
@@ -622,8 +484,7 @@ let sweep_cmd =
   in
   Cmd.v (Cmd.info "sweep" ~doc)
     Term.(ret (const sweep_cmd_run $ machines_arg $ workloads_arg $ json_arg
-               $ jobs_arg $ retries_arg $ faults_arg $ trace_file_arg
-               $ report_file_arg $ no_cache_arg $ no_predecode_arg))
+               $ Cli.runtime_t))
 
 (* ---------------- pipeline ---------------- *)
 
@@ -651,7 +512,7 @@ let pipeline_cmd =
 (* ---------------- serve-bench ---------------- *)
 
 let serve_bench_cmd_run socket requests clients window seed verify json_path
-    self_serve server_jobs queue_cap server_deadline_ms faults retries =
+    self_serve server_jobs queue_cap server_deadline_ms config =
   let module SB = Lp_serve.Serve_bench in
   let module Srv = Lp_serve.Server in
   let run_bench () =
@@ -671,7 +532,7 @@ let serve_bench_cmd_run socket requests clients window seed verify json_path
       print_string (SB.to_text s);
       (match json_path with
       | Some path ->
-        SB.write_json s ~path;
+        Json.write_file ~path (Json.to_string (SB.summary_json s));
         Printf.printf "wrote %s\n" path
       | None -> ());
       match SB.acceptance s with
@@ -684,7 +545,7 @@ let serve_bench_cmd_run socket requests clients window seed verify json_path
   in
   if not self_serve then run_bench ()
   else
-    with_ctx ?faults ?retries @@ fun ctx ->
+    session config @@ fun ctx ->
     let opts =
       {
         (Srv.default_opts ~socket_path:socket) with
@@ -766,15 +627,15 @@ let serve_bench_cmd =
   Cmd.v (Cmd.info "serve-bench" ~doc)
     Term.(ret (const serve_bench_cmd_run $ socket $ requests $ clients
                $ window $ seed $ verify $ json_path $ self_serve
-               $ server_jobs $ queue_cap $ server_deadline $ faults_arg
-               $ retries_arg))
+               $ server_jobs $ queue_cap $ server_deadline
+               $ Cli.server_runtime_t))
 
 (* ---------------- fuzz ---------------- *)
 
-let fuzz_cmd_run seeds seed_start corpus cores trace =
+let fuzz_cmd_run seeds seed_start corpus cores config =
   if seeds < 1 then `Error (false, "--seeds must be at least 1")
   else
-    with_ctx ?trace @@ fun ctx ->
+    session config @@ fun ctx ->
     let machine = Machine.generic ~n_cores:(max cores 4) () in
     let summary =
       Lp_robust.Fuzz.run_range ~ctx ~machine ~log:print_endline
@@ -790,22 +651,15 @@ let fuzz_cmd_run seeds seed_start corpus cores trace =
 
 (* ---------------- profile ---------------- *)
 
-let write_file path s =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc s)
-
-let profile_cmd_run file file_b workload machine_kind cores config diff_mode
-    json_out flame_out passes faults trace report no_analysis_cache
-    no_sim_predecode deadline_ms =
+let profile_cmd_run file file_b workload target diff_mode json_out flame_out
+    config =
   let module PR = Lowpower.Profile_report in
   if diff_mode then
     match (file, file_b) with
     | (Some a, Some b) ->
       with_diagnostics @@ fun () ->
         let parse path =
-          match Lp_util.Json.of_string_opt (read_file path) with
+          match Json.of_string_opt (read_file path) with
           | Some j -> j
           | None -> failwith (path ^ ": not valid JSON")
         in
@@ -819,48 +673,26 @@ let profile_cmd_run file file_b workload machine_kind cores config diff_mode
   else if file_b <> None then
     `Error (false, "a second file only makes sense with --diff")
   else
-    match source_of ~file ~workload with
-    | Error e -> `Error (false, e)
-    | Ok (src, name) -> (
-      let pipeline =
-        match passes with
-        | None -> Ok None
-        | Some spec ->
-          Result.map Option.some (Lowpower.Pipeline.resolve_spec spec)
-      in
-      match pipeline with
-      | Error d -> `Error (false, Lp_util.Diag.to_string d)
-      | Ok pipeline ->
-      with_ctx ?faults ?trace ?report ~no_analysis_cache ~no_sim_predecode
-        ?deadline_ms
-      @@ fun ctx ->
-      with_diagnostics @@ fun () ->
-      Fault.with_scope name @@ fun () ->
-      Report.with_scope name @@ fun () ->
-        let machine = machine_of ~cores machine_kind in
-        let cores = Machine.clamp_cores machine cores in
-        let opts = opts_of ~cores config in
-        let opts = Compile.Options.update ?pipeline opts in
-        let sim_opts = { Sim.default_options with Sim.profile = true } in
-        let (compiled, o) =
-          match Compile.run_result ~ctx ~opts ~sim_opts ~machine src with
-          | Ok r -> r
-          | Error d -> raise (Diag.Error d)
-        in
-        print_string (PR.to_text ~prog:compiled.Compile.prog o);
-        Option.iter
-          (fun path ->
-            write_file path
-              (Lp_util.Json.to_string
-                 (PR.to_json ~source:name ~machine:machine.Machine.name o));
-            Printf.printf "profile json written to %s\n" path)
-          json_out;
-        Option.iter
-          (fun path ->
-            write_file path (PR.to_flamegraph o);
-            Printf.printf "flamegraph stacks written to %s\n" path)
-          flame_out;
-        `Ok ())
+    with_request ~file ~workload target config
+    @@ fun ctx ~src ~name ~machine ~opts ->
+    let sim_opts = { Sim.default_options with Sim.profile = true } in
+    let (compiled, o) =
+      get (Compile.run_result ~ctx ~opts ~sim_opts ~machine src)
+    in
+    print_string (PR.to_text ~prog:compiled.Compile.prog o);
+    Option.iter
+      (fun path ->
+        Json.write_file ~path
+          (Json.to_string
+             (PR.to_json ~source:name ~machine:machine.Machine.name o));
+        Printf.printf "profile json written to %s\n" path)
+      json_out;
+    Option.iter
+      (fun path ->
+        Json.write_file ~path (PR.to_flamegraph o);
+        Printf.printf "flamegraph stacks written to %s\n" path)
+      flame_out;
+    `Ok ()
 
 let profile_cmd =
   let doc =
@@ -899,46 +731,26 @@ let profile_cmd =
   in
   Cmd.v (Cmd.info "profile" ~doc)
     Term.(ret (const profile_cmd_run $ file_arg $ file_b_arg $ workload_arg
-               $ machine_arg $ cores_arg $ config_arg $ diff_arg $ json_arg
-               $ flame_arg $ passes_arg $ faults_arg $ trace_file_arg
-               $ report_file_arg $ no_cache_arg $ no_predecode_arg
-               $ deadline_arg))
+               $ target_t ~passes:true ~config:"full" () $ diff_arg
+               $ json_arg $ flame_arg $ Cli.runtime_t))
 
 (* ---------------- tune ---------------- *)
 
-let tune_cmd_run workloads all budget seed machine_kind cores config out json
-    jobs faults trace report no_analysis_cache no_sim_predecode deadline_ms =
-  with_ctx ?jobs ?faults ?trace ?report ~no_analysis_cache ~no_sim_predecode
-    ?deadline_ms
-  @@ fun ctx ->
-  with_diagnostics @@ fun () ->
+let tune_cmd_run workloads all budget seed target out json config =
   let module Tune = Lp_tune.Tune in
-  let names =
-    if all then Lp_workloads.Suite.names
-    else if workloads <> [] then workloads
-    else Tune.default_workloads
-  in
-  match
-    List.find_opt (fun n -> Lp_workloads.Suite.find n = None) names
-  with
-  | Some bad ->
-    `Error (false, Printf.sprintf "unknown workload %S (try: lpcc workloads)" bad)
-  | None ->
-    let ws = List.map Lp_workloads.Suite.find_exn names in
-    let machine = machine_of ~cores machine_kind in
-    let cores = Machine.clamp_cores machine cores in
-    let opts = opts_of ~cores config in
-    let config_name =
-      match config with
-      | `Baseline -> "baseline"
-      | `Pg -> "pg"
-      | `Dvfs -> "dvfs"
-      | `PgDvfs -> "pg+dvfs"
-      | `Par -> "par"
-      | `Full -> "full"
+  match resolve_target target with
+  | Error e -> `Error (false, e)
+  | Ok (machine, opts) ->
+    session config @@ fun ctx ->
+    with_diagnostics @@ fun () ->
+    let ws =
+      if all then Suite.all
+      else if workloads <> [] then workloads
+      else List.map Suite.find_exn Tune.default_workloads
     in
     let cfg =
-      Tune.default_config ~budget ~seed ~config_name ~opts ~machine ()
+      Tune.default_config ~budget ~seed ~config_name:target.Protocol.config
+        ~opts ~machine ()
     in
     (match Tune.run ~ctx cfg ws with
     | Error d -> `Error (false, Diag.to_string d)
@@ -946,7 +758,7 @@ let tune_cmd_run workloads all budget seed machine_kind cores config out json
       print_string (Tune.render summary);
       Option.iter
         (fun path ->
-          Tune.write_json path summary;
+          Json.write_file ~path (Json.to_string (Tune.json_of summary));
           Printf.printf "bench json written to %s\n" path)
         json;
       (match out with
@@ -964,10 +776,12 @@ let tune_cmd =
   let doc =
     "search pass orderings and fixpoint groupings for lower simulated \
      energy (seeded hill-climbing with random restarts; deterministic \
-     whatever $(b,--jobs) is)"
+     whatever $(b,--jobs) is).  The candidates run under $(b,--config), \
+     by default $(b,baseline): the schedule is a classic-optimisation \
+     lever, so tune it where nothing else moves"
   in
   let workloads_arg =
-    Arg.(value & opt_all string []
+    Arg.(value & opt_all workload_conv []
          & info [ "w"; "workload" ] ~docv:"NAME"
              ~doc:"Workload to tune (repeatable; default: the \
                    representative set).")
@@ -986,18 +800,6 @@ let tune_cmd =
     Arg.(value & opt int 1
          & info [ "seed" ] ~docv:"S" ~doc:"Search RNG seed.")
   in
-  let tune_config_arg =
-    let conv_config = Arg.enum
-        [ ("baseline", `Baseline); ("pg", `Pg); ("dvfs", `Dvfs);
-          ("pg+dvfs", `PgDvfs); ("par", `Par); ("full", `Full) ]
-    in
-    Arg.(value & opt conv_config `Baseline
-         & info [ "k"; "config" ] ~docv:"CONFIG"
-             ~doc:"Compiler configuration the candidates run under \
-                   (default $(b,baseline): the schedule is a classic-\
-                   optimisation lever, so tune it where nothing else \
-                   moves).")
-  in
   let out_arg =
     Arg.(value & opt (some string) None
          & info [ "o"; "out" ] ~docv:"FILE"
@@ -1012,10 +814,8 @@ let tune_cmd =
   in
   Cmd.v (Cmd.info "tune" ~doc)
     Term.(ret (const tune_cmd_run $ workloads_arg $ all_arg $ budget_arg
-               $ seed_arg $ machine_arg $ cores_arg $ tune_config_arg
-               $ out_arg $ json_arg $ jobs_arg $ faults_arg $ trace_file_arg
-               $ report_file_arg $ no_cache_arg $ no_predecode_arg
-               $ deadline_arg))
+               $ seed_arg $ target_t ~config:"baseline" () $ out_arg
+               $ json_arg $ Cli.runtime_t))
 
 let fuzz_cmd =
   let doc =
@@ -1040,7 +840,7 @@ let fuzz_cmd =
   in
   Cmd.v (Cmd.info "fuzz" ~doc)
     Term.(ret (const fuzz_cmd_run $ seeds_arg $ seed_start_arg $ corpus_arg
-               $ cores_arg $ trace_file_arg))
+               $ cores_arg $ Cli.runtime_t))
 
 let () =
   let doc = "compiler for low power with design patterns on embedded multicore" in

@@ -14,38 +14,13 @@
 
 module Server = Lp_serve.Server
 module Compile = Lowpower.Compile
-module Fault = Lp_util.Fault
-module Runtime_config = Lp_util.Runtime_config
 module Json = Lp_util.Json
-module Obs = Lp_obs.Obs
-module Report = Lp_obs.Report
 open Cmdliner
 
 let serve socket jobs queue_cap cache_cap default_deadline_ms stuck_ms
-    drain_ms retries faults trace report no_analysis_cache no_sim_predecode =
-  let config =
-    Runtime_config.resolve ?retries ?faults ?trace ?report
-      ~no_analysis_cache ~no_sim_predecode
-      (Runtime_config.from_env ())
-  in
+    drain_ms config =
   match
-    match config.Runtime_config.faults with
-    | None -> Ok ()
-    | Some spec -> Fault.configure spec
-  with
-  | Error msg -> `Error (false, "invalid fault spec: " ^ msg)
-  | Ok () -> (
-    let obs =
-      match config.Runtime_config.trace with
-      | Some _ -> Obs.create ()
-      | None -> Obs.disabled
-    in
-    let rep =
-      match config.Runtime_config.report with
-      | Some _ -> Report.create ()
-      | None -> Report.disabled
-    in
-    let ctx = Compile.make_ctx ~obs ~report:rep ~config () in
+    Compile.with_session config @@ fun ctx ->
     let opts =
       {
         (Server.default_opts ~socket_path:socket) with
@@ -78,13 +53,10 @@ let serve socket jobs queue_cap cache_cap default_deadline_ms stuck_ms
       Server.stop server;
       prerr_endline ("lpccd: final stats: "
                      ^ Json.to_compact_string (Server.stats_json server));
-      (match config.Runtime_config.trace with
-      | Some path when Obs.enabled obs -> Obs.write_chrome obs ~path
-      | _ -> ());
-      (match config.Runtime_config.report with
-      | Some path when Report.enabled rep -> Report.write rep ~path
-      | _ -> ());
-      `Ok ())
+      `Ok ()
+  with
+  | Ok r -> r
+  | Error msg -> `Error (false, msg)
 
 let () =
   let doc = "resilient compile server for lpcc (deadlines, backpressure, graceful degradation)" in
@@ -128,43 +100,10 @@ let () =
              ~doc:"On shutdown, wait up to $(docv) milliseconds for \
                    in-flight requests before cancelling them.")
   in
-  let retries =
-    Arg.(value & opt (some int) None
-         & info [ "retries" ] ~docv:"N"
-             ~doc:"Retries after a transient per-request failure (default: \
-                   $(b,LP_RETRIES) or 2).")
-  in
-  let faults =
-    Arg.(value & opt (some string) None
-         & info [ "faults" ] ~docv:"SPEC"
-             ~doc:"Inject deterministic faults, including the serve-side \
-                   points $(b,serve-accept), $(b,serve-decode) and \
-                   $(b,serve-dispatch) (grammar in docs/ROBUSTNESS.md).")
-  in
-  let trace =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Write a Chrome trace-event profile on exit.")
-  in
-  let report =
-    Arg.(value & opt (some string) None
-         & info [ "report" ] ~docv:"FILE"
-             ~doc:"Write the power-decision audit report on exit.")
-  in
-  let no_cache =
-    Arg.(value & flag
-         & info [ "no-analysis-cache" ]
-             ~doc:"Disable the analysis manager's memoisation.")
-  in
-  let no_predecode =
-    Arg.(value & flag
-         & info [ "no-sim-predecode" ]
-             ~doc:"Use the simulator's interpretive reference stepper.")
-  in
   let info = Cmd.info "lpccd" ~version:"1.0.0" ~doc in
   exit
     (Cmd.eval
        (Cmd.v info
           Term.(ret (const serve $ socket $ jobs $ queue_cap $ cache_cap
-                     $ default_deadline $ stuck_ms $ drain_ms $ retries
-                     $ faults $ trace $ report $ no_cache $ no_predecode))))
+                     $ default_deadline $ stuck_ms $ drain_ms
+                     $ Lp_cli.Cli.server_runtime_t))))

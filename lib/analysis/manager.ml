@@ -211,16 +211,3 @@ let invalidate t ?(preserves = []) (f : Prog.func) : unit =
           end)
       all_kinds
   end
-
-(** Drop everything (used when whole-program structure changes outside
-    the pass manager's view, e.g. layout transformation). *)
-let invalidate_all t : unit =
-  if t.caching then begin
-    let n = Hashtbl.length t.table + Hashtbl.length t.est
-            + match t.comp with Some _ -> 1 | None -> 0 in
-    Hashtbl.reset t.table;
-    Hashtbl.reset t.est;
-    t.comp <- None;
-    t.invalidations <- t.invalidations + n;
-    Obs.add t.obs "analysis.invalidations" n
-  end

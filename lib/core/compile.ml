@@ -56,16 +56,6 @@ let no_power =
     dvfs_opts = T.Dvfs.default_options;
   }
 
-let all_power =
-  {
-    no_power with
-    gating = true;
-    sink_n_hoist = true;
-    dvfs = true;
-    balance = true;
-    gate_unused_cores = true;
-  }
-
 (** Non-power-aware sequential compile (the paper's baseline). *)
 let baseline =
   { n_cores = 1; parallelize = false; distribution = T.Parallelize.Block;
@@ -125,6 +115,12 @@ let full ~n_cores =
     effects in the evaluation). *)
 let par_only ~n_cores = Options.make ~n_cores ~parallelize:true ()
 
+let configs ~n_cores =
+  [ ("baseline", baseline); ("pg", pg_only); ("dvfs", dvfs_only);
+    ("pg+dvfs", pg_dvfs); ("par", par_only ~n_cores); ("full", full ~n_cores) ]
+
+let config_names = List.map fst (configs ~n_cores:1)
+
 type compiled = {
   source_ast : Ast.program;
   prog : Prog.t;
@@ -162,6 +158,42 @@ let make_ctx ?(obs = Obs.disabled) ?(report = Report.disabled)
     ?(config = Runtime_config.default)
     ?(deadline = Lp_util.Deadline.none) () =
   { obs; report; config; deadline }
+
+let with_session (config : Runtime_config.t) f =
+  match
+    Option.fold ~none:(Ok ()) ~some:Lp_util.Fault.configure
+      config.Runtime_config.faults
+  with
+  | Error msg -> Error ("invalid fault spec: " ^ msg)
+  | Ok () ->
+    Option.iter Lp_util.Domain_pool.set_default_jobs config.Runtime_config.jobs;
+    let obs =
+      if config.Runtime_config.trace = None then Obs.disabled else Obs.create ()
+    in
+    let report =
+      if config.Runtime_config.report = None then Report.disabled
+      else Report.create ()
+    in
+    (* the deadline clock starts here: one session is one request *)
+    let deadline =
+      Option.fold ~none:Lp_util.Deadline.none ~some:Lp_util.Deadline.after_ms
+        config.Runtime_config.deadline_ms
+    in
+    let finish () =
+      Option.iter
+        (fun path ->
+          Obs.write_chrome obs ~path;
+          Printf.eprintf "%s\ntrace written to %s\n%!" (Obs.summary obs) path)
+        config.Runtime_config.trace;
+      Option.iter
+        (fun path ->
+          Report.write report ~path;
+          Printf.eprintf "power report written to %s\n%!" path)
+        config.Runtime_config.report
+    in
+    Ok
+      (Fun.protect ~finally:finish (fun () ->
+           f { obs; report; config; deadline }))
 
 (** Append a simulation's energy/counter record to the audit report
     (shared by [run], [run_result] and the CLI; no-op when the report is

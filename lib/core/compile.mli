@@ -38,7 +38,6 @@ type options = {
 }
 
 val no_power : power_options
-val all_power : power_options
 
 (** Smart constructors over {!options}: build ([make]) or derive
     ([update]) a configuration by naming only the fields that differ,
@@ -104,6 +103,16 @@ val full : n_cores:int -> options
 (** Parallelisation without power management (isolates the two effects). *)
 val par_only : n_cores:int -> options
 
+(** The configuration table: every configuration above by its name
+    ([baseline], [pg], [dvfs], [pg+dvfs], [par], [full]), in sweep
+    order, with the parallel ones sized for [n_cores].  Every entry
+    point (lpcc's [-k], lpccd's ["config"], the experiments and the
+    sweep) resolves configuration names through this one list. *)
+val configs : n_cores:int -> (string * options) list
+
+(** The names of {!configs}, in the same order. *)
+val config_names : string list
+
 type compiled = {
   source_ast : Ast.program;          (** the original, type-checked AST *)
   prog : Prog.t;                     (** final verified IR *)
@@ -153,6 +162,22 @@ val make_ctx :
   ?deadline:Lp_util.Deadline.t ->
   unit ->
   ctx
+
+(** [with_session config f] runs one program invocation under its
+    resolved runtime configuration: the one session every entry point
+    (lpcc, lpccd, the bench drivers) opens.  It arms [config.faults],
+    sizes the default domain pool from [config.jobs], and calls [f]
+    with a ctx whose recorder and audit report are enabled when
+    [config.trace] / [config.report] name a file, and whose deadline
+    (from [config.deadline_ms]) starts now.  However [f] returns,
+    normally or by an exception, the Chrome trace and the report are
+    then written and announced on stderr, so a diagnosed run still
+    leaves its profile and audit behind.  [Error] (["invalid fault
+    spec: ..."]) when the fault spec does not parse; [f] does not run.
+    [f] must return rather than call [exit], which would skip the
+    writes. *)
+val with_session :
+  Lp_util.Runtime_config.t -> (ctx -> 'a) -> ('a, string) result
 
 (** Append [outcome]'s energy-ledger breakdown and headline counters to
     the report under the current {!Lp_obs.Report.with_scope} scope, and

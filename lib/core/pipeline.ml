@@ -237,13 +237,10 @@ let parse (spec : string) : (t, Lp_util.Diag.t) result =
     schedule's name (and optional comment), then the one-line spec.
     Replayable with [lpcc run --passes @FILE]. *)
 let save_file ?(name = "schedule") ?comment (path : string) (t : t) : unit =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "# schedule %s%s\n%s\n" name
-        (match comment with None | Some "" -> "" | Some c -> ": " ^ c)
-        (to_spec t))
+  Lp_util.Json.write_file ~path
+    (Printf.sprintf "# schedule %s%s\n%s\n" name
+       (match comment with None | Some "" -> "" | Some c -> ": " ^ c)
+       (to_spec t))
 
 (** Load a schedule file written by {!save_file}: [#] comment lines and
     blank lines are skipped; exactly one spec line must remain.  All

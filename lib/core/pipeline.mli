@@ -61,8 +61,8 @@ val code_spec : string
     token expected there. *)
 val parse : string -> (t, Lp_util.Diag.t) result
 
-(** Write the schedule as a file: one [#] header line (name + optional
-    comment) followed by the one-line spec. *)
+(** Write the schedule as a file, atomically: one [#] header line
+    (name + optional comment) followed by the one-line spec. *)
 val save_file : ?name:string -> ?comment:string -> string -> t -> unit
 
 (** Load a schedule file written by {!save_file}; [#] and blank lines

@@ -93,12 +93,7 @@ let to_json t =
              t.cells) );
     ]
 
-let write t ~path =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (J.to_string (to_json t)));
-  Sys.rename tmp path
+let write t ~path = J.write_file ~path (J.to_string (to_json t))
 
 let field_str name j =
   match Option.bind (J.member name j) J.to_string_opt with

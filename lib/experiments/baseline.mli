@@ -50,7 +50,8 @@ val make :
 val to_json : t -> Lp_util.Json.t
 val of_json : Lp_util.Json.t -> (t, string) result
 
-(** Atomic write (tmp + rename), pretty-printed JSON. *)
+(** Pretty-printed JSON, written atomically
+    ({!Lp_util.Json.write_file}). *)
 val write : t -> path:string -> unit
 
 val load : path:string -> (t, string) result

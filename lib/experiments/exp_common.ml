@@ -41,17 +41,6 @@ let default_machine () = Machine.generic ~n_cores:4 ()
 (** Big machine for the core-count sweep. *)
 let machine_with_cores n = Machine.generic ~n_cores:n ()
 
-(** The compiler configurations every energy table compares. *)
-let standard_configs ~n_cores =
-  [
-    ("baseline", Compile.baseline);
-    ("pg", Compile.pg_only);
-    ("dvfs", Compile.dvfs_only);
-    ("pg+dvfs", Compile.pg_dvfs);
-    ("par", Compile.par_only ~n_cores);
-    ("full", Compile.full ~n_cores);
-  ]
-
 type run_result = {
   workload : string;
   config : string;
@@ -173,13 +162,6 @@ let run_workload_cell ?(machine = default_machine ()) (w : Workload.t)
 let run_workload_result ?machine (w : Workload.t) ~(config : string)
     (opts : Compile.options) : (run_result, Diag.t) result =
   (run_workload_cell ?machine w ~config opts).result
-
-(** Legacy raising accessor: a failed cell raises [Diag.Error]. *)
-let run_workload ?machine (w : Workload.t) ~(config : string)
-    (opts : Compile.options) : run_result =
-  match run_workload_result ?machine w ~config opts with
-  | Ok r -> r
-  | Error d -> raise (Diag.Error d)
 
 (** Every failed cell currently memoised, sorted for deterministic
     summaries: ((workload, config, machine), attempts, diagnostic). *)

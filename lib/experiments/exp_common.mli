@@ -33,16 +33,13 @@ module Obs = Lp_obs.Obs
 val set_ctx : Compile.ctx -> unit
 val current_ctx : unit -> Compile.ctx
 
-(** {2 Machines and configurations} *)
+(** {2 Machines} *)
 
 (** The machine of the main evaluation. *)
 val default_machine : unit -> Machine.t
 
 (** Big machine for the core-count sweep. *)
 val machine_with_cores : int -> Machine.t
-
-(** The compiler configurations every energy table compares. *)
-val standard_configs : n_cores:int -> (string * Compile.options) list
 
 (** {2 Cells} *)
 
@@ -92,14 +89,6 @@ val run_workload_result :
   config:string ->
   Compile.options ->
   (run_result, Diag.t) result
-
-(** Legacy raising accessor: a failed cell raises [Diag.Error]. *)
-val run_workload :
-  ?machine:Machine.t ->
-  Workload.t ->
-  config:string ->
-  Compile.options ->
-  run_result
 
 (** Every failed cell currently memoised, sorted for deterministic
     summaries: ((workload, config, machine), attempts, diagnostic). *)

@@ -108,7 +108,7 @@ let t2 () : Table.t =
 (* ------------------------------------------------------------------ *)
 
 let t3 () : Table.t =
-  let configs = standard_configs ~n_cores:4 in
+  let configs = Compile.configs ~n_cores:4 in
   run_matrix (cross all_workloads configs);
   let tbl =
     Table.create
@@ -199,7 +199,7 @@ let t3b () : Table.t =
 (* ------------------------------------------------------------------ *)
 
 let t4 () : Table.t =
-  run_matrix (cross all_workloads (standard_configs ~n_cores:4));
+  run_matrix (cross all_workloads (Compile.configs ~n_cores:4));
   let tbl =
     Table.create
       ~title:

@@ -51,10 +51,7 @@ let machine_of_exn name =
   | Some m -> m
   | None -> invalid_arg (Printf.sprintf "Sweep: unknown machine %S" name)
 
-let config_names = [ "baseline"; "pg"; "dvfs"; "pg+dvfs"; "par"; "full" ]
-
-let configs_for (m : Machine.t) =
-  Exp_common.standard_configs ~n_cores:(Machine.n_cores m)
+let configs_for (m : Machine.t) = Compile.configs ~n_cores:(Machine.n_cores m)
 
 let total_cycles (o : Sim.outcome) =
   Array.fold_left (fun a n -> a +. float_of_int n) 0.0 o.Sim.cycles_per_core
@@ -115,9 +112,9 @@ let run ?pool ?(machines = default_machines)
      cycles, then by config order — deterministic however the matrix
      was scheduled *)
   let order c =
-    match List.find_index (String.equal c) config_names with
+    match List.find_index (String.equal c) Compile.config_names with
     | Some i -> i
-    | None -> List.length config_names
+    | None -> List.length Compile.config_names
   in
   let winners =
     List.concat_map
@@ -169,7 +166,7 @@ let run ?pool ?(machines = default_machines)
   {
     sw_machines = List.map (fun (m : Machine.t) -> m.Machine.name) ms;
     sw_workloads = List.map (fun w -> w.Workload.name) ws;
-    sw_configs = config_names;
+    sw_configs = Compile.config_names;
     sw_cells = cells;
     sw_winners = winners;
   }
@@ -260,16 +257,3 @@ let to_json (t : t) : string =
     t.sw_winners;
   Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf
-
-(** Atomic write (temp + rename), like every other BENCH artifact. *)
-let write_json ~path (t : t) =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Fun.protect
-    ~finally:(fun () ->
-      close_out_noerr oc;
-      if Sys.file_exists tmp then Sys.remove tmp)
-    (fun () ->
-      output_string oc (to_json t);
-      close_out oc;
-      Sys.rename tmp path)

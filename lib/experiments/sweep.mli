@@ -55,6 +55,3 @@ val crossovers : t -> (string * (string * string) list) list
 
 (** The [lowpower-bench-sweep/1] artifact. *)
 val to_json : t -> string
-
-(** Atomic write of {!to_json}. *)
-val write_json : path:string -> t -> unit

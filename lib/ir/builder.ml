@@ -16,8 +16,6 @@ let create func =
 
 let func t = t.func
 
-let current_block t = t.current
-
 let set_loc t loc = t.cur_loc <- loc
 
 let cur_loc t = t.cur_loc
@@ -63,11 +61,3 @@ let switch_to t (b : Ir.block) =
   t.sealed <- false
 
 let new_block t = Prog.new_block t.func
-
-(** Terminate the current block with a jump to a fresh block and switch to
-    it; returns the new block. *)
-let continue_in_new_block t =
-  let b = new_block t in
-  set_term t (Ir.Jmp b.Ir.bid);
-  switch_to t b;
-  b

@@ -26,8 +26,6 @@ let ty_to_string = function I -> "i" | F -> "f"
 
 type const = Cint of int | Cfloat of float
 
-let const_ty = function Cint _ -> I | Cfloat _ -> F
-
 type operand = Reg of reg | Imm of const
 
 (** Integer and float binary operators.  Comparison operators produce an

@@ -154,8 +154,6 @@ let entries t =
   | Sequential -> [ "main" ]
   | Parallel { entries; _ } -> entries
 
-let n_cores_used t = List.length (entries t)
-
 let total_instrs t =
   List.fold_left (fun acc f -> acc + instr_count f) 0 (funcs t)
 

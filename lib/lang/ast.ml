@@ -96,7 +96,6 @@ let mk_expr ?(pos = dummy_pos) edesc = { edesc; epos = pos }
 let mk_stmt ?(pos = dummy_pos) ?(pragmas = []) sdesc =
   { sdesc; spos = pos; pragmas }
 
-let int_lit n = mk_expr (Int_lit n)
 let var x = mk_expr (Var x)
 let binop op a b = mk_expr (Binop (op, a, b))
 

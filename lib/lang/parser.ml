@@ -68,10 +68,6 @@ let parse_base_ty st =
   | Lexer.KW_VOID -> advance st; Tvoid
   | _ -> err st "expected type"
 
-let is_type_tok = function
-  | Lexer.KW_INT | Lexer.KW_FLOAT | Lexer.KW_VOID -> true
-  | _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Expressions (precedence climbing)                                   *)
 (* ------------------------------------------------------------------ *)

@@ -263,9 +263,6 @@ let with_cores t n =
       name = Printf.sprintf "%s@%dc" t.name n;
     }
 
-let with_power t power =
-  { t with classes = Array.map (fun cc -> { cc with cc_power = power }) t.classes }
-
 let has_component t c = List.mem c t.components
 
 let clamp_cores ?(warn = true) t requested =

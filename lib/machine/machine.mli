@@ -122,9 +122,6 @@ val farmem : unit -> t
     heterogeneous machines (resizing would have to pick a class). *)
 val with_cores : t -> int -> t
 
-(** Replace the power model of every class (homogeneous convenience). *)
-val with_power : t -> Power_model.t -> t
-
 val has_component : t -> Component.t -> bool
 
 (** Clamp a requested core count to what the machine offers, warning on

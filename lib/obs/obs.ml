@@ -323,11 +323,7 @@ let chrome_string t =
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf
 
-let write_chrome t ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (chrome_string t))
+let write_chrome t ~path = Lp_util.Json.write_file ~path (chrome_string t)
 
 (* ------------------------------------------------------------------ *)
 (* Summary                                                             *)

@@ -146,6 +146,7 @@ val gauges : t -> (string * float) list
     ["M"] process-name metadata. *)
 val chrome_string : t -> string
 
+(** {!chrome_string}, written atomically ({!Lp_util.Json.write_file}). *)
 val write_chrome : t -> path:string -> unit
 
 (** Aggregated human-readable summary: per-(cat, name) span count and

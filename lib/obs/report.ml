@@ -262,12 +262,7 @@ let to_json t =
 
 let to_string t = J.to_string (to_json t)
 
-let write t ~path =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
-      output_string oc (to_string t));
-  Sys.rename tmp path
+let write t ~path = J.write_file ~path (to_string t)
 
 (* ------------------------------------------------------------------ *)
 (* Human-readable audit                                                *)

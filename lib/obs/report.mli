@@ -141,6 +141,8 @@ val implicit_wakeups : t -> int
 val to_json : t -> Lp_util.Json.t
 
 val to_string : t -> string
+
+(** {!to_string}, written atomically ({!Lp_util.Json.write_file}). *)
 val write : t -> path:string -> unit
 
 (** Human-readable audit (the [lpcc explain] view): decisions grouped by

@@ -309,14 +309,9 @@ let resolve_target (r : request) =
      reply carries the machine actually used *)
   let cores = Machine.clamp_cores ~warn:false machine r.cores in
   let* opts =
-    match r.config with
-    | "baseline" -> Ok Compile.baseline
-    | "pg" -> Ok Compile.pg_only
-    | "dvfs" -> Ok Compile.dvfs_only
-    | "pg+dvfs" -> Ok Compile.pg_dvfs
-    | "par" -> Ok (Compile.par_only ~n_cores:cores)
-    | "full" -> Ok (Compile.full ~n_cores:cores)
-    | c -> decode_error "unknown config %S" c
+    match List.assoc_opt r.config (Compile.configs ~n_cores:cores) with
+    | Some opts -> Ok opts
+    | None -> decode_error "unknown config %S" r.config
   in
   match r.passes with
   | None -> Ok (machine, opts)

@@ -70,9 +70,9 @@ type request = {
   version : int option;     (** [None] = v1 (field absent on the wire) *)
   op : op;
   src : source;
-  machine : string;         (** "generic" | "pacduo" | "octa-leaky" *)
+  machine : string;         (** a {!Machine.names} zoo name *)
   cores : int;
-  config : string;          (** baseline | pg | dvfs | pg+dvfs | par | full *)
+  config : string;          (** a {!Compile.config_names} name *)
   passes : string option;   (** optional pass-pipeline spec *)
   deadline_ms : int option; (** per-request deadline *)
   budget : int option;      (** tune: unique evaluations (server caps it) *)
@@ -135,8 +135,12 @@ val reply_of_frame : string -> (reply, string) result
     frame proves the daemon returns exactly what one-shot [lpcc]
     computes. *)
 
-(** Machine + compile options for a request ([cores] clamped to the
-    machine, [passes] parsed); bad names come back as {!code_decode}. *)
+(** Machine + compile options for a request: the one resolver of
+    machine, cores, configuration ({!Compile.configs}) and passes, for
+    lpccd and lpcc alike.  [cores] is clamped to the machine silently
+    (the reply names the machine used); [passes] is parsed, failures
+    keeping their own [E_PIPELINE_SPEC] code.  Unknown machine and
+    configuration names come back as {!code_decode}. *)
 val resolve_target : request -> (Machine.t * Compile.options, Diag.t) result
 
 (** Program text and scope label (fault/report scope) for a request;

@@ -15,8 +15,10 @@ type config = {
   window : int;
   seed : int;
   verify : bool;
-  client_retries : int;
 }
+
+(* resends of a transiently failed request *)
+let client_retries = 8
 
 let default_config ~socket_path =
   {
@@ -26,7 +28,6 @@ let default_config ~socket_path =
     window = 8;
     seed = 1;
     verify = false;
-    client_retries = 8;
   }
 
 type outcomes = {
@@ -329,7 +330,7 @@ let run_client (cfg : config) (entries : entry list) ~(id_base : int) : cres =
             end
             else if code = P.code_overload then begin
               c.m_overload <- c.m_overload + 1;
-              if pd.pd_attempt <= cfg.client_retries then retry key pd
+              if pd.pd_attempt <= client_retries then retry key pd
               else begin
                 c.m_gave_up <- c.m_gave_up + 1;
                 resolve key pd
@@ -337,7 +338,7 @@ let run_client (cfg : config) (entries : entry list) ~(id_base : int) : cres =
             end
             else if r.P.r_transient && String.length code >= 8
                     && String.sub code 0 8 = "E_FAULT_" then begin
-              if pd.pd_attempt <= cfg.client_retries then retry key pd
+              if pd.pd_attempt <= client_retries then retry key pd
               else begin
                 c.m_fault <- c.m_fault + 1;
                 c.m_gave_up <- c.m_gave_up + 1;
@@ -640,13 +641,6 @@ let summary_json (s : summary) : Json.t =
       ("protocol_errors", n s.protocol_errors);
       ("server_stats", s.server_stats);
     ]
-
-let write_json (s : summary) ~path =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  output_string oc (Json.to_string (summary_json s));
-  close_out oc;
-  Sys.rename tmp path
 
 let to_text (s : summary) =
   let b = Buffer.create 512 in

@@ -23,7 +23,6 @@ type config = {
   window : int;          (** max in-flight requests per connection *)
   seed : int;            (** corpus generator seed *)
   verify : bool;         (** byte-compare valid replies against local runs *)
-  client_retries : int;  (** resends of a transiently failed request *)
 }
 
 val default_config : socket_path:string -> config
@@ -64,9 +63,6 @@ type summary = {
 val run : config -> (summary, string) result
 
 val summary_json : summary -> Json.t
-
-(** Atomic write (temp file + rename). *)
-val write_json : summary -> path:string -> unit
 
 (** Human-readable one-screen rendering. *)
 val to_text : summary -> string

@@ -24,19 +24,20 @@ type opts = {
   socket_path : string;
   jobs : int;
   queue_capacity : int;
-  max_frame_bytes : int;
   default_deadline_ms : int option;
   stuck_ms : int;
   cache_capacity : int;
   drain_ms : int;
 }
 
+(* larger frames are rejected E_DECODE *)
+let max_frame_bytes = 4 * 1024 * 1024
+
 let default_opts ~socket_path =
   {
     socket_path;
     jobs = 2;
     queue_capacity = 64;
-    max_frame_bytes = 4 * 1024 * 1024;
     default_deadline_ms = None;
     stuck_ms = 30_000;
     cache_capacity = 128;
@@ -533,12 +534,12 @@ let extract_frames t (c : conn) =
        | exception Not_found ->
          let rest = len - !pos in
          if c.overflowed then pos := len (* keep discarding *)
-         else if rest > t.o.max_frame_bytes then begin
+         else if rest > max_frame_bytes then begin
            c.overflowed <- true;
            bump t t.m.decode_errors "serve.decode_errors";
            send_err t c ~id:Json.Null
              (Diag.make Diag.Serve ~code:P.code_decode
-                (Printf.sprintf "frame exceeds %d bytes" t.o.max_frame_bytes));
+                (Printf.sprintf "frame exceeds %d bytes" max_frame_bytes));
            pos := len
          end
          else begin

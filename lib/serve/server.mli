@@ -29,13 +29,15 @@ type opts = {
   socket_path : string;
   jobs : int;                      (** worker domains (>= 1) *)
   queue_capacity : int;            (** bounded request queue *)
-  max_frame_bytes : int;           (** larger frames are rejected E_DECODE *)
   default_deadline_ms : int option;(** applied when the request has none *)
   stuck_ms : int;                  (** watchdog limit for deadline-less requests *)
   cache_capacity : int;            (** warm cache entries (LRU) *)
   drain_ms : int;                  (** max wait for in-flight work on stop *)
 }
 
+(** 2 workers, queue 64, no default deadline, 30 s watchdog, 128 cache
+    entries, 10 s drain.  Frames are bounded at a fixed 4 MiB; a longer
+    one is rejected with [E_DECODE]. *)
 val default_opts : socket_path:string -> opts
 
 type t

@@ -30,7 +30,3 @@ let sequential = {
   chan_capacity = 0;
   instances = [];
 }
-
-(** For a pipeline instance, which core runs stage [s] (stage 0 is the
-    master core 0, stage s>0 runs on worker core s). *)
-let stage_core _inst s = s

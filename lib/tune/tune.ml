@@ -46,21 +46,21 @@ let worst = { energy_nj = infinity; cycles = max_int }
 type config = {
   budget : int;
   seed : int;
-  round_size : int;
-  restart_after : int;
   config_name : string;
   opts : Compile.options;
   machine : Machine.t;
 }
 
-let default_config ?(budget = 100) ?(seed = 1) ?(round_size = 8)
-    ?(restart_after = 4) ?(config_name = "baseline")
+(* candidates proposed per hill-climbing round, and stalled rounds
+   before a random restart *)
+let round_size = 8
+let restart_after = 4
+
+let default_config ?(budget = 100) ?(seed = 1) ?(config_name = "baseline")
     ?(opts = Compile.baseline) ?machine () =
   {
     budget = max 1 budget;
     seed;
-    round_size = max 1 round_size;
-    restart_after = max 1 restart_after;
     config_name;
     opts;
     machine =
@@ -337,7 +337,7 @@ let tune_workload ?(ctx = Compile.default_ctx) ?pool (cfg : config)
     while !evaluated < cfg.budget && !rounds < 8 * cfg.budget do
       incr rounds;
       Deadline.check ctx.Compile.deadline;
-      if !stall >= cfg.restart_after then begin
+      if !stall >= restart_after then begin
         (* restart: jump to a seeded shuffle of the starting schedule,
            unconditionally (the global best is tracked separately) *)
         incr restarts;
@@ -354,7 +354,7 @@ let tune_workload ?(ctx = Compile.default_ctx) ?pool (cfg : config)
       end;
       (* generate this round's proposals sequentially from the RNG *)
       let proposals = ref [] in
-      for _ = 1 to cfg.round_size do
+      for _ = 1 to round_size do
         incr candidates;
         let c = mutate rng !current in
         let spec = Pipeline.to_spec c in
@@ -364,7 +364,7 @@ let tune_workload ?(ctx = Compile.default_ctx) ?pool (cfg : config)
           proposals := spec :: !proposals
         | _ -> ()
       done;
-      Obs.add obs "tune.candidates" cfg.round_size;
+      Obs.add obs "tune.candidates" round_size;
       let uniq =
         List.fold_left
           (fun acc s -> if List.mem s acc then acc else s :: acc)
@@ -517,12 +517,6 @@ let json_of (r : summary) : Json.t =
                  ])
              r.t_workloads) );
     ]
-
-let write_json (path : string) (r : summary) : unit =
-  let tmp = path ^ ".tmp" in
-  Out_channel.with_open_bin tmp (fun oc ->
-      Out_channel.output_string oc (Json.to_string (json_of r)));
-  Sys.rename tmp path
 
 (* ------------------------------------------------------------------ *)
 (* Best-schedule export                                                *)

@@ -3,12 +3,12 @@
     PR 5 made the optimisation schedule a first-class data value; this
     module searches that space.  The search is seeded hill-climbing with
     random restarts: from the flattened default schedule it proposes a
-    fixed-size round of mutated candidates (swap/move/drop/duplicate a
-    step, split or merge a [fix(...)] group), evaluates each through
-    the compiler and the simulator's energy ledger (objective:
-    total energy in nJ, total compute cycles as tie-break), and moves to
-    the best strict improvement.  After [restart_after] stalled rounds
-    it restarts from a seeded shuffle of the starting schedule.
+    round of 8 mutated candidates (swap/move/drop/duplicate a step,
+    split or merge a [fix(...)] group), evaluates each through the
+    compiler and the simulator's energy ledger (objective: total energy
+    in nJ, total compute cycles as tie-break), and moves to the best
+    strict improvement.  After 4 stalled rounds it restarts from a
+    seeded shuffle of the starting schedule.
 
     Determinism: all randomness comes from one {!Lp_util.Rng} seeded
     from [seed] and the workload name, candidates are generated
@@ -44,8 +44,6 @@ type config = {
       (** maximum number of unique schedule evaluations per workload
           (the baseline evaluation counts; cache hits do not) *)
   seed : int;
-  round_size : int;  (** candidates proposed per hill-climbing round *)
-  restart_after : int;  (** stalled rounds before a random restart *)
   config_name : string;  (** label for tables/JSON, e.g. ["baseline"] *)
   opts : Compile.options;
       (** compiler configuration the candidates run under; its
@@ -54,13 +52,11 @@ type config = {
   machine : Machine.t;
 }
 
-(** Defaults: budget 100, seed 1, round size 8, restart after 4 stalls,
-    [Compile.baseline] on the generic 4-core machine. *)
+(** Defaults: budget 100, seed 1, [Compile.baseline] on the generic
+    4-core machine. *)
 val default_config :
   ?budget:int ->
   ?seed:int ->
-  ?round_size:int ->
-  ?restart_after:int ->
   ?config_name:string ->
   ?opts:Compile.options ->
   ?machine:Machine.t ->
@@ -137,9 +133,6 @@ val render : summary -> string
 val schema : string
 
 val json_of : summary -> Lp_util.Json.t
-
-(** Write {!json_of} pretty-printed to [path] (atomic tmp + rename). *)
-val write_json : string -> summary -> unit
 
 (** The workload with the largest relative improvement, if any workload
     improved at all (ties keep the earlier workload). *)

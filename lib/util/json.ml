@@ -304,3 +304,18 @@ let member key = function Obj fields -> List.assoc_opt key fields | _ -> None
 let to_float_opt = function Num x -> Some x | _ -> None
 let to_string_opt = function Str s -> Some s | _ -> None
 let to_list = function List l -> l | _ -> []
+
+(* ------------------------------------------------------------------ *)
+(* Artifact files                                                      *)
+(* ------------------------------------------------------------------ *)
+
+let write_file ~path contents =
+  let tmp = path ^ ".tmp" in
+  try
+    Out_channel.with_open_bin tmp (fun oc ->
+        Out_channel.output_string oc contents);
+    Sys.rename tmp path
+  with e ->
+    let bt = Printexc.get_raw_backtrace () in
+    (try Sys.remove tmp with Sys_error _ -> ());
+    Printexc.raise_with_backtrace e bt

@@ -54,3 +54,11 @@ val to_string_opt : t -> string option
 
 (** The list payload; [[]] on non-lists. *)
 val to_list : t -> t list
+
+(** [write_file ~path contents] writes [contents] to [path] atomically:
+    into [path.tmp] in the same directory, then renamed over [path], so
+    a reader never sees a truncated artifact.  On failure the temp file
+    is removed and the exception re-raised.  Every artifact the
+    programs write (reports, traces, benchmark records, schedules) goes
+    through here. *)
+val write_file : path:string -> string -> unit

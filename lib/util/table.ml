@@ -34,10 +34,6 @@ let rows t = List.rev t.rows
 let fmt_float ?(digits = 2) x =
   if Float.is_nan x then "-" else Printf.sprintf "%.*f" digits x
 
-let fmt_int = string_of_int
-
-let fmt_pct ?(digits = 1) x = Printf.sprintf "%.*f%%" digits x
-
 let render t =
   let all = t.header :: rows t in
   let ncols = List.length t.header in

@@ -18,9 +18,6 @@ val rows : t -> string list list
 (** Cell formatting helpers. *)
 val fmt_float : ?digits:int -> float -> string
 
-val fmt_int : int -> string
-val fmt_pct : ?digits:int -> float -> string
-
 (** Render with aligned columns, markdown-flavoured separators. *)
 val render : t -> string
 

@@ -36,15 +36,6 @@ let find_exn name =
 
 let names = List.map (fun w -> w.Workload.name) all
 
-(** Workloads that are expected to parallelise (used by the scaling
-    figure F1). *)
-let parallel_names =
-  List.filter_map
-    (fun w ->
-      if w.Workload.expected_pattern = "none" then None
-      else Some w.Workload.name)
-    all
-
 (** The four representative workloads used by the per-workload deep-dive
     figures (F1, F3): one doall kernel, one reduction, one farm, one
     pipeline. *)

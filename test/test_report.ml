@@ -310,6 +310,30 @@ let test_baseline_round_trip () =
     | Error _ -> true
     | Ok _ -> false)
 
+(* A failed artifact write raises and leaves no temp file behind: the
+   target path here is an existing directory, so the final rename fails. *)
+let test_failed_write_leaves_no_tmp () =
+  let dir = Filename.temp_file "lp_artifact" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      (try Sys.remove (dir ^ ".tmp") with Sys_error _ -> ());
+      Sys.rmdir dir)
+    (fun () ->
+      let raises write =
+        match write () with () -> false | exception Sys_error _ -> true
+      in
+      let rep = Report.create () in
+      check Alcotest.bool "report write raises" true
+        (raises (fun () -> Report.write rep ~path:dir));
+      check Alcotest.bool "report leaves no .tmp" false
+        (Sys.file_exists (dir ^ ".tmp"));
+      check Alcotest.bool "baseline write raises" true
+        (raises (fun () -> Baseline.write (base ()) ~path:dir));
+      check Alcotest.bool "baseline leaves no .tmp" false
+        (Sys.file_exists (dir ^ ".tmp")))
+
 (* ---------------- the JSON codec ---------------- *)
 
 let test_json_round_trip () =
@@ -359,5 +383,7 @@ let suite =
       test_baseline_coverage_notes;
     Alcotest.test_case "baseline: write/load round-trip" `Quick
       test_baseline_round_trip;
+    Alcotest.test_case "failed artifact write leaves no .tmp" `Quick
+      test_failed_write_leaves_no_tmp;
     Alcotest.test_case "json codec round-trip" `Quick test_json_round_trip;
   ]
