@@ -7,11 +7,9 @@
     experiment, pool size, and — when a sequential reference pass ran —
     the speedup) so the repo accumulates a perf trajectory.
 
-    Usage ([--help] lists every flag; unknown flags exit 124):
+    Usage ([--help] lists every flag; an unknown flag or id exits 124):
       dune exec bench/main.exe                 # everything, default pool
       dune exec bench/main.exe -- t3 f1        # selected experiments
-      dune exec bench/main.exe -- sweep        # machine-zoo design-space
-                                               # sweep (BENCH_sweep.json)
       dune exec bench/main.exe -- t1 --jobs 4  # 4-domain pool, plus a
                                                # sequential reference pass
       dune exec bench/main.exe -- t1 --jobs 4 --no-compare   # skip the ref
@@ -257,19 +255,6 @@ let run ids compare json_path check_baseline write_baseline =
     | None -> Printf.printf "sweep total: %.2fs with jobs=%d\n" total jobs);
     Printf.printf "wrote %s\n%!" json_path
   end;
-  (* opt-in design-space sweep across the machine zoo: shares the memo
-     cache with the experiments above, renders sequentially, and leaves
-     its own committed artifact next to BENCH_eval.json *)
-  if List.mem "sweep" ids then begin
-    let module Sweep = Lp_experiments.Sweep in
-    let t0 = Unix.gettimeofday () in
-    let t = Sweep.run () in
-    Lp_util.Table.print (Sweep.crossover_table t);
-    Printf.printf "(sweep finished in %.1fs, jobs=%d)\n\n%!"
-      (Unix.gettimeofday () -. t0) jobs;
-    Lp_util.Json.write_file ~path:"BENCH_sweep.json" (Sweep.to_json t);
-    Printf.printf "wrote BENCH_sweep.json\n%!"
-  end;
   if want "bechamel" then bechamel_passes ();
   (* the regression gate: simulated cycles/energy against the committed
      snapshot (bench/baselines/eval.json in CI) *)
@@ -304,42 +289,36 @@ let run ids compare json_path check_baseline write_baseline =
         Ok (Baseline.passed verdict))
   in
   (* failure summary: degraded cells render as ERR(<code>) in the tables
-     above; recap them here and make the exit code reflect them.  When
-     the zoo sweep ran, compile-time machine incompatibilities (e.g. an
-     FPU workload on pacduo) are expected sweep data, not failures. *)
+     above; recap them here and make the exit code reflect them *)
   match gate with
   | Error msg ->
     Printf.eprintf "baseline: %s\n" msg;
     2
   | Ok gate_passed ->
-    let fatal =
-      match Exp_common.failed_cells () with
-      | [] -> []
-      | failed ->
-        Printf.eprintf "\n== %d cell(s) degraded to a diagnostic ==\n"
-          (List.length failed);
-        List.iter
-          (fun ((w, c, m), attempts, d) ->
-            Printf.eprintf "  %s/%s@%s (attempt %d): %s\n" w c m attempts
-              (Lp_util.Diag.to_string d))
-          failed;
-        if List.mem "sweep" ids then
-          List.filter
-            (fun (_, _, (d : Lp_util.Diag.t)) ->
-              d.Lp_util.Diag.code <> "E_COMPILE")
-            failed
-        else failed
-    in
-    if fatal <> [] || not gate_passed then 1 else 0
+    let failed = Exp_common.failed_cells () in
+    if failed <> [] then begin
+      Printf.eprintf "\n== %d cell(s) degraded to a diagnostic ==\n"
+        (List.length failed);
+      List.iter
+        (fun ((w, c, m), attempts, d) ->
+          Printf.eprintf "  %s/%s@%s (attempt %d): %s\n" w c m attempts
+            (Lp_util.Diag.to_string d))
+        failed
+    end;
+    if failed <> [] || not gate_passed then 1 else 0
 
 let () =
   let ids =
-    Arg.(value & pos_all string [] & info [] ~docv:"ID"
-           ~doc:"Experiments to run: $(b,t1)..$(b,t5), $(b,t3b), \
-                 $(b,f1)..$(b,f6), $(b,a1)..$(b,a3), $(b,bechamel) (the \
-                 pass micro-benchmarks) and $(b,sweep) (the machine-zoo \
-                 sweep, written to BENCH_sweep.json); every experiment and \
-                 bechamel when omitted.  $(b,seq) is $(b,--seq).")
+    let ids =
+      List.map (fun (e : E.entry) -> e.E.id) E.all @ [ "bechamel"; "seq" ]
+    in
+    Arg.(value & pos_all (enum (List.map (fun id -> (id, id)) ids)) []
+         & info [] ~docv:"ID"
+             ~doc:"Experiments to run: $(b,t1)..$(b,t5), $(b,t3b), \
+                   $(b,f1)..$(b,f6), $(b,a1)..$(b,a3) and $(b,bechamel) (the \
+                   pass micro-benchmarks); every experiment and bechamel when \
+                   omitted.  $(b,seq) is $(b,--seq).  The machine-zoo sweep \
+                   is $(b,lpcc sweep).")
   in
   let seq =
     Arg.(value & flag

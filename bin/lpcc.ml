@@ -8,13 +8,16 @@
     - [workloads] list the bundled benchmark programs
     - [machines]  list the machine zoo (classes, ladders, memory tiers)
     - [pipeline]  print the optimisation schedule as data
-    - [bench]     regenerate the evaluation tables/figures
-    - [sweep]     workload x config x machine-zoo design-space sweep
+    - [sweep]     workload x config x machine-zoo design-space sweep (the
+                  one writer of BENCH_sweep.json, with [--json])
+    - [tune]      energy-aware pass-ordering search
     - [profile]   source-level energy profile (text, JSON, flamegraph, diff)
+    - [serve-bench] replay a mixed request corpus against lpccd
     - [fuzz]      fuzz the pipeline with generated MiniC programs
 
     Sources are MiniC files; [--workload NAME] substitutes a bundled
-    benchmark for a file. *)
+    benchmark for a file.  The evaluation's tables and figures are
+    regenerated by bench/main.exe, not by lpcc. *)
 
 module Compile = Lowpower.Compile
 module Machine = Lp_machine.Machine
@@ -419,45 +422,6 @@ let sweep_cmd_run machines workloads json config =
             Printf.sprintf "%d sweep cell(s) failed internally"
               (List.length internal) ))
 
-(* ---------------- bench ---------------- *)
-
-let bench_cmd_run ids config =
-  let known = List.map (fun e -> e.Lp_experiments.Experiments.id)
-      Lp_experiments.Experiments.all in
-  match List.filter (fun id -> not (List.mem id known)) ids with
-  | bad :: _ ->
-    `Error (false, Printf.sprintf "unknown experiment %S (known: %s)" bad
-              (String.concat " " known))
-  | [] -> (
-    session config @@ fun _ctx ->
-    List.iter
-      (fun (e : Lp_experiments.Experiments.entry) ->
-        if ids = [] || List.mem e.Lp_experiments.Experiments.id ids then
-          Lp_experiments.Experiments.run_and_print e)
-      Lp_experiments.Experiments.all;
-    match Lp_experiments.Exp_common.failed_cells () with
-    | [] -> `Ok ()
-    | failed ->
-      `Error
-        ( false,
-          Printf.sprintf "%d cell(s) degraded to a diagnostic:\n%s"
-            (List.length failed)
-            (String.concat "\n"
-               (List.map
-                  (fun ((w, c, m), attempts, d) ->
-                    Printf.sprintf "  %s/%s@%s (attempt %d): %s" w c m
-                      attempts (Diag.to_string d))
-                  failed)) ))
-
-let bench_cmd =
-  let doc = "regenerate evaluation tables/figures (all, or the given ids)" in
-  let ids =
-    Arg.(value & pos_all string [] & info [] ~docv:"ID"
-           ~doc:"Experiment ids (t1..t5, t3b, f1..f6, a1..a3); all when omitted.")
-  in
-  Cmd.v (Cmd.info "bench" ~doc)
-    Term.(ret (const bench_cmd_run $ ids $ Cli.runtime_t))
-
 let sweep_cmd =
   let doc =
     "fan the workload × config matrix across the machine zoo and print \
@@ -849,5 +813,5 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ detect_cmd; run_cmd; explain_cmd; dump_cmd; workloads_cmd;
-            machines_cmd; pipeline_cmd; bench_cmd; sweep_cmd; tune_cmd;
+            machines_cmd; pipeline_cmd; sweep_cmd; tune_cmd;
             profile_cmd; serve_bench_cmd; fuzz_cmd ]))

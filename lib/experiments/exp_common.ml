@@ -1,14 +1,16 @@
 (** Shared plumbing for the evaluation experiments (tables T1-T5, figures
-    F1-F6).  Each experiment module exposes [run : unit -> Lp_util.Table.t
-    list] so the benchmark executable, the CLI and the tests can all drive
-    the same code.
+    F1-F6, A1-A3) and the machine-zoo sweep.  Each experiment is a
+    [unit -> Lp_util.Table.t] in {!Experiments.all}, which bench/main.exe
+    and the tests drive.
 
     The evaluation matrix is embarrassingly parallel: every (workload,
     config, machine) triple compiles and simulates independently.  Each
-    experiment therefore declares the triples it needs as [job] values and
-    fans them out over [Lp_util.Domain_pool] via [run_matrix], which fills
-    the shared memo [cache]; the table is then rendered sequentially from
-    the cache, so output is byte-identical whatever the pool size. *)
+    experiment therefore declares each triple it needs once, as a [job]
+    value, fans the jobs out over [Lp_util.Domain_pool] via [run_matrix],
+    which fills the shared memo [cache], and reads every cell back
+    through its job ([result_of]); the table is then rendered
+    sequentially from the cache, so output is byte-identical whatever
+    the pool size. *)
 
 module Compile = Lowpower.Compile
 module Machine = Lp_machine.Machine
@@ -99,12 +101,29 @@ let max_retries () = (current_ctx ()).Compile.config.Lp_util.Runtime_config.retr
     because this is the retry path PR 2 introduced and tests target). *)
 let backoff_s = Lp_util.Backoff.backoff_s
 
-let attempt_run ~(machine : Machine.t) (w : Workload.t) ~(config : string)
-    (opts : Compile.options) : (run_result, Diag.t) result =
+(** One cell of the evaluation matrix. *)
+type job = {
+  j_workload : Workload.t;
+  j_config : string;
+  j_opts : Compile.options;
+  j_machine : Machine.t;
+}
+
+let job ?machine (w : Workload.t) ~(config : string) (opts : Compile.options)
+    : job =
+  let machine = match machine with Some m -> m | None -> default_machine () in
+  { j_workload = w; j_config = config; j_opts = opts; j_machine = machine }
+
+let attempt_run { j_workload = w; j_config = config; j_opts = opts;
+                  j_machine = machine } : (run_result, Diag.t) result =
   Fault.with_scope w.Workload.name @@ fun () ->
-  (* audit-report events are labelled by matrix cell, not by evaluating
-     domain, so the exported report is deterministic across pool sizes *)
-  Lp_obs.Report.with_scope (w.Workload.name ^ "/" ^ config) @@ fun () ->
+  (* audit-report events are labelled by matrix cell (machine included:
+     one workload and config may run on several machines), not by
+     evaluating domain, so the exported report is deterministic across
+     pool sizes *)
+  Lp_obs.Report.with_scope
+    (Printf.sprintf "%s/%s@%s" w.Workload.name config machine.Machine.name)
+  @@ fun () ->
   match
     Fault.check Fault.Worker ~key:config;
     Compile.run ~ctx:(current_ctx ()) ~opts ~machine w.Workload.source
@@ -120,29 +139,32 @@ let attempt_run ~(machine : Machine.t) (w : Workload.t) ~(config : string)
         (Diag.make Diag.Internal ~code:Diag.code_internal
            (Printexc.to_string e)))
 
+let key_of (j : job) =
+  (j.j_workload.Workload.name, j.j_config, j.j_machine.Machine.name)
+
 (** Evaluate (and memoise) one cell, retrying transient failures with
     deterministic bounded backoff.  A cache miss runs under a per-cell
     [matrix] span (its tid is the evaluating pool domain) and bumps the
     [matrix.cells] / [matrix.retries] / [matrix.failures] counters. *)
-let run_workload_cell ?(machine = default_machine ()) (w : Workload.t)
-    ~(config : string) (opts : Compile.options) : cell =
-  let key = (w.Workload.name, config, machine.Machine.name) in
+let cell_of (j : job) : cell =
+  let key = key_of j in
   match cache_find key with
   | Some c -> c
   | None ->
+    let (workload, config, machine) = key in
     let obs = (current_ctx ()).Compile.obs in
     let c =
       Obs.span obs ~cat:"matrix"
         ~args:
-          [ ("workload", Obs.Str w.Workload.name);
+          [ ("workload", Obs.Str workload);
             ("config", Obs.Str config);
-            ("machine", Obs.Str machine.Machine.name);
+            ("machine", Obs.Str machine);
             ("domain", Obs.Int (Domain.self () :> int)) ]
-        (Printf.sprintf "%s/%s" w.Workload.name config)
+        (Printf.sprintf "%s/%s" workload config)
       @@ fun () ->
       let retries = max_retries () in
       let rec go attempt =
-        match attempt_run ~machine w ~config opts with
+        match attempt_run j with
         | Error d when d.Diag.transient && attempt <= retries ->
           Unix.sleepf (backoff_s attempt);
           go (attempt + 1)
@@ -158,41 +180,34 @@ let run_workload_cell ?(machine = default_machine ()) (w : Workload.t)
     cache_add key c;
     c
 
-(** The cell's result alone (what the table renderers consume). *)
-let run_workload_result ?machine (w : Workload.t) ~(config : string)
-    (opts : Compile.options) : (run_result, Diag.t) result =
-  (run_workload_cell ?machine w ~config opts).result
+(** The job's cell result (evaluated and memoised on a miss). *)
+let result_of (j : job) : (run_result, Diag.t) result = (cell_of j).result
+
+(* what [f] keeps of every memoised cell, sorted *)
+let snapshot f =
+  Mutex.lock cache_mutex;
+  let kept =
+    Hashtbl.fold
+      (fun key c acc -> match f key c with Some x -> x :: acc | None -> acc)
+      cache []
+  in
+  Mutex.unlock cache_mutex;
+  List.sort compare kept
 
 (** Every failed cell currently memoised, sorted for deterministic
     summaries: ((workload, config, machine), attempts, diagnostic). *)
 let failed_cells () : ((string * string * string) * int * Diag.t) list =
-  Mutex.lock cache_mutex;
-  let failed =
-    Hashtbl.fold
-      (fun key c acc ->
-        match c.result with
-        | Ok _ -> acc
-        | Error d -> (key, c.attempts, d) :: acc)
-      cache []
-  in
-  Mutex.unlock cache_mutex;
-  List.sort compare failed
+  snapshot (fun key c ->
+      match c.result with Ok _ -> None | Error d -> Some (key, c.attempts, d))
 
 (** Snapshot of every memoised cell's status, sorted:
     ((workload, config, machine), attempts, error code option). *)
 let cell_statuses () : ((string * string * string) * int * string option) list =
-  Mutex.lock cache_mutex;
-  let all =
-    Hashtbl.fold
-      (fun key c acc ->
-        let code =
-          match c.result with Ok _ -> None | Error d -> Some d.Diag.code
-        in
-        (key, c.attempts, code) :: acc)
-      cache []
-  in
-  Mutex.unlock cache_mutex;
-  List.sort compare all
+  snapshot (fun key c ->
+      let code =
+        match c.result with Ok _ -> None | Error d -> Some d.Diag.code
+      in
+      Some (key, c.attempts, code))
 
 (** Snapshot of every memoised cell that ran, with the two simulated
     metrics the regression baseline tracks, sorted:
@@ -200,23 +215,16 @@ let cell_statuses () : ((string * string * string) * int * string option) list =
     Simulation is deterministic, so these are exact across hosts and
     pool sizes. *)
 let cell_metrics () : ((string * string * string) * float * float) list =
-  Mutex.lock cache_mutex;
-  let all =
-    Hashtbl.fold
-      (fun key c acc ->
-        match c.result with
-        | Error _ -> acc
-        | Ok r ->
-          let cycles =
-            Array.fold_left
-              (fun a n -> a +. float_of_int n)
-              0.0 r.outcome.Sim.cycles_per_core
-          in
-          (key, cycles, Ledger.total r.outcome.Sim.energy) :: acc)
-      cache []
-  in
-  Mutex.unlock cache_mutex;
-  List.sort compare all
+  snapshot (fun key c ->
+      match c.result with
+      | Error _ -> None
+      | Ok r ->
+        let cycles =
+          Array.fold_left
+            (fun a n -> a +. float_of_int n)
+            0.0 r.outcome.Sim.cycles_per_core
+        in
+        Some (key, cycles, Ledger.total r.outcome.Sim.energy))
 
 (* ------------------------------------------------------------------ *)
 (* Error-aware cell rendering                                          *)
@@ -247,19 +255,6 @@ let fopt2 base c (f : run_result -> run_result -> float) : float option =
 (* The parallel evaluation matrix                                      *)
 (* ------------------------------------------------------------------ *)
 
-(** One cell of the evaluation matrix. *)
-type job = {
-  j_workload : Workload.t;
-  j_config : string;
-  j_opts : Compile.options;
-  j_machine : Machine.t;
-}
-
-let job ?machine (w : Workload.t) ~(config : string) (opts : Compile.options)
-    : job =
-  let machine = match machine with Some m -> m | None -> default_machine () in
-  { j_workload = w; j_config = config; j_opts = opts; j_machine = machine }
-
 (** [cross ?machine ws configs] — every workload under every (name, opts)
     configuration, the common matrix shape. *)
 let cross ?machine (ws : Workload.t list)
@@ -270,7 +265,7 @@ let cross ?machine (ws : Workload.t list)
 
 (** Compile+simulate every job over the domain pool, memoising the
     results; already-cached and duplicate triples are skipped.  After
-    [run_matrix], [run_workload_cell] on any of the jobs is a cache hit.
+    [run_matrix], [result_of] on any of the jobs is a cache hit.
     A failing cell never aborts the matrix: it is retried (bounded,
     deterministic backoff) when transient and otherwise memoised as a
     structured diagnostic for the renderers to show as [ERR(<code>)]. *)
@@ -279,9 +274,7 @@ let run_matrix ?pool (jobs : job list) : unit =
   let todo =
     List.filter
       (fun j ->
-        let key =
-          (j.j_workload.Workload.name, j.j_config, j.j_machine.Machine.name)
-        in
+        let key = key_of j in
         if Hashtbl.mem seen key then false
         else begin
           Hashtbl.replace seen key ();
@@ -294,12 +287,41 @@ let run_matrix ?pool (jobs : job list) : unit =
     ~args:[ ("jobs", Obs.Int (List.length todo)) ]
     "run_matrix"
   @@ fun () ->
-  Domain_pool.parallel_iter ?pool
-    (fun j ->
-      ignore
-        (run_workload_cell ~machine:j.j_machine j.j_workload ~config:j.j_config
-           j.j_opts))
-    todo
+  Domain_pool.parallel_iter ?pool (fun j -> ignore (cell_of j)) todo
+
+(* ------------------------------------------------------------------ *)
+(* Tables of rows over the matrix                                      *)
+(* ------------------------------------------------------------------ *)
+
+type row = { keys : string list; reference : job; compared : job }
+
+let row keys ~reference compared = { keys; reference; compared }
+let single keys j = { keys; reference = j; compared = j }
+
+type column =
+  | Reference of (run_result -> string)
+  | Compared of (run_result -> string)
+  | Pair of (run_result -> run_result -> string)
+
+(** Run every row's jobs on the matrix (reference first, row order),
+    then render one line per row: its keys, then its columns. *)
+let row_table ~title ~header ~aligns (columns : column list) (rows : row list)
+    : Table.t =
+  run_matrix (List.concat_map (fun r -> [ r.reference; r.compared ]) rows);
+  let tbl = Table.create ~title ~header ~aligns () in
+  List.iter
+    (fun r ->
+      let base = result_of r.reference and c = result_of r.compared in
+      Table.add_row tbl
+        (r.keys
+        @ List.map
+            (function
+              | Reference f -> scell base f
+              | Compared f -> scell c f
+              | Pair f -> scell2 base c f)
+            columns))
+    rows;
+  tbl
 
 let energy r = Ledger.total r.outcome.Sim.energy
 let time_ns r = r.outcome.Sim.duration_ns
@@ -310,6 +332,12 @@ let normalised ~base r = energy r /. energy base
 
 let fmt_ratio = Table.fmt_float ~digits:3
 
+(** Percentage by which [after] is below [before] (0 when [before] is). *)
+let reduction_pct ~before ~after =
+  Table.fmt_float ~digits:1
+    (if before = 0 then 0.0
+     else 100.0 *. float_of_int (before - after) /. float_of_int before)
+
 (** Count non-empty source lines of a workload. *)
 let source_loc (w : Workload.t) =
   String.split_on_char '\n' w.Workload.source
@@ -318,11 +346,9 @@ let source_loc (w : Workload.t) =
 
 let all_workloads = Lp_workloads.Suite.all
 
-let geomean_of xs = Lp_util.Stats.geomean xs
-
 (** Geomean over aggregate values that survived their cells failing;
     ["-"] when every contributing cell failed. *)
 let geomean_str (vals : float option list) : string =
   match List.filter_map Fun.id vals with
   | [] -> "-"
-  | xs -> fmt_ratio (geomean_of xs)
+  | xs -> fmt_ratio (Lp_util.Stats.geomean xs)

@@ -1,10 +1,11 @@
 (** Shared plumbing for the evaluation experiments (tables T1-T5, figures
-    F1-F6): the parallel evaluation matrix, its memo cache, graceful
-    degradation of failed cells, and the cell-rendering helpers.
+    F1-F6, A1-A3) and the machine-zoo sweep: the parallel evaluation
+    matrix, its memo cache, graceful degradation of failed cells, the
+    cell-rendering helpers and the row tables built on them.
 
     The memo cache itself (hashtable, mutex, insert policy) is private to
     the implementation; callers interact with it only through
-    {!run_matrix} / {!run_workload_cell} (fill), {!clear_cache} (drop) and
+    {!run_matrix} / {!result_of} (fill), {!clear_cache} (drop) and
     the {!failed_cells} / {!cell_statuses} snapshots. *)
 
 (** Aliases shared by every experiment module ([open Exp_common] brings
@@ -72,23 +73,29 @@ val max_retries : unit -> int
     can pin the schedule (= {!Lp_util.Backoff.backoff_s}). *)
 val backoff_s : int -> float
 
-(** Evaluate (and memoise) one cell, retrying transient failures with
-    deterministic bounded backoff.  A cache miss runs under a per-cell
-    [matrix] span when the installed context's recorder is enabled. *)
-val run_workload_cell :
-  ?machine:Machine.t ->
-  Workload.t ->
-  config:string ->
-  Compile.options ->
-  cell
+(** One cell of the evaluation matrix.  Experiments build each job once,
+    pass it to {!run_matrix} and read its cell back through it
+    ({!result_of}); the memo key is the (workload, config, machine)
+    names. *)
+type job = {
+  j_workload : Workload.t;
+  j_config : string;
+  j_opts : Compile.options;
+  j_machine : Machine.t;
+}
+
+(** The machine defaults to {!default_machine}. *)
+val job : ?machine:Machine.t -> Workload.t -> config:string -> Compile.options -> job
+
+(** Evaluate (and memoise) the job's cell, retrying transient failures
+    with deterministic bounded backoff.  A cache miss runs under a
+    per-cell [matrix] span when the installed context's recorder is
+    enabled, and records its audit-report events under the scope
+    [workload/config@machine]. *)
+val cell_of : job -> cell
 
 (** The cell's result alone (what the table renderers consume). *)
-val run_workload_result :
-  ?machine:Machine.t ->
-  Workload.t ->
-  config:string ->
-  Compile.options ->
-  (run_result, Diag.t) result
+val result_of : job -> (run_result, Diag.t) result
 
 (** Every failed cell currently memoised, sorted for deterministic
     summaries: ((workload, config, machine), attempts, diagnostic). *)
@@ -107,9 +114,6 @@ val cell_statuses :
 val cell_metrics : unit -> ((string * string * string) * float * float) list
 
 (** {2 Error-aware cell rendering} *)
-
-(** How a failed cell renders in a table. *)
-val err_str : Diag.t -> string
 
 (** Format a cell: the metric when it ran, [ERR(<code>)] when it
     failed. *)
@@ -133,16 +137,6 @@ val fopt2 :
 
 (** {2 The parallel evaluation matrix} *)
 
-(** One cell of the evaluation matrix. *)
-type job = {
-  j_workload : Workload.t;
-  j_config : string;
-  j_opts : Compile.options;
-  j_machine : Machine.t;
-}
-
-val job : ?machine:Machine.t -> Workload.t -> config:string -> Compile.options -> job
-
 (** [cross ?machine ws configs] — every workload under every (name, opts)
     configuration, the common matrix shape. *)
 val cross :
@@ -153,11 +147,43 @@ val cross :
 
 (** Compile+simulate every job over the domain pool, memoising the
     results; already-cached and duplicate triples are skipped.  After
-    [run_matrix], [run_workload_cell] on any of the jobs is a cache hit.
+    [run_matrix], {!result_of} on any of the jobs is a cache hit.
     A failing cell never aborts the matrix: it is retried (bounded,
     deterministic backoff) when transient and otherwise memoised as a
     structured diagnostic for the renderers to show as [ERR(<code>)]. *)
 val run_matrix : ?pool:Domain_pool.t -> job list -> unit
+
+(** {2 Tables of rows}
+
+    Most tables compare two cells per line: a reference and the cell
+    compared with it (a line that reads one cell names it as both). *)
+
+(** A line's leading key cells and its two jobs. *)
+type row = { keys : string list; reference : job; compared : job }
+
+val row : string list -> reference:job -> job -> row
+
+(** A row that reads one cell: [reference] and [compared] are [job]. *)
+val single : string list -> job -> row
+
+(** What a column renders from a row's cells.  A failed side renders as
+    [ERR(<code>)], exactly as {!scell} (one side) and {!scell2} (the
+    pair: the compared side's code wins). *)
+type column =
+  | Reference of (run_result -> string)
+  | Compared of (run_result -> string)
+  | Pair of (run_result -> run_result -> string)
+
+(** Run every row's jobs on the matrix, then render one line per row:
+    its keys followed by its columns.  [header] and [aligns] cover the
+    key columns too. *)
+val row_table :
+  title:string ->
+  header:string list ->
+  aligns:Table.align list ->
+  column list ->
+  row list ->
+  Table.t
 
 (** {2 Metrics and formatting} *)
 
@@ -170,12 +196,14 @@ val normalised : base:run_result -> run_result -> float
 
 val fmt_ratio : float -> string
 
+(** Percentage by which [after] is below [before], one decimal; ["0.0"]
+    when [before] is 0. *)
+val reduction_pct : before:int -> after:int -> string
+
 (** Count non-empty source lines of a workload. *)
 val source_loc : Workload.t -> int
 
 val all_workloads : Workload.t list
-
-val geomean_of : float list -> float
 
 (** Geomean over aggregate values that survived their cells failing;
     ["-"] when every contributing cell failed. *)

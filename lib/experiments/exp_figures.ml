@@ -4,7 +4,13 @@
 open Exp_common
 module T = Lp_transforms
 module Power_model = Lp_power.Power_model
-module Operating_point = Lp_power.Operating_point
+
+let find = Lp_workloads.Suite.find_exn
+
+(* the metrics the figures compare a cell with its reference by *)
+let speedup b r = Table.fmt_float ~digits:2 (time_ns b /. time_ns r)
+let energy_ratio b r = fmt_ratio (energy r /. energy b)
+let time_ratio b r = fmt_ratio (time_ns r /. time_ns b)
 
 (* ------------------------------------------------------------------ *)
 (* F1: speedup & energy vs core count                                  *)
@@ -13,62 +19,44 @@ module Operating_point = Lp_power.Operating_point
 let f1_core_counts = [ 1; 2; 4; 8 ]
 
 let f1 () : Table.t =
-  let reps =
-    List.map Lp_workloads.Suite.find_exn Lp_workloads.Suite.representative
-  in
-  run_matrix
-    (cross ~machine:(machine_with_cores 1) reps
-       [ ("baseline-1c", Compile.baseline) ]
-    @ List.concat_map
-        (fun n ->
-          cross ~machine:(machine_with_cores n) reps
-            [ (Printf.sprintf "full-%dc" n, Compile.full ~n_cores:n) ])
-        f1_core_counts);
-  let tbl =
-    Table.create
-      ~title:
-        "F1: Scaling with core count (full config; speedup and energy vs \
-         1-core baseline)"
-      ~header:[ "workload"; "cores"; "speedup"; "energy ratio"; "edp ratio" ]
-      ~aligns:Table.[ Left; Right; Right; Right; Right ]
-      ()
-  in
-  List.iter
-    (fun name ->
-      let w = Lp_workloads.Suite.find_exn name in
-      let base =
-        run_workload_result ~machine:(machine_with_cores 1) w
-          ~config:"baseline-1c" Compile.baseline
-      in
-      List.iter
-        (fun n ->
-          let machine = machine_with_cores n in
-          let c =
-            run_workload_result ~machine w
-              ~config:(Printf.sprintf "full-%dc" n)
-              (Compile.full ~n_cores:n)
-          in
-          Table.add_row tbl
-            [
-              name;
-              string_of_int n;
-              scell2 base c (fun b r ->
-                  Table.fmt_float ~digits:2 (time_ns b /. time_ns r));
-              scell2 base c (fun b r -> fmt_ratio (energy r /. energy b));
-              scell2 base c (fun b r -> fmt_ratio (edp r /. edp b));
-            ])
-        f1_core_counts)
-    Lp_workloads.Suite.representative;
-  tbl
+  row_table
+    ~title:
+      "F1: Scaling with core count (full config; speedup and energy vs \
+       1-core baseline)"
+    ~header:[ "workload"; "cores"; "speedup"; "energy ratio"; "edp ratio" ]
+    ~aligns:Table.[ Left; Right; Right; Right; Right ]
+    [ Pair speedup; Pair energy_ratio;
+      Pair (fun b r -> fmt_ratio (edp r /. edp b)) ]
+    (List.concat_map
+       (fun name ->
+         let w = find name in
+         let reference =
+           job ~machine:(machine_with_cores 1) w ~config:"baseline-1c"
+             Compile.baseline
+         in
+         List.map
+           (fun n ->
+             row [ name; string_of_int n ] ~reference
+               (job ~machine:(machine_with_cores n) w
+                  ~config:(Printf.sprintf "full-%dc" n)
+                  (Compile.full ~n_cores:n)))
+           f1_core_counts)
+       Lp_workloads.Suite.representative)
 
 (* ------------------------------------------------------------------ *)
 (* F2: energy-delay product                                            *)
 (* ------------------------------------------------------------------ *)
 
 let f2 () : Table.t =
-  run_matrix
-    (cross all_workloads
-       [ ("baseline", Compile.baseline); ("full", Compile.full ~n_cores:4) ]);
+  let rows =
+    List.map
+      (fun (w : Workload.t) ->
+        ( w,
+          job w ~config:"baseline" Compile.baseline,
+          job w ~config:"full" (Compile.full ~n_cores:4) ))
+      all_workloads
+  in
+  run_matrix (List.concat_map (fun (_, b, f) -> [ b; f ]) rows);
   let tbl =
     Table.create
       ~title:"F2: Energy-delay product, full vs baseline (lower is better)"
@@ -76,21 +64,21 @@ let f2 () : Table.t =
       ~aligns:Table.[ Left; Right; Right; Right ]
       ()
   in
-  let ratios = ref [] in
-  List.iter
-    (fun (w : Workload.t) ->
-      let base = run_workload_result w ~config:"baseline" Compile.baseline in
-      let full = run_workload_result w ~config:"full" (Compile.full ~n_cores:4) in
-      ratios := fopt2 base full (fun b r -> edp r /. edp b) :: !ratios;
-      Table.add_row tbl
-        [
-          w.Workload.name;
-          scell base (fun b -> Table.fmt_float ~digits:1 (edp b));
-          scell full (fun r -> Table.fmt_float ~digits:1 (edp r));
-          scell2 base full (fun b r -> fmt_ratio (edp r /. edp b));
-        ])
-    all_workloads;
-  Table.add_row tbl [ "geomean"; "-"; "-"; geomean_str !ratios ];
+  let ratios =
+    List.fold_left
+      (fun acc ((w : Workload.t), b, f) ->
+        let base = result_of b and full = result_of f in
+        Table.add_row tbl
+          [
+            w.Workload.name;
+            scell base (fun b -> Table.fmt_float ~digits:1 (edp b));
+            scell full (fun r -> Table.fmt_float ~digits:1 (edp r));
+            scell2 base full (fun b r -> fmt_ratio (edp r /. edp b));
+          ];
+        fopt2 base full (fun b r -> edp r /. edp b) :: acc)
+      [] rows
+  in
+  Table.add_row tbl [ "geomean"; "-"; "-"; geomean_str ratios ];
   tbl
 
 (* ------------------------------------------------------------------ *)
@@ -98,48 +86,29 @@ let f2 () : Table.t =
 (* ------------------------------------------------------------------ *)
 
 let f3 () : Table.t =
-  run_matrix
-    (cross
-       (List.map Lp_workloads.Suite.find_exn Lp_workloads.Suite.representative)
-       [ ("baseline", Compile.baseline); ("full", Compile.full ~n_cores:4) ]);
-  let tbl =
-    Table.create
-      ~title:"F3: Energy breakdown by category (uJ), baseline vs full"
-      ~header:
-        [ "workload"; "config"; "dynamic"; "leak-active"; "leak-idle";
-          "gate-ovh"; "dvfs-ovh"; "comm"; "total" ]
-      ~aligns:
-        Table.[ Left; Left; Right; Right; Right; Right; Right; Right; Right ]
-      ()
-  in
   let module L = Lp_power.Energy_ledger in
-  List.iter
-    (fun name ->
-      let w = Lp_workloads.Suite.find_exn name in
-      List.iter
-        (fun (cfg, opts) ->
-          let c = run_workload_result w ~config:cfg opts in
-          let cell cat =
-            scell c (fun r ->
-                Table.fmt_float ~digits:1
-                  (L.of_category r.outcome.Sim.energy cat /. 1e3))
-          in
-          Table.add_row tbl
-            [
-              name; cfg;
-              cell L.Dynamic;
-              cell L.Leakage_active;
-              cell L.Leakage_idle;
-              cell L.Gating_overhead;
-              cell L.Dvfs_overhead;
-              cell L.Communication;
-              scell c (fun r ->
-                  Table.fmt_float ~digits:1
-                    (L.total r.outcome.Sim.energy /. 1e3));
-            ])
-        [ ("baseline", Compile.baseline); ("full", Compile.full ~n_cores:4) ])
-    Lp_workloads.Suite.representative;
-  tbl
+  let uj f =
+    Compared
+      (fun r -> Table.fmt_float ~digits:1 (f r.outcome.Sim.energy /. 1e3))
+  in
+  let cat c = uj (fun e -> L.of_category e c) in
+  row_table ~title:"F3: Energy breakdown by category (uJ), baseline vs full"
+    ~header:
+      [ "workload"; "config"; "dynamic"; "leak-active"; "leak-idle";
+        "gate-ovh"; "dvfs-ovh"; "comm"; "total" ]
+    ~aligns:
+      Table.[ Left; Left; Right; Right; Right; Right; Right; Right; Right ]
+    [ cat L.Dynamic; cat L.Leakage_active; cat L.Leakage_idle;
+      cat L.Gating_overhead; cat L.Dvfs_overhead; cat L.Communication;
+      uj L.total ]
+    (List.concat_map
+       (fun name ->
+         List.map
+           (fun (cfg, opts) ->
+             single [ name; cfg ] (job (find name) ~config:cfg opts))
+           [ ("baseline", Compile.baseline);
+             ("full", Compile.full ~n_cores:4) ])
+       Lp_workloads.Suite.representative)
 
 (* ------------------------------------------------------------------ *)
 (* F4: sensitivity to the gating break-even threshold                  *)
@@ -151,52 +120,37 @@ let f4_workloads = [ "phases"; "jpegblocks"; "fft" ]
 (** The sweep runs on a leakage-heavy technology node (3x leakage) where
     the break-even threshold actually arbitrates: too eager (small scale)
     pays transition overhead on short regions, too conservative (large
-    scale) leaves leakage on the table. *)
-let f4_config scale = Printf.sprintf "pg-be%.4f" scale
-
-let f4_opts scale =
-  Compile.Options.update
-    ~gating_opts:
-      { T.Gating.default_options with T.Gating.break_even_scale = scale }
-    Compile.pg_only
-
+    scale) leaves leakage on the table.  Energy is normalised to
+    scale 1.0, itself one of the scales. *)
 let f4 () : Table.t =
-  let power = Power_model.leaky () in
-  let machine = Lp_machine.Machine.generic ~n_cores:4 ~power () in
-  run_matrix
-    (cross ~machine
-       (List.map Lp_workloads.Suite.find_exn f4_workloads)
-       (List.map (fun s -> (f4_config s, f4_opts s)) (1.0 :: f4_scales)));
-  let tbl =
-    Table.create
-      ~title:
-        "F4: Gating break-even threshold sweep (pg-only, leaky node; \
-         energy normalised to scale=1.0)"
-      ~header:[ "workload"; "scale"; "energy ratio"; "gate transitions" ]
-      ~aligns:Table.[ Left; Right; Right; Right ]
-      ()
+  let machine =
+    Lp_machine.Machine.generic ~n_cores:4 ~power:(Power_model.leaky ()) ()
   in
-  List.iter
-    (fun name ->
-      let w = Lp_workloads.Suite.find_exn name in
-      let run scale =
-        run_workload_result ~machine w ~config:(f4_config scale) (f4_opts scale)
-      in
-      let reference = run 1.0 in
-      List.iter
-        (fun scale ->
-          let c = run scale in
-          Table.add_row tbl
-            [
-              name;
-              Table.fmt_float ~digits:4 scale;
-              scell2 reference c (fun b r ->
-                  fmt_ratio (energy r /. energy b));
-              scell c (fun r -> string_of_int r.outcome.Sim.gate_transitions);
-            ])
-        f4_scales)
-    f4_workloads;
-  tbl
+  let at w scale =
+    job ~machine w
+      ~config:(Printf.sprintf "pg-be%.4f" scale)
+      (Compile.Options.update
+         ~gating_opts:
+           { T.Gating.default_options with T.Gating.break_even_scale = scale }
+         Compile.pg_only)
+  in
+  row_table
+    ~title:
+      "F4: Gating break-even threshold sweep (pg-only, leaky node; \
+       energy normalised to scale=1.0)"
+    ~header:[ "workload"; "scale"; "energy ratio"; "gate transitions" ]
+    ~aligns:Table.[ Left; Right; Right; Right ]
+    [ Pair energy_ratio;
+      Compared (fun r -> string_of_int r.outcome.Sim.gate_transitions) ]
+    (List.concat_map
+       (fun name ->
+         let w = find name in
+         List.map
+           (fun scale ->
+             row [ name; Table.fmt_float ~digits:4 scale ]
+               ~reference:(at w 1.0) (at w scale))
+           f4_scales)
+       f4_workloads)
 
 (* ------------------------------------------------------------------ *)
 (* F5: number of DVFS operating points                                 *)
@@ -205,97 +159,62 @@ let f4 () : Table.t =
 let f5_levels = [ 2; 3; 4; 6 ]
 let f5_workloads = [ "histogram"; "imgpipe"; "jpegblocks" ]
 
-let f5_machine levels =
-  let power = Power_model.default ~n_levels:levels () in
-  Lp_machine.Machine.generic ~n_cores:4 ~power ()
-
-let f5_config levels = Printf.sprintf "full-L%d" levels
-
 let f5 () : Table.t =
-  run_matrix
-    (List.concat_map
-       (fun levels ->
-         cross ~machine:(f5_machine levels)
-           (List.map Lp_workloads.Suite.find_exn f5_workloads)
-           [ (f5_config levels, Compile.full ~n_cores:4) ])
-       f5_levels);
-  let tbl =
-    Table.create
-      ~title:
-        "F5: Energy vs number of V/f operating points (full config; \
-         normalised to the 2-point machine)"
-      ~header:[ "workload"; "levels"; "energy ratio"; "time ratio" ]
-      ~aligns:Table.[ Left; Right; Right; Right ]
-      ()
+  let at w levels =
+    job
+      ~machine:
+        (Lp_machine.Machine.generic ~n_cores:4
+           ~power:(Power_model.default ~n_levels:levels ())
+           ())
+      w
+      ~config:(Printf.sprintf "full-L%d" levels)
+      (Compile.full ~n_cores:4)
   in
-  List.iter
-    (fun name ->
-      let w = Lp_workloads.Suite.find_exn name in
-      let run levels =
-        run_workload_result ~machine:(f5_machine levels) w
-          ~config:(f5_config levels) (Compile.full ~n_cores:4)
-      in
-      let reference = run 2 in
-      List.iter
-        (fun levels ->
-          let c = run levels in
-          Table.add_row tbl
-            [
-              name;
-              string_of_int levels;
-              scell2 reference c (fun b r -> fmt_ratio (energy r /. energy b));
-              scell2 reference c (fun b r ->
-                  fmt_ratio (time_ns r /. time_ns b));
-            ])
-        f5_levels)
-    f5_workloads;
-  tbl
+  row_table
+    ~title:
+      "F5: Energy vs number of V/f operating points (full config; \
+       normalised to the 2-point machine)"
+    ~header:[ "workload"; "levels"; "energy ratio"; "time ratio" ]
+    ~aligns:Table.[ Left; Right; Right; Right ]
+    [ Pair energy_ratio; Pair time_ratio ]
+    (List.concat_map
+       (fun name ->
+         let w = find name in
+         List.map
+           (fun levels ->
+             row [ name; string_of_int levels ] ~reference:(at w 2)
+               (at w levels))
+           f5_levels)
+       f5_workloads)
 
 (* ------------------------------------------------------------------ *)
 (* F6: Sink-N-Hoist ablation                                           *)
 (* ------------------------------------------------------------------ *)
 
-let f6_no_merge_opts =
-  Compile.Options.update ~sink_n_hoist:false Compile.pg_only
-
 let f6 () : Table.t =
-  run_matrix
-    (cross all_workloads
-       [ ("pg-nomerge", f6_no_merge_opts); ("pg", Compile.pg_only) ]);
-  let tbl =
-    Table.create
-      ~title:
-        "F6: Sink-N-Hoist ablation (pg-only with and without the merge)"
-      ~header:
-        [ "workload"; "gate toggles (no merge)"; "gate toggles (merge)";
-          "reduction%"; "energy ratio (merge/no)"; "transitions (no)";
-          "transitions (merge)" ]
-      ~aligns:Table.[ Left; Right; Right; Right; Right; Right; Right ]
-      ()
+  let toggles r =
+    r.compiled.Compile.gating_after_merge.T.Gating.components_toggled
   in
-  List.iter
-    (fun (w : Workload.t) ->
-      let nm = run_workload_result w ~config:"pg-nomerge" f6_no_merge_opts in
-      let m = run_workload_result w ~config:"pg" Compile.pg_only in
-      let count (c : Compile.compiled) =
-        c.Compile.gating_after_merge.T.Gating.components_toggled
-      in
-      Table.add_row tbl
-        [
-          w.Workload.name;
-          scell nm (fun r -> string_of_int (count r.compiled));
-          scell m (fun r -> string_of_int (count r.compiled));
-          scell2 nm m (fun n r ->
-              let pre = count n.compiled and post = count r.compiled in
-              Table.fmt_float ~digits:1
-                (if pre = 0 then 0.0
-                 else 100.0 *. float_of_int (pre - post) /. float_of_int pre));
-          scell2 nm m (fun n r -> fmt_ratio (energy r /. energy n));
-          scell nm (fun r -> string_of_int r.outcome.Sim.gate_transitions);
-          scell m (fun r -> string_of_int r.outcome.Sim.gate_transitions);
-        ])
-    all_workloads;
-  tbl
+  let transitions r = string_of_int r.outcome.Sim.gate_transitions in
+  row_table
+    ~title:"F6: Sink-N-Hoist ablation (pg-only with and without the merge)"
+    ~header:
+      [ "workload"; "gate toggles (no merge)"; "gate toggles (merge)";
+        "reduction%"; "energy ratio (merge/no)"; "transitions (no)";
+        "transitions (merge)" ]
+    ~aligns:Table.[ Left; Right; Right; Right; Right; Right; Right ]
+    [ Reference (fun r -> string_of_int (toggles r));
+      Compared (fun r -> string_of_int (toggles r));
+      Pair (fun n r -> reduction_pct ~before:(toggles n) ~after:(toggles r));
+      Pair energy_ratio; Reference transitions; Compared transitions ]
+    (List.map
+       (fun (w : Workload.t) ->
+         row [ w.Workload.name ]
+           ~reference:
+             (job w ~config:"pg-nomerge"
+                (Compile.Options.update ~sink_n_hoist:false Compile.pg_only))
+           (job w ~config:"pg" Compile.pg_only))
+       all_workloads)
 
 (* ------------------------------------------------------------------ *)
 (* A1: machine sensitivity (extension beyond the reconstructed set)    *)
@@ -311,50 +230,23 @@ let a1 () : Table.t =
       Lp_machine.Machine.generic ~n_cores:4 ();
       Lp_machine.Machine.octa_leaky () ]
   in
-  run_matrix
+  row_table
+    ~title:"A1: Machine sensitivity — full vs baseline on three machine models"
+    ~header:[ "workload"; "machine"; "cores"; "speedup"; "energy ratio" ]
+    ~aligns:Table.[ Left; Left; Right; Right; Right ]
+    [ Pair speedup; Pair energy_ratio ]
     (List.concat_map
-       (fun machine ->
-         cross ~machine
-           (List.map Lp_workloads.Suite.find_exn a1_workloads)
-           [ ("baseline", Compile.baseline);
-             ( "full-native",
-               Compile.full
-                 ~n_cores:(Lp_machine.Machine.n_cores machine) ) ])
-       machines);
-  let tbl =
-    Table.create
-      ~title:
-        "A1: Machine sensitivity — full vs baseline on three machine models"
-      ~header:
-        [ "workload"; "machine"; "cores"; "speedup"; "energy ratio" ]
-      ~aligns:Table.[ Left; Left; Right; Right; Right ]
-      ()
-  in
-  List.iter
-    (fun name ->
-      let w = Lp_workloads.Suite.find_exn name in
-      List.iter
-        (fun machine ->
-          let base =
-            run_workload_result ~machine w ~config:"baseline" Compile.baseline
-          in
-          let full =
-            run_workload_result ~machine w ~config:"full-native"
-              (Compile.full ~n_cores:(Lp_machine.Machine.n_cores machine))
-          in
-          Table.add_row tbl
-            [
-              name;
-              machine.Lp_machine.Machine.name;
-              string_of_int (Lp_machine.Machine.n_cores machine);
-              scell2 base full (fun b r ->
-                  Table.fmt_float ~digits:2 (time_ns b /. time_ns r));
-              scell2 base full (fun b r -> fmt_ratio (energy r /. energy b));
-            ])
-        machines)
-    a1_workloads;
-  tbl
-
+       (fun name ->
+         let w = find name in
+         List.map
+           (fun machine ->
+             let n_cores = Lp_machine.Machine.n_cores machine in
+             row
+               [ name; machine.Lp_machine.Machine.name; string_of_int n_cores ]
+               ~reference:(job ~machine w ~config:"baseline" Compile.baseline)
+               (job ~machine w ~config:"full-native" (Compile.full ~n_cores)))
+           machines)
+       a1_workloads)
 
 (* ------------------------------------------------------------------ *)
 (* A2: block vs cyclic doall distribution (extension)                  *)
@@ -366,43 +258,23 @@ let a1 () : Table.t =
 let a2_workloads = [ "tri"; "fir"; "conv2d" ]
 
 let a2 () : Table.t =
-  let ws = List.map Lp_workloads.Suite.find_exn a2_workloads in
-  run_matrix
-    (cross ws
-       (("baseline", Compile.baseline)
-       :: List.map
-            (fun (dname, dist) ->
-              ( "full-" ^ dname,
-                Compile.Options.update ~distribution:dist (Compile.full ~n_cores:4) ))
-            [ ("block", T.Parallelize.Block); ("cyclic", T.Parallelize.Cyclic) ]));
-  let tbl =
-    Table.create
-      ~title:"A2: doall distribution ablation — block vs cyclic (full, 4 cores)"
-      ~header:[ "workload"; "distribution"; "speedup"; "energy ratio" ]
-      ~aligns:Table.[ Left; Left; Right; Right ]
-      ()
-  in
-  List.iter
-    (fun name ->
-      let w = Lp_workloads.Suite.find_exn name in
-      let base = run_workload_result w ~config:"baseline" Compile.baseline in
-      List.iter
-        (fun (dname, dist) ->
-          let opts =
-            Compile.Options.update ~distribution:dist (Compile.full ~n_cores:4)
-          in
-          let c = run_workload_result w ~config:("full-" ^ dname) opts in
-          Table.add_row tbl
-            [
-              name; dname;
-              scell2 base c (fun b r ->
-                  Table.fmt_float ~digits:2 (time_ns b /. time_ns r));
-              scell2 base c (fun b r -> fmt_ratio (energy r /. energy b));
-            ])
-        [ ("block", T.Parallelize.Block); ("cyclic", T.Parallelize.Cyclic) ])
-    a2_workloads;
-  tbl
-
+  row_table
+    ~title:"A2: doall distribution ablation — block vs cyclic (full, 4 cores)"
+    ~header:[ "workload"; "distribution"; "speedup"; "energy ratio" ]
+    ~aligns:Table.[ Left; Left; Right; Right ]
+    [ Pair speedup; Pair energy_ratio ]
+    (List.concat_map
+       (fun name ->
+         let w = find name in
+         List.map
+           (fun (dname, distribution) ->
+             row [ name; dname ]
+               ~reference:(job w ~config:"baseline" Compile.baseline)
+               (job w ~config:("full-" ^ dname)
+                  (Compile.Options.update ~distribution
+                     (Compile.full ~n_cores:4))))
+           [ ("block", T.Parallelize.Block); ("cyclic", T.Parallelize.Cyclic) ])
+       a2_workloads)
 
 (* ------------------------------------------------------------------ *)
 (* A3: completion-sync ablation (extension)                            *)
@@ -414,38 +286,19 @@ let a2 () : Table.t =
 let a3_workloads = [ "fir"; "conv2d"; "fft" ]
 
 let a3 () : Table.t =
-  run_matrix
-    (cross
-       (List.map Lp_workloads.Suite.find_exn a3_workloads)
-       (List.map
-          (fun (sync, cfg) ->
-            (cfg, Compile.Options.update ~sync (Compile.full ~n_cores:4)))
-          [ (T.Parallelize.Done_channel, "full");
-            (T.Parallelize.Barrier_sync, "full-barrier") ]));
-  let tbl =
-    Table.create
-      ~title:"A3: doall completion sync — done-channel vs barrier (full, 4 cores)"
-      ~header:[ "workload"; "sync"; "time ratio"; "energy ratio" ]
-      ~aligns:Table.[ Left; Left; Right; Right ]
-      ()
-  in
-  List.iter
-    (fun name ->
-      let w = Lp_workloads.Suite.find_exn name in
-      let run sync cfg =
-        run_workload_result w ~config:cfg
-          (Compile.Options.update ~sync (Compile.full ~n_cores:4))
-      in
-      let dc = run T.Parallelize.Done_channel "full" in
-      let bar = run T.Parallelize.Barrier_sync "full-barrier" in
-      List.iter
-        (fun (nm, c) ->
-          Table.add_row tbl
-            [
-              name; nm;
-              scell2 dc c (fun b r -> fmt_ratio (time_ns r /. time_ns b));
-              scell2 dc c (fun b r -> fmt_ratio (energy r /. energy b));
-            ])
-        [ ("done-chan", dc); ("barrier", bar) ])
-    a3_workloads;
-  tbl
+  row_table
+    ~title:"A3: doall completion sync — done-channel vs barrier (full, 4 cores)"
+    ~header:[ "workload"; "sync"; "time ratio"; "energy ratio" ]
+    ~aligns:Table.[ Left; Left; Right; Right ]
+    [ Pair time_ratio; Pair energy_ratio ]
+    (List.concat_map
+       (fun name ->
+         let at sync config =
+           job (find name) ~config
+             (Compile.Options.update ~sync (Compile.full ~n_cores:4))
+         in
+         let done_chan = at T.Parallelize.Done_channel "full" in
+         [ row [ name; "done-chan" ] ~reference:done_chan done_chan;
+           row [ name; "barrier" ] ~reference:done_chan
+             (at T.Parallelize.Barrier_sync "full-barrier") ])
+       a3_workloads)

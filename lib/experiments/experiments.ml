@@ -1,5 +1,6 @@
 (** Registry of all evaluation experiments.  [bench/main.exe] runs every
-    entry; [bench/main.exe t3] (etc.) runs one. *)
+    entry; [bench/main.exe t3] (etc.) runs one.  The machine-zoo sweep
+    ({!Sweep}) is not an entry: [lpcc sweep] drives it. *)
 
 type entry = {
   id : string;
@@ -30,16 +31,9 @@ let all : entry list =
       run = Exp_figures.a3 };
   ]
 
-let find id = List.find_opt (fun e -> e.id = id) all
-
 (** Run one entry, returning the table and the wall-clock seconds it took
     (wall, not CPU: the matrix may have fanned out over several domains). *)
 let run_timed (e : entry) : Lp_util.Table.t * float =
   let t0 = Unix.gettimeofday () in
   let table = e.run () in
   (table, Unix.gettimeofday () -. t0)
-
-let run_and_print (e : entry) =
-  let (table, seconds) = run_timed e in
-  Lp_util.Table.print table;
-  Printf.printf "(%s finished in %.1fs)\n\n%!" e.id seconds

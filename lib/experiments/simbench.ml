@@ -58,10 +58,9 @@ let bench_machine () = Machine.generic ~n_cores:bench_cores ()
 let bench_config_name = "full"
 let bench_config () = Compile.full ~n_cores:bench_cores
 
-let simulate compiled ~machine ~predecode =
-  Sim.run
-    ~opts:{ Sim.default_options with Sim.predecode }
-    ~machine compiled.Compile.prog
+(* the product's simulation path ({!Compile.simulate_compiled}: unused-core
+   gating as the compile options say), with the stepper chosen here *)
+let sim_opts ~predecode = { Sim.default_options with Sim.predecode }
 
 (* ------------------------------------------------------------------ *)
 (* Throughput measurement                                              *)
@@ -96,14 +95,18 @@ let measure ?(min_wall_s = 0.2) ?(min_runs = 3) () : t =
         | exception _ -> None (* mode-independent: compilation never
                                  touches the simulator *)
         | compiled -> (
-          match simulate compiled ~machine ~predecode:true with
+          match
+            Compile.simulate_compiled ~sim_opts:(sim_opts ~predecode:true)
+              compiled
+          with
           | exception _ -> None
           | o ->
             let instrs = o.Sim.instr_total in
             let stats predecode =
               let (runs, wall_s) =
                 time_mode ~min_wall_s ~min_runs (fun () ->
-                    simulate compiled ~machine ~predecode)
+                    Compile.simulate_compiled ~sim_opts:(sim_opts ~predecode)
+                      compiled)
               in
               {
                 runs;
@@ -169,10 +172,7 @@ let metrics ~predecode () : J.t =
     let opts = Compile.full ~n_cores:(Machine.n_cores machine) in
     match
       Result.bind (Compile.compile_result ~opts ~machine w.Workload.source)
-        (fun compiled ->
-          Sim.run_result
-            ~opts:{ Sim.default_options with Sim.predecode }
-            ~machine compiled.Compile.prog)
+        (Compile.simulate_result ~sim_opts:(sim_opts ~predecode))
     with
     | Error d -> J.Obj (key @ [ ("status", J.Str d.Lp_util.Diag.code) ])
     | Ok o ->

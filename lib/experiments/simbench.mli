@@ -29,7 +29,8 @@ type t = {
 }
 
 (** Time both simulator modes over every workload of the committed
-    suite ([Compile.full] on the 4-core generic machine).  Each mode of
+    suite ([Compile.full] on the 4-core generic machine, simulated
+    through {!Lowpower.Compile.simulate_compiled}).  Each mode of
     each workload gets one warm-up run, then repeats until both floors
     are met ([min_wall_s] seconds of wall-clock, default 0.2, and
     [min_runs] repetitions, default 3). *)
@@ -39,7 +40,10 @@ val measure : ?min_wall_s:float -> ?min_runs:int -> unit -> t
     machine ([Compile.full] on all of the machine's cores): cycles,
     duration, instructions, steps and the full energy ledger, or the
     diagnostic code of a cell that fails (an FPU workload on a machine
-    without one).  Schema [lowpower-sim-metrics/2].  No wall-clock, no
+    without one).  Each cell simulates through
+    {!Lowpower.Compile.simulate_result}, the path every entry point
+    takes, so it equals the sweep's [full] cell on that machine.  Schema
+    [lowpower-sim-metrics/2].  No wall-clock, no
     mode marker: CI writes this once per simulator mode and diffs the
     two files byte-for-byte. *)
 val metrics : predecode:bool -> unit -> Lp_util.Json.t

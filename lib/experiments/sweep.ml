@@ -61,44 +61,32 @@ let run ?pool ?(machines = default_machines)
     ?(workloads = Lp_workloads.Suite.names) () : t =
   let ms = List.map machine_of_exn machines in
   let ws = List.map Lp_workloads.Suite.find_exn workloads in
-  Exp_common.run_matrix ?pool
-    (List.concat_map
-       (fun m -> Exp_common.cross ~machine:m ws (configs_for m))
-       ms);
-  let cells =
+  let jobs =
     List.concat_map
-      (fun w ->
-        List.concat_map
-          (fun m ->
-            List.map
-              (fun (config, opts) ->
-                match
-                  Exp_common.run_workload_result ~machine:m w ~config opts
-                with
-                | Ok r ->
-                  {
-                    s_workload = w.Workload.name;
-                    s_config = config;
-                    s_machine = m.Machine.name;
-                    s_cycles = total_cycles r.Exp_common.outcome;
-                    s_energy_nj =
-                      Ledger.total r.Exp_common.outcome.Sim.energy;
-                    s_duration_ns = r.Exp_common.outcome.Sim.duration_ns;
-                    s_status = None;
-                  }
-                | Error d ->
-                  {
-                    s_workload = w.Workload.name;
-                    s_config = config;
-                    s_machine = m.Machine.name;
-                    s_cycles = 0.0;
-                    s_energy_nj = 0.0;
-                    s_duration_ns = 0.0;
-                    s_status = Some d.Diag.code;
-                  })
-              (configs_for m))
-          ms)
-      ws
+      (fun m -> Exp_common.cross ~machine:m ws (configs_for m))
+      ms
+  in
+  Exp_common.run_matrix ?pool jobs;
+  let sweep_cell (j : Exp_common.job) =
+    let c =
+      {
+        s_workload = j.Exp_common.j_workload.Workload.name;
+        s_config = j.Exp_common.j_config;
+        s_machine = j.Exp_common.j_machine.Machine.name;
+        s_cycles = 0.0;
+        s_energy_nj = 0.0;
+        s_duration_ns = 0.0;
+        s_status = None;
+      }
+    in
+    match Exp_common.result_of j with
+    | Ok r ->
+      let o = r.Exp_common.outcome in
+      { c with
+        s_cycles = total_cycles o;
+        s_energy_nj = Ledger.total o.Sim.energy;
+        s_duration_ns = o.Sim.duration_ns }
+    | Error d -> { c with s_status = Some d.Diag.code }
   in
   let cells =
     List.sort
@@ -106,7 +94,7 @@ let run ?pool ?(machines = default_machines)
         compare
           (a.s_workload, a.s_machine, a.s_config)
           (b.s_workload, b.s_machine, b.s_config))
-      cells
+      (List.map sweep_cell jobs)
   in
   (* winner per (workload, machine): lowest energy, ties broken by fewer
      cycles, then by config order — deterministic however the matrix

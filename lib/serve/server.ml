@@ -357,7 +357,7 @@ let process_item t (it : item) =
           ((Unix.gettimeofday () -. it.it_enq_at) *. 1e3);
         match result with
         | Ok (payload, cached) ->
-          if cached then bump t t.m.requests "serve.cache_replies";
+          if cached then Obs.add t.ctx.Compile.obs "serve.cache_replies" 1;
           send_ok t it.it_conn ~id ~op:it.it_req.P.op ?version ~cached payload
         | Error d -> send_err t it.it_conn ~id ?version d
       end)

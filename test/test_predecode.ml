@@ -263,6 +263,42 @@ let test_schema_rejects () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing field accepted"
 
+(* ---------------- the metrics dump takes the product path ---------------- *)
+
+(** [Simbench.metrics] simulates through the product path, so its cell
+    for histogram on generic-4c (where [full] gates the unused cores)
+    equals what [Compile.run_result] reports for the same program. *)
+let test_metrics_product_path () =
+  let machine = machine4 in
+  let w = Lp_workloads.Suite.find_exn "histogram" in
+  let o =
+    match
+      Compile.run_result ~opts:(Compile.full ~n_cores:4) ~machine
+        w.Lp_workloads.Workload.source
+    with
+    | Ok (_, o) -> o
+    | Error d -> Alcotest.failf "run: %s" (Lp_util.Diag.to_string d)
+  in
+  let cell =
+    match J.member "cells" (Simbench.metrics ~predecode:true ()) with
+    | Some (J.List cells) ->
+      List.find
+        (fun c ->
+          J.member "workload" c = Some (J.Str "histogram")
+          && J.member "machine" c = Some (J.Str machine.Machine.name))
+        cells
+    | _ -> Alcotest.fail "metrics without cells"
+  in
+  let cycles =
+    Array.fold_left (fun a c -> a +. float_of_int c) 0.0 o.Sim.cycles_per_core
+  in
+  Alcotest.(check (option string)) "cycles"
+    (Some (J.to_string (J.Num cycles)))
+    (Option.map J.to_string (J.member "cycles" cell));
+  Alcotest.(check (option string)) "energy ledger"
+    (Some (J.to_string (Ledger.to_json o.Sim.energy)))
+    (Option.map J.to_string (J.member "energy" cell))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_modes_identical;
@@ -273,4 +309,6 @@ let suite =
       test_schema_round_trip;
     Alcotest.test_case "BENCH_sim.json rejects bad input" `Quick
       test_schema_rejects;
+    Alcotest.test_case "sim metrics follow the product path" `Quick
+      test_metrics_product_path;
   ]

@@ -200,6 +200,8 @@ let test_gating_events_nonvacuous () =
 
 (* ---------------- pool-size determinism ---------------- *)
 
+(* two workloads under two configs on two machines: the report and
+   the scope of every simulation record, which names its cell *)
 let matrix_report jobs =
   Exp.clear_cache ();
   let rep = Report.create () in
@@ -212,20 +214,31 @@ let matrix_report jobs =
       let workloads =
         List.filteri (fun i _ -> i < 2) Lp_workloads.Suite.all
       in
-      let configs =
-        [ ("baseline", Compile.baseline); ("full", Compile.full ~n_cores:4) ]
+      let jobs_on machine =
+        Exp.cross ~machine workloads
+          [ ("baseline", Compile.baseline);
+            ("full", Compile.full ~n_cores:(Machine.n_cores machine)) ]
       in
       let pool = DP.create ~jobs () in
       Fun.protect
         ~finally:(fun () -> DP.shutdown pool)
-        (fun () -> Exp.run_matrix ~pool (Exp.cross workloads configs));
-      Report.to_string rep)
+        (fun () ->
+          Exp.run_matrix ~pool
+            (jobs_on (Machine.generic ~n_cores:4 ())
+            @ jobs_on (Machine.pac_duo_like ())));
+      (Report.to_string rep, List.map fst (Report.sims rep)))
 
 let test_report_deterministic () =
-  let seq = matrix_report 1 in
-  let par = matrix_report 4 in
+  let (seq, seq_scopes) = matrix_report 1 in
+  let (par, par_scopes) = matrix_report 4 in
   check Alcotest.bool "report is nonempty" true (String.length seq > 2);
-  check Alcotest.string "report identical for jobs=1 and jobs=4" seq par
+  check Alcotest.string "report identical for jobs=1 and jobs=4" seq par;
+  List.iter
+    (fun scopes ->
+      check Alcotest.int "8 simulations" 8 (List.length scopes);
+      check Alcotest.int "every simulation has its own scope" 8
+        (List.length (List.sort_uniq compare scopes)))
+    [ seq_scopes; par_scopes ]
 
 (* ---------------- the baseline gate ---------------- *)
 

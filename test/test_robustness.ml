@@ -119,16 +119,18 @@ let test_matrix_degrades_not_aborts () =
   in
   (* must not raise, whatever the faults *)
   Exp.run_matrix (Exp.cross ws [ ("baseline", Compile.baseline) ]);
-  (match Exp.run_workload_result (fir ()) ~config:"baseline" Compile.baseline with
+  (match
+     Exp.result_of (Exp.job (fir ()) ~config:"baseline" Compile.baseline)
+   with
   | Error d ->
     Alcotest.(check string) "fir code" "E_FAULT_PASS" d.Diag.code;
     Alcotest.(check string) "ERR cell rendering" "ERR(E_FAULT_PASS)"
       (Exp.scell (Error d) (fun _ -> "unreachable"))
   | Ok _ -> Alcotest.fail "fir must fault");
   (match
-     Exp.run_workload_result
-       (Lp_workloads.Suite.find_exn "dotprod")
-       ~config:"baseline" Compile.baseline
+     Exp.result_of
+       (Exp.job (Lp_workloads.Suite.find_exn "dotprod")
+          ~config:"baseline" Compile.baseline)
    with
   | Ok _ -> ()
   | Error d ->
@@ -149,7 +151,7 @@ let test_retry_recovers_transient () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   let cell =
-    Exp.run_workload_cell (fir ()) ~config:"baseline" Compile.baseline
+    Exp.cell_of (Exp.job (fir ()) ~config:"baseline" Compile.baseline)
   in
   (match cell.Exp.result with
   | Ok _ -> ()
@@ -324,7 +326,9 @@ let test_pct_retry_exhaustion () =
   Fun.protect ~finally:(fun () -> Exp.set_ctx Compile.default_ctx)
   @@ fun () ->
   Alcotest.(check int) "ctx retries picked up" retries (Exp.max_retries ());
-  let cell = Exp.run_workload_cell (fir ()) ~config:"baseline" Compile.baseline in
+  let cell =
+    Exp.cell_of (Exp.job (fir ()) ~config:"baseline" Compile.baseline)
+  in
   match cell.Exp.result with
   | Ok _ -> Alcotest.fail "a 99%-faulted cell must exhaust its retries"
   | Error d ->

@@ -377,6 +377,35 @@ let test_cache_reuse () =
     (Json.to_compact_string (strip [ "id"; "cached" ] first.P.r_payload))
     (Json.to_compact_string (strip [ "id"; "cached" ] second.P.r_payload))
 
+(** [stats] counts each request once, a cached reply included: three
+    identical [compile]s (two answered from the warm cache) and the
+    [stats] request itself make 4. *)
+let test_stats_counts_requests_once () =
+  with_server "stats" @@ fun path _server ->
+  let fd = connect path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let compile id =
+    P.frame_of_request
+      { P.default_request with
+        P.id = Json.Num id; op = P.Compile; src = P.Workload "fir" }
+  in
+  (* sequential round trips, so the second and third hit the cache *)
+  List.iter
+    (fun id ->
+      send_all fd (compile id);
+      let r = parse_reply (List.hd (read_frames fd 1)) in
+      Alcotest.(check bool) "compile ok" true r.P.r_ok)
+    [ 1.0; 2.0; 3.0 ];
+  send_all fd
+    (P.frame_of_request
+       { P.default_request with P.id = Json.Num 4.0; op = P.Stats });
+  let stats = parse_reply (List.hd (read_frames fd 1)) in
+  match
+    Option.bind (Json.member "stats" stats.P.r_payload) (Json.member "requests")
+  with
+  | Some (Json.Num n) -> Alcotest.(check (float 0.0)) "requests" 4.0 n
+  | _ -> Alcotest.fail "stats must expose requests"
+
 (** A server context whose recorder counts simulations ([sim.runs]). *)
 let counting_ctx () =
   { Lowpower.Compile.default_ctx with Lowpower.Compile.obs = Lp_obs.Obs.create () }
@@ -680,6 +709,8 @@ let suite =
     Alcotest.test_case "per-request crash isolation" `Quick
       test_crash_isolation;
     Alcotest.test_case "warm cache byte-identity" `Quick test_cache_reuse;
+    Alcotest.test_case "stats counts each request once" `Quick
+      test_stats_counts_requests_once;
     Alcotest.test_case "warm run replies from its memo" `Quick test_run_memo;
     Alcotest.test_case "failed runs are never memoised" `Quick
       test_run_memo_skips_failures;
