@@ -57,6 +57,8 @@ lpcc profile -w fir
 lpcc tune --budget 10
 lpcc tune -w bogus
 lpcc sweep -w fir -m generic -m pacduo
+lpcc sweep -w fdotprod -m pacduo
+lpcc sweep -w fir -m generic --faults worker@fir/full
 lpcc sweep -m bogus
 lpcc pipeline --passes 'constprop,fix(simplify-cfg,dce)'
 lpcc machines
