@@ -36,15 +36,13 @@ open Cmdliner
 
 (* ---------------- shared arguments ---------------- *)
 
-(** Route every pipeline failure through the structured diagnostic
-    printer: no subcommand leaks a raw exception for an error the
-    pipeline owns, and even a foreign exception exits cleanly. *)
+(** Route every failure through {!Compile.guard} and the structured
+    diagnostic printer: no subcommand leaks a raw exception, and even a
+    foreign exception exits cleanly as [E_INTERNAL]. *)
 let with_diagnostics f =
-  try f () with
-  | e -> (
-    match Compile.diag_of_exn e with
-    | Some d -> `Error (false, Diag.to_string d)
-    | None -> `Error (false, "internal error: " ^ Printexc.to_string e))
+  match Compile.guard (fun () -> Ok (f ())) with
+  | Ok r -> r
+  | Error d -> `Error (false, Diag.to_string d)
 
 (** A pipeline result, its diagnostic raised for {!with_diagnostics}. *)
 let get = function Ok r -> r | Error d -> raise (Diag.Error d)
@@ -181,7 +179,7 @@ let detect_cmd_run file workload =
   | Error e -> `Error (false, e)
   | Ok (src, name) ->
     with_diagnostics @@ fun () ->
-      let ast = Compile.parse_and_check_exn src in
+      let ast = Compile.parse_and_check src in
       let report = Lp_patterns.Detect.detect ast in
       Printf.printf "%s: %d candidate loops\n" name report.Pattern.candidate_loops;
       List.iter
@@ -308,7 +306,7 @@ let dump_cmd_run file workload target as_source config =
     let cores =
       Machine.clamp_cores ~warn:false machine target.Protocol.cores
     in
-    let ast = Compile.parse_and_check_exn src in
+    let ast = Compile.parse_and_check src in
     let det = Lp_patterns.Detect.detect ast in
     let (gen, _) =
       Lp_transforms.Parallelize.run ~n_cores:cores ast
@@ -399,28 +397,29 @@ let sweep_cmd_run machines workloads json config =
         Printf.printf "sweep json written to %s\n" path)
       json;
     (* a machine that cannot run a workload (e.g. pacduo has no FPU) is
-       a sweep datum, not a failure: those cells carry their stable code
-       in the JSON and render as ERR above.  Only internal errors fail. *)
-    (match Lp_experiments.Exp_common.failed_cells () with
-    | [] -> `Ok ()
-    | failed ->
-      Printf.printf "%d cell(s) not runnable on their machine:\n"
-        (List.length failed);
-      List.iter
-        (fun ((w, c, m), _, d) ->
-          Printf.printf "  %s/%s@%s: %s\n" w c m (Diag.to_string d))
-        failed;
-      match
-        List.filter
-          (fun ((_, _, _), _, d) -> d.Diag.code = Diag.code_internal)
-          failed
-      with
-      | [] -> `Ok ()
-      | internal ->
-        `Error
-          ( false,
-            Printf.sprintf "%d sweep cell(s) failed internally"
-              (List.length internal) ))
+       a sweep datum, not a failure: those E_COMPILE cells carry their
+       code in the JSON and render as ERR above.  Any other failed cell
+       (an injected fault, an expired deadline, a crash) fails the run. *)
+    let (data, failed) =
+      List.partition
+        (fun (_, _, d) -> d.Diag.code = "E_COMPILE")
+        (Lp_experiments.Exp_common.failed_cells ())
+    in
+    let print_cells heading cells =
+      if cells <> [] then begin
+        Printf.printf "%d cell(s) %s:\n" (List.length cells) heading;
+        List.iter
+          (fun ((w, c, m), _, d) ->
+            Printf.printf "  %s/%s@%s: %s\n" w c m (Diag.to_string d))
+          cells
+      end
+    in
+    print_cells "not runnable on their machine" data;
+    print_cells "failed" failed;
+    if failed = [] then `Ok ()
+    else
+      `Error
+        (false, Printf.sprintf "%d sweep cell(s) failed" (List.length failed))
 
 let sweep_cmd =
   let doc =
@@ -476,7 +475,7 @@ let pipeline_cmd =
 (* ---------------- serve-bench ---------------- *)
 
 let serve_bench_cmd_run socket requests clients window seed verify json_path
-    self_serve server_jobs queue_cap server_deadline_ms config =
+    self_serve config =
   let module SB = Lp_serve.Serve_bench in
   let module Srv = Lp_serve.Server in
   let run_bench () =
@@ -510,15 +509,7 @@ let serve_bench_cmd_run socket requests clients window seed verify json_path
   if not self_serve then run_bench ()
   else
     session config @@ fun ctx ->
-    let opts =
-      {
-        (Srv.default_opts ~socket_path:socket) with
-        Srv.jobs = server_jobs;
-        queue_capacity = queue_cap;
-        default_deadline_ms = server_deadline_ms;
-      }
-    in
-    let server = Srv.start ~ctx opts in
+    let server = Srv.start ~ctx (Srv.default_opts ~socket_path:socket) in
     Fun.protect ~finally:(fun () -> Srv.stop server) run_bench
 
 let serve_bench_cmd =
@@ -568,30 +559,14 @@ let serve_bench_cmd =
   let self_serve =
     Arg.(value & flag
          & info [ "self-serve" ]
-             ~doc:"Start an in-process server on $(b,--socket) for the \
-                   duration of the run (for local acceptance runs without \
-                   a separate $(b,lpccd)).")
-  in
-  let server_jobs =
-    Arg.(value & opt int 2
-         & info [ "server-jobs" ] ~docv:"N"
-             ~doc:"Worker domains of the $(b,--self-serve) server.")
-  in
-  let queue_cap =
-    Arg.(value & opt int 64
-         & info [ "queue-cap" ] ~docv:"N"
-             ~doc:"Bounded request queue of the $(b,--self-serve) server.")
-  in
-  let server_deadline =
-    Arg.(value & opt (some int) None
-         & info [ "server-deadline-ms" ] ~docv:"N"
-             ~doc:"Default per-request deadline of the $(b,--self-serve) \
-                   server.")
+             ~doc:"Start an in-process server with $(b,lpccd)'s defaults \
+                   on $(b,--socket) for the duration of the run (for local \
+                   acceptance runs without a separate $(b,lpccd); to tune \
+                   the server, run $(b,lpccd)).")
   in
   Cmd.v (Cmd.info "serve-bench" ~doc)
     Term.(ret (const serve_bench_cmd_run $ socket $ requests $ clients
                $ window $ seed $ verify $ json_path $ self_serve
-               $ server_jobs $ queue_cap $ server_deadline
                $ Cli.server_runtime_t))
 
 (* ---------------- fuzz ---------------- *)

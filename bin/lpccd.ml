@@ -6,8 +6,8 @@
     protocol and failure taxonomy in docs/SERVING.md) with a warm
     compile cache shared across
     requests, bounded-queue backpressure, per-request deadlines with
-    cooperative cancellation, a stuck-request watchdog, per-request
-    crash isolation and a clean drain on SIGTERM/SIGINT.
+    cooperative cancellation, per-request crash isolation and a clean
+    drain on SIGTERM/SIGINT.
 
     Exit is always 0 on a requested shutdown (signal or [shutdown] op):
     a drained daemon is a successful daemon. *)
@@ -17,18 +17,17 @@ module Compile = Lowpower.Compile
 module Json = Lp_util.Json
 open Cmdliner
 
-let serve socket jobs queue_cap cache_cap default_deadline_ms stuck_ms
-    drain_ms config =
+let serve socket jobs queue_cap cache_cap default_deadline_ms drain_ms
+    config =
   match
     Compile.with_session config @@ fun ctx ->
     let opts =
       {
-        (Server.default_opts ~socket_path:socket) with
-        Server.jobs;
+        Server.socket_path = socket;
+        jobs;
         queue_capacity = queue_cap;
         cache_capacity = cache_cap;
         default_deadline_ms;
-        stuck_ms;
         drain_ms;
       }
     in
@@ -60,42 +59,40 @@ let serve socket jobs queue_cap cache_cap default_deadline_ms stuck_ms
 
 let () =
   let doc = "resilient compile server for lpcc (deadlines, backpressure, graceful degradation)" in
+  (* every flag defaults to the server's own default, the configuration
+     `lpcc serve-bench --self-serve` runs *)
+  let d = Server.default_opts ~socket_path:"lpccd.sock" in
   let socket =
-    Arg.(value & opt string "lpccd.sock"
+    Arg.(value & opt string d.Server.socket_path
          & info [ "socket" ] ~docv:"PATH"
              ~doc:"Unix-domain socket to listen on (replaced if present).")
   in
   let jobs =
-    Arg.(value & opt int 2
+    Arg.(value & opt int d.Server.jobs
          & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Worker domains.")
   in
   let queue_cap =
-    Arg.(value & opt int 64
+    Arg.(value & opt int d.Server.queue_capacity
          & info [ "queue-cap" ] ~docv:"N"
              ~doc:"Bounded request queue; beyond it requests are shed with \
                    the transient $(b,E_OVERLOAD) diagnostic.")
   in
   let cache_cap =
-    Arg.(value & opt int 128
+    Arg.(value & opt int d.Server.cache_capacity
          & info [ "cache-cap" ] ~docv:"N"
              ~doc:"Warm cache entries shared across requests: compiled \
                    programs and their memoised $(b,run) replies, evicted \
                    least recently used first.")
   in
   let default_deadline =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt int d.Server.default_deadline_ms
          & info [ "deadline-ms" ] ~docv:"N"
-             ~doc:"Default per-request deadline applied when a request \
-                   carries none; expiry reports $(b,E_DEADLINE).")
-  in
-  let stuck_ms =
-    Arg.(value & opt int 30000
-         & info [ "stuck-ms" ] ~docv:"N"
-             ~doc:"Watchdog: cancel deadline-less requests still running \
-                   after $(docv) milliseconds.")
+             ~doc:"Default per-request deadline in milliseconds, applied \
+                   when a request carries none; expiry reports \
+                   $(b,E_DEADLINE).")
   in
   let drain_ms =
-    Arg.(value & opt int 10000
+    Arg.(value & opt int d.Server.drain_ms
          & info [ "drain-ms" ] ~docv:"N"
              ~doc:"On shutdown, wait up to $(docv) milliseconds for \
                    in-flight requests before cancelling them.")
@@ -105,5 +102,5 @@ let () =
     (Cmd.eval
        (Cmd.v info
           Term.(ret (const serve $ socket $ jobs $ queue_cap $ cache_cap
-                     $ default_deadline $ stuck_ms $ drain_ms
+                     $ default_deadline $ drain_ms
                      $ Lp_cli.Cli.server_runtime_t))))

@@ -248,29 +248,12 @@ let feasible_instances ~n_cores (instances : Pattern.instance list) =
       | Pattern.Doall | Pattern.Reduction _ | Pattern.Farm -> workers >= 1)
     instances
 
-(** Run [f], converting the front-end and self-check exceptions it may
-    raise into the legacy [Compile_error] (message format unchanged from
-    when the driver caught them inline). *)
-let wrap_legacy f =
-  try f () with
-  | Lp_lang.Lexer.Lex_error (msg, line) ->
-    raise (Compile_error (Printf.sprintf "lex error line %d: %s" line msg))
-  | Parser.Parse_error (msg, line) ->
-    raise (Compile_error (Printf.sprintf "parse error line %d: %s" line msg))
-  | Typecheck.Type_error (msg, pos) ->
-    raise
-      (Compile_error (Printf.sprintf "type error line %d: %s" pos.Ast.line msg))
-  | Lower.Lower_error msg -> raise (Compile_error ("lowering: " ^ msg))
-  | Verify.Invalid msg -> raise (Compile_error ("verify: " ^ msg))
-
 (** Parse and type-check, letting [Lex_error]/[Parse_error]/[Type_error]
-    propagate (the structured entry points map them to diagnostics). *)
-let parse_and_check_exn source =
+    propagate. *)
+let parse_and_check source =
   let ast = Parser.parse_program source in
   Typecheck.check_program ast;
   ast
-
-let parse_and_check source = wrap_legacy (fun () -> parse_and_check_exn source)
 
 (** One compile phase, inside its span.  The cooperative deadline is
     checked at every phase boundary; the pass fixpoint and the simulator
@@ -295,13 +278,12 @@ let in_compile_span ~ctx ~opts ~(machine : Machine.t) f =
   f ()
 
 (** Every phase after the frontend, on a type-checked [ast] (which no
-    phase mutates).  Raises the raw per-stage exceptions; [compile]
-    wraps them for the legacy API and [compile_result] maps them to
-    diagnostics.  [verify_each] re-runs the IR verifier after every
-    optimisation pass (the fuzzer's oracle).  [ctx] supplies the
-    telemetry recorder: every phase below runs inside a span (the
-    [compile → fixpoint round → pass → function] hierarchy of
-    docs/OBSERVABILITY.md), all free when the recorder is off. *)
+    phase mutates).  Raises the raw per-stage exceptions, which
+    [compile_result] maps to diagnostics.  [verify_each] re-runs the IR
+    verifier after every optimisation pass (the fuzzer's oracle).
+    [ctx] supplies the telemetry recorder: every phase below runs inside
+    a span (the [compile → fixpoint round → pass → function] hierarchy
+    of docs/OBSERVABILITY.md), all free when the recorder is off. *)
 let compile_checked_exn ~ctx ~verify_each ~opts ~(machine : Machine.t)
     (ast : Ast.program) : compiled =
   let obs = ctx.obs in
@@ -454,18 +436,11 @@ let compile_checked_exn ~ctx ~verify_each ~opts ~(machine : Machine.t)
 
 (** Compile [source] for [machine] under [opts]: the frontend phase, then
     {!compile_checked_exn}. *)
-let compile_exn ?(ctx = default_ctx) ?(verify_each = false) ?(opts = baseline)
+let compile ?(ctx = default_ctx) ?(verify_each = false) ?(opts = baseline)
     ~(machine : Machine.t) (source : string) : compiled =
   in_compile_span ~ctx ~opts ~machine @@ fun () ->
-  let ast = phase ctx "frontend" (fun () -> parse_and_check_exn source) in
+  let ast = phase ctx "frontend" (fun () -> parse_and_check source) in
   compile_checked_exn ~ctx ~verify_each ~opts ~machine ast
-
-(** Compile [source] for [machine]; the raising entry point
-    ([Compile_error] covers front-end, lowering, verification and driver
-    failures, exactly as before diagnostics existed). *)
-let compile ?(ctx = default_ctx) ?opts ~(machine : Machine.t) (source : string)
-    : compiled =
-  wrap_legacy (fun () -> compile_exn ~ctx ?opts ~machine source)
 
 (** Resolve the effective simulator options for an already-compiled
     program: the compile options decide unused-core gating, the runtime
@@ -528,6 +503,18 @@ let diag_of_exn : exn -> Diag.t option = function
   | Compile_error msg -> Some (Diag.make Diag.Driver ~code:"E_COMPILE" msg)
   | e -> Lp_sim.Sim.diag_of_exn e
 
+(** The one exception boundary of an evaluation (see the interface). *)
+let guard f =
+  match f () with
+  | r -> r
+  | exception e -> (
+    match diag_of_exn e with
+    | Some d -> Error d
+    | None ->
+      Error
+        (Diag.make Diag.Internal ~code:Diag.code_internal
+           ("uncaught exception: " ^ Printexc.to_string e)))
+
 (** [f ()], with pipeline failures as diagnostics.  Foreign exceptions
     still propagate: they are bugs, not diagnostics. *)
 let as_result f =
@@ -539,7 +526,7 @@ let as_result f =
 (** [compile], but failures come back as diagnostics. *)
 let compile_result ?(ctx = default_ctx) ?verify_each ?opts
     ~(machine : Machine.t) (source : string) : (compiled, Diag.t) result =
-  as_result (fun () -> compile_exn ~ctx ?verify_each ?opts ~machine source)
+  as_result (fun () -> compile ~ctx ?verify_each ?opts ~machine source)
 
 let compile_checked ?(ctx = default_ctx) ?(opts = baseline)
     ~(machine : Machine.t) (ast : Ast.program) : (compiled, Diag.t) result =

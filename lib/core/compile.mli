@@ -125,6 +125,8 @@ type compiled = {
   options : options;
 }
 
+(** The driver's own failures: options asking for more cores than the
+    machine has, ill-typed generated code, a unit the machine lacks. *)
 exception Compile_error of string
 
 (** {2 The driver context}
@@ -187,29 +189,35 @@ val with_session :
     {!Lp_sim.Sim.run} directly. *)
 val record_outcome : Lp_obs.Report.t -> Lp_sim.Sim.outcome -> unit
 
-(** Parse and type-check only; raises [Compile_error]. *)
+(** Parse and type-check only; raises the front-end exception of the
+    phase that failed ([Lex_error], [Parse_error], [Type_error]), which
+    {!diag_of_exn} maps onto its diagnostic code. *)
 val parse_and_check : string -> Ast.program
-
-(** [parse_and_check] raising the raw front-end exceptions
-    ([Lex_error], [Parse_error], [Type_error]) instead of wrapping them
-    in [Compile_error]; {!diag_of_exn} maps these onto their specific
-    diagnostic codes. *)
-val parse_and_check_exn : string -> Ast.program
 
 (** Pattern instances the machine can host. *)
 val feasible_instances :
   n_cores:int -> Pattern.instance list -> Pattern.instance list
 
-(** Compile [source] for [machine]; raises [Compile_error] (which also
-    wraps internal self-check failures: generated code that fails to
-    re-type-check or IR that fails verification).  When [ctx] carries an
-    enabled recorder the whole pipeline runs inside a [compile] span
-    with per-phase, per-fixpoint-round, per-pass and per-function child
+(** Compile [source] for [machine]; raises the exception of the phase
+    that failed (front-end, [Par_error], [Lower_error],
+    [Verify.Invalid], an expired deadline's [Diag.Error]) or
+    [Compile_error] for the driver's own checks (core count, ill-typed
+    generated code, a unit the machine lacks).  [verify_each]
+    additionally re-runs the IR verifier after every optimisation pass
+    (used by the pipeline fuzzer).  When [ctx] carries an enabled
+    recorder the whole pipeline runs inside a [compile] span with
+    per-phase, per-fixpoint-round, per-pass and per-function child
     spans. *)
 val compile :
-  ?ctx:ctx -> ?opts:options -> machine:Machine.t -> string -> compiled
+  ?ctx:ctx ->
+  ?verify_each:bool ->
+  ?opts:options ->
+  machine:Machine.t ->
+  string ->
+  compiled
 
-(** Compile and simulate.  The simulator is told to model compiler-gated
+(** Compile and simulate; raises like {!compile} and
+    [Lp_sim.Sim.run].  The simulator is told to model compiler-gated
     unused cores when the options enable it, and inherits [ctx]'s
     recorder (per-core simulated-time spans, cycle and bus counters). *)
 val run :
@@ -245,9 +253,15 @@ val simulate_compiled :
     exceptions.  Codes are listed in docs/ROBUSTNESS.md. *)
 val diag_of_exn : exn -> Lp_util.Diag.t option
 
-(** [compile] with diagnostics instead of exceptions.  [verify_each]
-    additionally re-runs the IR verifier after every optimisation pass
-    (used by the pipeline fuzzer). *)
+(** [guard f] is the one exception boundary of an evaluation, shared by
+    the evaluation matrix, [lpccd] and [lpcc]: [f ()], with a pipeline
+    exception mapped to its diagnostic by {!diag_of_exn} and any other
+    exception to [E_INTERNAL] (["uncaught exception: ..."]).  Never
+    raises. *)
+val guard :
+  (unit -> ('a, Lp_util.Diag.t) result) -> ('a, Lp_util.Diag.t) result
+
+(** {!compile} with diagnostics instead of exceptions. *)
 val compile_result :
   ?ctx:ctx ->
   ?verify_each:bool ->
@@ -259,13 +273,13 @@ val compile_result :
 (** [compile_result] from an already parsed program: every phase after
     the frontend, inside the same [compile] span, core-count check and
     deadline checks.  Precondition: [ast] came from
-    {!parse_and_check_exn} (or {!parse_and_check}), so it has passed
-    the type checker; an unchecked AST is not rejected and may fail in
-    lowering or verification instead.  No phase mutates [ast], so one
+    {!parse_and_check}, so it has passed the type checker; an unchecked
+    AST is not rejected and may fail in lowering or verification
+    instead.  No phase mutates [ast], so one
     parse may feed many compiles, concurrently too: the autotuner parses
     its workload once per search and compiles every candidate schedule
     from the result.  [compile_result ~opts ~machine src] equals
-    [compile_checked ~opts ~machine (parse_and_check_exn src)] whenever
+    [compile_checked ~opts ~machine (parse_and_check src)] whenever
     [src] type-checks. *)
 val compile_checked :
   ?ctx:ctx ->

@@ -124,20 +124,13 @@ let attempt_run { j_workload = w; j_config = config; j_opts = opts;
   Lp_obs.Report.with_scope
     (Printf.sprintf "%s/%s@%s" w.Workload.name config machine.Machine.name)
   @@ fun () ->
-  match
-    Fault.check Fault.Worker ~key:config;
-    Compile.run ~ctx:(current_ctx ()) ~opts ~machine w.Workload.source
-  with
-  | (compiled, outcome) ->
-    Ok { workload = w.Workload.name; config; compiled; outcome }
-  | exception e -> (
-    match Compile.diag_of_exn e with
-    | Some d -> Error d
-    | None ->
-      (* even a foreign crash must not take the whole matrix down *)
-      Error
-        (Diag.make Diag.Internal ~code:Diag.code_internal
-           (Printexc.to_string e)))
+  Compile.guard @@ fun () ->
+  Fault.check Fault.Worker ~key:config;
+  Result.map
+    (fun (compiled, outcome) ->
+      { workload = w.Workload.name; config; compiled; outcome })
+    (Compile.run_result ~ctx:(current_ctx ()) ~opts ~machine
+       w.Workload.source)
 
 let key_of (j : job) =
   (j.j_workload.Workload.name, j.j_config, j.j_machine.Machine.name)
@@ -162,15 +155,11 @@ let cell_of (j : job) : cell =
             ("domain", Obs.Int (Domain.self () :> int)) ]
         (Printf.sprintf "%s/%s" workload config)
       @@ fun () ->
-      let retries = max_retries () in
-      let rec go attempt =
-        match attempt_run j with
-        | Error d when d.Diag.transient && attempt <= retries ->
-          Unix.sleepf (backoff_s attempt);
-          go (attempt + 1)
-        | result -> { attempts = attempt; result }
+      let (result, attempts) =
+        Lp_util.Backoff.retry ~retries:(max_retries ()) (fun () ->
+            attempt_run j)
       in
-      go 1
+      { attempts; result }
     in
     Obs.add obs "matrix.cells" 1;
     Obs.add obs "matrix.retries" (c.attempts - 1);

@@ -91,16 +91,16 @@ let measure ?(min_wall_s = 0.2) ?(min_runs = 3) () : t =
   let rows =
     List.filter_map
       (fun (w : Workload.t) ->
-        match Compile.compile ~opts ~machine w.Workload.source with
-        | exception _ -> None (* mode-independent: compilation never
-                                 touches the simulator *)
-        | compiled -> (
+        match Compile.compile_result ~opts ~machine w.Workload.source with
+        | Error _ -> None (* mode-independent: compilation never
+                             touches the simulator *)
+        | Ok compiled -> (
           match
-            Compile.simulate_compiled ~sim_opts:(sim_opts ~predecode:true)
+            Compile.simulate_result ~sim_opts:(sim_opts ~predecode:true)
               compiled
           with
-          | exception _ -> None
-          | o ->
+          | Error _ -> None
+          | Ok o ->
             let instrs = o.Sim.instr_total in
             let stats predecode =
               let (runs, wall_s) =

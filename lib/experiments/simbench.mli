@@ -33,7 +33,9 @@ type t = {
     through {!Lowpower.Compile.simulate_compiled}).  Each mode of
     each workload gets one warm-up run, then repeats until both floors
     are met ([min_wall_s] seconds of wall-clock, default 0.2, and
-    [min_runs] repetitions, default 3). *)
+    [min_runs] repetitions, default 3).  A workload whose compile or
+    first simulation returns a diagnostic is left out; a foreign
+    exception propagates. *)
 val measure : ?min_wall_s:float -> ?min_runs:int -> unit -> t
 
 (** Deterministic simulated metrics of every workload on every zoo

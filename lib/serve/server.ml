@@ -3,9 +3,8 @@
     Concurrency model: one acceptor domain multiplexes the listening
     socket and every client connection with [select], extracts frames,
     answers the trivial ops (ping/stats/shutdown) inline and pushes the
-    rest through the bounded queue; [jobs] long-lived request loops run
-    on a {!Lp_util.Domain_pool} (spawned with [~always_spawn] so even
-    [jobs = 1] gets a real worker domain).  Workers write replies
+    rest through the bounded queue; [jobs] worker domains each run one
+    long-lived request loop.  Workers write replies
     straight to the client under a per-connection write mutex, so
     replies may interleave across requests but never within a frame. *)
 
@@ -15,7 +14,6 @@ module Diag = Lp_util.Diag
 module Fault = Lp_util.Fault
 module Deadline = Lp_util.Deadline
 module Backoff = Lp_util.Backoff
-module Domain_pool = Lp_util.Domain_pool
 module Obs = Lp_obs.Obs
 module Report = Lp_obs.Report
 module P = Protocol
@@ -24,8 +22,7 @@ type opts = {
   socket_path : string;
   jobs : int;
   queue_capacity : int;
-  default_deadline_ms : int option;
-  stuck_ms : int;
+  default_deadline_ms : int;
   cache_capacity : int;
   drain_ms : int;
 }
@@ -38,8 +35,7 @@ let default_opts ~socket_path =
     socket_path;
     jobs = 2;
     queue_capacity = 64;
-    default_deadline_ms = None;
-    stuck_ms = 30_000;
+    default_deadline_ms = 30_000;
     cache_capacity = 128;
     drain_ms = 10_000;
   }
@@ -62,41 +58,7 @@ type item = {
   it_token : Deadline.t;
   it_iid : int;
   it_enq_at : float;
-  mutable it_wd_cancelled : bool;  (** watchdog counted this item *)
 }
-
-type metrics = {
-  accepts : int Atomic.t;
-  frames : int Atomic.t;
-  requests : int Atomic.t;
-  ok_replies : int Atomic.t;
-  err_replies : int Atomic.t;
-  decode_errors : int Atomic.t;
-  shed_overload : int Atomic.t;
-  deadline_expired : int Atomic.t;
-  watchdog_cancels : int Atomic.t;
-  serve_fault_retries : int Atomic.t;
-  serve_faults : int Atomic.t;
-  dispatch_retries : int Atomic.t;
-  internal_errors : int Atomic.t;
-}
-
-let make_metrics () =
-  {
-    accepts = Atomic.make 0;
-    frames = Atomic.make 0;
-    requests = Atomic.make 0;
-    ok_replies = Atomic.make 0;
-    err_replies = Atomic.make 0;
-    decode_errors = Atomic.make 0;
-    shed_overload = Atomic.make 0;
-    deadline_expired = Atomic.make 0;
-    watchdog_cancels = Atomic.make 0;
-    serve_fault_retries = Atomic.make 0;
-    serve_faults = Atomic.make 0;
-    dispatch_retries = Atomic.make 0;
-    internal_errors = Atomic.make 0;
-  }
 
 (** A warm-cache entry: the compiled program and, once one [run] of it
     has simulated successfully, that reply's payload.  Simulation is
@@ -115,23 +77,24 @@ type t = {
   ctx : Compile.ctx;
   listen_fd : Unix.file_descr;
   queue : item Bqueue.t;
-  pool : Domain_pool.t;
+  mutable workers : unit Domain.t list;
   stop_flag : bool Atomic.t;
   mutable acceptor : unit Domain.t option;
   infl_mutex : Mutex.t;
   inflight : (int, item) Hashtbl.t;
   next_iid : int Atomic.t;
   cache : entry Cache.t;
-  m : metrics;
-  lat : Obs.t;
-      (** always-on recorder holding only the per-op request-latency
-          histograms surfaced by [stats] — independent of [ctx.obs],
-          which is enabled only when the operator asked for a trace *)
+  live : Obs.t;
+      (** always-on recorder behind [stats]: the [serve.*] counters and
+          the per-op request-latency histograms — independent of
+          [ctx.obs], which is enabled only when the operator asked for a
+          trace *)
   mutable joined : bool;
 }
 
-let bump t counter name =
-  Atomic.incr counter;
+(* Count one event in the recorder behind [stats] and in the trace. *)
+let bump t name =
+  Obs.add t.live name 1;
   Obs.add t.ctx.Compile.obs name 1
 
 let retries t = t.ctx.Compile.config.Lp_util.Runtime_config.retries
@@ -164,13 +127,12 @@ let write_frame (c : conn) (frame : string) =
         | Unix.Unix_error _ | Sys_error _ -> c.alive <- false)
 
 let send_ok t conn ~id ~op ?version ?cached payload =
-  bump t t.m.ok_replies "serve.replies_ok";
+  bump t "serve.replies_ok";
   write_frame conn (P.ok_frame ~id ~op ?version ?cached payload)
 
 let send_err t conn ~id ?version (d : Diag.t) =
-  bump t t.m.err_replies "serve.replies_err";
-  if d.Diag.code = Deadline.code then
-    bump t t.m.deadline_expired "serve.deadline";
+  bump t "serve.replies_err";
+  if d.Diag.code = Deadline.code then bump t "serve.deadline";
   write_frame conn (P.err_frame ~id ?version d)
 
 (* ------------------------------------------------------------------ *)
@@ -191,21 +153,18 @@ let cache_key (req : P.request) (src : string) =
 
 let ( let* ) = Result.bind
 
-(** Catch {e everything} a request provokes: pipeline exceptions map to
-    their stable diagnostics, foreign exceptions become [E_INTERNAL] and
-    invalidate only the touched program's cache entry — the worker, the
-    other entries and every other connection survive. *)
+(** Catch {e everything} a request provokes ({!Compile.guard}): an
+    [E_INTERNAL] crash invalidates only the touched program's cache
+    entry — the worker, the other entries and every other connection
+    survive. *)
 let guard t ~key f =
-  try f () with
-  | e -> (
-    match Compile.diag_of_exn e with
-    | Some d -> Error d
-    | None ->
-      Option.iter (Cache.remove t.cache) key;
-      bump t t.m.internal_errors "serve.internal_errors";
-      Error
-        (Diag.make Diag.Internal ~code:Diag.code_internal
-           ("uncaught exception: " ^ Printexc.to_string e)))
+  let result = Compile.guard f in
+  (match result with
+  | Error d when d.Diag.code = Diag.code_internal ->
+    Option.iter (Cache.remove t.cache) key;
+    bump t "serve.internal_errors"
+  | Ok _ | Error _ -> ());
+  result
 
 (* a served tune is a bounded sketch of `lpcc tune`, not a batch job:
    the budget is clamped so one frame cannot park a worker for long *)
@@ -243,9 +202,10 @@ let dispatch_once t (ctx : Compile.ctx) (req : P.request) :
             check_globals = [];
           }
         in
-        (* evaluations run inline: this worker must not fan out into the
-           pool it is itself running on (Domain_pool submit = deadlock) *)
-        let pool = Domain_pool.create ~jobs:1 () in
+        (* evaluations run inline on this worker: a one-job pool spawns
+           no domain, so a served tune occupies one worker like any
+           other request *)
+        let pool = Lp_util.Domain_pool.create ~jobs:1 () in
         let* r = Lp_tune.Tune.tune_workload ~ctx ~pool cfg w in
         Ok (P.payload_of_tune r, false))
   | P.Compile | P.Run | P.Explain | P.Profile ->
@@ -314,23 +274,14 @@ let dispatch_once t (ctx : Compile.ctx) (req : P.request) :
         | P.Ping | P.Pipeline | P.Stats | P.Shutdown | P.Tune -> assert false)
   | P.Ping | P.Stats | P.Shutdown -> assert false (* answered inline *)
 
-(** Dispatch with the PR 2 retry contract: transient failures (bounded
-    injected faults, simulated transient bus faults) are retried with
-    deterministic bounded backoff up to [Runtime_config.retries]. *)
+(** Dispatch, retrying transient failures (bounded injected faults,
+    simulated transient bus faults) with deterministic bounded backoff
+    up to [Runtime_config.retries]. *)
 let dispatch t ctx req =
-  let rec go attempt =
-    match dispatch_once t ctx req with
-    | Error d
-      when d.Diag.transient
-           && d.Diag.code <> P.code_overload
-           && d.Diag.code <> Deadline.code
-           && attempt <= retries t ->
-      bump t t.m.dispatch_retries "serve.retries";
-      Unix.sleepf (Backoff.backoff_s attempt);
-      go (attempt + 1)
-    | result -> result
-  in
-  go 1
+  fst
+    (Backoff.retry ~retries:(retries t)
+       ~on_retry:(fun () -> bump t "serve.retries")
+       (fun () -> dispatch_once t ctx req))
 
 let process_item t (it : item) =
   Fun.protect
@@ -341,8 +292,7 @@ let process_item t (it : item) =
       if Deadline.expired it.it_token then begin
         (* expired while queued: shed before doing any work *)
         let msg =
-          if Deadline.cancelled it.it_token then
-            "request cancelled (deadline watchdog)"
+          if Deadline.cancelled it.it_token then "request cancelled"
           else "deadline exceeded while queued"
         in
         send_err t it.it_conn ~id ?version
@@ -352,7 +302,7 @@ let process_item t (it : item) =
         let ctx = { t.ctx with Compile.deadline = it.it_token } in
         let result = dispatch t ctx it.it_req in
         (* enqueue-to-reply latency, per op, in log2 millisecond buckets *)
-        Obs.record_hist t.lat
+        Obs.record_hist t.live
           ("serve.latency_ms." ^ P.op_name it.it_req.P.op)
           ((Unix.gettimeofday () -. it.it_enq_at) *. 1e3);
         match result with
@@ -362,7 +312,7 @@ let process_item t (it : item) =
         | Error d -> send_err t it.it_conn ~id ?version d
       end)
 
-(** The long-lived request loop each pool worker runs: drain the bounded
+(** The long-lived request loop each worker domain runs: drain the bounded
     queue until it is closed {e and} empty.  [process_item] never lets
     an exception escape, so the loop — and the worker domain — survives
     any request. *)
@@ -382,23 +332,30 @@ let worker_loop t () =
 (* Acceptor: frame extraction and inline ops                           *)
 (* ------------------------------------------------------------------ *)
 
+(* each [stats] counter field and the recorder counter behind it *)
+let stats_counters =
+  [ ("accepts", "serve.accepts");
+    ("frames", "serve.frames");
+    ("requests", "serve.requests");
+    ("replies_ok", "serve.replies_ok");
+    ("replies_err", "serve.replies_err");
+    ("decode_errors", "serve.decode_errors");
+    ("shed_overload", "serve.shed_overload");
+    ("deadline_expired", "serve.deadline");
+    ("serve_fault_retries", "serve.fault_retries");
+    ("serve_faults", "serve.faults");
+    ("dispatch_retries", "serve.retries");
+    ("internal_errors", "serve.internal_errors") ]
+
 let stats_json t =
-  let c name a = (name, Json.Num (float_of_int (Atomic.get a))) in
+  let counts = Obs.counters t.live in
+  let count name =
+    Json.Num
+      (float_of_int (Option.value ~default:0 (List.assoc_opt name counts)))
+  in
   Json.Obj
-    [
-      c "accepts" t.m.accepts;
-      c "frames" t.m.frames;
-      c "requests" t.m.requests;
-      c "replies_ok" t.m.ok_replies;
-      c "replies_err" t.m.err_replies;
-      c "decode_errors" t.m.decode_errors;
-      c "shed_overload" t.m.shed_overload;
-      c "deadline_expired" t.m.deadline_expired;
-      c "watchdog_cancels" t.m.watchdog_cancels;
-      c "serve_fault_retries" t.m.serve_fault_retries;
-      c "serve_faults" t.m.serve_faults;
-      c "dispatch_retries" t.m.dispatch_retries;
-      c "internal_errors" t.m.internal_errors;
+    (List.map (fun (field, name) -> (field, count name)) stats_counters
+    @ [
       ("queue_depth", Json.Num (float_of_int (Bqueue.length t.queue)));
       ("inflight", Json.Num (float_of_int (inflight_count t)));
       ( "cache",
@@ -432,32 +389,32 @@ let stats_json t =
                          ("p90_ms", Json.Num (Obs.hist_quantile h 0.9));
                          ("p99_ms", Json.Num (Obs.hist_quantile h 0.99));
                        ] ))
-             (Obs.hists t.lat)) );
-    ]
+             (Obs.hists t.live)) );
+    ])
 
 (** Reach a serve-side fault point with retry-with-backoff: transient
     injected faults (bounded [*count] / [%pct] clauses) recover after a
     bounded number of attempts; a persistent fault surfaces to the
     caller as its stable [E_FAULT_*] diagnostic. *)
 let faulted t point ~key : (unit, Diag.t) result =
-  let rec go attempt =
-    match Fault.check point ~key with
-    | () -> Ok ()
-    | exception Diag.Error d when d.Diag.transient && attempt <= retries t ->
-      bump t t.m.serve_fault_retries "serve.fault_retries";
-      Unix.sleepf (Backoff.backoff_s attempt);
-      go (attempt + 1)
-    | exception Diag.Error d ->
-      bump t t.m.serve_faults "serve.faults";
-      Error d
-  in
-  go 1
+  match
+    Backoff.retry ~retries:(retries t)
+      ~on_retry:(fun () -> bump t "serve.fault_retries")
+      (fun () ->
+        match Fault.check point ~key with
+        | () -> Ok ()
+        | exception Diag.Error d -> Error d)
+  with
+  | (Ok (), _) -> Ok ()
+  | (Error d, _) ->
+    bump t "serve.faults";
+    Error d
 
 (** Enqueue one decoded request, or answer it inline when it needs no
     worker.  Backpressure: a full queue sheds the request immediately
     with the transient [E_OVERLOAD] reply. *)
 let dispatch_request t (c : conn) (req : P.request) =
-  bump t t.m.requests "serve.requests";
+  bump t "serve.requests";
   let id = req.P.id in
   let version = req.P.version in
   match req.P.op with
@@ -470,27 +427,19 @@ let dispatch_request t (c : conn) (req : P.request) =
     match faulted t Fault.Serve_dispatch ~key:"dispatch" with
     | Error d -> send_err t c ~id ?version d
     | Ok () ->
-      let deadline_ms =
-        match req.P.deadline_ms with
-        | Some ms -> Some ms
-        | None -> t.o.default_deadline_ms
-      in
-      let token =
-        match deadline_ms with
-        | Some ms -> Deadline.after_ms ms
-        | None -> Deadline.cancellable ()
-      in
       let it =
         {
           it_conn = c;
           it_req = req;
-          it_token = token;
+          it_token =
+            Deadline.after_ms
+              (Option.value req.P.deadline_ms ~default:t.o.default_deadline_ms);
           it_iid = Atomic.fetch_and_add t.next_iid 1;
           it_enq_at = Unix.gettimeofday ();
-          it_wd_cancelled = false;
         }
       in
-      (* register before the push so the watchdog sees queued items *)
+      (* register before the push: a worker may finish the item before
+         [try_push] returns, and its removal must come second *)
       with_inflight t (fun tbl -> Hashtbl.replace tbl it.it_iid it);
       (match Bqueue.try_push t.queue it with
       | `Ok depth ->
@@ -498,20 +447,20 @@ let dispatch_request t (c : conn) (req : P.request) =
           (float_of_int depth)
       | `Full | `Closed ->
         with_inflight t (fun tbl -> Hashtbl.remove tbl it.it_iid);
-        bump t t.m.shed_overload "serve.shed_overload";
+        bump t "serve.shed_overload";
         send_err t c ~id ?version
           (Diag.make ~transient:true Diag.Serve ~code:P.code_overload
              "request queue full; retry after backoff")))
 
 let handle_frame t (c : conn) (line : string) =
-  bump t t.m.frames "serve.frames";
+  bump t "serve.frames";
   match faulted t Fault.Serve_decode ~key:"decode" with
   | Error d -> send_err t c ~id:(P.frame_id line) d
   | Ok () -> (
     match P.request_of_frame line with
     | Ok req -> dispatch_request t c req
     | Error d ->
-      bump t t.m.decode_errors "serve.decode_errors";
+      bump t "serve.decode_errors";
       send_err t c ~id:(P.frame_id line) d)
 
 (** Split the connection buffer into complete frames.  An oversized
@@ -536,7 +485,7 @@ let extract_frames t (c : conn) =
          if c.overflowed then pos := len (* keep discarding *)
          else if rest > max_frame_bytes then begin
            c.overflowed <- true;
-           bump t t.m.decode_errors "serve.decode_errors";
+           bump t "serve.decode_errors";
            send_err t c ~id:Json.Null
              (Diag.make Diag.Serve ~code:P.code_decode
                 (Printf.sprintf "frame exceeds %d bytes" max_frame_bytes));
@@ -550,7 +499,7 @@ let extract_frames t (c : conn) =
    with e ->
      (* absolute backstop: a frame-handling bug must not kill the
         acceptor; the offending bytes are dropped *)
-     bump t t.m.internal_errors "serve.internal_errors";
+     bump t "serve.internal_errors";
      ignore e)
 
 let read_conn t (c : conn) =
@@ -587,7 +536,7 @@ let try_accept t : conn option =
       (* never let one stalled client block a worker forever *)
       (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.0
        with Unix.Unix_error _ -> ());
-      bump t t.m.accepts "serve.accepts";
+      bump t "serve.accepts";
       Some
         {
           fd;
@@ -597,27 +546,6 @@ let try_accept t : conn option =
           overflowed = false;
         }
     | exception Unix.Unix_error _ -> None)
-
-(** Cancel in-flight requests that overstayed: past-deadline tokens are
-    already self-enforcing via {!Deadline.check}, so the watchdog's job
-    is the deadline-less stragglers ([stuck_ms]). *)
-let watchdog_tick t =
-  let now = Unix.gettimeofday () in
-  let stuck_s = float_of_int t.o.stuck_ms /. 1e3 in
-  with_inflight t (fun tbl ->
-      Hashtbl.iter
-        (fun _ it ->
-          if
-            (not it.it_wd_cancelled)
-            && (not (Deadline.cancelled it.it_token))
-            && Deadline.remaining_ms it.it_token = None
-            && now -. it.it_enq_at > stuck_s
-          then begin
-            it.it_wd_cancelled <- true;
-            Deadline.cancel it.it_token;
-            bump t t.m.watchdog_cancels "serve.watchdog_cancels"
-          end)
-        tbl)
 
 (* ------------------------------------------------------------------ *)
 (* Acceptor main loop and drain                                        *)
@@ -644,7 +572,6 @@ let drain t conns =
   List.iter close_conn conns
 
 let accept_loop t () =
-  let last_wd = ref 0.0 in
   let rec loop conns =
     if Atomic.get t.stop_flag then drain t conns
     else begin
@@ -663,11 +590,6 @@ let accept_loop t () =
       List.iter (fun c -> if List.memq c.fd ready then read_conn t c) conns;
       let dead, live = List.partition (fun c -> not c.alive) conns in
       List.iter close_conn dead;
-      let now = Unix.gettimeofday () in
-      if now -. !last_wd > 0.1 then begin
-        last_wd := now;
-        watchdog_tick t
-      end;
       loop live
     end
   in
@@ -693,24 +615,21 @@ let start ?(ctx = Compile.default_ctx) (o : opts) : t =
         ctx;
         listen_fd;
         queue = Bqueue.create ~capacity:o.queue_capacity;
-        pool = Domain_pool.create ~always_spawn:true ~jobs ();
+        workers = [];
         stop_flag = Atomic.make false;
         acceptor = None;
         infl_mutex = Mutex.create ();
         inflight = Hashtbl.create 64;
         next_iid = Atomic.make 1;
         cache = Cache.create ~capacity:o.cache_capacity;
-        m = make_metrics ();
-        lat = Obs.create ();
+        live = Obs.create ();
         joined = false;
       }
     with e ->
       (try Unix.close listen_fd with Unix.Unix_error _ -> ());
       raise e
   in
-  for _ = 1 to Domain_pool.jobs t.pool do
-    Domain_pool.submit t.pool (worker_loop t)
-  done;
+  t.workers <- List.init t.o.jobs (fun _ -> Domain.spawn (worker_loop t));
   t.acceptor <- Some (Domain.spawn (accept_loop t));
   t
 
@@ -720,6 +639,7 @@ let stop t =
     request_stop t;
     Option.iter Domain.join t.acceptor;
     t.acceptor <- None;
-    (* queue is closed by the drain; workers have returned to the pool *)
-    Domain_pool.shutdown t.pool
+    (* the drain closed the queue, so every worker loop returns *)
+    List.iter Domain.join t.workers;
+    t.workers <- []
   end

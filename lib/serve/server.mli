@@ -11,9 +11,7 @@
       instead of queueing without bound;
     - {b deadlines}: every request gets a cooperative cancellation token
       ([deadline_ms], or the server default); expiry anywhere in the
-      pipeline or simulator surfaces as [E_DEADLINE];
-    - {b watchdog}: deadline-less requests stuck longer than [stuck_ms]
-      are cancelled through the same token;
+      pipeline or simulator, or while queued, surfaces as [E_DEADLINE];
     - {b crash isolation}: any exception a request provokes is caught at
       the worker boundary and returned as a structured diagnostic; the
       worker, its domain, the cache and every other connection survive,
@@ -29,14 +27,13 @@ type opts = {
   socket_path : string;
   jobs : int;                      (** worker domains (>= 1) *)
   queue_capacity : int;            (** bounded request queue *)
-  default_deadline_ms : int option;(** applied when the request has none *)
-  stuck_ms : int;                  (** watchdog limit for deadline-less requests *)
+  default_deadline_ms : int;       (** applied when the request has none *)
   cache_capacity : int;            (** warm cache entries (LRU) *)
   drain_ms : int;                  (** max wait for in-flight work on stop *)
 }
 
-(** 2 workers, queue 64, no default deadline, 30 s watchdog, 128 cache
-    entries, 10 s drain.  Frames are bounded at a fixed 4 MiB; a longer
+(** 2 workers, queue 64, 30 s default deadline, 128 cache entries, 10 s
+    drain.  Frames are bounded at a fixed 4 MiB; a longer
     one is rejected with [E_DECODE]. *)
 val default_opts : socket_path:string -> opts
 
@@ -61,6 +58,6 @@ val stopping : t -> bool
 val stop : t -> unit
 
 (** Counters snapshot: accepts, frames, requests, replies by outcome,
-    sheds, deadline expiries, watchdog cancels, retries, cache
-    hits/misses/invalidations, live queue depth. *)
+    sheds, deadline expiries, retries, cache hits/misses/invalidations,
+    live queue depth. *)
 val stats_json : t -> Json.t

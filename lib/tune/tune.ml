@@ -306,7 +306,7 @@ let tune_workload ?(ctx = Compile.default_ctx) ?pool (cfg : config)
     (* parsed and type-checked once; every candidate compiles from it *)
     let ast =
       let source = w.Workload.source in
-      match Compile.parse_and_check_exn source with
+      match Compile.parse_and_check source with
       | ast -> ast
       | exception _ -> (
         (* fail as a full compile does: its core-count and deadline

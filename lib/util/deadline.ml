@@ -22,9 +22,6 @@ let after_ms ms =
     fuel = 0;
   }
 
-let cancellable () =
-  { limit_s = Float.infinity; cancelled = Atomic.make false; fuel = 0 }
-
 let cancel t = if t != none then Atomic.set t.cancelled true
 
 let cancelled t = Atomic.get t.cancelled
@@ -34,8 +31,7 @@ let past_limit t = Unix.gettimeofday () >= t.limit_s
 let expired t = t != none && (cancelled t || past_limit t)
 
 let fail t =
-  if cancelled t then
-    Diag.error Diag.Driver ~code "request cancelled (deadline watchdog)"
+  if cancelled t then Diag.error Diag.Driver ~code "request cancelled"
   else Diag.error Diag.Driver ~code "deadline exceeded"
 
 let check t =
@@ -47,7 +43,3 @@ let check t =
       if past_limit t then fail t
     end
   end
-
-let remaining_ms t =
-  if t == none || t.limit_s = Float.infinity then None
-  else Some ((t.limit_s -. Unix.gettimeofday ()) *. 1e3)

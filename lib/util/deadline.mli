@@ -5,9 +5,9 @@
     of the pipeline: the pass fixpoint and the simulator scheduler both
     call {!check} periodically.  When the token's wall-clock deadline has
     passed — or another domain {!cancel}led it (the compile server's
-    stuck-request watchdog) — the next {!check} raises a structured
-    {!Diag.Error} with the stable code {!code} ([E_DEADLINE]), which the
-    usual [*_result] entry points return as a diagnostic.
+    drain) — the next {!check} raises a structured {!Diag.Error} with
+    the stable code {!code} ([E_DEADLINE]), which the usual [*_result]
+    entry points return as a diagnostic.
 
     Cancellation is cooperative: nothing is interrupted mid-instruction,
     the worked-on program is simply abandoned at the next check point, so
@@ -16,7 +16,7 @@
     {!check} is engineered for hot loops: on {!none} it is one physical
     equality test, and on a live token it reads the clock only every few
     dozen calls (an [Atomic] cancellation flag is still read every call,
-    so a watchdog {!cancel} lands promptly). *)
+    so a {!cancel} lands promptly). *)
 
 type t
 
@@ -30,13 +30,8 @@ val none : t
     domain. *)
 val after_ms : int -> t
 
-(** A token with no clock deadline that can still be {!cancel}led — the
-    compile server gives one to every deadline-less request so its
-    stuck-request watchdog has a handle to pull. *)
-val cancellable : unit -> t
-
-(** Cancel from outside (watchdog, drain): the owning domain's next
-    {!check} raises. *)
+(** Cancel from outside (the compile server's drain): the owning
+    domain's next {!check} raises. *)
 val cancel : t -> unit
 
 (** Whether {!cancel} was called. *)
@@ -50,10 +45,6 @@ val expired : t -> bool
     is cancelled or past its deadline; otherwise return.  Paced: the
     clock is consulted once per {!fuel_budget} calls. *)
 val check : t -> unit
-
-(** Milliseconds left; [None] on {!none} or a token without a clock
-    deadline. *)
-val remaining_ms : t -> float option
 
 (** The stable diagnostic code {!check} raises with. *)
 val code : string

@@ -30,7 +30,7 @@ let worker pool () =
   in
   loop ()
 
-let create ?(always_spawn = false) ~jobs () : t =
+let create ~jobs () : t =
   let jobs = max 1 jobs in
   let pool =
     {
@@ -42,21 +42,9 @@ let create ?(always_spawn = false) ~jobs () : t =
       domains = [];
     }
   in
-  if jobs > 1 || always_spawn then
+  if jobs > 1 then
     pool.domains <- List.init jobs (fun _ -> Domain.spawn (worker pool));
   pool
-
-(** Hand one task to the pool's workers.  On a domain-less pool (size 1
-    created without [~always_spawn:true]) the task runs inline — there is
-    nobody else to run it. *)
-let submit pool (task : unit -> unit) =
-  if pool.domains = [] then task ()
-  else begin
-    Mutex.lock pool.mutex;
-    Queue.push task pool.queue;
-    Condition.signal pool.has_work;
-    Mutex.unlock pool.mutex
-  end
 
 let shutdown pool =
   Mutex.lock pool.mutex;

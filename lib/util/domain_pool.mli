@@ -19,17 +19,8 @@
 type t
 
 (** [create ~jobs ()] spawns [max 1 jobs] worker domains ([jobs <= 1]
-    spawns none, so batch calls degrade to the caller's domain).
-    [~always_spawn:true] spawns worker domains even for [jobs = 1] —
-    services ([lpccd]) that park long-lived loops on the pool via
-    {!submit} need a real worker to run them. *)
-val create : ?always_spawn:bool -> jobs:int -> unit -> t
-
-(** [submit pool task] enqueues one fire-and-forget task for the pool's
-    workers (the compile server submits its request-loop this way); on a
-    domain-less pool the task runs inline.  Exceptions escaping [task]
-    kill the worker domain — wrap the task. *)
-val submit : t -> (unit -> unit) -> unit
+    spawns none, so batch calls degrade to the caller's domain). *)
+val create : jobs:int -> unit -> t
 
 (** Number of worker slots (>= 1). *)
 val jobs : t -> int

@@ -28,7 +28,8 @@ let isolated f () =
 (* Diagnostics                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(** Every legacy pipeline exception maps onto its stable code. *)
+(** Every legacy pipeline exception maps onto its stable code, directly
+    and through the one exception boundary, {!Compile.guard}. *)
 let test_diag_round_trip () =
   let pos = { Lp_lang.Ast.line = 2; col = 5 } in
   let cases =
@@ -45,30 +46,47 @@ let test_diag_round_trip () =
       (Lp_sim.Value.Runtime_error "division by zero", "E_RUNTIME", None);
     ]
   in
+  let guarded e =
+    match Compile.guard (fun () -> raise e) with
+    | Ok () -> "(no error)"
+    | Error d -> d.Diag.code
+  in
   List.iter
     (fun (e, code, line) ->
-      match Compile.diag_of_exn e with
+      (match Compile.diag_of_exn e with
       | None -> Alcotest.failf "%s: no diagnostic" code
       | Some d ->
         Alcotest.(check string) (code ^ ": code") code d.Diag.code;
-        Alcotest.(check (option int)) (code ^ ": line") line d.Diag.line)
+        Alcotest.(check (option int)) (code ^ ": line") line d.Diag.line);
+      Alcotest.(check string) (code ^ ": guard") code (guarded e))
     cases;
   (* Diag.Error passes through unchanged *)
   let d0 = Diag.make Diag.Fault ~code:"E_FAULT_PASS" ~transient:true "boom" in
   (match Compile.diag_of_exn (Diag.Error d0) with
   | Some d -> Alcotest.(check string) "passthrough" "E_FAULT_PASS" d.Diag.code
   | None -> Alcotest.fail "Diag.Error must map to itself");
-  (* foreign exceptions are not diagnostics *)
+  (* foreign exceptions are not diagnostics, except at the boundary *)
   Alcotest.(check bool) "foreign exception" true
-    (Compile.diag_of_exn Not_found = None)
+    (Compile.diag_of_exn Not_found = None);
+  Alcotest.(check string) "foreign exception: guard" "E_INTERNAL"
+    (guarded Not_found)
 
-(** [compile_result]/[run_result] degrade front-end failures to the
-    specific code instead of raising. *)
+(** [compile_result]/[run_result] and the matrix cells degrade
+    front-end failures to the specific code instead of raising. *)
 let test_result_entry_points () =
   let machine = machine () in
   (match Compile.compile_result ~machine "int main( {" with
   | Error d -> Alcotest.(check string) "parse error code" "E_PARSE" d.Diag.code
   | Ok _ -> Alcotest.fail "garbage must not compile");
+  let broken =
+    { Lp_workloads.Workload.name = "broken"; description = "does not parse";
+      source = "int main( {"; expected_pattern = "none"; check_globals = [] }
+  in
+  (match Exp.result_of (Exp.job broken ~config:"baseline" Compile.baseline) with
+  | Error d ->
+    Alcotest.(check string) "matrix cell parse error code" "E_PARSE"
+      d.Diag.code
+  | Ok _ -> Alcotest.fail "a garbage cell must not run");
   (match Compile.compile_result ~machine "int main() { return 1.5; }" with
   | Error d -> Alcotest.(check string) "type error code" "E_TYPE" d.Diag.code
   | Ok _ -> Alcotest.fail "ill-typed program must not compile");
@@ -384,7 +402,7 @@ let suite =
     Alcotest.test_case "diag round-trip of legacy exceptions" `Quick
       test_diag_round_trip;
     Alcotest.test_case "result entry points degrade gracefully" `Quick
-      test_result_entry_points;
+      (isolated test_result_entry_points);
     Alcotest.test_case "diag rendering" `Quick test_diag_to_string;
     Alcotest.test_case "fault spec grammar" `Quick
       (isolated test_fault_spec_grammar);

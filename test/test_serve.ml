@@ -259,8 +259,18 @@ let run_frame ?deadline_ms ?(config = "full") ~id src =
 
 (** A near-zero deadline on a real workload expires inside the pipeline
     or simulator and surfaces as [E_DEADLINE]; the connection, the
-    worker and subsequent requests are untouched. *)
+    worker and subsequent requests are untouched.  A request without
+    [deadline_ms] gets the server's default deadline. *)
 let test_deadline_expiry () =
+  (let tune o = { o with Server.default_deadline_ms = 1 } in
+   with_server ~tune "deadline-default" @@ fun path _server ->
+   let fd = connect path in
+   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+   send_all fd (run_frame ~id:(Json.Num 1.0) (P.Workload "matmul"));
+   let dead = parse_reply (List.hd (read_frames fd 1)) in
+   Alcotest.(check bool) "default deadline request failed" false dead.P.r_ok;
+   Alcotest.(check string) "default deadline E_DEADLINE" "E_DEADLINE"
+     (code_of dead));
   with_server "deadline" @@ fun path _server ->
   let fd = connect path in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->

@@ -257,7 +257,7 @@ let test_digest_sensitivity () =
   let checked =
     match
       Compile.compile_checked ~opts:(Compile.full ~n_cores:4) ~machine
-        (Compile.parse_and_check_exn digest_source)
+        (Compile.parse_and_check digest_source)
     with
     | Ok c -> c.Compile.prog
     | Error d -> Alcotest.fail (Lp_util.Diag.to_string d)
