@@ -210,6 +210,49 @@ let test_transient_flag () =
         d.Diag.transient
     | None -> Alcotest.fail "worker fault must fire")
 
+(** A sweep row with a failed non-[E_COMPILE] cell names no winner: a
+    fault fails the first fir/full cell evaluated (generic-4c's, on a
+    one-job pool without retries), so that row prints [incomplete], is
+    listed under the artifact's [incomplete] key and makes no crossover
+    with pacduo-2c's row, whose [full] ran and won. *)
+let test_sweep_incomplete_row () =
+  let module Sweep = Lp_experiments.Sweep in
+  let saved = Exp.current_ctx () in
+  Exp.set_ctx
+    { saved with
+      Compile.config =
+        { saved.Compile.config with Lp_util.Runtime_config.retries = 0 } };
+  let pool = Lp_util.Domain_pool.create ~jobs:1 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Lp_util.Domain_pool.shutdown pool;
+      Exp.set_ctx saved)
+  @@ fun () ->
+  (match Fault.configure "worker@fir/full*1" with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let t =
+    Sweep.run ~pool ~machines:[ "generic"; "pacduo" ] ~workloads:[ "fir" ] ()
+  in
+  Alcotest.(check (list (pair string string))) "only pacduo-2c has a winner"
+    [ ("pacduo-2c", "full") ]
+    (List.map (fun w -> (w.Sweep.w_machine, w.Sweep.w_config)) t.Sweep.sw_winners);
+  Alcotest.(check int) "no crossover" 0 (List.length (Sweep.crossovers t));
+  let contains s sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  let table = Lp_util.Table.render (Sweep.crossover_table t) in
+  Alcotest.(check bool) ("table row: " ^ table) true
+    (contains table "| fir      | incomplete | full (-23.6%) |");
+  Alcotest.(check bool) "artifact lists the row" true
+    (contains (Sweep.to_json t)
+       "  ],\n  \"incomplete\": [\n\
+       \    {\"workload\": \"fir\", \"machine\": \"generic-4c\"}\n  ]\n}\n")
+
 (* ------------------------------------------------------------------ *)
 (* Hardened JSON parsing                                               *)
 (* ------------------------------------------------------------------ *)
@@ -412,6 +455,8 @@ let suite =
       (isolated test_retry_recovers_transient);
     Alcotest.test_case "transient flag tracks fault boundedness" `Quick
       (isolated test_transient_flag);
+    Alcotest.test_case "sweep row with a failed cell has no winner" `Quick
+      (isolated test_sweep_incomplete_row);
     Alcotest.test_case "json: adversarial input fails structurally" `Quick
       test_json_adversarial;
     Alcotest.test_case "json: 500-seed mutation fuzz" `Quick

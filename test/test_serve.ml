@@ -483,6 +483,59 @@ let test_run_memo_skips_failures () =
   Alcotest.(check bool) "memoised run ok" true memo.P.r_ok;
   Alcotest.(check int) "then the memo answers" 1 (sim_runs ctx)
 
+(** Two sources that differ only in a comment at the end of a line
+    compile to one program (no instruction's [loc] moves), so the second
+    [run] misses the compile cache but simulates nothing: its frame is
+    byte-identical to the first one's apart from [id]. *)
+let test_run_memo_by_program () =
+  let ctx = counting_ctx () in
+  with_server ~ctx "memo-program" @@ fun path _server ->
+  let fd = connect path in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let src = (Lp_workloads.Suite.find_exn "dotprod").Lp_workloads.Workload.source in
+  let commented =
+    let nl = String.index src '\n' in
+    String.sub src 0 nl ^ " // same program"
+    ^ String.sub src nl (String.length src - nl)
+  in
+  let first = ask fd (run_frame ~id:(Json.Num 1.0) (P.Inline src)) in
+  let second = ask fd (run_frame ~id:(Json.Num 2.0) (P.Inline commented)) in
+  Alcotest.(check bool) "first reply ok" true (parse_reply first).P.r_ok;
+  Alcotest.(check string) "second frame byte-identical apart from id"
+    (after ~prefix:{|{"id":1,"ok":true,"op":"run",|} first)
+    (after ~prefix:{|{"id":2,"ok":true,"op":"run",|} second);
+  Alcotest.(check int) "one simulation for two sources" 1 (sim_runs ctx)
+
+(** lpccd's worker is a [worker] fault point, keyed [<scope>/<config>]
+    like a matrix cell: with [worker*1] armed, the first attempt of a
+    [run] fails transiently and the retried attempt succeeds. *)
+let test_worker_fault_retried () =
+  with_server "worker-fault" @@ fun path _server ->
+  let fd = connect path in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close fd;
+      Lp_util.Fault.clear ())
+  @@ fun () ->
+  (match Lp_util.Fault.configure "worker@fir/full*1" with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "fault spec: %s" e);
+  let r = parse_reply (ask fd (run_frame ~id:(Json.Num 1.0) (P.Workload "fir"))) in
+  Alcotest.(check bool) "run recovers" true r.P.r_ok;
+  let stats =
+    parse_reply
+      (ask fd
+         (P.frame_of_request
+            { P.default_request with P.id = Json.Num 2.0; op = P.Stats }))
+  in
+  match
+    Option.bind
+      (Json.member "stats" stats.P.r_payload)
+      (Json.member "dispatch_retries")
+  with
+  | Some (Json.Num n) -> Alcotest.(check (float 0.0)) "one retry" 1.0 n
+  | _ -> Alcotest.fail "stats must expose dispatch_retries"
+
 (** An armed fault spec bypasses the cache and so the memo: every
     [run] simulates, even of a program served before. *)
 let test_run_memo_bypassed_under_faults () =
@@ -557,11 +610,12 @@ let test_tune_op () =
 
 (** The v2 [profile] op end to end: the served artifact is byte-identical
     (once the ["profile"] member is re-serialised) to what the one-shot
-    entry points produce, a repeat request reuses the warm compile cache
-    without changing a byte, and the [stats] reply carries the per-op
-    latency histogram. *)
+    entry points produce, a repeat request is answered from the warm
+    caches without changing a byte or simulating again, and the [stats]
+    reply carries the per-op latency histogram. *)
 let test_profile_op () =
-  with_server "profile" @@ fun path _server ->
+  let ctx = counting_ctx () in
+  with_server ~ctx "profile" @@ fun path _server ->
   let fd = connect path in
   Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
   let profile_frame id =
@@ -606,8 +660,8 @@ let test_profile_op () =
   in
   Alcotest.(check string) "served artifact byte-identical to one-shot"
     expected (Json.to_string served);
-  (* the repeat request hits the warm compile cache and re-simulates to
-     the exact same bytes *)
+  (* the repeat request hits the warm compile cache and replies with
+     the exact same bytes without simulating again *)
   send_all fd (profile_frame (Json.Num 2.0));
   let second = parse_reply (List.hd (read_frames fd 1)) in
   Alcotest.(check bool) "second profile ok" true second.P.r_ok;
@@ -615,6 +669,7 @@ let test_profile_op () =
     (Json.member "cached" second.P.r_payload = Some (Json.Bool true));
   Alcotest.(check string) "warm artifact byte-identical" expected
     (Json.to_string (artifact second));
+  Alcotest.(check int) "one simulation for two profiles" 1 (sim_runs ctx);
   (* a v1 frame must not reach the op *)
   (match P.request_of_frame {|{"op":"profile","workload":"fir"}|} with
   | Ok _ -> Alcotest.fail "profile must require protocol v2"
@@ -724,6 +779,10 @@ let suite =
     Alcotest.test_case "warm run replies from its memo" `Quick test_run_memo;
     Alcotest.test_case "failed runs are never memoised" `Quick
       test_run_memo_skips_failures;
+    Alcotest.test_case "sources compiling to one program simulate once"
+      `Quick test_run_memo_by_program;
+    Alcotest.test_case "worker fault point retried" `Quick
+      test_worker_fault_retried;
     Alcotest.test_case "armed faults bypass the run memo" `Quick
       test_run_memo_bypassed_under_faults;
     Alcotest.test_case "serve-bench acceptance gate end to end" `Slow
