@@ -1,6 +1,5 @@
 (** Benchmark harness: regenerates every table (T1-T5) and figure series
-    (F1-F6) of the reproduced evaluation, then runs the B1 bechamel
-    micro-benchmarks of compile-pass throughput.
+    (F1-F6, A1-A3) of the reproduced evaluation.
 
     The evaluation matrix fans out over [Lp_util.Domain_pool]; every run
     appends a machine-readable [BENCH_eval.json] snapshot (wall-clock per
@@ -13,99 +12,13 @@
       dune exec bench/main.exe -- t1 --jobs 4  # 4-domain pool, plus a
                                                # sequential reference pass
       dune exec bench/main.exe -- t1 --jobs 4 --no-compare   # skip the ref
-      dune exec bench/main.exe -- seq          # force sequential (jobs=1,
-                                               # also spelled --seq)
-      dune exec bench/main.exe -- bechamel     # only the pass micro-benches *)
+      dune exec bench/main.exe -- --jobs 1     # sequential *)
 
 module E = Lp_experiments.Experiments
 module Baseline = Lp_experiments.Baseline
 module Exp_common = Lp_experiments.Exp_common
 module DP = Lp_util.Domain_pool
-module Runtime_config = Lp_util.Runtime_config
 open Cmdliner
-
-(* ------------------------------------------------------------------ *)
-(* B1: bechamel micro-benchmarks of individual compiler passes          *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_passes () =
-  let open Bechamel in
-  let open Toolkit in
-  let module T = Lp_transforms in
-  let module W = Lp_workloads.Workload in
-  let source = (Lp_workloads.Suite.find_exn "matmul").W.source in
-  let fresh_prog () =
-    let ast = Lowpower.Compile.parse_and_check source in
-    Lp_ir.Lower.lower_program ast
-  in
-  let pass_test name (p : T.Pass.func_pass) =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let prog = fresh_prog () in
-           let pm = T.Pass.create_manager () in
-           ignore (T.Pass.run_pass pm p prog)))
-  in
-  let machine = Lp_machine.Machine.generic ~n_cores:4 () in
-  let tests =
-    [
-      Test.make ~name:"parse+lower"
-        (Staged.stage (fun () -> ignore (fresh_prog ())));
-      pass_test "constfold" T.Constfold.pass;
-      pass_test "dce" T.Dce.pass;
-      pass_test "simplify-cfg" T.Simplify_cfg.pass;
-      pass_test "mac-fusion" T.Mac_fusion.pass;
-      pass_test "const-promote" T.Const_promote.pass;
-      Test.make ~name:"gating-insert+merge"
-        (Staged.stage (fun () ->
-             let prog = fresh_prog () in
-             ignore (T.Gating.insert machine prog);
-             ignore (T.Gating.merge machine prog)));
-      Test.make ~name:"dvfs-insert"
-        (Staged.stage (fun () ->
-             let prog = fresh_prog () in
-             ignore (T.Dvfs.insert machine prog)));
-    ]
-  in
-  let test = Test.make_grouped ~name:"passes" ~fmt:"%s/%s" tests in
-  let benchmark () =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.6) ~kde:(Some 1000) ()
-    in
-    let raw_results = Benchmark.all cfg instances test in
-    let results =
-      List.map (fun instance -> Analyze.all ols instance raw_results) instances
-    in
-    let results = Analyze.merge ols instances results in
-    results
-  in
-  print_endline "== B1: compile-pass micro-benchmarks (bechamel) ==";
-  print_endline
-    "(each staged run re-parses and re-lowers matmul so the pass sees \
-     fresh IR; subtract the parse+lower row for pass-only cost)";
-  let results = benchmark () in
-  Hashtbl.iter
-    (fun measure tbl ->
-      if measure = Measure.label Instance.monotonic_clock then
-        Hashtbl.iter
-          (fun name ols ->
-            let est =
-              match Analyze.OLS.estimates ols with
-              | Some (x :: _) -> Printf.sprintf "%12.1f ns/run" x
-              | _ -> "           n/a"
-            in
-            let r2 =
-              match Analyze.OLS.r_square ols with
-              | Some r -> Printf.sprintf "r²=%.3f" r
-              | None -> ""
-            in
-            Printf.printf "%-28s %s  %s\n" name est r2)
-          tbl)
-    results;
-  print_newline ()
 
 (* ------------------------------------------------------------------ *)
 (* BENCH_eval.json                                                      *)
@@ -255,7 +168,6 @@ let run ids compare json_path check_baseline write_baseline =
     | None -> Printf.printf "sweep total: %.2fs with jobs=%d\n" total jobs);
     Printf.printf "wrote %s\n%!" json_path
   end;
-  if want "bechamel" then bechamel_passes ();
   (* the regression gate: simulated cycles/energy against the committed
      snapshot (bench/baselines/eval.json in CI) *)
   let baseline_rows () =
@@ -309,20 +221,12 @@ let run ids compare json_path check_baseline write_baseline =
 
 let () =
   let ids =
-    let ids =
-      List.map (fun (e : E.entry) -> e.E.id) E.all @ [ "bechamel"; "seq" ]
-    in
+    let ids = List.map (fun (e : E.entry) -> e.E.id) E.all in
     Arg.(value & pos_all (enum (List.map (fun id -> (id, id)) ids)) []
          & info [] ~docv:"ID"
              ~doc:"Experiments to run: $(b,t1)..$(b,t5), $(b,t3b), \
-                   $(b,f1)..$(b,f6), $(b,a1)..$(b,a3) and $(b,bechamel) (the \
-                   pass micro-benchmarks); every experiment and bechamel when \
-                   omitted.  $(b,seq) is $(b,--seq).  The machine-zoo sweep \
-                   is $(b,lpcc sweep).")
-  in
-  let seq =
-    Arg.(value & flag
-         & info [ "seq" ] ~doc:"Run sequentially: $(b,--jobs 1).")
+                   $(b,f1)..$(b,f6) and $(b,a1)..$(b,a3); every experiment \
+                   when omitted.  The machine-zoo sweep is $(b,lpcc sweep).")
   in
   let no_compare =
     Arg.(value & flag
@@ -348,12 +252,7 @@ let () =
              ~doc:"Write the simulated metrics of this run as a baseline \
                    to $(docv).")
   in
-  let main ids seq no_compare json check_baseline write_baseline config =
-    let seq = seq || List.mem "seq" ids in
-    let ids = List.filter (( <> ) "seq") ids in
-    let config =
-      if seq then { config with Runtime_config.jobs = Some 1 } else config
-    in
+  let main ids no_compare json check_baseline write_baseline config =
     match
       Lowpower.Compile.with_session config (fun ctx ->
           Exp_common.set_ctx ctx;
@@ -371,5 +270,5 @@ let () =
   exit
     (Cmd.eval'
        (Cmd.v (Cmd.info "main.exe" ~doc)
-          Term.(const main $ ids $ seq $ no_compare $ json $ check_baseline
+          Term.(const main $ ids $ no_compare $ json $ check_baseline
                 $ write_baseline $ Lp_cli.Cli.runtime_t)))

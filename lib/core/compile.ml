@@ -196,7 +196,7 @@ let with_session (config : Runtime_config.t) f =
            f { obs; report; config; deadline }))
 
 (** Append a simulation's energy/counter record to the audit report
-    (shared by [run], [run_result] and the CLI; no-op when the report is
+    ([simulate_compiled]'s last step; no-op when the report is
     disabled).  A nonzero implicit-wakeup count also lands in the
     report's warnings: the simulator had to silently re-enable a gated
     component, which means the compiler gated a component the program
@@ -472,6 +472,17 @@ let simulate_compiled ?(ctx = default_ctx)
   in
   record_outcome ctx.report outcome;
   outcome
+
+let digest (c : compiled) : Digest.t =
+  Digest.string (Prog.digest c.prog ^ Machine.digest c.machine)
+
+let sim_key ?(ctx = default_ctx) ?(sim_opts = Lp_sim.Sim.default_options)
+    ~digest (c : compiled) : Digest.t =
+  let o = effective_sim_opts ~ctx ~opts:c.options sim_opts in
+  Digest.string
+    (Marshal.to_string
+       (digest, { o with Lp_sim.Sim.deadline = Lp_util.Deadline.none })
+       [ Marshal.No_sharing ])
 
 let run ?(ctx = default_ctx) ?(opts = baseline)
     ?(sim_opts = Lp_sim.Sim.default_options) ~(machine : Machine.t)

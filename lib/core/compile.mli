@@ -181,14 +181,6 @@ val make_ctx :
 val with_session :
   Lp_util.Runtime_config.t -> (ctx -> 'a) -> ('a, string) result
 
-(** Append [outcome]'s energy-ledger breakdown and headline counters to
-    the report under the current {!Lp_obs.Report.with_scope} scope, and
-    record a warning when the simulator observed implicit wakeups.
-    No-op on the disabled report.  [run]/[run_result] call this
-    themselves; it is exposed for callers that drive
-    {!Lp_sim.Sim.run} directly. *)
-val record_outcome : Lp_obs.Report.t -> Lp_sim.Sim.outcome -> unit
-
 (** Parse and type-check only; raises the front-end exception of the
     phase that failed ([Lex_error], [Parse_error], [Type_error]), which
     {!diag_of_exn} maps onto its diagnostic code. *)
@@ -238,6 +230,29 @@ val simulate_compiled :
   ?sim_opts:Lp_sim.Sim.options ->
   compiled ->
   Lp_sim.Sim.outcome
+
+(** {2 Memo keys}
+
+    lpccd and the tuner memoise simulations by content, so two compiles
+    of one program on one machine simulate once. *)
+
+(** Content digest of what a simulation reads from a compile: its
+    program ({!Lp_ir.Prog.digest}) and its machine
+    ({!Lp_machine.Machine.digest}). *)
+val digest : compiled -> Digest.t
+
+(** [sim_key ?ctx ?sim_opts ~digest c], where [digest] is [digest c],
+    keys the outcome of [simulate_compiled ?ctx ?sim_opts c]: the digest
+    and the effective simulator options (unused-core gating from [c]'s
+    options, the context's predecode and profiling switches), without
+    the deadline token, which decides whether a simulation finishes but
+    never what it computes.  Equal keys give byte-identical outcomes. *)
+val sim_key :
+  ?ctx:ctx ->
+  ?sim_opts:Lp_sim.Sim.options ->
+  digest:Digest.t ->
+  compiled ->
+  Digest.t
 
 (** {2 Structured diagnostics}
 

@@ -59,32 +59,16 @@ type cell = {
 }
 
 (* memo so that T3/T4/F2/F6 don't re-simulate the same (workload, config,
-   machine) triple.  Guarded by [cache_mutex]: [run_matrix] fills it from
-   several domains at once.  A racing miss may compute a triple twice;
-   compilation is deterministic, so whichever insert wins is the same
-   value.  Failed cells are cached too, so the table renderers see the
-   same outcome (and retry count) the matrix produced. *)
-let cache : (string * string * string, cell) Hashtbl.t = Hashtbl.create 64
-
-let cache_mutex = Mutex.create ()
-
-let cache_find key =
-  Mutex.lock cache_mutex;
-  let r = Hashtbl.find_opt cache key in
-  Mutex.unlock cache_mutex;
-  r
-
-let cache_add key r =
-  Mutex.lock cache_mutex;
-  if not (Hashtbl.mem cache key) then Hashtbl.replace cache key r;
-  Mutex.unlock cache_mutex
+   machine) triple; it never evicts.  [run_matrix] fills it from several
+   domains at once, one domain per triple.  Failed cells are cached too,
+   so the table renderers see the same outcome (and retry count) the
+   matrix produced. *)
+let cache : (string * string * string, cell) Lp_util.Memo.t =
+  Lp_util.Memo.create ~capacity:max_int
 
 (** Drop all memoised runs (the bench harness uses this to time a cold
     sequential reference pass against a cold parallel pass). *)
-let clear_cache () =
-  Mutex.lock cache_mutex;
-  Hashtbl.reset cache;
-  Mutex.unlock cache_mutex
+let clear_cache () = Lp_util.Memo.clear cache
 
 (* ------------------------------------------------------------------ *)
 (* Graceful degradation and retry                                      *)
@@ -141,7 +125,7 @@ let key_of (j : job) =
     [matrix.cells] / [matrix.retries] / [matrix.failures] counters. *)
 let cell_of (j : job) : cell =
   let key = key_of j in
-  match cache_find key with
+  match Lp_util.Memo.find cache key with
   | Some c -> c
   | None ->
     let (workload, config, machine) = key in
@@ -166,7 +150,7 @@ let cell_of (j : job) : cell =
     (match c.result with
     | Ok _ -> ()
     | Error _ -> Obs.add obs "matrix.failures" 1);
-    cache_add key c;
+    Lp_util.Memo.add cache key c;
     c
 
 (** The job's cell result (evaluated and memoised on a miss). *)
@@ -174,14 +158,10 @@ let result_of (j : job) : (run_result, Diag.t) result = (cell_of j).result
 
 (* what [f] keeps of every memoised cell, sorted *)
 let snapshot f =
-  Mutex.lock cache_mutex;
-  let kept =
-    Hashtbl.fold
-      (fun key c acc -> match f key c with Some x -> x :: acc | None -> acc)
-      cache []
-  in
-  Mutex.unlock cache_mutex;
-  List.sort compare kept
+  Lp_util.Memo.fold
+    (fun key c acc -> match f key c with Some x -> x :: acc | None -> acc)
+    cache []
+  |> List.sort compare
 
 (** Every failed cell currently memoised, sorted for deterministic
     summaries: ((workload, config, machine), attempts, diagnostic). *)
@@ -267,7 +247,7 @@ let run_matrix ?pool (jobs : job list) : unit =
         if Hashtbl.mem seen key then false
         else begin
           Hashtbl.replace seen key ();
-          Option.is_none (cache_find key)
+          Option.is_none (Lp_util.Memo.find cache key)
         end)
       jobs
   in

@@ -3,8 +3,8 @@
     matrix, its memo cache, graceful degradation of failed cells, the
     cell-rendering helpers and the row tables built on them.
 
-    The memo cache itself (hashtable, mutex, insert policy) is private to
-    the implementation; callers interact with it only through
+    The memo cache itself (an {!Lp_util.Memo} that never evicts) is
+    private to the implementation; callers interact with it only through
     {!run_matrix} / {!result_of} (fill), {!clear_cache} (drop) and
     the {!failed_cells} / {!cell_statuses} snapshots. *)
 

@@ -42,6 +42,9 @@ type t = {
   sw_configs : string list;
   sw_cells : cell list;        (** sorted by (workload, machine, config) *)
   sw_winners : winner list;    (** sorted by (workload, machine) *)
+  sw_incomplete : (string * string) list;
+      (** (workload, machine) rows without a winner because a cell
+          failed with a code other than [E_COMPILE], same order *)
 }
 
 let default_machines = Machine.names
@@ -104,52 +107,59 @@ let run ?pool ?(machines = default_machines)
     | Some i -> i
     | None -> List.length Compile.config_names
   in
-  let winners =
+  let rows =
     List.concat_map
       (fun w ->
-        List.filter_map
-          (fun (m : Machine.t) ->
-            let ran =
-              List.filter
-                (fun c ->
-                  c.s_workload = w.Workload.name
-                  && c.s_machine = m.Machine.name
-                  && c.s_status = None)
-                cells
-            in
-            let best =
-              List.fold_left
-                (fun acc c ->
-                  match acc with
-                  | None -> Some c
-                  | Some b ->
-                    if
-                      (c.s_energy_nj, c.s_cycles, order c.s_config)
-                      < (b.s_energy_nj, b.s_cycles, order b.s_config)
-                    then Some c
-                    else acc)
-                None ran
-            in
-            Option.map
-              (fun (b : cell) ->
-                let base_e =
-                  match
-                    List.find_opt (fun c -> c.s_config = "baseline") ran
-                  with
-                  | Some c when c.s_energy_nj > 0.0 -> c.s_energy_nj
-                  | _ -> b.s_energy_nj
-                in
-                {
-                  w_workload = b.s_workload;
-                  w_machine = b.s_machine;
-                  w_config = b.s_config;
-                  w_energy_nj = b.s_energy_nj;
-                  w_saving_pct =
-                    100.0 *. (1.0 -. (b.s_energy_nj /. base_e));
-                })
-              best)
-          ms)
+        List.map (fun (m : Machine.t) -> (w.Workload.name, m.Machine.name)) ms)
       ws
+  in
+  let row_cells (w, m) =
+    List.filter (fun c -> c.s_workload = w && c.s_machine = m) cells
+  in
+  (* E_COMPILE is a datum (the machine cannot run the workload); any
+     other failure leaves the row's winner unknown *)
+  let (incomplete, complete) =
+    List.partition
+      (fun row ->
+        List.exists
+          (fun c ->
+            match c.s_status with Some code -> code <> "E_COMPILE" | None -> false)
+          (row_cells row))
+      rows
+  in
+  let winners =
+    List.filter_map
+      (fun row ->
+        let ran = List.filter (fun c -> c.s_status = None) (row_cells row) in
+        let best =
+          List.fold_left
+            (fun acc c ->
+              match acc with
+              | None -> Some c
+              | Some b ->
+                if
+                  (c.s_energy_nj, c.s_cycles, order c.s_config)
+                  < (b.s_energy_nj, b.s_cycles, order b.s_config)
+                then Some c
+                else acc)
+            None ran
+        in
+        Option.map
+          (fun (b : cell) ->
+            let base_e =
+              match List.find_opt (fun c -> c.s_config = "baseline") ran with
+              | Some c when c.s_energy_nj > 0.0 -> c.s_energy_nj
+              | _ -> b.s_energy_nj
+            in
+            {
+              w_workload = b.s_workload;
+              w_machine = b.s_machine;
+              w_config = b.s_config;
+              w_energy_nj = b.s_energy_nj;
+              w_saving_pct = 100.0 *. (1.0 -. (b.s_energy_nj /. base_e));
+            })
+          best)
+      complete
   in
   {
     sw_machines = List.map (fun (m : Machine.t) -> m.Machine.name) ms;
@@ -157,6 +167,7 @@ let run ?pool ?(machines = default_machines)
     sw_configs = Compile.config_names;
     sw_cells = cells;
     sw_winners = winners;
+    sw_incomplete = incomplete;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -164,7 +175,8 @@ let run ?pool ?(machines = default_machines)
 (* ------------------------------------------------------------------ *)
 
 (** The crossover table: winning config (and its saving vs baseline)
-    per workload row × machine column. *)
+    per workload row × machine column; [incomplete] where a cell failed,
+    [ERR] where the machine could run no config. *)
 let crossover_table (t : t) : Table.t =
   let tbl =
     Table.create
@@ -186,6 +198,7 @@ let crossover_table (t : t) : Table.t =
                with
                | Some win ->
                  Printf.sprintf "%s (-%.1f%%)" win.w_config win.w_saving_pct
+               | None when List.mem (w, m) t.sw_incomplete -> "incomplete"
                | None -> "ERR")
              t.sw_machines))
     t.sw_workloads;
@@ -243,5 +256,16 @@ let to_json (t : t) : string =
         (J.num_to_string w.w_saving_pct)
         (if i = List.length t.sw_winners - 1 then "" else ","))
     t.sw_winners;
-  Buffer.add_string buf "  ]\n}\n";
+  Buffer.add_string buf "  ]";
+  if t.sw_incomplete <> [] then begin
+    Buffer.add_string buf ",\n  \"incomplete\": [\n";
+    Buffer.add_string buf
+      (String.concat ",\n"
+         (List.map
+            (fun (w, m) ->
+              Printf.sprintf "    {\"workload\": %S, \"machine\": %S}" w m)
+            t.sw_incomplete));
+    Buffer.add_string buf "\n  ]"
+  end;
+  Buffer.add_string buf "\n}\n";
   Buffer.contents buf

@@ -31,6 +31,9 @@ type t = {
   sw_configs : string list;
   sw_cells : cell list;
   sw_winners : winner list;
+  sw_incomplete : (string * string) list;
+      (** (workload, machine) rows with a cell that failed with a code
+          other than [E_COMPILE]: they have no winner *)
 }
 
 (** Every zoo machine, registry order. *)
@@ -46,12 +49,16 @@ val run :
   ?workloads:string list ->
   unit -> t
 
-(** Winning config per (workload row, machine column). *)
+(** Winning config per (workload row, machine column); [incomplete]
+    for a row in [sw_incomplete], [ERR] for a row whose every cell
+    failed [E_COMPILE]. *)
 val crossover_table : t -> Table.t
 
 (** Workloads whose winner differs across machines, with the
     per-machine winners. *)
 val crossovers : t -> (string * (string * string) list) list
 
-(** The [lowpower-bench-sweep/1] artifact. *)
+(** The [lowpower-bench-sweep/1] artifact.  An [incomplete] list of
+    (workload, machine) rows follows the winners when
+    [sw_incomplete] is not empty. *)
 val to_json : t -> string

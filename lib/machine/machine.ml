@@ -30,11 +30,7 @@ type mem_tier = {
 }
 
 type local_store =
-  | Scratchpad of {
-      spm_latency_cycles : int;
-      dma_setup_cycles : int;
-      dma_word_cycles : int;
-    }
+  | Scratchpad of { spm_latency_cycles : int }
   | Cache of {
       hit_latency_cycles : int;
       miss_penalty_cycles : int;
@@ -136,7 +132,7 @@ let validate t =
 
 (* Memory subsystems of the classic machines: near tier reproducing the
    former flat shared memory (no per-access surcharge), no far tier,
-   a 1-cycle scratchpad with a word-streaming DMA engine. *)
+   a 1-cycle scratchpad. *)
 let classic_mem ?(near_latency = 12) ?(spm_latency = 1) () =
   {
     near =
@@ -144,9 +140,7 @@ let classic_mem ?(near_latency = 12) ?(spm_latency = 1) () =
     far = None;
     far_threshold_words = 1024;
     local =
-      Scratchpad
-        { spm_latency_cycles = spm_latency; dma_setup_cycles = 24;
-          dma_word_cycles = 1 };
+      Scratchpad { spm_latency_cycles = spm_latency };
   }
 
 (** Generic embedded multicore with [n_cores] cores.  This is the machine
@@ -265,6 +259,9 @@ let with_cores t n =
 
 let has_component t c = List.mem c t.components
 
+let digest (t : t) : Digest.t =
+  Digest.string (Marshal.to_string t [ Marshal.No_sharing ])
+
 let clamp_cores ?(warn = true) t requested =
   let avail = n_cores t in
   if requested > avail then begin
@@ -309,10 +306,8 @@ let pp fmt t =
         (Power_model.describe_ladder cc.cc_power))
     t.classes;
   (match t.mem.local with
-  | Scratchpad { spm_latency_cycles; dma_setup_cycles; dma_word_cycles } ->
-    Format.fprintf fmt
-      "  local: scratchpad %dcy, DMA %d+%d/word cy@\n" spm_latency_cycles
-      dma_setup_cycles dma_word_cycles
+  | Scratchpad { spm_latency_cycles } ->
+    Format.fprintf fmt "  local: scratchpad %dcy@\n" spm_latency_cycles
   | Cache { hit_latency_cycles; miss_penalty_cycles; miss_period;
             miss_energy_nj } ->
     Format.fprintf fmt

@@ -27,17 +27,12 @@ type mem_tier = {
       (** charged per access on top of the bus word energy *)
 }
 
-(** Per-core local store.  A scratchpad is software-managed with an
-    explicit DMA engine (block transfers pay setup once, then stream);
-    only the machine listing reads the DMA costs, nothing charges them.
-    A cache hits at a fixed latency and pays a deterministic periodic
-    miss penalty (a first-order stand-in for a real miss stream). *)
+(** Per-core local store.  A scratchpad is software-managed and is
+    accessed at a fixed latency.  A cache hits at a fixed latency and
+    pays a deterministic periodic miss penalty (a first-order stand-in
+    for a real miss stream). *)
 type local_store =
-  | Scratchpad of {
-      spm_latency_cycles : int;
-      dma_setup_cycles : int;    (** per DMA block transfer *)
-      dma_word_cycles : int;     (** per word streamed by the DMA *)
-    }
+  | Scratchpad of { spm_latency_cycles : int }
   | Cache of {
       hit_latency_cycles : int;
       miss_penalty_cycles : int;
@@ -123,6 +118,12 @@ val farmem : unit -> t
 val with_cores : t -> int -> t
 
 val has_component : t -> Component.t -> bool
+
+(** Exact content digest of the whole description: every field, each
+    class's power tables and ladder included.  Taken over the
+    marshalled value, so floats compare by their bits.  Two machines
+    with equal digests simulate a program identically. *)
+val digest : t -> Digest.t
 
 (** Clamp a requested core count to what the machine offers, warning on
     stderr when the clamp actually fires ([warn:false] silences it). *)

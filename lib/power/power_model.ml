@@ -14,10 +14,12 @@
 type t = {
   points : Operating_point.t list;  (** available V/f points, ascending *)
   nominal : Operating_point.t;      (** highest point; reference for scaling *)
-  dyn_energy_nj : Component.t -> float;
-      (** dynamic energy of one operation on the component, at nominal V *)
-  leak_power_mw : Component.t -> float;
-      (** leakage power of the component while powered, at nominal V *)
+  dyn_energy_nj : float array;
+      (** dynamic energy of one operation on each component, by
+          {!Component.index}, at nominal V *)
+  leak_power_mw : float array;
+      (** leakage power of each component while powered, by
+          {!Component.index}, at nominal V *)
   gate_energy_nj : float;      (** energy of one pg_off or pg_on transition *)
   wake_latency_cycles : int;   (** stall cycles for pg_on before first use *)
   dvfs_energy_nj : float;      (** energy of one DVFS transition *)
@@ -36,12 +38,12 @@ let max_level t = (nominal t).level
 
 (** Energy of [n] operations on [comp] executed at point [p]. *)
 let dynamic_energy t ~comp ~point:p ~ops =
-  float_of_int ops *. t.dyn_energy_nj comp
+  float_of_int ops *. t.dyn_energy_nj.(Component.index comp)
   *. Operating_point.dynamic_scale ~nominal:t.nominal p
 
 (** Leakage energy of [comp] powered for [ns] nanoseconds at point [p]. *)
 let leakage_energy t ~comp ~point:p ~ns =
-  t.leak_power_mw comp
+  t.leak_power_mw.(Component.index comp)
   *. Operating_point.leakage_scale ~nominal:t.nominal p
   *. ns *. 1e-3
 
@@ -49,7 +51,8 @@ let leakage_energy t ~comp ~point:p ~ns =
     saves energy: two transitions must be amortised by saved leakage. *)
 let break_even_ns t ~comp ~point:p =
   let leak_mw =
-    t.leak_power_mw comp *. Operating_point.leakage_scale ~nominal:t.nominal p
+    t.leak_power_mw.(Component.index comp)
+    *. Operating_point.leakage_scale ~nominal:t.nominal p
   in
   if leak_mw <= 0.0 then infinity
   else 2.0 *. t.gate_energy_nj /. (leak_mw *. 1e-3)
@@ -90,6 +93,9 @@ let default_leak_power : Component.t -> float = function
   | Component.Load_store -> 1.20
   | Component.Fpu -> 3.00
 
+(* [f] over every component, by [Component.index] *)
+let table f = Array.init Component.count (fun i -> f (Component.of_index i))
+
 (** Default model: [n_levels] operating points between 100 MHz / 0.8 V and
     400 MHz / 1.2 V, PAC-Duo-flavoured gating costs. *)
 let default ?(n_levels = 4) () =
@@ -101,8 +107,8 @@ let default ?(n_levels = 4) () =
   {
     points;
     nominal;
-    dyn_energy_nj = default_dyn_energy;
-    leak_power_mw = default_leak_power;
+    dyn_energy_nj = table default_dyn_energy;
+    leak_power_mw = table default_leak_power;
     gate_energy_nj = 2.0;
     wake_latency_cycles = 3;
     dvfs_energy_nj = 60.0;
@@ -113,7 +119,7 @@ let default ?(n_levels = 4) () =
     Used by the sensitivity experiments. *)
 let leaky ?(n_levels = 4) () =
   let base = default ~n_levels () in
-  { base with leak_power_mw = (fun c -> 3.0 *. default_leak_power c) }
+  { base with leak_power_mw = table (fun c -> 3.0 *. default_leak_power c) }
 
 (** An in-order efficiency core for big.LITTLE machines: a slower,
     coarser ladder (3 points over 50-200 MHz at 0.70-0.95 V — a
@@ -131,8 +137,8 @@ let little ?(n_levels = 3) () =
   {
     points;
     nominal;
-    dyn_energy_nj = (fun c -> 0.5 *. default_dyn_energy c);
-    leak_power_mw = (fun c -> 0.4 *. default_leak_power c);
+    dyn_energy_nj = table (fun c -> 0.5 *. default_dyn_energy c);
+    leak_power_mw = table (fun c -> 0.4 *. default_leak_power c);
     gate_energy_nj = 1.2;
     wake_latency_cycles = 2;
     dvfs_energy_nj = 40.0;
@@ -143,14 +149,7 @@ let little ?(n_levels = 3) () =
     voltage of every point)?  A [dvfs] instruction carries a raw level
     number, so it is portable between two core classes exactly when
     their ladders agree. *)
-let same_ladder a b =
-  List.length a.points = List.length b.points
-  && List.for_all2
-       (fun (p : Operating_point.t) (q : Operating_point.t) ->
-         p.Operating_point.level = q.Operating_point.level
-         && p.Operating_point.freq_mhz = q.Operating_point.freq_mhz
-         && p.Operating_point.voltage = q.Operating_point.voltage)
-       a.points b.points
+let same_ladder a b = a.points = b.points
 
 (** Compact one-line ladder description for reports and listings,
     e.g. ["L0@100MHz/0.80V,...,L3@400MHz/1.20V"]. *)

@@ -4,13 +4,16 @@
     The model charges dynamic energy per executed operation (scaled by
     voltage squared), leakage power per powered component (gated
     components leak nothing), and fixed penalties for gating and DVFS
-    transitions. *)
+    transitions.  Plain data, with no closure, so [=] and [Marshal]
+    apply to it. *)
 
 type t = {
   points : Operating_point.t list;  (** available V/f points, ascending *)
   nominal : Operating_point.t;      (** highest point, scaling reference *)
-  dyn_energy_nj : Component.t -> float;
-  leak_power_mw : Component.t -> float;
+  dyn_energy_nj : float array;
+      (** per-operation dynamic energy at nominal V, by {!Component.index} *)
+  leak_power_mw : float array;
+      (** powered leakage at nominal V, by {!Component.index} *)
   gate_energy_nj : float;
   wake_latency_cycles : int;
   dvfs_energy_nj : float;

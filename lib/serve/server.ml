@@ -60,17 +60,10 @@ type item = {
   it_enq_at : float;
 }
 
-(** A warm-cache entry: the compiled program and, once one [run] of it
-    has simulated successfully, that reply's payload.  Simulation is
-    deterministic, so every later [run] of the entry replies from the
-    memo; workers racing to fill it store equal payloads. *)
-type entry = {
-  compiled : Compile.compiled;
-  run_payload : (string * Json.t) list option Atomic.t;
-}
-
-let entry ?run_payload compiled =
-  { compiled; run_payload = Atomic.make run_payload }
+(** A warm-cache entry: the compiled program and its {!Compile.digest},
+    taken once, when it was compiled (a [Lazy] would raise
+    [Lazy.Undefined] when two workers force it at once). *)
+type entry = { compiled : Compile.compiled; digest : Digest.t }
 
 type t = {
   o : opts;
@@ -83,7 +76,14 @@ type t = {
   infl_mutex : Mutex.t;
   inflight : (int, item) Hashtbl.t;
   next_iid : int Atomic.t;
-  cache : entry Cache.t;
+  cache : (string, entry) Cache.t;
+      (** compiled programs by {!cache_key}: what [cached] and
+          [stats.cache] report *)
+  outcomes : (Digest.t, Lp_sim.Sim.outcome) Cache.t;
+      (** successful simulations by {!Compile.sim_key}, shared by [run]
+          and [profile]: simulation is deterministic, so one program on
+          one machine under one set of simulator options simulates once,
+          whatever source or request it came from *)
   live : Obs.t;
       (** always-on recorder behind [stats]: the [serve.*] counters and
           the per-op request-latency histograms — independent of
@@ -213,57 +213,54 @@ let dispatch_once t (ctx : Compile.ctx) (req : P.request) :
     let* machine, opts = P.resolve_target req in
     let key = cache_key req src in
     (* injected faults make results attempt-dependent; never let them
-       into (or out of) the shared cache *)
+       into (or out of) the shared memos *)
     let use_cache = not (Fault.active ()) in
     guard t ~key:(Some key) (fun () ->
         Fault.with_scope scope @@ fun () ->
-        let lookup () = if use_cache then Cache.find t.cache key else None in
-        match req.P.op with
-        | P.Compile -> (
-          match lookup () with
-          | Some e -> Ok (P.payload_of_compiled e.compiled, true)
+        (* the matrix's worker point, keyed <scope>/<config> like a cell *)
+        Fault.check Fault.Worker ~key:req.P.config;
+        (* the entry and whether it came from the warm cache *)
+        let compiled () =
+          match if use_cache then Cache.find t.cache key else None with
+          | Some e -> Ok (e, true)
           | None ->
             let* c = Compile.compile_result ~ctx ~opts ~machine src in
-            if use_cache then Cache.add t.cache key (entry c);
-            Ok (P.payload_of_compiled c, false))
-        | P.Run -> (
-          match lookup () with
-          | Some e -> (
-            match Atomic.get e.run_payload with
-            | Some p -> Ok (p, true)
-            | None ->
-              (* same entry point [Compile.run] uses, so a warm reply is
-                 byte-identical to a cold one; a failure raises past the
-                 memo, which only ever holds a success *)
-              let p =
-                P.payload_of_run e.compiled
-                  (Compile.simulate_compiled ~ctx e.compiled)
-              in
-              Atomic.set e.run_payload (Some p);
-              Ok (p, true))
+            let e = { compiled = c; digest = Compile.digest c } in
+            if use_cache then Cache.add t.cache key e;
+            Ok (e, false)
+        in
+        (* [Compile.simulate_compiled] is what [Compile.run] calls, so a
+           memoised outcome renders the bytes of a cold one; a failure
+           is never memoised *)
+        let simulate ?sim_opts e =
+          let k = Compile.sim_key ~ctx ?sim_opts ~digest:e.digest e.compiled in
+          match if use_cache then Cache.find t.outcomes k else None with
+          | Some o -> Ok o
           | None ->
-            let* c, outcome = Compile.run_result ~ctx ~opts ~machine src in
-            let p = P.payload_of_run c outcome in
-            if use_cache then Cache.add t.cache key (entry ~run_payload:p c);
-            Ok (p, false))
+            let* o = Compile.simulate_result ~ctx ?sim_opts e.compiled in
+            if use_cache then Cache.add t.outcomes k o;
+            Ok o
+        in
+        match req.P.op with
+        | P.Compile ->
+          let* e, cached = compiled () in
+          Ok (P.payload_of_compiled e.compiled, cached)
+        | P.Run ->
+          let* e, cached = compiled () in
+          let* o = simulate e in
+          Ok (P.payload_of_run e.compiled o, cached)
         | P.Profile ->
-          (* a profiled run reuses the warm compile cache: attribution
-             is a pure simulation-side observer, so the cached program
-             re-simulated with profiling on yields the exact artifact a
-             cold one-shot `lpcc profile --json` writes *)
-          let sim_opts =
-            { Lp_sim.Sim.default_options with Lp_sim.Sim.profile = true }
+          (* attribution is a pure simulation-side observer, so this is
+             the exact artifact a cold one-shot `lpcc profile --json`
+             writes *)
+          let* e, cached = compiled () in
+          let* o =
+            simulate
+              ~sim_opts:
+                { Lp_sim.Sim.default_options with Lp_sim.Sim.profile = true }
+              e
           in
-          let* (c, cached) =
-            match lookup () with
-            | Some e -> Ok (e.compiled, true)
-            | None ->
-              let* c = Compile.compile_result ~ctx ~opts ~machine src in
-              if use_cache then Cache.add t.cache key (entry c);
-              Ok (c, false)
-          in
-          let o = Compile.simulate_compiled ~ctx ~sim_opts c in
-          Ok (P.payload_of_profile ~source:scope c o, cached)
+          Ok (P.payload_of_profile ~source:scope e.compiled o, cached)
         | P.Explain ->
           (* explain IS the report: fresh, always-on, request-local *)
           let rep = Report.create () in
@@ -622,6 +619,7 @@ let start ?(ctx = Compile.default_ctx) (o : opts) : t =
         inflight = Hashtbl.create 64;
         next_iid = Atomic.make 1;
         cache = Cache.create ~capacity:o.cache_capacity;
+        outcomes = Cache.create ~capacity:o.cache_capacity;
         live = Obs.create ();
         joined = false;
       }

@@ -283,7 +283,8 @@ let recompute_leak t (c : core) =
   List.iter
     (fun comp ->
       if c.powered.(Component.index comp) then
-        sum := !sum +. (pm.Power_model.leak_power_mw comp *. scale))
+        sum :=
+          !sum +. (pm.Power_model.leak_power_mw.(Component.index comp) *. scale))
     t.machine.Machine.components;
   c.clk.leak_mw <- !sum;
   c.leak_dirty <- false
@@ -303,8 +304,8 @@ let refresh_point_caches _t (c : core) =
   in
   List.iter
     (fun comp ->
-      c.dyn_row.(Component.index comp) <-
-        pm.Power_model.dyn_energy_nj comp *. scale)
+      let i = Component.index comp in
+      c.dyn_row.(i) <- pm.Power_model.dyn_energy_nj.(i) *. scale)
     Component.all
 
 let dummy_cblock =
@@ -2067,7 +2068,8 @@ let charge_unused_cores t ~duration =
         if not gated then
           Energy_ledger.charge ledger ~category:Energy_ledger.Leakage_idle
             ~component:comp
-            (pm.Power_model.leak_power_mw comp *. duration *. 1e-3))
+            (pm.Power_model.leak_power_mw.(Component.index comp)
+             *. duration *. 1e-3))
       m.Machine.components;
     if t.opts.gate_unused_cores then
       (* the initial gating transitions of that core *)
@@ -2228,14 +2230,6 @@ let diag_of_exn : exn -> Lp_util.Diag.t option =
     Some (D.make D.Simulate ~code:"E_STEP_LIMIT" "simulation step limit exceeded")
   | Value.Runtime_error msg -> Some (D.make D.Simulate ~code:"E_RUNTIME" msg)
   | _ -> None
-
-(** [run], but failures come back as structured diagnostics instead of
-    escaping as exceptions. *)
-let run_result ?opts ?obs ~machine prog : (outcome, Lp_util.Diag.t) result =
-  match run ?opts ?obs ~machine prog with
-  | o -> Ok o
-  | exception e -> (
-    match diag_of_exn e with Some d -> Error d | None -> raise e)
 
 (** Read back a global cell after the run (for correctness checks). *)
 let shared_cell (o : outcome) name idx =

@@ -1,5 +1,6 @@
 (** The [lpccd] compile server: bounded queue, LRU warm cache, wire
-    protocol, the memoised [run] replies, and
+    protocol, the memoised simulations of [run] and [profile], the
+    [worker] fault point, and
     end-to-end robustness over a real Unix-domain socket — backpressure
     sheds with [E_OVERLOAD], deadlines expire as [E_DEADLINE], malformed
     frames and per-request crashes never take down the connection, and a
@@ -436,7 +437,7 @@ let after ~prefix frame =
     String.sub frame n (String.length frame - n)
   else Alcotest.failf "reply %s does not start with %s" frame prefix
 
-(** A warm [run] replies from its cache entry's memo without simulating
+(** A warm [run] replies from the outcome memo without simulating
     again, and its frame is byte-identical to the cold one apart from
     [id] and [cached]. *)
 let test_run_memo () =
