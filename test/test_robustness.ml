@@ -455,8 +455,6 @@ let suite =
       (isolated test_retry_recovers_transient);
     Alcotest.test_case "transient flag tracks fault boundedness" `Quick
       (isolated test_transient_flag);
-    Alcotest.test_case "sweep row with a failed cell has no winner" `Quick
-      (isolated test_sweep_incomplete_row);
     Alcotest.test_case "json: adversarial input fails structurally" `Quick
       test_json_adversarial;
     Alcotest.test_case "json: 500-seed mutation fuzz" `Quick
@@ -471,4 +469,6 @@ let suite =
       test_gen_deterministic;
     Alcotest.test_case "fuzz smoke: 200 seeds, zero findings" `Slow
       (isolated test_fuzz_smoke);
+    Alcotest.test_case "sweep row with a failed cell has no winner" `Quick
+      (isolated test_sweep_incomplete_row);
   ]
