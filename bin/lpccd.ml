@@ -80,10 +80,9 @@ let () =
   let cache_cap =
     Arg.(value & opt int d.Server.cache_capacity
          & info [ "cache-cap" ] ~docv:"N"
-             ~doc:"Entries of each memo shared across requests (compiled \
-                   programs, and the outcomes of $(b,run) and \
-                   $(b,profile) simulations), evicted least recently used \
-                   first.")
+             ~doc:"Warm cache entries shared across requests: compiled \
+                   programs and their memoised $(b,run) and $(b,profile) \
+                   replies, evicted least recently used first.")
   in
   let default_deadline =
     Arg.(value & opt int d.Server.default_deadline_ms

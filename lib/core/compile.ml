@@ -473,17 +473,6 @@ let simulate_compiled ?(ctx = default_ctx)
   record_outcome ctx.report outcome;
   outcome
 
-let digest (c : compiled) : Digest.t =
-  Digest.string (Prog.digest c.prog ^ Machine.digest c.machine)
-
-let sim_key ?(ctx = default_ctx) ?(sim_opts = Lp_sim.Sim.default_options)
-    ~digest (c : compiled) : Digest.t =
-  let o = effective_sim_opts ~ctx ~opts:c.options sim_opts in
-  Digest.string
-    (Marshal.to_string
-       (digest, { o with Lp_sim.Sim.deadline = Lp_util.Deadline.none })
-       [ Marshal.No_sharing ])
-
 let run ?(ctx = default_ctx) ?(opts = baseline)
     ?(sim_opts = Lp_sim.Sim.default_options) ~(machine : Machine.t)
     (source : string) : compiled * Lp_sim.Sim.outcome =

@@ -231,29 +231,6 @@ val simulate_compiled :
   compiled ->
   Lp_sim.Sim.outcome
 
-(** {2 Memo keys}
-
-    lpccd and the tuner memoise simulations by content, so two compiles
-    of one program on one machine simulate once. *)
-
-(** Content digest of what a simulation reads from a compile: its
-    program ({!Lp_ir.Prog.digest}) and its machine
-    ({!Lp_machine.Machine.digest}). *)
-val digest : compiled -> Digest.t
-
-(** [sim_key ?ctx ?sim_opts ~digest c], where [digest] is [digest c],
-    keys the outcome of [simulate_compiled ?ctx ?sim_opts c]: the digest
-    and the effective simulator options (unused-core gating from [c]'s
-    options, the context's predecode and profiling switches), without
-    the deadline token, which decides whether a simulation finishes but
-    never what it computes.  Equal keys give byte-identical outcomes. *)
-val sim_key :
-  ?ctx:ctx ->
-  ?sim_opts:Lp_sim.Sim.options ->
-  digest:Digest.t ->
-  compiled ->
-  Digest.t
-
 (** {2 Structured diagnostics}
 
     The [*_result] entry points never raise for pipeline failures: every

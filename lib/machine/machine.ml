@@ -259,9 +259,6 @@ let with_cores t n =
 
 let has_component t c = List.mem c t.components
 
-let digest (t : t) : Digest.t =
-  Digest.string (Marshal.to_string t [ Marshal.No_sharing ])
-
 let clamp_cores ?(warn = true) t requested =
   let avail = n_cores t in
   if requested > avail then begin

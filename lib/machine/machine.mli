@@ -119,12 +119,6 @@ val with_cores : t -> int -> t
 
 val has_component : t -> Component.t -> bool
 
-(** Exact content digest of the whole description: every field, each
-    class's power tables and ladder included.  Taken over the
-    marshalled value, so floats compare by their bits.  Two machines
-    with equal digests simulate a program identically. *)
-val digest : t -> Digest.t
-
 (** Clamp a requested core count to what the machine offers, warning on
     stderr when the clamp actually fires ([warn:false] silences it). *)
 val clamp_cores : ?warn:bool -> t -> int -> int

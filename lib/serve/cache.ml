@@ -1,3 +1,4 @@
-(** lpccd's warm compile cache: the one memo, {!Lp_util.Memo}. *)
+(** An alias of {!Lp_util.Memo}, kept only because
+    perfbench/serve_mixed.ml names it; it goes when that benchmark does. *)
 
 include Lp_util.Memo

@@ -16,6 +16,7 @@ module Deadline = Lp_util.Deadline
 module Backoff = Lp_util.Backoff
 module Obs = Lp_obs.Obs
 module Report = Lp_obs.Report
+module Memo = Lp_util.Memo
 module P = Protocol
 
 type opts = {
@@ -60,10 +61,21 @@ type item = {
   it_enq_at : float;
 }
 
-(** A warm-cache entry: the compiled program and its {!Compile.digest},
-    taken once, when it was compiled (a [Lazy] would raise
-    [Lazy.Undefined] when two workers force it at once). *)
-type entry = { compiled : Compile.compiled; digest : Digest.t }
+type payload = (string * Json.t) list
+
+(** A warm-cache entry: the compiled program and, once a [run] or a
+    [profile] of it has simulated successfully, that reply's payload.
+    Simulation is deterministic, so every later request of the entry
+    replies from the memo; workers racing to fill a slot store equal
+    payloads.  Payloads, not {!Lp_sim.Sim.outcome}s, are kept: an
+    outcome holds the program's final shared memory. *)
+type entry = {
+  compiled : Compile.compiled;
+  run_payload : payload option Atomic.t;
+  profile_payload : (string * payload) option Atomic.t;
+      (** with the source name the artifact carries: an inline source
+          and the bundled workload it copies share an entry *)
+}
 
 type t = {
   o : opts;
@@ -76,14 +88,7 @@ type t = {
   infl_mutex : Mutex.t;
   inflight : (int, item) Hashtbl.t;
   next_iid : int Atomic.t;
-  cache : (string, entry) Cache.t;
-      (** compiled programs by {!cache_key}: what [cached] and
-          [stats.cache] report *)
-  outcomes : (Digest.t, Lp_sim.Sim.outcome) Cache.t;
-      (** successful simulations by {!Compile.sim_key}, shared by [run]
-          and [profile]: simulation is deterministic, so one program on
-          one machine under one set of simulator options simulates once,
-          whatever source or request it came from *)
+  cache : (string, entry) Memo.t;
   live : Obs.t;
       (** always-on recorder behind [stats]: the [serve.*] counters and
           the per-op request-latency histograms — independent of
@@ -161,7 +166,7 @@ let guard t ~key f =
   let result = Compile.guard f in
   (match result with
   | Error d when d.Diag.code = Diag.code_internal ->
-    Option.iter (Cache.remove t.cache) key;
+    Option.iter (Memo.remove t.cache) key;
     bump t "serve.internal_errors"
   | Ok _ | Error _ -> ());
   result
@@ -213,7 +218,7 @@ let dispatch_once t (ctx : Compile.ctx) (req : P.request) :
     let* machine, opts = P.resolve_target req in
     let key = cache_key req src in
     (* injected faults make results attempt-dependent; never let them
-       into (or out of) the shared memos *)
+       into (or out of) the shared cache *)
     let use_cache = not (Fault.active ()) in
     guard t ~key:(Some key) (fun () ->
         Fault.with_scope scope @@ fun () ->
@@ -221,46 +226,49 @@ let dispatch_once t (ctx : Compile.ctx) (req : P.request) :
         Fault.check Fault.Worker ~key:req.P.config;
         (* the entry and whether it came from the warm cache *)
         let compiled () =
-          match if use_cache then Cache.find t.cache key else None with
+          match if use_cache then Memo.find t.cache key else None with
           | Some e -> Ok (e, true)
           | None ->
             let* c = Compile.compile_result ~ctx ~opts ~machine src in
-            let e = { compiled = c; digest = Compile.digest c } in
-            if use_cache then Cache.add t.cache key e;
+            let e =
+              { compiled = c; run_payload = Atomic.make None;
+                profile_payload = Atomic.make None }
+            in
+            if use_cache then Memo.add t.cache key e;
             Ok (e, false)
         in
-        (* [Compile.simulate_compiled] is what [Compile.run] calls, so a
-           memoised outcome renders the bytes of a cold one; a failure
-           is never memoised *)
-        let simulate ?sim_opts e =
-          let k = Compile.sim_key ~ctx ?sim_opts ~digest:e.digest e.compiled in
-          match if use_cache then Cache.find t.outcomes k else None with
-          | Some o -> Ok o
-          | None ->
-            let* o = Compile.simulate_result ~ctx ?sim_opts e.compiled in
-            if use_cache then Cache.add t.outcomes k o;
-            Ok o
-        in
+        (* [Compile.run_result] is [compile_result] then
+           [simulate_result], so a memoised payload is the bytes of a
+           cold one; a failure returns past the slot, which only ever
+           holds a success *)
         match req.P.op with
         | P.Compile ->
           let* e, cached = compiled () in
           Ok (P.payload_of_compiled e.compiled, cached)
-        | P.Run ->
+        | P.Run -> (
           let* e, cached = compiled () in
-          let* o = simulate e in
-          Ok (P.payload_of_run e.compiled o, cached)
-        | P.Profile ->
+          match Atomic.get e.run_payload with
+          | Some p -> Ok (p, cached)
+          | None ->
+            let* o = Compile.simulate_result ~ctx e.compiled in
+            let p = P.payload_of_run e.compiled o in
+            Atomic.set e.run_payload (Some p);
+            Ok (p, cached))
+        | P.Profile -> (
           (* attribution is a pure simulation-side observer, so this is
              the exact artifact a cold one-shot `lpcc profile --json`
              writes *)
           let* e, cached = compiled () in
-          let* o =
-            simulate
-              ~sim_opts:
-                { Lp_sim.Sim.default_options with Lp_sim.Sim.profile = true }
-              e
-          in
-          Ok (P.payload_of_profile ~source:scope e.compiled o, cached)
+          match Atomic.get e.profile_payload with
+          | Some (source, p) when source = scope -> Ok (p, cached)
+          | Some _ | None ->
+            let sim_opts =
+              { Lp_sim.Sim.default_options with Lp_sim.Sim.profile = true }
+            in
+            let* o = Compile.simulate_result ~ctx ~sim_opts e.compiled in
+            let p = P.payload_of_profile ~source:scope e.compiled o in
+            Atomic.set e.profile_payload (Some (scope, p));
+            Ok (p, cached))
         | P.Explain ->
           (* explain IS the report: fresh, always-on, request-local *)
           let rep = Report.create () in
@@ -358,11 +366,11 @@ let stats_json t =
       ( "cache",
         Json.Obj
           [
-            ("entries", Json.Num (float_of_int (Cache.length t.cache)));
-            ("hits", Json.Num (float_of_int (Cache.hits t.cache)));
-            ("misses", Json.Num (float_of_int (Cache.misses t.cache)));
+            ("entries", Json.Num (float_of_int (Memo.length t.cache)));
+            ("hits", Json.Num (float_of_int (Memo.hits t.cache)));
+            ("misses", Json.Num (float_of_int (Memo.misses t.cache)));
             ( "invalidations",
-              Json.Num (float_of_int (Cache.invalidations t.cache)) );
+              Json.Num (float_of_int (Memo.invalidations t.cache)) );
           ] );
       ( "latency_ms",
         (* per-op enqueue-to-reply histograms; quantiles are log2-bucket
@@ -618,8 +626,7 @@ let start ?(ctx = Compile.default_ctx) (o : opts) : t =
         infl_mutex = Mutex.create ();
         inflight = Hashtbl.create 64;
         next_iid = Atomic.make 1;
-        cache = Cache.create ~capacity:o.cache_capacity;
-        outcomes = Cache.create ~capacity:o.cache_capacity;
+        cache = Memo.create ~capacity:o.cache_capacity;
         live = Obs.create ();
         joined = false;
       }

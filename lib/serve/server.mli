@@ -1,9 +1,9 @@
 (** The [lpccd] compile server: a long-running daemon accepting
     concurrent compile/run/explain/pipeline requests over a Unix-domain
-    socket (line-delimited JSON, {!Protocol}), sharing two LRU memos
-    across requests (compiled programs by request, successful
-    simulations by {!Compile.sim_key}) and dispatching work onto worker
-    domains through a bounded queue.
+    socket (line-delimited JSON, {!Protocol}), sharing a warm LRU cache
+    of compiled programs and their [run] and [profile] replies across
+    requests and dispatching work onto worker domains through a bounded
+    queue.
 
     Robustness properties (docs/SERVING.md has the full contract):
 
@@ -29,8 +29,7 @@ type opts = {
   jobs : int;                      (** worker domains (>= 1) *)
   queue_capacity : int;            (** bounded request queue *)
   default_deadline_ms : int;       (** applied when the request has none *)
-  cache_capacity : int;
-      (** entries of each memo (LRU): compiles and outcomes *)
+  cache_capacity : int;            (** warm cache entries (LRU) *)
   drain_ms : int;                  (** max wait for in-flight work on stop *)
 }
 

@@ -23,6 +23,7 @@ module Domain_pool = Lp_util.Domain_pool
 module Json = Lp_util.Json
 module Table = Lp_util.Table
 module Obs = Lp_obs.Obs
+module Prog = Lp_ir.Prog
 module Fault = Lp_util.Fault
 
 (* ------------------------------------------------------------------ *)
@@ -240,12 +241,13 @@ let tune_workload ?(ctx = Compile.default_ctx) ?pool (cfg : config)
   let cache : (string, (objective, Diag.t) result) Hashtbl.t =
     Hashtbl.create 64
   in
-  (* simulation results by [Compile.sim_key]: most schedules compile to
-     a program an earlier one already produced.  Injected faults make a
-     simulation attempt-dependent, so an armed spec simulates every
-     program. *)
-  let sims : (Digest.t, (objective, Diag.t) result) Lp_util.Memo.t =
-    Lp_util.Memo.create ~capacity:max_int
+  (* simulation results by program digest: most schedules compile to a
+     program an earlier one already produced.  Within one search the
+     machine and every option but the schedule are fixed, so the digest
+     alone is the key.  Injected faults make a simulation
+     attempt-dependent, so an armed spec simulates every program. *)
+  let sims : (Digest.t, (objective, Diag.t) result) Hashtbl.t =
+    Hashtbl.create 64
   in
   let memo = not (Fault.active ()) in
   let evaluated = ref 0 in
@@ -255,23 +257,21 @@ let tune_workload ?(ctx = Compile.default_ctx) ?pool (cfg : config)
     in
     let objs =
       if memo then begin
-        (* key and de-duplicate sequentially, in proposal order, so
+        (* digest and de-duplicate sequentially, in proposal order, so
            which program gets simulated does not depend on the pool *)
         let keyed =
           List.map
-            (Result.map (fun c ->
-                 (Compile.sim_key ~ctx ~digest:(Compile.digest c) c, c)))
+            (Result.map (fun c -> (Prog.digest c.Compile.prog, c)))
             compiled
         in
         let chosen = Hashtbl.create 8 in
         let to_sim =
           List.filter_map
             (function
-              | Ok (k, c)
-                when Option.is_none (Lp_util.Memo.find sims k)
-                     && not (Hashtbl.mem chosen k) ->
-                Hashtbl.replace chosen k ();
-                Some (k, c)
+              | Ok (d, c) when not (Hashtbl.mem sims d || Hashtbl.mem chosen d)
+                ->
+                Hashtbl.replace chosen d ();
+                Some (d, c)
               | Ok _ | Error _ -> None)
             keyed
         in
@@ -279,10 +279,9 @@ let tune_workload ?(ctx = Compile.default_ctx) ?pool (cfg : config)
         let results =
           Domain_pool.parallel_map ?pool (fun (_, c) -> simulate ~ctx c) to_sim
         in
-        List.iter2 (fun (k, _) r -> Lp_util.Memo.add sims k r) to_sim results;
+        List.iter2 (fun (d, _) r -> Hashtbl.replace sims d r) to_sim results;
         List.map
-          (fun r ->
-            Result.bind r (fun (k, _) -> Option.get (Lp_util.Memo.find sims k)))
+          (fun k -> Result.bind k (fun (d, _) -> Hashtbl.find sims d))
           keyed
       end
       else begin

@@ -19,8 +19,8 @@
     per spec string, exactly the cell discipline of [Exp_common].  Each
     search parses its workload once and compiles every candidate from
     that AST ({!Compile.compile_checked}); a program is simulated only
-    if no earlier candidate of the same search has the same
-    {!Compile.sim_key} (unless a fault spec is armed: then every
+    if no earlier candidate of the same search compiled to the same
+    {!Lp_ir.Prog.digest} (unless a fault spec is armed: then every
     candidate is simulated).  docs/TUNING.md has the details.
 
     Observability: runs add the [tune.candidates], [tune.cache_hits],

@@ -2,10 +2,8 @@
     least-recently-used eviction.
 
     Its instances are the evaluation matrix's cells (keyed by workload,
-    config and machine name, failures included), lpccd's compile cache
-    (keyed by request) and its simulation outcomes, and the tuner's
-    simulations within one search (both keyed by
-    [Lowpower.Compile.sim_key]).
+    config and machine name, failures included, never evicted) and
+    lpccd's warm compile cache (keyed by request, bounded).
 
     A {!find} hit or an {!add} makes its key the most recently used, so
     one-shot keys cannot push out a hot set that fits; [~capacity:max_int]
@@ -13,9 +11,9 @@
     takes the memo's lock, so worker domains share it freely.  Keys are
     compared with structural equality and hashed with [Hashtbl.hash].
 
-    Callers decide what goes in: lpccd and the tuner never [add] a value
-    that an armed fault spec could have changed, and lpccd {!remove}s a
-    compile whose request crashed. *)
+    Callers decide what goes in: lpccd never [add]s a value that an
+    armed fault spec could have changed, and {!remove}s a compile whose
+    request crashed. *)
 
 type ('k, 'v) t
 

@@ -221,173 +221,6 @@ let test_farmem_far_tier_charged () =
     (Ledger.of_category far.Sim.energy Ledger.Communication
     > Ledger.of_category near.Sim.energy Ledger.Communication)
 
-(* ---------------- digest ---------------- *)
-
-let with_class0 (m : Machine.t) f =
-  let classes = Array.copy m.Machine.classes in
-  classes.(0) <- f classes.(0);
-  { m with Machine.classes }
-
-let with_power m f =
-  with_class0 m (fun cc -> { cc with Machine.cc_power = f cc.Machine.cc_power })
-
-let with_mem (m : Machine.t) f = { m with Machine.mem = f m.Machine.mem }
-
-let with_near m f =
-  with_mem m (fun mem -> { mem with Machine.near = f mem.Machine.near })
-
-(* a copy with entry [i] one ulp up: machines share their tables, so an
-   edit in place would change every machine *)
-let bump (a : float array) i =
-  let a = Array.copy a in
-  a.(i) <- Float.succ a.(i);
-  a
-
-(** One edit per field of a machine description, down to one entry of
-    each power table and one ladder point. *)
-let machine_edits : (string * (Machine.t -> Machine.t)) list =
-  [
-    ("name", fun m -> { m with Machine.name = m.Machine.name ^ "'" });
-    ( "class name",
-      fun m ->
-        with_class0 m (fun cc ->
-            { cc with Machine.cc_name = cc.Machine.cc_name ^ "'" }) );
-    ( "class count",
-      fun m ->
-        with_class0 m (fun cc ->
-            { cc with Machine.cc_count = cc.Machine.cc_count + 1 }) );
-    ( "class perf scale",
-      fun m ->
-        with_class0 m (fun cc ->
-            { cc with
-              Machine.cc_perf_scale = Float.succ cc.Machine.cc_perf_scale }) );
-    ( "dynamic energy entry",
-      fun m ->
-        with_power m (fun pm ->
-            { pm with
-              Power_model.dyn_energy_nj =
-                bump pm.Power_model.dyn_energy_nj
-                  (Component.index Component.Mac) }) );
-    ( "leakage entry",
-      fun m ->
-        with_power m (fun pm ->
-            { pm with
-              Power_model.leak_power_mw =
-                bump pm.Power_model.leak_power_mw
-                  (Component.index Component.Fpu) }) );
-    ( "ladder point",
-      fun m ->
-        with_power m (fun pm ->
-            match Power_model.points pm with
-            | p :: rest ->
-              Power_model.with_points pm
-                ({ p with
-                   Operating_point.voltage =
-                     Float.succ p.Operating_point.voltage }
-                :: rest)
-            | [] -> fail "empty ladder") );
-    ( "gate energy",
-      fun m ->
-        with_power m (fun pm ->
-            Power_model.with_gate_energy pm
-              (Float.succ pm.Power_model.gate_energy_nj)) );
-    ( "wake latency",
-      fun m ->
-        with_power m (fun pm ->
-            { pm with
-              Power_model.wake_latency_cycles =
-                pm.Power_model.wake_latency_cycles + 1 }) );
-    ( "dvfs energy",
-      fun m ->
-        with_power m (fun pm ->
-            { pm with
-              Power_model.dvfs_energy_nj =
-                Float.succ pm.Power_model.dvfs_energy_nj }) );
-    ( "dvfs latency",
-      fun m ->
-        with_power m (fun pm ->
-            { pm with
-              Power_model.dvfs_latency_cycles =
-                pm.Power_model.dvfs_latency_cycles + 1 }) );
-    ( "components",
-      fun m ->
-        { m with
-          Machine.components = List.tl (List.rev m.Machine.components) } );
-    ( "bus latency",
-      fun m ->
-        { m with Machine.bus_latency_cycles = m.Machine.bus_latency_cycles + 1 }
-    );
-    ( "bus word cycles",
-      fun m -> { m with Machine.bus_word_cycles = m.Machine.bus_word_cycles + 1 }
-    );
-    ( "bus word energy",
-      fun m ->
-        { m with
-          Machine.bus_energy_per_word_nj =
-            Float.succ m.Machine.bus_energy_per_word_nj } );
-    ( "near tier latency",
-      fun m ->
-        with_near m (fun t ->
-            { t with
-              Machine.tier_latency_cycles = t.Machine.tier_latency_cycles + 1 })
-    );
-    ( "near tier energy",
-      fun m ->
-        with_near m (fun t ->
-            { t with
-              Machine.tier_energy_per_access_nj =
-                Float.succ t.Machine.tier_energy_per_access_nj }) );
-    ( "far tier",
-      fun m ->
-        with_mem m (fun mem ->
-            { mem with
-              Machine.far =
-                (match mem.Machine.far with
-                | Some _ -> None
-                | None -> Some mem.Machine.near) }) );
-    ( "far threshold",
-      fun m ->
-        with_mem m (fun mem ->
-            { mem with
-              Machine.far_threshold_words = mem.Machine.far_threshold_words + 1 })
-    );
-    ( "local store",
-      fun m ->
-        with_mem m (fun mem ->
-            { mem with
-              Machine.local =
-                (match mem.Machine.local with
-                | Machine.Scratchpad { spm_latency_cycles = l } ->
-                  Machine.Scratchpad { spm_latency_cycles = l + 1 }
-                | Machine.Cache c ->
-                  Machine.Cache
-                    { c with miss_energy_nj = Float.succ c.miss_energy_nj }) })
-    );
-    ( "channel setup",
-      fun m ->
-        { m with
-          Machine.channel_setup_cycles = m.Machine.channel_setup_cycles + 1 } );
-  ]
-
-(** [Machine.digest] on every zoo machine: two constructions agree, and
-    each edit changes it. *)
-let test_machine_digest () =
-  List.iter
-    (fun (name, _, (mk : ?cores:int -> unit -> Machine.t)) ->
-      let mk () = mk () in
-      let d0 = Machine.digest (mk ()) in
-      check Alcotest.string (name ^ ": equal machines, equal digests")
-        (Digest.to_hex d0)
-        (Digest.to_hex (Machine.digest (mk ())));
-      List.iter
-        (fun (what, edit) ->
-          check Alcotest.bool
-            (name ^ ": " ^ what ^ " changes the digest")
-            false
-            (Machine.digest (edit (mk ())) = d0))
-        machine_edits)
-    Machine.registry
-
 (* ---------------- sweep determinism ---------------- *)
 
 (* Byte-determinism of the sweep artifact across pool sizes: the matrix
@@ -432,7 +265,5 @@ let suite =
       test_biglittle_sim_runs;
     Alcotest.test_case "far tier charged on farmem" `Quick
       test_farmem_far_tier_charged;
-    Alcotest.test_case "machine digest sees every field" `Quick
-      test_machine_digest;
     QCheck_alcotest.to_alcotest prop_sweep_bytes_pool_independent;
   ]

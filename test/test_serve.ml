@@ -1,6 +1,6 @@
 (** The [lpccd] compile server: bounded queue, LRU warm cache, wire
-    protocol, the memoised simulations of [run] and [profile], the
-    [worker] fault point, and
+    protocol, the memoised [run] and [profile] replies, the [worker]
+    fault point, and
     end-to-end robustness over a real Unix-domain socket — backpressure
     sheds with [E_OVERLOAD], deadlines expire as [E_DEADLINE], malformed
     frames and per-request crashes never take down the connection, and a
@@ -103,36 +103,36 @@ let test_bqueue () =
 (* Warm cache eviction                                                 *)
 (* ------------------------------------------------------------------ *)
 
-module Cache = Lp_serve.Cache
+module Memo = Lp_util.Memo
 
 (** A key removed and added again is as recent as its new insertion:
     the next eviction takes the older live key, not the re-added one. *)
 let test_cache_readd_after_remove () =
-  let c = Cache.create ~capacity:2 in
-  Cache.add c "a" 1;
-  Cache.remove c "a";
-  Cache.add c "b" 2;
-  Cache.add c "a" 3;
-  Cache.add c "c" 4;
-  Alcotest.(check int) "at capacity" 2 (Cache.length c);
-  Alcotest.(check (option int)) "older b evicted" None (Cache.find c "b");
-  Alcotest.(check (option int)) "re-added a kept" (Some 3) (Cache.find c "a");
-  Alcotest.(check (option int)) "newest c kept" (Some 4) (Cache.find c "c");
-  Alcotest.(check int) "one invalidation" 1 (Cache.invalidations c)
+  let c = Memo.create ~capacity:2 in
+  Memo.add c "a" 1;
+  Memo.remove c "a";
+  Memo.add c "b" 2;
+  Memo.add c "a" 3;
+  Memo.add c "c" 4;
+  Alcotest.(check int) "at capacity" 2 (Memo.length c);
+  Alcotest.(check (option int)) "older b evicted" None (Memo.find c "b");
+  Alcotest.(check (option int)) "re-added a kept" (Some 3) (Memo.find c "a");
+  Alcotest.(check (option int)) "newest c kept" (Some 4) (Memo.find c "c");
+  Alcotest.(check int) "one invalidation" 1 (Memo.invalidations c)
 
 (** A [find] hit makes its key the most recent, so the next eviction
     takes the entry that was not used. *)
 let test_cache_hit_refreshes () =
-  let c = Cache.create ~capacity:2 in
-  Cache.add c "a" 1;
-  Cache.add c "b" 2;
-  Alcotest.(check (option int)) "a hits" (Some 1) (Cache.find c "a");
-  Cache.add c "c" 3;
-  Alcotest.(check (option int)) "unused b evicted" None (Cache.find c "b");
-  Alcotest.(check (option int)) "used a kept" (Some 1) (Cache.find c "a");
-  Alcotest.(check (option int)) "newest c kept" (Some 3) (Cache.find c "c");
-  Alcotest.(check int) "hits counted" 3 (Cache.hits c);
-  Alcotest.(check int) "misses counted" 1 (Cache.misses c)
+  let c = Memo.create ~capacity:2 in
+  Memo.add c "a" 1;
+  Memo.add c "b" 2;
+  Alcotest.(check (option int)) "a hits" (Some 1) (Memo.find c "a");
+  Memo.add c "c" 3;
+  Alcotest.(check (option int)) "unused b evicted" None (Memo.find c "b");
+  Alcotest.(check (option int)) "used a kept" (Some 1) (Memo.find c "a");
+  Alcotest.(check (option int)) "newest c kept" (Some 3) (Memo.find c "c");
+  Alcotest.(check int) "hits counted" 3 (Memo.hits c);
+  Alcotest.(check int) "misses counted" 1 (Memo.misses c)
 
 (** The serve-mixed key stream through the server's 128 slots: a
     42-key hot set visited in shuffled rounds, with a one-shot key after
@@ -141,12 +141,12 @@ let test_cache_hit_refreshes () =
     keys are touched, so every hot visit after the first round must hit;
     insertion-order eviction drops hot keys that are still in use. *)
 let test_cache_keeps_hot_set () =
-  let c = Cache.create ~capacity:128 in
+  let c = Memo.create ~capacity:128 in
   let visit key =
-    match Cache.find c key with
+    match Memo.find c key with
     | Some () -> true
     | None ->
-      Cache.add c key ();
+      Memo.add c key ();
       false
   in
   let rng = Lp_util.Rng.create ~seed:1 in
@@ -162,7 +162,7 @@ let test_cache_keeps_hot_set () =
       (Lp_util.Rng.shuffle rng hot)
   done;
   Alcotest.(check int) "hits: every hot visit after round 1" (9 * 42)
-    (Cache.hits c)
+    (Memo.hits c)
 
 (* ------------------------------------------------------------------ *)
 (* Wire protocol                                                       *)
@@ -437,7 +437,7 @@ let after ~prefix frame =
     String.sub frame n (String.length frame - n)
   else Alcotest.failf "reply %s does not start with %s" frame prefix
 
-(** A warm [run] replies from the outcome memo without simulating
+(** A warm [run] replies from its cache entry's memo without simulating
     again, and its frame is byte-identical to the cold one apart from
     [id] and [cached]. *)
 let test_run_memo () =
@@ -483,29 +483,6 @@ let test_run_memo_skips_failures () =
   let memo = reply (run_frame ~id:(Json.Num 4.0) (P.Workload "matmul")) in
   Alcotest.(check bool) "memoised run ok" true memo.P.r_ok;
   Alcotest.(check int) "then the memo answers" 1 (sim_runs ctx)
-
-(** Two sources that differ only in a comment at the end of a line
-    compile to one program (no instruction's [loc] moves), so the second
-    [run] misses the compile cache but simulates nothing: its frame is
-    byte-identical to the first one's apart from [id]. *)
-let test_run_memo_by_program () =
-  let ctx = counting_ctx () in
-  with_server ~ctx "memo-program" @@ fun path _server ->
-  let fd = connect path in
-  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-  let src = (Lp_workloads.Suite.find_exn "dotprod").Lp_workloads.Workload.source in
-  let commented =
-    let nl = String.index src '\n' in
-    String.sub src 0 nl ^ " // same program"
-    ^ String.sub src nl (String.length src - nl)
-  in
-  let first = ask fd (run_frame ~id:(Json.Num 1.0) (P.Inline src)) in
-  let second = ask fd (run_frame ~id:(Json.Num 2.0) (P.Inline commented)) in
-  Alcotest.(check bool) "first reply ok" true (parse_reply first).P.r_ok;
-  Alcotest.(check string) "second frame byte-identical apart from id"
-    (after ~prefix:{|{"id":1,"ok":true,"op":"run",|} first)
-    (after ~prefix:{|{"id":2,"ok":true,"op":"run",|} second);
-  Alcotest.(check int) "one simulation for two sources" 1 (sim_runs ctx)
 
 (** lpccd's worker is a [worker] fault point, keyed [<scope>/<config>]
     like a matrix cell: with [worker*1] armed, the first attempt of a
@@ -612,7 +589,7 @@ let test_tune_op () =
 (** The v2 [profile] op end to end: the served artifact is byte-identical
     (once the ["profile"] member is re-serialised) to what the one-shot
     entry points produce, a repeat request is answered from the warm
-    caches without changing a byte or simulating again, and the [stats]
+    cache without changing a byte or simulating again, and the [stats]
     reply carries the per-op latency histogram. *)
 let test_profile_op () =
   let ctx = counting_ctx () in
@@ -780,8 +757,6 @@ let suite =
     Alcotest.test_case "warm run replies from its memo" `Quick test_run_memo;
     Alcotest.test_case "failed runs are never memoised" `Quick
       test_run_memo_skips_failures;
-    Alcotest.test_case "sources compiling to one program simulate once"
-      `Quick test_run_memo_by_program;
     Alcotest.test_case "worker fault point retried" `Quick
       test_worker_fault_retried;
     Alcotest.test_case "armed faults bypass the run memo" `Quick
