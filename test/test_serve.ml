@@ -648,6 +648,22 @@ let test_profile_op () =
   Alcotest.(check string) "warm artifact byte-identical" expected
     (Json.to_string (artifact second));
   Alcotest.(check int) "one simulation for two profiles" 1 (sim_runs ctx);
+  (* the same source sent inline shares the entry, but its artifact
+     names its source [inline], so the memoised one cannot answer it *)
+  send_all fd
+    (P.frame_of_request
+       {
+         P.default_request with
+         P.id = Json.Num 4.0;
+         version = Some 2;
+         op = P.Profile;
+         src = P.Inline w.Lp_workloads.Workload.source;
+       });
+  let inline = parse_reply (List.hd (read_frames fd 1)) in
+  Alcotest.(check bool) "inline copy served from cache" true
+    (Json.member "cached" inline.P.r_payload = Some (Json.Bool true));
+  Alcotest.(check bool) "inline copy names its own source" true
+    (Json.member "source" (artifact inline) = Some (Json.Str "inline"));
   (* a v1 frame must not reach the op *)
   (match P.request_of_frame {|{"op":"profile","workload":"fir"}|} with
   | Ok _ -> Alcotest.fail "profile must require protocol v2"
