@@ -260,10 +260,33 @@ let test_printer_round_trip_generated () =
   Alcotest.(check string) "generated fixpoint" p1 p2;
   Typecheck.check_program (parse p1)
 
+(* a decimal literal above [max_int] is a lex error (E_LEX), not an
+   uncaught [Failure]; one that fits still lexes *)
+let test_lex_int_out_of_range () =
+  let src = "int main() {\n  int x = 99999999999999999999999; return x; }" in
+  (match Lexer.tokenize src with
+  | _ -> fail "expected lex error"
+  | exception Lexer.Lex_error (msg, line) ->
+    check Alcotest.string "message" "integer literal out of range" msg;
+    check Alcotest.int "line" 2 line);
+  (match
+     Lowpower.Compile.compile_result
+       ~machine:(Lp_machine.Machine.generic ~n_cores:4 ()) src
+   with
+  | Error d -> check Alcotest.string "code" "E_LEX" d.Lp_util.Diag.code
+  | Ok _ -> fail "expected E_LEX");
+  match tokens (string_of_int max_int ^ " 4611686018427387904.5") with
+  | [ Lexer.INT_LIT n; Lexer.FLOAT_LIT f; Lexer.EOF ] ->
+    check Alcotest.int "max_int" max_int n;
+    check (Alcotest.float 0.0) "float" 4611686018427387904.5 f
+  | _ -> fail "max_int literal"
+
 let suite =
   suite
   @ [
       Alcotest.test_case "printer round trip" `Quick test_printer_round_trip;
       Alcotest.test_case "printer round trip (generated)" `Quick
         test_printer_round_trip_generated;
+      Alcotest.test_case "lex integer literal out of range" `Quick
+        test_lex_int_out_of_range;
     ]
