@@ -112,7 +112,10 @@ let tokenize (src : string) : located list =
         let frac = read_while is_digit in
         emit (FLOAT_LIT (float_of_string (intpart ^ "." ^ (if frac = "" then "0" else frac))))
       end
-      else emit (INT_LIT (int_of_string intpart))
+      else
+        match int_of_string_opt intpart with
+        | Some v -> emit (INT_LIT v)
+        | None -> raise (Lex_error ("integer literal out of range", !line))
     end
     else if is_ident_start c then begin
       let word = read_while is_ident_char in
