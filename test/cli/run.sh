@@ -35,6 +35,7 @@ lpcc run small.mc -w fir
 lpcc run bad.mc
 lpcc run -w fir --faults post-pass@fir
 lpcc run -w fir --faults 'no-such-point@fir'
+lpcc run -w fir --faults worker
 lpcc explain -w dotprod -k full
 
 rm -f report.json

@@ -110,6 +110,19 @@ let test_run_matrix_deterministic_f2 () =
   let par = render_with ~jobs:4 Exp_figures.f2 in
   check Alcotest.string "F2 byte-identical" seq par
 
+(* the matrix memo keeps every cell until the process exits, so a cell
+   must not pin its program's final shared memory, which no table reads *)
+let test_cell_drops_shared_memory () =
+  let w = Lp_workloads.Suite.find_exn "fir" in
+  match
+    Exp_common.result_of
+      (Exp_common.job w ~config:"baseline" Lowpower.Compile.baseline)
+  with
+  | Error d -> Alcotest.failf "fir/baseline: %s" (Lp_util.Diag.to_string d)
+  | Ok r ->
+    check Alcotest.int "final shared arrays" 0
+      (Hashtbl.length r.Exp_common.outcome.Lp_sim.Sim.shared_final)
+
 let suite =
   [
     Alcotest.test_case "map preserves order" `Quick test_map_preserves_order;
@@ -123,4 +136,6 @@ let suite =
       test_run_matrix_deterministic_t1;
     Alcotest.test_case "run_matrix F2 jobs=4 == jobs=1" `Slow
       test_run_matrix_deterministic_f2;
+    Alcotest.test_case "matrix cell drops final shared memory" `Quick
+      test_cell_drops_shared_memory;
   ]
