@@ -191,9 +191,18 @@ let with_session (config : Runtime_config.t) f =
           Printf.eprintf "power report written to %s\n%!" path)
         config.Runtime_config.report
     in
-    Ok
-      (Fun.protect ~finally:finish (fun () ->
-           f { obs; report; config; deadline }))
+    let r =
+      Fun.protect ~finally:finish (fun () -> f { obs; report; config; deadline })
+    in
+    match Lp_util.Fault.unreached () with
+    | [] -> Ok r
+    | clauses ->
+      List.iter
+        (Printf.eprintf "fault clause %S: no check of its point ran\n%!")
+        clauses;
+      Error
+        (Printf.sprintf "%d fault clause(s) reached no code path"
+           (List.length clauses))
 
 (** Append a simulation's energy/counter record to the audit report
     ([simulate_compiled]'s last step; no-op when the report is

@@ -176,6 +176,9 @@ val make_ctx :
     then written and announced on stderr, so a diagnosed run still
     leaves its profile and audit behind.  [Error] (["invalid fault
     spec: ..."]) when the fault spec does not parse; [f] does not run.
+    [Error] too when [f] returns but an armed fault clause's point was
+    never checked ({!Lp_util.Fault.unreached}): each such clause is
+    named on stderr, since the run injected nothing it asked for.
     [f] must return rather than call [exit], which would skip the
     writes. *)
 val with_session :

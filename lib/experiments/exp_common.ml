@@ -112,6 +112,9 @@ let attempt_run { j_workload = w; j_config = config; j_opts = opts;
   Fault.check Fault.Worker ~key:config;
   Result.map
     (fun (compiled, outcome) ->
+      (* the memo keeps every cell until the process exits, and no table
+         reads the final shared memory (about 125 KB a bundled program) *)
+      let outcome = { outcome with Sim.shared_final = Hashtbl.create 1 } in
       { workload = w.Workload.name; config; compiled; outcome })
     (Compile.run_result ~ctx:(current_ctx ()) ~opts ~machine
        w.Workload.source)

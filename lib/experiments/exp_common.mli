@@ -49,6 +49,8 @@ type run_result = {
   config : string;
   compiled : Compile.compiled;
   outcome : Sim.outcome;
+      (** its [shared_final] is empty: the memo does not keep the
+          program's final shared memory *)
 }
 
 (** One evaluated matrix cell: the run, or the structured diagnostic it

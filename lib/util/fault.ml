@@ -40,11 +40,13 @@ let code_of_point = function
   | Serve_dispatch -> "E_FAULT_DISPATCH"
 
 type clause = {
+  cl_text : string;                (** the clause as written *)
   cl_point : point;
   cl_substr : string option;       (** match against "<scope>/<key>" *)
   mutable cl_remaining : int option;  (** [None] = unlimited *)
   cl_pct : int;                    (** fire probability, percent *)
   cl_transient : bool;             (** bounded or probabilistic *)
+  mutable cl_reached : bool;       (** a check of [cl_point] has run *)
 }
 
 type config = { clauses : clause list; rng : Rng.t }
@@ -113,11 +115,13 @@ let parse_clause s : (clause, string) result =
     | None ->
       Ok
         {
+          cl_text = s;
           cl_point = p;
           cl_substr = substr;
           cl_remaining = !count;
           cl_pct = !pct;
           cl_transient = !count <> None || !pct < 100;
+          cl_reached = false;
         })
 
 let configure spec : (unit, string) result =
@@ -195,18 +199,21 @@ let check point ~key =
     | Some cfg ->
       List.iter
         (fun c ->
-          if
-            !fire = None && c.cl_point = point
-            && (match c.cl_substr with
-               | None -> true
-               | Some sub -> contains ~sub full_key)
-            && c.cl_remaining <> Some 0
-            && (c.cl_pct >= 100 || Rng.int cfg.rng 100 < c.cl_pct)
-          then begin
-            (match c.cl_remaining with
-            | Some n -> c.cl_remaining <- Some (n - 1)
-            | None -> ());
-            fire := Some c
+          if c.cl_point = point then begin
+            c.cl_reached <- true;
+            if
+              !fire = None
+              && (match c.cl_substr with
+                 | None -> true
+                 | Some sub -> contains ~sub full_key)
+              && c.cl_remaining <> Some 0
+              && (c.cl_pct >= 100 || Rng.int cfg.rng 100 < c.cl_pct)
+            then begin
+              (match c.cl_remaining with
+              | Some n -> c.cl_remaining <- Some (n - 1)
+              | None -> ());
+              fire := Some c
+            end
           end)
         cfg.clauses);
     Mutex.unlock mutex;
@@ -216,3 +223,16 @@ let check point ~key =
       Diag.error Diag.Fault ~transient:c.cl_transient
         ~code:(code_of_point point) "injected %s fault at %s"
         (point_name point) full_key)
+
+let unreached () =
+  Mutex.lock mutex;
+  let texts =
+    match !state with
+    | None -> []
+    | Some cfg ->
+      List.filter_map
+        (fun c -> if c.cl_reached then None else Some c.cl_text)
+        cfg.clauses
+  in
+  Mutex.unlock mutex;
+  texts

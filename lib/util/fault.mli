@@ -61,5 +61,12 @@ val active : unit -> bool
 val with_scope : string -> (unit -> 'a) -> 'a
 
 (** Reach an injection point.  Raises [Diag.Error] when an armed clause
-    matches; otherwise returns.  Thread-safe. *)
+    matches; otherwise returns.  Either way every armed clause of
+    [point] is marked reached, whether or not its [@SUBSTR] matched or
+    its [%PCT] draw fired.  Thread-safe. *)
 val check : point -> key:string -> unit
+
+(** The armed clauses, as written in the spec, whose point no {!check}
+    has reached since {!configure}: a clause no code path reaches
+    injects nothing, so a run that armed it tested nothing. *)
+val unreached : unit -> string list
