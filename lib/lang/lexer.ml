@@ -1,13 +1,17 @@
 (** Hand-written lexer for MiniC.
 
-    Produces a flat token list.  [#pragma lp ...] lines become dedicated
-    [PRAGMA] tokens so the parser can attach them to the following
-    statement or function. *)
+    Produces the token stream as a struct of arrays, so a token costs no
+    record, cons cell or boxed payload: the bundled DSP kernels carry
+    their coefficient tables and inputs as initialiser lists, and most
+    of their tokens are integer literals and commas.  Integer literals
+    are read in place, digit by digit.  [#pragma lp ...] lines become
+    dedicated [PRAGMA] tokens so the parser can attach them to the
+    following statement or function. *)
 
-type token =
-  | INT_LIT of int
-  | FLOAT_LIT of float
-  | IDENT of string
+type kind =
+  | INT_LIT
+  | FLOAT_LIT
+  | IDENT
   | KW_INT | KW_FLOAT | KW_VOID
   | KW_IF | KW_ELSE | KW_WHILE | KW_FOR | KW_RETURN
   | LPAREN | RPAREN | LBRACE | RBRACE | LBRACKET | RBRACKET
@@ -17,17 +21,29 @@ type token =
   | LT | LE | GT | GE | EQEQ | NE | BANG
   | ANDAND | OROR
   | ASSIGN
-  | PRAGMA of string  (** raw text after "#pragma lp" *)
+  | PRAGMA
   | EOF
 
-type located = { tok : token; line : int; col : int }
+(** Token [i] (for [i < count]; the last one is [EOF]) is [kinds.(i)],
+    ending at [lines.(i)], [cols.(i)]: the column after its last
+    character.  [ints.(i)] is its payload: an [INT_LIT]'s value, a
+    [FLOAT_LIT]'s index into [floats], or the index into [strs] of an
+    [IDENT]'s name or a [PRAGMA]'s text after ["#pragma lp"], trimmed.
+    The arrays may be longer than [count]. *)
+type tokens = {
+  count : int;
+  kinds : kind array;
+  ints : int array;
+  lines : int array;
+  cols : int array;
+  floats : Float.Array.t;
+  strs : string array;
+}
 
 exception Lex_error of string * int  (** message, line *)
 
-let token_to_string = function
-  | INT_LIT n -> string_of_int n
-  | FLOAT_LIT f -> string_of_float f
-  | IDENT s -> s
+let kind_to_string = function
+  | INT_LIT -> "<int>" | FLOAT_LIT -> "<float>" | IDENT -> "<ident>"
   | KW_INT -> "int" | KW_FLOAT -> "float" | KW_VOID -> "void"
   | KW_IF -> "if" | KW_ELSE -> "else" | KW_WHILE -> "while"
   | KW_FOR -> "for" | KW_RETURN -> "return"
@@ -41,121 +57,189 @@ let token_to_string = function
   | BANG -> "!"
   | ANDAND -> "&&" | OROR -> "||"
   | ASSIGN -> "="
-  | PRAGMA s -> "#pragma lp " ^ s
-  | EOF -> "<eof>"
+  | PRAGMA -> "#pragma lp" | EOF -> "<eof>"
 
-let keyword_of_string = function
-  | "int" -> Some KW_INT
-  | "float" -> Some KW_FLOAT
-  | "void" -> Some KW_VOID
-  | "if" -> Some KW_IF
-  | "else" -> Some KW_ELSE
-  | "while" -> Some KW_WHILE
-  | "for" -> Some KW_FOR
-  | "return" -> Some KW_RETURN
-  | _ -> None
+(** Token [i] as the source spells it (literals normalised), for
+    diagnostics. *)
+let token_to_string t i =
+  match t.kinds.(i) with
+  | INT_LIT -> string_of_int t.ints.(i)
+  | FLOAT_LIT -> string_of_float (Float.Array.get t.floats t.ints.(i))
+  | IDENT -> t.strs.(t.ints.(i))
+  | PRAGMA -> "#pragma lp " ^ t.strs.(t.ints.(i))
+  | k -> kind_to_string k
+
+(* ------------------------------------------------------------------ *)
+(* The arrays under construction                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A token takes at least one byte of source, so [n + 1] slots (the
+   last for EOF) always hold a source of [n] bytes: the token arrays are
+   sized once and never grow.  The float literals and strings, few and
+   of unknown number, grow by doubling. *)
+type buf = {
+  mutable n : int;
+  b_kinds : kind array;
+  b_ints : int array;
+  b_lines : int array;
+  b_cols : int array;
+  mutable n_floats : int;
+  mutable b_floats : Float.Array.t;
+  mutable n_strs : int;
+  mutable b_strs : string array;
+}
+
+let create n =
+  { n = 0; b_kinds = Array.make (n + 1) EOF; b_ints = Array.make (n + 1) 0;
+    b_lines = Array.make (n + 1) 0; b_cols = Array.make (n + 1) 0;
+    n_floats = 0; b_floats = Float.Array.make 8 0.0;
+    n_strs = 0; b_strs = Array.make 64 "" }
+
+let push b kind payload ~line ~col =
+  let k = b.n in
+  b.b_kinds.(k) <- kind;
+  b.b_ints.(k) <- payload;
+  b.b_lines.(k) <- line;
+  b.b_cols.(k) <- col;
+  b.n <- k + 1
+
+(* the index of the stored float or string, for the token's payload *)
+let add_float b f =
+  let len = Float.Array.length b.b_floats in
+  if b.n_floats = len then begin
+    let a = Float.Array.make (2 * len) 0.0 in
+    Float.Array.blit b.b_floats 0 a 0 len;
+    b.b_floats <- a
+  end;
+  Float.Array.set b.b_floats b.n_floats f;
+  b.n_floats <- b.n_floats + 1;
+  b.n_floats - 1
+
+let add_str b s =
+  let len = Array.length b.b_strs in
+  if b.n_strs = len then begin
+    let a = Array.make (2 * len) "" in
+    Array.blit b.b_strs 0 a 0 len;
+    b.b_strs <- a
+  end;
+  b.b_strs.(b.n_strs) <- s;
+  b.n_strs <- b.n_strs + 1;
+  b.n_strs - 1
+
+(* ------------------------------------------------------------------ *)
+(* Scanning                                                            *)
+(* ------------------------------------------------------------------ *)
 
 let is_digit c = c >= '0' && c <= '9'
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-let is_ident_char c = is_ident_start c || is_digit c
+let is_ident_char c =
+  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' || is_digit c
 
-let tokenize (src : string) : located list =
+(* whether src.[start .. start + len - 1] spells [word] *)
+let spells src start len word =
+  String.length word = len
+  &&
+  let k = ref 0 in
+  while !k < len && src.[start + !k] = word.[!k] do incr k done;
+  !k = len
+
+(* the keyword spelt by src.[start .. start + len - 1], else [IDENT] *)
+let word_kind src start len =
+  if spells src start len "int" then KW_INT
+  else if spells src start len "float" then KW_FLOAT
+  else if spells src start len "void" then KW_VOID
+  else if spells src start len "if" then KW_IF
+  else if spells src start len "else" then KW_ELSE
+  else if spells src start len "while" then KW_WHILE
+  else if spells src start len "for" then KW_FOR
+  else if spells src start len "return" then KW_RETURN
+  else IDENT
+
+let pragma_prefix = "#pragma lp "
+
+let tokenize (src : string) : tokens =
   let n = String.length src in
-  let toks = ref [] in
-  let line = ref 1 in
-  let col = ref 1 in
+  let b = create n in
   let i = ref 0 in
-  let emit tok = toks := { tok; line = !line; col = !col } :: !toks in
-  let peek k = if !i + k < n then Some src.[!i + k] else None in
-  let advance () =
-    (match src.[!i] with
-    | '\n' -> line := !line + 1; col := 1
-    | _ -> col := !col + 1);
-    incr i
-  in
-  let read_while pred =
-    let start = !i in
-    while !i < n && pred src.[!i] do advance () done;
-    String.sub src start (!i - start)
-  in
+  let line = ref 1 in
+  let bol = ref 0 in  (* index of the first character of [!line] *)
+  (* a token ends at [!i]: its column is the one after its last character *)
+  let emit kind payload = push b kind payload ~line:!line ~col:(!i - !bol + 1) in
+  let one kind = incr i; emit kind 0 in
+  let two kind = i := !i + 2; emit kind 0 in
+  let next () = if !i + 1 < n then src.[!i + 1] else '\000' in
+  let newline () = incr line; bol := !i + 1 in
   while !i < n do
-    let c = src.[!i] in
-    if c = ' ' || c = '\t' || c = '\r' || c = '\n' then advance ()
-    else if c = '/' && peek 1 = Some '/' then begin
-      while !i < n && src.[!i] <> '\n' do advance () done
-    end
-    else if c = '/' && peek 1 = Some '*' then begin
-      advance (); advance ();
-      let closed = ref false in
-      while !i < n && not !closed do
-        if src.[!i] = '*' && peek 1 = Some '/' then begin
-          advance (); advance (); closed := true
-        end
-        else advance ()
+    match src.[!i] with
+    | ' ' | '\t' | '\r' -> incr i
+    | '\n' -> newline (); incr i
+    | '/' when next () = '/' ->
+      while !i < n && src.[!i] <> '\n' do incr i done
+    | '/' when next () = '*' ->
+      i := !i + 2;
+      while !i < n && not (src.[!i] = '*' && next () = '/') do
+        if src.[!i] = '\n' then newline ();
+        incr i
       done;
-      if not !closed then raise (Lex_error ("unterminated comment", !line))
-    end
-    else if c = '#' then begin
+      if !i >= n then raise (Lex_error ("unterminated comment", !line));
+      i := !i + 2
+    | '#' ->
       (* pragma line: "#pragma lp <rest-of-line>" *)
-      let rest = read_while (fun c -> c <> '\n') in
-      let prefix = "#pragma lp " in
-      let plen = String.length prefix in
-      if String.length rest >= plen && String.sub rest 0 plen = prefix then
-        emit (PRAGMA (String.trim (String.sub rest plen (String.length rest - plen))))
+      let start = !i in
+      while !i < n && src.[!i] <> '\n' do incr i done;
+      let len = !i - start in
+      let plen = String.length pragma_prefix in
+      if len >= plen && spells src start plen pragma_prefix then
+        emit PRAGMA
+          (add_str b (String.trim (String.sub src (start + plen) (len - plen))))
       else
-        raise (Lex_error ("unknown directive: " ^ rest, !line))
-    end
-    else if is_digit c then begin
-      let intpart = read_while is_digit in
+        raise
+          (Lex_error ("unknown directive: " ^ String.sub src start len, !line))
+    | '0' .. '9' ->
+      let start = !i in
+      let v = ref 0 and big = ref false in
+      while !i < n && is_digit src.[!i] do
+        let d = Char.code src.[!i] - Char.code '0' in
+        if !v > (max_int - d) / 10 then big := true else v := (!v * 10) + d;
+        incr i
+      done;
       if !i < n && src.[!i] = '.' then begin
-        advance ();
-        let frac = read_while is_digit in
-        emit (FLOAT_LIT (float_of_string (intpart ^ "." ^ (if frac = "" then "0" else frac))))
+        incr i;
+        while !i < n && is_digit src.[!i] do incr i done;
+        (* few and far between: strtod on the slice rounds them exactly *)
+        emit FLOAT_LIT
+          (add_float b (float_of_string (String.sub src start (!i - start))))
       end
-      else
-        match int_of_string_opt intpart with
-        | Some v -> emit (INT_LIT v)
-        | None -> raise (Lex_error ("integer literal out of range", !line))
-    end
-    else if is_ident_start c then begin
-      let word = read_while is_ident_char in
-      match keyword_of_string word with
-      | Some kw -> emit kw
-      | None -> emit (IDENT word)
-    end
-    else begin
-      let two a b tok_two tok_one =
-        if c = a && peek 1 = Some b then begin advance (); advance (); emit tok_two end
-        else begin advance (); emit tok_one end
-      in
-      match c with
-      | '(' -> advance (); emit LPAREN
-      | ')' -> advance (); emit RPAREN
-      | '{' -> advance (); emit LBRACE
-      | '}' -> advance (); emit RBRACE
-      | '[' -> advance (); emit LBRACKET
-      | ']' -> advance (); emit RBRACKET
-      | ';' -> advance (); emit SEMI
-      | ',' -> advance (); emit COMMA
-      | '+' -> advance (); emit PLUS
-      | '-' -> advance (); emit MINUS
-      | '*' -> advance (); emit STAR
-      | '/' -> advance (); emit SLASH
-      | '%' -> advance (); emit PERCENT
-      | '^' -> advance (); emit CARET
-      | '~' -> advance (); emit TILDE
-      | '<' ->
-        if peek 1 = Some '<' then begin advance (); advance (); emit SHL end
-        else two '<' '=' LE LT
-      | '>' ->
-        if peek 1 = Some '>' then begin advance (); advance (); emit SHR end
-        else two '>' '=' GE GT
-      | '=' -> two '=' '=' EQEQ ASSIGN
-      | '!' -> two '!' '=' NE BANG
-      | '&' -> two '&' '&' ANDAND AMP
-      | '|' -> two '|' '|' OROR PIPE
-      | _ -> raise (Lex_error (Printf.sprintf "unexpected character %C" c, !line))
-    end
+      else if !big then raise (Lex_error ("integer literal out of range", !line))
+      else emit INT_LIT !v
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' -> (
+      let start = !i in
+      while !i < n && is_ident_char src.[!i] do incr i done;
+      match word_kind src start (!i - start) with
+      | IDENT -> emit IDENT (add_str b (String.sub src start (!i - start)))
+      | kw -> emit kw 0)
+    | '(' -> one LPAREN
+    | ')' -> one RPAREN
+    | '{' -> one LBRACE
+    | '}' -> one RBRACE
+    | '[' -> one LBRACKET
+    | ']' -> one RBRACKET
+    | ';' -> one SEMI
+    | ',' -> one COMMA
+    | '+' -> one PLUS
+    | '-' -> one MINUS
+    | '*' -> one STAR
+    | '/' -> one SLASH
+    | '%' -> one PERCENT
+    | '^' -> one CARET
+    | '~' -> one TILDE
+    | '<' -> (match next () with '<' -> two SHL | '=' -> two LE | _ -> one LT)
+    | '>' -> (match next () with '>' -> two SHR | '=' -> two GE | _ -> one GT)
+    | '=' -> if next () = '=' then two EQEQ else one ASSIGN
+    | '!' -> if next () = '=' then two NE else one BANG
+    | '&' -> if next () = '&' then two ANDAND else one AMP
+    | '|' -> if next () = '|' then two OROR else one PIPE
+    | c -> raise (Lex_error (Printf.sprintf "unexpected character %C" c, !line))
   done;
-  emit EOF;
-  List.rev !toks
+  emit EOF 0;
+  { count = b.n; kinds = b.b_kinds; ints = b.b_ints; lines = b.b_lines;
+    cols = b.b_cols; floats = b.b_floats; strs = b.b_strs }

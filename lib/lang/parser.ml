@@ -4,23 +4,30 @@ open Ast
 
 exception Parse_error of string * int (** message, line *)
 
-type state = { toks : Lexer.located array; mutable pos : int }
+(* the parser reads the lexer's arrays at [pos]: kinds compare as
+   immediates, payloads are read only where the grammar needs them *)
+type state = { toks : Lexer.tokens; mutable pos : int }
 
-let cur st = st.toks.(st.pos)
-let cur_tok st = (cur st).tok
-let cur_line st = (cur st).line
+let cur_kind st = st.toks.Lexer.kinds.(st.pos)
+let cur_line st = st.toks.Lexer.lines.(st.pos)
+
+(* the current token's payload: an integer literal's value *)
+let cur_int st = st.toks.Lexer.ints.(st.pos)
+
+(* an identifier's name or a pragma's text *)
+let cur_str st = st.toks.Lexer.strs.(cur_int st)
 
 let err st msg =
   raise (Parse_error (Printf.sprintf "%s (got %s)" msg
-                        (Lexer.token_to_string (cur_tok st)),
+                        (Lexer.token_to_string st.toks st.pos),
                       cur_line st))
 
 let advance st = st.pos <- st.pos + 1
 
-let expect st tok msg =
-  if cur_tok st = tok then advance st else err st msg
+let expect st kind msg =
+  if cur_kind st = kind then advance st else err st msg
 
-let position st = { line = cur_line st; col = (cur st).col }
+let position st = { line = cur_line st; col = st.toks.Lexer.cols.(st.pos) }
 
 (* ------------------------------------------------------------------ *)
 (* Pragmas: the raw text after "#pragma lp" is "key(arg1, arg2, ...)"
@@ -48,9 +55,9 @@ let parse_pragma_text ~line text : pragma =
 
 let collect_pragmas st =
   let rec loop acc =
-    match cur_tok st with
-    | Lexer.PRAGMA text ->
-      let line = cur_line st in
+    match cur_kind st with
+    | Lexer.PRAGMA ->
+      let line = cur_line st and text = cur_str st in
       advance st;
       loop (parse_pragma_text ~line text :: acc)
     | _ -> List.rev acc
@@ -62,7 +69,7 @@ let collect_pragmas st =
 (* ------------------------------------------------------------------ *)
 
 let parse_base_ty st =
-  match cur_tok st with
+  match cur_kind st with
   | Lexer.KW_INT -> advance st; Tint
   | Lexer.KW_FLOAT -> advance st; Tfloat
   | Lexer.KW_VOID -> advance st; Tvoid
@@ -74,7 +81,7 @@ let parse_base_ty st =
 
 (* Precedence levels, loosest first:
    || ; && ; | ; ^ ; & ; == != ; < <= > >= ; << >> ; + - ; * / % *)
-let binop_of_tok = function
+let binop_of_kind = function
   | Lexer.OROR -> Some (Lor, 1)
   | Lexer.ANDAND -> Some (Land, 2)
   | Lexer.PIPE -> Some (Bor, 3)
@@ -100,7 +107,7 @@ let rec parse_expr st = parse_binop st 1
 and parse_binop st min_prec =
   let lhs = parse_unary st in
   let rec loop lhs =
-    match binop_of_tok (cur_tok st) with
+    match binop_of_kind (cur_kind st) with
     | Some (op, prec) when prec >= min_prec ->
       let pos = position st in
       advance st;
@@ -112,7 +119,7 @@ and parse_binop st min_prec =
 
 and parse_unary st =
   let pos = position st in
-  match cur_tok st with
+  match cur_kind st with
   | Lexer.MINUS ->
     advance st;
     { edesc = Unop (Neg, parse_unary st); epos = pos }
@@ -126,9 +133,15 @@ and parse_unary st =
 
 and parse_primary st =
   let pos = position st in
-  match cur_tok st with
-  | Lexer.INT_LIT n -> advance st; { edesc = Int_lit n; epos = pos }
-  | Lexer.FLOAT_LIT f -> advance st; { edesc = Float_lit f; epos = pos }
+  match cur_kind st with
+  | Lexer.INT_LIT ->
+    let n = cur_int st in
+    advance st;
+    { edesc = Int_lit n; epos = pos }
+  | Lexer.FLOAT_LIT ->
+    let f = Float.Array.get st.toks.Lexer.floats (cur_int st) in
+    advance st;
+    { edesc = Float_lit f; epos = pos }
   | Lexer.LPAREN ->
     advance st;
     let e = parse_expr st in
@@ -141,9 +154,10 @@ and parse_primary st =
     let e = parse_expr st in
     expect st Lexer.RPAREN "expected ')'";
     { edesc = Cast (ty, e); epos = pos }
-  | Lexer.IDENT name -> (
+  | Lexer.IDENT -> (
+    let name = cur_str st in
     advance st;
-    match cur_tok st with
+    match cur_kind st with
     | Lexer.LPAREN ->
       advance st;
       let args = parse_args st in
@@ -157,11 +171,11 @@ and parse_primary st =
   | _ -> err st "expected expression"
 
 and parse_args st =
-  if cur_tok st = Lexer.RPAREN then begin advance st; [] end
+  if cur_kind st = Lexer.RPAREN then begin advance st; [] end
   else
     let rec loop acc =
       let e = parse_expr st in
-      match cur_tok st with
+      match cur_kind st with
       | Lexer.COMMA -> advance st; loop (e :: acc)
       | Lexer.RPAREN -> advance st; List.rev (e :: acc)
       | _ -> err st "expected ',' or ')' in arguments"
@@ -176,7 +190,7 @@ let rec parse_stmt st : stmt =
   let pragmas = collect_pragmas st in
   let pos = position st in
   let mk sdesc = { sdesc; spos = pos; pragmas } in
-  match cur_tok st with
+  match cur_kind st with
   | Lexer.KW_INT | Lexer.KW_FLOAT ->
     let s = parse_decl st in
     expect st Lexer.SEMI "expected ';' after declaration";
@@ -188,7 +202,7 @@ let rec parse_stmt st : stmt =
     expect st Lexer.RPAREN "expected ')'";
     let then_b = parse_block_or_stmt st in
     let else_b =
-      if cur_tok st = Lexer.KW_ELSE then begin
+      if cur_kind st = Lexer.KW_ELSE then begin
         advance st;
         parse_block_or_stmt st
       end
@@ -215,7 +229,7 @@ let rec parse_stmt st : stmt =
     mk (For (init, cond, step, body))
   | Lexer.KW_RETURN ->
     advance st;
-    if cur_tok st = Lexer.SEMI then begin
+    if cur_kind st = Lexer.SEMI then begin
       advance st;
       mk (Return None)
     end
@@ -235,12 +249,13 @@ let rec parse_stmt st : stmt =
 and parse_simple st : stmt =
   let pos = position st in
   let mk sdesc = { sdesc; spos = pos; pragmas = [] } in
-  match cur_tok st with
+  match cur_kind st with
   | Lexer.KW_INT | Lexer.KW_FLOAT -> parse_decl st
-  | Lexer.IDENT name -> (
+  | Lexer.IDENT -> (
     (* lookahead to distinguish assignment / store / call *)
+    let name = cur_str st in
     advance st;
-    match cur_tok st with
+    match cur_kind st with
     | Lexer.ASSIGN ->
       advance st;
       mk (Assign (name, parse_expr st))
@@ -248,7 +263,7 @@ and parse_simple st : stmt =
       advance st;
       let idx = parse_expr st in
       expect st Lexer.RBRACKET "expected ']'";
-      (match cur_tok st with
+      (match cur_kind st with
       | Lexer.ASSIGN ->
         advance st;
         mk (Store (name, idx, parse_expr st))
@@ -264,16 +279,16 @@ and parse_decl st : stmt =
   let pos = position st in
   let ty = parse_base_ty st in
   let name =
-    match cur_tok st with
-    | Lexer.IDENT n -> advance st; n
+    match cur_kind st with
+    | Lexer.IDENT -> let n = cur_str st in advance st; n
     | _ -> err st "expected identifier in declaration"
   in
-  match cur_tok st with
+  match cur_kind st with
   | Lexer.LBRACKET ->
     advance st;
     let size =
-      match cur_tok st with
-      | Lexer.INT_LIT n -> advance st; n
+      match cur_kind st with
+      | Lexer.INT_LIT -> let n = cur_int st in advance st; n
       | _ -> err st "expected array size literal"
     in
     expect st Lexer.RBRACKET "expected ']'";
@@ -287,7 +302,7 @@ and parse_decl st : stmt =
 and parse_block st : stmt list =
   expect st Lexer.LBRACE "expected '{'";
   let rec loop acc =
-    if cur_tok st = Lexer.RBRACE then begin
+    if cur_kind st = Lexer.RBRACE then begin
       advance st;
       List.rev acc
     end
@@ -296,7 +311,7 @@ and parse_block st : stmt list =
   loop []
 
 and parse_block_or_stmt st : stmt list =
-  if cur_tok st = Lexer.LBRACE then parse_block st else [ parse_stmt st ]
+  if cur_kind st = Lexer.LBRACE then parse_block st else [ parse_stmt st ]
 
 (* ------------------------------------------------------------------ *)
 (* Top level                                                           *)
@@ -304,16 +319,16 @@ and parse_block_or_stmt st : stmt list =
 
 let parse_params st : (ty * string) list =
   expect st Lexer.LPAREN "expected '('";
-  if cur_tok st = Lexer.RPAREN then begin advance st; [] end
+  if cur_kind st = Lexer.RPAREN then begin advance st; [] end
   else
     let rec loop acc =
       let ty = parse_base_ty st in
       let name =
-        match cur_tok st with
-        | Lexer.IDENT n -> advance st; n
+        match cur_kind st with
+        | Lexer.IDENT -> let n = cur_str st in advance st; n
         | _ -> err st "expected parameter name"
       in
-      match cur_tok st with
+      match cur_kind st with
       | Lexer.COMMA -> advance st; loop ((ty, name) :: acc)
       | Lexer.RPAREN -> advance st; List.rev ((ty, name) :: acc)
       | _ -> err st "expected ',' or ')' in parameters"
@@ -324,19 +339,21 @@ let parse_global_init st =
   (* "= { 1, 2, 3 }" *)
   expect st Lexer.LBRACE "expected '{' in initialiser";
   let rec loop acc =
-    match cur_tok st with
-    | Lexer.INT_LIT n -> (
+    match cur_kind st with
+    | Lexer.INT_LIT -> (
+      let n = cur_int st in
       advance st;
-      match cur_tok st with
+      match cur_kind st with
       | Lexer.COMMA -> advance st; loop (n :: acc)
       | Lexer.RBRACE -> advance st; List.rev (n :: acc)
       | _ -> err st "expected ',' or '}' in initialiser")
     | Lexer.MINUS -> (
       advance st;
-      match cur_tok st with
-      | Lexer.INT_LIT n -> (
+      match cur_kind st with
+      | Lexer.INT_LIT -> (
+        let n = cur_int st in
         advance st;
-        match cur_tok st with
+        match cur_kind st with
         | Lexer.COMMA -> advance st; loop (-n :: acc)
         | Lexer.RBRACE -> advance st; List.rev (-n :: acc)
         | _ -> err st "expected ',' or '}' in initialiser")
@@ -347,22 +364,21 @@ let parse_global_init st =
   loop []
 
 let parse_program (src : string) : program =
-  let toks = Array.of_list (Lexer.tokenize src) in
-  let st = { toks; pos = 0 } in
+  let st = { toks = Lexer.tokenize src; pos = 0 } in
   let globals = ref [] in
   let funcs = ref [] in
   let rec loop () =
-    if cur_tok st = Lexer.EOF then ()
+    if cur_kind st = Lexer.EOF then ()
     else begin
       let pragmas = collect_pragmas st in
       let pos = position st in
       let ty = parse_base_ty st in
       let name =
-        match cur_tok st with
-        | Lexer.IDENT n -> advance st; n
+        match cur_kind st with
+        | Lexer.IDENT -> let n = cur_str st in advance st; n
         | _ -> err st "expected identifier at top level"
       in
-      (match cur_tok st with
+      (match cur_kind st with
       | Lexer.LPAREN ->
         let params = parse_params st in
         let body = parse_block st in
@@ -373,13 +389,13 @@ let parse_program (src : string) : program =
       | Lexer.LBRACKET ->
         advance st;
         let size =
-          match cur_tok st with
-          | Lexer.INT_LIT n -> advance st; n
+          match cur_kind st with
+          | Lexer.INT_LIT -> let n = cur_int st in advance st; n
           | _ -> err st "expected array size"
         in
         expect st Lexer.RBRACKET "expected ']'";
         let init =
-          if cur_tok st = Lexer.ASSIGN then begin
+          if cur_kind st = Lexer.ASSIGN then begin
             advance st;
             Some (parse_global_init st)
           end
@@ -392,12 +408,12 @@ let parse_program (src : string) : program =
       | Lexer.ASSIGN ->
         advance st;
         let v =
-          match cur_tok st with
-          | Lexer.INT_LIT n -> advance st; n
+          match cur_kind st with
+          | Lexer.INT_LIT -> let n = cur_int st in advance st; n
           | Lexer.MINUS -> (
             advance st;
-            match cur_tok st with
-            | Lexer.INT_LIT n -> advance st; -n
+            match cur_kind st with
+            | Lexer.INT_LIT -> let n = cur_int st in advance st; -n
             | _ -> err st "expected integer initialiser")
           | _ -> err st "expected integer initialiser"
         in

@@ -8,39 +8,71 @@ module Typecheck = Lp_lang.Typecheck
 let check = Alcotest.check
 let fail = Alcotest.fail
 
-let tokens src = List.map (fun (l : Lexer.located) -> l.Lexer.tok) (Lexer.tokenize src)
+module Ref = Reference_lexer
+
+(* the lexer's token arrays, read back as the reference lexer's located
+   tokens *)
+let located (t : Lexer.tokens) : Ref.located list =
+  List.init t.Lexer.count (fun i ->
+      let p = t.Lexer.ints.(i) in
+      let tok : Ref.token =
+        match t.Lexer.kinds.(i) with
+        | Lexer.INT_LIT -> INT_LIT p
+        | Lexer.FLOAT_LIT -> FLOAT_LIT (Float.Array.get t.Lexer.floats p)
+        | Lexer.IDENT -> IDENT t.Lexer.strs.(p)
+        | Lexer.PRAGMA -> PRAGMA t.Lexer.strs.(p)
+        | Lexer.KW_INT -> KW_INT | Lexer.KW_FLOAT -> KW_FLOAT
+        | Lexer.KW_VOID -> KW_VOID | Lexer.KW_IF -> KW_IF
+        | Lexer.KW_ELSE -> KW_ELSE | Lexer.KW_WHILE -> KW_WHILE
+        | Lexer.KW_FOR -> KW_FOR | Lexer.KW_RETURN -> KW_RETURN
+        | Lexer.LPAREN -> LPAREN | Lexer.RPAREN -> RPAREN
+        | Lexer.LBRACE -> LBRACE | Lexer.RBRACE -> RBRACE
+        | Lexer.LBRACKET -> LBRACKET | Lexer.RBRACKET -> RBRACKET
+        | Lexer.SEMI -> SEMI | Lexer.COMMA -> COMMA
+        | Lexer.PLUS -> PLUS | Lexer.MINUS -> MINUS | Lexer.STAR -> STAR
+        | Lexer.SLASH -> SLASH | Lexer.PERCENT -> PERCENT
+        | Lexer.SHL -> SHL | Lexer.SHR -> SHR | Lexer.AMP -> AMP
+        | Lexer.PIPE -> PIPE | Lexer.CARET -> CARET | Lexer.TILDE -> TILDE
+        | Lexer.LT -> LT | Lexer.LE -> LE | Lexer.GT -> GT | Lexer.GE -> GE
+        | Lexer.EQEQ -> EQEQ | Lexer.NE -> NE | Lexer.BANG -> BANG
+        | Lexer.ANDAND -> ANDAND | Lexer.OROR -> OROR
+        | Lexer.ASSIGN -> ASSIGN | Lexer.EOF -> EOF
+      in
+      { Ref.tok; line = t.Lexer.lines.(i); col = t.Lexer.cols.(i) })
+
+let tokens src = List.map (fun (l : Ref.located) -> l.Ref.tok) (located (Lexer.tokenize src))
 
 (* ---------------- lexer ---------------- *)
 
 let test_lex_basic () =
   match tokens "int x = 42;" with
-  | [ Lexer.KW_INT; Lexer.IDENT "x"; Lexer.ASSIGN; Lexer.INT_LIT 42;
-      Lexer.SEMI; Lexer.EOF ] -> ()
+  | [ Ref.KW_INT; Ref.IDENT "x"; Ref.ASSIGN; Ref.INT_LIT 42;
+      Ref.SEMI; Ref.EOF ] -> ()
   | ts -> Alcotest.failf "unexpected tokens: %s"
-            (String.concat " " (List.map Lexer.token_to_string ts))
+            (String.concat " " (List.map Ref.token_to_string ts))
 
 let test_lex_operators () =
   match tokens "<< >> <= >= == != && || & | ^ ~" with
-  | [ Lexer.SHL; Lexer.SHR; Lexer.LE; Lexer.GE; Lexer.EQEQ; Lexer.NE;
-      Lexer.ANDAND; Lexer.OROR; Lexer.AMP; Lexer.PIPE; Lexer.CARET;
-      Lexer.TILDE; Lexer.EOF ] -> ()
+  | [ Ref.SHL; Ref.SHR; Ref.LE; Ref.GE; Ref.EQEQ; Ref.NE;
+      Ref.ANDAND; Ref.OROR; Ref.AMP; Ref.PIPE; Ref.CARET;
+      Ref.TILDE; Ref.EOF ] -> ()
   | _ -> fail "operator lexing"
 
 let test_lex_comments () =
   match tokens "1 // line comment\n 2 /* block \n comment */ 3" with
-  | [ Lexer.INT_LIT 1; Lexer.INT_LIT 2; Lexer.INT_LIT 3; Lexer.EOF ] -> ()
+  | [ Ref.INT_LIT 1; Ref.INT_LIT 2; Ref.INT_LIT 3; Ref.EOF ] -> ()
   | _ -> fail "comments not skipped"
 
 let test_lex_float () =
   match tokens "2.5 7." with
-  | [ Lexer.FLOAT_LIT a; Lexer.FLOAT_LIT b; Lexer.EOF ] ->
+  | [ Ref.FLOAT_LIT a; Ref.FLOAT_LIT b; Ref.EOF ] ->
     check (Alcotest.float 1e-9) "2.5" 2.5 a;
     check (Alcotest.float 1e-9) "7.0" 7.0 b
   | _ -> fail "float lexing"
 
 let test_lex_pragma () =
   match tokens "#pragma lp pattern(doall)\nint x;" with
-  | Lexer.PRAGMA "pattern(doall)" :: Lexer.KW_INT :: _ -> ()
+  | Ref.PRAGMA "pattern(doall)" :: Ref.KW_INT :: _ -> ()
   | _ -> fail "pragma lexing"
 
 let test_lex_errors () =
@@ -52,11 +84,11 @@ let test_lex_errors () =
   with Lexer.Lex_error _ -> ()
 
 let test_lex_line_numbers () =
-  let toks = Lexer.tokenize "int a;\nint b;" in
+  let toks = located (Lexer.tokenize "int a;\nint b;") in
   let b_line =
     List.find_map
-      (fun (l : Lexer.located) ->
-        match l.Lexer.tok with Lexer.IDENT "b" -> Some l.Lexer.line | _ -> None)
+      (fun (l : Ref.located) ->
+        match l.Ref.tok with Ref.IDENT "b" -> Some l.Ref.line | _ -> None)
       toks
   in
   check Alcotest.(option int) "line of b" (Some 2) b_line
@@ -276,7 +308,7 @@ let test_lex_int_out_of_range () =
   | Error d -> check Alcotest.string "code" "E_LEX" d.Lp_util.Diag.code
   | Ok _ -> fail "expected E_LEX");
   match tokens (string_of_int max_int ^ " 4611686018427387904.5") with
-  | [ Lexer.INT_LIT n; Lexer.FLOAT_LIT f; Lexer.EOF ] ->
+  | [ Ref.INT_LIT n; Ref.FLOAT_LIT f; Ref.EOF ] ->
     check Alcotest.int "max_int" max_int n;
     check (Alcotest.float 0.0) "float" 4611686018427387904.5 f
   | _ -> fail "max_int literal"
@@ -289,4 +321,125 @@ let suite =
         test_printer_round_trip_generated;
       Alcotest.test_case "lex integer literal out of range" `Quick
         test_lex_int_out_of_range;
+    ]
+
+(* ---------------- lexer vs reference lexer ---------------- *)
+
+(* what a lexer makes of a source: its located tokens, or its error *)
+let lex_new src =
+  match Lexer.tokenize src with
+  | t -> Ok (located t)
+  | exception Lexer.Lex_error (msg, line) -> Error (msg, line)
+
+let lex_ref src =
+  match Ref.tokenize src with
+  | toks -> Ok toks
+  | exception Ref.Lex_error (msg, line) -> Error (msg, line)
+
+(* float literals compare bit for bit *)
+let same_located (a : Ref.located) (b : Ref.located) =
+  a.Ref.line = b.Ref.line && a.Ref.col = b.Ref.col
+  &&
+  match (a.Ref.tok, b.Ref.tok) with
+  | (Ref.FLOAT_LIT x, Ref.FLOAT_LIT y) ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | (x, y) -> x = y
+
+let show_located (l : Ref.located) =
+  Printf.sprintf "%s@%d:%d" (Ref.token_to_string l.Ref.tok) l.Ref.line l.Ref.col
+
+(* [None] when both lexers agree on [src], else what differs *)
+let disagreement src =
+  match (lex_new src, lex_ref src) with
+  | (Error e, Error r) when e = r -> None
+  | (Ok a, Ok b)
+    when List.length a = List.length b && List.for_all2 same_located a b ->
+    None
+  | (Ok a, Ok b) ->
+    let rec first i a b =
+      match (a, b) with
+      | (x :: a, y :: b) ->
+        if same_located x y then first (i + 1) a b
+        else Printf.sprintf "token %d: %s, reference %s" i (show_located x)
+               (show_located y)
+      | _ -> Printf.sprintf "token counts %d, reference %d"
+               (List.length a + i) (List.length b + i)
+    in
+    Some (first 0 a b)
+  | (r, r') ->
+    let show = function
+      | Ok toks -> Printf.sprintf "%d tokens" (List.length toks)
+      | Error (msg, line) -> Printf.sprintf "Lex_error (%S, %d)" msg line
+    in
+    Some (Printf.sprintf "%s, reference %s" (show r) (show r'))
+
+(* one lexical error, inserted at [at] (clamped into the source) *)
+let lex_faults =
+  [ "$"; "/* never closed"; "\n#pragma omp parallel\n";
+    "99999999999999999999999"; "4611686018427387904" (* max_int + 1 *) ]
+
+let with_fault src fault at =
+  let at = at mod (String.length src + 1) in
+  String.sub src 0 at ^ fault ^ String.sub src at (String.length src - at)
+
+let agree ~what src =
+  match disagreement src with
+  | None -> true
+  | Some d -> QCheck.Test.fail_reportf "%s: %s" what d
+
+(* a generated program, and the same program with each lexical error
+   inserted at a seeded offset *)
+let prop_lexers_agree_generated =
+  QCheck.Test.make ~count:500 ~name:"lexer == reference lexer (generated programs)"
+    QCheck.(pair (int_range 0 1_000_000) (int_range 0 1_000_000))
+    (fun (seed, at) ->
+      let src = (Lp_robust.Gen.generate ~seed).Lp_robust.Gen.source in
+      agree ~what:(Printf.sprintf "seed %d" seed) src
+      && List.for_all
+           (fun fault ->
+             agree
+               ~what:(Printf.sprintf "seed %d, %S at %d" seed fault at)
+               (with_fault src fault at))
+           lex_faults)
+
+(* random text over MiniC's alphabet: operators split and merged at every
+   boundary, literals running into identifiers, stray bytes *)
+let prop_lexers_agree_text =
+  let alphabet = "09a_Z(){}[];,+-*/%^~<>=!&|.# \n\t\r$pragm lx" in
+  QCheck.Test.make ~count:2000 ~name:"lexer == reference lexer (random text)"
+    QCheck.(
+      string_gen_of_size Gen.(int_range 0 60)
+        Gen.(map (String.get alphabet) (int_bound (String.length alphabet - 1))))
+    (fun src -> agree ~what:(Printf.sprintf "%S" src) src)
+
+(* the bundled sources, as they are and with each error inserted *)
+let test_lexers_agree_bundled () =
+  List.iter
+    (fun (w : Lp_workloads.Workload.t) ->
+      let src = w.Lp_workloads.Workload.source in
+      let check_one what src =
+        match disagreement src with
+        | None -> ()
+        | Some d -> Alcotest.failf "%s: %s" what d
+      in
+      check_one w.Lp_workloads.Workload.name src;
+      List.iteri
+        (fun k fault ->
+          List.iter
+            (fun at ->
+              check_one
+                (Printf.sprintf "%s, %S at %d" w.Lp_workloads.Workload.name
+                   fault at)
+                (with_fault src fault at))
+            [ 0; String.length src / (k + 2); String.length src ])
+        lex_faults)
+    Lp_workloads.Suite.all
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest prop_lexers_agree_generated;
+      QCheck_alcotest.to_alcotest prop_lexers_agree_text;
+      Alcotest.test_case "lexer == reference lexer (bundled sources)" `Quick
+        test_lexers_agree_bundled;
     ]
