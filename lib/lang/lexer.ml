@@ -42,8 +42,14 @@ type tokens = {
 
 exception Lex_error of string * int  (** message, line *)
 
-let kind_to_string = function
-  | INT_LIT -> "<int>" | FLOAT_LIT -> "<float>" | IDENT -> "<ident>"
+(** Token [i] as the source spells it (literals normalised), for
+    diagnostics. *)
+let token_to_string t i =
+  match t.kinds.(i) with
+  | INT_LIT -> string_of_int t.ints.(i)
+  | FLOAT_LIT -> string_of_float (Float.Array.get t.floats t.ints.(i))
+  | IDENT -> t.strs.(t.ints.(i))
+  | PRAGMA -> "#pragma lp " ^ t.strs.(t.ints.(i))
   | KW_INT -> "int" | KW_FLOAT -> "float" | KW_VOID -> "void"
   | KW_IF -> "if" | KW_ELSE -> "else" | KW_WHILE -> "while"
   | KW_FOR -> "for" | KW_RETURN -> "return"
@@ -57,74 +63,7 @@ let kind_to_string = function
   | BANG -> "!"
   | ANDAND -> "&&" | OROR -> "||"
   | ASSIGN -> "="
-  | PRAGMA -> "#pragma lp" | EOF -> "<eof>"
-
-(** Token [i] as the source spells it (literals normalised), for
-    diagnostics. *)
-let token_to_string t i =
-  match t.kinds.(i) with
-  | INT_LIT -> string_of_int t.ints.(i)
-  | FLOAT_LIT -> string_of_float (Float.Array.get t.floats t.ints.(i))
-  | IDENT -> t.strs.(t.ints.(i))
-  | PRAGMA -> "#pragma lp " ^ t.strs.(t.ints.(i))
-  | k -> kind_to_string k
-
-(* ------------------------------------------------------------------ *)
-(* The arrays under construction                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* A token takes at least one byte of source, so [n + 1] slots (the
-   last for EOF) always hold a source of [n] bytes: the token arrays are
-   sized once and never grow.  The float literals and strings, few and
-   of unknown number, grow by doubling. *)
-type buf = {
-  mutable n : int;
-  b_kinds : kind array;
-  b_ints : int array;
-  b_lines : int array;
-  b_cols : int array;
-  mutable n_floats : int;
-  mutable b_floats : Float.Array.t;
-  mutable n_strs : int;
-  mutable b_strs : string array;
-}
-
-let create n =
-  { n = 0; b_kinds = Array.make (n + 1) EOF; b_ints = Array.make (n + 1) 0;
-    b_lines = Array.make (n + 1) 0; b_cols = Array.make (n + 1) 0;
-    n_floats = 0; b_floats = Float.Array.make 8 0.0;
-    n_strs = 0; b_strs = Array.make 64 "" }
-
-let push b kind payload ~line ~col =
-  let k = b.n in
-  b.b_kinds.(k) <- kind;
-  b.b_ints.(k) <- payload;
-  b.b_lines.(k) <- line;
-  b.b_cols.(k) <- col;
-  b.n <- k + 1
-
-(* the index of the stored float or string, for the token's payload *)
-let add_float b f =
-  let len = Float.Array.length b.b_floats in
-  if b.n_floats = len then begin
-    let a = Float.Array.make (2 * len) 0.0 in
-    Float.Array.blit b.b_floats 0 a 0 len;
-    b.b_floats <- a
-  end;
-  Float.Array.set b.b_floats b.n_floats f;
-  b.n_floats <- b.n_floats + 1;
-  b.n_floats - 1
-
-let add_str b s =
-  let len = Array.length b.b_strs in
-  if b.n_strs = len then begin
-    let a = Array.make (2 * len) "" in
-    Array.blit b.b_strs 0 a 0 len;
-    b.b_strs <- a
-  end;
-  b.b_strs.(b.n_strs) <- s;
-  b.n_strs <- b.n_strs + 1;
-  b.n_strs - 1
+  | EOF -> "<eof>"
 
 (* ------------------------------------------------------------------ *)
 (* Scanning                                                            *)
@@ -158,12 +97,40 @@ let pragma_prefix = "#pragma lp "
 
 let tokenize (src : string) : tokens =
   let n = String.length src in
-  let b = create n in
+  (* a token takes at least one byte, so n + 1 slots (the last for EOF)
+     always suffice: the token arrays are sized once and never grow *)
+  let kinds = Array.make (n + 1) EOF and ints = Array.make (n + 1) 0 in
+  let lines = Array.make (n + 1) 0 and cols = Array.make (n + 1) 0 in
+  let count = ref 0 in
+  (* float literals and strings are few: their arrays grow by doubling *)
+  let floats = ref (Float.Array.make 8 0.0) and n_floats = ref 0 in
+  let strs = ref (Array.make 64 "") and n_strs = ref 0 in
   let i = ref 0 in
   let line = ref 1 in
   let bol = ref 0 in  (* index of the first character of [!line] *)
   (* a token ends at [!i]: its column is the one after its last character *)
-  let emit kind payload = push b kind payload ~line:!line ~col:(!i - !bol + 1) in
+  let emit kind payload =
+    let k = !count in
+    kinds.(k) <- kind;
+    ints.(k) <- payload;
+    lines.(k) <- !line;
+    cols.(k) <- !i - !bol + 1;
+    count := k + 1
+  in
+  (* the index of the stored float or string, for the token's payload *)
+  let add_float f =
+    if !n_floats = Float.Array.length !floats then
+      floats := Float.Array.append !floats !floats;
+    Float.Array.set !floats !n_floats f;
+    incr n_floats;
+    !n_floats - 1
+  in
+  let add_str s =
+    if !n_strs = Array.length !strs then strs := Array.append !strs !strs;
+    !strs.(!n_strs) <- s;
+    incr n_strs;
+    !n_strs - 1
+  in
   let one kind = incr i; emit kind 0 in
   let two kind = i := !i + 2; emit kind 0 in
   let next () = if !i + 1 < n then src.[!i + 1] else '\000' in
@@ -190,7 +157,7 @@ let tokenize (src : string) : tokens =
       let plen = String.length pragma_prefix in
       if len >= plen && spells src start plen pragma_prefix then
         emit PRAGMA
-          (add_str b (String.trim (String.sub src (start + plen) (len - plen))))
+          (add_str (String.trim (String.sub src (start + plen) (len - plen))))
       else
         raise
           (Lex_error ("unknown directive: " ^ String.sub src start len, !line))
@@ -207,7 +174,7 @@ let tokenize (src : string) : tokens =
         while !i < n && is_digit src.[!i] do incr i done;
         (* few and far between: strtod on the slice rounds them exactly *)
         emit FLOAT_LIT
-          (add_float b (float_of_string (String.sub src start (!i - start))))
+          (add_float (float_of_string (String.sub src start (!i - start))))
       end
       else if !big then raise (Lex_error ("integer literal out of range", !line))
       else emit INT_LIT !v
@@ -215,7 +182,7 @@ let tokenize (src : string) : tokens =
       let start = !i in
       while !i < n && is_ident_char src.[!i] do incr i done;
       match word_kind src start (!i - start) with
-      | IDENT -> emit IDENT (add_str b (String.sub src start (!i - start)))
+      | IDENT -> emit IDENT (add_str (String.sub src start (!i - start)))
       | kw -> emit kw 0)
     | '(' -> one LPAREN
     | ')' -> one RPAREN
@@ -241,5 +208,4 @@ let tokenize (src : string) : tokens =
     | c -> raise (Lex_error (Printf.sprintf "unexpected character %C" c, !line))
   done;
   emit EOF 0;
-  { count = b.n; kinds = b.b_kinds; ints = b.b_ints; lines = b.b_lines;
-    cols = b.b_cols; floats = b.b_floats; strs = b.b_strs }
+  { count = !count; kinds; ints; lines; cols; floats = !floats; strs = !strs }

@@ -348,30 +348,21 @@ let same_located (a : Ref.located) (b : Ref.located) =
 let show_located (l : Ref.located) =
   Printf.sprintf "%s@%d:%d" (Ref.token_to_string l.Ref.tok) l.Ref.line l.Ref.col
 
-(* [None] when both lexers agree on [src], else what differs *)
+(* [None] when both lexers agree on [src], else both results *)
 let disagreement src =
-  match (lex_new src, lex_ref src) with
-  | (Error e, Error r) when e = r -> None
-  | (Ok a, Ok b)
-    when List.length a = List.length b && List.for_all2 same_located a b ->
-    None
-  | (Ok a, Ok b) ->
-    let rec first i a b =
-      match (a, b) with
-      | (x :: a, y :: b) ->
-        if same_located x y then first (i + 1) a b
-        else Printf.sprintf "token %d: %s, reference %s" i (show_located x)
-               (show_located y)
-      | _ -> Printf.sprintf "token counts %d, reference %d"
-               (List.length a + i) (List.length b + i)
-    in
-    Some (first 0 a b)
-  | (r, r') ->
-    let show = function
-      | Ok toks -> Printf.sprintf "%d tokens" (List.length toks)
-      | Error (msg, line) -> Printf.sprintf "Lex_error (%S, %d)" msg line
-    in
-    Some (Printf.sprintf "%s, reference %s" (show r) (show r'))
+  let show = function
+    | Ok toks -> String.concat " " (List.map show_located toks)
+    | Error (msg, line) -> Printf.sprintf "Lex_error (%S, %d)" msg line
+  in
+  let a = lex_new src and r = lex_ref src in
+  let same =
+    match (a, r) with
+    | (Ok a, Ok r) -> List.equal same_located a r
+    | (Error e, Error e') -> e = e'
+    | _ -> false
+  in
+  if same then None
+  else Some (Printf.sprintf "%s\nreference: %s" (show a) (show r))
 
 (* one lexical error, inserted at [at] (clamped into the source) *)
 let lex_faults =
