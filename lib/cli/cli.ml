@@ -29,7 +29,8 @@ let faults =
            ~doc:"Inject deterministic faults (see docs/ROBUSTNESS.md for \
                  the grammar, e.g. $(b,seed=7,post-pass@fir*1); servers \
                  also have the points $(b,serve-accept), $(b,serve-decode) \
-                 and $(b,serve-dispatch)).  The $(b,LP_FAULTS) environment \
+                 and $(b,serve-dispatch)).  A clause whose point the run \
+                 never reaches fails it.  The $(b,LP_FAULTS) environment \
                  variable is the equivalent.")
 
 let trace =

@@ -93,6 +93,26 @@ let word_kind src start len =
   else if spells src start len "return" then KW_RETURN
   else IDENT
 
+(* the operator or punctuation mark [c] starts, [next] the character
+   after it; [EOF] when [c] starts none *)
+let punct c next =
+  match c with
+  | '(' -> LPAREN | ')' -> RPAREN | '{' -> LBRACE | '}' -> RBRACE
+  | '[' -> LBRACKET | ']' -> RBRACKET | ';' -> SEMI | ',' -> COMMA
+  | '+' -> PLUS | '-' -> MINUS | '*' -> STAR | '/' -> SLASH | '%' -> PERCENT
+  | '^' -> CARET | '~' -> TILDE
+  | '<' -> if next = '<' then SHL else if next = '=' then LE else LT
+  | '>' -> if next = '>' then SHR else if next = '=' then GE else GT
+  | '=' -> if next = '=' then EQEQ else ASSIGN
+  | '!' -> if next = '=' then NE else BANG
+  | '&' -> if next = '&' then ANDAND else AMP
+  | '|' -> if next = '|' then OROR else PIPE
+  | _ -> EOF
+
+let width = function
+  | SHL | SHR | LE | GE | EQEQ | NE | ANDAND | OROR -> 2
+  | _ -> 1
+
 let pragma_prefix = "#pragma lp "
 
 let tokenize (src : string) : tokens =
@@ -105,16 +125,16 @@ let tokenize (src : string) : tokens =
   (* float literals and strings are few: their arrays grow by doubling *)
   let floats = ref (Float.Array.make 8 0.0) and n_floats = ref 0 in
   let strs = ref (Array.make 64 "") and n_strs = ref 0 in
-  let i = ref 0 in
   let line = ref 1 in
   let bol = ref 0 in  (* index of the first character of [!line] *)
-  (* a token ends at [!i]: its column is the one after its last character *)
-  let emit kind payload =
+  (* a token ending before offset [stop]: its column is the one after
+     its last character *)
+  let emit kind payload stop =
     let k = !count in
     kinds.(k) <- kind;
     ints.(k) <- payload;
     lines.(k) <- !line;
-    cols.(k) <- !i - !bol + 1;
+    cols.(k) <- stop - !bol + 1;
     count := k + 1
   in
   (* the index of the stored float or string, for the token's payload *)
@@ -131,20 +151,25 @@ let tokenize (src : string) : tokens =
     incr n_strs;
     !n_strs - 1
   in
-  let one kind = incr i; emit kind 0 in
-  let two kind = i := !i + 2; emit kind 0 in
-  let next () = if !i + 1 < n then src.[!i + 1] else '\000' in
-  let newline () = incr line; bol := !i + 1 in
+  let peek j = if j < n then src.[j] else '\000' in
+  (* no closure reads the offset, so it stays in a register *)
+  let i = ref 0 in
   while !i < n do
     match src.[!i] with
     | ' ' | '\t' | '\r' -> incr i
-    | '\n' -> newline (); incr i
-    | '/' when next () = '/' ->
+    | '\n' ->
+      incr i;
+      incr line;
+      bol := !i
+    | '/' when peek (!i + 1) = '/' ->
       while !i < n && src.[!i] <> '\n' do incr i done
-    | '/' when next () = '*' ->
+    | '/' when peek (!i + 1) = '*' ->
       i := !i + 2;
-      while !i < n && not (src.[!i] = '*' && next () = '/') do
-        if src.[!i] = '\n' then newline ();
+      while !i < n && not (src.[!i] = '*' && peek (!i + 1) = '/') do
+        if src.[!i] = '\n' then begin
+          incr line;
+          bol := !i + 1
+        end;
         incr i
       done;
       if !i >= n then raise (Lex_error ("unterminated comment", !line));
@@ -158,6 +183,7 @@ let tokenize (src : string) : tokens =
       if len >= plen && spells src start plen pragma_prefix then
         emit PRAGMA
           (add_str (String.trim (String.sub src (start + plen) (len - plen))))
+          !i
       else
         raise
           (Lex_error ("unknown directive: " ^ String.sub src start len, !line))
@@ -175,37 +201,22 @@ let tokenize (src : string) : tokens =
         (* few and far between: strtod on the slice rounds them exactly *)
         emit FLOAT_LIT
           (add_float (float_of_string (String.sub src start (!i - start))))
+          !i
       end
       else if !big then raise (Lex_error ("integer literal out of range", !line))
-      else emit INT_LIT !v
+      else emit INT_LIT !v !i
     | 'a' .. 'z' | 'A' .. 'Z' | '_' -> (
       let start = !i in
       while !i < n && is_ident_char src.[!i] do incr i done;
       match word_kind src start (!i - start) with
-      | IDENT -> emit IDENT (add_str (String.sub src start (!i - start)))
-      | kw -> emit kw 0)
-    | '(' -> one LPAREN
-    | ')' -> one RPAREN
-    | '{' -> one LBRACE
-    | '}' -> one RBRACE
-    | '[' -> one LBRACKET
-    | ']' -> one RBRACKET
-    | ';' -> one SEMI
-    | ',' -> one COMMA
-    | '+' -> one PLUS
-    | '-' -> one MINUS
-    | '*' -> one STAR
-    | '/' -> one SLASH
-    | '%' -> one PERCENT
-    | '^' -> one CARET
-    | '~' -> one TILDE
-    | '<' -> (match next () with '<' -> two SHL | '=' -> two LE | _ -> one LT)
-    | '>' -> (match next () with '>' -> two SHR | '=' -> two GE | _ -> one GT)
-    | '=' -> if next () = '=' then two EQEQ else one ASSIGN
-    | '!' -> if next () = '=' then two NE else one BANG
-    | '&' -> if next () = '&' then two ANDAND else one AMP
-    | '|' -> if next () = '|' then two OROR else one PIPE
-    | c -> raise (Lex_error (Printf.sprintf "unexpected character %C" c, !line))
+      | IDENT -> emit IDENT (add_str (String.sub src start (!i - start))) !i
+      | kw -> emit kw 0 !i)
+    | c ->
+      let kind = punct c (peek (!i + 1)) in
+      if kind = EOF then
+        raise (Lex_error (Printf.sprintf "unexpected character %C" c, !line));
+      i := !i + width kind;
+      emit kind 0 !i
   done;
-  emit EOF 0;
+  emit EOF 0 n;
   { count = !count; kinds; ints; lines; cols; floats = !floats; strs = !strs }

@@ -364,7 +364,7 @@ let disagreement src =
   if same then None
   else Some (Printf.sprintf "%s\nreference: %s" (show a) (show r))
 
-(* one lexical error, inserted at [at] (clamped into the source) *)
+(* one lexical error, inserted at offset [at] modulo the source's length + 1 *)
 let lex_faults =
   [ "$"; "/* never closed"; "\n#pragma omp parallel\n";
     "99999999999999999999999"; "4611686018427387904" (* max_int + 1 *) ]

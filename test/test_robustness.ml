@@ -125,6 +125,22 @@ let test_fault_spec_grammar () =
   Fault.clear ();
   Alcotest.(check bool) "cleared" false (Fault.active ())
 
+(* a check of a point marks each clause of that point reached, even
+   when its substring does not match or its draw does not fire; only a
+   clause whose point no check reached is reported *)
+let test_fault_unreached_clauses () =
+  (match Fault.configure "worker@nomatch,post-pass%0,sim-bus" with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "spec rejected: %s" e);
+  Alcotest.(check (list string)) "all unreached at first"
+    [ "worker@nomatch"; "post-pass%0"; "sim-bus" ] (Fault.unreached ());
+  Fault.check Fault.Worker ~key:"full";
+  Fault.check Fault.Post_pass ~key:"dce";
+  Alcotest.(check (list string)) "only sim-bus left" [ "sim-bus" ]
+    (Fault.unreached ());
+  Fault.clear ();
+  Alcotest.(check (list string)) "none armed" [] (Fault.unreached ())
+
 (** A persistent injected pass fault degrades the cell to an
     [ERR(E_FAULT_PASS)] diagnostic instead of aborting the matrix, and
     other workloads are untouched. *)
@@ -471,4 +487,6 @@ let suite =
       (isolated test_fuzz_smoke);
     Alcotest.test_case "sweep row with a failed cell has no winner" `Quick
       (isolated test_sweep_incomplete_row);
+    Alcotest.test_case "fault clauses no check reached are reported" `Quick
+      (isolated test_fault_unreached_clauses);
   ]
