@@ -115,20 +115,12 @@ let width = function
 
 let pragma_prefix = "#pragma lp "
 
-(** [tokenize ?reuse src] lexes [src].  When [reuse], the result of an
-    earlier call, has room for [src], its token arrays are overwritten
-    and returned, and [reuse] must not be read again. *)
-let tokenize ?reuse (src : string) : tokens =
+let tokenize (src : string) : tokens =
   let n = String.length src in
   (* a token takes at least one byte, so n + 1 slots (the last for EOF)
      always suffice: the token arrays are sized once and never grow *)
-  let (kinds, ints, lines, cols) =
-    match reuse with
-    | Some t when Array.length t.kinds > n -> (t.kinds, t.ints, t.lines, t.cols)
-    | Some _ | None ->
-      (Array.make (n + 1) EOF, Array.make (n + 1) 0, Array.make (n + 1) 0,
-       Array.make (n + 1) 0)
-  in
+  let kinds = Array.make (n + 1) EOF and ints = Array.make (n + 1) 0 in
+  let lines = Array.make (n + 1) 0 and cols = Array.make (n + 1) 0 in
   let count = ref 0 in
   (* float literals and strings are few: their arrays grow by doubling *)
   let floats = ref (Float.Array.make 8 0.0) and n_floats = ref 0 in

@@ -363,21 +363,8 @@ let parse_global_init st =
   in
   loop []
 
-(* The token arrays of this domain's previous parse, handed to the next
-   one.  Fresh arrays for every parse are major-heap allocations of four
-   words per source byte, and the collector work they bring cost more
-   than the scan itself.  The slot is emptied while a parse uses it, and
-   keeps no arrays longer than [spare_limit] tokens (the bundled
-   sources need at most 28 k). *)
-let spare : Lexer.tokens option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
-
-let spare_limit = 1 lsl 16
-
 let parse_program (src : string) : program =
-  let reuse = Domain.DLS.get spare in
-  Domain.DLS.set spare None;
-  let st = { toks = Lexer.tokenize ?reuse src; pos = 0 } in
+  let st = { toks = Lexer.tokenize src; pos = 0 } in
   let globals = ref [] in
   let funcs = ref [] in
   let rec loop () =
@@ -441,6 +428,4 @@ let parse_program (src : string) : program =
     end
   in
   loop ();
-  if Array.length st.toks.Lexer.kinds <= spare_limit then
-    Domain.DLS.set spare (Some st.toks);
   { globals = List.rev !globals; funcs = List.rev !funcs }

@@ -426,23 +426,6 @@ let test_lexers_agree_bundled () =
         lex_faults)
     Lp_workloads.Suite.all
 
-(* lexing into an earlier result's arrays, larger or smaller than the
-   source needs, gives the tokens of a fresh lex *)
-let test_lexer_reuse () =
-  let srcs =
-    List.map (fun (w : Lp_workloads.Workload.t) -> w.Lp_workloads.Workload.source)
-      Lp_workloads.Suite.all
-  in
-  ignore
-    (List.fold_left
-       (fun reuse src ->
-         let t = Lexer.tokenize ~reuse src in
-         if not (List.equal same_located (located t) (located (Lexer.tokenize src)))
-         then Alcotest.failf "reused arrays differ on a %d-byte source"
-                (String.length src);
-         t)
-       (Lexer.tokenize "") (srcs @ List.rev srcs))
-
 let suite =
   suite
   @ [
@@ -450,5 +433,4 @@ let suite =
       QCheck_alcotest.to_alcotest prop_lexers_agree_text;
       Alcotest.test_case "lexer == reference lexer (bundled sources)" `Quick
         test_lexers_agree_bundled;
-      Alcotest.test_case "lexer reuses arrays" `Quick test_lexer_reuse;
     ]
