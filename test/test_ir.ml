@@ -194,6 +194,27 @@ let test_verify_channel_range () =
     fail "verifier accepted out-of-range channel"
   with Verify.Invalid _ -> ()
 
+(* every register holds one class of value, int or float *)
+let test_verify_two_classes () =
+  expect_invalid "register defined as both int and float" (fun _prog f ->
+      let b = Prog.block f f.Prog.entry in
+      let r = Prog.new_reg f in
+      b.Ir.instrs <-
+        [ Prog.new_instr f (Ir.Const (r, Ir.Cint 1));
+          Prog.new_instr f (Ir.Const (r, Ir.Cfloat 1.5)) ];
+      b.Ir.term <- Ir.Ret (Some (Ir.Imm (Ir.Cint 0))))
+
+let test_verify_move_across_classes () =
+  expect_invalid "move of a float register into an int register"
+    (fun _prog f ->
+      let b = Prog.block f f.Prog.entry in
+      let ri = Prog.new_reg f and rf = Prog.new_reg f in
+      b.Ir.instrs <-
+        [ Prog.new_instr f (Ir.Const (ri, Ir.Cint 1));
+          Prog.new_instr f (Ir.Const (rf, Ir.Cfloat 1.5));
+          Prog.new_instr f (Ir.Move (ri, Ir.Reg rf)) ];
+      b.Ir.term <- Ir.Ret (Some (Ir.Reg ri)))
+
 (* every workload's lowered program verifies *)
 let test_verify_all_workloads () =
   List.iter
@@ -221,5 +242,8 @@ let suite =
     Alcotest.test_case "verify intrinsic in sequential" `Quick
       test_verify_intrinsic_in_sequential;
     Alcotest.test_case "verify channel range" `Quick test_verify_channel_range;
+    Alcotest.test_case "verify two classes" `Quick test_verify_two_classes;
+    Alcotest.test_case "verify move across classes" `Quick
+      test_verify_move_across_classes;
     Alcotest.test_case "verify all workloads" `Quick test_verify_all_workloads;
   ]

@@ -205,6 +205,33 @@ let test_counters () =
   Alcotest.(check bool) "lazy leak recompute is no more eager" true
     (on.Sim.leak_recomputes <= off.Sim.leak_recomputes)
 
+(* ---------------- allocation per simulated step ---------------- *)
+
+(** A deterministic proxy for the stepper's speed: minor-heap words per
+    simulated step of a warm run (decode and the shared-memory image
+    already cached by the first run), bounded per workload.  Typed
+    register files leave the allocation to frames, memory stores and
+    channel traffic; a register write that boxes its value again shows
+    up here as several tenths of a word per step. *)
+let test_stepper_allocation () =
+  List.iter
+    (fun (wname, bound) ->
+      let w = Lp_workloads.Suite.find_exn wname in
+      let compiled =
+        Compile.compile ~opts:(Compile.full ~n_cores:4) ~machine:machine4
+          w.Lp_workloads.Workload.source
+      in
+      ignore (Compile.simulate_compiled compiled);
+      let before = Gc.minor_words () in
+      let o = Compile.simulate_compiled compiled in
+      let per_step =
+        (Gc.minor_words () -. before) /. float_of_int o.Sim.steps
+      in
+      if per_step > bound then
+        Alcotest.failf "%s: %.3f minor words per step, bound %.1f" wname
+          per_step bound)
+    [ ("fir", 0.1); ("jpegblocks", 0.3) ]
+
 (* ---------------- BENCH_sim.json schema ---------------- *)
 
 let stats runs ips cps =
@@ -305,6 +332,8 @@ let suite =
     Alcotest.test_case "modes agree on fixed workloads" `Quick
       test_modes_identical_workloads;
     Alcotest.test_case "outcome counters" `Quick test_counters;
+    Alcotest.test_case "stepper allocation per step" `Quick
+      test_stepper_allocation;
     Alcotest.test_case "BENCH_sim.json round trip" `Quick
       test_schema_round_trip;
     Alcotest.test_case "BENCH_sim.json rejects bad input" `Quick

@@ -451,6 +451,34 @@ let test_decode_cache_sees_in_place_changes () =
   check Alcotest.int "optimised instructions" 0 after.Sim.instr_total;
   check Alcotest.int "same result" (ret_int before) (ret_int after)
 
+(* A register written with an int and then a float cannot live in one
+   register class: hand-built IR that never went through [Verify] must
+   still come back as a structured diagnostic from both steppers, never
+   as a value. *)
+let test_class_conflict_is_diagnosed () =
+  let prog = Prog.create ~globals:[] in
+  let f = Prog.create_func ~name:"main" ~params:[] ~ret:(Some Ir.F) in
+  let b = Builder.create f in
+  let r = Prog.new_reg f in
+  ignore (Builder.emit b (Ir.Const (r, Ir.Cint 1)));
+  ignore (Builder.emit b (Ir.Const (r, Ir.Cfloat 1.5)));
+  Builder.set_term b (Ir.Ret (Some (Ir.Reg r)));
+  Prog.add_func prog f;
+  List.iter
+    (fun predecode ->
+      let opts = { Sim.default_options with Sim.predecode } in
+      match
+        Lowpower.Compile.guard (fun () -> Ok (Sim.run ~opts ~machine:machine1 prog))
+      with
+      | Error { Lp_util.Diag.code = "E_VERIFY" | "E_RUNTIME"; _ } -> ()
+      | Error d ->
+        Alcotest.failf "predecode %b: unexpected %s" predecode
+          (Lp_util.Diag.to_string d)
+      | Ok o ->
+        Alcotest.failf "predecode %b: returned %s" predecode
+          (match o.Sim.ret with Some v -> Value.to_string v | None -> "nothing"))
+    [ true; false ]
+
 let suite =
   [
     Alcotest.test_case "C arithmetic semantics" `Quick test_arith_c_semantics;
@@ -478,4 +506,6 @@ let suite =
     Alcotest.test_case "trace limit" `Quick test_trace_limit_respected;
     Alcotest.test_case "decode cache sees in-place changes" `Quick
       test_decode_cache_sees_in_place_changes;
+    Alcotest.test_case "register class conflict is diagnosed" `Quick
+      test_class_conflict_is_diagnosed;
   ]
