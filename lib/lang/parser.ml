@@ -336,32 +336,33 @@ let parse_params st : (ty * string) list =
     loop []
 
 let parse_global_init st =
-  (* "= { 1, 2, 3 }" *)
+  (* "= { 1, 2, 3 }", built in order: [@tail_mod_cons] makes
+     [n :: after ()] a tail call, so each element costs one cons cell
+     and the stack stays flat on long tables *)
   expect st Lexer.LBRACE "expected '{' in initialiser";
-  let rec loop acc =
+  let[@tail_mod_cons] rec loop () =
     match cur_kind st with
-    | Lexer.INT_LIT -> (
+    | Lexer.INT_LIT ->
       let n = cur_int st in
       advance st;
-      match cur_kind st with
-      | Lexer.COMMA -> advance st; loop (n :: acc)
-      | Lexer.RBRACE -> advance st; List.rev (n :: acc)
-      | _ -> err st "expected ',' or '}' in initialiser")
+      n :: after ()
     | Lexer.MINUS -> (
       advance st;
       match cur_kind st with
-      | Lexer.INT_LIT -> (
+      | Lexer.INT_LIT ->
         let n = cur_int st in
         advance st;
-        match cur_kind st with
-        | Lexer.COMMA -> advance st; loop (-n :: acc)
-        | Lexer.RBRACE -> advance st; List.rev (-n :: acc)
-        | _ -> err st "expected ',' or '}' in initialiser")
-      | _ -> err st "expected integer after '-'")
-    | Lexer.RBRACE -> advance st; List.rev acc
-    | _ -> err st "expected integer in initialiser"
+        -n :: after ()
+      | _ -> (err [@tailcall false]) st "expected integer after '-'")
+    | Lexer.RBRACE -> advance st; []
+    | _ -> (err [@tailcall false]) st "expected integer in initialiser"
+  and[@tail_mod_cons] after () =
+    match cur_kind st with
+    | Lexer.COMMA -> advance st; loop ()
+    | Lexer.RBRACE -> advance st; []
+    | _ -> (err [@tailcall false]) st "expected ',' or '}' in initialiser"
   in
-  loop []
+  loop ()
 
 let parse_program (src : string) : program =
   let st = { toks = Lexer.tokenize src; pos = 0 } in
