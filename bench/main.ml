@@ -36,60 +36,57 @@ open Cmdliner
 let write_bench_json ~path ~jobs ~(par : (string * float) list)
     ~(seq : (string * float) list option)
     ~(exp_metrics : (string * (float * float * int)) list) =
-  let b = Buffer.create 4096 in
-  let fnum x = Printf.sprintf "%.6f" x in
+  let module J = Lp_util.Json in
+  let int n = J.Num (float_of_int n) in
+  let opt_num = function Some x -> J.Num x | None -> J.Null in
   let total xs = List.fold_left (fun a (_, s) -> a +. s) 0.0 xs in
   let seq_of id = Option.bind seq (fun s -> List.assoc_opt id s) in
-  let opt_num = function Some x -> fnum x | None -> "null" in
-  Printf.bprintf b
-    "{\n  \"schema\": \"lowpower-bench-eval/1\",\n  \"pool_jobs\": %d,\n  \
-     \"recommended_domains\": %d,\n  \"experiments\": [\n"
-    jobs
-    (Domain.recommended_domain_count ());
-  List.iteri
-    (fun i (id, s) ->
-      let speedup = Option.map (fun sq -> sq /. s) (seq_of id) in
-      let (cycles, energy, n_cells) =
-        Option.value ~default:(0.0, 0.0, 0) (List.assoc_opt id exp_metrics)
-      in
-      Printf.bprintf b
-        "    {\"id\": %S, \"wall_s\": %s, \"seq_wall_s\": %s, \
-         \"speedup\": %s, \"cycles\": %s, \"energy_nj\": %s, \
-         \"cells_evaluated\": %d}%s\n"
-        id (fnum s)
-        (opt_num (seq_of id))
-        (opt_num speedup)
-        (Lp_util.Json.num_to_string cycles)
-        (Lp_util.Json.num_to_string energy)
-        n_cells
-        (if i = List.length par - 1 then "" else ","))
-    par;
-  let tp = total par in
-  let ts = Option.map total seq in
+  let experiment (id, s) =
+    let (cycles, energy, n_cells) =
+      Option.value ~default:(0.0, 0.0, 0) (List.assoc_opt id exp_metrics)
+    in
+    J.Obj
+      [
+        ("id", J.Str id);
+        ("wall_s", J.Num s);
+        ("seq_wall_s", opt_num (seq_of id));
+        ("speedup", opt_num (Option.map (fun sq -> sq /. s) (seq_of id)));
+        ("cycles", J.Num cycles);
+        ("energy_nj", J.Num energy);
+        ("cells_evaluated", int n_cells);
+      ]
+  in
   let cells = Exp_common.cell_statuses () in
+  let cell ((w, c, m), attempts, code) =
+    J.Obj
+      [
+        ("workload", J.Str w);
+        ("config", J.Str c);
+        ("machine", J.Str m);
+        ("attempts", int attempts);
+        ("status", J.Str (Option.value ~default:"ok" code));
+      ]
+  in
   let n_failed =
     List.length (List.filter (fun (_, _, code) -> code <> None) cells)
   in
-  Printf.bprintf b
-    "  ],\n  \"total_wall_s\": %s,\n  \"seq_total_wall_s\": %s,\n  \
-     \"speedup\": %s,\n  \"cells_total\": %d,\n  \"cells_failed\": %d,\n  \
-     \"cells\": [\n"
-    (fnum tp) (opt_num ts)
-    (opt_num (Option.map (fun t -> t /. tp) ts))
-    (List.length cells) n_failed;
-  List.iteri
-    (fun i ((w, c, m), attempts, code) ->
-      Printf.bprintf b
-        "    {\"workload\": %S, \"config\": %S, \"machine\": %S, \
-         \"attempts\": %d, \"status\": %s}%s\n"
-        w c m attempts
-        (match code with
-        | None -> "\"ok\""
-        | Some code -> Printf.sprintf "%S" code)
-        (if i = List.length cells - 1 then "" else ","))
-    cells;
-  Buffer.add_string b "  ]\n}\n";
-  Lp_util.Json.write_file ~path (Buffer.contents b)
+  let tp = total par in
+  let ts = Option.map total seq in
+  J.write_file ~path
+    (J.to_string
+       (J.Obj
+          [
+            ("schema", J.Str "lowpower-bench-eval/1");
+            ("pool_jobs", int jobs);
+            ("recommended_domains", int (Domain.recommended_domain_count ()));
+            ("experiments", J.List (List.map experiment par));
+            ("total_wall_s", J.Num tp);
+            ("seq_total_wall_s", opt_num ts);
+            ("speedup", opt_num (Option.map (fun t -> t /. tp) ts));
+            ("cells_total", int (List.length cells));
+            ("cells_failed", int n_failed);
+            ("cells", J.List (List.map cell cells));
+          ]))
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                               *)
@@ -185,7 +182,7 @@ let run ids compare json_path check_baseline write_baseline =
   | None -> ()
   | Some path ->
     let (exps, cells) = baseline_rows () in
-    Baseline.write (Baseline.make ~exps ~cells ()) ~path;
+    Baseline.write (Baseline.make ~exps ~cells) ~path;
     Printf.printf "wrote baseline %s (%d cells, %d experiments)\n%!" path
       (List.length cells) (List.length exps));
   let gate =

@@ -19,8 +19,7 @@ let run_with_slowdown machine max_slowdown =
     { Compile.dvfs_only with
       Compile.power =
         { Compile.dvfs_only.Compile.power with
-          Compile.dvfs_opts =
-            { T.Dvfs.default_options with T.Dvfs.max_slowdown } } }
+          Compile.dvfs_opts = { T.Dvfs.max_slowdown } } }
   in
   Compile.run ~opts ~machine source
 

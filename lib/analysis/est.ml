@@ -48,39 +48,49 @@ type func_est = {
   mem_fraction : float;  (** share of cycles that are bus/shared-memory *)
 }
 
-(** Estimate a function, weighting each block by the product of the trip
-    estimates of the loops containing it, and adding callee estimates at
-    call sites.  Recursion falls back to a single-level estimate.
-    [find_loops] lets the analysis manager substitute its cached loop
-    forests (it must return exactly what [Loops.find] would). *)
-let rec func_estimate ?(find_loops = Loops.find) ?(visiting = [])
-    (m : Machine.t) (prog : Prog.t) (f : Prog.func) : func_est =
+(** Estimate [f], or only the blocks of [scope] when given.  Each block
+    is weighted by the product of the trip estimates of the loops
+    containing it (for a scope, only the loops nested in it), and each
+    call site adds the callee's whole-function estimate; a callee
+    already on the [visiting] chain is skipped, so recursion falls back
+    to a single-level estimate.  [find_loops] serves the loop forests:
+    the analysis manager passes its cached ones. *)
+let rec estimate ~find_loops ~visiting (m : Machine.t) (prog : Prog.t)
+    (f : Prog.func) (scope : Loops.loop option) : func_est =
   let loops = find_loops f in
+  let (weighting, iter_blocks) =
+    match scope with
+    | None -> (loops, Prog.iter_blocks f)
+    | Some l ->
+      ( List.filter
+          (fun l' -> Loops.LS.subset l'.Loops.blocks l.Loops.blocks)
+          loops,
+        fun k -> Loops.LS.iter (fun bid -> k (Prog.block f bid)) l.Loops.blocks
+      )
+  in
   let weight_of_block bid =
     List.fold_left
       (fun w l ->
         if Loops.contains l bid then
           w *. float_of_int (max 1 (Loops.trip_estimate f l))
         else w)
-      1.0 loops
+      1.0 weighting
   in
   let total = ref 0.0 and mem = ref 0.0 in
-  Prog.iter_blocks f (fun b ->
+  iter_blocks (fun b ->
       let w = weight_of_block b.Ir.bid in
       let c = block_cost m b in
       total := !total +. (w *. float_of_int c.cycles);
       mem := !mem +. (w *. float_of_int c.mem_cycles);
-      (* add callee cost *)
       List.iter
         (fun i ->
           match i.Ir.idesc with
-          | Ir.Call (_, callee, _)
-            when not (List.mem callee visiting) -> (
+          | Ir.Call (_, callee, _) when not (List.mem callee visiting) -> (
             match Prog.find_func prog callee with
             | Some cf ->
               let ce =
-                func_estimate ~find_loops
-                  ~visiting:(f.Prog.fname :: visiting) m prog cf
+                estimate ~find_loops ~visiting:(f.Prog.fname :: visiting) m
+                  prog cf None
               in
               total := !total +. (w *. ce.total_cycles);
               mem := !mem +. (w *. ce.total_cycles *. ce.mem_fraction)
@@ -90,42 +100,11 @@ let rec func_estimate ?(find_loops = Loops.find) ?(visiting = [])
   let total_cycles = max 1.0 !total in
   { total_cycles; mem_fraction = !mem /. total_cycles }
 
+(** Estimated cycles of a whole function, callee costs included. *)
+let func_estimate ~find_loops m prog f =
+  estimate ~find_loops ~visiting:[] m prog f None
+
 (** Estimated cycles of one loop (body blocks weighted by trips of the
     loop itself and any nested loops), callee costs included. *)
-let loop_estimate ?(find_loops = Loops.find) (m : Machine.t) (prog : Prog.t)
-    (f : Prog.func) (l : Loops.loop) : func_est =
-  let loops = find_loops f in
-  let nested = List.filter (fun l' -> Loops.LS.subset l'.Loops.blocks l.Loops.blocks) loops in
-  let weight_of_block bid =
-    List.fold_left
-      (fun w l' ->
-        if Loops.contains l' bid then
-          w *. float_of_int (max 1 (Loops.trip_estimate f l'))
-        else w)
-      1.0 nested
-  in
-  let total = ref 0.0 and mem = ref 0.0 in
-  Loops.LS.iter
-    (fun bid ->
-      let b = Prog.block f bid in
-      let w = weight_of_block bid in
-      let c = block_cost m b in
-      total := !total +. (w *. float_of_int c.cycles);
-      mem := !mem +. (w *. float_of_int c.mem_cycles);
-      List.iter
-        (fun i ->
-          match i.Ir.idesc with
-          | Ir.Call (_, callee, _) -> (
-            match Prog.find_func prog callee with
-            | Some cf ->
-              let ce =
-                func_estimate ~find_loops ~visiting:[ f.Prog.fname ] m prog cf
-              in
-              total := !total +. (w *. ce.total_cycles);
-              mem := !mem +. (w *. ce.total_cycles *. ce.mem_fraction)
-            | None -> ())
-          | _ -> ())
-        b.Ir.instrs)
-    l.Loops.blocks;
-  let total_cycles = max 1.0 !total in
-  { total_cycles; mem_fraction = !mem /. total_cycles }
+let loop_estimate ~find_loops m prog f l =
+  estimate ~find_loops ~visiting:[] m prog f (Some l)

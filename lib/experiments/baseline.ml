@@ -54,9 +54,9 @@ let cell_rows_of_metrics metrics =
         c_energy_nj = energy })
     metrics
 
-let make ?(cycles_tol = default_cycles_tol) ?(energy_tol = default_energy_tol)
-    ~exps ~cells () =
-  { cycles_tol; energy_tol; exps; cells }
+let make ~exps ~cells =
+  { cycles_tol = default_cycles_tol; energy_tol = default_energy_tol; exps;
+    cells }
 
 (* ------------------------------------------------------------------ *)
 (* JSON round-trip                                                     *)

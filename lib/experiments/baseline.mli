@@ -32,20 +32,12 @@ type t = {
   cells : cell_row list;
 }
 
-val default_cycles_tol : float
-val default_energy_tol : float
-
 (** Rows from an {!Exp_common.cell_metrics} snapshot. *)
 val cell_rows_of_metrics :
   ((string * string * string) * float * float) list -> cell_row list
 
-val make :
-  ?cycles_tol:float ->
-  ?energy_tol:float ->
-  exps:exp_row list ->
-  cells:cell_row list ->
-  unit ->
-  t
+(** A baseline at the default tolerances. *)
+val make : exps:exp_row list -> cells:cell_row list -> t
 
 val to_json : t -> Lp_util.Json.t
 val of_json : Lp_util.Json.t -> (t, string) result

@@ -130,8 +130,7 @@ let f4 () : Table.t =
     job ~machine w
       ~config:(Printf.sprintf "pg-be%.4f" scale)
       (Compile.Options.update
-         ~gating_opts:
-           { T.Gating.default_options with T.Gating.break_even_scale = scale }
+         ~gating_opts:{ T.Gating.break_even_scale = scale }
          Compile.pg_only)
   in
   row_table

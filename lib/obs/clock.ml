@@ -7,9 +7,9 @@ let origin = Unix.gettimeofday ()
 
 let monotonic () = (Unix.gettimeofday () -. origin) *. 1e9
 
-let fixed_step ?(start = 0.0) ~step_ns () : t =
+let fixed_step ~step_ns () : t =
   let n = ref 0 in
   fun () ->
-    let v = start +. (float_of_int !n *. step_ns) in
+    let v = float_of_int !n *. step_ns in
     incr n;
     v

@@ -15,6 +15,6 @@ type t = unit -> float
     wall-clock to compiler phases and matrix cells. *)
 val monotonic : t
 
-(** [fixed_step ?start ~step_ns ()] returns a deterministic clock whose
-    n-th reading is [start + n * step_ns].  For golden tests. *)
-val fixed_step : ?start:float -> step_ns:float -> unit -> t
+(** [fixed_step ~step_ns ()] returns a deterministic clock whose n-th
+    reading (from 0) is [n * step_ns].  For golden tests. *)
+val fixed_step : step_ns:float -> unit -> t

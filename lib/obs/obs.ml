@@ -232,23 +232,10 @@ let hists t =
 (* Chrome trace-event export                                           *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Lp_util.Json
 
 let arg_json = function
-  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | Str s -> Printf.sprintf "\"%s\"" (Json.escape s)
   | Int i -> string_of_int i
   | Float f -> Printf.sprintf "%g" f
 
@@ -257,7 +244,7 @@ let args_json = function
   | args ->
     let fields =
       List.map
-        (fun (k, v) -> Printf.sprintf "\"%s\":%s" (json_escape k) (arg_json v))
+        (fun (k, v) -> Printf.sprintf "\"%s\":%s" (Json.escape k) (arg_json v))
         args
     in
     Printf.sprintf ",\"args\":{%s}" (String.concat "," fields)
@@ -268,8 +255,8 @@ let span_json sp =
   Printf.sprintf
     "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\
      \"pid\":%d,\"tid\":%d%s}"
-    (json_escape sp.sp_name)
-    (json_escape (if sp.sp_cat = "" then "misc" else sp.sp_cat))
+    (Json.escape sp.sp_name)
+    (Json.escape (if sp.sp_cat = "" then "misc" else sp.sp_cat))
     (us sp.sp_start_ns) (us sp.sp_dur_ns) sp.sp_pid sp.sp_tid
     (args_json sp.sp_args)
 
@@ -310,7 +297,7 @@ let chrome_string t =
         (Printf.sprintf
            "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":%d,\"tid\":0,\
             \"args\":{\"value\":%d}}"
-           (json_escape name) (us t_end) wall_pid v))
+           (Json.escape name) (us t_end) wall_pid v))
     ctrs;
   List.iter
     (fun (name, v) ->
@@ -318,7 +305,7 @@ let chrome_string t =
         (Printf.sprintf
            "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":%d,\"tid\":0,\
             \"args\":{\"value\":%g}}"
-           (json_escape name) (us t_end) wall_pid v))
+           (Json.escape name) (us t_end) wall_pid v))
     gaug;
   Buffer.add_string buf "\n]}\n";
   Buffer.contents buf

@@ -418,19 +418,10 @@ let init_shared (prog : Prog.t) =
 (* Time & energy plumbing                                              *)
 (* ------------------------------------------------------------------ *)
 
-let record t (c : core) fmt =
-  Format.kasprintf
-    (fun what ->
-      if t.trace_len < t.opts.trace_limit then begin
-        t.trace <- { ev_core = c.id; ev_ns = c.clk.time; ev_what = what } :: t.trace;
-        t.trace_len <- t.trace_len + 1
-      end)
-    fmt
-
-(** Trace hook for the compiled mode: the description string is only
-    built when it will actually be kept, so tracing costs nothing when
+(** Trace hook of both steppers: the description string is only built
+    when it will actually be kept, so tracing costs nothing when
     [trace_limit] is 0 (the overwhelmingly common case). *)
-let record_thunk t (c : core) f =
+let record t (c : core) f =
   if t.trace_len < t.opts.trace_limit then begin
     t.trace <- { ev_core = c.id; ev_ns = c.clk.time; ev_what = f () } :: t.trace;
     t.trace_len <- t.trace_len + 1
@@ -610,7 +601,7 @@ let ensure_powered t (c : core) comp =
     c.powered.(i) <- true;
     recompute_leak t c;
     c.implicit_wakeups <- c.implicit_wakeups + 1;
-    record t c "IMPLICIT WAKEUP of %s" (Component.to_string comp);
+    record t c (fun () -> "IMPLICIT WAKEUP of " ^ Component.to_string comp);
     c.gate_transitions <- c.gate_transitions + 1;
     charge c Energy_ledger.Gating_overhead pm.Power_model.gate_energy_nj;
     spend t c pm.Power_model.wake_latency_cycles
@@ -672,10 +663,12 @@ let exec_term t (c : core) (fr : frame) (term : Ir.term) =
     match c.stack with
     | [] -> runtime_err "return with empty stack"
     | _ :: [] ->
-      record t c "halt%s"
-        (match v with
-        | Some value -> " -> " ^ Value.to_string value
-        | None -> "");
+      record t c (fun () ->
+          "halt"
+          ^
+          match v with
+          | Some value -> " -> " ^ Value.to_string value
+          | None -> "");
       c.status <- Halted v;
       t.live_cores <- t.live_cores - 1
     | _ :: (caller :: _ as rest) ->
@@ -767,7 +760,7 @@ let exec_instr t (c : core) (fr : frame) (di : Predecode.dinstr) =
       c.stack <- new_fr :: c.stack)
   | Ir.Pg_off comps ->
     spend t c 1;
-    record t c "pg_off %s" (Component.Set.to_string comps);
+    record t c (fun () -> "pg_off " ^ Component.Set.to_string comps);
     Component.Set.iter
       (fun comp ->
         let k = Component.index comp in
@@ -779,7 +772,7 @@ let exec_instr t (c : core) (fr : frame) (di : Predecode.dinstr) =
       comps;
     recompute_leak t c
   | Ir.Pg_on comps ->
-    record t c "pg_on %s" (Component.Set.to_string comps);
+    record t c (fun () -> "pg_on " ^ Component.Set.to_string comps);
     let any = ref false in
     Component.Set.iter
       (fun comp ->
@@ -803,7 +796,7 @@ let exec_instr t (c : core) (fr : frame) (di : Predecode.dinstr) =
       c.point <- target;
       refresh_point_caches t c;
       c.dvfs_transitions <- c.dvfs_transitions + 1;
-      record t c "dvfs -> %s" (Operating_point.to_string target);
+      record t c (fun () -> "dvfs -> " ^ Operating_point.to_string target);
       recompute_leak t c
     end
     else spend t c 1
@@ -814,7 +807,8 @@ let exec_instr t (c : core) (fr : frame) (di : Predecode.dinstr) =
     let ch = t.chans.(chan_id) in
     if Queue.length ch.queue >= ch.cap then begin
       c.send_blocks <- c.send_blocks + 1;
-      record t c "blocked sending on ch%d" chan_id;
+      record t c (fun () ->
+          Printf.sprintf "blocked sending on ch%d" chan_id);
       Queue.push c.id ch.waiting_senders;
       c.status <- Blocked_send (chan_id, v);
       t.unblock_dirty <- true
@@ -826,7 +820,8 @@ let exec_instr t (c : core) (fr : frame) (di : Predecode.dinstr) =
     let ch = t.chans.(chan_id) in
     if Queue.is_empty ch.queue then begin
       c.recv_blocks <- c.recv_blocks + 1;
-      record t c "blocked receiving on ch%d" chan_id;
+      record t c (fun () ->
+          Printf.sprintf "blocked receiving on ch%d" chan_id);
       c.status <- Blocked_recv (chan_id, d, ty);
       t.unblock_dirty <- true
     end
@@ -843,7 +838,7 @@ let exec_instr t (c : core) (fr : frame) (di : Predecode.dinstr) =
     spend t c 1;
     charge_dynamic t c comp;
     let b = t.barriers.(bid) in
-    record t c "arrived at barrier %d" bid;
+    record t c (fun () -> Printf.sprintf "arrived at barrier %d" bid);
     b.arrived <- (c.id, c.clk.time) :: b.arrived;
     c.status <- Blocked_barrier bid;
     release_barrier t bid);
@@ -941,7 +936,7 @@ let wakeup_compiled t (c : core) comp ci =
   c.powered.(ci) <- true;
   c.leak_dirty <- true;
   c.implicit_wakeups <- c.implicit_wakeups + 1;
-  record_thunk t c (fun () -> "IMPLICIT WAKEUP of " ^ Component.to_string comp);
+  record t c (fun () -> "IMPLICIT WAKEUP of " ^ Component.to_string comp);
   c.gate_transitions <- c.gate_transitions + 1;
   charge c Energy_ledger.Gating_overhead pm.Power_model.gate_energy_nj;
   spend t c pm.Power_model.wake_latency_cycles
@@ -1428,7 +1423,7 @@ let compile_instr t (df : Predecode.dfunc) (di : Predecode.dinstr) :
     fun fr -> let c = fr.fcore in
       wake t c comp ci;
       spend t c 1;
-      record_thunk t c (fun () -> "pg_off " ^ setstr);
+      record t c (fun () -> "pg_off " ^ setstr);
       if gate_set c idxs ~on:false then c.leak_dirty <- true;
       bump c
   | Ir.Pg_on comps ->
@@ -1438,7 +1433,7 @@ let compile_instr t (df : Predecode.dfunc) (di : Predecode.dinstr) :
     in
     fun fr -> let c = fr.fcore in
       wake t c comp ci;
-      record_thunk t c (fun () -> "pg_on " ^ setstr);
+      record t c (fun () -> "pg_on " ^ setstr);
       if gate_set c idxs ~on:true then begin
         c.leak_dirty <- true;
         (* components wake in parallel: one wake latency (this class's) *)
@@ -1464,7 +1459,7 @@ let compile_instr t (df : Predecode.dfunc) (di : Predecode.dinstr) :
         refresh_point_caches t c;
         c.leak_dirty <- true;
         c.dvfs_transitions <- c.dvfs_transitions + 1;
-        record_thunk t c (fun () -> "dvfs -> " ^ Operating_point.to_string target)
+        record t c (fun () -> "dvfs -> " ^ Operating_point.to_string target)
       end
       else spend t c 1;
       bump c
@@ -1480,7 +1475,7 @@ let compile_instr t (df : Predecode.dfunc) (di : Predecode.dinstr) :
         let ch = t.chans.(chan_id) in
         if Queue.length ch.queue >= ch.cap then begin
           c.send_blocks <- c.send_blocks + 1;
-          record_thunk t c (fun () ->
+          record t c (fun () ->
               Printf.sprintf "blocked sending on ch%d" chan_id);
           Queue.push c.id ch.waiting_senders;
           c.status <- Blocked_send (chan_id, v);
@@ -1500,7 +1495,7 @@ let compile_instr t (df : Predecode.dfunc) (di : Predecode.dinstr) :
         let ch = t.chans.(chan_id) in
         if Queue.is_empty ch.queue then begin
           c.recv_blocks <- c.recv_blocks + 1;
-          record_thunk t c (fun () ->
+          record t c (fun () ->
               Printf.sprintf "blocked receiving on ch%d" chan_id);
           c.status <- Blocked_recv (chan_id, d, ty);
           t.unblock_dirty <- true;
@@ -1526,7 +1521,7 @@ let compile_instr t (df : Predecode.dfunc) (di : Predecode.dinstr) :
         let c = fr.fcore in
         issue t c comp ci 1 1.0;
         let b = t.barriers.(bid) in
-        record_thunk t c (fun () ->
+        record t c (fun () ->
             Printf.sprintf "arrived at barrier %d" bid);
         b.arrived <- (c.id, c.clk.time) :: b.arrived;
         c.status <- Blocked_barrier bid;
@@ -1598,7 +1593,7 @@ let compile_term t (cf : cfun) (term : Ir.term) : frame -> unit =
       | [] -> runtime_err "return with empty stack"
       | _ :: [] ->
         let v = match getv with Some g -> Some (g fr) | None -> None in
-        record_thunk t c (fun () ->
+        record t c (fun () ->
             "halt"
             ^
             match v with

@@ -17,21 +17,15 @@ module Power_model = Lp_power.Power_model
 module Operating_point = Lp_power.Operating_point
 module Machine = Lp_machine.Machine
 module Est = Lp_analysis.Est
+module Manager = Lp_analysis.Manager
 module Pattern = Lp_patterns.Pattern
 
 (** Over-provision factor on a stage's stretched time. *)
 let headroom = 1.10
 
 (** Per-iteration nominal-time estimate (ns) of one stage function. *)
-let stage_time ?am (m : Machine.t) (prog : Prog.t) name : Est.func_est option
-    =
-  match Prog.find_func prog name with
-  | None -> None
-  | Some f ->
-    Some
-      (match am with
-      | Some am -> Lp_analysis.Manager.func_est am m f
-      | None -> Est.func_estimate m prog f)
+let stage_time am (m : Machine.t) (prog : Prog.t) name : Est.func_est option =
+  Option.map (Manager.func_est am m) (Prog.find_func prog name)
 
 let prepend_dvfs (prog : Prog.t) name level : bool =
   match Prog.find_func prog name with
@@ -66,7 +60,7 @@ let choose_level (pm : Power_model.t) (est : Est.func_est) ~budget_cycles :
   | Some p -> p.Operating_point.level
   | None -> nominal.Operating_point.level
 
-let run ?am (m : Machine.t) (prog : Prog.t) (info : Par_info.t) : int =
+let run ~am (m : Machine.t) (prog : Prog.t) (info : Par_info.t) : int =
   let entries = Prog.entries prog in
   (* power model of the core a stage entry function runs on: entry [i]
      executes on core [i] (the simulator's layout) *)
@@ -87,7 +81,7 @@ let run ?am (m : Machine.t) (prog : Prog.t) (info : Par_info.t) : int =
       match cg.Par_info.inst.Pattern.kind with
       | Pattern.Pipeline _ | Pattern.Prodcons -> (
         let ests =
-          List.filter_map (stage_time ?am m prog) cg.Par_info.stage_funcs
+          List.filter_map (stage_time am m prog) cg.Par_info.stage_funcs
         in
         if List.length ests = List.length cg.Par_info.stage_funcs then begin
           let bottleneck =

@@ -98,8 +98,8 @@ let transfer_instr (st : state) (i : Ir.instr) : unit =
     recomputed that cannot have changed: each block's exit state is
     cached until its entry state changes, and a block is re-joined only
     after the exit state of one of its predecessors changed. *)
-let analyse ?(cfg_of = Cfg.build) (f : Prog.func) : state array =
-  let cfg = cfg_of f in
+let analyse (cfg : Cfg.t) : state array =
+  let f = cfg.Cfg.func in
   let nregs = max 1 (Lp_util.Id_gen.peek f.Prog.reg_gen) in
   let nlabels = Lp_util.Id_gen.peek f.Prog.block_gen in
   let absent : state = [||] in
@@ -158,8 +158,8 @@ let analyse ?(cfg_of = Cfg.build) (f : Prog.func) : state array =
   entry
 
 (** Substitute proven constants into operands; returns rewrites done. *)
-let run_func ?cfg_of (f : Prog.func) : int =
-  let entry_states = analyse ?cfg_of f in
+let run_func am (f : Prog.func) : int =
+  let entry_states = analyse (Manager.cfg am f) in
   let changes = ref 0 in
   Prog.iter_blocks f (fun b ->
       let entry = entry_states.(b.Ir.bid) in
@@ -219,5 +219,5 @@ let pass : Pass.func_pass =
        (register uses disappear) *)
     preserves = [ Manager.Cfg; Manager.Dominators; Manager.Loops ];
     local = true;
-    run = (fun am _ f -> run_func ~cfg_of:(Manager.cfg am) f);
+    run = (fun am _ f -> run_func am f);
   }

@@ -19,16 +19,20 @@ module Operating_point = Lp_power.Operating_point
 module Machine = Lp_machine.Machine
 module Loops = Lp_analysis.Loops
 module Est = Lp_analysis.Est
+module Manager = Lp_analysis.Manager
 module Report = Lp_obs.Report
 
 type options = {
   max_slowdown : float;   (** e.g. 0.05 = at most 5% slower *)
-  min_mem_fraction : float;
-  min_cycles : float;     (** amortisation threshold for the transition *)
 }
 
-let default_options =
-  { max_slowdown = 0.10; min_mem_fraction = 0.20; min_cycles = 2000.0 }
+let default_options = { max_slowdown = 0.10 }
+
+(** Loops below this memory-bound fraction are left at nominal. *)
+let min_mem_fraction = 0.20
+
+(** Amortisation threshold for the transition, in estimated cycles. *)
+let min_cycles = 2000.0
 
 (* communication closure: does a function (transitively) use channel or
    barrier intrinsics? *)
@@ -131,13 +135,9 @@ let ladder_of_classes (m : Machine.t) (classes : int list) :
          pm0)
     else None
 
-let run_func ?(opts = default_options) ?(report = Report.disabled)
-    ?(find_loops = Loops.find) ?loop_est ?cfg_of ?(classes = [])
-    (m : Machine.t) (prog : Prog.t) (comm : (string, bool) Hashtbl.t)
+let run_func am ?(opts = default_options) ?(report = Report.disabled)
+    ?(classes = []) (m : Machine.t) (comm : (string, bool) Hashtbl.t)
     (f : Prog.func) : int =
-  let loop_est =
-    match loop_est with Some le -> le | None -> Est.loop_estimate m prog
-  in
   let ladder = ladder_of_classes m classes in
   let (cls_name, pm) =
     match ladder with
@@ -151,7 +151,7 @@ let run_func ?(opts = default_options) ?(report = Report.disabled)
        Machine.ref_power m)
   in
   let changes = ref 0 in
-  let loops = Loops.top_level (find_loops f) in
+  let loops = Loops.top_level (Manager.loops am f) in
   let emit ~l ~mu ~est_cycles ~chosen ~rejected ~reason =
     if Report.enabled report then
       Report.add report
@@ -184,23 +184,23 @@ let run_func ?(opts = default_options) ?(report = Report.disabled)
           ~reason:
             (Some "communicating loop: timing coupled with other cores")
       else begin
-        let est = loop_est f l in
+        let est = Manager.loop_est am m f l in
         let mu = est.Est.mem_fraction in
         let est_cycles = est.Est.total_cycles in
-        if est_cycles < opts.min_cycles then
+        if est_cycles < min_cycles then
           emit ~l ~mu ~est_cycles ~chosen:None ~rejected:[]
             ~reason:
               (Some
                  (Printf.sprintf
                     "est %.0f cycles below the %.0f-cycle amortisation \
                      threshold"
-                    est_cycles opts.min_cycles))
-        else if mu < opts.min_mem_fraction then
+                    est_cycles min_cycles))
+        else if mu < min_mem_fraction then
           emit ~l ~mu ~est_cycles ~chosen:None ~rejected:[]
             ~reason:
               (Some
                  (Printf.sprintf "mu %.2f below minimum %.2f" mu
-                    opts.min_mem_fraction))
+                    min_mem_fraction))
         else begin
           let chosen, rejected =
             choose_level_explained pm ~mu ~max_slowdown:opts.max_slowdown
@@ -210,7 +210,7 @@ let run_func ?(opts = default_options) ?(report = Report.disabled)
             emit ~l ~mu ~est_cycles ~chosen:None ~rejected
               ~reason:(Some "no operating point within the slowdown bound")
           | Some level -> (
-            match Region.preheader ?cfg_of f l with
+            match Region.preheader am f l with
             | None ->
               emit ~l ~mu ~est_cycles ~chosen:None ~rejected
                 ~reason:(Some "no preheader to host the transition")
@@ -230,20 +230,14 @@ let run_func ?(opts = default_options) ?(report = Report.disabled)
     loops;
   !changes
 
-let insert ?(opts = default_options) ?(report = Report.disabled) ?am
+let insert ?(opts = default_options) ?(report = Report.disabled) ~am
     (m : Machine.t) (prog : Prog.t) : int =
-  let module Manager = Lp_analysis.Manager in
   let comm = comm_closure prog in
-  let find_loops = Option.map Manager.loops am in
-  let loop_est = Option.map (fun am -> Manager.loop_est am m) am in
-  let cfg_of = Option.map Manager.cfg am in
   let fclasses = Gating.func_classes prog m in
   List.fold_left
     (fun acc f ->
       let classes =
         Option.value ~default:[] (Hashtbl.find_opt fclasses f.Prog.fname)
       in
-      acc
-      + run_func ~opts ~report ?find_loops ?loop_est ?cfg_of ~classes m prog
-          comm f)
+      acc + run_func am ~opts ~report ~classes m comm f)
     0 (Prog.funcs prog)

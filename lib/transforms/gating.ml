@@ -39,12 +39,9 @@ type options = {
   break_even_scale : float;
       (** multiply the model's break-even threshold; the F4 sensitivity
           experiment sweeps this *)
-  loop_gating : bool;
-  entry_gating : bool;
 }
 
-let default_options =
-  { break_even_scale = 1.0; loop_gating = true; entry_gating = true }
+let default_options = { break_even_scale = 1.0 }
 
 (* ------------------------------------------------------------------ *)
 (* Insertion                                                           *)
@@ -135,18 +132,11 @@ let core_use_table (prog : Prog.t) (cu : Compuse.t) :
     (Prog.entries prog);
   table
 
-(** Gate idle components around loops of [f].  Returns insertions done.
-    [find_loops] / [loop_est] / [cfg_of] default to fresh computation;
-    the driver routes them through its analysis manager. *)
-let loop_gating ?(opts = default_options) ?(report = Report.disabled)
-    ?(find_loops = Loops.find) ?loop_est ?cfg_of ?(classes = [])
-    (m : Machine.t) (prog : Prog.t) (cu : Compuse.t) ~(core_use : CS.t)
-    (f : Prog.func) : int =
-  let loop_est =
-    match loop_est with Some le -> le | None -> Est.loop_estimate m prog
-  in
+(** Gate idle components around loops of [f].  Returns insertions done. *)
+let loop_gating ~opts ~report ~am ~classes (m : Machine.t) (cu : Compuse.t)
+    ~(core_use : CS.t) (f : Prog.func) : int =
   let changes = ref 0 in
-  let loops = find_loops f in
+  let loops = Manager.loops am f in
   (* outermost first; remember which comps an enclosing loop already
      gates so inner loops don't re-gate them *)
   let gated_by : (Ir.label * CS.t) list ref = ref [] in
@@ -174,7 +164,7 @@ let loop_gating ?(opts = default_options) ?(report = Report.disabled)
       let suppressed = CS.inter gateable enclosing_gated in
       let candidates = CS.diff gateable suppressed in
       if not (CS.is_empty gateable) then begin
-        let est = loop_est f l in
+        let est = Manager.loop_est am m f l in
         let to_gate =
           CS.filter
             (fun c ->
@@ -187,7 +177,7 @@ let loop_gating ?(opts = default_options) ?(report = Report.disabled)
         let inserted, landings =
           if CS.is_empty to_gate then (CS.empty, 0)
           else
-            match Region.preheader ?cfg_of f l with
+            match Region.preheader am f l with
             | None -> (CS.empty, 0)
             | Some pre ->
               let loc = Region.loop_loc f l in
@@ -219,7 +209,7 @@ let loop_gating ?(opts = default_options) ?(report = Report.disabled)
   !changes
 
 (** Gate never-used components at each core entry. *)
-let entry_gating ?(report = Report.disabled) (m : Machine.t) (prog : Prog.t)
+let entry_gating ~report (m : Machine.t) (prog : Prog.t)
     (cu : Compuse.t) : int =
   let changes = ref 0 in
   List.iter
@@ -253,38 +243,25 @@ let entry_gating ?(report = Report.disabled) (m : Machine.t) (prog : Prog.t)
     (Prog.entries prog);
   !changes
 
-let insert ?(opts = default_options) ?(report = Report.disabled) ?am
+let insert ?(opts = default_options) ?(report = Report.disabled) ~am
     (m : Machine.t) (prog : Prog.t) : int =
-  let cu =
-    match am with Some am -> Manager.compuse am | None -> Compuse.compute prog
-  in
-  let find_loops = Option.map Manager.loops am in
-  let loop_est = Option.map (fun am -> Manager.loop_est am m) am in
-  let cfg_of = Option.map Manager.cfg am in
+  let cu = Manager.compuse am in
   let core_use = core_use_table prog cu in
   let fclasses = func_classes prog m in
   let n =
-    if opts.loop_gating then
-      List.fold_left
-        (fun acc f ->
-          let u =
-            Option.value ~default:CS.empty
-              (Hashtbl.find_opt core_use f.Prog.fname)
-          in
-          let classes =
-            Option.value ~default:[]
-              (Hashtbl.find_opt fclasses f.Prog.fname)
-          in
-          acc
-          + loop_gating ~opts ~report ?find_loops ?loop_est ?cfg_of ~classes
-              m prog cu ~core_use:u f)
-        0 (Prog.funcs prog)
-    else 0
+    List.fold_left
+      (fun acc f ->
+        let u =
+          Option.value ~default:CS.empty
+            (Hashtbl.find_opt core_use f.Prog.fname)
+        in
+        let classes =
+          Option.value ~default:[] (Hashtbl.find_opt fclasses f.Prog.fname)
+        in
+        acc + loop_gating ~opts ~report ~am ~classes m cu ~core_use:u f)
+      0 (Prog.funcs prog)
   in
-  let n =
-    n + if opts.entry_gating then entry_gating ~report m prog cu else 0
-  in
-  n
+  n + entry_gating ~report m prog cu
 
 (* ------------------------------------------------------------------ *)
 (* Sink-N-Hoist merge                                                  *)

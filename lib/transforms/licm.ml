@@ -39,9 +39,9 @@ let multi_def_regs (f : Prog.func) : (Ir.reg, unit) Hashtbl.t =
       | None -> ());
   multi
 
-let run_func ?(find_loops = Loops.find) ?cfg_of (f : Prog.func) : int =
+let run_func am (f : Prog.func) : int =
   let hoisted = ref 0 in
-  let loops = find_loops f in
+  let loops = Manager.loops am f in
   let multi = multi_def_regs f in
   (* innermost loops first: hoisting out of an inner loop may enable the
      next fixpoint round to hoist further out of the outer loop *)
@@ -83,7 +83,7 @@ let run_func ?(find_loops = Loops.find) ?cfg_of (f : Prog.func) : int =
       match !candidates with
       | [] -> ()
       | cands -> (
-        match Region.preheader ?cfg_of f l with
+        match Region.preheader am f l with
         | None -> ()
         | Some pre ->
           List.iter
@@ -103,7 +103,5 @@ let pass : Pass.func_pass =
     Pass.name = "licm";
     preserves = [];
     local = true;
-    run =
-      (fun am _ f ->
-        run_func ~find_loops:(Manager.loops am) ~cfg_of:(Manager.cfg am) f);
+    run = (fun am _ f -> run_func am f);
   }

@@ -170,10 +170,13 @@ let run_pass m (p : func_pass) (prog : Prog.t) : int =
   (match m.on_pass with Some f -> f p.name prog | None -> ());
   changes
 
+(** Sweeps one fixpoint may take before it stops unsettled. *)
+let max_rounds = 8
+
 (** Run a list of passes repeatedly until a full sweep changes nothing
     (bounded by [max_rounds]).  Each sweep gets a [fixpoint] round
     span. *)
-let run_to_fixpoint ?(max_rounds = 8) m passes prog =
+let run_to_fixpoint m passes prog =
   let sweep round =
     Obs.span m.obs ~cat:"fixpoint"
       ~args:[ ("round", Obs.Int round) ]

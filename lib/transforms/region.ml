@@ -7,6 +7,7 @@ module Ir = Lp_ir.Ir
 module Prog = Lp_ir.Prog
 module Cfg = Lp_analysis.Cfg
 module Loops = Lp_analysis.Loops
+module Manager = Lp_analysis.Manager
 
 let retarget_term term ~from ~to_ =
   match term with
@@ -19,12 +20,12 @@ let retarget_term term ~from ~to_ =
 (** Create (or reuse) a preheader for [l]: a block through which every
     entry into the loop passes.  Returns [None] when the loop header is
     the function entry (cannot be given a preheader without changing the
-    entry). *)
-let preheader ?(cfg_of = Cfg.build) (f : Prog.func) (l : Loops.loop) :
-    Ir.block option =
+    entry).  The CFG is asked of [am] on every call, so a preheader
+    inserted for an earlier loop of [f] is seen. *)
+let preheader am (f : Prog.func) (l : Loops.loop) : Ir.block option =
   if l.Loops.header = f.Prog.entry then None
   else begin
-    let cfg = cfg_of f in
+    let cfg = Manager.cfg am f in
     let outside_preds =
       List.filter
         (fun p -> not (Loops.contains l p))

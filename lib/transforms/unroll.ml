@@ -15,10 +15,10 @@
 module Ir = Lp_ir.Ir
 module Prog = Lp_ir.Prog
 module Loops = Lp_analysis.Loops
+module Manager = Lp_analysis.Manager
 
-type options = { max_trip : int; max_body : int }
-
-let default_options = { max_trip = 4; max_body = 16 }
+let max_trip = 4
+let max_body = 16
 
 (** Recognise the two-block shape: header H with [Br (c, body, exit)] and
     body B ending in [Jmp H]; the loop's blocks are exactly {H, B}. *)
@@ -45,10 +45,9 @@ let copy_instrs (f : Prog.func) (instrs : Ir.instr list) : Ir.instr list =
     (fun (i : Ir.instr) -> Prog.new_instr ~loc:i.Ir.loc f i.Ir.idesc)
     instrs
 
-let run_func ?(opts = default_options) ?(find_loops = Loops.find)
-    (f : Prog.func) : int =
+let run_func am (f : Prog.func) : int =
   let changes = ref 0 in
-  let loops = find_loops f in
+  let loops = Manager.loops am f in
   (* only innermost loops (no other loop strictly inside) *)
   let innermost l =
     not
@@ -63,8 +62,8 @@ let run_func ?(opts = default_options) ?(find_loops = Loops.find)
       if innermost l then
         match (Loops.constant_trip f l, two_block_shape f l) with
         | (Some trip, Some (header, body, exit_id))
-          when trip >= 0 && trip <= opts.max_trip
-               && List.length body.Ir.instrs <= opts.max_body ->
+          when trip >= 0 && trip <= max_trip
+               && List.length body.Ir.instrs <= max_body ->
           (* the unrolled sequence must still evaluate the header's
              condition computation (it may define registers used later),
              then execute the body [trip] times; the final header
@@ -90,8 +89,5 @@ let pass : Pass.func_pass =
     Pass.name = "unroll";
     preserves = [];
     local = true;
-    run =
-      (fun am _ f ->
-        run_func ~opts:default_options
-          ~find_loops:(Lp_analysis.Manager.loops am) f);
+    run = (fun am _ f -> run_func am f);
   }

@@ -86,12 +86,12 @@ type 'b batch = {
   out : 'b option array;
   (* first failure by input index; protected by [bm] *)
   mutable failed : (int * exn * Printexc.raw_backtrace) option;
-  mutable pending : int;  (** chunks not yet finished; protected by [bm] *)
+  mutable pending : int;  (** tasks not yet finished; protected by [bm] *)
   bm : Mutex.t;
   done_ : Condition.t;
 }
 
-let parallel_map ?pool ?(chunk = 1) (f : 'a -> 'b) (xs : 'a list) : 'b list =
+let parallel_map ?pool (f : 'a -> 'b) (xs : 'a list) : 'b list =
   let pool = match pool with Some p -> p | None -> default () in
   if pool.jobs <= 1 then List.map f xs
   else
@@ -100,13 +100,11 @@ let parallel_map ?pool ?(chunk = 1) (f : 'a -> 'b) (xs : 'a list) : 'b list =
     | _ ->
       let input = Array.of_list xs in
       let n = Array.length input in
-      let chunk = max 1 chunk in
-      let n_chunks = (n + chunk - 1) / chunk in
       let b =
         {
           out = Array.make n None;
           failed = None;
-          pending = n_chunks;
+          pending = n;
           bm = Mutex.create ();
           done_ = Condition.create ();
         }
@@ -116,30 +114,25 @@ let parallel_map ?pool ?(chunk = 1) (f : 'a -> 'b) (xs : 'a list) : 'b list =
         | Some (j, _, _) when j <= i -> ()
         | Some _ | None -> b.failed <- Some (i, e, bt)
       in
-      let run_chunk ci () =
-        let lo = ci * chunk in
-        let hi = min n (lo + chunk) - 1 in
-        let local_fail = ref None in
-        for i = lo to hi do
-          (* keep going after a failure so [pending] drains; only the
-             first failure per chunk can be the globally-first one *)
-          if !local_fail = None then
-            match f input.(i) with
-            | v -> b.out.(i) <- Some v
-            | exception e ->
-              local_fail := Some (i, e, Printexc.get_raw_backtrace ())
-        done;
+      let run_task i () =
+        let failure =
+          match f input.(i) with
+          | v ->
+            b.out.(i) <- Some v;
+            None
+          | exception e -> Some (e, Printexc.get_raw_backtrace ())
+        in
         Mutex.lock b.bm;
-        (match !local_fail with
-        | Some (i, e, bt) -> record_failure i e bt
+        (match failure with
+        | Some (e, bt) -> record_failure i e bt
         | None -> ());
         b.pending <- b.pending - 1;
         if b.pending = 0 then Condition.signal b.done_;
         Mutex.unlock b.bm
       in
       Mutex.lock pool.mutex;
-      for ci = 0 to n_chunks - 1 do
-        Queue.push (run_chunk ci) pool.queue
+      for i = 0 to n - 1 do
+        Queue.push (run_task i) pool.queue
       done;
       Condition.broadcast pool.has_work;
       Mutex.unlock pool.mutex;
@@ -159,5 +152,5 @@ let parallel_map ?pool ?(chunk = 1) (f : 'a -> 'b) (xs : 'a list) : 'b list =
              | None -> invalid_arg "Domain_pool: missing result slot")
            b.out)
 
-let parallel_iter ?pool ?chunk (f : 'a -> unit) (xs : 'a list) : unit =
-  ignore (parallel_map ?pool ?chunk f xs)
+let parallel_iter ?pool (f : 'a -> unit) (xs : 'a list) : unit =
+  ignore (parallel_map ?pool f xs)

@@ -40,12 +40,11 @@ val set_default_jobs : int -> unit
 (** The shared lazily-created default pool. *)
 val default : unit -> t
 
-(** [parallel_map ?pool ?chunk f xs] maps [f] over [xs] on the pool
-    (default: [default ()]), preserving order.  [chunk] (default 1) is the
-    number of consecutive elements one task claims; raise it for very
-    cheap [f].  The first failure by input index is re-raised with its
-    backtrace after all tasks finish. *)
-val parallel_map : ?pool:t -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [parallel_map ?pool f xs] maps [f] over [xs] on the pool (default:
+    [default ()]), preserving order; each element is one task.  The
+    first failure by input index is re-raised with its backtrace after
+    all tasks finish. *)
+val parallel_map : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
 
 (** [parallel_iter] is [parallel_map] for effects only. *)
-val parallel_iter : ?pool:t -> ?chunk:int -> ('a -> unit) -> 'a list -> unit
+val parallel_iter : ?pool:t -> ('a -> unit) -> 'a list -> unit

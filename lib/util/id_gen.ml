@@ -4,7 +4,7 @@
 
 type t = { mutable next : int }
 
-let create ?(start = 0) () = { next = start }
+let create () = { next = 0 }
 
 let fresh t =
   let id = t.next in

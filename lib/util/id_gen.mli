@@ -3,7 +3,7 @@
 
 type t
 
-val create : ?start:int -> unit -> t
+val create : unit -> t
 
 (** Return the next id and advance. *)
 val fresh : t -> int

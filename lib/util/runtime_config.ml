@@ -50,7 +50,7 @@ let from_env () =
   }
 
 let resolve ?jobs ?retries ?faults ?trace ?report ?no_analysis_cache
-    ?no_sim_predecode ?deadline_ms ?profile base =
+    ?no_sim_predecode ?deadline_ms base =
   {
     jobs = (match jobs with Some _ -> jobs | None -> base.jobs);
     retries = Option.value ~default:base.retries retries;
@@ -72,11 +72,7 @@ let resolve ?jobs ?retries ?faults ?trace ?report ?no_analysis_cache
       (match deadline_ms with
       | Some ms when ms >= 1 -> Some ms
       | Some _ | None -> base.deadline_ms);
-    profile =
-      (* one-way: a flag can only switch profiling on *)
-      (match profile with
-      | Some true -> true
-      | Some false | None -> base.profile);
+    profile = base.profile;
   }
 
 let to_string c =

@@ -87,7 +87,6 @@ val resolve :
   ?no_analysis_cache:bool ->
   ?no_sim_predecode:bool ->
   ?deadline_ms:int ->
-  ?profile:bool ->
   t ->
   t
 

@@ -416,7 +416,8 @@ let test_est_scales_with_trip () =
   in
   let est n =
     let prog = prog_of n in
-    (Est.func_estimate machine prog (Prog.func_exn prog "main")).Est.total_cycles
+    (Manager.func_est (Manager.create prog) machine (Prog.func_exn prog "main"))
+      .Est.total_cycles
   in
   let e64 = est 64 and e512 = est 512 in
   if e512 /. e64 < 4.0 then
@@ -427,14 +428,18 @@ let test_est_mem_fraction () =
   let prog = lower
       "int g[256];\nint main() { for (int i = 0; i < 256; i = i + 1) { g[i] = i; } return 0; }"
   in
-  let e = Est.func_estimate machine prog (Prog.func_exn prog "main") in
+  let e =
+    Manager.func_est (Manager.create prog) machine (Prog.func_exn prog "main")
+  in
   if e.Est.mem_fraction < 0.5 then
     Alcotest.failf "store loop should be memory-bound (mu=%f)" e.Est.mem_fraction;
   (* pure compute: low mem fraction *)
   let prog2 = lower
       "int main() { int s = 1; for (int i = 0; i < 256; i = i + 1) { s = s * 3 + i; } return s; }"
   in
-  let e2 = Est.func_estimate machine prog2 (Prog.func_exn prog2 "main") in
+  let e2 =
+    Manager.func_est (Manager.create prog2) machine (Prog.func_exn prog2 "main")
+  in
   if e2.Est.mem_fraction > 0.2 then
     Alcotest.failf "compute loop should not be memory-bound (mu=%f)" e2.Est.mem_fraction
 
@@ -448,7 +453,8 @@ let test_est_within_factor_of_sim () =
     Lowpower.Compile.run ~opts:Lowpower.Compile.baseline ~machine src
   in
   let f = Prog.func_exn compiled.Lowpower.Compile.prog "main" in
-  let est = Est.func_estimate machine compiled.Lowpower.Compile.prog f in
+  let prog = compiled.Lowpower.Compile.prog in
+  let est = Manager.func_est (Manager.create prog) machine f in
   let est_ns = est.Est.total_cycles *. 2.5 in
   let sim_ns = outcome.Lp_sim.Sim.duration_ns in
   let ratio = est_ns /. sim_ns in

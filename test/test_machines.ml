@@ -126,7 +126,9 @@ let dvfs_levels_for classes =
     | Some f -> f
     | None -> fail "no main"
   in
-  let changes = Dvfs.run_func ~classes m prog comm f in
+  let changes =
+    Dvfs.run_func (Lp_analysis.Manager.create prog) ~classes m comm f
+  in
   check Alcotest.bool "pass fired" true (changes > 0);
   Prog.fold_instrs f
     (fun acc _ i ->
@@ -159,7 +161,9 @@ let test_incompatible_classes_skip () =
   let prog = c.Compile.prog in
   let comm = Dvfs.comm_closure prog in
   let f = Option.get (Prog.find_func prog "main") in
-  let changes = Dvfs.run_func ~classes:[ 0; 1 ] m prog comm f in
+  let changes =
+    Dvfs.run_func (Lp_analysis.Manager.create prog) ~classes:[ 0; 1 ] m comm f
+  in
   check Alcotest.int "skipped" 0 changes
 
 (* ---------------- heterogeneous simulation ---------------- *)

@@ -34,11 +34,7 @@ let test_map_preserves_order () =
       check
         Alcotest.(list int)
         "jobs=4" expected
-        (DP.parallel_map ~pool work inputs);
-      check
-        Alcotest.(list int)
-        "jobs=4 chunk=7" expected
-        (DP.parallel_map ~pool ~chunk:7 work inputs));
+        (DP.parallel_map ~pool work inputs));
   with_pool 1 (fun pool ->
       check
         Alcotest.(list int)

@@ -180,20 +180,38 @@ let test_explicit_default_is_default () =
     (ir_of opts src)
     (ir_of { opts with Compile.pipeline = Some Pipeline.default } src)
 
-let no_cache_ctx () =
-  Compile.make_ctx
-    ~config:{ Runtime_config.default with Runtime_config.no_analysis_cache = true }
-    ()
+(** The printed IR and the audit report of one [full] compile for
+    [machine], or its diagnostic.  The report records the estimate
+    behind every gating and DVFS decision. *)
+let compiled_text ~no_analysis_cache ~machine src =
+  let report = Lp_obs.Report.create () in
+  let ctx =
+    Compile.make_ctx ~report
+      ~config:{ Runtime_config.default with Runtime_config.no_analysis_cache }
+      ()
+  in
+  let opts = Compile.full ~n_cores:(Machine.n_cores machine) in
+  let ir =
+    match Compile.compile_result ~ctx ~opts ~machine src with
+    | Ok c -> Lp_ir.Printer.prog_to_string c.Compile.prog
+    | Error d -> Lp_util.Diag.to_string d
+  in
+  ir ^ Lp_obs.Report.to_string report
 
+(* the uncached manager is the reference every cached analysis of the
+   passes and power transforms is checked against, on every machine *)
 let test_cache_off_is_byte_identical () =
   List.iter
-    (fun name ->
-      let src = workload name in
-      let opts = Compile.full ~n_cores:4 in
-      check Alcotest.string (name ^ " cache on == off")
-        (ir_of opts src)
-        (ir_of ~ctx:(no_cache_ctx ()) opts src))
-    [ "fir"; "matmul"; "histogram" ]
+    (fun (mname, _, make) ->
+      let machine = make ?cores:None () in
+      List.iter
+        (fun (w : W.t) ->
+          check Alcotest.string
+            (Printf.sprintf "%s on %s: cache on == off" w.W.name mname)
+            (compiled_text ~no_analysis_cache:false ~machine w.W.source)
+            (compiled_text ~no_analysis_cache:true ~machine w.W.source))
+        Lp_workloads.Suite.all)
+    Machine.registry
 
 let test_cache_hits_observed () =
   let obs = Obs.create () in

@@ -239,9 +239,10 @@ let holds_through_schedule (check : Prog.t -> bool) seed =
   !ok
 
 let constprop_agrees (prog : Prog.t) =
+  let am = Manager.create prog in
   List.for_all
     (fun (f : Prog.func) ->
-      let got = Constprop.analyse f in
+      let got = Constprop.analyse (Manager.cfg am f) in
       let want = Ref.constprop_entry_states f in
       List.for_all
         (fun l ->

@@ -254,7 +254,7 @@ let exps () =
   [ { Baseline.e_id = "t1"; e_cycles = 5000.0; e_energy_nj = 140.0;
       e_cells = 2 } ]
 
-let base () = Baseline.make ~exps:(exps ()) ~cells:(cells ()) ()
+let base () = Baseline.make ~exps:(exps ()) ~cells:(cells ())
 
 let test_baseline_identical_passes () =
   let v = Baseline.check (base ()) ~exps:(exps ()) ~cells:(cells ()) in

@@ -244,7 +244,7 @@ let test_licm_hoists () =
       l.Lp_analysis.Loops.blocks 0
   in
   check Alcotest.int "mul initially in loop" 1 before_mul_in_loop;
-  let hoisted = T.Licm.run_func f in
+  let hoisted = T.Licm.run_func (Lp_analysis.Manager.create prog) f in
   if hoisted = 0 then fail "nothing hoisted";
   Verify.verify_prog prog;
   (* result preserved *)
@@ -257,7 +257,7 @@ let test_licm_no_div_hoist () =
       "int opaque(int x) { return x; }\nint main() { int d = opaque(0); int s = 0; for (int i = 0; i < d; i = i + 1) { s = s + 10 / d; } return s; }"
   in
   let f = Prog.func_exn prog "main" in
-  ignore (T.Licm.run_func f);
+  ignore (T.Licm.run_func (Lp_analysis.Manager.create prog) f);
   Verify.verify_prog prog;
   (* trip count is zero so the division must never execute *)
   let machine = Lp_machine.Machine.generic ~n_cores:1 () in
@@ -451,7 +451,10 @@ let test_unroll_dissolves_tiny_loop () =
   T.Pass.run_to_fixpoint pm
     [ T.Simplify_cfg.pass; T.Constfold.pass; T.Constprop.pass; T.Dce.pass ]
     prog;
-  let n = T.Unroll.run_func (Prog.func_exn prog "main") in
+  let n =
+    T.Unroll.run_func (T.Pass.analysis_manager pm prog)
+      (Prog.func_exn prog "main")
+  in
   check Alcotest.int "one loop unrolled" 1 n;
   T.Pass.run_to_fixpoint pm
     [ T.Simplify_cfg.pass; T.Constfold.pass; T.Constprop.pass; T.Dce.pass ]
@@ -473,7 +476,8 @@ let test_unroll_skips_large_or_unknown () =
       [ T.Simplify_cfg.pass; T.Constfold.pass; T.Constprop.pass; T.Dce.pass ]
       prog;
     check Alcotest.int "not unrolled" 0
-      (T.Unroll.run_func (Prog.func_exn prog "main"))
+      (T.Unroll.run_func (T.Pass.analysis_manager pm prog)
+         (Prog.func_exn prog "main"))
   in
   (* trip too large *)
   check_skipped
@@ -490,7 +494,9 @@ let test_unroll_zero_trip () =
   T.Pass.run_to_fixpoint pm
     [ T.Simplify_cfg.pass; T.Constfold.pass; T.Constprop.pass; T.Dce.pass ]
     prog;
-  ignore (T.Unroll.run_func (Prog.func_exn prog "main"));
+  ignore
+    (T.Unroll.run_func (T.Pass.analysis_manager pm prog)
+       (Prog.func_exn prog "main"));
   T.Pass.run_to_fixpoint pm [ T.Simplify_cfg.pass; T.Constfold.pass; T.Dce.pass ] prog;
   Verify.verify_prog prog;
   let machine = Lp_machine.Machine.generic ~n_cores:1 () in
