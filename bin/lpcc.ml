@@ -573,9 +573,10 @@ let serve_bench_cmd =
 
 let fuzz_cmd_run seeds seed_start corpus cores config =
   if seeds < 1 then `Error (false, "--seeds must be at least 1")
+  else if cores < 1 then `Error (false, "--cores must be at least 1")
   else
     session config @@ fun ctx ->
-    let machine = Machine.generic ~n_cores:(max cores 4) () in
+    let machine = Machine.generic ~n_cores:cores () in
     let summary =
       Lp_robust.Fuzz.run_range ~ctx ~machine ~log:print_endline
         ~corpus_dir:corpus ~seed_start ~seeds ()

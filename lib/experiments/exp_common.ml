@@ -66,8 +66,7 @@ type cell = {
 let cache : (string * string * string, cell) Lp_util.Memo.t =
   Lp_util.Memo.create ~capacity:max_int
 
-(** Drop all memoised runs (the bench harness uses this to time a cold
-    sequential reference pass against a cold parallel pass). *)
+(** Drop all memoised runs. *)
 let clear_cache () = Lp_util.Memo.clear cache
 
 (* ------------------------------------------------------------------ *)
@@ -159,44 +158,18 @@ let cell_of (j : job) : cell =
 (** The job's cell result (evaluated and memoised on a miss). *)
 let result_of (j : job) : (run_result, Diag.t) result = (cell_of j).result
 
-(* what [f] keeps of every memoised cell, sorted *)
-let snapshot f =
-  Lp_util.Memo.fold
-    (fun key c acc -> match f key c with Some x -> x :: acc | None -> acc)
-    cache []
-  |> List.sort compare
+(** Every memoised cell, sorted by (workload, config, machine). *)
+let cells () : ((string * string * string) * cell) list =
+  Lp_util.Memo.fold (fun key c acc -> (key, c) :: acc) cache []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (** Every failed cell currently memoised, sorted for deterministic
     summaries: ((workload, config, machine), attempts, diagnostic). *)
 let failed_cells () : ((string * string * string) * int * Diag.t) list =
-  snapshot (fun key c ->
+  List.filter_map
+    (fun (key, c) ->
       match c.result with Ok _ -> None | Error d -> Some (key, c.attempts, d))
-
-(** Snapshot of every memoised cell's status, sorted:
-    ((workload, config, machine), attempts, error code option). *)
-let cell_statuses () : ((string * string * string) * int * string option) list =
-  snapshot (fun key c ->
-      let code =
-        match c.result with Ok _ -> None | Error d -> Some d.Diag.code
-      in
-      Some (key, c.attempts, code))
-
-(** Snapshot of every memoised cell that ran, with the two simulated
-    metrics the regression baseline tracks, sorted:
-    ((workload, config, machine), total compute cycles, energy in nJ).
-    Simulation is deterministic, so these are exact across hosts and
-    pool sizes. *)
-let cell_metrics () : ((string * string * string) * float * float) list =
-  snapshot (fun key c ->
-      match c.result with
-      | Error _ -> None
-      | Ok r ->
-        let cycles =
-          Array.fold_left
-            (fun a n -> a +. float_of_int n)
-            0.0 r.outcome.Sim.cycles_per_core
-        in
-        Some (key, cycles, Ledger.total r.outcome.Sim.energy))
+    (cells ())
 
 (* ------------------------------------------------------------------ *)
 (* Error-aware cell rendering                                          *)
@@ -294,6 +267,10 @@ let row_table ~title ~header ~aligns (columns : column list) (rows : row list)
             columns))
     rows;
   tbl
+
+let cycles r =
+  Array.fold_left (fun a n -> a +. float_of_int n) 0.0
+    r.outcome.Sim.cycles_per_core
 
 let energy r = Ledger.total r.outcome.Sim.energy
 let time_ns r = r.outcome.Sim.duration_ns

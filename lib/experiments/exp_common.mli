@@ -6,7 +6,7 @@
     The memo cache itself (an {!Lp_util.Memo} that never evicts) is
     private to the implementation; callers interact with it only through
     {!run_matrix} / {!result_of} (fill), {!clear_cache} (drop) and
-    the {!failed_cells} / {!cell_statuses} snapshots. *)
+    the {!cells} / {!failed_cells} snapshots. *)
 
 (** Aliases shared by every experiment module ([open Exp_common] brings
     them into scope). *)
@@ -61,8 +61,7 @@ type cell = {
   result : (run_result, Diag.t) result;
 }
 
-(** Drop all memoised runs (the bench harness uses this to time a cold
-    sequential reference pass against a cold parallel pass). *)
+(** Drop all memoised runs. *)
 val clear_cache : unit -> unit
 
 (** Retries after a transient failure, from the installed context's
@@ -99,21 +98,14 @@ val cell_of : job -> cell
 (** The cell's result alone (what the table renderers consume). *)
 val result_of : job -> (run_result, Diag.t) result
 
+(** Snapshot of every memoised cell, sorted by (workload, config,
+    machine).  Simulation is deterministic, so the cells' results are
+    exact across hosts and pool sizes. *)
+val cells : unit -> ((string * string * string) * cell) list
+
 (** Every failed cell currently memoised, sorted for deterministic
     summaries: ((workload, config, machine), attempts, diagnostic). *)
 val failed_cells : unit -> ((string * string * string) * int * Diag.t) list
-
-(** Snapshot of every memoised cell's status, sorted:
-    ((workload, config, machine), attempts, error code option). *)
-val cell_statuses :
-  unit -> ((string * string * string) * int * string option) list
-
-(** Snapshot of every memoised cell that ran, with the two simulated
-    metrics the regression baseline tracks, sorted:
-    ((workload, config, machine), total compute cycles, energy in nJ).
-    Simulation is deterministic, so these are exact across hosts and
-    pool sizes. *)
-val cell_metrics : unit -> ((string * string * string) * float * float) list
 
 (** {2 Error-aware cell rendering} *)
 
@@ -188,6 +180,9 @@ val row_table :
   Table.t
 
 (** {2 Metrics and formatting} *)
+
+(** Total compute cycles over every core. *)
+val cycles : run_result -> float
 
 val energy : run_result -> float
 val time_ns : run_result -> float

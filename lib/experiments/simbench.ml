@@ -13,9 +13,8 @@
       writes once per mode and diffs byte-for-byte, proving the two
       modes agree on every cell, not just the baseline ones.
 
-    The JSON schema ([lowpower-bench-sim/1]) round-trips through
-    {!to_json}/{!of_json}; a golden test locks that down so downstream
-    tooling can rely on the field names. *)
+    {!to_json} renders the throughput table as schema
+    [lowpower-bench-sim/1]. *)
 
 module J = Lp_util.Json
 module Compile = Lowpower.Compile
@@ -238,58 +237,3 @@ let to_json t =
       ("total_instrs_per_sec_off", J.Num t.sb_total_off);
       ("speedup", J.Num t.sb_total_speedup);
     ]
-
-exception Bad of string
-
-let need_num key o =
-  match J.member key o with
-  | Some (J.Num x) -> x
-  | _ -> raise (Bad (Printf.sprintf "missing number %S" key))
-
-let need_str key o =
-  match J.member key o with
-  | Some (J.Str s) -> s
-  | _ -> raise (Bad (Printf.sprintf "missing string %S" key))
-
-let stats_of_json key o =
-  match J.member key o with
-  | Some (J.Obj _ as s) ->
-    {
-      runs = int_of_float (need_num "runs" s);
-      wall_s = need_num "wall_s" s;
-      instrs_per_sec = need_num "instrs_per_sec" s;
-      cells_per_sec = need_num "cells_per_sec" s;
-    }
-  | _ -> raise (Bad (Printf.sprintf "missing object %S" key))
-
-let row_of_json o =
-  {
-    sb_workload = need_str "workload" o;
-    sb_instrs = int_of_float (need_num "instrs" o);
-    sb_on = stats_of_json "predecode_on" o;
-    sb_off = stats_of_json "predecode_off" o;
-    sb_speedup = need_num "speedup" o;
-  }
-
-let of_json j : (t, string) result =
-  match
-    (match J.member "schema" j with
-    | Some (J.Str s) when s = schema ->
-      let rows =
-        match J.member "workloads" j with
-        | Some (J.List l) -> List.map row_of_json l
-        | _ -> raise (Bad "missing list \"workloads\"")
-      in
-      {
-        sb_machine = need_str "machine" j;
-        sb_config = need_str "config" j;
-        sb_rows = rows;
-        sb_total_on = need_num "total_instrs_per_sec_on" j;
-        sb_total_off = need_num "total_instrs_per_sec_off" j;
-        sb_total_speedup = need_num "speedup" j;
-      }
-    | Some (J.Str s) -> raise (Bad ("unknown schema " ^ s))
-    | _ -> raise (Bad "missing string \"schema\""))
-  with
-  | t -> Ok t
-  | exception Bad msg -> Error msg

@@ -53,8 +53,3 @@ val metrics : predecode:bool -> unit -> Lp_util.Json.t
 val schema : string
 
 val to_json : t -> Lp_util.Json.t
-
-(** Inverse of {!to_json}; [Error] names the first missing/mistyped
-    field.  Locks the [lowpower-bench-sim/1] schema for downstream
-    tooling. *)
-val of_json : Lp_util.Json.t -> (t, string) result

@@ -11,8 +11,6 @@
 
 module Compile = Lowpower.Compile
 module Machine = Lp_machine.Machine
-module Sim = Lp_sim.Sim
-module Ledger = Lp_power.Energy_ledger
 module Workload = Lp_workloads.Workload
 module Table = Lp_util.Table
 module Diag = Lp_util.Diag
@@ -56,9 +54,6 @@ let machine_of_exn name =
 
 let configs_for (m : Machine.t) = Compile.configs ~n_cores:(Machine.n_cores m)
 
-let total_cycles (o : Sim.outcome) =
-  Array.fold_left (fun a n -> a +. float_of_int n) 0.0 o.Sim.cycles_per_core
-
 (** Run the matrix (parallel, memoised) and collect it (sequential). *)
 let run ?pool ?(machines = default_machines)
     ?(workloads = Lp_workloads.Suite.names) () : t =
@@ -84,11 +79,10 @@ let run ?pool ?(machines = default_machines)
     in
     match Exp_common.result_of j with
     | Ok r ->
-      let o = r.Exp_common.outcome in
       { c with
-        s_cycles = total_cycles o;
-        s_energy_nj = Ledger.total o.Sim.energy;
-        s_duration_ns = o.Sim.duration_ns }
+        s_cycles = Exp_common.cycles r;
+        s_energy_nj = Exp_common.energy r;
+        s_duration_ns = Exp_common.time_ns r }
     | Error d -> { c with s_status = Some d.Diag.code }
   in
   let cells =

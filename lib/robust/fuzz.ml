@@ -21,6 +21,10 @@ type summary = {
 
 let default_machine () = Machine.generic ~n_cores:4 ()
 
+(** The fully-optimised configuration, parallelised over every core of
+    the fuzzed machine. *)
+let full_opts machine = Compile.full ~n_cores:(Machine.n_cores machine)
+
 (* ------------------------------------------------------------------ *)
 (* One configuration run                                               *)
 (* ------------------------------------------------------------------ *)
@@ -102,7 +106,7 @@ let run_seed ?(ctx = Compile.default_ctx) ?(machine = default_machine ())
   in
   let base = run_config ~ctx ~machine ~opts:Compile.baseline gen.Gen.source in
   let full =
-    run_config ~ctx ~machine ~opts:(Compile.full ~n_cores:4) gen.Gen.source
+    run_config ~ctx ~machine ~opts:(full_opts machine) gen.Gen.source
   in
   match (base, full) with
   | (Error (`Raw e), _) -> finding "raw-exception" ("baseline: " ^ e)
@@ -165,8 +169,7 @@ let write_seed_report ~dir ~machine (f : finding) : string =
   let rctx = Compile.make_ctx ~report:rep () in
   Lp_obs.Report.with_scope (Printf.sprintf "seed_%d" f.f_seed) (fun () ->
       ignore
-        (run_config ~ctx:rctx ~machine ~opts:(Compile.full ~n_cores:4)
-           f.f_source));
+        (run_config ~ctx:rctx ~machine ~opts:(full_opts machine) f.f_source));
   let path =
     Filename.concat dir (Printf.sprintf "seed_%d.report.json" f.f_seed)
   in

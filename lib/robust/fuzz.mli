@@ -6,9 +6,10 @@
       structured {!Lp_util.Diag.t} (the [*_result] entry points);
     - the IR verifier holds after every optimisation pass
       ([verify_each]);
-    - the baseline and the fully-optimised parallel configuration
-      produce the same observable result (return value and the final
-      contents of the output arrays).
+    - the baseline and the fully-optimised configuration, parallelised
+      over every core of the fuzzed machine, produce the same
+      observable result (return value and the final contents of the
+      output arrays).
 
     Failing seeds are written to a crash corpus directory as replayable
     MiniC files with the seed and failure reason in a comment header. *)

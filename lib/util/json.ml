@@ -1,6 +1,6 @@
 (** Minimal JSON: a value type, a printer, and a recursive-descent
     parser.  Used by the machine-readable artifacts this repo commits
-    and re-reads (the benchmark baseline gate) and by tests that inspect
+    (the benchmark records that CI gates diff) and by tests that inspect
     exported reports.  Deliberately small: no streaming, no options —
     the grammar of RFC 8259 over strings that fit in memory. *)
 

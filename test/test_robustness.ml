@@ -9,6 +9,7 @@ module Exp = Lp_experiments.Exp_common
 module Machine = Lp_machine.Machine
 module Gen = Lp_robust.Gen
 module Fuzz = Lp_robust.Fuzz
+module Obs = Lp_obs.Obs
 
 let machine () = Machine.generic ~n_cores:4 ()
 let fir () = Lp_workloads.Suite.find_exn "fir"
@@ -456,6 +457,25 @@ let test_fuzz_smoke () =
   Alcotest.(check int) "all seeds accounted for" s.Fuzz.tested
     (s.Fuzz.passed + s.Fuzz.degraded)
 
+(** The fuzzed [full] configuration uses every core of the machine: on
+    an 8-core machine a seed's two [compile] spans ask for 1 core
+    (baseline) and 8 (full). *)
+let test_fuzz_full_sized_to_machine () =
+  let obs = Obs.create () in
+  let ctx = Compile.make_ctx ~obs () in
+  ignore
+    (Fuzz.run_seed ~ctx ~machine:(Machine.generic ~n_cores:8 ()) ~seed:0 ());
+  let cores =
+    List.filter_map
+      (fun (sp : Obs.span) ->
+        match List.assoc_opt "cores" sp.Obs.sp_args with
+        | Some (Obs.Int n) when sp.Obs.sp_name = "compile" -> Some n
+        | _ -> None)
+      (Obs.spans obs)
+  in
+  Alcotest.(check (list int)) "compile span cores" [ 1; 8 ]
+    (List.sort compare cores)
+
 let suite =
   [
     Alcotest.test_case "diag round-trip of legacy exceptions" `Quick
@@ -485,6 +505,8 @@ let suite =
       test_gen_deterministic;
     Alcotest.test_case "fuzz smoke: 200 seeds, zero findings" `Slow
       (isolated test_fuzz_smoke);
+    Alcotest.test_case "fuzz full uses every core of the machine" `Quick
+      test_fuzz_full_sized_to_machine;
     Alcotest.test_case "sweep row with a failed cell has no winner" `Quick
       (isolated test_sweep_incomplete_row);
     Alcotest.test_case "fault clauses no check reached are reported" `Quick
