@@ -14,17 +14,23 @@
 
     Two execution modes produce byte-identical results:
 
-    - the default {e closure-compiled} mode pre-decodes every function
-      (see {!Predecode}) and compiles each basic block once into an array
-      of OCaml closures with operands, memory symbols, call targets and
-      per-point energy/time factors resolved up front, so the steady-state
-      loop is [closure.(idx) core frame] with no constructor dispatch and
-      no hashing.  Its registers are unboxed: each frame holds an [int
-      array] and a [float array], one per register class, so a closure
-      moves raw ints and floats with no box, tag test or write barrier.
-      [Value.t] boxes remain at the boundaries only: memory arrays,
-      channel messages, the value a core halts with, and a call argument
-      or return value whose class differs from its destination's;
+    - the default {e compiled} mode pre-decodes every function (see
+      {!Predecode}) and compiles each basic block once, with operands,
+      memory symbols, call targets and per-point energy/time factors
+      resolved up front.  The core-local register instructions —
+      [Const], [Move], [Binop], [Unop], [Mac] and loads of frame and ROM
+      arrays — are encoded into flat per-block arrays, and each run of
+      them executes in one loop that makes no call and keeps the core's
+      clock and ledger in registers ({!run_section}).  Every other
+      instruction remains an OCaml closure: local stores (they box the
+      stored word), [Pg_off], [Pg_on] and [Dvfs], calls, and the
+      globally visible instructions (shared loads and stores, [Faa],
+      [Send], [Recv], [Barrier]); so do the terminators.  Registers are
+      unboxed: each frame holds an [int array] and a [float array], one
+      per register class.  [Value.t] boxes remain at the boundaries
+      only: memory arrays, channel messages, the value a core halts
+      with, and a call argument or return value whose class differs
+      from its destination's;
     - the {e interpretive} mode ([predecode = false], reachable through
       [LP_NO_SIM_PREDECODE=1] / [--no-sim-predecode]) keeps the original
       per-instruction match dispatch over [Value.t] registers and serves
@@ -111,7 +117,11 @@ type frame = {
   mutable cblk : cblock;               (** compiled current block *)
 }
 
-(** One closure-compiled basic block. *)
+(** One compiled basic block.  Instruction [i] is either encoded
+    ([cb_op.(i)] is not [Closure]: its operands and costs are the
+    [enc_width] ints of [cb_code] from [i * enc_width], see {!opc}) or
+    a closure; [cb_instrs.(i)] is the closure, or the one shared
+    out-of-line step of encoded instructions. *)
 and cblock = {
   cb_instrs : (frame -> unit) array;
   cb_n : int;
@@ -123,7 +133,47 @@ and cblock = {
           executes the whole run with no per-instruction checks (see
           {!run_sched_batch}) *)
   cb_term : frame -> unit;
+  cb_op : opc array;
+  cb_code : int array;
+  cb_fk : float array;  (** the float immediates of encoded instructions *)
+  cb_roms : Value.t array array;  (** the ROM arrays encoded loads read *)
+  cb_db : Predecode.dblock;
+      (** the decoded block: an out-of-line step reads an instruction's
+          component, and the symbol an error names, from it *)
+  cb_slots : Profile.slot array array;
+      (** per encoded instruction, its profile slot on each core;
+          [[||]] unless profiling *)
 }
+
+(** The opcode of an encoded instruction.  Encoded are the core-local
+    instructions that touch no memory but a register, a frame array or
+    a ROM array: [Const], [Move], [Binop], [Unop], [Mac] and local
+    [Load].  An operator has one opcode per common operand shape —
+    [_rr] reads two registers, [_ri] a register and an immediate, [_r]
+    one register — and one generic opcode ([Ibin], [Fbin], [Un], [Mac],
+    [Load]) for every other shape, whose immediates are flagged in the
+    [f_x] field.  An operand of the wrong class compiles to [Ill_int] or
+    [Ill_float] ([Load_ill] for a load's index), an unknown memory symbol
+    to [Load_unknown]: they raise the interpreter's error when run. *)
+and opc =
+  | Closure  (** not encoded: [cb_instrs.(i)] runs it *)
+  | Add_rr | Sub_rr | Mul_rr | Div_rr | Mod_rr | Shl_rr | Shr_rr | And_rr
+  | Or_rr | Xor_rr | Lt_rr | Le_rr | Gt_rr | Ge_rr | Eq_rr | Ne_rr
+  | Add_ri | Sub_ri | Mul_ri | Div_ri | Mod_ri | Shl_ri | Shr_ri | And_ri
+  | Or_ri | Xor_ri | Lt_ri | Le_ri | Gt_ri | Ge_ri | Eq_ri | Ne_ri
+  | Ibin
+  | Fadd_rr | Fsub_rr | Fmul_rr | Fdiv_rr | Fadd_ri | Fsub_ri | Fmul_ri
+  | Fdiv_ri | Flt_rr | Fle_rr | Fgt_rr | Fge_rr | Feq_rr | Fne_rr
+  | Fbin
+  | Neg_r | Not_r | Bnot_r | I2f_r | Fneg_r | F2i_r
+  | Un
+  | Mac_rrr | Mac
+  | Const_i | Const_f | Move_i | Move_f
+  | Load_fi | Load_ff | Load_ri | Load_rf
+      (** a frame ([f]) or ROM ([r]) array into an int ([i]) or float
+          ([f]) register, at a register index *)
+  | Load
+  | Ill_int | Ill_float | Load_ill | Load_unknown
 
 (** A closure-compiled function.  [cf_blocks] is indexed by block label;
     created empty for every function first, then filled, so call targets
@@ -333,7 +383,9 @@ let refresh_point_caches _t (c : core) =
 
 let dummy_cblock =
   { cb_instrs = [||]; cb_n = 0; cb_pure = [||];
-    cb_term = (fun _ -> assert false) }
+    cb_term = (fun _ -> assert false); cb_op = [||]; cb_code = [||];
+    cb_fk = [||]; cb_roms = [||]; cb_db = Predecode.dummy_block;
+    cb_slots = [||] }
 
 (* Every register starts at the zero of its class, in both steppers. *)
 let make_frame (fcore : core) (cf : cfun) : frame =
@@ -895,19 +947,21 @@ let step_interp t (c : core) =
     end
 
 (* ------------------------------------------------------------------ *)
-(* Closure compilation (compiled mode)                                 *)
+(* The issue protocol (compiled mode)                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The compiled stepper executes [cb_instrs.(idx) frame].  Each
-   closure performs the same state mutations, in the same order, as one
-   [exec_instr] dispatch — with everything that is a pure function of
-   the IR, the machine, or the current operating point resolved ahead of
-   time: operand fetches, memory symbols, call targets, per-component
-   dynamic energies (no [**] per instruction), and cycle→ns factors (no
-   division per instruction).  The closures are assembled from the
-   [@inline always] helpers below, so every step of the per-instruction
-   protocol is written once and still compiles to straight-line code,
-   with no call per step. *)
+(* The compiled stepper executes [cb_instrs.(idx) frame], or a section
+   of encoded instructions ({!run_section}).  Each performs the same
+   state mutations, in the same order, as one [exec_instr] dispatch —
+   with everything that is a pure function of the IR, the machine, or
+   the current operating point resolved ahead of time: operand fetches,
+   memory symbols, call targets, per-component dynamic energies (no [**]
+   per instruction), and cycle→ns factors (no division per
+   instruction).  The closures and {!step_encoded} are assembled from
+   the [@inline always] helpers below, so every step of the
+   per-instruction protocol is written once for them and still compiles
+   to straight-line code, with no call per step; {!run_section} is the
+   protocol's second compiled definition. *)
 
 let bump (c : core) =
   c.instr_count <- c.instr_count + 1;
@@ -982,14 +1036,10 @@ let[@inline always] issue t c comp ci n nf =
 let[@inline always] ireg (fr : frame) s = Array.unsafe_get fr.iregs s
 let[@inline always] freg (fr : frame) s = Array.unsafe_get fr.fregs s
 
-(** Retire an instruction: its result register (int or float slot [s]),
-    then the instruction count. *)
+(** Retire an instruction: its int result register (slot [s]), then
+    the instruction count. *)
 let[@inline always] retire_i (fr : frame) s n =
   Array.unsafe_set fr.iregs s n;
-  bump fr.fcore
-
-let[@inline always] retire_f (fr : frame) s x =
-  Array.unsafe_set fr.fregs s x;
   bump fr.fcore
 
 (** The slot of register [d] in its class's array; [df_regs.(d)] itself
@@ -1065,15 +1115,19 @@ let bus_word t (c : core) extra_ns far =
     slot of an int or a float register, or a constant. *)
 type src = Ireg of int | Freg of int | Iimm of int | Fimm of float
 
+(** [df_regs.(r)], or the error of a register [df] never allocated. *)
+let reg_code (df : Predecode.dfunc) r =
+  let regs = df.Predecode.df_regs in
+  if r < 0 || r >= Array.length regs then
+    runtime_err "%s reads r%d, which it never allocated"
+      df.Predecode.df_func.Prog.fname r
+  else regs.(r)
+
 let src (df : Predecode.dfunc) (o : Ir.operand) : src =
   match o with
   | Ir.Reg r ->
-    let regs = df.Predecode.df_regs in
-    if r < 0 || r >= Array.length regs then
-      runtime_err "%s reads r%d, which it never allocated"
-        df.Predecode.df_func.Prog.fname r
-    else if regs.(r) land 1 = Verify.cls_float then Freg (regs.(r) lsr 1)
-    else Ireg (regs.(r) lsr 1)
+    let k = reg_code df r in
+    if k land 1 = Verify.cls_float then Freg (k lsr 1) else Ireg (k lsr 1)
   | Ir.Imm (Ir.Cint n) -> Iimm (Value.wrap32 n)
   | Ir.Imm (Ir.Cfloat x) -> Fimm x
 
@@ -1083,16 +1137,6 @@ let int_getter : src -> frame -> int = function
   | Ireg s -> fun fr -> ireg fr s
   | Iimm n -> fun _ -> n
   | Freg _ | Fimm _ -> fun _ -> Value.not_int ()
-
-(** A float operand as the (slot, constant) pair {!fget} reads in place
-    — a reader closure would box every float it returns; [None] for an
-    int operand. *)
-let float_src = function
-  | Freg s -> Some (s, 0.0)
-  | Fimm x -> Some (-1, x)
-  | Ireg _ | Iimm _ -> None
-
-let[@inline always] fget (fr : frame) s k = if s >= 0 then freg fr s else k
 
 (** An operand boxed for a boundary: a memory store, a channel send, the
     value a program halts with. *)
@@ -1119,26 +1163,6 @@ let put : src -> frame -> frame -> int -> unit = function
   | (Iimm _ | Fimm _) as s ->
     let g = value_getter s in
     fun fr into k -> store_value into k (g fr)
-
-(* The float operators of an opcode the closure captures, expanded from
-   [Value]'s primitives in place: a call to a function of another module
-   would box every float argument and result. *)
-let[@inline always] farith op a b =
-  match op with
-  | Ir.Fadd -> Value.fadd a b
-  | Ir.Fsub -> Value.fsub a b
-  | Ir.Fmul -> Value.fmul a b
-  | _ -> Value.fdiv a b
-
-let[@inline always] fcompare op a b =
-  Value.b2i
-    (match op with
-    | Ir.Flt -> Value.flt a b
-    | Ir.Fle -> Value.fle a b
-    | Ir.Fgt -> Value.fgt a b
-    | Ir.Fge -> Value.fge a b
-    | Ir.Feq -> Value.feq a b
-    | _ -> Value.fne a b)
 
 (** Resolve a memory symbol: shared/rom globals bind to their backing
     array outright; frame symbols bind to a position in the frame's
@@ -1214,19 +1238,565 @@ let gate_set (c : core) idxs ~on =
     idxs;
   !any
 
-(** An operand of the other class: the instruction issues, then raises
-    the interpreter's error. *)
-let ill_classed t comp ci lat latf error (fr : frame) =
-  issue t fr.fcore comp ci lat latf;
-  error ()
+(* ------------------------------------------------------------------ *)
+(* Encoded instructions and the section loop (compiled mode)           *)
+(* ------------------------------------------------------------------ *)
 
-(** [Const] and [Move] into the register at slot [sd]. *)
-let copy t comp ci lat latf sd = function
-  | Ireg r -> fun fr -> issue t fr.fcore comp ci lat latf; retire_i fr sd (ireg fr r)
-  | Iimm n -> fun fr -> issue t fr.fcore comp ci lat latf; retire_i fr sd n
-  | Freg r -> fun fr -> issue t fr.fcore comp ci lat latf; retire_f fr sd (freg fr r)
-  | Fimm x -> fun fr -> issue t fr.fcore comp ci lat latf; retire_f fr sd x
+(* Every [Const], [Move], [Binop], [Unop], [Mac] and local [Load] is
+   encoded at [create] into its block's flat arrays: an opcode in
+   [cb_op], and [enc_width] ints from [i lsl enc_shift] in [cb_code]:
+   - [f_cost] packs the component's index (bits 0-3); bit 4, set on a
+     local access that takes a cache machine's periodic miss; [cost_x]
+     (bits 5-11), which holds a generic opcode's operator code from its
+     bit 3 and flags its immediate operands a, b and c in its bits 0-2
+     (a generic load's: a ROM array, a float register); the cycles the
+     instruction issues (bits 12-23); and a [Mac]'s third operand (bits
+     24 and up);
+   - [f_d]: the destination register's slot;
+   - [f_a], [f_b]: the operands, each a register's slot, an int
+     immediate, or a float immediate's index in [cb_fk]; a load's index,
+     then its array: a frame array's position or an index in [cb_roms]. *)
+let enc_shift = 2
+let enc_width = 1 lsl enc_shift
+let f_cost = 0
+let f_d = 1
+let f_a = 2
+let f_b = 3
 
+let[@inline always] cost_ci k = k land 15
+let[@inline always] cost_miss k = k land 16 <> 0
+let[@inline always] cost_x k = (k lsr 5) land 127
+let[@inline always] cost_n k = (k lsr 12) land 4095
+let[@inline always] cost_c k = k asr 24
+
+let pack_cost ~ci ~miss ~x ~n ~c =
+  if ci > 15 || n > 4095 then invalid_arg "Sim.pack_cost";
+  ci lor (if miss then 16 else 0) lor (x lsl 5) lor (n lsl 12) lor (c lsl 24)
+
+(* The operators, in the order of their codes in [cost_x] and of their
+   opcodes in the tables beside them. *)
+let int_binops =
+  [| Ir.Add; Ir.Sub; Ir.Mul; Ir.Div; Ir.Mod; Ir.Shl; Ir.Shr; Ir.And; Ir.Or;
+     Ir.Xor; Ir.Lt; Ir.Le; Ir.Gt; Ir.Ge; Ir.Eq; Ir.Ne |]
+let rr_ops =
+  [| Add_rr; Sub_rr; Mul_rr; Div_rr; Mod_rr; Shl_rr; Shr_rr; And_rr; Or_rr;
+     Xor_rr; Lt_rr; Le_rr; Gt_rr; Ge_rr; Eq_rr; Ne_rr |]
+let ri_ops =
+  [| Add_ri; Sub_ri; Mul_ri; Div_ri; Mod_ri; Shl_ri; Shr_ri; And_ri; Or_ri;
+     Xor_ri; Lt_ri; Le_ri; Gt_ri; Ge_ri; Eq_ri; Ne_ri |]
+let float_binops =
+  [| Ir.Fadd; Ir.Fsub; Ir.Fmul; Ir.Fdiv; Ir.Flt; Ir.Fle; Ir.Fgt; Ir.Fge;
+     Ir.Feq; Ir.Fne |]
+let frr_ops =
+  [| Fadd_rr; Fsub_rr; Fmul_rr; Fdiv_rr; Flt_rr; Fle_rr; Fgt_rr; Fge_rr;
+     Feq_rr; Fne_rr |]
+let fri_ops = [| Fadd_ri; Fsub_ri; Fmul_ri; Fdiv_ri |]
+let unops = [| Ir.Neg; Ir.Not; Ir.Bnot; Ir.I2f; Ir.Fneg; Ir.F2i |]
+let r_ops = [| Neg_r; Not_r; Bnot_r; I2f_r; Fneg_r; F2i_r |]
+
+let rec index_from x a i = if a.(i) == x then i else index_from x a (i + 1)
+let index_of x a = index_from x a 0
+
+(** A block's float immediates and ROM arrays, as its encoder finds
+    them (newest first). *)
+type pools = {
+  mutable fk : float list;
+  mutable nfk : int;
+  mutable roms : Value.t array list;
+  mutable nroms : int;
+}
+
+(* An encoded operand: [value lsl 2 lor kind], where the value is a
+   register's slot, an int immediate, or a float immediate's index in
+   the pool. *)
+let k_ireg = 0
+let k_iimm = 1
+let k_freg = 2
+let k_fimm = 3
+let[@inline always] opv e = e asr 2
+let[@inline always] opk e = e land 3
+let[@inline always] is_int e = opk e < k_freg
+let[@inline always] is_imm e = e land 1 = 1
+
+(** Operand [o], resolved as {!src} resolves it (with its error for a
+    register the function never allocated), without allocating. *)
+let operand p (df : Predecode.dfunc) (o : Ir.operand) =
+  match o with
+  | Ir.Reg r ->
+    let k = reg_code df r in
+    ((k lsr 1) lsl 2) lor (if k land 1 = Verify.cls_float then k_freg else k_ireg)
+  | Ir.Imm (Ir.Cint n) -> (Value.wrap32 n lsl 2) lor k_iimm
+  | Ir.Imm (Ir.Cfloat x) ->
+    p.fk <- x :: p.fk;
+    p.nfk <- p.nfk + 1;
+    ((p.nfk - 1) lsl 2) lor k_fimm
+
+let rec find_rom (a : Value.t array) k = function
+  | [] -> -1
+  | x :: rest -> if x == a then k else find_rom a (k - 1) rest
+
+let enc_rom p (a : Value.t array) =
+  match find_rom a (p.nroms - 1) p.roms with
+  | -1 ->
+    p.roms <- a :: p.roms;
+    p.nroms <- p.nroms + 1;
+    p.nroms - 1
+  | k -> k
+
+(* [Const] and [Move]: a destination always has its source's class
+   (Verify.reg_classes). *)
+let enc_copy code b d e =
+  code.(b + f_d) <- d;
+  code.(b + f_a) <- opv e;
+  if is_int e then if is_imm e then Const_i else Move_i
+  else if is_imm e then Const_f
+  else Move_f
+
+(** Encode [di] at [code.(b)], or return [Closure] for an instruction
+    that keeps its closure.  Operands resolve in the order the closures
+    resolved them, so a program reading a register it never allocated
+    fails at [create] with the same message. *)
+let encode t (df : Predecode.dfunc) p (di : Predecode.dinstr)
+    (code : int array) b : opc =
+  let ci = di.Predecode.di_comp_idx and n = di.Predecode.di_latency in
+  match di.Predecode.di_instr.Ir.idesc with
+  | Ir.Const (d, cst) ->
+    let e = operand p df (Ir.Imm cst) in
+    code.(b + f_cost) <- pack_cost ~ci ~miss:false ~x:0 ~n ~c:0;
+    enc_copy code b (slot df d) e
+  | Ir.Move (d, a) ->
+    let e = operand p df a in
+    code.(b + f_cost) <- pack_cost ~ci ~miss:false ~x:0 ~n ~c:0;
+    enc_copy code b (slot df d) e
+  | Ir.Binop (op, d, a, bo) ->
+    code.(b + f_d) <- slot df d;
+    let eb = operand p df bo in
+    let ea = operand p df a in
+    code.(b + f_a) <- opv ea;
+    code.(b + f_b) <- opv eb;
+    let flags = (opk ea land 1) lor ((opk eb land 1) lsl 1) in
+    let float_op =
+      match op with
+      | Ir.Fadd | Ir.Fsub | Ir.Fmul | Ir.Fdiv | Ir.Flt | Ir.Fle | Ir.Fgt
+      | Ir.Fge | Ir.Feq | Ir.Fne -> true
+      | Ir.Add | Ir.Sub | Ir.Mul | Ir.Div | Ir.Mod | Ir.Shl | Ir.Shr
+      | Ir.And | Ir.Or | Ir.Xor | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge | Ir.Eq
+      | Ir.Ne -> false
+    in
+    if float_op then begin
+      let o = index_of op float_binops in
+      code.(b + f_cost) <-
+        pack_cost ~ci ~miss:false ~x:((o lsl 3) lor flags) ~n ~c:0;
+      if is_int ea || is_int eb then Ill_float
+      else if flags = 0 then frr_ops.(o)
+      else if flags = 2 && o < Array.length fri_ops then fri_ops.(o)
+      else Fbin
+    end
+    else begin
+      let o = index_of op int_binops in
+      code.(b + f_cost) <-
+        pack_cost ~ci ~miss:false ~x:((o lsl 3) lor flags) ~n ~c:0;
+      if not (is_int ea && is_int eb) then Ill_int
+      else if flags = 0 then rr_ops.(o)
+      else if flags = 2 then ri_ops.(o)
+      else Ibin
+    end
+  | Ir.Unop (op, d, a) ->
+    code.(b + f_d) <- slot df d;
+    let e = operand p df a in
+    code.(b + f_a) <- opv e;
+    let o = index_of op unops in
+    code.(b + f_cost) <- pack_cost ~ci ~miss:false ~x:(o lsl 3) ~n ~c:0;
+    let wants_int =
+      match op with
+      | Ir.Neg | Ir.Not | Ir.Bnot | Ir.I2f -> true
+      | Ir.Fneg | Ir.F2i -> false
+    in
+    if wants_int <> is_int e then if wants_int then Ill_int else Ill_float
+    else if is_imm e then Un
+    else r_ops.(o)
+  | Ir.Mac (d, a, bo, cc) ->
+    code.(b + f_d) <- slot df d;
+    let ec = operand p df cc in
+    let eb = operand p df bo in
+    let ea = operand p df a in
+    code.(b + f_a) <- opv ea;
+    code.(b + f_b) <- opv eb;
+    let flags =
+      (opk ea land 1) lor ((opk eb land 1) lsl 1) lor ((opk ec land 1) lsl 2)
+    in
+    code.(b + f_cost) <- pack_cost ~ci ~miss:false ~x:flags ~n ~c:(opv ec);
+    if not (is_int ea && is_int eb && is_int ec) then Ill_int
+    else if flags = 0 then Mac_rrr
+    else Mac
+  | Ir.Load (d, s, idxo) when s.Ir.sym_space <> Ir.Shared -> (
+    let e = operand p df idxo in
+    let k = df.Predecode.df_regs.(d) in
+    code.(b + f_d) <- k lsr 1;
+    code.(b + f_a) <- opv e;
+    let rom = s.Ir.sym_space = Ir.Rom in
+    (* the array's position, or -1 for an unknown symbol *)
+    let pos =
+      if rom then
+        match Hashtbl.find_opt t.shared s.Ir.sym_name with
+        | Some a -> enc_rom p a
+        | None -> -1
+      else
+        match Hashtbl.find_opt df.Predecode.df_frame_idx s.Ir.sym_name with
+        | Some pos -> pos
+        | None -> -1
+    in
+    let into_float = k land 1 = Verify.cls_float in
+    code.(b + f_b) <- pos;
+    code.(b + f_cost) <-
+      pack_cost ~ci ~miss:(t.cache_miss_period > 0)
+        ~x:((if rom then 1 else 0) lor (if into_float then 2 else 0))
+        ~n:(1 + Machine.spm_latency_cycles t.machine) ~c:0;
+    if not (is_int e) then Load_ill
+    else if pos < 0 then Load_unknown
+    else if is_imm e then Load
+    else
+      match (rom, into_float) with
+      | (false, false) -> Load_fi
+      | (false, true) -> Load_ff
+      | (true, false) -> Load_ri
+      | (true, true) -> Load_rf)
+  | Ir.Load _ | Ir.Store _ | Ir.Faa _ | Ir.Call _ | Ir.Pg_off _ | Ir.Pg_on _
+  | Ir.Dvfs _ | Ir.Send _ | Ir.Recv _ | Ir.Barrier _ ->
+    Closure
+
+(* The effect of every opcode, on raw ints and floats.  These are
+   [Value]'s operators, defined again here: the section loop below must
+   make no call, and [Value]'s int operators are functions of another
+   module.  test_predecode's mode-equivalence cases pin the two
+   definitions equal. *)
+
+let[@inline always] wrap32 n = (n lsl 31) asr 31
+let[@inline always] iadd a b = wrap32 (a + b)
+let[@inline always] isub a b = wrap32 (a - b)
+let[@inline always] imul a b = wrap32 (a * b)
+let[@inline always] idiv a b = wrap32 (a / b)  (* [b <> 0]: see [divide] *)
+let[@inline always] imod a b = wrap32 (a mod b)
+let[@inline always] ishl a b = wrap32 (a lsl (b land 31))
+let[@inline always] ishr a b = wrap32 (a asr (b land 31))
+let[@inline always] iand a b = wrap32 (a land b)
+let[@inline always] ior a b = wrap32 (a lor b)
+let[@inline always] ixor a b = wrap32 (a lxor b)
+let[@inline always] ilt (a : int) b = Value.b2i (a < b)
+let[@inline always] ile (a : int) b = Value.b2i (a <= b)
+let[@inline always] igt (a : int) b = Value.b2i (a > b)
+let[@inline always] ige (a : int) b = Value.b2i (a >= b)
+let[@inline always] ieq (a : int) b = Value.b2i (a = b)
+let[@inline always] ine (a : int) b = Value.b2i (a <> b)
+let[@inline always] ineg a = wrap32 (-a)
+let[@inline always] inot a = Value.b2i (a = 0)
+let[@inline always] ibnot a = wrap32 (lnot a)
+let[@inline always] f2i x = wrap32 (int_of_float x)
+let[@inline always] imac a b c = wrap32 (a + wrap32 (b * c))
+
+(* Int operator [op] of the generic opcodes; a division's divisor is
+   checked by [divide] first. *)
+let[@inline always] ibin (op : Ir.binop) a b =
+  match op with
+  | Ir.Add -> iadd a b
+  | Ir.Sub -> isub a b
+  | Ir.Mul -> imul a b
+  | Ir.Div -> idiv a b
+  | Ir.Mod -> imod a b
+  | Ir.Shl -> ishl a b
+  | Ir.Shr -> ishr a b
+  | Ir.And -> iand a b
+  | Ir.Or -> ior a b
+  | Ir.Xor -> ixor a b
+  | Ir.Lt -> ilt a b
+  | Ir.Le -> ile a b
+  | Ir.Gt -> igt a b
+  | Ir.Ge -> ige a b
+  | Ir.Eq -> ieq a b
+  | _ -> ine a b
+
+let[@inline always] set_i (r : int array) d v = Array.unsafe_set r d v; true
+let[@inline always] set_f (r : float array) d x = Array.unsafe_set r d x; true
+let[@inline always] iget (r : int array) s = Array.unsafe_get r s
+let[@inline always] fget (r : float array) s = Array.unsafe_get r s
+
+(* An operand of a generic opcode: immediate when [flag]. *)
+let[@inline always] iopnd (r : int array) v flag = if flag then v else iget r v
+let[@inline always] fopnd (r : float array) (fk : float array) v flag =
+  Array.unsafe_get (if flag then fk else r) v
+
+(* A division or remainder by [b]: by zero, [strict] raises the
+   interpreter's error and the section loop returns false. *)
+let[@inline always] divide ~strict ~rem iregs d a b =
+  if b = 0 then
+    strict && set_i iregs d (if rem then Value.imod a b else Value.idiv a b)
+  else set_i iregs d (if rem then imod a b else idiv a b)
+
+let load_sym (fr : frame) b =
+  match
+    fr.cblk.cb_db.Predecode.db_instrs.(b lsr enc_shift).Predecode.di_instr
+      .Ir.idesc
+  with
+  | Ir.Load (_, s, _) -> s
+  | _ -> invalid_arg "Sim.load_sym"
+
+(* Read [arr.(idx)] into an int or float register.  Out of bounds, or a
+   word of the other class: [strict] raises the interpreter's error and
+   the section loop returns false. *)
+let[@inline always] load_i ~strict (fr : frame) b iregs d (arr : Value.t array)
+    idx =
+  if idx < 0 || idx >= Array.length arr then
+    strict && oob_err "read" (Ir.sym_to_string (load_sym fr b)) idx arr fr
+  else
+    match Array.unsafe_get arr idx with
+    | Value.Vint n -> set_i iregs d n
+    | Value.Vfloat _ -> strict && Value.not_int ()
+
+let[@inline always] load_f ~strict (fr : frame) b fregs d (arr : Value.t array)
+    idx =
+  if idx < 0 || idx >= Array.length arr then
+    strict && oob_err "read" (Ir.sym_to_string (load_sym fr b)) idx arr fr
+  else
+    match Array.unsafe_get arr idx with
+    | Value.Vfloat x -> set_f fregs d x
+    | Value.Vint _ -> strict && Value.not_float ()
+
+(** The effect of the encoded instruction at [code.(b)]: its result
+    register, after its operands are read.  True when it took effect;
+    when it cannot (a division by zero, an out-of-bounds index, an
+    operand or a loaded word of the other class, an unknown symbol),
+    [strict] raises the interpreter's error and the section loop, which
+    passes [~strict:false], gets false with nothing written.  [Closure]
+    gives false. *)
+let[@inline always] effect ~strict t (fr : frame) (iregs : int array)
+    (fregs : float array) (farrs : Value.t array array) (code : int array)
+    (fk : float array) (roms : Value.t array array) b opc =
+  let d = Array.unsafe_get code (b + f_d) in
+  let a = Array.unsafe_get code (b + f_a) in
+  let y = Array.unsafe_get code (b + f_b) in
+  match opc with
+  | Closure -> false
+  | Add_rr -> set_i iregs d (iadd (iget iregs a) (iget iregs y))
+  | Sub_rr -> set_i iregs d (isub (iget iregs a) (iget iregs y))
+  | Mul_rr -> set_i iregs d (imul (iget iregs a) (iget iregs y))
+  | Div_rr -> divide ~strict ~rem:false iregs d (iget iregs a) (iget iregs y)
+  | Mod_rr -> divide ~strict ~rem:true iregs d (iget iregs a) (iget iregs y)
+  | Shl_rr -> set_i iregs d (ishl (iget iregs a) (iget iregs y))
+  | Shr_rr -> set_i iregs d (ishr (iget iregs a) (iget iregs y))
+  | And_rr -> set_i iregs d (iand (iget iregs a) (iget iregs y))
+  | Or_rr -> set_i iregs d (ior (iget iregs a) (iget iregs y))
+  | Xor_rr -> set_i iregs d (ixor (iget iregs a) (iget iregs y))
+  | Lt_rr -> set_i iregs d (ilt (iget iregs a) (iget iregs y))
+  | Le_rr -> set_i iregs d (ile (iget iregs a) (iget iregs y))
+  | Gt_rr -> set_i iregs d (igt (iget iregs a) (iget iregs y))
+  | Ge_rr -> set_i iregs d (ige (iget iregs a) (iget iregs y))
+  | Eq_rr -> set_i iregs d (ieq (iget iregs a) (iget iregs y))
+  | Ne_rr -> set_i iregs d (ine (iget iregs a) (iget iregs y))
+  | Add_ri -> set_i iregs d (iadd (iget iregs a) y)
+  | Sub_ri -> set_i iregs d (isub (iget iregs a) y)
+  | Mul_ri -> set_i iregs d (imul (iget iregs a) y)
+  | Div_ri -> divide ~strict ~rem:false iregs d (iget iregs a) y
+  | Mod_ri -> divide ~strict ~rem:true iregs d (iget iregs a) y
+  | Shl_ri -> set_i iregs d (ishl (iget iregs a) y)
+  | Shr_ri -> set_i iregs d (ishr (iget iregs a) y)
+  | And_ri -> set_i iregs d (iand (iget iregs a) y)
+  | Or_ri -> set_i iregs d (ior (iget iregs a) y)
+  | Xor_ri -> set_i iregs d (ixor (iget iregs a) y)
+  | Lt_ri -> set_i iregs d (ilt (iget iregs a) y)
+  | Le_ri -> set_i iregs d (ile (iget iregs a) y)
+  | Gt_ri -> set_i iregs d (igt (iget iregs a) y)
+  | Ge_ri -> set_i iregs d (ige (iget iregs a) y)
+  | Eq_ri -> set_i iregs d (ieq (iget iregs a) y)
+  | Ne_ri -> set_i iregs d (ine (iget iregs a) y)
+  | Ibin -> (
+    let x = cost_x (Array.unsafe_get code (b + f_cost)) in
+    let vb = iopnd iregs y (x land 2 <> 0) in
+    let va = iopnd iregs a (x land 1 <> 0) in
+    match Array.unsafe_get int_binops (x lsr 3) with
+    | Ir.Div -> divide ~strict ~rem:false iregs d va vb
+    | Ir.Mod -> divide ~strict ~rem:true iregs d va vb
+    | op -> set_i iregs d (ibin op va vb))
+  | Fadd_rr -> set_f fregs d (Value.fadd (fget fregs a) (fget fregs y))
+  | Fsub_rr -> set_f fregs d (Value.fsub (fget fregs a) (fget fregs y))
+  | Fmul_rr -> set_f fregs d (Value.fmul (fget fregs a) (fget fregs y))
+  | Fdiv_rr -> set_f fregs d (Value.fdiv (fget fregs a) (fget fregs y))
+  | Fadd_ri -> set_f fregs d (Value.fadd (fget fregs a) (fget fk y))
+  | Fsub_ri -> set_f fregs d (Value.fsub (fget fregs a) (fget fk y))
+  | Fmul_ri -> set_f fregs d (Value.fmul (fget fregs a) (fget fk y))
+  | Fdiv_ri -> set_f fregs d (Value.fdiv (fget fregs a) (fget fk y))
+  | Flt_rr -> set_i iregs d (Value.b2i (Value.flt (fget fregs a) (fget fregs y)))
+  | Fle_rr -> set_i iregs d (Value.b2i (Value.fle (fget fregs a) (fget fregs y)))
+  | Fgt_rr -> set_i iregs d (Value.b2i (Value.fgt (fget fregs a) (fget fregs y)))
+  | Fge_rr -> set_i iregs d (Value.b2i (Value.fge (fget fregs a) (fget fregs y)))
+  | Feq_rr -> set_i iregs d (Value.b2i (Value.feq (fget fregs a) (fget fregs y)))
+  | Fne_rr -> set_i iregs d (Value.b2i (Value.fne (fget fregs a) (fget fregs y)))
+  | Fbin -> (
+    let x = cost_x (Array.unsafe_get code (b + f_cost)) in
+    let vb = fopnd fregs fk y (x land 2 <> 0) in
+    let va = fopnd fregs fk a (x land 1 <> 0) in
+    match Array.unsafe_get float_binops (x lsr 3) with
+    | Ir.Fadd -> set_f fregs d (Value.fadd va vb)
+    | Ir.Fsub -> set_f fregs d (Value.fsub va vb)
+    | Ir.Fmul -> set_f fregs d (Value.fmul va vb)
+    | Ir.Fdiv -> set_f fregs d (Value.fdiv va vb)
+    | Ir.Flt -> set_i iregs d (Value.b2i (Value.flt va vb))
+    | Ir.Fle -> set_i iregs d (Value.b2i (Value.fle va vb))
+    | Ir.Fgt -> set_i iregs d (Value.b2i (Value.fgt va vb))
+    | Ir.Fge -> set_i iregs d (Value.b2i (Value.fge va vb))
+    | Ir.Feq -> set_i iregs d (Value.b2i (Value.feq va vb))
+    | _ -> set_i iregs d (Value.b2i (Value.fne va vb)))
+  | Neg_r -> set_i iregs d (ineg (iget iregs a))
+  | Not_r -> set_i iregs d (inot (iget iregs a))
+  | Bnot_r -> set_i iregs d (ibnot (iget iregs a))
+  | I2f_r -> set_f fregs d (Value.i2f (iget iregs a))
+  | Fneg_r -> set_f fregs d (Value.fneg (fget fregs a))
+  | F2i_r -> set_i iregs d (f2i (fget fregs a))
+  | Un -> (
+    match
+      Array.unsafe_get unops (cost_x (Array.unsafe_get code (b + f_cost)) lsr 3)
+    with
+    | Ir.Neg -> set_i iregs d (ineg a)
+    | Ir.Not -> set_i iregs d (inot a)
+    | Ir.Bnot -> set_i iregs d (ibnot a)
+    | Ir.I2f -> set_f fregs d (Value.i2f a)
+    | Ir.Fneg -> set_f fregs d (Value.fneg (fget fk a))
+    | Ir.F2i -> set_i iregs d (f2i (fget fk a)))
+  | Mac_rrr ->
+    let c = cost_c (Array.unsafe_get code (b + f_cost)) in
+    set_i iregs d (imac (iget iregs a) (iget iregs y) (iget iregs c))
+  | Mac ->
+    let k = Array.unsafe_get code (b + f_cost) in
+    let x = cost_x k in
+    let vc = iopnd iregs (cost_c k) (x land 4 <> 0) in
+    let vb = iopnd iregs y (x land 2 <> 0) in
+    let va = iopnd iregs a (x land 1 <> 0) in
+    set_i iregs d (imac va vb vc)
+  | Const_i -> set_i iregs d a
+  | Const_f -> set_f fregs d (fget fk a)
+  | Move_i -> set_i iregs d (iget iregs a)
+  | Move_f -> set_f fregs d (fget fregs a)
+  | Load_fi ->
+    load_i ~strict fr b iregs d (Array.unsafe_get farrs y) (iget iregs a)
+  | Load_ff ->
+    load_f ~strict fr b fregs d (Array.unsafe_get farrs y) (iget iregs a)
+  | Load_ri ->
+    load_i ~strict fr b iregs d (Array.unsafe_get roms y) (iget iregs a)
+  | Load_rf ->
+    load_f ~strict fr b fregs d (Array.unsafe_get roms y) (iget iregs a)
+  | Load ->
+    let x = cost_x (Array.unsafe_get code (b + f_cost)) in
+    let arr = Array.unsafe_get (if x land 1 <> 0 then roms else farrs) y in
+    if x land 2 <> 0 then load_f ~strict fr b fregs d arr a
+    else load_i ~strict fr b iregs d arr a
+  | Ill_int | Load_ill -> strict && Value.not_int ()
+  | Ill_float -> strict && Value.not_float ()
+  | Load_unknown ->
+    (* [mem_array] raises the interpreter's unknown-symbol error *)
+    strict && Array.length (mem_array t fr (load_sym fr b)) < 0
+
+(** An encoded instruction on its own, through the issue helpers and
+    {!effect}: the instruction that ends a section, every encoded
+    instruction while profiling or single-stepping, and any whose effect
+    fails — [~strict:true] raises the interpreter's error, after the
+    instruction issues as the closures did (a load's index is read
+    first: a float index raises before the load issues). *)
+let step_encoded t (fr : frame) i =
+  let c = fr.fcore in
+  let cb = fr.cblk in
+  if c.prof_on then
+    c.prof_cur <- Array.unsafe_get (Array.unsafe_get cb.cb_slots i) c.id;
+  let opc = cb.cb_op.(i) in
+  (match opc with Load_ill -> Value.not_int () | _ -> ());
+  let code = cb.cb_code in
+  let b = i lsl enc_shift in
+  let k = code.(b + f_cost) in
+  let n = cost_n k in
+  issue_miss t c cb.cb_db.Predecode.db_instrs.(i).Predecode.di_comp
+    (cost_ci k) n (float_of_int n) ~miss:(cost_miss k);
+  ignore
+    (effect ~strict:true t fr fr.iregs fr.fregs fr.farrs code cb.cb_fk
+       cb.cb_roms b opc);
+  bump c
+
+(** Run the encoded instructions of [cb] from [start], at most up to
+    [stop], and return the index of the first one not run: [stop], a
+    [Closure], or the instruction that needs a call — an implicit
+    wakeup, the leakage refresh of [leak_dirty], a negative charge, a
+    cache machine's periodic miss, or an effect that fails.  Profiling
+    runs none ({!step_encoded} attributes each instruction).
+
+    The core's time, busy time, dynamic and active-leakage category
+    cells, ledger total and cycle count live in locals for the section:
+    each instruction makes exactly the checks and float additions of
+    {!issue} then {!bump}, in the same order, so every accumulator sums
+    the same terms in the same order as one closure per instruction
+    did.  The checks come first and the effect next, so an instruction
+    that leaves the section has changed nothing.  The loop makes no
+    call on any path: OCaml keeps a float local in a register only
+    where no call follows, and spills every one around a call. *)
+let run_section t (fr : frame) (cb : cblock) start stop =
+  let c = fr.fcore in
+  if c.prof_on then start
+  else begin
+    let clk = c.clk in
+    let ops = cb.cb_op and code = cb.cb_code in
+    let fk = cb.cb_fk and roms = cb.cb_roms in
+    let iregs = fr.iregs and fregs = fr.fregs and farrs = fr.farrs in
+    let powered = c.powered and dyn = c.dyn_row and comp = c.lg_comp in
+    let npc = clk.ns_per_cycle and leak = clk.leak_mw in
+    let dirty = c.leak_dirty and period = t.cache_miss_period in
+    let time = ref clk.time and busy = ref clk.busy_ns in
+    let dyn_cat = ref (Array.unsafe_get c.lg_cat 0) in
+    let leak_cat = ref (Array.unsafe_get c.lg_cat 1) in
+    let total = ref (Array.unsafe_get c.lg_tot 0) in
+    let cycles = ref 0 in
+    let i = ref start and lim = ref stop in
+    while !i < !lim do
+      let b = !i lsl enc_shift in
+      let k = Array.unsafe_get code (b + f_cost) in
+      let ci = cost_ci k and n = cost_n k and miss = cost_miss k in
+      let dt = float_of_int n *. npc in
+      let lnj = leak *. dt *. 1e-3 in
+      let dnj = Array.unsafe_get dyn ci in
+      if Array.unsafe_get powered ci
+         && (not (dt > 0.0 && (dirty || lnj < 0.0)))
+         && (not (dnj < 0.0))
+         && (not (miss && c.local_accs + 1 >= period))
+         && effect ~strict:false t fr iregs fregs farrs code fk roms b
+              (Array.unsafe_get ops !i)
+      then begin
+        (* [spend]: the cycles, then [advance]'s leakage and clock *)
+        cycles := !cycles + n;
+        if dt > 0.0 then begin
+          leak_cat := !leak_cat +. lnj;
+          total := !total +. lnj;
+          time := !time +. dt;
+          busy := !busy +. dt
+        end;
+        if miss then c.local_accs <- c.local_accs + 1;
+        (* [charge_dyn]: category, component, total *)
+        dyn_cat := !dyn_cat +. dnj;
+        Array.unsafe_set comp ci (Array.unsafe_get comp ci +. dnj);
+        total := !total +. dnj;
+        incr i
+      end
+      else lim := !i
+    done;
+    clk.time <- !time;
+    clk.busy_ns <- !busy;
+    Array.unsafe_set c.lg_cat 0 !dyn_cat;
+    Array.unsafe_set c.lg_cat 1 !leak_cat;
+    Array.unsafe_set c.lg_tot 0 !total;
+    c.cycles <- c.cycles + !cycles;
+    c.instr_count <- c.instr_count + (!i - start);
+    !i
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Closures (compiled mode)                                            *)
+(* ------------------------------------------------------------------ *)
+
+(** The closure of an instruction that is not encoded. *)
 let compile_instr t (df : Predecode.dfunc) (di : Predecode.dinstr) :
     frame -> unit =
   let comp = di.Predecode.di_comp in
@@ -1237,96 +1807,8 @@ let compile_instr t (df : Predecode.dfunc) (di : Predecode.dinstr) :
   (* no local closures here: this runs once per instruction of every
      simulated program, and each would be allocated on every call *)
   match di.Predecode.di_instr.Ir.idesc with
-  (* a destination always has its source's class (Verify.reg_classes) *)
-  | Ir.Const (d, cst) -> copy t comp ci lat latf (slot df d) (src df (Ir.Imm cst))
-  | Ir.Move (d, a) -> copy t comp ci lat latf (slot df d) (src df a)
-  (* Opcode dispatch is hoisted to compile time and the register/register
-     and register/immediate shapes read their registers directly; the
-     float shapes expand the operator in place (see [farith]). *)
-  | Ir.Binop (((Ir.Fadd | Ir.Fsub | Ir.Fmul | Ir.Fdiv) as op), d, a, b) -> (
-    let sd = slot df d in
-    match (src df a, src df b) with
-    | (Freg ra, Freg rb) ->
-      fun fr -> issue t fr.fcore comp ci lat latf;
-        retire_f fr sd (farith op (freg fr ra) (freg fr rb))
-    | (Freg ra, Fimm kb) ->
-      fun fr -> issue t fr.fcore comp ci lat latf;
-        retire_f fr sd (farith op (freg fr ra) kb)
-    | (a, b) -> (
-      match (float_src a, float_src b) with
-      | (Some (sa, ka), Some (sb, kb)) ->
-        fun fr -> issue t fr.fcore comp ci lat latf;
-          retire_f fr sd (farith op (fget fr sa ka) (fget fr sb kb))
-      | _ -> ill_classed t comp ci lat latf Value.not_float))
-  | Ir.Binop
-      (((Ir.Flt | Ir.Fle | Ir.Fgt | Ir.Fge | Ir.Feq | Ir.Fne) as op), d, a, b)
-    -> (
-    let sd = slot df d in
-    match (src df a, src df b) with
-    | (Freg ra, Freg rb) ->
-      fun fr -> issue t fr.fcore comp ci lat latf;
-        retire_i fr sd (fcompare op (freg fr ra) (freg fr rb))
-    | (Freg ra, Fimm kb) ->
-      fun fr -> issue t fr.fcore comp ci lat latf;
-        retire_i fr sd (fcompare op (freg fr ra) kb)
-    | (a, b) -> (
-      match (float_src a, float_src b) with
-      | (Some (sa, ka), Some (sb, kb)) ->
-        fun fr -> issue t fr.fcore comp ci lat latf;
-          retire_i fr sd (fcompare op (fget fr sa ka) (fget fr sb kb))
-      | _ -> ill_classed t comp ci lat latf Value.not_float))
-  | Ir.Binop (op, d, a, b) -> (
-    let f = Value.int_binop op in
-    let sd = slot df d in
-    match (src df a, src df b) with
-    | (Ireg ra, Ireg rb) ->
-      fun fr -> issue t fr.fcore comp ci lat latf;
-        retire_i fr sd (f (ireg fr ra) (ireg fr rb))
-    | (Ireg ra, Iimm kb) ->
-      fun fr -> issue t fr.fcore comp ci lat latf;
-        retire_i fr sd (f (ireg fr ra) kb)
-    | (a, b) ->
-      let geta = int_getter a and getb = int_getter b in
-      fun fr -> issue t fr.fcore comp ci lat latf;
-        let y = getb fr in
-        retire_i fr sd (f (geta fr) y))
-  | Ir.Unop (op, d, a) -> (
-    let sd = slot df d in
-    match (op, src df a) with
-    | ((Ir.Neg | Ir.Not | Ir.Bnot), Ireg r) ->
-      let f = Value.int_unop op in
-      fun fr -> issue t fr.fcore comp ci lat latf; retire_i fr sd (f (ireg fr r))
-    | ((Ir.Neg | Ir.Not | Ir.Bnot), a) ->
-      let f = Value.int_unop op and geta = int_getter a in
-      fun fr -> issue t fr.fcore comp ci lat latf; retire_i fr sd (f (geta fr))
-    | (Ir.I2f, a) ->
-      let geta = int_getter a in
-      fun fr -> issue t fr.fcore comp ci lat latf;
-        retire_f fr sd (Value.i2f (geta fr))
-    | ((Ir.Fneg | Ir.F2i), a) -> (
-      match float_src a with
-      | None -> ill_classed t comp ci lat latf Value.not_float
-      | Some (sa, ka) ->
-        if op = Ir.Fneg then
-          fun fr -> issue t fr.fcore comp ci lat latf;
-            retire_f fr sd (Value.fneg (fget fr sa ka))
-        else
-          fun fr -> issue t fr.fcore comp ci lat latf;
-            retire_i fr sd (Value.f2i (fget fr sa ka))))
-  | Ir.Mac (d, a, b, cc) -> (
-    let sd = slot df d in
-    match (src df a, src df b, src df cc) with
-    | (Ireg ra, Ireg rb, Ireg rc) ->
-      (* the kernel-loop shape: three direct register reads *)
-      fun fr -> issue t fr.fcore comp ci lat latf;
-        retire_i fr sd (Value.imac (ireg fr ra) (ireg fr rb) (ireg fr rc))
-    | (a, b, cc) ->
-      let geta = int_getter a and getb = int_getter b
-      and getc = int_getter cc in
-      fun fr -> issue t fr.fcore comp ci lat latf;
-        let z = getc fr in
-        let y = getb fr in
-        retire_i fr sd (Value.imac (geta fr) y z))
+  | Ir.Const _ | Ir.Move _ | Ir.Binop _ | Ir.Unop _ | Ir.Mac _ ->
+    invalid_arg "Sim.compile_instr: an encoded instruction"
   (* Memory operands are read before the access is issued: a read is
      pure, and one that raises aborts the run, so the order is
      unobservable. *)
@@ -1344,12 +1826,7 @@ let compile_instr t (df : Predecode.dfunc) (di : Predecode.dinstr) :
           bump fr.fcore
         end
     | Ir.Rom | Ir.Frame ->
-      let m = compile_mem t df s ~cycles:local_cycles in
-      fun fr ->
-        let idx = geti fr in
-        let a = access t fr comp ci m ~shared:false "read" idx in
-        store_value fr k (Array.unsafe_get a idx);
-        bump fr.fcore)
+      invalid_arg "Sim.compile_instr: an encoded instruction")
   | Ir.Store (s, idxo, vo) -> (
     let geti = int_getter (src df idxo) in
     let getv = value_getter (src df vo) in
@@ -1532,12 +2009,7 @@ let compile_instr t (df : Predecode.dfunc) (di : Predecode.dinstr) :
 (** A block that raises the [Prog.block] error when entered — holes in
     the label space behave exactly like the undecoded interpreter. *)
 let poison_block l fname =
-  {
-    cb_instrs = [||];
-    cb_n = 0;
-    cb_pure = [||];
-    cb_term = (fun _ -> missing_block_err l fname);
-  }
+  { dummy_cblock with cb_term = (fun _ -> missing_block_err l fname) }
 
 (** Compile a branch target.  Captures the (stable) per-function block
     array, so filling order does not matter. *)
@@ -1609,7 +2081,7 @@ let compile_term t (cf : cfun) (term : Ir.term) : frame -> unit =
         | None -> if k >= 0 then runtime_err "void return into a register");
         caller.ret_dst <- -1)
 
-(** Is [di]'s compiled closure {e pure} for the batch loop — unable to
+(** Is [di]'s compiled code {e pure} for the batch loop — unable to
     change the core's status, raise [t.sched_event], or push a frame?
     Register/frame/ROM work, power gating and DVFS are core-local;
     anything touching shared memory, the bus, channels, barriers or the
@@ -1636,54 +2108,80 @@ let pure_runs (db : Predecode.dblock) =
   done;
   runs
 
-(** Fill [cf]'s block array with compiled blocks.  [cf_blocks] must
-    already be allocated (phase 1) so targets across functions resolve. *)
-let compile_cfun t (cf : cfun) =
+let line (instrs : Predecode.dinstr array) i =
+  instrs.(i).Predecode.di_instr.Ir.loc.Ir.line
+
+(** Fill [cf]'s block array with compiled blocks, and a label with no
+    block with a poison block.  [cf_blocks] must already be allocated
+    (phase 1) so targets across functions resolve. *)
+let compile_cfun t enc_step (cf : cfun) =
   let df = cf.cf_fe.fe_dfunc in
   let fname = cf.cf_fe.fe_func.Prog.fname in
-  (* Profiling wrapper: compiled closures are shared across cores, so
-     the slot cannot be captured directly — instead each wrapped
-     closure captures one slot per core (resolved eagerly here, at
-     compile time) and retargets the executing core's [prof_cur] before
-     running the original closure.  Never-executed instructions leave
-     their eagerly-created slots all-zero; {!Profile.collect} drops
-     those, so the merged profile matches the interpreter's lazily
-     created slot set exactly. *)
+  (* Profiling: compiled code is shared across cores, so each
+     instruction gets one slot per core, resolved eagerly here; the
+     executing core's [prof_cur] is retargeted before the instruction
+     runs — by a wrapper around a closure, by {!step_encoded} for an
+     encoded instruction.  Never-executed instructions leave their
+     eagerly-created slots all-zero; {!Profile.collect} drops those, so
+     the merged profile matches the interpreter's lazily created slot
+     set exactly. *)
+  let slots line =
+    Array.map (fun (c : core) -> Profile.slot c.prof fname line) t.cores
+  in
   let wrap line (g : frame -> unit) : frame -> unit =
     if not t.opts.profile then g
     else begin
-      let slots =
-        Array.map (fun (c : core) -> Profile.slot c.prof fname line) t.cores
-      in
+      let slots = slots line in
       fun fr ->
         let c = fr.fcore in
         c.prof_cur <- Array.unsafe_get slots c.id;
         g fr
     end
   in
+  let p = { fk = []; nfk = 0; roms = []; nroms = 0 } in
   Array.iteri
     (fun l dbo ->
       match dbo with
-      | None -> ()  (* stays poison *)
+      | None -> cf.cf_blocks.(l) <- poison_block l fname
       | Some (db : Predecode.dblock) ->
-        let cb_instrs =
-          Array.map
-            (fun (di : Predecode.dinstr) ->
-              wrap di.Predecode.di_instr.Ir.loc.Ir.line (compile_instr t df di))
-            db.Predecode.db_instrs
-        in
-        let term_line =
-          let instrs = db.Predecode.db_instrs in
-          let n = Array.length instrs in
-          if n = 0 then 0
-          else instrs.(n - 1).Predecode.di_instr.Ir.loc.Ir.line
-        in
+        let instrs = db.Predecode.db_instrs in
+        let n = Array.length instrs in
+        let code = Array.make (n * enc_width) 0 in
+        p.fk <- [];
+        p.nfk <- 0;
+        p.roms <- [];
+        p.nroms <- 0;
+        let cb_op = Array.make n Closure in
+        let cb_instrs = Array.make n enc_step in
+        for i = 0 to n - 1 do
+          let di = instrs.(i) in
+          cb_op.(i) <- encode t df p di code (i lsl enc_shift);
+          match cb_op.(i) with
+          | Closure ->
+            cb_instrs.(i) <- wrap (line instrs i) (compile_instr t df di)
+          | _ -> ()
+        done;
+        let term_line = if n = 0 then 0 else line instrs (n - 1) in
         cf.cf_blocks.(l) <-
           {
             cb_instrs;
-            cb_n = Array.length cb_instrs;
+            cb_n = n;
             cb_pure = pure_runs db;
             cb_term = wrap term_line (compile_term t cf db.Predecode.db_term);
+            cb_op;
+            cb_code = code;
+            cb_fk = Array.of_list (List.rev p.fk);
+            cb_roms = Array.of_list (List.rev p.roms);
+            cb_db = db;
+            cb_slots =
+              (if t.opts.profile then
+                 Array.mapi
+                   (fun i opc ->
+                     match opc with
+                     | Closure -> [||]
+                     | _ -> slots (line instrs i))
+                   cb_op
+               else [||]);
           })
     df.Predecode.df_blocks
 
@@ -1880,19 +2378,19 @@ let create ?(opts = default_options) ~(machine : Machine.t) (prog : Prog.t) : t 
     }
   in
   if opts.predecode then begin
-    (* phase 1: allocate every function's block array (poison-filled) so
-       calls and branches can capture targets across mutual recursion *)
+    (* phase 1: allocate every function's block array so calls and
+       branches can capture targets across mutual recursion *)
     Hashtbl.iter
       (fun _ cf ->
-        let df = cf.cf_fe.fe_dfunc in
-        let fname = cf.cf_fe.fe_func.Prog.fname in
         cf.cf_blocks <-
-          Array.init
-            (Array.length df.Predecode.df_blocks)
-            (fun l -> poison_block l fname))
+          Array.make
+            (Array.length cf.cf_fe.fe_dfunc.Predecode.df_blocks)
+            dummy_cblock)
       fsyms;
-    (* phase 2: compile blocks in place *)
-    Hashtbl.iter (fun _ cf -> compile_cfun t cf) fsyms
+    (* phase 2: compile blocks in place; one closure serves every
+       encoded instruction *)
+    let enc_step fr = step_encoded t fr (fr.idx - 1) in
+    Hashtbl.iter (fun _ cf -> compile_cfun t enc_step cf) fsyms
   end;
   List.iteri
     (fun i (f : Prog.func) ->
@@ -2026,6 +2524,7 @@ let run_sched_batch t (c : core) ~other_i =
          instruction. *)
       let cb = fr.cblk in
       let instrs = cb.cb_instrs in
+      let ops = cb.cb_op in
       let pure = cb.cb_pure in
       let n = cb.cb_n in
       t.frames_dirty <- false;
@@ -2040,16 +2539,27 @@ let run_sched_batch t (c : core) ~other_i =
       do
         (* a run of pure instructions can neither invalidate any of the
            loop conditions above nor hit the step limit (checked up
-           front), so it executes with no per-instruction checks *)
+           front), so it executes with no per-instruction checks: its
+           encoded instructions in sections of {!run_section}, and the
+           instruction that ends a section, or a closure, on its own *)
         let run = Array.unsafe_get pure fr.idx in
         if run > 0 && t.steps + run <= lim then begin
           t.steps <- t.steps + run;
           let stop = fr.idx + run in
           while fr.idx < stop do
-            (* safe: [cb_n = Array.length cb_instrs] by construction *)
-            let f = Array.unsafe_get instrs fr.idx in
-            fr.idx <- fr.idx + 1;
-            f fr
+            (* safe: [cb_n = Array.length cb_instrs = Array.length
+               cb_op] by construction *)
+            let i = fr.idx in
+            let j =
+              match Array.unsafe_get ops i with
+              | Closure -> i
+              | _ -> run_section t fr cb i stop
+            in
+            if j < stop then begin
+              fr.idx <- j + 1;
+              (Array.unsafe_get instrs j) fr
+            end
+            else fr.idx <- j
           done
         end
         else begin
