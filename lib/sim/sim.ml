@@ -175,8 +175,8 @@ and opc =
   | Load
   | Ill_int | Ill_float | Load_ill | Load_unknown
 
-(** A closure-compiled function.  [cf_blocks] is indexed by block label;
-    created empty for every function first, then filled, so call targets
+(** A compiled function.  [cf_blocks] is indexed by block label;
+    created for every function first, then filled, so call targets
     and branch targets resolve across mutual recursion. *)
 and cfun = {
   cf_fe : fentry;
@@ -255,7 +255,7 @@ type options = {
           while on, the compiled mode single-steps like the reference,
           so the trace interleaves the cores in reference order *)
   predecode : bool;
-      (** run closure-compiled blocks (default); [false] selects the
+      (** run compiled blocks (default); [false] selects the
           interpretive reference stepper *)
   deadline : Lp_util.Deadline.t;
       (** cooperative wall-clock deadline checked once per scheduling
