@@ -243,7 +243,10 @@ let all_operators =
   in
   let float_ops = Ir.[ Fadd; Fsub; Fmul; Fdiv; Flt; Fle; Fgt; Fge; Feq; Fne ] in
   let n_out = 8192 in
-  let out ty = { Ir.sym_name = (if ty = Ir.I then "iout" else "fout"); sym_space = Ir.Shared } in
+  let out ty =
+    { Ir.sym_name = (if ty = Ir.I then "iout" else "fout");
+      sym_space = Ir.Shared }
+  in
   hand_built
     ~globals:
       [ { Prog.gsym = "iout"; gty = Ir.I; gsize = n_out; ginit = None };
@@ -258,7 +261,8 @@ let all_operators =
       let shapes c x y =
         (* register/register, register/immediate, immediate/register and
            immediate/immediate *)
-        let rx = reg (Builder.const b (c x)) and ry = reg (Builder.const b (c y)) in
+        let rx = reg (Builder.const b (c x)) in
+        let ry = reg (Builder.const b (c y)) in
         let ix = Ir.Imm (c x) and iy = Ir.Imm (c y) in
         [ (rx, ry); (rx, iy); (ix, ry); (ix, iy) ]
       in
@@ -277,7 +281,11 @@ let all_operators =
         int_ops;
       List.iter
         (fun op ->
-          let ty = match op with Ir.Fadd | Ir.Fsub | Ir.Fmul | Ir.Fdiv -> Ir.F | _ -> Ir.I in
+          let ty =
+            match op with
+            | Ir.Fadd | Ir.Fsub | Ir.Fmul | Ir.Fdiv -> Ir.F
+            | _ -> Ir.I
+          in
           List.iter
             (fun x ->
               List.iter
@@ -293,14 +301,18 @@ let all_operators =
           let r = reg (Builder.int_const b x) in
           List.iter
             (fun a ->
-              List.iter (fun op -> emit Ir.I (Builder.unop b op a)) Ir.[ Neg; Not; Bnot ];
+              List.iter
+                (fun op -> emit Ir.I (Builder.unop b op a))
+                Ir.[ Neg; Not; Bnot ];
               emit Ir.F (Builder.unop b Ir.I2f a))
             [ r; int x ];
           List.iter
             (fun (y, z) ->
-              let ry = reg (Builder.int_const b y) and rz = reg (Builder.int_const b z) in
-              emit Ir.I (Builder.emit_reg b (fun d -> Ir.Mac (d, r, ry, rz)));
-              emit Ir.I (Builder.emit_reg b (fun d -> Ir.Mac (d, int x, ry, int z))))
+              let ry = reg (Builder.int_const b y) in
+              let rz = reg (Builder.int_const b z) in
+              let mac a c = Builder.emit_reg b (fun d -> Ir.Mac (d, a, ry, c)) in
+              emit Ir.I (mac r rz);
+              emit Ir.I (mac (int x) (int z)))
             [ (x, 3); (-0x80000000, x); (0x7fffffff, 0x7fffffff) ])
         ints;
       List.iter
@@ -342,7 +354,8 @@ let exit_programs =
     ( "out-of-bounds ROM read", `Error,
       hand_built
         ~globals:
-          [ { Prog.gsym = "tab"; gty = Ir.I; gsize = 4; ginit = Some [ 1; 2; 3; 4 ] } ]
+          [ { Prog.gsym = "tab"; gty = Ir.I; gsize = 4;
+              ginit = Some [ 1; 2; 3; 4 ] } ]
         (fun b ->
           let x = adds b 3 (reg (Builder.load b (rom "tab") (int 2))) in
           let i = adds b 2 (int 5) in
