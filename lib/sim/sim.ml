@@ -148,30 +148,28 @@ and cblock = {
 (** The opcode of an encoded instruction.  Encoded are the core-local
     instructions that touch no memory but a register, a frame array or
     a ROM array: [Const], [Move], [Binop], [Unop], [Mac] and local
-    [Load].  An operator has one opcode per common operand shape —
-    [_rr] reads two registers, [_ri] a register and an immediate, [_r]
-    one register — and one generic opcode ([Ibin], [Fbin], [Un], [Mac],
-    [Load]) for every other shape, whose immediates are flagged in the
-    [f_x] field.  An operand of the wrong class compiles to [Ill_int] or
-    [Ill_float] ([Load_ill] for a load's index), an unknown memory symbol
-    to [Load_unknown]: they raise the interpreter's error when run. *)
+    [Load].  Each kind has a generic opcode ([Ibin], [Fbin], [Un],
+    [Mac], [Load]) that runs every operand shape, reading from the cost
+    word which operands are immediates (and, but for [Mac] and [Load],
+    the operator).  The shapes that dominate the executed mix have their
+    own opcode, with no such reads: an int binop of two registers
+    ([_rr]) or of a register and an immediate ([_ri]), a [Mac] of three
+    registers, and an int load from a ROM array at a register index
+    (docs/PERF.md, "Opcodes per operand shape", measures the generic
+    paths against them).  An operand of the wrong class compiles to
+    [Ill_int] or [Ill_float] ([Load_ill] for a load's index), an unknown
+    memory symbol to [Load_unknown]: they raise the interpreter's error
+    when run. *)
 and opc =
   | Closure  (** not encoded: [cb_instrs.(i)] runs it *)
   | Add_rr | Sub_rr | Mul_rr | Div_rr | Mod_rr | Shl_rr | Shr_rr | And_rr
   | Or_rr | Xor_rr | Lt_rr | Le_rr | Gt_rr | Ge_rr | Eq_rr | Ne_rr
   | Add_ri | Sub_ri | Mul_ri | Div_ri | Mod_ri | Shl_ri | Shr_ri | And_ri
   | Or_ri | Xor_ri | Lt_ri | Le_ri | Gt_ri | Ge_ri | Eq_ri | Ne_ri
-  | Ibin
-  | Fadd_rr | Fsub_rr | Fmul_rr | Fdiv_rr | Fadd_ri | Fsub_ri | Fmul_ri
-  | Fdiv_ri | Flt_rr | Fle_rr | Fgt_rr | Fge_rr | Feq_rr | Fne_rr
-  | Fbin
-  | Neg_r | Not_r | Bnot_r | I2f_r | Fneg_r | F2i_r
-  | Un
+  | Ibin | Fbin | Un
   | Mac_rrr | Mac
   | Const_i | Const_f | Move_i | Move_f
-  | Load_fi | Load_ff | Load_ri | Load_rf
-      (** a frame ([f]) or ROM ([r]) array into an int ([i]) or float
-          ([f]) register, at a register index *)
+  | Load_ri  (** a ROM array into an int register, at a register index *)
   | Load
   | Ill_int | Ill_float | Load_ill | Load_unknown
 
@@ -1249,9 +1247,9 @@ let gate_set (c : core) idxs ~on =
      local access that takes a cache machine's periodic miss; [cost_x]
      (bits 5-11), which holds a generic opcode's operator code from its
      bit 3 and flags its immediate operands a, b and c in its bits 0-2
-     (a generic load's: a ROM array, a float register); the cycles the
-     instruction issues (bits 12-23); and a [Mac]'s third operand (bits
-     24 and up);
+     (a generic load's: a ROM array, a float register, an immediate
+     index); the cycles the instruction issues (bits 12-23); and a
+     [Mac]'s third operand (bits 24 and up);
    - [f_d]: the destination register's slot;
    - [f_a], [f_b]: the operands, each a register's slot, an int
      immediate, or a float immediate's index in [cb_fk]; a load's index,
@@ -1287,12 +1285,7 @@ let ri_ops =
 let float_binops =
   [| Ir.Fadd; Ir.Fsub; Ir.Fmul; Ir.Fdiv; Ir.Flt; Ir.Fle; Ir.Fgt; Ir.Fge;
      Ir.Feq; Ir.Fne |]
-let frr_ops =
-  [| Fadd_rr; Fsub_rr; Fmul_rr; Fdiv_rr; Flt_rr; Fle_rr; Fgt_rr; Fge_rr;
-     Feq_rr; Fne_rr |]
-let fri_ops = [| Fadd_ri; Fsub_ri; Fmul_ri; Fdiv_ri |]
 let unops = [| Ir.Neg; Ir.Not; Ir.Bnot; Ir.I2f; Ir.Fneg; Ir.F2i |]
-let r_ops = [| Neg_r; Not_r; Bnot_r; I2f_r; Fneg_r; F2i_r |]
 
 let rec index_from x a i = if a.(i) == x then i else index_from x a (i + 1)
 let index_of x a = index_from x a 0
@@ -1387,10 +1380,7 @@ let encode t (df : Predecode.dfunc) p (di : Predecode.dinstr)
       let o = index_of op float_binops in
       code.(b + f_cost) <-
         pack_cost ~ci ~miss:false ~x:((o lsl 3) lor flags) ~n ~c:0;
-      if is_int ea || is_int eb then Ill_float
-      else if flags = 0 then frr_ops.(o)
-      else if flags = 2 && o < Array.length fri_ops then fri_ops.(o)
-      else Fbin
+      if is_int ea || is_int eb then Ill_float else Fbin
     end
     else begin
       let o = index_of op int_binops in
@@ -1406,15 +1396,16 @@ let encode t (df : Predecode.dfunc) p (di : Predecode.dinstr)
     let e = operand p df a in
     code.(b + f_a) <- opv e;
     let o = index_of op unops in
-    code.(b + f_cost) <- pack_cost ~ci ~miss:false ~x:(o lsl 3) ~n ~c:0;
+    code.(b + f_cost) <-
+      pack_cost ~ci ~miss:false ~x:((o lsl 3) lor (opk e land 1)) ~n ~c:0;
     let wants_int =
       match op with
       | Ir.Neg | Ir.Not | Ir.Bnot | Ir.I2f -> true
       | Ir.Fneg | Ir.F2i -> false
     in
-    if wants_int <> is_int e then if wants_int then Ill_int else Ill_float
-    else if is_imm e then Un
-    else r_ops.(o)
+    if wants_int = is_int e then Un
+    else if wants_int then Ill_int
+    else Ill_float
   | Ir.Mac (d, a, bo, cc) ->
     code.(b + f_d) <- slot df d;
     let ec = operand p df cc in
@@ -1450,26 +1441,27 @@ let encode t (df : Predecode.dfunc) p (di : Predecode.dinstr)
     code.(b + f_b) <- pos;
     code.(b + f_cost) <-
       pack_cost ~ci ~miss:(t.cache_miss_period > 0)
-        ~x:((if rom then 1 else 0) lor (if into_float then 2 else 0))
+        ~x:
+          ((if rom then 1 else 0)
+          lor (if into_float then 2 else 0)
+          lor ((opk e land 1) lsl 2))
         ~n:(1 + Machine.spm_latency_cycles t.machine) ~c:0;
     if not (is_int e) then Load_ill
     else if pos < 0 then Load_unknown
-    else if is_imm e then Load
-    else
-      match (rom, into_float) with
-      | (false, false) -> Load_fi
-      | (false, true) -> Load_ff
-      | (true, false) -> Load_ri
-      | (true, true) -> Load_rf)
+    else if rom && not (into_float || is_imm e) then Load_ri
+    else Load)
   | Ir.Load _ | Ir.Store _ | Ir.Faa _ | Ir.Call _ | Ir.Pg_off _ | Ir.Pg_on _
   | Ir.Dvfs _ | Ir.Send _ | Ir.Recv _ | Ir.Barrier _ ->
     Closure
 
-(* The effect of every opcode, on raw ints and floats.  These are
-   [Value]'s operators, defined again here: the section loop below must
-   make no call, and [Value]'s int operators are functions of another
-   module.  test_predecode's mode-equivalence cases pin the two
-   definitions equal. *)
+(* The effect of every opcode, on raw ints and floats.  The int
+   operators are [Value]'s, defined again here because the section loop
+   below must make no call: dune's default (dev) profile, which builds
+   the tests and perfbench, compiles with [-opaque], and there a [Value]
+   function is a call through [caml_apply2] even when it is marked
+   [@inline always].  [wrap32] is [Int32_sem.wrap32].  test_predecode's
+   "every way out of the section loop" pins the two definitions equal
+   on edge values, in every operand shape. *)
 
 let[@inline always] wrap32 n = (n lsl 31) asr 31
 let[@inline always] iadd a b = wrap32 (a + b)
@@ -1616,20 +1608,6 @@ let[@inline always] effect ~strict t (fr : frame) (iregs : int array)
     | Ir.Div -> divide ~strict ~rem:false iregs d va vb
     | Ir.Mod -> divide ~strict ~rem:true iregs d va vb
     | op -> set_i iregs d (ibin op va vb))
-  | Fadd_rr -> set_f fregs d (Value.fadd (fget fregs a) (fget fregs y))
-  | Fsub_rr -> set_f fregs d (Value.fsub (fget fregs a) (fget fregs y))
-  | Fmul_rr -> set_f fregs d (Value.fmul (fget fregs a) (fget fregs y))
-  | Fdiv_rr -> set_f fregs d (Value.fdiv (fget fregs a) (fget fregs y))
-  | Fadd_ri -> set_f fregs d (Value.fadd (fget fregs a) (fget fk y))
-  | Fsub_ri -> set_f fregs d (Value.fsub (fget fregs a) (fget fk y))
-  | Fmul_ri -> set_f fregs d (Value.fmul (fget fregs a) (fget fk y))
-  | Fdiv_ri -> set_f fregs d (Value.fdiv (fget fregs a) (fget fk y))
-  | Flt_rr -> set_i iregs d (Value.b2i (Value.flt (fget fregs a) (fget fregs y)))
-  | Fle_rr -> set_i iregs d (Value.b2i (Value.fle (fget fregs a) (fget fregs y)))
-  | Fgt_rr -> set_i iregs d (Value.b2i (Value.fgt (fget fregs a) (fget fregs y)))
-  | Fge_rr -> set_i iregs d (Value.b2i (Value.fge (fget fregs a) (fget fregs y)))
-  | Feq_rr -> set_i iregs d (Value.b2i (Value.feq (fget fregs a) (fget fregs y)))
-  | Fne_rr -> set_i iregs d (Value.b2i (Value.fne (fget fregs a) (fget fregs y)))
   | Fbin -> (
     let x = cost_x (Array.unsafe_get code (b + f_cost)) in
     let vb = fopnd fregs fk y (x land 2 <> 0) in
@@ -1645,22 +1623,16 @@ let[@inline always] effect ~strict t (fr : frame) (iregs : int array)
     | Ir.Fge -> set_i iregs d (Value.b2i (Value.fge va vb))
     | Ir.Feq -> set_i iregs d (Value.b2i (Value.feq va vb))
     | _ -> set_i iregs d (Value.b2i (Value.fne va vb)))
-  | Neg_r -> set_i iregs d (ineg (iget iregs a))
-  | Not_r -> set_i iregs d (inot (iget iregs a))
-  | Bnot_r -> set_i iregs d (ibnot (iget iregs a))
-  | I2f_r -> set_f fregs d (Value.i2f (iget iregs a))
-  | Fneg_r -> set_f fregs d (Value.fneg (fget fregs a))
-  | F2i_r -> set_i iregs d (f2i (fget fregs a))
   | Un -> (
-    match
-      Array.unsafe_get unops (cost_x (Array.unsafe_get code (b + f_cost)) lsr 3)
-    with
-    | Ir.Neg -> set_i iregs d (ineg a)
-    | Ir.Not -> set_i iregs d (inot a)
-    | Ir.Bnot -> set_i iregs d (ibnot a)
-    | Ir.I2f -> set_f fregs d (Value.i2f a)
-    | Ir.Fneg -> set_f fregs d (Value.fneg (fget fk a))
-    | Ir.F2i -> set_i iregs d (f2i (fget fk a)))
+    let x = cost_x (Array.unsafe_get code (b + f_cost)) in
+    let imm = x land 1 <> 0 in
+    match Array.unsafe_get unops (x lsr 3) with
+    | Ir.Neg -> set_i iregs d (ineg (iopnd iregs a imm))
+    | Ir.Not -> set_i iregs d (inot (iopnd iregs a imm))
+    | Ir.Bnot -> set_i iregs d (ibnot (iopnd iregs a imm))
+    | Ir.I2f -> set_f fregs d (Value.i2f (iopnd iregs a imm))
+    | Ir.Fneg -> set_f fregs d (Value.fneg (fopnd fregs fk a imm))
+    | Ir.F2i -> set_i iregs d (f2i (fopnd fregs fk a imm)))
   | Mac_rrr ->
     let c = cost_c (Array.unsafe_get code (b + f_cost)) in
     set_i iregs d (imac (iget iregs a) (iget iregs y) (iget iregs c))
@@ -1675,19 +1647,14 @@ let[@inline always] effect ~strict t (fr : frame) (iregs : int array)
   | Const_f -> set_f fregs d (fget fk a)
   | Move_i -> set_i iregs d (iget iregs a)
   | Move_f -> set_f fregs d (fget fregs a)
-  | Load_fi ->
-    load_i ~strict fr b iregs d (Array.unsafe_get farrs y) (iget iregs a)
-  | Load_ff ->
-    load_f ~strict fr b fregs d (Array.unsafe_get farrs y) (iget iregs a)
   | Load_ri ->
     load_i ~strict fr b iregs d (Array.unsafe_get roms y) (iget iregs a)
-  | Load_rf ->
-    load_f ~strict fr b fregs d (Array.unsafe_get roms y) (iget iregs a)
   | Load ->
     let x = cost_x (Array.unsafe_get code (b + f_cost)) in
     let arr = Array.unsafe_get (if x land 1 <> 0 then roms else farrs) y in
-    if x land 2 <> 0 then load_f ~strict fr b fregs d arr a
-    else load_i ~strict fr b iregs d arr a
+    let idx = iopnd iregs a (x land 4 <> 0) in
+    if x land 2 <> 0 then load_f ~strict fr b fregs d arr idx
+    else load_i ~strict fr b iregs d arr idx
   | Ill_int | Load_ill -> strict && Value.not_int ()
   | Ill_float -> strict && Value.not_float ()
   | Load_unknown ->

@@ -33,14 +33,18 @@ let[@inline always] is_true = function Vint 0 -> false | Vint _ -> true | Vfloat
 (* Typed operators                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The one definition of every IR operator, on raw ints and floats.
-   The closure-compiled stepper keeps registers unboxed and calls these
-   directly; {!binop}, {!unop} and {!mac} box around them for the
-   interpretive stepper.  Compares yield a [bool] that [b2i] turns into
-   the IR's 0/1.  The compares and the float operators are primitives:
-   an [external] is expanded at every use, in any module, so a float on
-   its way through one is never boxed (a call would box its arguments
-   and its result). *)
+(* Every IR operator, on raw ints and floats: {!binop}, {!unop} and
+   {!mac} box around them for the interpretive stepper, and the
+   constant folder is checked against those (test_props).  The compiled
+   stepper's encoded instructions run [Sim.effect], which holds its own
+   copy of the int operators: dune's default (dev) profile compiles with
+   [-opaque], so a function of this module is a call from [Sim], and the
+   section loop must make none.  test_predecode pins the copy equal to
+   these.  Compares yield a [bool] that [b2i] turns into the IR's 0/1.
+   The compares and the float operators are primitives: an [external]
+   is expanded at every use, in any module, so a float on its way
+   through one is never boxed (a call would box its arguments and its
+   result). *)
 
 external b2i : bool -> int = "%identity"
 
@@ -124,7 +128,7 @@ let int_unop (op : Ir.unop) : int -> int =
   | Ir.Fneg | Ir.I2f | Ir.F2i -> invalid_arg "Value.int_unop: float operator"
 
 (* The boxed operators of the interpretive stepper.  The right operand
-   is read first, as the compiled closures read it. *)
+   is read first, in the order [Sim.encode] resolves operands. *)
 
 let binop (op : Ir.binop) (a : t) (b : t) : t =
   match op with

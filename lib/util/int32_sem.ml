@@ -4,5 +4,6 @@
 
 (** Wrap a host integer to signed 32-bit. *)
 let[@inline always] wrap32 x =
-  let m = x land 0xFFFFFFFF in
-  if m land 0x80000000 <> 0 then m - 0x100000000 else m
+  (* bit 31 moves to the top of the 63-bit int, and back: the low 32 bits,
+     sign-extended, with no branch *)
+  (x lsl 31) asr 31

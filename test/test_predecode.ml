@@ -233,8 +233,10 @@ let ungate b comps = ignore (Builder.emit b (Ir.Pg_on (CS.of_list comps)))
 let rom name = { Ir.sym_name = name; sym_space = Ir.Rom }
 
 (** Every int and float operator of an encoded instruction, in every
-    operand shape, on edge values, each result stored to a global: pins
-    the section loop's operator definitions to [Value]'s. *)
+    operand shape, on edge values, and a load of each kind of local
+    array at a register and at an immediate index, each result stored to
+    a global: pins the section loop's operator definitions to
+    [Value]'s. *)
 let all_operators =
   let ints = [ 0; 1; -1; 7; -7; 31; 32; 33; 0x7fffffff; -0x80000000 ] in
   let floats = [ 0.0; -0.0; 1.5; -2.25; 1e300; Float.infinity ] in
@@ -250,7 +252,12 @@ let all_operators =
   hand_built
     ~globals:
       [ { Prog.gsym = "iout"; gty = Ir.I; gsize = n_out; ginit = None };
-        { Prog.gsym = "fout"; gty = Ir.F; gsize = n_out; ginit = None } ]
+        { Prog.gsym = "fout"; gty = Ir.F; gsize = n_out; ginit = None };
+        { Prog.gsym = "irom"; gty = Ir.I; gsize = 3;
+          ginit = Some [ 4; -5; 6 ] };
+        { Prog.gsym = "from"; gty = Ir.F; gsize = 3;
+          ginit = Some [ 7; 8; -9 ] } ]
+    ~frame:[ ("iloc", Ir.I, 3); ("floc", Ir.F, 3) ]
     (fun b ->
       let next = [| 0; 0 |] in
       let emit ty r =
@@ -324,7 +331,27 @@ let all_operators =
               emit Ir.I (Builder.unop b Ir.F2i a))
             [ r; Ir.Imm (Ir.Cfloat x) ])
         (floats @ [ 3.7; -3.7; 4294967296.5 ]);
+      let local name = { Ir.sym_name = name; sym_space = Ir.Frame } in
+      for i = 0 to 2 do
+        Builder.store b (local "iloc") (int i) (int (10 * i - 7));
+        Builder.store b (local "floc") (int i)
+          (Ir.Imm (Ir.Cfloat (0.5 -. float_of_int i)))
+      done;
+      List.iter
+        (fun (ty, sym) ->
+          let r = reg (Builder.int_const b 2) in
+          List.iter (fun i -> emit ty (Builder.load b sym i)) [ r; int 1 ])
+        [ (Ir.I, local "iloc"); (Ir.F, local "floc"); (Ir.I, rom "irom");
+          (Ir.F, rom "from") ];
       int 0)
+
+(** A multiply on a gated multiplier, between int additions: the
+    section loop leaves at the multiply for its implicit wakeup. *)
+let implicit_wakeup =
+  hand_built (fun b ->
+      gate b [ Lp_power.Component.Multiplier ];
+      let x = adds b 3 (int 6) in
+      adds b 3 (reg (Builder.binop b Ir.Mul x x)))
 
 (** Hand-built programs whose pure runs leave the compiled stepper's
     section loop at an instruction with encoded instructions before and
@@ -333,11 +360,7 @@ let exit_programs =
   let mul = Lp_power.Component.Multiplier in
   [
     ("every operator in every operand shape", `Ok, all_operators);
-    ( "implicit wakeup", `Ok,
-      hand_built (fun b ->
-          gate b [ mul ];
-          let x = adds b 3 (int 6) in
-          adds b 3 (reg (Builder.binop b Ir.Mul x x))) );
+    ("implicit wakeup", `Ok, implicit_wakeup);
     ( "dirty leakage after pg_on", `Ok,
       hand_built (fun b ->
           gate b [ mul ];
@@ -406,12 +429,8 @@ let test_section_exits () =
       | `Error when not failed -> Alcotest.failf "%s: ran to the end" name
       | `Ok | `Error -> ())
     exit_programs;
-  (match List.assoc_opt "implicit wakeup"
-           (List.map (fun (n, _, p) -> (n, p)) exit_programs) with
-  | Some prog ->
-    let o = Sim.run ~machine prog in
-    Alcotest.(check int) "the wakeup happened" 1 o.Sim.implicit_wakeups
-  | None -> ());
+  Alcotest.(check int) "the wakeup happened" 1
+    (Sim.run ~machine implicit_wakeup).Sim.implicit_wakeups;
   let machine = Machine.farmem () in
   let on = observe ~machine ~predecode:true ~instrumented:false miss_source in
   let off = observe ~machine ~predecode:false ~instrumented:false miss_source in
