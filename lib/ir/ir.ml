@@ -95,6 +95,94 @@ type block = {
 }
 
 (* ------------------------------------------------------------------ *)
+(* Operator semantics                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Every operator on raw ints and floats, defined once for the
+   simulator's interpretive stepper ([Lp_sim.Value]) and the constant
+   folder.  Ints are 32-bit two's complement with C-style truncating
+   division; floats are host doubles.  A division or remainder by zero
+   is the caller's to check: the simulator raises, the folder declines.
+   Compares yield a [bool] that [b2i] turns into the IR's 0/1.  The
+   compares and the float operators are primitives: an [external] is
+   expanded at every use, in any module, so a float on its way through
+   one is never boxed. *)
+
+external b2i : bool -> int = "%identity"
+
+let wrap32 = Lp_util.Int32_sem.wrap32
+let iadd a b = wrap32 (a + b)
+let isub a b = wrap32 (a - b)
+let imul a b = wrap32 (a * b)
+let idiv a b = wrap32 (a / b)
+let imod a b = wrap32 (a mod b)
+let ishl a b = wrap32 (a lsl (b land 31))
+let ishr a b = wrap32 (a asr (b land 31))
+let iand a b = wrap32 (a land b)
+let ior a b = wrap32 (a lor b)
+let ixor a b = wrap32 (a lxor b)
+
+external ilt : int -> int -> bool = "%lessthan"
+external ile : int -> int -> bool = "%lessequal"
+external igt : int -> int -> bool = "%greaterthan"
+external ige : int -> int -> bool = "%greaterequal"
+external ieq : int -> int -> bool = "%equal"
+external ine : int -> int -> bool = "%notequal"
+
+external fadd : float -> float -> float = "%addfloat"
+external fsub : float -> float -> float = "%subfloat"
+external fmul : float -> float -> float = "%mulfloat"
+external fdiv : float -> float -> float = "%divfloat"
+external flt : float -> float -> bool = "%lessthan"
+external fle : float -> float -> bool = "%lessequal"
+external fgt : float -> float -> bool = "%greaterthan"
+external fge : float -> float -> bool = "%greaterequal"
+external feq : float -> float -> bool = "%equal"
+external fne : float -> float -> bool = "%notequal"
+
+let ineg a = wrap32 (-a)
+let inot a = b2i (a = 0)
+let ibnot a = wrap32 (lnot a)
+
+external fneg : float -> float = "%negfloat"
+external i2f : int -> float = "%floatofint"
+
+let f2i x = wrap32 (int_of_float x)
+
+(** d = a + b * c: integer MAC on the MAC unit. *)
+let imac a b c = wrap32 (a + wrap32 (b * c))
+
+(** The int operator of [op], an int binop or compare. *)
+let int_binop (op : binop) : int -> int -> int =
+  match op with
+  | Add -> iadd
+  | Sub -> isub
+  | Mul -> imul
+  | Div -> idiv
+  | Mod -> imod
+  | Shl -> ishl
+  | Shr -> ishr
+  | And -> iand
+  | Or -> ior
+  | Xor -> ixor
+  | Lt -> fun a b -> b2i (ilt a b)
+  | Le -> fun a b -> b2i (ile a b)
+  | Gt -> fun a b -> b2i (igt a b)
+  | Ge -> fun a b -> b2i (ige a b)
+  | Eq -> fun a b -> b2i (ieq a b)
+  | Ne -> fun a b -> b2i (ine a b)
+  | Fadd | Fsub | Fmul | Fdiv | Flt | Fle | Fgt | Fge | Feq | Fne ->
+    invalid_arg "Ir.int_binop: float operator"
+
+(** The int operator of [op], an int unop. *)
+let int_unop (op : unop) : int -> int =
+  match op with
+  | Neg -> ineg
+  | Not -> inot
+  | Bnot -> ibnot
+  | Fneg | I2f | F2i -> invalid_arg "Ir.int_unop: float operator"
+
+(* ------------------------------------------------------------------ *)
 (* Operand / register helpers                                          *)
 (* ------------------------------------------------------------------ *)
 

@@ -63,10 +63,22 @@ let rec settle f cls = function
     | _ -> List.iter (fun (d, s) -> set_cls f cls d (src_cls cls s)) ready);
     settle f cls wait
 
+(* the class of a call's result register: the callee's declared type,
+   int for a void or unknown callee *)
+let ret_cls (f : Prog.func) =
+  match f.Prog.ret with Some ty -> cls_of_ty ty | None -> cls_int
+
+let operand_cls cls = function
+  | Ir.Reg r -> src_cls cls r
+  | Ir.Imm c -> const_cls c
+
+let cls_name c = if c = cls_float then "float" else "int"
+
 (** The class of every register of [f], indexed by register and sized
     by [f]'s register generator, inferred in one pass over the
-    instructions that [iter] feeds it ([iter visit] calls [visit] once
-    on each instruction, in any order):
+    instructions and terminators that [iter] feeds it ([iter visit
+    visit_term] calls [visit] once on each instruction and [visit_term]
+    once on each terminator, in any order):
     - a parameter takes its declared type;
     - an instruction's result takes the type it produces: a float add,
       sub, mul or div, a float negation or an int-to-float conversion
@@ -77,16 +89,20 @@ let rec settle f cls = function
       yet when it is visited is settled after the pass);
     - a register that is never written is int.
 
-    Raises [Invalid] when a register would need both classes, or when an
-    instruction writes a register the generator never handed out.  The
+    Raises [Invalid] when a register would need both classes, when an
+    instruction writes a register the generator never handed out, or
+    when a value crosses a call in the wrong class: a call argument of
+    another class than its parameter's declared type, or a returned
+    value of another class than a call's result register takes.  The
     simulator's decoder runs this inside its own traversal, so a
     simulated program costs no extra pass. *)
 let reg_classes (prog : Prog.t) (f : Prog.func)
-    ~(iter : (Ir.instr -> unit) -> unit) : int array =
+    ~(iter : (Ir.instr -> unit) -> (Ir.term -> unit) -> unit) : int array =
   let cls = Array.make (Lp_util.Id_gen.peek f.Prog.reg_gen) (-1) in
   List.iter (fun (r, ty) -> set_cls f cls r (cls_of_ty ty)) f.Prog.params;
-  let pending = ref [] in
-  iter (fun (i : Ir.instr) ->
+  let pending = ref [] and calls = ref [] and rets = ref [] in
+  iter
+    (fun (i : Ir.instr) ->
       match i.Ir.idesc with
       | Ir.Const (d, c) | Ir.Move (d, Ir.Imm c) -> set_cls f cls d (const_cls c)
       | Ir.Move (d, Ir.Reg s) ->
@@ -100,18 +116,48 @@ let reg_classes (prog : Prog.t) (f : Prog.func)
         set_cls f cls d cls_int
       | Ir.Load (d, s, _) -> set_cls f cls d (sym_cls prog f s)
       | Ir.Recv (d, _, ty) -> set_cls f cls d (cls_of_ty ty)
-      | Ir.Call (Some d, callee, _) ->
-        set_cls f cls d
-          (match Prog.find_func prog callee with
-          | Some { Prog.ret = Some ty; _ } -> cls_of_ty ty
-          | Some _ | None -> cls_int)
-      | Ir.Call (None, _, _) | Ir.Store _ | Ir.Pg_off _ | Ir.Pg_on _
-      | Ir.Dvfs _ | Ir.Send _ | Ir.Barrier _ -> ());
+      | Ir.Call (d, callee, args) -> (
+        match Prog.find_func prog callee with
+        | Some g ->
+          Option.iter (fun d -> set_cls f cls d (ret_cls g)) d;
+          calls := (g, args) :: !calls
+        | None -> Option.iter (fun d -> set_cls f cls d cls_int) d)
+      | Ir.Store _ | Ir.Pg_off _ | Ir.Pg_on _ | Ir.Dvfs _ | Ir.Send _
+      | Ir.Barrier _ -> ())
+    (function
+      | Ir.Ret (Some v) -> rets := v :: !rets
+      | Ir.Ret None | Ir.Jmp _ | Ir.Br _ -> ());
   settle f cls !pending;
   for r = 0 to Array.length cls - 1 do
     if Array.unsafe_get cls r < 0 then Array.unsafe_set cls r cls_int
   done;
+  List.iter
+    (fun ((g : Prog.func), args) ->
+      List.iteri
+        (fun k a ->
+          match List.nth_opt g.Prog.params k with
+          | Some (_, ty) when operand_cls cls a <> cls_of_ty ty ->
+            fail "%s: call to %s passes %s argument %d to its %s parameter"
+              f.Prog.fname g.Prog.fname (cls_name (operand_cls cls a)) (k + 1)
+              (cls_name (cls_of_ty ty))
+          | Some _ | None -> ())
+        args)
+    !calls;
+  List.iter
+    (fun v ->
+      if operand_cls cls v <> ret_cls f then
+        fail "%s: returns a %s where its callers take %s" f.Prog.fname
+          (cls_name (operand_cls cls v)) (cls_name (ret_cls f)))
+    !rets;
   cls
+
+(** Fail unless every branch target of [b] satisfies [has]. *)
+let check_targets (f : Prog.func) ~has (b : Ir.block) =
+  List.iter
+    (fun l ->
+      if not (has l) then
+        fail "%s: L%d branches to unknown L%d" f.Prog.fname b.Ir.bid l)
+    (Ir.term_succs b.Ir.term)
 
 let verify_func (prog : Prog.t) (f : Prog.func) : unit =
   (* block_order is consistent with the table and has no duplicates *)
@@ -127,12 +173,7 @@ let verify_func (prog : Prog.t) (f : Prog.func) : unit =
   | entry :: _ when entry = f.Prog.entry -> ()
   | _ -> fail "%s: entry block must be first in layout" f.Prog.fname);
   (* all branch targets exist *)
-  Prog.iter_blocks f (fun b ->
-      List.iter
-        (fun l ->
-          if not (Hashtbl.mem seen l) then
-            fail "%s: L%d branches to unknown L%d" f.Prog.fname b.Ir.bid l)
-        (Ir.term_succs b.Ir.term));
+  Prog.iter_blocks f (check_targets f ~has:(Hashtbl.mem seen));
   (* return arity matches signature *)
   Prog.iter_blocks f (fun b ->
       match (b.Ir.term, f.Prog.ret) with
@@ -160,8 +201,10 @@ let verify_func (prog : Prog.t) (f : Prog.func) : unit =
       List.iter check_use (Ir.term_uses b.Ir.term));
   (* every register holds one class of value *)
   ignore
-    (reg_classes prog f ~iter:(fun visit ->
-         Prog.iter_instrs f (fun _ i -> visit i)));
+    (reg_classes prog f ~iter:(fun visit visit_term ->
+         Prog.iter_blocks f (fun b ->
+             List.iter visit b.Ir.instrs;
+             visit_term b.Ir.term)));
   (* memory symbols resolve *)
   let frame_ok name = List.exists (fun (n, _, _) -> n = name) f.Prog.frame_arrays in
   let shared_ok name = Prog.global prog name <> None in

@@ -5,7 +5,7 @@
     an instruction occupies, its base latency, and (once per block
     entry) an [Array.of_list] copy of the block's instruction list.
     This module computes all of that exactly once per function, before
-    simulation starts, so both simulator modes (closure-compiled and
+    simulation starts, so both simulator modes (compiled and
     interpretive) fetch instructions from immutable arrays.
 
     Everything here is a pure function of the IR — no simulator state —
@@ -33,9 +33,9 @@ type dblock = {
 }
 
 (** A decoded function.  [df_blocks] is indexed directly by block label
-    (labels are dense, from the function's block id generator); a [None]
-    hole marks a label with no block — entering it reproduces the
-    [Prog.block] error of the undecoded interpreter.
+    (labels are dense, from the function's block id generator); a label
+    with no block holds {!dummy_block}, which no run reaches: the
+    decoder rejects a branch to it, and a function whose entry is one.
 
     Every register belongs to one class ({!Lp_ir.Verify.reg_classes}):
     the compiled stepper keeps a frame's int registers in an [int array]
@@ -43,7 +43,7 @@ type dblock = {
     each register in its class's array. *)
 type dfunc = {
   df_func : Prog.func;
-  df_blocks : dblock option array;
+  df_blocks : dblock array;
   df_frame_idx : (string, int) Hashtbl.t;
       (** frame-array name -> position in [Prog.frame_arrays] order *)
   df_nblocks : int;  (** number of decoded blocks (array holes excluded) *)
@@ -54,7 +54,7 @@ type dfunc = {
   df_nfloats : int;     (** float registers *)
 }
 
-(** Placeholder for lazily-initialised block caches; never executed. *)
+(** Placeholder for block caches and label holes; never executed. *)
 let dummy_block = { db_label = -1; db_instrs = [||]; db_term = Ir.Ret None }
 
 let decode_instr (i : Ir.instr) : dinstr =
@@ -67,7 +67,8 @@ let decode_instr (i : Ir.instr) : dinstr =
   }
 
 (* [visit] sees each instruction as it is decoded: the register-class
-   inference rides on this traversal *)
+   inference rides on this traversal, as do its checks of a block's
+   terminator *)
 let rec decode_instrs visit = function
   | [] -> []
   | i :: rest ->
@@ -75,15 +76,16 @@ let rec decode_instrs visit = function
     let di = decode_instr i in
     di :: decode_instrs visit rest
 
-let decode_block visit (b : Ir.block) : dblock =
-  {
-    db_label = b.Ir.bid;
-    db_instrs = Array.of_list (decode_instrs visit b.Ir.instrs);
-    db_term = b.Ir.term;
-  }
+let decode_block visit visit_term (b : Ir.block) : dblock =
+  let db_instrs = Array.of_list (decode_instrs visit b.Ir.instrs) in
+  visit_term b.Ir.term;
+  { db_label = b.Ir.bid; db_instrs; db_term = b.Ir.term }
 
 (** Decode [f]; the register classes are inferred in the same traversal.
-    Raises [Verify.Invalid] when a register needs two classes. *)
+    Raises [Verify.Invalid] where {!Verify.reg_classes} does (a register
+    of two classes, a call argument or a returned value of the wrong
+    class), and for a branch to, or an entry at, a label with no
+    block. *)
 let decode_func (prog : Prog.t) (f : Prog.func) : dfunc =
   (* labels come from the function's block generator, so [peek] bounds
      them; tolerate foreign labels by sizing to the largest key seen *)
@@ -91,14 +93,18 @@ let decode_func (prog : Prog.t) (f : Prog.func) : dfunc =
     Hashtbl.fold (fun l _ acc -> max l acc) f.Prog.blocks
       (Lp_util.Id_gen.peek f.Prog.block_gen - 1)
   in
-  let df_blocks = Array.make (max 1 (max_label + 1)) None in
+  let df_blocks = Array.make (max 1 (max_label + 1)) dummy_block in
   let count = ref 0 in
+  let has l = l >= 0 && Hashtbl.mem f.Prog.blocks l in
+  if not (has f.Prog.entry) then
+    Verify.fail "%s: entry L%d has no block" f.Prog.fname f.Prog.entry;
   let df_regs =
-    Verify.reg_classes prog f ~iter:(fun visit ->
+    Verify.reg_classes prog f ~iter:(fun visit visit_term ->
         Hashtbl.iter
           (fun l b ->
             if l >= 0 then begin
-              df_blocks.(l) <- Some (decode_block visit b);
+              Verify.check_targets f ~has b;
+              df_blocks.(l) <- decode_block visit visit_term b;
               incr count
             end)
           f.Prog.blocks)

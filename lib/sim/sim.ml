@@ -15,30 +15,29 @@
     Two execution modes produce byte-identical results:
 
     - the default {e compiled} mode pre-decodes every function (see
-      {!Predecode}) and compiles each basic block once, with operands,
-      memory symbols, call targets and per-point energy/time factors
-      resolved up front.  The core-local register instructions —
-      [Const], [Move], [Binop], [Unop], [Mac] and loads of frame and ROM
-      arrays — are encoded into flat per-block arrays, and each run of
-      them executes in one loop that makes no call and keeps the core's
-      clock and ledger in registers ({!run_section}).  Every other
-      instruction remains an OCaml closure: local stores (they box the
-      stored word), [Pg_off], [Pg_on] and [Dvfs], calls, and the
-      globally visible instructions (shared loads and stores, [Faa],
-      [Send], [Recv], [Barrier]); so do the terminators.  Registers are
-      unboxed: each frame holds an [int array] and a [float array], one
-      per register class.  [Value.t] boxes remain at the boundaries
-      only: memory arrays, channel messages, the value a core halts
-      with, and a call argument or return value whose class differs
-      from its destination's;
+      {!Predecode}) and encodes each basic block once into flat arrays —
+      an opcode and four ints per instruction and for the terminator —
+      with operands, memory arrays, call targets and costs resolved up
+      front.  A block is data: no closure is built per instruction.
+      Each run of the core-local register instructions ([Const],
+      [Move], [Binop], [Unop], [Mac] and loads of frame and ROM arrays)
+      executes in one loop that makes no call and keeps the core's clock
+      and ledger in registers ({!run_section}); every other instruction,
+      and every terminator, runs on its own in {!step_encoded}.
+      Registers are unboxed: each frame holds an [int array] and a
+      [float array], one per register class.  [Value.t] boxes remain at
+      the boundaries only: memory arrays, channel messages and the value
+      a core halts with;
     - the {e interpretive} mode ([predecode = false], reachable through
       [LP_NO_SIM_PREDECODE=1] / [--no-sim-predecode]) keeps the original
       per-instruction match dispatch over [Value.t] registers and serves
       as the reference the compiled mode is checked against.
 
     Both modes start every register at the zero of its class, and both
-    reject at construction a program with a register of two classes
-    (the decoder infers the classes, raising [Verify.Invalid]).
+    reject at construction, with [Verify.Invalid], a program the
+    decoder refuses: a register of two classes, a call argument or a
+    returned value of the wrong class, or a branch to a label with no
+    block.
 
     The compiled mode is fast because every remaining float operation is
     one the interpretive mode also performs, in the same order — the
@@ -91,7 +90,7 @@ type core_clock = {
 }
 
 type frame = {
-  fcore : core;  (** owning core, so compiled closures are arity-1 *)
+  fcore : core;  (** owning core *)
   func : Prog.func;
   dfunc : Predecode.dfunc;
   cfun : cfun;
@@ -117,51 +116,48 @@ type frame = {
   mutable cblk : cblock;               (** compiled current block *)
 }
 
-(** One compiled basic block.  Instruction [i] is either encoded
-    ([cb_op.(i)] is not [Closure]: its operands and costs are the
-    [enc_width] ints of [cb_code] from [i * enc_width], see {!opc}) or
-    a closure; [cb_instrs.(i)] is the closure, or the one shared
-    out-of-line step of encoded instructions. *)
+(** One compiled basic block: [cb_n] instructions, then the terminator
+    at index [cb_n].  Entry [i] is the opcode [cb_op.(i)] and the
+    [enc_width] ints of [cb_code] from [i * enc_width] (see {!opc}); the
+    pools hold what does not fit in an int. *)
 and cblock = {
-  cb_instrs : (frame -> unit) array;
   cb_n : int;
-  cb_pure : int array;
-      (** [cb_pure.(i)] = length of the maximal run of {e pure}
-          instructions starting at [i] (0 when instruction [i] is not
-          pure).  Pure = cannot change the core's status, fire a
-          scheduling event, or push a frame — so the batch loop
-          executes the whole run with no per-instruction checks (see
-          {!run_sched_batch}) *)
-  cb_term : frame -> unit;
   cb_op : opc array;
   cb_code : int array;
-  cb_fk : float array;  (** the float immediates of encoded instructions *)
-  cb_roms : Value.t array array;  (** the ROM arrays encoded loads read *)
+  cb_fk : float array;  (** float immediates of register instructions *)
+  cb_vals : Value.t array;
+      (** the immediates a store, send, call or return boxes, boxed once *)
+  cb_arrs : Value.t array array;  (** the ROM and shared arrays accessed *)
+  cb_calls : call_site array;
   cb_db : Predecode.dblock;
-      (** the decoded block: an out-of-line step reads an instruction's
-          component, and the symbol an error names, from it *)
+      (** the decoded block: the symbol or callee an error names *)
   cb_slots : Profile.slot array array;
-      (** per encoded instruction, its profile slot on each core;
-          [[||]] unless profiling *)
+      (** per instruction and the terminator, its profile slot on each
+          core; [[||]] unless profiling *)
 }
 
-(** The opcode of an encoded instruction.  Encoded are the core-local
-    instructions that touch no memory but a register, a frame array or
-    a ROM array: [Const], [Move], [Binop], [Unop], [Mac] and local
-    [Load].  Each kind has a generic opcode ([Ibin], [Fbin], [Un],
-    [Mac], [Load]) that runs every operand shape, reading from the cost
-    word which operands are immediates (and, but for [Mac] and [Load],
-    the operator).  The shapes that dominate the executed mix have their
-    own opcode, with no such reads: an int binop of two registers
-    ([_rr]) or of a register and an immediate ([_ri]), a [Mac] of three
-    registers, and an int load from a ROM array at a register index
-    (docs/PERF.md, "Opcodes per operand shape", measures the generic
-    paths against them).  An operand of the wrong class compiles to
-    [Ill_int] or [Ill_float] ([Load_ill] for a load's index), an unknown
-    memory symbol to [Load_unknown]: they raise the interpreter's error
-    when run. *)
+(** A call to a known function: its arguments (see {!boxed_operand})
+    and the destination codes of the callee's parameters. *)
+and call_site = { cs_cf : cfun; cs_args : int array; cs_params : int array }
+
+(** The opcode of an instruction or terminator.  The first group are
+    the register instructions {!run_section} runs: the core-local ones
+    that touch no memory but a register, a frame array or a ROM array
+    ([Const], [Move], [Binop], [Unop], [Mac] and local [Load]).  Each
+    kind has a generic opcode ([Ibin], [Fbin], [Un], [Mac], [Load]) that
+    runs every operand shape, reading from the cost word which operands
+    are immediates (and, but for [Mac] and [Load], the operator).  The
+    shapes that dominate the executed mix have their own opcode, with no
+    such reads: an int binop of two registers ([_rr]) or of a register
+    and an immediate ([_ri]), a [Mac] of three registers, and an int
+    load from a ROM array at a register index (docs/PERF.md, "Opcodes
+    per operand shape", measures the generic paths against them).  An
+    operand of the wrong class compiles to [Ill_int] or [Ill_float]
+    ([Load_ill] for a load's index), an unknown memory symbol to
+    [Load_unknown]: they raise the interpreter's error when run.  The
+    second group, from [Load_sh], run only in {!step_encoded}: every
+    other instruction, one opcode per kind, and the terminators. *)
 and opc =
-  | Closure  (** not encoded: [cb_instrs.(i)] runs it *)
   | Add_rr | Sub_rr | Mul_rr | Div_rr | Mod_rr | Shl_rr | Shr_rr | And_rr
   | Or_rr | Xor_rr | Lt_rr | Le_rr | Gt_rr | Ge_rr | Eq_rr | Ne_rr
   | Add_ri | Sub_ri | Mul_ri | Div_ri | Mod_ri | Shl_ri | Shr_ri | And_ri
@@ -172,10 +168,14 @@ and opc =
   | Load_ri  (** a ROM array into an int register, at a register index *)
   | Load
   | Ill_int | Ill_float | Load_ill | Load_unknown
+  | Load_sh  (** a load from shared memory *)
+  | Store | Faa | Call | Pg_off | Pg_on | Dvfs | Send | Recv | Barrier
+  | Jmp | Br | Ret
 
-(** A compiled function.  [cf_blocks] is indexed by block label;
-    created for every function first, then filled, so call targets
-    and branch targets resolve across mutual recursion. *)
+(** A compiled function.  [cf_blocks] is indexed by block label and
+    filled at [create]; a call site names its callee's [cfun] and a
+    branch reads its frame's, so functions encode in any order, mutual
+    recursion included. *)
 and cfun = {
   cf_fe : fentry;
   mutable cf_blocks : cblock array;  (** [||] when compilation is off *)
@@ -241,7 +241,9 @@ type chan = {
                                  sender waits (idle) until then *)
 }
 
-type barrier_state = { mutable arrived : (int * float) list }
+(** A barrier's arrivals since its last release: how many, and the
+    latest arrival time. *)
+type barrier_state = { mutable arrived : int; mutable latest : float }
 
 type options = {
   max_steps : int;
@@ -311,10 +313,6 @@ type t = {
       (** cores not yet [Halted]; maintained at the two halt sites so
           the scheduler's are-we-done check is one integer compare
           instead of a status scan per iteration *)
-  mutable frames_dirty : bool;
-      (** set by a compiled [Call] when it pushes a frame: the batch
-          loop's cached frame/block are stale and must be re-fetched
-          (terminators are re-fetched unconditionally) *)
   mutable unblock_dirty : bool;
       (** set when the next {!unblock_pass} could possibly make
           progress: a core just blocked on a channel, or anything that
@@ -380,9 +378,8 @@ let refresh_point_caches _t (c : core) =
     Component.all
 
 let dummy_cblock =
-  { cb_instrs = [||]; cb_n = 0; cb_pure = [||];
-    cb_term = (fun _ -> assert false); cb_op = [||]; cb_code = [||];
-    cb_fk = [||]; cb_roms = [||]; cb_db = Predecode.dummy_block;
+  { cb_n = 0; cb_op = [||]; cb_code = [||]; cb_fk = [||]; cb_vals = [||];
+    cb_arrs = [||]; cb_calls = [||]; cb_db = Predecode.dummy_block;
     cb_slots = [||] }
 
 (* Every register starts at the zero of its class, in both steppers. *)
@@ -678,20 +675,30 @@ let complete_send t (sender : core) chan_id v =
 
 let barrier_participants t = Array.length t.cores
 
-let release_barrier t bid =
+(** [c] arrives at barrier [bid] and blocks there.  Every core takes
+    part in every barrier, so the last arrival resumes each core blocked
+    on it, at the latest arrival time (the order of arrivals moves
+    neither that time nor any core's own resume) plus the bus
+    latency. *)
+let arrive_barrier t (c : core) bid =
   let b = t.barriers.(bid) in
-  if List.length b.arrived = barrier_participants t then begin
-    let tmax =
-      List.fold_left (fun acc (_, tm) -> Float.max acc tm) 0.0 b.arrived
-    in
-    let release = tmax +. nominal_ns t t.machine.Machine.bus_latency_cycles in
-    List.iter
-      (fun (cid, _) ->
-        let c = t.cores.(cid) in
+  record t c (fun () -> Printf.sprintf "arrived at barrier %d" bid);
+  b.arrived <- b.arrived + 1;
+  b.latest <- fmax b.latest c.clk.time;
+  c.status <- Blocked_barrier bid;
+  if b.arrived = barrier_participants t then begin
+    let release = b.latest +. nominal_ns t t.machine.Machine.bus_latency_cycles in
+    for k = 0 to Array.length t.cores - 1 do
+      let c = t.cores.(k) in
+      match c.status with
+      | Blocked_barrier x when x = bid ->
         resume_at t c release;
-        c.status <- Ready)
-      b.arrived;
-    b.arrived <- [];
+        c.status <- Ready
+      | Ready | Blocked_send _ | Blocked_recv _ | Blocked_barrier _ | Halted _ ->
+        ()
+    done;
+    b.arrived <- 0;
+    b.latest <- 0.0;
     (* every participant's schedulability just changed *)
     t.sched_event <- true;
     t.unblock_dirty <- true
@@ -887,26 +894,10 @@ let exec_instr t (c : core) (fr : frame) (di : Predecode.dinstr) =
   | Ir.Barrier bid ->
     spend t c 1;
     charge_dynamic t c comp;
-    let b = t.barriers.(bid) in
-    record t c (fun () -> Printf.sprintf "arrived at barrier %d" bid);
-    b.arrived <- (c.id, c.clk.time) :: b.arrived;
-    c.status <- Blocked_barrier bid;
-    release_barrier t bid);
+    arrive_barrier t c bid);
   c.instr_count <- c.instr_count + 1;
   if c.prof_on then
     c.prof_cur.Profile.sl_instrs <- c.prof_cur.Profile.sl_instrs + 1
-
-let missing_block_err l fname =
-  invalid_arg (Printf.sprintf "Prog.block: no L%d in %s" l fname)
-
-let fetch_dblock (fr : frame) l : Predecode.dblock =
-  let blocks = fr.dfunc.Predecode.df_blocks in
-  if l < 0 || l >= Array.length blocks then
-    missing_block_err l fr.func.Prog.fname
-  else
-    match blocks.(l) with
-    | Some db -> db
-    | None -> missing_block_err l fr.func.Prog.fname
 
 (** Execute one step (instruction or terminator) on a ready core —
     interpretive mode. *)
@@ -915,7 +906,8 @@ let step_interp t (c : core) =
   | [] -> runtime_err "core %d has empty stack" c.id
   | fr :: _ ->
     if fr.dbid <> fr.block then begin
-      fr.dblk <- fetch_dblock fr fr.block;
+      (* the decoder rejected every branch to a label with no block *)
+      fr.dblk <- fr.dfunc.Predecode.df_blocks.(fr.block);
       fr.dbid <- fr.block
     end;
     let db = fr.dblk in
@@ -948,18 +940,19 @@ let step_interp t (c : core) =
 (* The issue protocol (compiled mode)                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The compiled stepper executes [cb_instrs.(idx) frame], or a section
-   of encoded instructions ({!run_section}).  Each performs the same
-   state mutations, in the same order, as one [exec_instr] dispatch —
-   with everything that is a pure function of the IR, the machine, or
-   the current operating point resolved ahead of time: operand fetches,
-   memory symbols, call targets, per-component dynamic energies (no [**]
+(* The compiled stepper runs a section of register instructions
+   ({!run_section}), or one instruction or terminator on its own
+   ({!step_encoded}).  Each performs the same state mutations, in the
+   same order, as one [exec_instr] or [exec_term] dispatch — with
+   everything that is a pure function of the IR, the machine, or the
+   current operating point resolved ahead of time: operand slots,
+   memory arrays, call targets, per-component dynamic energies (no [**]
    per instruction), and cycle→ns factors (no division per
-   instruction).  The closures and {!step_encoded} are assembled from
-   the [@inline always] helpers below, so every step of the
-   per-instruction protocol is written once for them and still compiles
-   to straight-line code, with no call per step; {!run_section} is the
-   protocol's second compiled definition. *)
+   instruction).  {!step_encoded} is assembled from the [@inline always]
+   helpers below, so every step of the per-instruction protocol is
+   written once for it and still compiles to straight-line code, with
+   no call per step; {!run_section} is the protocol's second compiled
+   definition. *)
 
 let bump (c : core) =
   c.instr_count <- c.instr_count + 1;
@@ -981,14 +974,16 @@ let[@inline always] charge_dyn (c : core) ci =
     Array.unsafe_set sc 0 (Array.unsafe_get sc 0 +. nj)
   end
 
-(** Implicit wakeup, compiled mode: identical to {!ensure_powered}'s slow
-    path except leakage refresh is deferred to the wake-stall advance. *)
-let wakeup_compiled t (c : core) comp ci =
+(** Implicit wakeup of component [ci], compiled mode: identical to
+    {!ensure_powered}'s slow path except leakage refresh is deferred to
+    the wake-stall advance. *)
+let wakeup_compiled t (c : core) ci =
   let pm = c.pm in
   c.powered.(ci) <- true;
   c.leak_dirty <- true;
   c.implicit_wakeups <- c.implicit_wakeups + 1;
-  record t c (fun () -> "IMPLICIT WAKEUP of " ^ Component.to_string comp);
+  record t c (fun () ->
+      "IMPLICIT WAKEUP of " ^ Component.to_string (Component.of_index ci));
   c.gate_transitions <- c.gate_transitions + 1;
   charge c Energy_ledger.Gating_overhead pm.Power_model.gate_energy_nj;
   spend t c pm.Power_model.wake_latency_cycles
@@ -996,8 +991,8 @@ let wakeup_compiled t (c : core) comp ci =
 (** The implicit wakeup of the instruction's component, when it is
     gated: on its own for the power-control instructions, which pay no
     dynamic charge, and as the first step of {!issue} for the rest. *)
-let[@inline always] wake t (c : core) comp ci =
-  if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c comp ci
+let[@inline always] wake t (c : core) ci =
+  if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c ci
 
 (* [n] cycles ([nf] is [n] pre-floated; [1.0 *. x] is exactly [x], so one
    cycle needs no special case), then — for a local access on a cache
@@ -1007,38 +1002,37 @@ let[@inline always] cost t (c : core) ci n nf ~miss =
   if miss then local_miss t c;
   charge_dyn c ci
 
-let issue_gated t (c : core) comp ci n nf ~miss =
-  wake t c comp ci;
+let issue_gated t (c : core) ci n nf ~miss =
+  wake t c ci;
   cost t c ci n nf ~miss
 
 (** Issue an instruction: the wakeup, then its cycles, then (see
     [cost]) the dynamic charge — the order {!exec_instr} performs them
     in.  The wakeup path is out of line, so the common path makes no
     call before the cost is paid. *)
-let[@inline always] issue_miss t (c : core) comp ci n nf ~miss =
+let[@inline always] issue_miss t (c : core) ci n nf ~miss =
   if Array.unsafe_get c.powered ci then cost t c ci n nf ~miss
-  else issue_gated t c comp ci n nf ~miss
+  else issue_gated t c ci n nf ~miss
 
-let[@inline always] issue t c comp ci n nf =
-  issue_miss t c comp ci n nf ~miss:false
+let[@inline always] issue t c ci n nf = issue_miss t c ci n nf ~miss:false
+
+(** A terminator's share of the protocol: one cycle and the branch
+    unit's dynamic charge (terminators never wake a gated unit, as in
+    {!exec_term}). *)
+let[@inline always] branch t (c : core) =
+  spend_nf t c 1 1.0;
+  charge_dyn c branch_idx
 
 (* Registers are unboxed: a frame of the compiled stepper keeps its int
    registers in [iregs] and its float registers in [fregs], each
    register at the slot [Predecode.df_regs] gives it within its class
    ({!Lp_ir.Verify.reg_classes}).  Frames size both arrays from the same
    table, so every compiled register access is in bounds by construction
-   and the closures use unchecked accesses.  A closure reads and writes
-   raw ints and floats — no box, no tag test, no write barrier — and
-   none returns a float, which OCaml would box. *)
+   and the steppers use unchecked accesses.  They read and write raw
+   ints and floats — no box, no tag test, no write barrier. *)
 
 let[@inline always] ireg (fr : frame) s = Array.unsafe_get fr.iregs s
 let[@inline always] freg (fr : frame) s = Array.unsafe_get fr.fregs s
-
-(** Retire an instruction: its int result register (slot [s]), then
-    the instruction count. *)
-let[@inline always] retire_i (fr : frame) s n =
-  Array.unsafe_set fr.iregs s n;
-  bump fr.fcore
 
 (** The slot of register [d] in its class's array; [df_regs.(d)] itself
     ([2 * slot + class]) is the destination code of {!store_value} and
@@ -1079,11 +1073,11 @@ let[@inline always] visible_turn t (fr : frame) =
      end
 
 (** One-word shared-memory bus transaction (loads, stores, faa), the
-    compiled {!shared_access}: [extra_ns] is the off-bus latency of the
-    symbol's memory tier, and a far-tier symbol ([far]) also pays the
-    tier's per-access energy.  Both are resolved when the closure is
-    compiled, so near-only machines never take the far branch. *)
-let bus_word t (c : core) extra_ns far =
+    compiled {!shared_access}: the off-bus latency is the symbol's
+    memory tier's, and a far-tier symbol ([far], resolved at encoding,
+    so near-only machines never take the far branch) also pays the
+    tier's per-access energy. *)
+let bus_word t (c : core) far =
   if t.faults_armed then
     Lp_util.Fault.check Lp_util.Fault.Sim_bus ~key:"bus";
   let start = fmax c.clk.time (Array.unsafe_get t.bus_free 0) in
@@ -1100,7 +1094,9 @@ let bus_word t (c : core) extra_ns far =
     Array.unsafe_set sc 5 (Array.unsafe_get sc 5 +. t.bus_word_energy_nj)
   end;
   Array.unsafe_set t.bus_free 0 (start +. t.bus_txn1_ns);
-  let finish = start +. t.bus_txn1_ns +. extra_ns in
+  let finish =
+    start +. t.bus_txn1_ns +. if far then t.far_extra_ns else t.shared_extra_ns
+  in
   advance t c (finish -. c.clk.time) ~idle:false;
   (* hand-inlined [Energy_ledger.charge ~category:Communication] *)
   let nj = t.bus_word_energy_nj in
@@ -1109,151 +1105,47 @@ let bus_word t (c : core) extra_ns far =
   Array.unsafe_set c.lg_tot 0 (Array.unsafe_get c.lg_tot 0 +. nj);
   if far then charge c Energy_ledger.Communication t.far_energy_nj
 
-(** An operand resolved against its function's register classes: the
-    slot of an int or a float register, or a constant. *)
-type src = Ireg of int | Freg of int | Iimm of int | Fimm of float
-
-(** [df_regs.(r)], or the error of a register [df] never allocated. *)
-let reg_code (df : Predecode.dfunc) r =
-  let regs = df.Predecode.df_regs in
-  if r < 0 || r >= Array.length regs then
-    runtime_err "%s reads r%d, which it never allocated"
-      df.Predecode.df_func.Prog.fname r
-  else regs.(r)
-
-let src (df : Predecode.dfunc) (o : Ir.operand) : src =
-  match o with
-  | Ir.Reg r ->
-    let k = reg_code df r in
-    if k land 1 = Verify.cls_float then Freg (k lsr 1) else Ireg (k lsr 1)
-  | Ir.Imm (Ir.Cint n) -> Iimm (Value.wrap32 n)
-  | Ir.Imm (Ir.Cfloat x) -> Fimm x
-
-(** An int operand's reader.  A float operand raises the interpreter's
-    [Value.to_int] error when the closure runs. *)
-let int_getter : src -> frame -> int = function
-  | Ireg s -> fun fr -> ireg fr s
-  | Iimm n -> fun _ -> n
-  | Freg _ | Fimm _ -> fun _ -> Value.not_int ()
-
-(** An operand boxed for a boundary: a memory store, a channel send, the
-    value a program halts with. *)
-let value_getter : src -> frame -> Value.t = function
-  | Ireg s -> fun fr -> Value.Vint (ireg fr s)
-  | Freg s -> fun fr -> Value.Vfloat (freg fr s)
-  | Iimm n -> let v = Value.Vint n in fun _ -> v
-  | Fimm x -> let v = Value.Vfloat x in fun _ -> v
-
-(** Copy an operand of frame [fr] into the register [k] encodes in frame
-    [into] — unboxed when the classes agree, else through {!store_value}.
-    Call arguments and return values cross frames this way. *)
-let put : src -> frame -> frame -> int -> unit = function
-  | Ireg r ->
-    fun fr into k ->
-      if k land 1 = Verify.cls_int then
-        Array.unsafe_set into.iregs (k lsr 1) (ireg fr r)
-      else store_value into k (Value.Vint (ireg fr r))
-  | Freg r ->
-    fun fr into k ->
-      if k land 1 = Verify.cls_float then
-        Array.unsafe_set into.fregs (k lsr 1) (freg fr r)
-      else store_value into k (Value.Vfloat (freg fr r))
-  | (Iimm _ | Fimm _) as s ->
-    let g = value_getter s in
-    fun fr into k -> store_value into k (g fr)
-
-(** Resolve a memory symbol: shared/rom globals bind to their backing
-    array outright; frame symbols bind to a position in the frame's
-    array-of-arrays.  Unknown names compile to the interpreter's runtime
-    error, raised at the same execution point. *)
-let compile_sym t (df : Predecode.dfunc) (s : Ir.sym) : frame -> Value.t array =
-  match s.Ir.sym_space with
-  | Ir.Shared | Ir.Rom -> (
-    match Hashtbl.find_opt t.shared s.Ir.sym_name with
-    | Some a -> fun _ -> a
-    | None -> fun _ -> runtime_err "unknown global %s" s.Ir.sym_name)
-  | Ir.Frame -> (
-    match Hashtbl.find_opt df.Predecode.df_frame_idx s.Ir.sym_name with
-    | Some k -> fun fr -> fr.farrs.(k)
-    | None -> fun _ -> runtime_err "unknown frame array %s" s.Ir.sym_name)
-
-(** A memory operand resolved at compile time: its backing array, its
-    printed name (for the out-of-bounds error) and what one access
-    costs — the cycles it issues, whether a local access takes the
-    cache's periodic miss, and a shared access's tier latency and
-    far-tier flag (see {!bus_word}). *)
-type mem_op = {
-  m_arr : frame -> Value.t array;
-  m_sym : string;
-  m_cycles : int;
-  m_cyclesf : float;
-  m_miss : bool;
-  m_extra_ns : float;
-  m_far : bool;
-}
-
-let compile_mem t df (s : Ir.sym) ~cycles =
-  let far = Hashtbl.mem t.far_syms s.Ir.sym_name in
-  {
-    m_arr = compile_sym t df s;
-    m_sym = Ir.sym_to_string s;
-    m_cycles = cycles;
-    m_cyclesf = float_of_int cycles;
-    m_miss = t.cache_miss_period > 0;
-    m_extra_ns = (if far then t.far_extra_ns else t.shared_extra_ns);
-    m_far = far;
-  }
-
-(** One memory access, after its operands are read: issue it (a local
-    access on a cache machine takes the periodic miss), then a shared
-    access's bus transaction, then the bounds check of [idx]
-    ([what] names the access in the error).  Returns the array. *)
-let[@inline always] access t (fr : frame) comp ci m ~shared what idx =
-  let c = fr.fcore in
-  if shared then begin
-    issue t c comp ci m.m_cycles m.m_cyclesf;
-    bus_word t c m.m_extra_ns m.m_far
-  end
-  else issue_miss t c comp ci m.m_cycles m.m_cyclesf ~miss:m.m_miss;
-  let a = m.m_arr fr in
-  if idx < 0 || idx >= Array.length a then oob_err what m.m_sym idx a fr;
-  a
-
-(** Gate ([on = false]) or ungate every component of [idxs] not already
-    in that state, charging each transition with the executing core's
-    class energy (closures are shared across cores of different
-    classes); true if any component changed. *)
-let gate_set (c : core) idxs ~on =
+(** Gate ([on = false]) or ungate every component of [mask] (bit
+    [Component.index]) not already in that state, in index order,
+    charging each transition with the executing core's class energy;
+    true if any component changed. *)
+let gate_set (c : core) mask ~on =
   let any = ref false in
-  Array.iter
-    (fun k ->
-      if c.powered.(k) <> on then begin
-        c.powered.(k) <- on;
-        any := true;
-        c.gate_transitions <- c.gate_transitions + 1;
-        charge c Energy_ledger.Gating_overhead c.pm.Power_model.gate_energy_nj
-      end)
-    idxs;
+  for k = 0 to Component.count - 1 do
+    if mask land (1 lsl k) <> 0 && c.powered.(k) <> on then begin
+      c.powered.(k) <- on;
+      any := true;
+      c.gate_transitions <- c.gate_transitions + 1;
+      charge c Energy_ledger.Gating_overhead c.pm.Power_model.gate_energy_nj
+    end
+  done;
   !any
 
+let comps_of_mask mask =
+  Component.Set.of_list
+    (List.filter (fun comp -> mask land (1 lsl Component.index comp) <> 0)
+       Component.all)
+
 (* ------------------------------------------------------------------ *)
-(* Encoded instructions and the section loop (compiled mode)           *)
+(* Encoding (compiled mode)                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Every [Const], [Move], [Binop], [Unop], [Mac] and local [Load] is
-   encoded at [create] into its block's flat arrays: an opcode in
-   [cb_op], and [enc_width] ints from [i lsl enc_shift] in [cb_code]:
+(* Every instruction, and the terminator, is encoded at [create] into
+   its block's flat arrays: an opcode in [cb_op], and [enc_width] ints
+   from [i lsl enc_shift] in [cb_code]:
    - [f_cost] packs the component's index (bits 0-3); bit 4, set on a
      local access that takes a cache machine's periodic miss; [cost_x]
      (bits 5-11), which holds a generic opcode's operator code from its
-     bit 3 and flags its immediate operands a, b and c in its bits 0-2
-     (a generic load's: a ROM array, a float register, an immediate
-     index); the cycles the instruction issues (bits 12-23); and a
-     [Mac]'s third operand (bits 24 and up);
-   - [f_d]: the destination register's slot;
-   - [f_a], [f_b]: the operands, each a register's slot, an int
-     immediate, or a float immediate's index in [cb_fk]; a load's index,
-     then its array: a frame array's position or an index in [cb_roms]. *)
+     bit 3 and flags its immediate operands a, b and c in its bits 0-2,
+     or a memory access's [x_] flags; the cycles the instruction issues
+     (bits 12-23); and a [Mac]'s third operand (bits 24 and up);
+   - [f_d], [f_a], [f_b]: a register instruction's destination
+     register's slot and its operands, each a register's slot, an int
+     immediate, or a float immediate's index in [cb_fk] (a load's index,
+     then its array, see {!enc_sym}).  The other instructions and the
+     terminators keep each operand's kind with it ({!operand}), and
+     labels, channels, barriers, levels and component masks are plain
+     ints; {!encode} and {!encode_term} list their words. *)
 let enc_shift = 2
 let enc_width = 1 lsl enc_shift
 let f_cost = 0
@@ -1270,6 +1162,22 @@ let[@inline always] cost_c k = k asr 24
 let pack_cost ~ci ~miss ~x ~n ~c =
   if ci > 15 || n > 4095 then invalid_arg "Sim.pack_cost";
   ci lor (if miss then 16 else 0) lor (x lsl 5) lor (n lsl 12) lor (c lsl 24)
+
+(* A memory access's flags in [cost_x]: its array is a global, in
+   [cb_arrs], not a frame array; a load into a float register; a load at
+   an immediate index; a symbol of the far tier; a shared store (a
+   visible one, over the bus). *)
+let x_global = 1
+let x_float = 2
+let x_imm = 4
+let x_far = 8
+let x_shared = 16
+
+let words (code : int array) b cost d a y =
+  code.(b + f_cost) <- cost;
+  code.(b + f_d) <- d;
+  code.(b + f_a) <- a;
+  code.(b + f_b) <- y
 
 (* The operators, in the order of their codes in [cost_x] and of their
    opcodes in the tables beside them. *)
@@ -1290,18 +1198,36 @@ let unops = [| Ir.Neg; Ir.Not; Ir.Bnot; Ir.I2f; Ir.Fneg; Ir.F2i |]
 let rec index_from x a i = if a.(i) == x then i else index_from x a (i + 1)
 let index_of x a = index_from x a 0
 
-(** A block's float immediates and ROM arrays, as its encoder finds
-    them (newest first). *)
+(** What a block's encoder puts aside, newest first; {!drain} hands it
+    over as an array and empties it for the next block. *)
+type 'a pool = { mutable items : 'a list; mutable size : int }
+
+let add pl x =
+  pl.items <- x :: pl.items;
+  pl.size <- pl.size + 1;
+  pl.size - 1
+
+(* [x]'s index in [pl] by physical equality, added when absent *)
+let rec add_uniq pl x k = function
+  | [] -> add pl x
+  | y :: rest -> if y == x then k else add_uniq pl x (k - 1) rest
+
+let drain pl =
+  let a = Array.of_list (List.rev pl.items) in
+  pl.items <- [];
+  pl.size <- 0;
+  a
+
 type pools = {
-  mutable fk : float list;
-  mutable nfk : int;
-  mutable roms : Value.t array list;
-  mutable nroms : int;
+  fk : float pool;
+  vals : Value.t pool;
+  arrs : Value.t array pool;
+  calls : call_site pool;
 }
 
 (* An encoded operand: [value lsl 2 lor kind], where the value is a
-   register's slot, an int immediate, or a float immediate's index in
-   the pool. *)
+   register's slot, an int immediate, or an immediate's index in a pool
+   ({!operand}, {!boxed_operand}). *)
 let k_ireg = 0
 let k_iimm = 1
 let k_freg = 2
@@ -1311,30 +1237,55 @@ let[@inline always] opk e = e land 3
 let[@inline always] is_int e = opk e < k_freg
 let[@inline always] is_imm e = e land 1 = 1
 
-(** Operand [o], resolved as {!src} resolves it (with its error for a
-    register the function never allocated), without allocating. *)
+(** [df_regs.(r)], or the error of a register [df] never allocated. *)
+let reg_code (df : Predecode.dfunc) r =
+  let regs = df.Predecode.df_regs in
+  if r < 0 || r >= Array.length regs then
+    runtime_err "%s reads r%d, which it never allocated"
+      df.Predecode.df_func.Prog.fname r
+  else regs.(r)
+
+(** Operand [o]: an int or a float register's slot, an int immediate,
+    or a float immediate's index in the block's float immediates, with
+    its kind; a register the function never allocated raises at
+    [create]. *)
 let operand p (df : Predecode.dfunc) (o : Ir.operand) =
   match o with
   | Ir.Reg r ->
     let k = reg_code df r in
     ((k lsr 1) lsl 2) lor (if k land 1 = Verify.cls_float then k_freg else k_ireg)
   | Ir.Imm (Ir.Cint n) -> (Value.wrap32 n lsl 2) lor k_iimm
-  | Ir.Imm (Ir.Cfloat x) ->
-    p.fk <- x :: p.fk;
-    p.nfk <- p.nfk + 1;
-    ((p.nfk - 1) lsl 2) lor k_fimm
+  | Ir.Imm (Ir.Cfloat x) -> (add p.fk x lsl 2) lor k_fimm
 
-let rec find_rom (a : Value.t array) k = function
-  | [] -> -1
-  | x :: rest -> if x == a then k else find_rom a (k - 1) rest
+(** Operand [o] of a store, send, call or return: a register as
+    {!operand} encodes it, an immediate as its index among the block's
+    boxed values (kind [k_iimm], whatever its class). *)
+let boxed_operand p df (o : Ir.operand) =
+  match o with
+  | Ir.Reg _ -> operand p df o
+  | Ir.Imm c -> (add p.vals (Value.of_const c) lsl 2) lor k_iimm
 
-let enc_rom p (a : Value.t array) =
-  match find_rom a (p.nroms - 1) p.roms with
-  | -1 ->
-    p.roms <- a :: p.roms;
-    p.nroms <- p.nroms + 1;
-    p.nroms - 1
-  | k -> k
+(** The array a memory instruction accesses: a global's index in the
+    block's arrays (flag [x_global]), a frame array's position among the
+    frame's arrays, or -1 for an unknown symbol, whose access raises the
+    interpreter's error. *)
+let enc_sym t p (df : Predecode.dfunc) (s : Ir.sym) =
+  match s.Ir.sym_space with
+  | Ir.Shared | Ir.Rom -> (
+    match Hashtbl.find_opt t.shared s.Ir.sym_name with
+    | Some a -> add_uniq p.arrs a (p.arrs.size - 1) p.arrs.items
+    | None -> -1)
+  | Ir.Frame -> (
+    match Hashtbl.find_opt df.Predecode.df_frame_idx s.Ir.sym_name with
+    | Some pos -> pos
+    | None -> -1)
+
+let mem_x t (s : Ir.sym) =
+  (if s.Ir.sym_space = Ir.Frame then 0 else x_global)
+  lor if Hashtbl.mem t.far_syms s.Ir.sym_name then x_far else 0
+
+let gate_mask comps =
+  Component.Set.fold (fun comp m -> m lor (1 lsl Component.index comp)) comps 0
 
 (* [Const] and [Move]: a destination always has its source's class
    (Verify.reg_classes). *)
@@ -1345,21 +1296,34 @@ let enc_copy code b d e =
   else if is_imm e then Const_f
   else Move_f
 
-(** Encode [di] at [code.(b)], or return [Closure] for an instruction
-    that keeps its closure.  Operands resolve in the order the closures
-    resolved them, so a program reading a register it never allocated
-    fails at [create] with the same message. *)
+(** Encode [di] at [code.(b)].  Operands resolve in the order the
+    interpreter reads them (a binop's and a [Mac]'s right to left), so a
+    program reading a register it never allocated fails at [create],
+    with the message that names the first one.  Beyond the register
+    instructions, the words [f_d], [f_a], [f_b] are:
+    - [Load_sh]: the destination's code ([df_regs]), the index, the
+      array;
+    - [Store]: the value ({!boxed_operand}), the index, the array;
+    - [Faa]: the destination's slot, the amount, the array;
+    - [Call]: the destination's code or -1, the call site's index in
+      [cb_calls] or -1 for an unknown callee;
+    - [Pg_off], [Pg_on], [Dvfs], [Barrier]: the component mask, the
+      level or the barrier, in [f_a];
+    - [Send]: the value ({!boxed_operand}), the channel;
+    - [Recv]: the destination register, the channel, its code. *)
 let encode t (df : Predecode.dfunc) p (di : Predecode.dinstr)
     (code : int array) b : opc =
   let ci = di.Predecode.di_comp_idx and n = di.Predecode.di_latency in
+  let plain = pack_cost ~ci ~miss:false ~x:0 ~n ~c:0 in
+  let setup = t.machine.Machine.channel_setup_cycles in
   match di.Predecode.di_instr.Ir.idesc with
   | Ir.Const (d, cst) ->
     let e = operand p df (Ir.Imm cst) in
-    code.(b + f_cost) <- pack_cost ~ci ~miss:false ~x:0 ~n ~c:0;
+    code.(b + f_cost) <- plain;
     enc_copy code b (slot df d) e
   | Ir.Move (d, a) ->
     let e = operand p df a in
-    code.(b + f_cost) <- pack_cost ~ci ~miss:false ~x:0 ~n ~c:0;
+    code.(b + f_cost) <- plain;
     enc_copy code b (slot df d) e
   | Ir.Binop (op, d, a, bo) ->
     code.(b + f_d) <- slot df d;
@@ -1426,42 +1390,97 @@ let encode t (df : Predecode.dfunc) p (di : Predecode.dinstr)
     code.(b + f_d) <- k lsr 1;
     code.(b + f_a) <- opv e;
     let rom = s.Ir.sym_space = Ir.Rom in
-    (* the array's position, or -1 for an unknown symbol *)
-    let pos =
-      if rom then
-        match Hashtbl.find_opt t.shared s.Ir.sym_name with
-        | Some a -> enc_rom p a
-        | None -> -1
-      else
-        match Hashtbl.find_opt df.Predecode.df_frame_idx s.Ir.sym_name with
-        | Some pos -> pos
-        | None -> -1
-    in
+    let pos = enc_sym t p df s in
     let into_float = k land 1 = Verify.cls_float in
     code.(b + f_b) <- pos;
     code.(b + f_cost) <-
       pack_cost ~ci ~miss:(t.cache_miss_period > 0)
         ~x:
-          ((if rom then 1 else 0)
-          lor (if into_float then 2 else 0)
-          lor ((opk e land 1) lsl 2))
+          ((if rom then x_global else 0)
+          lor (if into_float then x_float else 0)
+          lor if is_imm e then x_imm else 0)
         ~n:(1 + Machine.spm_latency_cycles t.machine) ~c:0;
     if not (is_int e) then Load_ill
     else if pos < 0 then Load_unknown
     else if rom && not (into_float || is_imm e) then Load_ri
     else Load)
-  | Ir.Load _ | Ir.Store _ | Ir.Faa _ | Ir.Call _ | Ir.Pg_off _ | Ir.Pg_on _
-  | Ir.Dvfs _ | Ir.Send _ | Ir.Recv _ | Ir.Barrier _ ->
-    Closure
+  | Ir.Load (d, s, idxo) ->
+    let e = operand p df idxo in
+    words code b (pack_cost ~ci ~miss:false ~x:(mem_x t s) ~n ~c:0)
+      df.Predecode.df_regs.(d) e (enc_sym t p df s);
+    Load_sh
+  | Ir.Store (s, idxo, vo) ->
+    let ei = operand p df idxo in
+    let ev = boxed_operand p df vo in
+    let shared = s.Ir.sym_space = Ir.Shared in
+    words code b
+      (pack_cost ~ci ~miss:((not shared) && t.cache_miss_period > 0)
+         ~x:(mem_x t s lor if shared then x_shared else 0)
+         ~n:(if shared then 1 else 1 + Machine.spm_latency_cycles t.machine)
+         ~c:0)
+      ev ei (enc_sym t p df s);
+    Store
+  | Ir.Faa (d, s, amt) ->
+    let e = operand p df amt in
+    words code b (pack_cost ~ci ~miss:false ~x:(mem_x t s) ~n ~c:0)
+      (slot df d) e (enc_sym t p df s);
+    Faa
+  | Ir.Call (dst, callee, args) ->
+    let site =
+      match Hashtbl.find_opt t.fsyms callee with
+      | None -> -1
+      | Some cf ->
+        let cs_args = Array.of_list (List.map (boxed_operand p df) args) in
+        let tregs = cf.cf_fe.fe_dfunc.Predecode.df_regs in
+        add p.calls
+          { cs_cf = cf; cs_args;
+            cs_params = Array.map (Array.get tregs) cf.cf_fe.fe_params }
+    in
+    let k = match dst with Some d -> df.Predecode.df_regs.(d) | None -> -1 in
+    words code b plain k site 0;
+    Call
+  | Ir.Pg_off comps -> words code b plain 0 (gate_mask comps) 0; Pg_off
+  | Ir.Pg_on comps -> words code b plain 0 (gate_mask comps) 0; Pg_on
+  | Ir.Dvfs level -> words code b plain 0 level 0; Dvfs
+  | Ir.Send (chan, vo) ->
+    let e = boxed_operand p df vo in
+    words code b (pack_cost ~ci ~miss:false ~x:0 ~n:setup ~c:0) e chan 0;
+    Send
+  | Ir.Recv (d, chan, _) ->
+    words code b (pack_cost ~ci ~miss:false ~x:0 ~n:setup ~c:0) d chan
+      df.Predecode.df_regs.(d);
+    Recv
+  | Ir.Barrier bid -> words code b plain 0 bid 0; Barrier
+
+(** Encode a terminator at [code.(b)]: [Jmp] keeps its label in [f_a]
+    (as does a branch on an int immediate, encoded as the jump it
+    takes); [Br] its then-label, its condition and its else-label;
+    [Ret] its value ({!boxed_operand}) and, in [f_a], 1 when it has
+    one. *)
+let encode_term p df (term : Ir.term) (code : int array) b : opc =
+  let cost = pack_cost ~ci:branch_idx ~miss:false ~x:0 ~n:1 ~c:0 in
+  match term with
+  | Ir.Jmp l -> words code b cost 0 l 0; Jmp
+  | Ir.Br (Ir.Imm (Ir.Cint n), l1, l2) ->
+    words code b cost 0 (if Value.wrap32 n <> 0 then l1 else l2) 0;
+    Jmp
+  | Ir.Br (cond, l1, l2) -> words code b cost l1 (operand p df cond) l2; Br
+  | Ir.Ret None -> words code b cost 0 0 0; Ret
+  | Ir.Ret (Some v) -> words code b cost (boxed_operand p df v) 1 0; Ret
+
+(* ------------------------------------------------------------------ *)
+(* The section loop and the out-of-line step (compiled mode)           *)
+(* ------------------------------------------------------------------ *)
 
 (* The effect of every opcode, on raw ints and floats.  The int
-   operators are [Value]'s, defined again here because the section loop
-   below must make no call: dune's default (dev) profile, which builds
-   the tests and perfbench, compiles with [-opaque], and there a [Value]
-   function is a call through [caml_apply2] even when it is marked
-   [@inline always].  [wrap32] is [Int32_sem.wrap32].  test_predecode's
-   "every way out of the section loop" pins the two definitions equal
-   on edge values, in every operand shape. *)
+   operators are {!Lp_ir.Ir}'s (the interpreter's and the constant
+   folder's), defined again here because the section loop below must
+   make no call: dune's default (dev) profile, which builds the tests
+   and perfbench, compiles with [-opaque], and there a function of
+   another module is a call through [caml_apply2] even when it is
+   marked [@inline always].  [wrap32] is [Int32_sem.wrap32].
+   test_predecode's "every way out of the section loop" pins the two
+   definitions equal on edge values, in every operand shape. *)
 
 let[@inline always] wrap32 n = (n lsl 31) asr 31
 let[@inline always] iadd a b = wrap32 (a + b)
@@ -1474,14 +1493,14 @@ let[@inline always] ishr a b = wrap32 (a asr (b land 31))
 let[@inline always] iand a b = wrap32 (a land b)
 let[@inline always] ior a b = wrap32 (a lor b)
 let[@inline always] ixor a b = wrap32 (a lxor b)
-let[@inline always] ilt (a : int) b = Value.b2i (a < b)
-let[@inline always] ile (a : int) b = Value.b2i (a <= b)
-let[@inline always] igt (a : int) b = Value.b2i (a > b)
-let[@inline always] ige (a : int) b = Value.b2i (a >= b)
-let[@inline always] ieq (a : int) b = Value.b2i (a = b)
-let[@inline always] ine (a : int) b = Value.b2i (a <> b)
+let[@inline always] ilt (a : int) b = Ir.b2i (a < b)
+let[@inline always] ile (a : int) b = Ir.b2i (a <= b)
+let[@inline always] igt (a : int) b = Ir.b2i (a > b)
+let[@inline always] ige (a : int) b = Ir.b2i (a >= b)
+let[@inline always] ieq (a : int) b = Ir.b2i (a = b)
+let[@inline always] ine (a : int) b = Ir.b2i (a <> b)
 let[@inline always] ineg a = wrap32 (-a)
-let[@inline always] inot a = Value.b2i (a = 0)
+let[@inline always] inot a = Ir.b2i (a = 0)
 let[@inline always] ibnot a = wrap32 (lnot a)
 let[@inline always] f2i x = wrap32 (int_of_float x)
 let[@inline always] imac a b c = wrap32 (a + wrap32 (b * c))
@@ -1521,16 +1540,19 @@ let[@inline always] fopnd (r : float array) (fk : float array) v flag =
    interpreter's error and the section loop returns false. *)
 let[@inline always] divide ~strict ~rem iregs d a b =
   if b = 0 then
-    strict && set_i iregs d (if rem then Value.imod a b else Value.idiv a b)
+    strict && Value.div_by_zero (if rem then Ir.Mod else Ir.Div)
   else set_i iregs d (if rem then imod a b else idiv a b)
 
-let load_sym (fr : frame) b =
-  match
-    fr.cblk.cb_db.Predecode.db_instrs.(b lsr enc_shift).Predecode.di_instr
-      .Ir.idesc
-  with
-  | Ir.Load (_, s, _) -> s
-  | _ -> invalid_arg "Sim.load_sym"
+(* the decoded instruction [i] of [cb], for the names its errors print *)
+let idesc (cb : cblock) i =
+  cb.cb_db.Predecode.db_instrs.(i).Predecode.di_instr.Ir.idesc
+
+let mem_sym (cb : cblock) i =
+  match idesc cb i with
+  | Ir.Load (_, s, _) | Ir.Store (s, _, _) | Ir.Faa (_, s, _) -> s
+  | _ -> invalid_arg "Sim.mem_sym"
+
+let load_sym (fr : frame) b = mem_sym fr.cblk (b lsr enc_shift)
 
 (* Read [arr.(idx)] into an int or float register.  Out of bounds, or a
    word of the other class: [strict] raises the interpreter's error and
@@ -1558,16 +1580,18 @@ let[@inline always] load_f ~strict (fr : frame) b fregs d (arr : Value.t array)
     when it cannot (a division by zero, an out-of-bounds index, an
     operand or a loaded word of the other class, an unknown symbol),
     [strict] raises the interpreter's error and the section loop, which
-    passes [~strict:false], gets false with nothing written.  [Closure]
-    gives false. *)
+    passes [~strict:false], gets false with nothing written.  Every
+    opcode that runs only in {!step_encoded} gives false. *)
 let[@inline always] effect ~strict t (fr : frame) (iregs : int array)
     (fregs : float array) (farrs : Value.t array array) (code : int array)
-    (fk : float array) (roms : Value.t array array) b opc =
+    (fk : float array) (arrs : Value.t array array) b opc =
   let d = Array.unsafe_get code (b + f_d) in
   let a = Array.unsafe_get code (b + f_a) in
   let y = Array.unsafe_get code (b + f_b) in
   match opc with
-  | Closure -> false
+  | Load_sh | Store | Faa | Call | Pg_off | Pg_on | Dvfs | Send | Recv
+  | Barrier | Jmp | Br | Ret ->
+    false
   | Add_rr -> set_i iregs d (iadd (iget iregs a) (iget iregs y))
   | Sub_rr -> set_i iregs d (isub (iget iregs a) (iget iregs y))
   | Mul_rr -> set_i iregs d (imul (iget iregs a) (iget iregs y))
@@ -1613,16 +1637,16 @@ let[@inline always] effect ~strict t (fr : frame) (iregs : int array)
     let vb = fopnd fregs fk y (x land 2 <> 0) in
     let va = fopnd fregs fk a (x land 1 <> 0) in
     match Array.unsafe_get float_binops (x lsr 3) with
-    | Ir.Fadd -> set_f fregs d (Value.fadd va vb)
-    | Ir.Fsub -> set_f fregs d (Value.fsub va vb)
-    | Ir.Fmul -> set_f fregs d (Value.fmul va vb)
-    | Ir.Fdiv -> set_f fregs d (Value.fdiv va vb)
-    | Ir.Flt -> set_i iregs d (Value.b2i (Value.flt va vb))
-    | Ir.Fle -> set_i iregs d (Value.b2i (Value.fle va vb))
-    | Ir.Fgt -> set_i iregs d (Value.b2i (Value.fgt va vb))
-    | Ir.Fge -> set_i iregs d (Value.b2i (Value.fge va vb))
-    | Ir.Feq -> set_i iregs d (Value.b2i (Value.feq va vb))
-    | _ -> set_i iregs d (Value.b2i (Value.fne va vb)))
+    | Ir.Fadd -> set_f fregs d (Ir.fadd va vb)
+    | Ir.Fsub -> set_f fregs d (Ir.fsub va vb)
+    | Ir.Fmul -> set_f fregs d (Ir.fmul va vb)
+    | Ir.Fdiv -> set_f fregs d (Ir.fdiv va vb)
+    | Ir.Flt -> set_i iregs d (Ir.b2i (Ir.flt va vb))
+    | Ir.Fle -> set_i iregs d (Ir.b2i (Ir.fle va vb))
+    | Ir.Fgt -> set_i iregs d (Ir.b2i (Ir.fgt va vb))
+    | Ir.Fge -> set_i iregs d (Ir.b2i (Ir.fge va vb))
+    | Ir.Feq -> set_i iregs d (Ir.b2i (Ir.feq va vb))
+    | _ -> set_i iregs d (Ir.b2i (Ir.fne va vb)))
   | Un -> (
     let x = cost_x (Array.unsafe_get code (b + f_cost)) in
     let imm = x land 1 <> 0 in
@@ -1630,8 +1654,8 @@ let[@inline always] effect ~strict t (fr : frame) (iregs : int array)
     | Ir.Neg -> set_i iregs d (ineg (iopnd iregs a imm))
     | Ir.Not -> set_i iregs d (inot (iopnd iregs a imm))
     | Ir.Bnot -> set_i iregs d (ibnot (iopnd iregs a imm))
-    | Ir.I2f -> set_f fregs d (Value.i2f (iopnd iregs a imm))
-    | Ir.Fneg -> set_f fregs d (Value.fneg (fopnd fregs fk a imm))
+    | Ir.I2f -> set_f fregs d (Ir.i2f (iopnd iregs a imm))
+    | Ir.Fneg -> set_f fregs d (Ir.fneg (fopnd fregs fk a imm))
     | Ir.F2i -> set_i iregs d (f2i (fopnd fregs fk a imm)))
   | Mac_rrr ->
     let c = cost_c (Array.unsafe_get code (b + f_cost)) in
@@ -1648,12 +1672,12 @@ let[@inline always] effect ~strict t (fr : frame) (iregs : int array)
   | Move_i -> set_i iregs d (iget iregs a)
   | Move_f -> set_f fregs d (fget fregs a)
   | Load_ri ->
-    load_i ~strict fr b iregs d (Array.unsafe_get roms y) (iget iregs a)
+    load_i ~strict fr b iregs d (Array.unsafe_get arrs y) (iget iregs a)
   | Load ->
     let x = cost_x (Array.unsafe_get code (b + f_cost)) in
-    let arr = Array.unsafe_get (if x land 1 <> 0 then roms else farrs) y in
-    let idx = iopnd iregs a (x land 4 <> 0) in
-    if x land 2 <> 0 then load_f ~strict fr b fregs d arr idx
+    let arr = Array.unsafe_get (if x land x_global <> 0 then arrs else farrs) y in
+    let idx = iopnd iregs a (x land x_imm <> 0) in
+    if x land x_float <> 0 then load_f ~strict fr b fregs d arr idx
     else load_i ~strict fr b iregs d arr idx
   | Ill_int | Load_ill -> strict && Value.not_int ()
   | Ill_float -> strict && Value.not_float ()
@@ -1661,43 +1685,273 @@ let[@inline always] effect ~strict t (fr : frame) (iregs : int array)
     (* [mem_array] raises the interpreter's unknown-symbol error *)
     strict && Array.length (mem_array t fr (load_sym fr b)) < 0
 
-(** An encoded instruction on its own, through the issue helpers and
-    {!effect}: the instruction that ends a section, every encoded
-    instruction while profiling or single-stepping, and any whose effect
-    fails — [~strict:true] raises the interpreter's error, after the
-    instruction issues as the closures did (a load's index is read
+(** An int operand as {!operand} encodes it; a float one raises the
+    interpreter's [Value.to_int] error. *)
+let[@inline always] int_opnd (fr : frame) e =
+  let k = opk e in
+  if k = k_ireg then ireg fr (opv e)
+  else if k = k_iimm then opv e
+  else Value.not_int ()
+
+(** An operand as {!boxed_operand} encodes it, boxed: a stored word, a
+    message, the value a core halts with. *)
+let[@inline always] boxed (fr : frame) (cb : cblock) e =
+  let k = opk e in
+  if k = k_ireg then Value.Vint (ireg fr (opv e))
+  else if k = k_freg then Value.Vfloat (freg fr (opv e))
+  else Array.unsafe_get cb.cb_vals (opv e)
+
+(** Copy operand [e] (as {!boxed_operand} encodes it) of frame [fr] into
+    the register [k] encodes in frame [into] — unboxed when the classes
+    agree, which the decoder makes sure of for every call argument and
+    returned value, else through {!store_value}.  Call arguments and
+    return values cross frames this way. *)
+let[@inline always] put (fr : frame) (cb : cblock) e (into : frame) k =
+  let ke = opk e in
+  if ke = k_ireg && k land 1 = Verify.cls_int then
+    Array.unsafe_set into.iregs (k lsr 1) (ireg fr (opv e))
+  else if ke = k_freg && k land 1 = Verify.cls_float then
+    Array.unsafe_set into.fregs (k lsr 1) (freg fr (opv e))
+  else store_value into k (boxed fr cb e)
+
+(** One memory access of instruction [i], after its operands are read:
+    issue it (a local access on a cache machine takes the periodic
+    miss), then a shared access's bus transaction, then find the array
+    [pos] names ({!enc_sym}; an unknown symbol raises the interpreter's
+    error) and check [idx] against it ([what] names the access in the
+    error).  Returns the array. *)
+let[@inline always] access t (fr : frame) (cb : cblock) i k ~shared what pos
+    idx =
+  let c = fr.fcore in
+  let ci = cost_ci k and n = cost_n k and x = cost_x k in
+  if shared then begin
+    issue t c ci n (float_of_int n);
+    bus_word t c (x land x_far <> 0)
+  end
+  else issue_miss t c ci n (float_of_int n) ~miss:(cost_miss k);
+  let a =
+    if pos < 0 then mem_array t fr (mem_sym cb i)
+    else if x land x_global <> 0 then Array.unsafe_get cb.cb_arrs pos
+    else Array.unsafe_get fr.farrs pos
+  in
+  if idx < 0 || idx >= Array.length a then
+    oob_err what (Ir.sym_to_string (mem_sym cb i)) idx a fr;
+  a
+
+(** Enter block [l] of the frame's function; the decoder rejected every
+    branch to a label with no block. *)
+let[@inline always] goto (fr : frame) l =
+  fr.block <- l;
+  fr.idx <- 0;
+  fr.cblk <- Array.unsafe_get fr.cfun.cf_blocks l
+
+(** Run the instruction or terminator at [fr.idx] on its own: every
+    instruction but the register ones, each terminator, the register
+    instruction that ends a section, and every instruction while
+    profiling or single-stepping.  Each arm takes the steps of its
+    [exec_instr] or [exec_term] arm in their order, so every check,
+    charge, trace event and error happens at the same point.  A
+    register instruction runs through the issue helpers and {!effect}
+    [~strict:true], which raises the interpreter's error where the
+    section loop's [~strict:false] returns false (a load's index is read
     first: a float index raises before the load issues). *)
-let step_encoded t (fr : frame) i =
+let step_encoded t (fr : frame) =
   let c = fr.fcore in
   let cb = fr.cblk in
+  let i = fr.idx in
+  (* safe: [i <= cb_n], and [cb]'s arrays hold the terminator at [cb_n] *)
   if c.prof_on then
     c.prof_cur <- Array.unsafe_get (Array.unsafe_get cb.cb_slots i) c.id;
-  let opc = cb.cb_op.(i) in
-  (match opc with Load_ill -> Value.not_int () | _ -> ());
   let code = cb.cb_code in
   let b = i lsl enc_shift in
-  let k = code.(b + f_cost) in
-  let n = cost_n k in
-  issue_miss t c cb.cb_db.Predecode.db_instrs.(i).Predecode.di_comp
-    (cost_ci k) n (float_of_int n) ~miss:(cost_miss k);
-  ignore
-    (effect ~strict:true t fr fr.iregs fr.fregs fr.farrs code cb.cb_fk
-       cb.cb_roms b opc);
-  bump c
+  let k = Array.unsafe_get code (b + f_cost) in
+  let d = Array.unsafe_get code (b + f_d) in
+  let a = Array.unsafe_get code (b + f_a) in
+  let y = Array.unsafe_get code (b + f_b) in
+  let ci = cost_ci k and n = cost_n k in
+  if i < cb.cb_n then fr.idx <- i + 1;
+  match Array.unsafe_get cb.cb_op i with
+  | Load_sh ->
+    if visible_turn t fr then begin
+      let idx = int_opnd fr a in
+      let arr = access t fr cb i k ~shared:true "read" y idx in
+      store_value fr d (Array.unsafe_get arr idx);
+      bump c
+    end
+  | Store ->
+    let shared = cost_x k land x_shared <> 0 in
+    if (not shared) || visible_turn t fr then begin
+      let idx = int_opnd fr a in
+      let v = boxed fr cb d in
+      Array.unsafe_set (access t fr cb i k ~shared "write" y idx) idx v;
+      bump c
+    end
+  | Faa ->
+    if visible_turn t fr then begin
+      let amount = int_opnd fr a in
+      let arr = access t fr cb i k ~shared:true "read" y 0 in
+      let old = Value.to_int arr.(0) in
+      arr.(0) <- Value.Vint (iadd old amount);
+      Array.unsafe_set fr.iregs d old;
+      bump c
+    end
+  | Call ->
+    issue t c ci n (float_of_int n);
+    if a < 0 then
+      (match idesc cb i with
+      | Ir.Call (_, callee, _) -> runtime_err "call to unknown function %s" callee
+      | _ -> ());
+    let cs = Array.unsafe_get cb.cb_calls a in
+    let callee = make_frame c cs.cs_cf in
+    let na = Array.length cs.cs_args and np = Array.length cs.cs_params in
+    (* each argument goes into its parameter's register *)
+    for j = 0 to (if na < np then na else np) - 1 do
+      put fr cb cs.cs_args.(j) callee cs.cs_params.(j)
+    done;
+    let name = cs.cs_cf.cf_fe.fe_func.Prog.fname in
+    if na > np then runtime_err "too many arguments to %s" name;
+    if na < np then runtime_err "arity mismatch calling %s" name;
+    fr.ret_dst <- d;
+    c.stack <- callee :: c.stack;
+    bump c
+  | Pg_off ->
+    wake t c ci;
+    spend t c 1;
+    record t c (fun () -> "pg_off " ^ Component.Set.to_string (comps_of_mask a));
+    if gate_set c a ~on:false then c.leak_dirty <- true;
+    bump c
+  | Pg_on ->
+    wake t c ci;
+    record t c (fun () -> "pg_on " ^ Component.Set.to_string (comps_of_mask a));
+    if gate_set c a ~on:true then begin
+      c.leak_dirty <- true;
+      (* components wake in parallel: one wake latency (this class's) *)
+      spend t c (1 + c.pm.Power_model.wake_latency_cycles)
+    end
+    else spend t c 1;
+    bump c
+  | Dvfs ->
+    (* the ladder belongs to the executing core's class: an absent level
+       raises [Power_model.point]'s error where the interpreter does *)
+    wake t c ci;
+    let pm = c.pm in
+    let target = Power_model.point pm a in
+    if target.Operating_point.level <> c.point.Operating_point.level then begin
+      spend t c pm.Power_model.dvfs_latency_cycles;
+      charge c Energy_ledger.Dvfs_overhead pm.Power_model.dvfs_energy_nj;
+      c.point <- target;
+      refresh_point_caches t c;
+      c.leak_dirty <- true;
+      c.dvfs_transitions <- c.dvfs_transitions + 1;
+      record t c (fun () -> "dvfs -> " ^ Operating_point.to_string target)
+    end
+    else spend t c 1;
+    bump c
+  | Send ->
+    if visible_turn t fr then begin
+      issue t c ci n (float_of_int n);
+      let v = boxed fr cb d in
+      let ch = t.chans.(a) in
+      if Queue.length ch.queue >= ch.cap then begin
+        c.send_blocks <- c.send_blocks + 1;
+        record t c (fun () -> Printf.sprintf "blocked sending on ch%d" a);
+        Queue.push c.id ch.waiting_senders;
+        c.status <- Blocked_send (a, v);
+        t.unblock_dirty <- true
+      end
+      else complete_send t c a v;
+      bump c
+    end
+  | Recv ->
+    if visible_turn t fr then begin
+      issue t c ci n (float_of_int n);
+      let ch = t.chans.(a) in
+      (* the destination's class is the received type (Verify.reg_classes) *)
+      let ty = if y land 1 = Verify.cls_float then Ir.F else Ir.I in
+      if Queue.is_empty ch.queue then begin
+        c.recv_blocks <- c.recv_blocks + 1;
+        record t c (fun () -> Printf.sprintf "blocked receiving on ch%d" a);
+        c.status <- Blocked_recv (a, d, ty);
+        t.unblock_dirty <- true
+      end
+      else begin
+        let (v, ready) = Queue.pop ch.queue in
+        (* a slot freed: a blocked sender may now complete *)
+        t.sched_event <- true;
+        t.unblock_dirty <- true;
+        resume_at t c ready;
+        ch.last_pop <- fmax ch.last_pop c.clk.time;
+        (match (ty, v) with
+        | (Ir.I, Value.Vint _) | (Ir.F, Value.Vfloat _) -> ()
+        | _ -> runtime_err "channel %d type mismatch" a);
+        store_value fr y v
+      end;
+      bump c
+    end
+  | Barrier ->
+    if visible_turn t fr then begin
+      issue t c ci n (float_of_int n);
+      arrive_barrier t c a;
+      bump c
+    end
+  | Jmp ->
+    branch t c;
+    goto fr a
+  | Br ->
+    branch t c;
+    if opk a = k_ireg then goto fr (if ireg fr (opv a) <> 0 then d else y)
+    else runtime_err "float condition"
+  | Ret -> (
+    branch t c;
+    match c.stack with
+    | [] -> runtime_err "return with empty stack"
+    | [ _ ] ->
+      (* the value a core halts with is boxed *)
+      let v = if a = 0 then None else Some (boxed fr cb d) in
+      record t c (fun () ->
+          "halt"
+          ^
+          match v with
+          | Some value -> " -> " ^ Value.to_string value
+          | None -> "");
+      c.status <- Halted v;
+      t.live_cores <- t.live_cores - 1
+    | _ :: (caller :: _ as rest) ->
+      c.stack <- rest;
+      let k = caller.ret_dst in
+      if k >= 0 then
+        if a = 0 then runtime_err "void return into a register"
+        else put fr cb d caller k;
+      caller.ret_dst <- -1)
+  | opc ->
+    (match opc with Load_ill -> Value.not_int () | _ -> ());
+    issue_miss t c ci n (float_of_int n) ~miss:(cost_miss k);
+    ignore
+      (effect ~strict:true t fr fr.iregs fr.fregs fr.farrs code cb.cb_fk
+         cb.cb_arrs b opc);
+    bump c
 
-(** Run the encoded instructions of [cb] from [start], at most up to
-    [stop], and return the index of the first one not run: [stop], a
-    [Closure], or the instruction that needs a call — an implicit
-    wakeup, the leakage refresh of [leak_dirty], a negative charge, a
-    cache machine's periodic miss, or an effect that fails.  Profiling
-    runs none ({!step_encoded} attributes each instruction).
+(** Whether [op] is a register instruction's, which {!run_section} runs. *)
+let[@inline always] in_section (op : opc) =
+  match op with
+  | Load_sh | Store | Faa | Call | Pg_off | Pg_on | Dvfs | Send | Recv
+  | Barrier | Jmp | Br | Ret ->
+    false
+  | _ -> true
+
+(** Run the register instructions of [cb] from [start], at most up to
+    [stop], and return the index of the first one not run: [stop], an
+    instruction of another kind, or the one that needs a call — an
+    implicit wakeup, the leakage refresh of [leak_dirty], a negative
+    charge, a cache machine's periodic miss, or an effect that fails.
+    Profiling runs none ({!step_encoded} attributes each instruction).
 
     The core's time, busy time, dynamic and active-leakage category
     cells, ledger total and cycle count live in locals for the section:
     each instruction makes exactly the checks and float additions of
     {!issue} then {!bump}, in the same order, so every accumulator sums
-    the same terms in the same order as one closure per instruction
-    did.  The checks come first and the effect next, so an instruction
+    the same terms in the same order as {!step_encoded} does for one
+    instruction.  The checks come first and the effect next, so an instruction
     that leaves the section has changed nothing.  The loop makes no
     call on any path: OCaml keeps a float local in a register only
     where no call follows, and spills every one around a call. *)
@@ -1707,7 +1961,7 @@ let run_section t (fr : frame) (cb : cblock) start stop =
   else begin
     let clk = c.clk in
     let ops = cb.cb_op and code = cb.cb_code in
-    let fk = cb.cb_fk and roms = cb.cb_roms in
+    let fk = cb.cb_fk and arrs = cb.cb_arrs in
     let iregs = fr.iregs and fregs = fr.fregs and farrs = fr.farrs in
     let powered = c.powered and dyn = c.dyn_row and comp = c.lg_comp in
     let npc = clk.ns_per_cycle and leak = clk.leak_mw in
@@ -1729,7 +1983,7 @@ let run_section t (fr : frame) (cb : cblock) start stop =
          && (not (dt > 0.0 && (dirty || lnj < 0.0)))
          && (not (dnj < 0.0))
          && (not (miss && c.local_accs + 1 >= period))
-         && effect ~strict:false t fr iregs fregs farrs code fk roms b
+         && effect ~strict:false t fr iregs fregs farrs code fk arrs b
               (Array.unsafe_get ops !i)
       then begin
         (* [spend]: the cycles, then [advance]'s leakage and clock *)
@@ -1759,411 +2013,61 @@ let run_section t (fr : frame) (cb : cblock) start stop =
     !i
   end
 
+
 (* ------------------------------------------------------------------ *)
-(* Closures (compiled mode)                                            *)
+(* Block encoding (compiled mode)                                      *)
 (* ------------------------------------------------------------------ *)
 
-(** The closure of an instruction that is not encoded. *)
-let compile_instr t (df : Predecode.dfunc) (di : Predecode.dinstr) :
-    frame -> unit =
-  let comp = di.Predecode.di_comp in
-  let ci = di.Predecode.di_comp_idx in
-  let lat = di.Predecode.di_latency in
-  let latf = float_of_int lat in
-  let local_cycles = 1 + Machine.spm_latency_cycles t.machine in
-  (* no local closures here: this runs once per instruction of every
-     simulated program, and each would be allocated on every call *)
-  match di.Predecode.di_instr.Ir.idesc with
-  | Ir.Const _ | Ir.Move _ | Ir.Binop _ | Ir.Unop _ | Ir.Mac _ ->
-    invalid_arg "Sim.compile_instr: an encoded instruction"
-  (* Memory operands are read before the access is issued: a read is
-     pure, and one that raises aborts the run, so the order is
-     unobservable. *)
-  | Ir.Load (d, s, idxo) -> (
-    let geti = int_getter (src df idxo) in
-    let k = df.Predecode.df_regs.(d) in
-    match s.Ir.sym_space with
-    | Ir.Shared ->
-      let m = compile_mem t df s ~cycles:1 in
-      fun fr ->
-        if visible_turn t fr then begin
-          let idx = geti fr in
-          let a = access t fr comp ci m ~shared:true "read" idx in
-          store_value fr k (Array.unsafe_get a idx);
-          bump fr.fcore
-        end
-    | Ir.Rom | Ir.Frame ->
-      invalid_arg "Sim.compile_instr: an encoded instruction")
-  | Ir.Store (s, idxo, vo) -> (
-    let geti = int_getter (src df idxo) in
-    let getv = value_getter (src df vo) in
-    match s.Ir.sym_space with
-    | Ir.Shared ->
-      let m = compile_mem t df s ~cycles:1 in
-      fun fr ->
-        if visible_turn t fr then begin
-          let idx = geti fr in
-          let v = getv fr in
-          Array.unsafe_set (access t fr comp ci m ~shared:true "write" idx) idx v;
-          bump fr.fcore
-        end
-    | Ir.Rom | Ir.Frame ->
-      let m = compile_mem t df s ~cycles:local_cycles in
-      fun fr ->
-        let idx = geti fr in
-        let v = getv fr in
-        Array.unsafe_set (access t fr comp ci m ~shared:false "write" idx) idx v;
-        bump fr.fcore)
-  | Ir.Faa (d, s, amt) ->
-    let geta = int_getter (src df amt) in
-    let sd = slot df d in
-    let m = compile_mem t df s ~cycles:lat in
-    fun fr ->
-      if visible_turn t fr then begin
-        let amount = geta fr in
-        let a = access t fr comp ci m ~shared:true "read" 0 in
-        let old = Value.to_int a.(0) in
-        a.(0) <- Value.Vint (Value.iadd old amount);
-        retire_i fr sd old
-      end
-  | Ir.Call (dst, callee, args) -> (
-    match Hashtbl.find_opt t.fsyms callee with
-    | None ->
-      fun fr -> issue t fr.fcore comp ci lat latf;
-        runtime_err "call to unknown function %s" callee
-    | Some target_cf ->
-      let params = target_cf.cf_fe.fe_params in
-      let nparams = Array.length params in
-      let nargs = List.length args in
-      let nbind = min nargs nparams in
-      (* each argument goes into its parameter's register, by class *)
-      let puts =
-        Array.of_list
-          (List.filteri (fun k _ -> k < nbind)
-             (List.map (fun a -> put (src df a)) args))
-      in
-      let pcodes =
-        let tregs = target_cf.cf_fe.fe_dfunc.Predecode.df_regs in
-        Array.init nbind (fun k -> tregs.(params.(k)))
-      in
-      let k = match dst with Some d -> df.Predecode.df_regs.(d) | None -> -1 in
-      fun fr -> let c = fr.fcore in
-        issue t c comp ci lat latf;
-        let new_fr = make_frame c target_cf in
-        for j = 0 to nbind - 1 do
-          (Array.unsafe_get puts j) fr new_fr (Array.unsafe_get pcodes j)
-        done;
-        if nargs > nparams then runtime_err "too many arguments to %s" callee;
-        if nbind <> nparams then runtime_err "arity mismatch calling %s" callee;
-        fr.ret_dst <- k;
-        c.stack <- new_fr :: c.stack;
-        t.frames_dirty <- true;
-        bump c)
-  | Ir.Pg_off comps ->
-    let setstr = Component.Set.to_string comps in
-    let idxs =
-      Array.of_list (List.map Component.index (Component.Set.elements comps))
-    in
-    fun fr -> let c = fr.fcore in
-      wake t c comp ci;
-      spend t c 1;
-      record t c (fun () -> "pg_off " ^ setstr);
-      if gate_set c idxs ~on:false then c.leak_dirty <- true;
-      bump c
-  | Ir.Pg_on comps ->
-    let setstr = Component.Set.to_string comps in
-    let idxs =
-      Array.of_list (List.map Component.index (Component.Set.elements comps))
-    in
-    fun fr -> let c = fr.fcore in
-      wake t c comp ci;
-      record t c (fun () -> "pg_on " ^ setstr);
-      if gate_set c idxs ~on:true then begin
-        c.leak_dirty <- true;
-        (* components wake in parallel: one wake latency (this class's) *)
-        spend t c (1 + c.pm.Power_model.wake_latency_cycles)
-      end
-      else spend t c 1;
-      bump c
-  | Ir.Dvfs level ->
-    (* the ladder belongs to the executing core's class, and the closure
-       is shared across cores — resolve the level per execution; an
-       absent level raises [Power_model.point]'s error exactly where the
-       interpreter raises it.  Dvfs instructions are region boundaries,
-       not loop bodies, so the lookup is off the hot path. *)
-    fun fr -> let c = fr.fcore in
-      wake t c comp ci;
-      let pm = c.pm in
-      let target = Power_model.point pm level in
-      if target.Operating_point.level <> c.point.Operating_point.level
-      then begin
-        spend t c pm.Power_model.dvfs_latency_cycles;
-        charge c Energy_ledger.Dvfs_overhead pm.Power_model.dvfs_energy_nj;
-        c.point <- target;
-        refresh_point_caches t c;
-        c.leak_dirty <- true;
-        c.dvfs_transitions <- c.dvfs_transitions + 1;
-        record t c (fun () -> "dvfs -> " ^ Operating_point.to_string target)
-      end
-      else spend t c 1;
-      bump c
-  | Ir.Send (chan_id, vo) ->
-    let getv = value_getter (src df vo) in
-    let setup = t.machine.Machine.channel_setup_cycles in
-    let setupf = float_of_int setup in
-    fun fr ->
-      if visible_turn t fr then begin
-        let c = fr.fcore in
-        issue t c comp ci setup setupf;
-        let v = getv fr in
-        let ch = t.chans.(chan_id) in
-        if Queue.length ch.queue >= ch.cap then begin
-          c.send_blocks <- c.send_blocks + 1;
-          record t c (fun () ->
-              Printf.sprintf "blocked sending on ch%d" chan_id);
-          Queue.push c.id ch.waiting_senders;
-          c.status <- Blocked_send (chan_id, v);
-          t.unblock_dirty <- true
-        end
-        else complete_send t c chan_id v;
-        bump c
-      end
-  | Ir.Recv (d, chan_id, ty) ->
-    let k = df.Predecode.df_regs.(d) in
-    let setup = t.machine.Machine.channel_setup_cycles in
-    let setupf = float_of_int setup in
-    fun fr ->
-      if visible_turn t fr then begin
-        let c = fr.fcore in
-        issue t c comp ci setup setupf;
-        let ch = t.chans.(chan_id) in
-        if Queue.is_empty ch.queue then begin
-          c.recv_blocks <- c.recv_blocks + 1;
-          record t c (fun () ->
-              Printf.sprintf "blocked receiving on ch%d" chan_id);
-          c.status <- Blocked_recv (chan_id, d, ty);
-          t.unblock_dirty <- true;
-          bump c
-        end
-        else begin
-          let (v, ready) = Queue.pop ch.queue in
-          (* a slot freed: a blocked sender may now complete *)
-          t.sched_event <- true;
-          t.unblock_dirty <- true;
-          resume_at t c ready;
-          ch.last_pop <- fmax ch.last_pop c.clk.time;
-          (match (ty, v) with
-          | (Ir.I, Value.Vint _) | (Ir.F, Value.Vfloat _) -> ()
-          | _ -> runtime_err "channel %d type mismatch" chan_id);
-          store_value fr k v;
-          bump c
-        end
-      end
-  | Ir.Barrier bid ->
-    fun fr ->
-      if visible_turn t fr then begin
-        let c = fr.fcore in
-        issue t c comp ci 1 1.0;
-        let b = t.barriers.(bid) in
-        record t c (fun () ->
-            Printf.sprintf "arrived at barrier %d" bid);
-        b.arrived <- (c.id, c.clk.time) :: b.arrived;
-        c.status <- Blocked_barrier bid;
-        release_barrier t bid;
-        bump c
-      end
-
-(** A block that raises the [Prog.block] error when entered — holes in
-    the label space behave exactly like the undecoded interpreter. *)
-let poison_block l fname =
-  { dummy_cblock with cb_term = (fun _ -> missing_block_err l fname) }
-
-(** Compile a branch target.  Captures the (stable) per-function block
-    array, so filling order does not matter. *)
-let compile_goto (cf : cfun) l : frame -> unit =
-  let blocks = cf.cf_blocks in
-  if l >= 0 && l < Array.length blocks then begin
-    fun fr ->
-      fr.block <- l;
-      fr.idx <- 0;
-      fr.cblk <- blocks.(l)
-  end
-  else begin
-    let pb = poison_block l cf.cf_fe.fe_func.Prog.fname in
-    fun fr ->
-      fr.block <- l;
-      fr.idx <- 0;
-      fr.cblk <- pb
-  end
-
-(** A terminator's share of the protocol: one cycle and the branch
-    unit's dynamic charge (terminators never wake a gated unit, as in
-    {!exec_term}). *)
-let[@inline always] branch t (c : core) =
-  spend_nf t c 1 1.0;
-  charge_dyn c branch_idx
-
-let compile_term t (cf : cfun) (term : Ir.term) : frame -> unit =
-  let df = cf.cf_fe.fe_dfunc in
-  match term with
-  | Ir.Jmp l ->
-    let go = compile_goto cf l in
-    fun fr -> branch t fr.fcore; go fr
-  | Ir.Br (cond, l1, l2) -> (
-    let go1 = compile_goto cf l1 and go2 = compile_goto cf l2 in
-    match src df cond with
-    | Ireg r ->
-      fun fr -> branch t fr.fcore;
-        if ireg fr r <> 0 then go1 fr else go2 fr
-    | Iimm n ->
-      let go = if n <> 0 then go1 else go2 in
-      fun fr -> branch t fr.fcore; go fr
-    | Freg _ | Fimm _ ->
-      fun fr -> branch t fr.fcore; runtime_err "float condition")
-  | Ir.Ret v_opt ->
-    let s = Option.map (src df) v_opt in
-    (* the value a core halts with is boxed; one returned to a caller
-       goes straight into the caller's register *)
-    let getv = Option.map value_getter s in
-    let put_ret = Option.map put s in
-    fun fr -> let c = fr.fcore in
-      branch t c;
-      (match c.stack with
-      | [] -> runtime_err "return with empty stack"
-      | _ :: [] ->
-        let v = match getv with Some g -> Some (g fr) | None -> None in
-        record t c (fun () ->
-            "halt"
-            ^
-            match v with
-            | Some value -> " -> " ^ Value.to_string value
-            | None -> "");
-        c.status <- Halted v;
-        t.live_cores <- t.live_cores - 1
-      | _ :: (caller :: _ as rest) ->
-        c.stack <- rest;
-        let k = caller.ret_dst in
-        (match put_ret with
-        | Some p -> if k >= 0 then p fr caller k
-        | None -> if k >= 0 then runtime_err "void return into a register");
-        caller.ret_dst <- -1)
-
-(** Is [di]'s compiled code {e pure} for the batch loop — unable to
-    change the core's status, raise [t.sched_event], or push a frame?
-    Register/frame/ROM work, power gating and DVFS are core-local;
-    anything touching shared memory, the bus, channels, barriers or the
-    call stack is not.  (Pure closures may still abort the simulation
-    with a runtime error; that path never reports an outcome, so the
-    batched step accounting is unobservable there.) *)
-let pure_instr (di : Predecode.dinstr) =
-  match di.Predecode.di_instr.Ir.idesc with
-  | Ir.Const _ | Ir.Move _ | Ir.Binop _ | Ir.Unop _ | Ir.Mac _
-  | Ir.Pg_off _ | Ir.Pg_on _ | Ir.Dvfs _ -> true
-  | Ir.Load (_, s, _) -> (
-    match s.Ir.sym_space with Ir.Rom | Ir.Frame -> true | Ir.Shared -> false)
-  | Ir.Store (s, _, _) -> (
-    match s.Ir.sym_space with Ir.Rom | Ir.Frame -> true | Ir.Shared -> false)
-  | Ir.Call _ | Ir.Send _ | Ir.Recv _ | Ir.Barrier _ | Ir.Faa _ -> false
-
-let pure_runs (db : Predecode.dblock) =
-  let instrs = db.Predecode.db_instrs in
+(* Profiling: a block is shared across cores, so each instruction and
+   the terminator get one slot per core, resolved eagerly here;
+   {!step_encoded} points the executing core's [prof_cur] at it.  A
+   terminator attributes to the line of the last instruction of its
+   block (0 for an empty block), as in {!step_interp}.  Never-executed
+   instructions leave their eagerly-created slots all-zero;
+   {!Profile.collect} drops those, so the merged profile matches the
+   interpreter's lazily created slot set exactly. *)
+let block_slots t fname (instrs : Predecode.dinstr array) =
   let n = Array.length instrs in
-  let runs = Array.make n 0 in
-  for i = n - 1 downto 0 do
-    if pure_instr instrs.(i) then
-      runs.(i) <- (1 + if i + 1 < n then runs.(i + 1) else 0)
-  done;
-  runs
+  Array.init (n + 1) (fun i ->
+      let line =
+        if n = 0 then 0
+        else instrs.(if i < n then i else n - 1).Predecode.di_instr.Ir.loc.Ir.line
+      in
+      Array.map (fun (c : core) -> Profile.slot c.prof fname line) t.cores)
 
-let line (instrs : Predecode.dinstr array) i =
-  instrs.(i).Predecode.di_instr.Ir.loc.Ir.line
-
-(** Fill [cf]'s block array with compiled blocks, and a label with no
-    block with a poison block.  [cf_blocks] must already be allocated
-    (phase 1) so targets across functions resolve. *)
-let compile_cfun t enc_step (cf : cfun) =
+(** Encode every block of [cf]; a label with no block keeps
+    {!dummy_cblock}. *)
+let compile_cfun t p (cf : cfun) =
   let df = cf.cf_fe.fe_dfunc in
-  let fname = cf.cf_fe.fe_func.Prog.fname in
-  (* Profiling: compiled code is shared across cores, so each
-     instruction gets one slot per core, resolved eagerly here; the
-     executing core's [prof_cur] is retargeted before the instruction
-     runs — by a wrapper around a closure, by {!step_encoded} for an
-     encoded instruction.  Never-executed instructions leave their
-     eagerly-created slots all-zero; {!Profile.collect} drops those, so
-     the merged profile matches the interpreter's lazily created slot
-     set exactly. *)
-  let slots line =
-    Array.map (fun (c : core) -> Profile.slot c.prof fname line) t.cores
-  in
-  let wrap line (g : frame -> unit) : frame -> unit =
-    if not t.opts.profile then g
-    else begin
-      let slots = slots line in
-      fun fr ->
-        let c = fr.fcore in
-        c.prof_cur <- Array.unsafe_get slots c.id;
-        g fr
-    end
-  in
-  let p = { fk = []; nfk = 0; roms = []; nroms = 0 } in
-  Array.iteri
-    (fun l dbo ->
-      match dbo with
-      | None -> cf.cf_blocks.(l) <- poison_block l fname
-      | Some (db : Predecode.dblock) ->
-        let instrs = db.Predecode.db_instrs in
-        let n = Array.length instrs in
-        let code = Array.make (n * enc_width) 0 in
-        p.fk <- [];
-        p.nfk <- 0;
-        p.roms <- [];
-        p.nroms <- 0;
-        let cb_op = Array.make n Closure in
-        let cb_instrs = Array.make n enc_step in
-        for i = 0 to n - 1 do
-          let di = instrs.(i) in
-          cb_op.(i) <- encode t df p di code (i lsl enc_shift);
-          match cb_op.(i) with
-          | Closure ->
-            cb_instrs.(i) <- wrap (line instrs i) (compile_instr t df di)
-          | _ -> ()
-        done;
-        let term_line = if n = 0 then 0 else line instrs (n - 1) in
-        cf.cf_blocks.(l) <-
+  cf.cf_blocks <-
+    Array.map
+      (fun (db : Predecode.dblock) ->
+        if db == Predecode.dummy_block then dummy_cblock
+        else begin
+          let instrs = db.Predecode.db_instrs in
+          let n = Array.length instrs in
+          let code = Array.make ((n + 1) * enc_width) 0 in
+          let ops = Array.make (n + 1) Ret in
+          for i = 0 to n - 1 do
+            ops.(i) <- encode t df p instrs.(i) code (i lsl enc_shift)
+          done;
+          ops.(n) <- encode_term p df db.Predecode.db_term code (n lsl enc_shift);
           {
-            cb_instrs;
             cb_n = n;
-            cb_pure = pure_runs db;
-            cb_term = wrap term_line (compile_term t cf db.Predecode.db_term);
-            cb_op;
+            cb_op = ops;
             cb_code = code;
-            cb_fk = Array.of_list (List.rev p.fk);
-            cb_roms = Array.of_list (List.rev p.roms);
+            cb_fk = drain p.fk;
+            cb_vals = drain p.vals;
+            cb_arrs = drain p.arrs;
+            cb_calls = drain p.calls;
             cb_db = db;
             cb_slots =
               (if t.opts.profile then
-                 Array.mapi
-                   (fun i opc ->
-                     match opc with
-                     | Closure -> [||]
-                     | _ -> slots (line instrs i))
-                   cb_op
+                 block_slots t cf.cf_fe.fe_func.Prog.fname instrs
                else [||]);
-          })
-    df.Predecode.df_blocks
-
-(** Execute one step (instruction or terminator) — compiled mode. *)
-let step_compiled (c : core) =
-  match c.stack with
-  | [] -> runtime_err "core %d has empty stack" c.id
-  | fr :: _ ->
-    let cb = fr.cblk in
-    if fr.idx < cb.cb_n then begin
-      let f = cb.cb_instrs.(fr.idx) in
-      fr.idx <- fr.idx + 1;
-      f fr
-    end
-    else cb.cb_term fr
+          }
+        end)
+      df.Predecode.df_blocks
 
 (* ------------------------------------------------------------------ *)
 (* Construction (continued): ties decode + compilation together        *)
@@ -2309,7 +2213,7 @@ let create ?(opts = default_options) ~(machine : Machine.t) (prog : Prog.t) : t 
         Array.init n_channels (fun _ ->
             { cap; queue = Queue.create (); waiting_senders = Queue.create ();
               total_msgs = 0; last_pop = 0.0 });
-      barriers = Array.init n_barriers (fun _ -> { arrived = [] });
+      barriers = Array.init n_barriers (fun _ -> { arrived = 0; latest = 0.0 });
       bus_free = Array.make 1 0.0;
       steps = 0;
       trace = [];
@@ -2317,7 +2221,6 @@ let create ?(opts = default_options) ~(machine : Machine.t) (prog : Prog.t) : t 
       leak_recomputes = 0;
       sched_event = false;
       batch_other = -1;
-      frames_dirty = false;
       live_cores = Array.length cores;
       unblock_dirty = true;
       faults_armed = Lp_util.Fault.active ();
@@ -2345,19 +2248,9 @@ let create ?(opts = default_options) ~(machine : Machine.t) (prog : Prog.t) : t 
     }
   in
   if opts.predecode then begin
-    (* phase 1: allocate every function's block array so calls and
-       branches can capture targets across mutual recursion *)
-    Hashtbl.iter
-      (fun _ cf ->
-        cf.cf_blocks <-
-          Array.make
-            (Array.length cf.cf_fe.fe_dfunc.Predecode.df_blocks)
-            dummy_cblock)
-      fsyms;
-    (* phase 2: compile blocks in place; one closure serves every
-       encoded instruction *)
-    let enc_step fr = step_encoded t fr (fr.idx - 1) in
-    Hashtbl.iter (fun _ cf -> compile_cfun t enc_step cf) fsyms
+    let pool () = { items = []; size = 0 } in
+    let p = { fk = pool (); vals = pool (); arrs = pool (); calls = pool () } in
+    Hashtbl.iter (fun _ cf -> compile_cfun t p cf) fsyms
   end;
   List.iteri
     (fun i (f : Prog.func) ->
@@ -2449,21 +2342,26 @@ let describe_blocked t =
     stays [Ready] (blocking or halting hands control back) and no
     {e scheduling event} has fired ([t.sched_event]: a channel push/pop
     or barrier release, which could make a blocked core schedulable or
-    move another core's clock).
+    move another core's clock).  Each round runs a section of register
+    instructions ({!run_section}) up to the block's end or the step
+    budget, then the instruction or terminator where it stopped
+    ({!step_encoded}), and re-reads the core's frame, which that step
+    may have pushed, popped or moved to another block.
 
     Core-local instructions (registers, frame and ROM memory, power
     state, calls) commute with other cores' work, so the batch runs
     through them regardless of the clock race.  Globally-visible
-    instructions carry a compiled-in turn guard ({!visible_turn}) that
-    yields back to the scheduler exactly when the per-step reference
-    would have run the runner-up ([other_i], -1 when there is none)
-    first: other ready cores' clocks only move when they are stepped, so
-    the runner-up bound captured at pick time stays valid for the whole
-    batch, and shared memory, bus, channel and barrier operations
-    execute in the reference (time, id) order.  Skipped [unblock_pass]
-    calls are provably no-ops because every state change they react to
-    raises [t.sched_event].  [t.steps] is maintained per instruction so
-    [Step_limit_exceeded] fires after exactly the same step as the
+    instructions run a turn guard ({!visible_turn}) that yields back to
+    the scheduler exactly when the per-step reference would have run
+    the runner-up ([other_i], -1 when there is none) first: other ready
+    cores' clocks only move when they are stepped, so the runner-up
+    bound captured at pick time stays valid for the whole batch, and
+    shared memory, bus, channel and barrier operations execute in the
+    reference (time, id) order.  Skipped [unblock_pass] calls are
+    provably no-ops because every state change they react to raises
+    [t.sched_event].  A section can neither block, yield, call nor fire
+    an event, and it never runs past the step budget, so [t.steps]
+    reaches [Step_limit_exceeded] after exactly the same step as the
     one-at-a-time loop.  The one observable batching reorders is the
     interleaving of per-core entries in the event trace, which is why
     {!run_loop} single-steps instead when tracing is on. *)
@@ -2479,77 +2377,24 @@ let run_sched_batch t (c : core) ~other_i =
   do
     (* a single-core (or far-ahead) batch can run the whole program
        without yielding to the scheduler, so the cooperative deadline
-       must also be checked here — once per straight-line segment *)
+       must also be checked here — once per round *)
     Lp_util.Deadline.check t.opts.deadline;
     match c.stack with
     | [] -> runtime_err "core %d has empty stack" c.id
     | fr :: _ ->
-      (* Straight-line segment: the frame and block stay current until a
-         terminator runs (re-fetched unconditionally after) or a [Call]
-         pushes a frame ([frames_dirty]), so the head of the stack and
-         the block arrays load once per segment, not once per
-         instruction. *)
       let cb = fr.cblk in
-      let instrs = cb.cb_instrs in
-      let ops = cb.cb_op in
-      let pure = cb.cb_pure in
-      let n = cb.cb_n in
-      t.frames_dirty <- false;
-      while
-        fr.idx < n
-        && (not t.frames_dirty)
-        && (match c.status with
-           | Ready -> true
-           | Blocked_send _ | Blocked_recv _ | Blocked_barrier _
-           | Halted _ -> false)
-        && not t.sched_event
-      do
-        (* a run of pure instructions can neither invalidate any of the
-           loop conditions above nor hit the step limit (checked up
-           front), so it executes with no per-instruction checks: its
-           encoded instructions in sections of {!run_section}, and the
-           instruction that ends a section, or a closure, on its own *)
-        let run = Array.unsafe_get pure fr.idx in
-        if run > 0 && t.steps + run <= lim then begin
-          t.steps <- t.steps + run;
-          let stop = fr.idx + run in
-          while fr.idx < stop do
-            (* safe: [cb_n = Array.length cb_instrs = Array.length
-               cb_op] by construction *)
-            let i = fr.idx in
-            let j =
-              match Array.unsafe_get ops i with
-              | Closure -> i
-              | _ -> run_section t fr cb i stop
-            in
-            if j < stop then begin
-              fr.idx <- j + 1;
-              (Array.unsafe_get instrs j) fr
-            end
-            else fr.idx <- j
-          done
-        end
-        else begin
-          t.steps <- t.steps + 1;
-          if t.steps > lim then raise Step_limit_exceeded;
-          let f = Array.unsafe_get instrs fr.idx in
-          fr.idx <- fr.idx + 1;
-          f fr
-        end
-      done;
-      if
-        fr.idx >= n
-        && (not t.frames_dirty)
-        && (match c.status with
-           | Ready -> true
-           | Blocked_send _ | Blocked_recv _ | Blocked_barrier _
-           | Halted _ -> false)
-        && not t.sched_event
-      then begin
-        t.steps <- t.steps + 1;
-        if t.steps > lim then raise Step_limit_exceeded;
-        cb.cb_term fr
-      end
+      let i = fr.idx in
+      (* an int compare: [Stdlib.min] is a polymorphic one, and a call *)
+      let room = lim - t.steps in
+      let stop = if cb.cb_n - i < room then cb.cb_n else i + room in
+      if i < stop && in_section (Array.unsafe_get cb.cb_op i) then begin
+        let j = run_section t fr cb i stop in
+        t.steps <- t.steps + (j - i);
+        fr.idx <- j
+      end;
+      t.steps <- t.steps + 1;
+      if t.steps > lim then raise Step_limit_exceeded;
+      step_encoded t fr
   done
 
 let run_loop t =
@@ -2617,7 +2462,9 @@ let run_loop t =
             t.batch_other <- -1;
             t.steps <- t.steps + 1;
             if t.steps > t.opts.max_steps then raise Step_limit_exceeded;
-            step_compiled c
+            match c.stack with
+            | fr :: _ -> step_encoded t fr
+            | [] -> runtime_err "core %d has empty stack" c.id
           end
           else run_sched_batch t c ~other_i:!other_i
         else begin

@@ -30,134 +30,52 @@ let of_const = function
 let[@inline always] is_true = function Vint 0 -> false | Vint _ -> true | Vfloat _ -> err "float condition"
 
 (* ------------------------------------------------------------------ *)
-(* Typed operators                                                     *)
+(* Boxed operators                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Every IR operator, on raw ints and floats: {!binop}, {!unop} and
-   {!mac} box around them for the interpretive stepper, and the
-   constant folder is checked against those (test_props).  The compiled
+(* The interpretive stepper's operators box around the raw ones of
+   {!Lp_ir.Ir} (the operator semantics, shared with the constant
+   folder), and check a division's divisor first.  The compiled
    stepper's encoded instructions run [Sim.effect], which holds its own
    copy of the int operators: dune's default (dev) profile compiles with
-   [-opaque], so a function of this module is a call from [Sim], and the
-   section loop must make none.  test_predecode pins the copy equal to
-   these.  Compares yield a [bool] that [b2i] turns into the IR's 0/1.
-   The compares and the float operators are primitives: an [external]
-   is expanded at every use, in any module, so a float on its way
-   through one is never boxed (a call would box its arguments and its
-   result). *)
+   [-opaque], so a function of another module is a call from [Sim], and
+   the section loop must make none.  test_predecode pins the copy equal
+   to these.  The right operand is read first, in the order
+   [Sim.encode] resolves operands. *)
 
-external b2i : bool -> int = "%identity"
-
-let iadd a b = wrap32 (a + b)
-let isub a b = wrap32 (a - b)
-let imul a b = wrap32 (a * b)
-
-let idiv a b =
-  if b = 0 then err "integer division by zero";
-  wrap32 (a / b)
-
-let imod a b =
-  if b = 0 then err "integer modulo by zero";
-  wrap32 (a mod b)
-
-let ishl a b = wrap32 (a lsl (b land 31))
-let ishr a b = wrap32 (a asr (b land 31))
-let iand a b = wrap32 (a land b)
-let ior a b = wrap32 (a lor b)
-let ixor a b = wrap32 (a lxor b)
-
-external ilt : int -> int -> bool = "%lessthan"
-external ile : int -> int -> bool = "%lessequal"
-external igt : int -> int -> bool = "%greaterthan"
-external ige : int -> int -> bool = "%greaterequal"
-external ieq : int -> int -> bool = "%equal"
-external ine : int -> int -> bool = "%notequal"
-
-external fadd : float -> float -> float = "%addfloat"
-external fsub : float -> float -> float = "%subfloat"
-external fmul : float -> float -> float = "%mulfloat"
-external fdiv : float -> float -> float = "%divfloat"
-external flt : float -> float -> bool = "%lessthan"
-external fle : float -> float -> bool = "%lessequal"
-external fgt : float -> float -> bool = "%greaterthan"
-external fge : float -> float -> bool = "%greaterequal"
-external feq : float -> float -> bool = "%equal"
-external fne : float -> float -> bool = "%notequal"
-
-let ineg a = wrap32 (-a)
-let inot a = b2i (a = 0)
-let ibnot a = wrap32 (lnot a)
-
-external fneg : float -> float = "%negfloat"
-external i2f : int -> float = "%floatofint"
-
-let f2i x = wrap32 (int_of_float x)
-
-(** d = a + b * c: integer MAC on the MAC unit. *)
-let imac a b c = wrap32 (a + wrap32 (b * c))
-
-(** The int operator of [op], an int binop or compare. *)
-let int_binop (op : Ir.binop) : int -> int -> int =
-  match op with
-  | Ir.Add -> iadd
-  | Ir.Sub -> isub
-  | Ir.Mul -> imul
-  | Ir.Div -> idiv
-  | Ir.Mod -> imod
-  | Ir.Shl -> ishl
-  | Ir.Shr -> ishr
-  | Ir.And -> iand
-  | Ir.Or -> ior
-  | Ir.Xor -> ixor
-  | Ir.Lt -> fun a b -> b2i (ilt a b)
-  | Ir.Le -> fun a b -> b2i (ile a b)
-  | Ir.Gt -> fun a b -> b2i (igt a b)
-  | Ir.Ge -> fun a b -> b2i (ige a b)
-  | Ir.Eq -> fun a b -> b2i (ieq a b)
-  | Ir.Ne -> fun a b -> b2i (ine a b)
-  | Ir.Fadd | Ir.Fsub | Ir.Fmul | Ir.Fdiv | Ir.Flt | Ir.Fle | Ir.Fgt
-  | Ir.Fge | Ir.Feq | Ir.Fne ->
-    invalid_arg "Value.int_binop: float operator"
-
-(** The int operator of [op], an int unop. *)
-let int_unop (op : Ir.unop) : int -> int =
-  match op with
-  | Ir.Neg -> ineg
-  | Ir.Not -> inot
-  | Ir.Bnot -> ibnot
-  | Ir.Fneg | Ir.I2f | Ir.F2i -> invalid_arg "Value.int_unop: float operator"
-
-(* The boxed operators of the interpretive stepper.  The right operand
-   is read first, in the order [Sim.encode] resolves operands. *)
+let div_by_zero (op : Ir.binop) =
+  err "integer %s by zero" (match op with Ir.Mod -> "modulo" | _ -> "division")
 
 let binop (op : Ir.binop) (a : t) (b : t) : t =
   match op with
-  | Ir.Fadd -> Vfloat (fadd (to_float a) (to_float b))
-  | Ir.Fsub -> Vfloat (fsub (to_float a) (to_float b))
-  | Ir.Fmul -> Vfloat (fmul (to_float a) (to_float b))
-  | Ir.Fdiv -> Vfloat (fdiv (to_float a) (to_float b))
-  | Ir.Flt -> Vint (b2i (flt (to_float a) (to_float b)))
-  | Ir.Fle -> Vint (b2i (fle (to_float a) (to_float b)))
-  | Ir.Fgt -> Vint (b2i (fgt (to_float a) (to_float b)))
-  | Ir.Fge -> Vint (b2i (fge (to_float a) (to_float b)))
-  | Ir.Feq -> Vint (b2i (feq (to_float a) (to_float b)))
-  | Ir.Fne -> Vint (b2i (fne (to_float a) (to_float b)))
+  | Ir.Fadd -> Vfloat (Ir.fadd (to_float a) (to_float b))
+  | Ir.Fsub -> Vfloat (Ir.fsub (to_float a) (to_float b))
+  | Ir.Fmul -> Vfloat (Ir.fmul (to_float a) (to_float b))
+  | Ir.Fdiv -> Vfloat (Ir.fdiv (to_float a) (to_float b))
+  | Ir.Flt -> Vint (Ir.b2i (Ir.flt (to_float a) (to_float b)))
+  | Ir.Fle -> Vint (Ir.b2i (Ir.fle (to_float a) (to_float b)))
+  | Ir.Fgt -> Vint (Ir.b2i (Ir.fgt (to_float a) (to_float b)))
+  | Ir.Fge -> Vint (Ir.b2i (Ir.fge (to_float a) (to_float b)))
+  | Ir.Feq -> Vint (Ir.b2i (Ir.feq (to_float a) (to_float b)))
+  | Ir.Fne -> Vint (Ir.b2i (Ir.fne (to_float a) (to_float b)))
   | Ir.Add | Ir.Sub | Ir.Mul | Ir.Div | Ir.Mod | Ir.Shl | Ir.Shr | Ir.And
   | Ir.Or | Ir.Xor | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge | Ir.Eq | Ir.Ne ->
     let y = to_int b in
-    Vint (int_binop op (to_int a) y)
+    let x = to_int a in
+    (match op with (Ir.Div | Ir.Mod) when y = 0 -> div_by_zero op | _ -> ());
+    Vint (Ir.int_binop op x y)
 
 let unop (op : Ir.unop) (a : t) : t =
   match op with
-  | Ir.Neg | Ir.Not | Ir.Bnot -> Vint (int_unop op (to_int a))
-  | Ir.Fneg -> Vfloat (fneg (to_float a))
-  | Ir.I2f -> Vfloat (i2f (to_int a))
-  | Ir.F2i -> Vint (f2i (to_float a))
+  | Ir.Neg | Ir.Not | Ir.Bnot -> Vint (Ir.int_unop op (to_int a))
+  | Ir.Fneg -> Vfloat (Ir.fneg (to_float a))
+  | Ir.I2f -> Vfloat (Ir.i2f (to_int a))
+  | Ir.F2i -> Vint (Ir.f2i (to_float a))
 
 let mac a b c =
   let z = to_int c in
   let y = to_int b in
-  Vint (imac (to_int a) y z)
+  Vint (Ir.imac (to_int a) y z)
 
 let zero_of_ty = function Ir.I -> Vint 0 | Ir.F -> Vfloat 0.0
 

@@ -8,43 +8,32 @@
 module Ir = Lp_ir.Ir
 module Prog = Lp_ir.Prog
 
+(* The operators are {!Ir}'s, which the simulator's interpreter also
+   runs; int operands wrap to 32 bits first, as its [Value.of_const]
+   does, so the two agree bitwise.  A division by zero is left
+   unfolded: it fails when it runs. *)
 let fold_binop op (a : Ir.const) (b : Ir.const) : Ir.const option =
   match (a, b) with
   | (Ir.Cint x, Ir.Cint y) -> (
-    (* operands wrap to 32 bits before the operation, exactly as the
-       simulator's [Value.of_const] does — the two must agree bitwise *)
-    let x = Lp_util.Int32_sem.wrap32 x and y = Lp_util.Int32_sem.wrap32 y in
-    let wrap v = Ir.Cint (Lp_util.Int32_sem.wrap32 v) in
+    let x = Ir.wrap32 x and y = Ir.wrap32 y in
     match op with
-    | Ir.Add -> Some (wrap (x + y))
-    | Ir.Sub -> Some (wrap (x - y))
-    | Ir.Mul -> Some (wrap (x * y))
-    | Ir.Div -> if y = 0 then None else Some (wrap (x / y))
-    | Ir.Mod -> if y = 0 then None else Some (wrap (x mod y))
-    | Ir.Shl -> Some (wrap (x lsl (y land 31)))
-    | Ir.Shr -> Some (wrap (x asr (y land 31)))
-    | Ir.And -> Some (wrap (x land y))
-    | Ir.Or -> Some (wrap (x lor y))
-    | Ir.Xor -> Some (wrap (x lxor y))
-    | Ir.Lt -> Some (Ir.Cint (if x < y then 1 else 0))
-    | Ir.Le -> Some (Ir.Cint (if x <= y then 1 else 0))
-    | Ir.Gt -> Some (Ir.Cint (if x > y then 1 else 0))
-    | Ir.Ge -> Some (Ir.Cint (if x >= y then 1 else 0))
-    | Ir.Eq -> Some (Ir.Cint (if x = y then 1 else 0))
-    | Ir.Ne -> Some (Ir.Cint (if x <> y then 1 else 0))
+    | (Ir.Div | Ir.Mod) when y = 0 -> None
+    | Ir.Add | Ir.Sub | Ir.Mul | Ir.Div | Ir.Mod | Ir.Shl | Ir.Shr | Ir.And
+    | Ir.Or | Ir.Xor | Ir.Lt | Ir.Le | Ir.Gt | Ir.Ge | Ir.Eq | Ir.Ne ->
+      Some (Ir.Cint (Ir.int_binop op x y))
     | _ -> None)
   | (Ir.Cfloat x, Ir.Cfloat y) -> (
     match op with
-    | Ir.Fadd -> Some (Ir.Cfloat (x +. y))
-    | Ir.Fsub -> Some (Ir.Cfloat (x -. y))
-    | Ir.Fmul -> Some (Ir.Cfloat (x *. y))
-    | Ir.Fdiv -> Some (Ir.Cfloat (x /. y))
-    | Ir.Flt -> Some (Ir.Cint (if x < y then 1 else 0))
-    | Ir.Fle -> Some (Ir.Cint (if x <= y then 1 else 0))
-    | Ir.Fgt -> Some (Ir.Cint (if x > y then 1 else 0))
-    | Ir.Fge -> Some (Ir.Cint (if x >= y then 1 else 0))
-    | Ir.Feq -> Some (Ir.Cint (if x = y then 1 else 0))
-    | Ir.Fne -> Some (Ir.Cint (if x <> y then 1 else 0))
+    | Ir.Fadd -> Some (Ir.Cfloat (Ir.fadd x y))
+    | Ir.Fsub -> Some (Ir.Cfloat (Ir.fsub x y))
+    | Ir.Fmul -> Some (Ir.Cfloat (Ir.fmul x y))
+    | Ir.Fdiv -> Some (Ir.Cfloat (Ir.fdiv x y))
+    | Ir.Flt -> Some (Ir.Cint (Ir.b2i (Ir.flt x y)))
+    | Ir.Fle -> Some (Ir.Cint (Ir.b2i (Ir.fle x y)))
+    | Ir.Fgt -> Some (Ir.Cint (Ir.b2i (Ir.fgt x y)))
+    | Ir.Fge -> Some (Ir.Cint (Ir.b2i (Ir.fge x y)))
+    | Ir.Feq -> Some (Ir.Cint (Ir.b2i (Ir.feq x y)))
+    | Ir.Fne -> Some (Ir.Cint (Ir.b2i (Ir.fne x y)))
     | _ -> None)
   | (Ir.Cint _, Ir.Cfloat _) | (Ir.Cfloat _, Ir.Cint _) -> None
 
@@ -66,17 +55,12 @@ let simplify_binop op a b : Ir.operand option =
   | _ -> None
 
 let fold_unop op (c : Ir.const) : Ir.const option =
-  let c = match c with
-    | Ir.Cint x -> Ir.Cint (Lp_util.Int32_sem.wrap32 x)
-    | Ir.Cfloat _ -> c
-  in
   match (op, c) with
-  | (Ir.Neg, Ir.Cint x) -> Some (Ir.Cint (Lp_util.Int32_sem.wrap32 (-x)))
-  | (Ir.Not, Ir.Cint x) -> Some (Ir.Cint (if x = 0 then 1 else 0))
-  | (Ir.Bnot, Ir.Cint x) -> Some (Ir.Cint (Lp_util.Int32_sem.wrap32 (lnot x)))
-  | (Ir.Fneg, Ir.Cfloat x) -> Some (Ir.Cfloat (-.x))
-  | (Ir.I2f, Ir.Cint x) -> Some (Ir.Cfloat (float_of_int x))
-  | (Ir.F2i, Ir.Cfloat x) -> Some (Ir.Cint (Lp_util.Int32_sem.wrap32 (int_of_float x)))
+  | ((Ir.Neg | Ir.Not | Ir.Bnot), Ir.Cint x) ->
+    Some (Ir.Cint (Ir.int_unop op (Ir.wrap32 x)))
+  | (Ir.Fneg, Ir.Cfloat x) -> Some (Ir.Cfloat (Ir.fneg x))
+  | (Ir.I2f, Ir.Cint x) -> Some (Ir.Cfloat (Ir.i2f (Ir.wrap32 x)))
+  | (Ir.F2i, Ir.Cfloat x) -> Some (Ir.Cint (Ir.f2i x))
   | _ -> None
 
 (** One block: propagate register constants forward, substitute, fold. *)

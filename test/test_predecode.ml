@@ -196,16 +196,27 @@ module Prog = Lp_ir.Prog
 module Builder = Lp_ir.Builder
 module CS = Lp_power.Component.Set
 
-(** [main] as one block: [body] emits its instructions and returns the
-    operand [main] returns. *)
-let hand_built ?(globals = []) ?(frame = []) body =
-  let prog = Prog.create ~globals in
-  let f = Prog.create_func ~name:"main" ~params:[] ~ret:(Some Ir.I) in
-  List.iter (fun (name, ty, len) -> Prog.add_frame_array f ~name ~ty ~len) frame;
+(** A function: [body] emits its instructions, from its entry block,
+    and returns what it returns. *)
+let func name ~params ~ret body =
+  let f = Prog.create_func ~name ~params ~ret in
   let b = Builder.create f in
-  let ret = body b in
-  Builder.set_term b (Ir.Ret (Some ret));
-  Prog.add_func prog f;
+  let r = body b f in
+  Builder.set_term b (Ir.Ret r);
+  f
+
+(** [main], beside [funcs]: [body] emits its instructions, from its entry
+    block, and returns the operand [main] returns. *)
+let hand_built ?(globals = []) ?(frame = []) ?(funcs = []) body =
+  let prog = Prog.create ~globals in
+  let f =
+    func "main" ~params:[] ~ret:(Some Ir.I) (fun b f ->
+        List.iter
+          (fun (name, ty, len) -> Prog.add_frame_array f ~name ~ty ~len)
+          frame;
+        Some (body b))
+  in
+  List.iter (Prog.add_func prog) (f :: funcs);
   prog
 
 (** The fingerprint of a run of IR that skipped the pipeline, or its
@@ -353,11 +364,34 @@ let implicit_wakeup =
       let x = adds b 3 (int 6) in
       adds b 3 (reg (Builder.binop b Ir.Mul x x)))
 
-(** Hand-built programs whose pure runs leave the compiled stepper's
-    section loop at an instruction with encoded instructions before and
-    after it, one program per way out, with what the run must end in. *)
+(** [id1(x) = x] on ints, [void0()] returns nothing, and
+    [unread1(x) = 6] never reads its int parameter. *)
+let callees =
+  [ func "id1" ~params:[ Ir.I ] ~ret:(Some Ir.I) (fun _ f ->
+        Some (reg (fst (List.hd f.Prog.params))));
+    func "void0" ~params:[] ~ret:None (fun _ _ -> None);
+    func "unread1" ~params:[ Ir.I ] ~ret:(Some Ir.I) (fun _ _ -> Some (int 6)) ]
+
+(** [k] additions on [x], then [term] ends the block, whose successor
+    adds [k] more. *)
+let around_term b k x term =
+  let x = adds b k x in
+  let next = Builder.new_block b in
+  Builder.set_term b (term next.Ir.bid);
+  Builder.switch_to b next;
+  adds b k x
+
+let shared name = { Ir.sym_name = name; sym_space = Ir.Shared }
+
+(** Hand-built programs that stop the compiled stepper's section loop
+    at an instruction with encoded instructions before and after it,
+    one program per way out of a section and per error of an
+    instruction or terminator that runs on its own; and two programs
+    that the decoder rejects, which the steppers used to run
+    differently.  Each comes with what the run must end in. *)
 let exit_programs =
   let mul = Lp_power.Component.Multiplier in
+  let g4 = [ { Prog.gsym = "g"; gty = Ir.I; gsize = 4; ginit = None } ] in
   [
     ("every operator in every operand shape", `Ok, all_operators);
     ("implicit wakeup", `Ok, implicit_wakeup);
@@ -401,6 +435,53 @@ let exit_programs =
           let f = Builder.const b (Ir.Cfloat 1.5) in
           let x = adds b 3 (int 7) in
           adds b 3 (add b x (reg f))) );
+    ( "out-of-bounds shared read", `Error,
+      hand_built ~globals:g4 (fun b ->
+          let i = adds b 3 (int 1) in
+          adds b 3 (reg (Builder.load b (shared "g") i))) );
+    ( "out-of-bounds shared write", `Error,
+      hand_built ~globals:g4 (fun b ->
+          let i = adds b 3 (int 1) in
+          Builder.store b (shared "g") i (int 9);
+          adds b 3 i) );
+    ( "out-of-bounds local write", `Error,
+      hand_built ~frame:[ ("loc", Ir.I, 3) ] (fun b ->
+          let i = adds b 2 (int 1) in
+          Builder.store b { Ir.sym_name = "loc"; sym_space = Ir.Frame } i i;
+          adds b 3 i) );
+    ( "store to an unknown global", `Error,
+      hand_built (fun b ->
+          let x = adds b 3 (int 1) in
+          Builder.store b (shared "nowhere") (int 0) x;
+          adds b 3 x) );
+    ( "call to an unknown function", `Error,
+      hand_built (fun b ->
+          let x = adds b 3 (int 1) in
+          adds b 3 (reg (Builder.call_reg b "nowhere" [ x ]))) );
+    ( "too many arguments", `Error,
+      hand_built ~funcs:callees (fun b ->
+          let x = adds b 3 (int 1) in
+          adds b 3 (reg (Builder.call_reg b "id1" [ x; x ]))) );
+    ( "arity mismatch", `Error,
+      hand_built ~funcs:callees (fun b ->
+          let x = adds b 3 (int 1) in
+          add b x (adds b 3 (reg (Builder.call_reg b "id1" [])))) );
+    ( "void return into a register", `Error,
+      hand_built ~funcs:callees (fun b ->
+          let x = adds b 3 (int 1) in
+          add b x (adds b 3 (reg (Builder.call_reg b "void0" [])))) );
+    ( "float branch condition", `Error,
+      hand_built (fun b ->
+          let f = reg (Builder.const b (Ir.Cfloat 1.5)) in
+          around_term b 3 (int 1) (fun l -> Ir.Br (f, l, l))) );
+    ( "float argument to an unread int parameter", `Error,
+      hand_built ~funcs:callees (fun b ->
+          let x = adds b 3 (int 1) in
+          add b x
+            (adds b 3
+               (reg (Builder.call_reg b "unread1" [ Ir.Imm (Ir.Cfloat 1.5) ])))) );
+    ( "jump to a label with no block", `Error,
+      hand_built (fun b -> around_term b 3 (int 1) (fun _ -> Ir.Jmp 999)) );
   ]
 
 (** farmem-4c's local store is a cache that misses every 64th access:
