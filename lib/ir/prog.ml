@@ -50,6 +50,10 @@ type t = {
   globals : global list;
   funcs : (string, func) Hashtbl.t;
   mutable layout : layout;
+  mutable verified : int * layout * global list;
+      (** the {!prog_version}, the layout and the globals that
+          [Verify.verify_prog] last accepted; [(-1, Sequential, [])]
+          until it accepts one *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -129,7 +133,8 @@ let prune_blocks f =
 (* ------------------------------------------------------------------ *)
 
 let create ~globals : t =
-  { globals; funcs = Hashtbl.create 16; layout = Sequential }
+  { globals; funcs = Hashtbl.create 16; layout = Sequential;
+    verified = (-1, Sequential, []) }
 
 let add_func t f =
   if Hashtbl.mem t.funcs f.fname then
@@ -164,19 +169,28 @@ let total_instrs t =
 let prog_version t =
   Hashtbl.fold (fun _ f acc -> acc + f.version) t.funcs (Hashtbl.length t.funcs)
 
+(** Whether [Verify.verify_prog] accepted [t] at [version] (its current
+    {!prog_version}), with its current layout and globals: nothing
+    removes a function, so these cover everything the verifier reads
+    (the globals too in a copy [{ t with globals }], which keeps the
+    record). *)
+let verified t ~version =
+  let (v, layout, globals) = t.verified in
+  v = version && layout == t.layout && globals == t.globals
+
 (** Exact content digest of everything the simulator reads from a
     program: the globals and the layout; per function, in name order,
     its signature, entry, frame arrays, register and label high-water
-    marks; and every block of [blocks] by label (a block missing from
-    [block_order] is still decoded), each instruction with its [loc]
+    marks; and every block of [blocks] by label (the verifier makes
+    [block_order] list the same blocks), each instruction with its [loc]
     (the profiler keys on it).  Programs with equal digests simulate
     identically under the same machine and simulator options.  The
     digest is taken over a marshalled canonical value, so floats
     compare by their bits; the printed IR could not serve, since
     {!Ir.const_to_string} prints floats with [%g].  Gating sets enter
     as element lists, so equal sets of different tree shapes agree.
-    Mutation stamps, instruction ids and [block_order] are left out:
-    the simulator reads none of them. *)
+    Mutation stamps, instruction ids and the order of [block_order] are
+    left out: the simulator reads none of them. *)
 let digest (t : t) : Digest.t =
   let idesc = function
     | Ir.Pg_off s -> `Gate (false, Lp_power.Component.Set.elements s)

@@ -7,6 +7,7 @@ module Obs = Lp_obs.Obs
 
 type finding = {
   f_seed : int;
+  f_machine : string;
   f_kind : string;
   f_detail : string;
   f_source : string;
@@ -20,6 +21,12 @@ type summary = {
 }
 
 let default_machine () = Machine.generic ~n_cores:4 ()
+
+(** Every zoo machine, at its own core count. *)
+let zoo () =
+  List.map
+    (fun (_, _, (mk : ?cores:int -> unit -> Machine.t)) -> mk ())
+    Machine.registry
 
 (** The fully-optimised configuration, parallelised over every core of
     the fuzzed machine. *)
@@ -101,8 +108,8 @@ let run_seed ?(ctx = Compile.default_ctx) ?(machine = default_machine ())
   @@ fun () ->
   let gen = Gen.generate ~seed in
   let finding kind detail =
-    Error { f_seed = seed; f_kind = kind; f_detail = detail;
-            f_source = gen.Gen.source }
+    Error { f_seed = seed; f_machine = machine.Machine.name; f_kind = kind;
+            f_detail = detail; f_source = gen.Gen.source }
   in
   let base = run_config ~ctx ~machine ~opts:Compile.baseline gen.Gen.source in
   let full =
@@ -137,24 +144,43 @@ let rec mkdir_p dir =
     (try Sys.mkdir dir 0o755 with Sys_error _ -> ())
   end
 
-(** Write a failing seed as a replayable MiniC file.  When a power
-    report was captured for the seed, the header points at it so the
-    triager sees the compiler's power decisions next to the repro. *)
+(* a finding's files: [seed_N_MACHINE] plus [ext] *)
+let seed_file ~dir (f : finding) ext =
+  Filename.concat dir (Printf.sprintf "seed_%d_%s%s" f.f_seed f.f_machine ext)
+
+(** Write a failing seed as a replayable MiniC file, named after its
+    seed and machine.  The header names the machine and, for a zoo
+    machine, the [lpcc run] line that compiles the file for it.  When a
+    power report was captured for the seed, the header points at it so
+    the triager sees the compiler's power decisions next to the
+    repro. *)
 let write_corpus_file ?report_path ~dir (f : finding) : string =
   mkdir_p dir;
-  let path = Filename.concat dir (Printf.sprintf "seed_%d.c" f.f_seed) in
+  let path = seed_file ~dir f ".c" in
+  let run =
+    List.find_map
+      (fun (name, _, (mk : ?cores:int -> unit -> Machine.t)) ->
+        let m = mk () in
+        if m.Machine.name = f.f_machine then
+          Some
+            (Printf.sprintf "//          lpcc run %s -m %s -c %d -k full\n" path
+               name (Machine.n_cores m))
+        else None)
+      Machine.registry
+  in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       Printf.fprintf oc
-        "// lpcc fuzz finding\n// seed:   %d\n// kind:   %s\n// detail: %s\n\
-         // replay: lpcc fuzz --seeds 1 --seed-start %d\n//         lpcc run %s\n%s\n%s"
-        f.f_seed f.f_kind
+        "// lpcc fuzz finding\n// seed:    %d\n// machine: %s\n\
+         // kind:    %s\n// detail:  %s\n\
+         // replay:  lpcc fuzz --seeds 1 --seed-start %d\n%s%s\n%s"
+        f.f_seed f.f_machine f.f_kind
         (String.map (function '\n' -> ' ' | c -> c) f.f_detail)
-        f.f_seed path
+        f.f_seed (Option.value run ~default:"")
         (match report_path with
-        | Some rp -> Printf.sprintf "// report: %s\n" rp
+        | Some rp -> Printf.sprintf "// report:  %s\n" rp
         | None -> "")
         f.f_source);
   path
@@ -170,9 +196,7 @@ let write_seed_report ~dir ~machine (f : finding) : string =
   Lp_obs.Report.with_scope (Printf.sprintf "seed_%d" f.f_seed) (fun () ->
       ignore
         (run_config ~ctx:rctx ~machine ~opts:(full_opts machine) f.f_source));
-  let path =
-    Filename.concat dir (Printf.sprintf "seed_%d.report.json" f.f_seed)
-  in
+  let path = seed_file ~dir f ".report.json" in
   Lp_obs.Report.write rep ~path;
   path
 
@@ -180,34 +204,42 @@ let write_seed_report ~dir ~machine (f : finding) : string =
 (* Batch driver                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let run_range ?(ctx = Compile.default_ctx) ?(machine = default_machine ())
-    ?(log = ignore) ~corpus_dir ~seed_start ~seeds () : summary =
+let run_range ?(ctx = Compile.default_ctx) ?machine ?(log = ignore)
+    ~corpus_dir ~seed_start ~seeds () : summary =
+  let machines = match machine with Some m -> [ m ] | None -> zoo () in
   let passed = ref 0 and degraded = ref 0 and findings = ref [] in
   for seed = seed_start to seed_start + seeds - 1 do
-    match run_seed ~ctx ~machine ~seed () with
-    | Ok `Passed -> incr passed
-    | Ok (`Degraded code) ->
-      incr degraded;
-      log (Printf.sprintf "seed %d: degraded consistently (%s)" seed code)
-    | Error f ->
-      let report_path = write_seed_report ~dir:corpus_dir ~machine f in
-      let path = write_corpus_file ~report_path ~dir:corpus_dir f in
-      findings := f :: !findings;
-      log
-        (Printf.sprintf "seed %d: %s — %s (saved to %s, report %s)" seed
-           f.f_kind f.f_detail path report_path)
+    List.iter
+      (fun (machine : Machine.t) ->
+        match run_seed ~ctx ~machine ~seed () with
+        | Ok `Passed -> incr passed
+        | Ok (`Degraded code) ->
+          incr degraded;
+          log
+            (Printf.sprintf "seed %d on %s: degraded consistently (%s)" seed
+               machine.Machine.name code)
+        | Error f ->
+          let report_path = write_seed_report ~dir:corpus_dir ~machine f in
+          let path = write_corpus_file ~report_path ~dir:corpus_dir f in
+          findings := f :: !findings;
+          log
+            (Printf.sprintf "seed %d on %s: %s — %s (saved to %s, report %s)"
+               seed f.f_machine f.f_kind f.f_detail path report_path))
+      machines
   done;
+  let tested = seeds * List.length machines in
   log
-    (Printf.sprintf "%d seed(s): %d passed, %d degraded, %d finding(s)" seeds
-       !passed !degraded
+    (Printf.sprintf
+       "%d seed(s) on %d machine(s): %d passed, %d degraded, %d finding(s)"
+       seeds (List.length machines) !passed !degraded
        (List.length !findings));
   let obs = ctx.Compile.obs in
-  Obs.add obs "fuzz.tested" seeds;
+  Obs.add obs "fuzz.tested" tested;
   Obs.add obs "fuzz.passed" !passed;
   Obs.add obs "fuzz.degraded" !degraded;
   Obs.add obs "fuzz.findings" (List.length !findings);
   {
-    tested = seeds;
+    tested;
     passed = !passed;
     degraded = !degraded;
     findings = List.rev !findings;

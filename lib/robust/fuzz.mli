@@ -11,11 +11,14 @@
       observable result (return value and the final contents of the
       output arrays).
 
-    Failing seeds are written to a crash corpus directory as replayable
-    MiniC files with the seed and failure reason in a comment header. *)
+    A batch fuzzes each seed on every zoo machine ([Machine.registry]),
+    at the machine's own core count.  Failing seeds are written to a
+    crash corpus directory as replayable MiniC files with the seed, the
+    machine and the failure reason in a comment header. *)
 
 type finding = {
   f_seed : int;
+  f_machine : string;  (** the fuzzed machine's [Machine.name] *)
   f_kind : string;
       (** [raw-exception], [result-mismatch], [diag-divergence] or
           [config-divergence] *)
@@ -24,7 +27,7 @@ type finding = {
 }
 
 type summary = {
-  tested : int;
+  tested : int;  (** seeds times machines *)
   passed : int;   (** both configurations ran and agreed *)
   degraded : int;
       (** both configurations failed with the same diagnostic code —
@@ -42,12 +45,14 @@ val run_seed :
   unit ->
   ([ `Passed | `Degraded of string ], finding) result
 
-(** Fuzz [seeds] consecutive seeds starting at [seed_start], writing any
-    finding to [corpus_dir] (created on demand; no file is written when
-    every seed passes).  Each finding is saved as [seed_N.c] alongside a
-    [seed_N.report.json] power-decision audit of the failing full-config
-    run, and the replay header's [// report:] line points at it.  [log]
-    receives one progress line per failure and a final tally. *)
+(** Fuzz [seeds] consecutive seeds starting at [seed_start], each on
+    every zoo machine at its own core count, or on [machine] alone when
+    it is given, writing any finding to [corpus_dir] (created on demand;
+    no file is written when every seed passes).  Each finding is saved
+    as [seed_N_MACHINE.c] alongside a [seed_N_MACHINE.report.json]
+    power-decision audit of the failing full-config run, and the replay
+    header's [// report:] line points at it.  [log] receives one
+    progress line per failure and a final tally. *)
 val run_range :
   ?ctx:Lowpower.Compile.ctx ->
   ?machine:Lp_machine.Machine.t ->

@@ -10,7 +10,10 @@
 
     Everything here is a pure function of the IR — no simulator state —
     which keeps the decode tables shareable between the two execution
-    modes and trivially correct with respect to byte-identical output. *)
+    modes and trivially correct with respect to byte-identical output.
+    It checks nothing: [Sim.create] decodes only a program that
+    {!Lp_ir.Verify.verify_prog} accepted, which makes every label the
+    decoder meets a block and every register an allocated one. *)
 
 module Ir = Lp_ir.Ir
 module Prog = Lp_ir.Prog
@@ -35,7 +38,7 @@ type dblock = {
 (** A decoded function.  [df_blocks] is indexed directly by block label
     (labels are dense, from the function's block id generator); a label
     with no block holds {!dummy_block}, which no run reaches: the
-    decoder rejects a branch to it, and a function whose entry is one.
+    verifier rejects a branch to it, and a function whose entry is one.
 
     Every register belongs to one class ({!Lp_ir.Verify.reg_classes}):
     the compiled stepper keeps a frame's int registers in an [int array]
@@ -67,8 +70,7 @@ let decode_instr (i : Ir.instr) : dinstr =
   }
 
 (* [visit] sees each instruction as it is decoded: the register-class
-   inference rides on this traversal, as do its checks of a block's
-   terminator *)
+   inference rides on this traversal *)
 let rec decode_instrs visit = function
   | [] -> []
   | i :: rest ->
@@ -76,38 +78,23 @@ let rec decode_instrs visit = function
     let di = decode_instr i in
     di :: decode_instrs visit rest
 
-let decode_block visit visit_term (b : Ir.block) : dblock =
-  let db_instrs = Array.of_list (decode_instrs visit b.Ir.instrs) in
-  visit_term b.Ir.term;
-  { db_label = b.Ir.bid; db_instrs; db_term = b.Ir.term }
-
-(** Decode [f]; the register classes are inferred in the same traversal.
-    Raises [Verify.Invalid] where {!Verify.reg_classes} does (a register
-    of two classes, a call argument or a returned value of the wrong
-    class), and for a branch to, or an entry at, a label with no
-    block. *)
+(** Decode the blocks of [f]'s layout, the ones {!Lp_ir.Verify} checked;
+    the register classes are inferred in the same traversal.  [f] must
+    have passed the verifier, which makes every entry and branch target
+    a decoded block and every register an allocated one. *)
 let decode_func (prog : Prog.t) (f : Prog.func) : dfunc =
-  (* labels come from the function's block generator, so [peek] bounds
-     them; tolerate foreign labels by sizing to the largest key seen *)
-  let max_label =
-    Hashtbl.fold (fun l _ acc -> max l acc) f.Prog.blocks
-      (Lp_util.Id_gen.peek f.Prog.block_gen - 1)
-  in
-  let df_blocks = Array.make (max 1 (max_label + 1)) dummy_block in
-  let count = ref 0 in
-  let has l = l >= 0 && Hashtbl.mem f.Prog.blocks l in
-  if not (has f.Prog.entry) then
-    Verify.fail "%s: entry L%d has no block" f.Prog.fname f.Prog.entry;
+  let max_label = List.fold_left max f.Prog.entry f.Prog.block_order in
+  let df_blocks = Array.make (max_label + 1) dummy_block in
   let df_regs =
-    Verify.reg_classes prog f ~iter:(fun visit visit_term ->
-        Hashtbl.iter
-          (fun l b ->
-            if l >= 0 then begin
-              Verify.check_targets f ~has b;
-              df_blocks.(l) <- decode_block visit visit_term b;
-              incr count
-            end)
-          f.Prog.blocks)
+    Verify.reg_classes prog f ~iter:(fun visit ->
+        List.iter
+          (fun l ->
+            let b = Prog.block f l in
+            df_blocks.(l) <-
+              { db_label = b.Ir.bid;
+                db_instrs = Array.of_list (decode_instrs visit b.Ir.instrs);
+                db_term = b.Ir.term })
+          f.Prog.block_order)
   in
   (* number each class's registers, in place *)
   let nints = ref 0 and nfloats = ref 0 in
@@ -121,7 +108,8 @@ let decode_func (prog : Prog.t) (f : Prog.func) : dfunc =
   List.iteri
     (fun k (name, _, _) -> Hashtbl.replace df_frame_idx name k)
     f.Prog.frame_arrays;
-  { df_func = f; df_blocks; df_frame_idx; df_nblocks = !count; df_regs;
+  { df_func = f; df_blocks; df_frame_idx;
+    df_nblocks = List.length f.Prog.block_order; df_regs;
     df_nints = !nints; df_nfloats = !nfloats }
 
 (** Decode every function of a program; returns the table (by function

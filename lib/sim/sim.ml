@@ -33,11 +33,16 @@
       per-instruction match dispatch over [Value.t] registers and serves
       as the reference the compiled mode is checked against.
 
-    Both modes start every register at the zero of its class, and both
-    reject at construction, with [Verify.Invalid], a program the
-    decoder refuses: a register of two classes, a call argument or a
-    returned value of the wrong class, or a branch to a label with no
-    block.
+    Both modes start every register at the zero of its class.  Neither
+    checks at run time what the IR alone shows: {!create} runs
+    {!Lp_ir.Verify.verify_prog} on a program the verifier has not
+    accepted since its last change ({!Prog.verified}), so both modes
+    reject, with [Verify.Invalid], every program it rejects, and fail
+    at run time only on what a run alone shows: a division by zero, an
+    index out of bounds, a DVFS level the executing core's ladder
+    lacks.  Both refresh a core's leakage ({!recompute_leak}) at the
+    same points: at every gating instruction, every operating-point
+    change and every implicit wakeup.
 
     The compiled mode is fast because every remaining float operation is
     one the interpretive mode also performs, in the same order — the
@@ -60,7 +65,7 @@ exception Step_limit_exceeded
 type status =
   | Ready
   | Blocked_send of int * Value.t
-  | Blocked_recv of int * Ir.reg * Ir.ty
+  | Blocked_recv of int * Ir.reg
   | Blocked_barrier of int
   | Halted of Value.t option
 
@@ -130,7 +135,7 @@ and cblock = {
   cb_arrs : Value.t array array;  (** the ROM and shared arrays accessed *)
   cb_calls : call_site array;
   cb_db : Predecode.dblock;
-      (** the decoded block: the symbol or callee an error names *)
+      (** the decoded block: the symbol an out-of-bounds error names *)
   cb_slots : Profile.slot array array;
       (** per instruction and the terminator, its profile slot on each
           core; [[||]] unless profiling *)
@@ -151,10 +156,7 @@ and call_site = { cs_cf : cfun; cs_args : int array; cs_params : int array }
     such reads: an int binop of two registers ([_rr]) or of a register
     and an immediate ([_ri]), a [Mac] of three registers, and an int
     load from a ROM array at a register index (docs/PERF.md, "Opcodes
-    per operand shape", measures the generic paths against them).  An
-    operand of the wrong class compiles to [Ill_int] or [Ill_float]
-    ([Load_ill] for a load's index), an unknown memory symbol to
-    [Load_unknown]: they raise the interpreter's error when run.  The
+    per operand shape", measures the generic paths against them).  The
     second group, from [Load_sh], run only in {!step_encoded}: every
     other instruction, one opcode per kind, and the terminators. *)
 and opc =
@@ -167,7 +169,6 @@ and opc =
   | Const_i | Const_f | Move_i | Move_f
   | Load_ri  (** a ROM array into an int register, at a register index *)
   | Load
-  | Ill_int | Ill_float | Load_ill | Load_unknown
   | Load_sh  (** a load from shared memory *)
   | Store | Faa | Call | Pg_off | Pg_on | Dvfs | Send | Recv | Barrier
   | Jmp | Br | Ret
@@ -203,10 +204,6 @@ and core = {
   lg_cat : float array;
   lg_comp : float array;
   lg_tot : float array;
-  mutable leak_dirty : bool;
-      (** compiled mode defers {!recompute_leak} to the next clock
-          advance; the interpretive mode recomputes eagerly and never
-          sets this *)
   dyn_row : float array;
       (** per-component dynamic energy at the current point (indexed by
           [Component.index]); refreshed on DVFS transitions *)
@@ -355,8 +352,7 @@ let recompute_leak t (c : core) =
         sum :=
           !sum +. (pm.Power_model.leak_power_mw.(Component.index comp) *. scale))
     t.machine.Machine.components;
-  c.clk.leak_mw <- !sum;
-  c.leak_dirty <- false
+  c.clk.leak_mw <- !sum
 
 (** Refresh the per-core caches derived from the operating point.  The
     cached values are bit-identical to what the uncached code computes:
@@ -485,14 +481,10 @@ let nominal_ns t n =
   Operating_point.ns_of_cycles
     (Power_model.nominal (Machine.ref_power t.machine)) n
 
-(** Advance a core's clock, charging leakage of powered components.  The
-    compiled mode marks leakage dirty on power events instead of
-    recomputing eagerly; the value is refreshed here, at the first
-    advance that reads it — which is exactly when the eager recompute
-    would first be observable. *)
-let[@inline always] advance t (c : core) dt ~idle =
+(** Advance a core's clock, charging leakage of powered components at
+    the rate {!recompute_leak} last set. *)
+let[@inline always] advance _t (c : core) dt ~idle =
   if dt > 0.0 then begin
-    if c.leak_dirty then recompute_leak t c;
     (* hand-inlined [Energy_ledger.charge ~category:Leakage_*]: same
        check, same accumulation order (category then total) *)
     let nj = c.clk.leak_mw *. dt *. 1e-3 in
@@ -602,16 +594,12 @@ let local_miss t (c : core) =
 
 let runtime_err fmt = Format.kasprintf (fun s -> raise (Value.Runtime_error s)) fmt
 
+(* the verifier rejects a symbol that names no array *)
 let mem_array t (fr : frame) (s : Ir.sym) : Value.t array =
   match s.Ir.sym_space with
-  | Ir.Shared | Ir.Rom -> (
-    match Hashtbl.find_opt t.shared s.Ir.sym_name with
-    | Some a -> a
-    | None -> runtime_err "unknown global %s" s.Ir.sym_name)
-  | Ir.Frame -> (
-    match Hashtbl.find_opt fr.dfunc.Predecode.df_frame_idx s.Ir.sym_name with
-    | Some k -> fr.farrs.(k)
-    | None -> runtime_err "unknown frame array %s" s.Ir.sym_name)
+  | Ir.Shared | Ir.Rom -> Hashtbl.find t.shared s.Ir.sym_name
+  | Ir.Frame ->
+    fr.farrs.(Hashtbl.find fr.dfunc.Predecode.df_frame_idx s.Ir.sym_name)
 
 let oob_err what sym idx (a : Value.t array) (fr : frame) =
   runtime_err "out-of-bounds %s %s[%d] (len %d) in %s" what sym idx
@@ -639,20 +627,23 @@ let eval (fr : frame) = function
 
 let setr (fr : frame) r v = fr.regs.(r) <- v
 
-(** Handle an instruction executing on a gated component: implicit wakeup
+(** An instruction executing on gated component [ci]: implicit wakeup
     with full penalty.  Correct compiler output never triggers this. *)
-let ensure_powered t (c : core) comp =
-  let i = Component.index comp in
-  if not c.powered.(i) then begin
-    let pm = c.pm in
-    c.powered.(i) <- true;
-    recompute_leak t c;
-    c.implicit_wakeups <- c.implicit_wakeups + 1;
-    record t c (fun () -> "IMPLICIT WAKEUP of " ^ Component.to_string comp);
-    c.gate_transitions <- c.gate_transitions + 1;
-    charge c Energy_ledger.Gating_overhead pm.Power_model.gate_energy_nj;
-    spend t c pm.Power_model.wake_latency_cycles
-  end
+let wakeup t (c : core) ci =
+  let pm = c.pm in
+  c.powered.(ci) <- true;
+  recompute_leak t c;
+  c.implicit_wakeups <- c.implicit_wakeups + 1;
+  record t c (fun () ->
+      "IMPLICIT WAKEUP of " ^ Component.to_string (Component.of_index ci));
+  c.gate_transitions <- c.gate_transitions + 1;
+  charge c Energy_ledger.Gating_overhead pm.Power_model.gate_energy_nj;
+  spend t c pm.Power_model.wake_latency_cycles
+
+(** The implicit wakeup of an instruction's component [ci], when it is
+    gated: the first step of every instruction, in both steppers. *)
+let[@inline always] wake t (c : core) ci =
+  if not (Array.unsafe_get c.powered ci) then wakeup t c ci
 
 (* channels ride dedicated core-to-core mailbox links (as on PAC-style
    MPSoCs), so transfers pay a fixed link latency without occupying the
@@ -713,7 +704,7 @@ let exec_term t (c : core) (fr : frame) (term : Ir.term) =
     fr.block <- l;
     fr.idx <- 0
   | Ir.Br (cond, l1, l2) ->
-    fr.block <- (if Value.is_true (eval fr cond) then l1 else l2);
+    fr.block <- (if Value.to_int (eval fr cond) <> 0 then l1 else l2);
     fr.idx <- 0
   | Ir.Ret v_opt -> (
     let v = Option.map (eval fr) v_opt in
@@ -732,13 +723,12 @@ let exec_term t (c : core) (fr : frame) (term : Ir.term) =
       c.stack <- rest;
       (match (caller.pending_dst, v) with
       | (Some d, Some value) -> setr caller d value
-      | (Some _, None) -> runtime_err "void return into a register"
-      | (None, _) -> ());
+      | _ -> ());
       caller.pending_dst <- None)
 
 let exec_instr t (c : core) (fr : frame) (di : Predecode.dinstr) =
   let comp = di.Predecode.di_comp in
-  ensure_powered t c comp;
+  wake t c di.Predecode.di_comp_idx;
   let pm = c.pm in
   let i = di.Predecode.di_instr in
   let simple_cost () =
@@ -796,25 +786,15 @@ let exec_instr t (c : core) (fr : frame) (di : Predecode.dinstr) =
     let old = Value.to_int (mem_read t fr s 0) in
     mem_write t fr s 0 (Value.Vint (Value.wrap32 (old + amount)));
     setr fr d (Value.Vint old)
-  | Ir.Call (dst, callee, args) -> (
+  | Ir.Call (dst, callee, args) ->
     simple_cost ();
-    match Hashtbl.find_opt t.fsyms callee with
-    | None -> runtime_err "call to unknown function %s" callee
-    | Some cf ->
-      let fe = cf.cf_fe in
-      let new_fr = make_frame c cf in
-      let nparams = Array.length fe.fe_params in
-      let bound =
-        List.fold_left
-          (fun k arg ->
-            if k >= nparams then runtime_err "too many arguments to %s" callee;
-            new_fr.regs.(fe.fe_params.(k)) <- eval fr arg;
-            k + 1)
-          0 args
-      in
-      if bound <> nparams then runtime_err "arity mismatch calling %s" callee;
-      fr.pending_dst <- dst;
-      c.stack <- new_fr :: c.stack)
+    let cf = Hashtbl.find t.fsyms callee in
+    let new_fr = make_frame c cf in
+    List.iteri
+      (fun k arg -> new_fr.regs.(cf.cf_fe.fe_params.(k)) <- eval fr arg)
+      args;
+    fr.pending_dst <- dst;
+    c.stack <- new_fr :: c.stack
   | Ir.Pg_off comps ->
     spend t c 1;
     record t c (fun () -> "pg_off " ^ Component.Set.to_string comps);
@@ -871,7 +851,7 @@ let exec_instr t (c : core) (fr : frame) (di : Predecode.dinstr) =
       t.unblock_dirty <- true
     end
     else complete_send t c chan_id v
-  | Ir.Recv (d, chan_id, ty) ->
+  | Ir.Recv (d, chan_id, _) ->
     spend t c t.machine.Machine.channel_setup_cycles;
     charge_dynamic t c comp;
     let ch = t.chans.(chan_id) in
@@ -879,16 +859,13 @@ let exec_instr t (c : core) (fr : frame) (di : Predecode.dinstr) =
       c.recv_blocks <- c.recv_blocks + 1;
       record t c (fun () ->
           Printf.sprintf "blocked receiving on ch%d" chan_id);
-      c.status <- Blocked_recv (chan_id, d, ty);
+      c.status <- Blocked_recv (chan_id, d);
       t.unblock_dirty <- true
     end
     else begin
       let (v, ready) = Queue.pop ch.queue in
       resume_at t c ready;
       ch.last_pop <- fmax ch.last_pop c.clk.time;
-      (match (ty, v) with
-      | (Ir.I, Value.Vint _) | (Ir.F, Value.Vfloat _) -> ()
-      | _ -> runtime_err "channel %d type mismatch" chan_id);
       setr fr d v
     end
   | Ir.Barrier bid ->
@@ -974,26 +951,6 @@ let[@inline always] charge_dyn (c : core) ci =
     Array.unsafe_set sc 0 (Array.unsafe_get sc 0 +. nj)
   end
 
-(** Implicit wakeup of component [ci], compiled mode: identical to
-    {!ensure_powered}'s slow path except leakage refresh is deferred to
-    the wake-stall advance. *)
-let wakeup_compiled t (c : core) ci =
-  let pm = c.pm in
-  c.powered.(ci) <- true;
-  c.leak_dirty <- true;
-  c.implicit_wakeups <- c.implicit_wakeups + 1;
-  record t c (fun () ->
-      "IMPLICIT WAKEUP of " ^ Component.to_string (Component.of_index ci));
-  c.gate_transitions <- c.gate_transitions + 1;
-  charge c Energy_ledger.Gating_overhead pm.Power_model.gate_energy_nj;
-  spend t c pm.Power_model.wake_latency_cycles
-
-(** The implicit wakeup of the instruction's component, when it is
-    gated: on its own for the power-control instructions, which pay no
-    dynamic charge, and as the first step of {!issue} for the rest. *)
-let[@inline always] wake t (c : core) ci =
-  if not (Array.unsafe_get c.powered ci) then wakeup_compiled t c ci
-
 (* [n] cycles ([nf] is [n] pre-floated; [1.0 *. x] is exactly [x], so one
    cycle needs no special case), then — for a local access on a cache
    machine, when [miss] — the periodic miss, then the dynamic charge *)
@@ -1039,10 +996,9 @@ let[@inline always] freg (fr : frame) s = Array.unsafe_get fr.fregs s
     [frame.ret_dst]. *)
 let slot (df : Predecode.dfunc) d = df.Predecode.df_regs.(d) lsr 1
 
-(** Write a boxed value — a loaded word, a received message, a call
-    argument or return value of the other class — into the register
-    [k] encodes; a value of the wrong class raises [Value.to_int]'s or
-    [Value.to_float]'s error, as reading it would in the interpreter. *)
+(** Write a boxed value — a loaded word, a received message, an
+    immediate call argument or return value — into the register [k]
+    encodes; the verifier makes its class the register's. *)
 let[@inline always] store_value (fr : frame) k v =
   if k land 1 = Verify.cls_float then
     Array.unsafe_set fr.fregs (k lsr 1) (Value.to_float v)
@@ -1237,22 +1193,13 @@ let[@inline always] opk e = e land 3
 let[@inline always] is_int e = opk e < k_freg
 let[@inline always] is_imm e = e land 1 = 1
 
-(** [df_regs.(r)], or the error of a register [df] never allocated. *)
-let reg_code (df : Predecode.dfunc) r =
-  let regs = df.Predecode.df_regs in
-  if r < 0 || r >= Array.length regs then
-    runtime_err "%s reads r%d, which it never allocated"
-      df.Predecode.df_func.Prog.fname r
-  else regs.(r)
-
 (** Operand [o]: an int or a float register's slot, an int immediate,
     or a float immediate's index in the block's float immediates, with
-    its kind; a register the function never allocated raises at
-    [create]. *)
+    its kind. *)
 let operand p (df : Predecode.dfunc) (o : Ir.operand) =
   match o with
   | Ir.Reg r ->
-    let k = reg_code df r in
+    let k = df.Predecode.df_regs.(r) in
     ((k lsr 1) lsl 2) lor (if k land 1 = Verify.cls_float then k_freg else k_ireg)
   | Ir.Imm (Ir.Cint n) -> (Value.wrap32 n lsl 2) lor k_iimm
   | Ir.Imm (Ir.Cfloat x) -> (add p.fk x lsl 2) lor k_fimm
@@ -1266,19 +1213,14 @@ let boxed_operand p df (o : Ir.operand) =
   | Ir.Imm c -> (add p.vals (Value.of_const c) lsl 2) lor k_iimm
 
 (** The array a memory instruction accesses: a global's index in the
-    block's arrays (flag [x_global]), a frame array's position among the
-    frame's arrays, or -1 for an unknown symbol, whose access raises the
-    interpreter's error. *)
+    block's arrays (flag [x_global]), or a frame array's position among
+    the frame's arrays. *)
 let enc_sym t p (df : Predecode.dfunc) (s : Ir.sym) =
   match s.Ir.sym_space with
-  | Ir.Shared | Ir.Rom -> (
-    match Hashtbl.find_opt t.shared s.Ir.sym_name with
-    | Some a -> add_uniq p.arrs a (p.arrs.size - 1) p.arrs.items
-    | None -> -1)
-  | Ir.Frame -> (
-    match Hashtbl.find_opt df.Predecode.df_frame_idx s.Ir.sym_name with
-    | Some pos -> pos
-    | None -> -1)
+  | Ir.Shared | Ir.Rom ->
+    add_uniq p.arrs (Hashtbl.find t.shared s.Ir.sym_name) (p.arrs.size - 1)
+      p.arrs.items
+  | Ir.Frame -> Hashtbl.find df.Predecode.df_frame_idx s.Ir.sym_name
 
 let mem_x t (s : Ir.sym) =
   (if s.Ir.sym_space = Ir.Frame then 0 else x_global)
@@ -1296,17 +1238,14 @@ let enc_copy code b d e =
   else if is_imm e then Const_f
   else Move_f
 
-(** Encode [di] at [code.(b)].  Operands resolve in the order the
-    interpreter reads them (a binop's and a [Mac]'s right to left), so a
-    program reading a register it never allocated fails at [create],
-    with the message that names the first one.  Beyond the register
-    instructions, the words [f_d], [f_a], [f_b] are:
+(** Encode [di] at [code.(b)].  Beyond the register instructions, the
+    words [f_d], [f_a], [f_b] are:
     - [Load_sh]: the destination's code ([df_regs]), the index, the
       array;
     - [Store]: the value ({!boxed_operand}), the index, the array;
     - [Faa]: the destination's slot, the amount, the array;
     - [Call]: the destination's code or -1, the call site's index in
-      [cb_calls] or -1 for an unknown callee;
+      [cb_calls];
     - [Pg_off], [Pg_on], [Dvfs], [Barrier]: the component mask, the
       level or the barrier, in [f_a];
     - [Send]: the value ({!boxed_operand}), the channel;
@@ -1344,14 +1283,13 @@ let encode t (df : Predecode.dfunc) p (di : Predecode.dinstr)
       let o = index_of op float_binops in
       code.(b + f_cost) <-
         pack_cost ~ci ~miss:false ~x:((o lsl 3) lor flags) ~n ~c:0;
-      if is_int ea || is_int eb then Ill_float else Fbin
+      Fbin
     end
     else begin
       let o = index_of op int_binops in
       code.(b + f_cost) <-
         pack_cost ~ci ~miss:false ~x:((o lsl 3) lor flags) ~n ~c:0;
-      if not (is_int ea && is_int eb) then Ill_int
-      else if flags = 0 then rr_ops.(o)
+      if flags = 0 then rr_ops.(o)
       else if flags = 2 then ri_ops.(o)
       else Ibin
     end
@@ -1362,14 +1300,7 @@ let encode t (df : Predecode.dfunc) p (di : Predecode.dinstr)
     let o = index_of op unops in
     code.(b + f_cost) <-
       pack_cost ~ci ~miss:false ~x:((o lsl 3) lor (opk e land 1)) ~n ~c:0;
-    let wants_int =
-      match op with
-      | Ir.Neg | Ir.Not | Ir.Bnot | Ir.I2f -> true
-      | Ir.Fneg | Ir.F2i -> false
-    in
-    if wants_int = is_int e then Un
-    else if wants_int then Ill_int
-    else Ill_float
+    Un
   | Ir.Mac (d, a, bo, cc) ->
     code.(b + f_d) <- slot df d;
     let ec = operand p df cc in
@@ -1381,8 +1312,7 @@ let encode t (df : Predecode.dfunc) p (di : Predecode.dinstr)
       (opk ea land 1) lor ((opk eb land 1) lsl 1) lor ((opk ec land 1) lsl 2)
     in
     code.(b + f_cost) <- pack_cost ~ci ~miss:false ~x:flags ~n ~c:(opv ec);
-    if not (is_int ea && is_int eb && is_int ec) then Ill_int
-    else if flags = 0 then Mac_rrr
+    if flags = 0 then Mac_rrr
     else Mac
   | Ir.Load (d, s, idxo) when s.Ir.sym_space <> Ir.Shared -> (
     let e = operand p df idxo in
@@ -1400,9 +1330,7 @@ let encode t (df : Predecode.dfunc) p (di : Predecode.dinstr)
           lor (if into_float then x_float else 0)
           lor if is_imm e then x_imm else 0)
         ~n:(1 + Machine.spm_latency_cycles t.machine) ~c:0;
-    if not (is_int e) then Load_ill
-    else if pos < 0 then Load_unknown
-    else if rom && not (into_float || is_imm e) then Load_ri
+    if rom && not (into_float || is_imm e) then Load_ri
     else Load)
   | Ir.Load (d, s, idxo) ->
     let e = operand p df idxo in
@@ -1426,15 +1354,13 @@ let encode t (df : Predecode.dfunc) p (di : Predecode.dinstr)
       (slot df d) e (enc_sym t p df s);
     Faa
   | Ir.Call (dst, callee, args) ->
+    let cf = Hashtbl.find t.fsyms callee in
+    let cs_args = Array.of_list (List.map (boxed_operand p df) args) in
+    let tregs = cf.cf_fe.fe_dfunc.Predecode.df_regs in
     let site =
-      match Hashtbl.find_opt t.fsyms callee with
-      | None -> -1
-      | Some cf ->
-        let cs_args = Array.of_list (List.map (boxed_operand p df) args) in
-        let tregs = cf.cf_fe.fe_dfunc.Predecode.df_regs in
-        add p.calls
-          { cs_cf = cf; cs_args;
-            cs_params = Array.map (Array.get tregs) cf.cf_fe.fe_params }
+      add p.calls
+        { cs_cf = cf; cs_args;
+          cs_params = Array.map (Array.get tregs) cf.cf_fe.fe_params }
     in
     let k = match dst with Some d -> df.Predecode.df_regs.(d) | None -> -1 in
     words code b plain k site 0;
@@ -1543,20 +1469,19 @@ let[@inline always] divide ~strict ~rem iregs d a b =
     strict && Value.div_by_zero (if rem then Ir.Mod else Ir.Div)
   else set_i iregs d (if rem then imod a b else idiv a b)
 
-(* the decoded instruction [i] of [cb], for the names its errors print *)
-let idesc (cb : cblock) i =
-  cb.cb_db.Predecode.db_instrs.(i).Predecode.di_instr.Ir.idesc
-
+(* the symbol of memory instruction [i] of [cb], which its
+   out-of-bounds error names *)
 let mem_sym (cb : cblock) i =
-  match idesc cb i with
+  match cb.cb_db.Predecode.db_instrs.(i).Predecode.di_instr.Ir.idesc with
   | Ir.Load (_, s, _) | Ir.Store (s, _, _) | Ir.Faa (_, s, _) -> s
   | _ -> invalid_arg "Sim.mem_sym"
 
 let load_sym (fr : frame) b = mem_sym fr.cblk (b lsr enc_shift)
 
-(* Read [arr.(idx)] into an int or float register.  Out of bounds, or a
-   word of the other class: [strict] raises the interpreter's error and
-   the section loop returns false. *)
+(* Read [arr.(idx)] into an int or float register.  Out of bounds:
+   [strict] raises the interpreter's error and the section loop returns
+   false.  The verifier makes every stored word its array's class, so
+   the other arm never runs. *)
 let[@inline always] load_i ~strict (fr : frame) b iregs d (arr : Value.t array)
     idx =
   if idx < 0 || idx >= Array.length arr then
@@ -1577,12 +1502,11 @@ let[@inline always] load_f ~strict (fr : frame) b fregs d (arr : Value.t array)
 
 (** The effect of the encoded instruction at [code.(b)]: its result
     register, after its operands are read.  True when it took effect;
-    when it cannot (a division by zero, an out-of-bounds index, an
-    operand or a loaded word of the other class, an unknown symbol),
-    [strict] raises the interpreter's error and the section loop, which
-    passes [~strict:false], gets false with nothing written.  Every
-    opcode that runs only in {!step_encoded} gives false. *)
-let[@inline always] effect ~strict t (fr : frame) (iregs : int array)
+    when it cannot (a division by zero, an out-of-bounds index), [strict]
+    raises the interpreter's error and the section loop, which passes
+    [~strict:false], gets false with nothing written.  Every opcode that
+    runs only in {!step_encoded} gives false. *)
+let[@inline always] effect ~strict (fr : frame) (iregs : int array)
     (fregs : float array) (farrs : Value.t array array) (code : int array)
     (fk : float array) (arrs : Value.t array array) b opc =
   let d = Array.unsafe_get code (b + f_d) in
@@ -1679,19 +1603,11 @@ let[@inline always] effect ~strict t (fr : frame) (iregs : int array)
     let idx = iopnd iregs a (x land x_imm <> 0) in
     if x land x_float <> 0 then load_f ~strict fr b fregs d arr idx
     else load_i ~strict fr b iregs d arr idx
-  | Ill_int | Load_ill -> strict && Value.not_int ()
-  | Ill_float -> strict && Value.not_float ()
-  | Load_unknown ->
-    (* [mem_array] raises the interpreter's unknown-symbol error *)
-    strict && Array.length (mem_array t fr (load_sym fr b)) < 0
 
-(** An int operand as {!operand} encodes it; a float one raises the
-    interpreter's [Value.to_int] error. *)
+(** An int operand as {!operand} encodes it: the verifier makes every
+    index and fetch-add amount one. *)
 let[@inline always] int_opnd (fr : frame) e =
-  let k = opk e in
-  if k = k_ireg then ireg fr (opv e)
-  else if k = k_iimm then opv e
-  else Value.not_int ()
+  if opk e = k_ireg then ireg fr (opv e) else opv e
 
 (** An operand as {!boxed_operand} encodes it, boxed: a stored word, a
     message, the value a core halts with. *)
@@ -1702,24 +1618,22 @@ let[@inline always] boxed (fr : frame) (cb : cblock) e =
   else Array.unsafe_get cb.cb_vals (opv e)
 
 (** Copy operand [e] (as {!boxed_operand} encodes it) of frame [fr] into
-    the register [k] encodes in frame [into] — unboxed when the classes
-    agree, which the decoder makes sure of for every call argument and
-    returned value, else through {!store_value}.  Call arguments and
-    return values cross frames this way. *)
+    the register [k] encodes in frame [into]: unboxed from a register
+    (the verifier gives it [k]'s class), through {!store_value} from an
+    immediate.  Call arguments and return values cross frames this
+    way. *)
 let[@inline always] put (fr : frame) (cb : cblock) e (into : frame) k =
   let ke = opk e in
-  if ke = k_ireg && k land 1 = Verify.cls_int then
-    Array.unsafe_set into.iregs (k lsr 1) (ireg fr (opv e))
-  else if ke = k_freg && k land 1 = Verify.cls_float then
+  if ke = k_ireg then Array.unsafe_set into.iregs (k lsr 1) (ireg fr (opv e))
+  else if ke = k_freg then
     Array.unsafe_set into.fregs (k lsr 1) (freg fr (opv e))
   else store_value into k (boxed fr cb e)
 
 (** One memory access of instruction [i], after its operands are read:
     issue it (a local access on a cache machine takes the periodic
     miss), then a shared access's bus transaction, then find the array
-    [pos] names ({!enc_sym}; an unknown symbol raises the interpreter's
-    error) and check [idx] against it ([what] names the access in the
-    error).  Returns the array. *)
+    [pos] names ({!enc_sym}) and check [idx] against it ([what] names the
+    access in the error).  Returns the array. *)
 let[@inline always] access t (fr : frame) (cb : cblock) i k ~shared what pos
     idx =
   let c = fr.fcore in
@@ -1730,15 +1644,14 @@ let[@inline always] access t (fr : frame) (cb : cblock) i k ~shared what pos
   end
   else issue_miss t c ci n (float_of_int n) ~miss:(cost_miss k);
   let a =
-    if pos < 0 then mem_array t fr (mem_sym cb i)
-    else if x land x_global <> 0 then Array.unsafe_get cb.cb_arrs pos
+    if x land x_global <> 0 then Array.unsafe_get cb.cb_arrs pos
     else Array.unsafe_get fr.farrs pos
   in
   if idx < 0 || idx >= Array.length a then
     oob_err what (Ir.sym_to_string (mem_sym cb i)) idx a fr;
   a
 
-(** Enter block [l] of the frame's function; the decoder rejected every
+(** Enter block [l] of the frame's function; the verifier rejected every
     branch to a label with no block. *)
 let[@inline always] goto (fr : frame) l =
   fr.block <- l;
@@ -1753,8 +1666,7 @@ let[@inline always] goto (fr : frame) l =
     charge, trace event and error happens at the same point.  A
     register instruction runs through the issue helpers and {!effect}
     [~strict:true], which raises the interpreter's error where the
-    section loop's [~strict:false] returns false (a load's index is read
-    first: a float index raises before the load issues). *)
+    section loop's [~strict:false] returns false. *)
 let step_encoded t (fr : frame) =
   let c = fr.fcore in
   let cb = fr.cblk in
@@ -1797,20 +1709,12 @@ let step_encoded t (fr : frame) =
     end
   | Call ->
     issue t c ci n (float_of_int n);
-    if a < 0 then
-      (match idesc cb i with
-      | Ir.Call (_, callee, _) -> runtime_err "call to unknown function %s" callee
-      | _ -> ());
     let cs = Array.unsafe_get cb.cb_calls a in
     let callee = make_frame c cs.cs_cf in
-    let na = Array.length cs.cs_args and np = Array.length cs.cs_params in
     (* each argument goes into its parameter's register *)
-    for j = 0 to (if na < np then na else np) - 1 do
+    for j = 0 to Array.length cs.cs_args - 1 do
       put fr cb cs.cs_args.(j) callee cs.cs_params.(j)
     done;
-    let name = cs.cs_cf.cf_fe.fe_func.Prog.fname in
-    if na > np then runtime_err "too many arguments to %s" name;
-    if na < np then runtime_err "arity mismatch calling %s" name;
     fr.ret_dst <- d;
     c.stack <- callee :: c.stack;
     bump c
@@ -1818,17 +1722,16 @@ let step_encoded t (fr : frame) =
     wake t c ci;
     spend t c 1;
     record t c (fun () -> "pg_off " ^ Component.Set.to_string (comps_of_mask a));
-    if gate_set c a ~on:false then c.leak_dirty <- true;
+    ignore (gate_set c a ~on:false);
+    recompute_leak t c;
     bump c
   | Pg_on ->
     wake t c ci;
     record t c (fun () -> "pg_on " ^ Component.Set.to_string (comps_of_mask a));
-    if gate_set c a ~on:true then begin
-      c.leak_dirty <- true;
-      (* components wake in parallel: one wake latency (this class's) *)
-      spend t c (1 + c.pm.Power_model.wake_latency_cycles)
-    end
-    else spend t c 1;
+    let any = gate_set c a ~on:true in
+    recompute_leak t c;
+    (* components wake in parallel: one wake latency (this class's) *)
+    spend t c (if any then 1 + c.pm.Power_model.wake_latency_cycles else 1);
     bump c
   | Dvfs ->
     (* the ladder belongs to the executing core's class: an absent level
@@ -1841,9 +1744,9 @@ let step_encoded t (fr : frame) =
       charge c Energy_ledger.Dvfs_overhead pm.Power_model.dvfs_energy_nj;
       c.point <- target;
       refresh_point_caches t c;
-      c.leak_dirty <- true;
       c.dvfs_transitions <- c.dvfs_transitions + 1;
-      record t c (fun () -> "dvfs -> " ^ Operating_point.to_string target)
+      record t c (fun () -> "dvfs -> " ^ Operating_point.to_string target);
+      recompute_leak t c
     end
     else spend t c 1;
     bump c
@@ -1866,12 +1769,10 @@ let step_encoded t (fr : frame) =
     if visible_turn t fr then begin
       issue t c ci n (float_of_int n);
       let ch = t.chans.(a) in
-      (* the destination's class is the received type (Verify.reg_classes) *)
-      let ty = if y land 1 = Verify.cls_float then Ir.F else Ir.I in
       if Queue.is_empty ch.queue then begin
         c.recv_blocks <- c.recv_blocks + 1;
         record t c (fun () -> Printf.sprintf "blocked receiving on ch%d" a);
-        c.status <- Blocked_recv (a, d, ty);
+        c.status <- Blocked_recv (a, d);
         t.unblock_dirty <- true
       end
       else begin
@@ -1881,9 +1782,6 @@ let step_encoded t (fr : frame) =
         t.unblock_dirty <- true;
         resume_at t c ready;
         ch.last_pop <- fmax ch.last_pop c.clk.time;
-        (match (ty, v) with
-        | (Ir.I, Value.Vint _) | (Ir.F, Value.Vfloat _) -> ()
-        | _ -> runtime_err "channel %d type mismatch" a);
         store_value fr y v
       end;
       bump c
@@ -1898,9 +1796,9 @@ let step_encoded t (fr : frame) =
     branch t c;
     goto fr a
   | Br ->
+    (* an int register: a branch on an immediate is encoded as a [Jmp] *)
     branch t c;
-    if opk a = k_ireg then goto fr (if ireg fr (opv a) <> 0 then d else y)
-    else runtime_err "float condition"
+    goto fr (if ireg fr (opv a) <> 0 then d else y)
   | Ret -> (
     branch t c;
     match c.stack with
@@ -1919,15 +1817,12 @@ let step_encoded t (fr : frame) =
     | _ :: (caller :: _ as rest) ->
       c.stack <- rest;
       let k = caller.ret_dst in
-      if k >= 0 then
-        if a = 0 then runtime_err "void return into a register"
-        else put fr cb d caller k;
+      if k >= 0 then put fr cb d caller k;
       caller.ret_dst <- -1)
   | opc ->
-    (match opc with Load_ill -> Value.not_int () | _ -> ());
     issue_miss t c ci n (float_of_int n) ~miss:(cost_miss k);
     ignore
-      (effect ~strict:true t fr fr.iregs fr.fregs fr.farrs code cb.cb_fk
+      (effect ~strict:true fr fr.iregs fr.fregs fr.farrs code cb.cb_fk
          cb.cb_arrs b opc);
     bump c
 
@@ -1942,8 +1837,8 @@ let[@inline always] in_section (op : opc) =
 (** Run the register instructions of [cb] from [start], at most up to
     [stop], and return the index of the first one not run: [stop], an
     instruction of another kind, or the one that needs a call — an
-    implicit wakeup, the leakage refresh of [leak_dirty], a negative
-    charge, a cache machine's periodic miss, or an effect that fails.
+    implicit wakeup, a negative charge, a cache machine's periodic miss,
+    or an effect that fails.
     Profiling runs none ({!step_encoded} attributes each instruction).
 
     The core's time, busy time, dynamic and active-leakage category
@@ -1965,7 +1860,7 @@ let run_section t (fr : frame) (cb : cblock) start stop =
     let iregs = fr.iregs and fregs = fr.fregs and farrs = fr.farrs in
     let powered = c.powered and dyn = c.dyn_row and comp = c.lg_comp in
     let npc = clk.ns_per_cycle and leak = clk.leak_mw in
-    let dirty = c.leak_dirty and period = t.cache_miss_period in
+    let period = t.cache_miss_period in
     let time = ref clk.time and busy = ref clk.busy_ns in
     let dyn_cat = ref (Array.unsafe_get c.lg_cat 0) in
     let leak_cat = ref (Array.unsafe_get c.lg_cat 1) in
@@ -1980,10 +1875,10 @@ let run_section t (fr : frame) (cb : cblock) start stop =
       let lnj = leak *. dt *. 1e-3 in
       let dnj = Array.unsafe_get dyn ci in
       if Array.unsafe_get powered ci
-         && (not (dt > 0.0 && (dirty || lnj < 0.0)))
+         && (not (dt > 0.0 && lnj < 0.0))
          && (not (dnj < 0.0))
          && (not (miss && c.local_accs + 1 >= period))
-         && effect ~strict:false t fr iregs fregs farrs code fk arrs b
+         && effect ~strict:false fr iregs fregs farrs code fk arrs b
               (Array.unsafe_get ops !i)
       then begin
         (* [spend]: the cycles, then [advance]'s leakage and clock *)
@@ -2080,8 +1975,7 @@ let decode_cache :
     (Prog.t * int * ((string, Predecode.dfunc) Hashtbl.t * int)) option ref =
   ref None
 
-let decode_prog_cached prog =
-  let version = Prog.prog_version prog in
+let decode_prog_cached prog ~version =
   match !decode_cache with
   | Some (p, v, res) when p == prog && v = version -> res
   | _ ->
@@ -2095,6 +1989,10 @@ let create ?(opts = default_options) ~(machine : Machine.t) (prog : Prog.t) : t 
     invalid_arg
       (Printf.sprintf "Sim.create: program needs %d cores, machine has %d"
          (List.length entries) (Machine.n_cores machine));
+  (* the one gate for faults visible in the IR, run once per program
+     version: a program [Compile] produced was verified at its end *)
+  let version = Prog.prog_version prog in
+  if not (Prog.verified prog ~version) then Verify.verify_prog prog;
   let entry_funcs = List.map (Prog.func_exn prog) entries in
   (* class 0's nominal point is the machine reference clock *)
   let nominal = Power_model.nominal (Machine.ref_power machine) in
@@ -2128,7 +2026,6 @@ let create ?(opts = default_options) ~(machine : Machine.t) (prog : Prog.t) : t 
              lg_cat = Energy_ledger.raw_by_category ledger;
              lg_comp = Energy_ledger.raw_by_component ledger;
              lg_tot = Energy_ledger.raw_total ledger;
-             leak_dirty = false;
              dyn_row = Array.make Component.count 0.0;
              instr_count = 0;
              implicit_wakeups = 0;
@@ -2156,7 +2053,7 @@ let create ?(opts = default_options) ~(machine : Machine.t) (prog : Prog.t) : t 
   (* decode is likewise a pure function of the program (no machine
      state involved) and its output is immutable, so the same
      single-entry cache applies *)
-  let (dfuncs, decoded_blocks) = decode_prog_cached prog in
+  let (dfuncs, decoded_blocks) = decode_prog_cached prog ~version in
   let fsyms = Hashtbl.create 16 in
   List.iter
     (fun (f : Prog.func) ->
@@ -2273,15 +2170,12 @@ let unblock_pass t : bool =
   Array.iter
     (fun c ->
       match c.status with
-      | Blocked_recv (chan_id, d, ty) ->
+      | Blocked_recv (chan_id, d) ->
         let ch = t.chans.(chan_id) in
         if not (Queue.is_empty ch.queue) then begin
           let (v, ready) = Queue.pop ch.queue in
           resume_at t c ready;
           ch.last_pop <- fmax ch.last_pop c.clk.time;
-          (match (ty, v) with
-          | (Ir.I, Value.Vint _) | (Ir.F, Value.Vfloat _) -> ()
-          | _ -> runtime_err "channel %d type mismatch" chan_id);
           (match c.stack with
           | fr :: _ ->
             if t.opts.predecode then
@@ -2329,7 +2223,7 @@ let describe_blocked t =
              match c.status with
              | Ready -> "ready"
              | Blocked_send (ch, _) -> Printf.sprintf "send(ch%d)" ch
-             | Blocked_recv (ch, _, _) -> Printf.sprintf "recv(ch%d)" ch
+             | Blocked_recv (ch, _) -> Printf.sprintf "recv(ch%d)" ch
              | Blocked_barrier b -> Printf.sprintf "barrier(%d)" b
              | Halted _ -> "halted"
            in

@@ -27,7 +27,6 @@ let of_const = function
   | Ir.Cint n -> Vint (wrap32 n)
   | Ir.Cfloat f -> Vfloat f
 
-let[@inline always] is_true = function Vint 0 -> false | Vint _ -> true | Vfloat _ -> err "float condition"
 
 (* ------------------------------------------------------------------ *)
 (* Boxed operators                                                     *)

@@ -222,6 +222,93 @@ let test_verify_all_workloads () =
       Verify.verify_prog (lower w.Lp_workloads.Workload.source))
     Lp_workloads.Suite.all
 
+(* ---------------- the verifier's rules: one rejection each ---------------- *)
+
+let imm n = Ir.Imm (Ir.Cint n)
+let fimm x = Ir.Imm (Ir.Cfloat x)
+let global name = { Ir.sym_name = name; sym_space = Ir.Shared }
+
+(** [main] runs [body] and returns 0, beside an int global [g], a float
+    global [fg], [id(int) : int] and [void0()], in a parallel layout with
+    one channel. *)
+let class_prog body =
+  let prog =
+    Prog.create
+      ~globals:
+        [ { Prog.gsym = "g"; gty = Ir.I; gsize = 4; ginit = None };
+          { Prog.gsym = "fg"; gty = Ir.F; gsize = 4; ginit = None } ]
+  in
+  let id = Prog.create_func ~name:"id" ~params:[ Ir.I ] ~ret:(Some Ir.I) in
+  Builder.set_term (Builder.create id)
+    (Ir.Ret (Some (Ir.Reg (fst (List.hd id.Prog.params)))));
+  let main = Prog.create_func ~name:"main" ~params:[] ~ret:(Some Ir.I) in
+  let b = Builder.create main in
+  body b;
+  Builder.set_term b (Ir.Ret (Some (imm 0)));
+  List.iter (Prog.add_func prog)
+    [ main; id; Prog.create_func ~name:"void0" ~params:[] ~ret:None ];
+  prog.Prog.layout <-
+    Prog.Parallel
+      { entries = [ "main" ]; n_channels = 1; n_barriers = 0;
+        chan_capacity = 1 };
+  prog
+
+(** Each rule of the class check, and the layout's listing every block:
+    a program that breaks it, and what the rejection says. *)
+let class_rejections =
+  let reg b mk = ignore (Builder.emit_reg b mk) in
+  [
+    ( "float operand of an int operator", "float operand where int",
+      fun b -> ignore (Builder.binop b Ir.Add (imm 1) (fimm 1.5)) );
+    ( "int operand of a float operator", "int operand where float",
+      fun b -> ignore (Builder.binop b Ir.Fmul (fimm 1.5) (imm 1)) );
+    ( "float operand of a mac", "float operand where int",
+      fun b -> reg b (fun d -> Ir.Mac (d, imm 1, fimm 1.5, imm 2)) );
+    ( "float index", "float operand where int",
+      fun b -> ignore (Builder.load b (global "g") (fimm 1.5)) );
+    ( "float fetch-add amount", "float operand where int",
+      fun b -> reg b (fun d -> Ir.Faa (d, global "g", fimm 1.5)) );
+    ( "float branch condition", "branches on a float",
+      fun b ->
+        let l = (Builder.new_block b).Ir.bid in
+        Builder.set_term b (Ir.Br (fimm 1.5, l, l));
+        Builder.switch_to b (Prog.block (Builder.func b) l) );
+    ( "float stored into an int global", "float operand where int",
+      fun b -> Builder.store b (global "g") (imm 0) (fimm 1.5) );
+    ( "fetch-add on a float global", "fetch-add on float symbol fg",
+      fun b -> reg b (fun d -> Ir.Faa (d, global "fg", imm 1)) );
+    ( "too many arguments", "passes 2 argument(s) to id",
+      fun b -> ignore (Builder.call_reg b "id" [ imm 1; imm 2 ]) );
+    ( "too few arguments", "passes 0 argument(s) to id",
+      fun b -> ignore (Builder.call_reg b "id" []) );
+    ( "result of a void call", "takes a result from void0",
+      fun b -> ignore (Builder.call_reg b "void0" []) );
+    ( "call to an unknown function", "unknown function nowhere",
+      fun b -> Builder.call b ~dst:None "nowhere" [] );
+    ( "load from an unknown frame array", "unknown frame array nope",
+      fun b ->
+        let nope = { Ir.sym_name = "nope"; sym_space = Ir.Frame } in
+        ignore (Builder.load b nope (imm 0)) );
+    ( "channel of two classes", "channel 0 carries float",
+      fun b ->
+        ignore (Builder.emit b (Ir.Send (0, fimm 1.5)));
+        reg b (fun d -> Ir.Recv (d, 0, Ir.I)) );
+    ( "block missing from the layout", "is not in the layout",
+      fun b ->
+        let f = Builder.func b in
+        let l = (Builder.new_block b).Ir.bid in
+        f.Prog.block_order <- List.filter (( <> ) l) f.Prog.block_order );
+  ]
+
+let test_class_rejection (name, says, body) () =
+  (* the program around [body] verifies on its own *)
+  Verify.verify_prog (class_prog ignore);
+  match Verify.verify_prog (class_prog body) with
+  | () -> Alcotest.failf "verifier accepted: %s" name
+  | exception Verify.Invalid msg ->
+    if not (contains msg says) then
+      Alcotest.failf "%s: %S does not say %S" name msg says
+
 let suite =
   [
     Alcotest.test_case "lower simple" `Quick test_lower_simple;
@@ -247,3 +334,8 @@ let suite =
       test_verify_move_across_classes;
     Alcotest.test_case "verify all workloads" `Quick test_verify_all_workloads;
   ]
+  @ List.map
+      (fun ((name, _, _) as case) ->
+        Alcotest.test_case ("verify rejects " ^ name) `Quick
+          (test_class_rejection case))
+      class_rejections

@@ -1,8 +1,9 @@
-(** The predecode equivalence contract: the closure-compiled stepper
-    and the interpretive reference must be {e bit-identical} on every
+(** The predecode equivalence contract: the compiled stepper and the
+    interpretive reference must be {e bit-identical} on every
     observable — cycles, every energy ledger, per-core counters, the
-    event trace, the energy profile, final shared memory, the return
-    value, and the diagnostic of a run that fails — not merely "close".
+    leakage refreshes, the event trace, the energy profile, final shared
+    memory, the return value, and the diagnostic of a run that fails —
+    not merely "close".
     The property below throws randomly generated parallel programs at
     both modes on every zoo machine; the unit tests pin the new outcome
     counters and the [BENCH_sim.json] schema tag. *)
@@ -32,10 +33,8 @@ let run_both source =
 
 (* ---------------- every observable, rendered exactly ---------------- *)
 
-(** Every field of an outcome except the two that differ by design —
-    [leak_recomputes] (the compiled mode refreshes leakage lazily) and
-    [predecode] itself — one field per line, floats in hex ([%h]) so
-    equal text means bit-equal values. *)
+(** Every field of an outcome but [predecode] itself, one field per
+    line, floats in hex ([%h]) so equal text means bit-equal values. *)
 let fingerprint (o : Sim.outcome) =
   let b = Buffer.create 4096 in
   let fl x = Printf.bprintf b " %h" x and int n = Printf.bprintf b " %d" n in
@@ -66,7 +65,7 @@ let fingerprint (o : Sim.outcome) =
   row "counts" int
     [| o.Sim.instr_total; o.Sim.implicit_wakeups; o.Sim.gate_transitions;
        o.Sim.dvfs_transitions; o.Sim.channel_msgs; o.Sim.steps;
-       o.Sim.decoded_blocks |];
+       o.Sim.decoded_blocks; o.Sim.leak_recomputes |];
   row "busy_ns" fl o.Sim.busy_ns;
   row "instrs_per_core" int o.Sim.instrs_per_core;
   row "send_blocks" int o.Sim.send_blocks;
@@ -385,30 +384,31 @@ let shared name = { Ir.sym_name = name; sym_space = Ir.Shared }
 
 (** Hand-built programs that stop the compiled stepper's section loop
     at an instruction with encoded instructions before and after it,
-    one program per way out of a section and per error of an
-    instruction or terminator that runs on its own; and two programs
-    that the decoder rejects, which the steppers used to run
-    differently.  Each comes with what the run must end in. *)
+    one program per way out of a section, per run-time fault
+    ([`Error "E_RUNTIME"]) and per fault of the IR, which [Sim.create]'s
+    verifier rejects in both steppers ([`Error "E_VERIFY"]); the last
+    two are programs the steppers once ran differently.  Each comes
+    with what the run must end in. *)
 let exit_programs =
   let mul = Lp_power.Component.Multiplier in
   let g4 = [ { Prog.gsym = "g"; gty = Ir.I; gsize = 4; ginit = None } ] in
   [
     ("every operator in every operand shape", `Ok, all_operators);
     ("implicit wakeup", `Ok, implicit_wakeup);
-    ( "dirty leakage after pg_on", `Ok,
+    ( "leakage refreshed at pg_on", `Ok,
       hand_built (fun b ->
           gate b [ mul ];
           let x = adds b 3 (int 1) in
           ungate b [ mul ];
           adds b 3 (reg (Builder.binop b Ir.Mul x x))) );
-    ( "dirty leakage after dvfs", `Ok,
+    ( "leakage refreshed at dvfs", `Ok,
       hand_built (fun b ->
           let x = adds b 3 (int 1) in
           ignore (Builder.emit b (Ir.Dvfs 1));
           let x = adds b 3 x in
           ignore (Builder.emit b (Ir.Dvfs 0));
           adds b 3 x) );
-    ( "out-of-bounds ROM read", `Error,
+    ( "out-of-bounds ROM read", `Error "E_RUNTIME",
       hand_built
         ~globals:
           [ { Prog.gsym = "tab"; gty = Ir.I; gsize = 4;
@@ -417,71 +417,88 @@ let exit_programs =
           let x = adds b 3 (reg (Builder.load b (rom "tab") (int 2))) in
           let i = adds b 2 (int 5) in
           adds b 3 (add b x (reg (Builder.load b (rom "tab") i)))) );
-    ( "division by zero", `Error,
+    ( "division by zero", `Error "E_RUNTIME",
       hand_built (fun b ->
           let z = Builder.int_const b 0 in
           let x = adds b 3 (int 7) in
           adds b 3 (reg (Builder.binop b Ir.Div x (reg z)))) );
-    ( "modulo by zero", `Error,
+    ( "modulo by zero", `Error "E_RUNTIME",
       hand_built (fun b ->
           let x = adds b 3 (int 7) in
           adds b 3 (reg (Builder.binop b Ir.Mod x (int 0)))) );
-    ( "division of immediates by zero", `Error,
+    ( "division of immediates by zero", `Error "E_RUNTIME",
       hand_built (fun b ->
           let x = adds b 3 (int 7) in
           add b x (reg (Builder.binop b Ir.Div (int 9) (int 0)))) );
-    ( "float operand where an int is expected", `Error,
+    ( "float operand where an int is expected", `Error "E_VERIFY",
       hand_built (fun b ->
           let f = Builder.const b (Ir.Cfloat 1.5) in
           let x = adds b 3 (int 7) in
           adds b 3 (add b x (reg f))) );
-    ( "out-of-bounds shared read", `Error,
+    ( "out-of-bounds shared read", `Error "E_RUNTIME",
       hand_built ~globals:g4 (fun b ->
           let i = adds b 3 (int 1) in
           adds b 3 (reg (Builder.load b (shared "g") i))) );
-    ( "out-of-bounds shared write", `Error,
+    ( "out-of-bounds shared write", `Error "E_RUNTIME",
       hand_built ~globals:g4 (fun b ->
           let i = adds b 3 (int 1) in
           Builder.store b (shared "g") i (int 9);
           adds b 3 i) );
-    ( "out-of-bounds local write", `Error,
+    ( "out-of-bounds local write", `Error "E_RUNTIME",
       hand_built ~frame:[ ("loc", Ir.I, 3) ] (fun b ->
           let i = adds b 2 (int 1) in
           Builder.store b { Ir.sym_name = "loc"; sym_space = Ir.Frame } i i;
           adds b 3 i) );
-    ( "store to an unknown global", `Error,
+    ( "store to an unknown global", `Error "E_VERIFY",
       hand_built (fun b ->
           let x = adds b 3 (int 1) in
           Builder.store b (shared "nowhere") (int 0) x;
           adds b 3 x) );
-    ( "call to an unknown function", `Error,
+    ( "call to an unknown function", `Error "E_VERIFY",
       hand_built (fun b ->
           let x = adds b 3 (int 1) in
           adds b 3 (reg (Builder.call_reg b "nowhere" [ x ]))) );
-    ( "too many arguments", `Error,
+    ( "too many arguments", `Error "E_VERIFY",
       hand_built ~funcs:callees (fun b ->
           let x = adds b 3 (int 1) in
           adds b 3 (reg (Builder.call_reg b "id1" [ x; x ]))) );
-    ( "arity mismatch", `Error,
+    ( "arity mismatch", `Error "E_VERIFY",
       hand_built ~funcs:callees (fun b ->
           let x = adds b 3 (int 1) in
           add b x (adds b 3 (reg (Builder.call_reg b "id1" [])))) );
-    ( "void return into a register", `Error,
+    ( "void return into a register", `Error "E_VERIFY",
       hand_built ~funcs:callees (fun b ->
           let x = adds b 3 (int 1) in
           add b x (adds b 3 (reg (Builder.call_reg b "void0" [])))) );
-    ( "float branch condition", `Error,
+    ( "float branch condition", `Error "E_VERIFY",
       hand_built (fun b ->
           let f = reg (Builder.const b (Ir.Cfloat 1.5)) in
           around_term b 3 (int 1) (fun l -> Ir.Br (f, l, l))) );
-    ( "float argument to an unread int parameter", `Error,
+    ( "float argument to an unread int parameter", `Error "E_VERIFY",
       hand_built ~funcs:callees (fun b ->
           let x = adds b 3 (int 1) in
           add b x
             (adds b 3
                (reg (Builder.call_reg b "unread1" [ Ir.Imm (Ir.Cfloat 1.5) ])))) );
-    ( "jump to a label with no block", `Error,
+    ( "jump to a label with no block", `Error "E_VERIFY",
       hand_built (fun b -> around_term b 3 (int 1) (fun _ -> Ir.Jmp 999)) );
+    ( "float stored into an int global, loaded into an unread register",
+      `Error "E_VERIFY",
+      hand_built ~globals:g4 (fun b ->
+          let x = adds b 3 (int 1) in
+          Builder.store b (shared "g") (int 0) (Ir.Imm (Ir.Cfloat 1.5));
+          ignore (Builder.load b (shared "g") (int 0));
+          adds b 3 x) );
+    ( "read of a never-allocated register on a path that never runs",
+      `Error "E_VERIFY",
+      hand_built (fun b ->
+          let x = adds b 3 (int 1) in
+          let dead = Builder.new_block b and live = Builder.new_block b in
+          Builder.set_term b (Ir.Br (int 0, dead.Ir.bid, live.Ir.bid));
+          Builder.switch_to b dead;
+          Builder.set_term b (Ir.Ret (Some (add b x (reg 999))));
+          Builder.switch_to b live;
+          adds b 3 x) );
   ]
 
 (** farmem-4c's local store is a cache that misses every 64th access:
@@ -507,8 +524,13 @@ let test_section_exits () =
       let failed = String.starts_with ~prefix:"error " on in
       match ending with
       | `Ok when failed -> Alcotest.failf "%s: %s" name on
-      | `Error when not failed -> Alcotest.failf "%s: ran to the end" name
-      | `Ok | `Error -> ())
+      | `Ok -> ()
+      | `Error code -> (
+        (* [on] is "error <stage> error [CODE]...", see [observe_ir] *)
+        match Scanf.sscanf_opt on "error %_s error [%s@]" Fun.id with
+        | Some c when c = code -> ()
+        | Some _ -> Alcotest.failf "%s: %s, not %s" name on code
+        | None -> Alcotest.failf "%s: ran to the end" name))
     exit_programs;
   Alcotest.(check int) "the wakeup happened" 1
     (Sim.run ~machine implicit_wakeup).Sim.implicit_wakeups;
@@ -523,8 +545,7 @@ let test_section_exits () =
 (* ---------------- outcome counters ---------------- *)
 
 (** Both modes decode at construction (decode is shared bookkeeping),
-    and the compiled mode's lazy leakage refresh never recomputes more
-    often than the reference's eager one. *)
+    and both refresh leakage at the same points. *)
 let test_counters () =
   let w = Lp_workloads.Suite.find_exn "fir" in
   let (on, off) = run_both w.Lp_workloads.Workload.source in
@@ -533,8 +554,8 @@ let test_counters () =
     off.Sim.decoded_blocks;
   Alcotest.(check bool) "predecode flag on" true on.Sim.predecode;
   Alcotest.(check bool) "predecode flag off" false off.Sim.predecode;
-  Alcotest.(check bool) "lazy leak recompute is no more eager" true
-    (on.Sim.leak_recomputes <= off.Sim.leak_recomputes)
+  Alcotest.(check int) "same leakage refreshes both modes"
+    off.Sim.leak_recomputes on.Sim.leak_recomputes
 
 (* ---------------- allocation per simulated step ---------------- *)
 

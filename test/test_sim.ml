@@ -184,10 +184,16 @@ let test_channel_type_mismatch () =
   prog.Prog.layout <-
     Prog.Parallel
       { entries = [ "m"; "w" ]; n_channels = 1; n_barriers = 0; chan_capacity = 1 };
-  try
-    ignore (Sim.run ~machine:machine4 prog);
-    fail "type mismatch not detected"
-  with Value.Runtime_error _ -> ()
+  (* a fault of the IR: the verifier rejects it at construction, in both
+     steppers *)
+  List.iter
+    (fun predecode ->
+      let opts = { Sim.default_options with Sim.predecode } in
+      try
+        ignore (Sim.create ~opts ~machine:machine4 prog);
+        fail "type mismatch not detected"
+      with Lp_ir.Verify.Invalid _ -> ())
+    [ true; false ]
 
 let test_faa_atomicity () =
   (* three cores each fetch-add 100 times; the counter ends exactly at 300
@@ -479,6 +485,46 @@ let test_class_conflict_is_diagnosed () =
           (match o.Sim.ret with Some v -> Value.to_string v | None -> "nothing"))
     [ true; false ]
 
+(* [Verify.verify_prog] is the one gate for faults of the IR, and
+   [Sim.create] runs it only on a program whose record ([Prog.verified])
+   is stale: after [Compile] the record is current for every workload
+   and config, and a touch, a layout reassignment or a copy with other
+   globals makes [Sim.create] verify the program again. *)
+let test_verified_once () =
+  let module C = Lowpower.Compile in
+  let module W = Lp_workloads.Workload in
+  let current p = Prog.verified p ~version:(Prog.prog_version p) in
+  List.iter
+    (fun (w : W.t) ->
+      List.iter
+        (fun (config, opts) ->
+          let c = C.compile ~opts ~machine:machine4 w.W.source in
+          if not (current c.C.prog) then
+            Alcotest.failf "%s/%s: stale after compile" w.W.name config)
+        (C.configs ~n_cores:4))
+    Lp_workloads.Suite.all;
+  let prodcons = (Lp_workloads.Suite.find_exn "prodcons").W.source in
+  let prog =
+    (C.compile ~opts:(C.full ~n_cores:4) ~machine:machine4 prodcons).C.prog
+  in
+  Prog.touch (List.hd (Prog.funcs prog));
+  check Alcotest.bool "stale after a touch" false (current prog);
+  ignore (Sim.create ~machine:machine4 prog);
+  check Alcotest.bool "verified again" true (current prog);
+  (* a copy keeps the record, but not for globals it never checked *)
+  (match Sim.create ~machine:machine4 { prog with Prog.globals = [] } with
+  | _ -> fail "ran a program whose arrays are gone"
+  | exception Lp_ir.Verify.Invalid _ -> ());
+  (* a layout with no channel for the program's sends and receives *)
+  (match prog.Prog.layout with
+  | Prog.Parallel r ->
+    prog.Prog.layout <- Prog.Parallel { r with n_channels = 0 }
+  | Prog.Sequential -> fail "prodcons under full is sequential");
+  check Alcotest.bool "stale after a new layout" false (current prog);
+  match Sim.create ~machine:machine4 prog with
+  | _ -> fail "ran a program whose channels the layout lacks"
+  | exception Lp_ir.Verify.Invalid _ -> ()
+
 let suite =
   [
     Alcotest.test_case "C arithmetic semantics" `Quick test_arith_c_semantics;
@@ -508,4 +554,6 @@ let suite =
       test_decode_cache_sees_in_place_changes;
     Alcotest.test_case "register class conflict is diagnosed" `Quick
       test_class_conflict_is_diagnosed;
+    Alcotest.test_case "verified once per program version" `Quick
+      test_verified_once;
   ]
