@@ -1,6 +1,6 @@
 (** Simulator microbenchmark driver.
 
-    Default mode times the closure-compiled stepper against the
+    Default mode times the compiled stepper against the
     interpretive reference over the committed workload suite and writes
     [BENCH_sim.json] (schema [lowpower-bench-sim/1], see
     lib/experiments/simbench.mli) — the artifact CI uploads so the

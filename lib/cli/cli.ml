@@ -65,7 +65,7 @@ let no_sim_predecode =
   Arg.(value & flag
        & info [ "no-sim-predecode" ]
            ~doc:"Run the simulator's interpretive reference stepper instead \
-                 of the closure-compiled one.  Simulated cycles, energy and \
+                 of the compiled one.  Simulated cycles, energy and \
                  traces must be byte-identical with and without this flag; \
                  it exists to prove that and to bisect suspected predecode \
                  bugs.  The $(b,LP_NO_SIM_PREDECODE) environment variable \

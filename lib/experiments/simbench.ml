@@ -3,10 +3,10 @@
 
     Two jobs live here so the executable stays a thin flag parser:
 
-    - {!measure} times the two simulator modes (closure-compiled
-      predecode vs the interpretive reference stepper) over the
-      committed workload suite and returns the throughput table that
-      [BENCH_sim.json] serialises;
+    - {!measure} times the two simulator modes (the compiled stepper vs
+      the interpretive reference stepper) over the committed workload
+      suite and returns the throughput table that [BENCH_sim.json]
+      serialises;
     - {!metrics} produces the {e deterministic} simulated metrics of
       every workload on every zoo machine (cycles, duration, the full
       energy ledger, instructions — no wall-clock anywhere) that CI
@@ -34,7 +34,7 @@ type mode_stats = {
 type row = {
   sb_workload : string;
   sb_instrs : int;  (** instructions simulated by one run (mode-invariant) *)
-  sb_on : mode_stats;   (** predecode on: closure-compiled stepper *)
+  sb_on : mode_stats;   (** predecode on: the compiled stepper *)
   sb_off : mode_stats;  (** predecode off: interpretive reference *)
   sb_speedup : float;   (** [sb_on.instrs_per_sec /. sb_off.instrs_per_sec] *)
 }

@@ -1,6 +1,6 @@
 (** The simulator microbenchmark behind [bench/sim_bench.exe] and the
     committed [BENCH_sim.json] artifact: wall-clock throughput of the
-    closure-compiled stepper vs the interpretive reference over the
+    compiled stepper vs the interpretive reference over the
     workload suite, plus the deterministic per-workload metrics dump CI
     byte-diffs to prove the two modes agree (see docs/PERF.md). *)
 
@@ -14,7 +14,7 @@ type mode_stats = {
 type row = {
   sb_workload : string;
   sb_instrs : int;  (** instructions simulated by one run (mode-invariant) *)
-  sb_on : mode_stats;   (** predecode on: closure-compiled stepper *)
+  sb_on : mode_stats;   (** predecode on: the compiled stepper *)
   sb_off : mode_stats;  (** predecode off: interpretive reference *)
   sb_speedup : float;   (** on vs off instruction throughput *)
 }

@@ -84,7 +84,7 @@ type sim_record = {
   sr_energy : Lp_util.Json.t;        (** machine-wide ledger *)
   sr_core_energy : Lp_util.Json.t list;  (** one ledger per used core *)
   sr_predecode : bool;
-      (** whether the closure-compiled stepper produced these numbers
+      (** whether the compiled stepper produced these numbers
           (false = interpretive reference mode, the
           [--no-sim-predecode] escape hatch) *)
 }

@@ -29,10 +29,8 @@ type t = {
 let points t = t.points
 let nominal t = t.nominal
 
-let point t level =
-  match List.find_opt (fun (p : Operating_point.t) -> p.level = level) t.points with
-  | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "Power_model.point: no level %d" level)
+let find_point t level =
+  List.find_opt (fun (p : Operating_point.t) -> p.level = level) t.points
 
 let max_level t = (nominal t).level
 

@@ -23,8 +23,8 @@ type t = {
 val points : t -> Operating_point.t list
 val nominal : t -> Operating_point.t
 
-(** Operating point by level; raises [Invalid_argument] if absent. *)
-val point : t -> int -> Operating_point.t
+(** Operating point by level; [None] if absent. *)
+val find_point : t -> int -> Operating_point.t option
 
 (** Level of the nominal (fastest) point. *)
 val max_level : t -> int

@@ -16,7 +16,7 @@
     of early-halted cores) and ["(unused-cores)"] (leakage and gating of
     machine cores the program never occupied).
 
-    Cross-mode byte-equality: within one core, the closure-compiled and
+    Cross-mode byte-equality: within one core, the compiled and
     interpretive steppers execute the same instruction sequence and
     perform the same charges in the same order, so each (core, slot)
     accumulates the identical float sums; {!collect} then merges across

@@ -20,10 +20,12 @@
       with operands, memory arrays, call targets and costs resolved up
       front.  A block is data: no closure is built per instruction.
       Each run of the core-local register instructions ([Const],
-      [Move], [Binop], [Unop], [Mac] and loads of frame and ROM arrays)
-      executes in one loop that makes no call and keeps the core's clock
-      and ledger in registers ({!run_section}); every other instruction,
-      and every terminator, runs on its own in {!step_encoded}.
+      [Move], [Binop], [Unop], [Mac] and loads of frame and ROM arrays),
+      with the [Jmp] and [Br] terminators between them, executes in one
+      loop that makes no call and keeps the core's clock and ledger in
+      registers ({!run_section}); it crosses blocks, so a loop's
+      iterations share one section.  Every other instruction, and
+      [Ret], runs on its own in {!step_encoded}.
       Registers are unboxed: each frame holds an [int array] and a
       [float array], one per register class.  [Value.t] boxes remain at
       the boundaries only: memory arrays, channel messages and the value
@@ -157,8 +159,9 @@ and call_site = { cs_cf : cfun; cs_args : int array; cs_params : int array }
     and an immediate ([_ri]), a [Mac] of three registers, and an int
     load from a ROM array at a register index (docs/PERF.md, "Opcodes
     per operand shape", measures the generic paths against them).  The
-    second group, from [Load_sh], run only in {!step_encoded}: every
-    other instruction, one opcode per kind, and the terminators. *)
+    second group, from [Load_sh], is every other instruction, one opcode
+    per kind, and the terminators: {!run_section} runs [Jmp] and [Br]
+    itself, and the rest run only in {!step_encoded}. *)
 and opc =
   | Add_rr | Sub_rr | Mul_rr | Div_rr | Mod_rr | Shl_rr | Shr_rr | And_rr
   | Or_rr | Xor_rr | Lt_rr | Le_rr | Gt_rr | Ge_rr | Eq_rr | Ne_rr
@@ -645,6 +648,14 @@ let wakeup t (c : core) ci =
 let[@inline always] wake t (c : core) ci =
   if not (Array.unsafe_get c.powered ci) then wakeup t c ci
 
+(** The point a [dvfs level] moves [c] to, in both steppers: the ladder
+    is the executing core's class's, and a level it lacks is a run-time
+    fault. *)
+let dvfs_point (c : core) level =
+  match Power_model.find_point c.pm level with
+  | Some p -> p
+  | None -> runtime_err "dvfs to level %d, which core %d's ladder lacks" level c.id
+
 (* channels ride dedicated core-to-core mailbox links (as on PAC-style
    MPSoCs), so transfers pay a fixed link latency without occupying the
    shared bus *)
@@ -826,7 +837,7 @@ let exec_instr t (c : core) (fr : frame) (di : Predecode.dinstr) =
     let stall = if !any then pm.Power_model.wake_latency_cycles else 0 in
     spend t c (1 + stall)
   | Ir.Dvfs level ->
-    let target = Power_model.point pm level in
+    let target = dvfs_point c level in
     if target.Operating_point.level <> c.point.Operating_point.level then begin
       spend t c pm.Power_model.dvfs_latency_cycles;
       charge c Energy_ledger.Dvfs_overhead pm.Power_model.dvfs_energy_nj;
@@ -917,9 +928,9 @@ let step_interp t (c : core) =
 (* The issue protocol (compiled mode)                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The compiled stepper runs a section of register instructions
-   ({!run_section}), or one instruction or terminator on its own
-   ({!step_encoded}).  Each performs the same state mutations, in the
+(* The compiled stepper runs a section of register instructions and
+   branches ({!run_section}), or one instruction or terminator on its
+   own ({!step_encoded}).  Each performs the same state mutations, in the
    same order, as one [exec_instr] or [exec_term] dispatch — with
    everything that is a pure function of the IR, the machine, or the
    current operating point resolved ahead of time: operand slots,
@@ -1504,8 +1515,8 @@ let[@inline always] load_f ~strict (fr : frame) b fregs d (arr : Value.t array)
     register, after its operands are read.  True when it took effect;
     when it cannot (a division by zero, an out-of-bounds index), [strict]
     raises the interpreter's error and the section loop, which passes
-    [~strict:false], gets false with nothing written.  Every opcode that
-    runs only in {!step_encoded} gives false. *)
+    [~strict:false], gets false with nothing written.  Every other
+    opcode gives false: the section loop runs [Jmp] and [Br] itself. *)
 let[@inline always] effect ~strict (fr : frame) (iregs : int array)
     (fregs : float array) (farrs : Value.t array array) (code : int array)
     (fk : float array) (arrs : Value.t array array) b opc =
@@ -1659,9 +1670,9 @@ let[@inline always] goto (fr : frame) l =
   fr.cblk <- Array.unsafe_get fr.cfun.cf_blocks l
 
 (** Run the instruction or terminator at [fr.idx] on its own: every
-    instruction but the register ones, each terminator, the register
-    instruction that ends a section, and every instruction while
-    profiling or single-stepping.  Each arm takes the steps of its
+    instruction but the register ones, [Ret], the register instruction
+    or branch that ends a section, and every step while profiling or
+    single-stepping.  Each arm takes the steps of its
     [exec_instr] or [exec_term] arm in their order, so every check,
     charge, trace event and error happens at the same point.  A
     register instruction runs through the issue helpers and {!effect}
@@ -1734,11 +1745,9 @@ let step_encoded t (fr : frame) =
     spend t c (if any then 1 + c.pm.Power_model.wake_latency_cycles else 1);
     bump c
   | Dvfs ->
-    (* the ladder belongs to the executing core's class: an absent level
-       raises [Power_model.point]'s error where the interpreter does *)
     wake t c ci;
     let pm = c.pm in
-    let target = Power_model.point pm a in
+    let target = dvfs_point c a in
     if target.Operating_point.level <> c.point.Operating_point.level then begin
       spend t c pm.Power_model.dvfs_latency_cycles;
       charge c Energy_ledger.Dvfs_overhead pm.Power_model.dvfs_energy_nj;
@@ -1826,37 +1835,50 @@ let step_encoded t (fr : frame) =
          cb.cb_arrs b opc);
     bump c
 
-(** Whether [op] is a register instruction's, which {!run_section} runs. *)
+(** Whether [op] runs in {!run_section}: a register instruction's, a
+    [Jmp] or a [Br]. *)
 let[@inline always] in_section (op : opc) =
   match op with
   | Load_sh | Store | Faa | Call | Pg_off | Pg_on | Dvfs | Send | Recv
-  | Barrier | Jmp | Br | Ret ->
+  | Barrier | Ret ->
     false
   | _ -> true
 
-(** Run the register instructions of [cb] from [start], at most up to
-    [stop], and return the index of the first one not run: [stop], an
-    instruction of another kind, or the one that needs a call — an
-    implicit wakeup, a negative charge, a cache machine's periodic miss,
-    or an effect that fails.
-    Profiling runs none ({!step_encoded} attributes each instruction).
+(** The most steps one section runs: the batch loop checks the
+    cooperative deadline once per section, and a section that crosses a
+    loop's back edge has no block end to stop at. *)
+let section_quantum = 4096
+
+(** Run [fr] from [fr.idx] of [fr.cblk], through its register
+    instructions and the [Jmp] and [Br] terminators, for at most [room]
+    steps, and return how many it ran.  It stops before an instruction
+    of another kind, or a step that needs a call: an implicit wakeup, a
+    negative charge, a cache machine's periodic miss, or an effect that
+    fails.  The frame's block and index are written back.
+    Profiling runs none ({!step_encoded} attributes each step).
 
     The core's time, busy time, dynamic and active-leakage category
     cells, ledger total and cycle count live in locals for the section:
     each instruction makes exactly the checks and float additions of
-    {!issue} then {!bump}, in the same order, so every accumulator sums
-    the same terms in the same order as {!step_encoded} does for one
-    instruction.  The checks come first and the effect next, so an instruction
-    that leaves the section has changed nothing.  The loop makes no
-    call on any path: OCaml keeps a float local in a register only
-    where no call follows, and spills every one around a call. *)
-let run_section t (fr : frame) (cb : cblock) start stop =
+    {!issue} then {!bump}, and each branch those of {!branch}, in the
+    same order, so every accumulator sums the same terms in the same
+    order as {!step_encoded} does one step at a time.  The checks come
+    first and the effect next, so a step that leaves the section has
+    changed nothing.  A branch checks no gated unit (a terminator never
+    wakes one, as in {!exec_term}); it makes the target block's arrays
+    the loop's.  The loop makes no call on any path: OCaml keeps a
+    float local in a register only where no call follows, and spills
+    every one around a call, so the write-back of [fr.cblk], a
+    [caml_modify], comes after it. *)
+let run_section t (fr : frame) room =
   let c = fr.fcore in
-  if c.prof_on then start
+  if c.prof_on then 0
   else begin
     let clk = c.clk in
-    let ops = cb.cb_op and code = cb.cb_code in
-    let fk = cb.cb_fk and arrs = cb.cb_arrs in
+    let blocks = fr.cfun.cf_blocks in
+    let cb = fr.cblk in
+    let ops = ref cb.cb_op and code = ref cb.cb_code in
+    let fk = ref cb.cb_fk and arrs = ref cb.cb_arrs in
     let iregs = fr.iregs and fregs = fr.fregs and farrs = fr.farrs in
     let powered = c.powered and dyn = c.dyn_row and comp = c.lg_comp in
     let npc = clk.ns_per_cycle and leak = clk.leak_mw in
@@ -1866,46 +1888,94 @@ let run_section t (fr : frame) (cb : cblock) start stop =
     let leak_cat = ref (Array.unsafe_get c.lg_cat 1) in
     let total = ref (Array.unsafe_get c.lg_tot 0) in
     let cycles = ref 0 in
-    let i = ref start and lim = ref stop in
+    let blk = ref fr.block and i = ref fr.idx in
+    (* the steps run are [!base + !i], so an instruction advances one
+       counter; [!i < !lim] bounds them by [room] *)
+    let base = ref (-fr.idx) and lim = ref (room + fr.idx) in
+    let terms = ref 0 in
     while !i < !lim do
       let b = !i lsl enc_shift in
-      let k = Array.unsafe_get code (b + f_cost) in
+      let code_ = !code in
+      let k = Array.unsafe_get code_ (b + f_cost) in
       let ci = cost_ci k and n = cost_n k and miss = cost_miss k in
       let dt = float_of_int n *. npc in
       let lnj = leak *. dt *. 1e-3 in
       let dnj = Array.unsafe_get dyn ci in
-      if Array.unsafe_get powered ci
-         && (not (dt > 0.0 && lnj < 0.0))
-         && (not (dnj < 0.0))
-         && (not (miss && c.local_accs + 1 >= period))
-         && effect ~strict:false fr iregs fregs farrs code fk arrs b
-              (Array.unsafe_get ops !i)
-      then begin
-        (* [spend]: the cycles, then [advance]'s leakage and clock *)
-        cycles := !cycles + n;
-        if dt > 0.0 then begin
-          leak_cat := !leak_cat +. lnj;
-          total := !total +. lnj;
-          time := !time +. dt;
-          busy := !busy +. dt
-        end;
-        if miss then c.local_accs <- c.local_accs + 1;
-        (* [charge_dyn]: category, component, total *)
-        dyn_cat := !dyn_cat +. dnj;
-        Array.unsafe_set comp ci (Array.unsafe_get comp ci +. dnj);
-        total := !total +. dnj;
-        incr i
-      end
-      else lim := !i
+      (* each kind has its own copy of the additions below: one copy
+         behind a test of the kind measured slower (docs/DESIGN.md) *)
+      match Array.unsafe_get !ops !i with
+      | (Jmp | Br) as op ->
+        if (not (dt > 0.0 && lnj < 0.0)) && not (dnj < 0.0) then begin
+          (* [branch]: [spend], then [charge_dyn] *)
+          cycles := !cycles + n;
+          if dt > 0.0 then begin
+            leak_cat := !leak_cat +. lnj;
+            total := !total +. lnj;
+            time := !time +. dt;
+            busy := !busy +. dt
+          end;
+          dyn_cat := !dyn_cat +. dnj;
+          Array.unsafe_set comp ci (Array.unsafe_get comp ci +. dnj);
+          total := !total +. dnj;
+          (* [goto]; a [Br]'s condition is an int register *)
+          let a = Array.unsafe_get code_ (b + f_a) in
+          let l =
+            match op with
+            | Jmp -> a
+            | _ ->
+              Array.unsafe_get code_
+                (b + if iget iregs (opv a) <> 0 then f_d else f_b)
+          in
+          let cb = Array.unsafe_get blocks l in
+          ops := cb.cb_op;
+          code := cb.cb_code;
+          fk := cb.cb_fk;
+          arrs := cb.cb_arrs;
+          blk := l;
+          base := !base + !i + 1;
+          lim := room - !base;
+          i := 0;
+          incr terms
+        end
+        else lim := !i
+      | op ->
+        if Array.unsafe_get powered ci
+           && (not (dt > 0.0 && lnj < 0.0))
+           && (not (dnj < 0.0))
+           && (not (miss && c.local_accs + 1 >= period))
+           && effect ~strict:false fr iregs fregs farrs code_ !fk !arrs b op
+        then begin
+          (* [spend]: the cycles, then [advance]'s leakage and clock *)
+          cycles := !cycles + n;
+          if dt > 0.0 then begin
+            leak_cat := !leak_cat +. lnj;
+            total := !total +. lnj;
+            time := !time +. dt;
+            busy := !busy +. dt
+          end;
+          if miss then c.local_accs <- c.local_accs + 1;
+          (* [charge_dyn]: category, component, total *)
+          dyn_cat := !dyn_cat +. dnj;
+          Array.unsafe_set comp ci (Array.unsafe_get comp ci +. dnj);
+          total := !total +. dnj;
+          incr i
+        end
+        else lim := !i
     done;
+    let steps = !base + !i in
     clk.time <- !time;
     clk.busy_ns <- !busy;
     Array.unsafe_set c.lg_cat 0 !dyn_cat;
     Array.unsafe_set c.lg_cat 1 !leak_cat;
     Array.unsafe_set c.lg_tot 0 !total;
     c.cycles <- c.cycles + !cycles;
-    c.instr_count <- c.instr_count + (!i - start);
-    !i
+    c.instr_count <- c.instr_count + (steps - !terms);
+    fr.idx <- !i;
+    if !blk <> fr.block then begin
+      fr.block <- !blk;
+      fr.cblk <- Array.unsafe_get blocks !blk
+    end;
+    steps
   end
 
 
@@ -2236,11 +2306,11 @@ let describe_blocked t =
     stays [Ready] (blocking or halting hands control back) and no
     {e scheduling event} has fired ([t.sched_event]: a channel push/pop
     or barrier release, which could make a blocked core schedulable or
-    move another core's clock).  Each round runs a section of register
-    instructions ({!run_section}) up to the block's end or the step
-    budget, then the instruction or terminator where it stopped
-    ({!step_encoded}), and re-reads the core's frame, which that step
-    may have pushed, popped or moved to another block.
+    move another core's clock).  Each round runs a section
+    ({!run_section}) of at most {!section_quantum} steps and never past
+    the step budget, then the step where it stopped ({!step_encoded}),
+    and re-reads the core's frame, which that step may have pushed,
+    popped or moved to another block.
 
     Core-local instructions (registers, frame and ROM memory, power
     state, calls) commute with other cores' work, so the batch runs
@@ -2271,21 +2341,17 @@ let run_sched_batch t (c : core) ~other_i =
   do
     (* a single-core (or far-ahead) batch can run the whole program
        without yielding to the scheduler, so the cooperative deadline
-       must also be checked here — once per round *)
+       must also be checked here — once per round, whose section the
+       quantum bounds *)
     Lp_util.Deadline.check t.opts.deadline;
     match c.stack with
     | [] -> runtime_err "core %d has empty stack" c.id
     | fr :: _ ->
-      let cb = fr.cblk in
-      let i = fr.idx in
       (* an int compare: [Stdlib.min] is a polymorphic one, and a call *)
-      let room = lim - t.steps in
-      let stop = if cb.cb_n - i < room then cb.cb_n else i + room in
-      if i < stop && in_section (Array.unsafe_get cb.cb_op i) then begin
-        let j = run_section t fr cb i stop in
-        t.steps <- t.steps + (j - i);
-        fr.idx <- j
-      end;
+      let left = lim - t.steps in
+      let room = if left < section_quantum then left else section_quantum in
+      if room > 0 && in_section (Array.unsafe_get fr.cblk.cb_op fr.idx) then
+        t.steps <- t.steps + run_section t fr room;
       t.steps <- t.steps + 1;
       if t.steps > lim then raise Step_limit_exceeded;
       step_encoded t fr

@@ -48,7 +48,7 @@ type t = {
           stale-analysis miscompiles *)
   no_sim_predecode : bool;
       (** escape hatch: run the simulator's interpretive reference
-          stepper instead of the closure-compiled one
+          stepper instead of the compiled one
           ([LP_NO_SIM_PREDECODE=1] / [--no-sim-predecode]).  Simulated
           cycles, energy and traces must be byte-identical either way;
           this exists to prove it and to bisect suspected

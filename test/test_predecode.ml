@@ -382,13 +382,53 @@ let around_term b k x term =
 
 let shared name = { Ir.sym_name = name; sym_space = Ir.Shared }
 
+(** A counted loop from [main]'s current block: a head that compares
+    [i] with [n] and ends in a [Br], and a body that [body b i acc]
+    emits (it returns the accumulator's next value), then steps [i] and
+    jumps back to the head.  Each iteration adds around its body, so a
+    section runs through both terminators with encoded instructions on
+    either side.  Returns the accumulator after the loop. *)
+let counted_loop b n acc body =
+  let i = Builder.int_const b 0 in
+  let acc = Builder.emit_reg b (fun d -> Ir.Move (d, acc)) in
+  let head = Builder.new_block b and loop = Builder.new_block b in
+  let out = Builder.new_block b in
+  Builder.set_term b (Ir.Jmp head.Ir.bid);
+  Builder.switch_to b head;
+  let more = Builder.binop b Ir.Lt (reg i) (int n) in
+  Builder.set_term b (Ir.Br (reg more, loop.Ir.bid, out.Ir.bid));
+  Builder.switch_to b loop;
+  Builder.move b acc (adds b 2 (body b (reg i) (adds b 2 (reg acc))));
+  Builder.move b i (add b (reg i) (int 1));
+  Builder.set_term b (Ir.Jmp head.Ir.bid);
+  Builder.switch_to b out;
+  reg acc
+
+(** A multiply on a gated multiplier on the fourth iteration only, in a
+    block the loop's body branches to: the section runs through three
+    iterations' branches and leaves at the multiply for its wakeup. *)
+let loop_wakeup =
+  hand_built (fun b ->
+      gate b [ Lp_power.Component.Multiplier ];
+      counted_loop b 6 (int 1) (fun b i x ->
+          let r = Builder.emit_reg b (fun d -> Ir.Move (d, x)) in
+          let mul = Builder.new_block b and join = Builder.new_block b in
+          let fourth = Builder.binop b Ir.Eq i (int 3) in
+          Builder.set_term b (Ir.Br (reg fourth, mul.Ir.bid, join.Ir.bid));
+          Builder.switch_to b mul;
+          Builder.move b r (reg (Builder.binop b Ir.Mul x (int 3)));
+          Builder.set_term b (Ir.Jmp join.Ir.bid);
+          Builder.switch_to b join;
+          reg r))
+
 (** Hand-built programs that stop the compiled stepper's section loop
     at an instruction with encoded instructions before and after it,
     one program per way out of a section, per run-time fault
     ([`Error "E_RUNTIME"]) and per fault of the IR, which [Sim.create]'s
-    verifier rejects in both steppers ([`Error "E_VERIFY"]); the last
-    two are programs the steppers once ran differently.  Each comes
-    with what the run must end in. *)
+    verifier rejects in both steppers ([`Error "E_VERIFY"]); loops whose
+    sections run through [Br] and [Jmp] and leave on a later iteration,
+    or run to the end; the last two are programs the steppers once ran
+    differently.  Each comes with what the run must end in. *)
 let exit_programs =
   let mul = Lp_power.Component.Multiplier in
   let g4 = [ { Prog.gsym = "g"; gty = Ir.I; gsize = 4; ginit = None } ] in
@@ -482,6 +522,35 @@ let exit_programs =
                (reg (Builder.call_reg b "unread1" [ Ir.Imm (Ir.Cfloat 1.5) ])))) );
     ( "jump to a label with no block", `Error "E_VERIFY",
       hand_built (fun b -> around_term b 3 (int 1) (fun _ -> Ir.Jmp 999)) );
+    ( "dvfs to a level the ladder lacks", `Error "E_RUNTIME",
+      hand_built (fun b ->
+          let x = adds b 3 (int 1) in
+          ignore (Builder.emit b (Ir.Dvfs 99));
+          adds b 3 x) );
+    ( "loop through both terminators", `Ok,
+      hand_built
+        ~globals:
+          [ { Prog.gsym = "tab"; gty = Ir.I; gsize = 4;
+              ginit = Some [ 5; -6; 7; 8 ] } ]
+        (fun b ->
+          counted_loop b 40 (int 1) (fun b i x ->
+              let j = Builder.binop b Ir.And i (int 3) in
+              let v = reg (Builder.load b (rom "tab") (reg j)) in
+              reg (Builder.emit_reg b (fun d -> Ir.Mac (d, x, v, i))))) );
+    ("implicit wakeup on the fourth iteration", `Ok, loop_wakeup);
+    ( "division by zero on the fourth iteration", `Error "E_RUNTIME",
+      hand_built (fun b ->
+          counted_loop b 6 (int 7) (fun b i x ->
+              let d = Builder.binop b Ir.Sub i (int 3) in
+              reg (Builder.binop b Ir.Div x (reg d)))) );
+    ( "out-of-bounds ROM read on the fifth iteration", `Error "E_RUNTIME",
+      hand_built
+        ~globals:
+          [ { Prog.gsym = "tab"; gty = Ir.I; gsize = 4;
+              ginit = Some [ 1; 2; 3; 4 ] } ]
+        (fun b ->
+          counted_loop b 6 (int 0) (fun b i x ->
+              add b x (reg (Builder.load b (rom "tab") i)))) );
     ( "float stored into an int global, loaded into an unread register",
       `Error "E_VERIFY",
       hand_built ~globals:g4 (fun b ->
@@ -532,8 +601,11 @@ let test_section_exits () =
         | Some _ -> Alcotest.failf "%s: %s, not %s" name on code
         | None -> Alcotest.failf "%s: ran to the end" name))
     exit_programs;
-  Alcotest.(check int) "the wakeup happened" 1
-    (Sim.run ~machine implicit_wakeup).Sim.implicit_wakeups;
+  List.iter
+    (fun prog ->
+      Alcotest.(check int) "the wakeup happened" 1
+        (Sim.run ~machine prog).Sim.implicit_wakeups)
+    [ implicit_wakeup; loop_wakeup ];
   let machine = Machine.farmem () in
   let on = observe ~machine ~predecode:true ~instrumented:false miss_source in
   let off = observe ~machine ~predecode:false ~instrumented:false miss_source in
@@ -541,6 +613,103 @@ let test_section_exits () =
     let (x, y) = first_diff on off in
     Alcotest.failf "farmem misses: compiled %S, interpretive %S" x y
   end
+
+(** [x] from 0 up by 3, then 1, until it passes 40, then [x + 1]: the
+    loop's exit test is in the middle of its iteration, so the last
+    steps leave the loop there.  57 steps: two before the loop, five an
+    iteration for eleven iterations (the last one exits after three),
+    and two after it. *)
+let budget_prog =
+  let bump b x k = ignore (Builder.emit b (Ir.Binop (Ir.Add, x, reg x, int k))) in
+  hand_built (fun b ->
+      let x = Builder.int_const b 0 in
+      let loop = Builder.new_block b and latch = Builder.new_block b in
+      let out = Builder.new_block b in
+      Builder.set_term b (Ir.Jmp loop.Ir.bid);
+      Builder.switch_to b loop;
+      bump b x 3;
+      let past = Builder.binop b Ir.Gt (reg x) (int 40) in
+      Builder.set_term b (Ir.Br (reg past, out.Ir.bid, latch.Ir.bid));
+      Builder.switch_to b latch;
+      bump b x 1;
+      Builder.set_term b (Ir.Jmp loop.Ir.bid);
+      Builder.switch_to b out;
+      add b (reg x) (int 1))
+
+let budget_steps = 57
+
+(** The step budget is exact in both steppers, wherever it falls: the
+    program ends [Ok] under its own step count and [E_STEP_LIMIT] one
+    step short, and under every smaller budget (one of them in the
+    middle of each iteration) the limit fires with the core in the same
+    state in both: the steps counted, the instructions, cycles, clock
+    and ledger, and where the frame stands. *)
+let test_step_budget () =
+  let machine = Machine.generic ~n_cores:1 () in
+  let opts predecode max_steps =
+    { Sim.default_options with Sim.predecode; max_steps }
+  in
+  List.iter
+    (fun predecode ->
+      let run max_steps =
+        match
+          Compile.guard (fun () ->
+              Ok (Sim.run ~opts:(opts predecode max_steps) ~machine budget_prog))
+        with
+        | Ok o -> Printf.sprintf "ok %d steps" o.Sim.steps
+        | Error d -> d.Lp_util.Diag.code
+      in
+      Alcotest.(check string) "ends under its own step count"
+        (Printf.sprintf "ok %d steps" budget_steps) (run budget_steps);
+      Alcotest.(check string) "one step short" "E_STEP_LIMIT"
+        (run (budget_steps - 1)))
+    [ true; false ];
+  let at_limit predecode max_steps =
+    let t = Sim.create ~opts:(opts predecode max_steps) ~machine budget_prog in
+    (match Sim.run_loop t with
+    | () -> Alcotest.failf "budget %d: no step limit" max_steps
+    | exception Sim.Step_limit_exceeded -> ());
+    let c = t.Sim.cores.(0) in
+    let fr = List.hd c.Sim.stack in
+    Printf.sprintf "steps %d instrs %d cycles %d time %h total %h at %d.%d"
+      t.Sim.steps c.Sim.instr_count c.Sim.cycles c.Sim.clk.Sim.time
+      (Ledger.total c.Sim.ledger) fr.Sim.block fr.Sim.idx
+  in
+  for max_steps = 1 to budget_steps - 1 do
+    Alcotest.(check string)
+      (Printf.sprintf "state at the limit of %d steps" max_steps)
+      (at_limit false max_steps) (at_limit true max_steps)
+  done
+
+(** A section that crosses a loop's back edge has no block end to stop
+    at: the batch loop bounds it by {!Sim.section_quantum} steps, so the
+    cooperative deadline is checked inside an endless loop, and the run
+    ends [E_DEADLINE] long before the default step limit. *)
+let test_deadline_in_section () =
+  let machine = Machine.generic ~n_cores:1 () in
+  let prog =
+    (Compile.compile ~opts:Compile.baseline ~machine
+       "int main() { int x = 0; while (1) { x = x + 1; } return x; }")
+      .Compile.prog
+  in
+  List.iter
+    (fun predecode ->
+      let opts =
+        { Sim.default_options with
+          Sim.predecode; deadline = Lp_util.Deadline.after_ms 50 }
+      in
+      let start = Unix.gettimeofday () in
+      let code =
+        match Compile.guard (fun () -> Ok (Sim.run ~opts ~machine prog)) with
+        | Ok _ -> "ran to the end"
+        | Error d -> d.Lp_util.Diag.code
+      in
+      let elapsed = Unix.gettimeofday () -. start in
+      Alcotest.(check string) "deadline" "E_DEADLINE" code;
+      if elapsed > 1.0 then
+        Alcotest.failf "predecode %b: the deadline of 50 ms ended after %.2f s"
+          predecode elapsed)
+    [ true; false ]
 
 (* ---------------- outcome counters ---------------- *)
 
@@ -672,6 +841,10 @@ let suite =
       test_modes_identical_workloads;
     Alcotest.test_case "every way out of the section loop" `Quick
       test_section_exits;
+    Alcotest.test_case "exact step budget across back edges" `Quick
+      test_step_budget;
+    Alcotest.test_case "deadline inside a long section" `Quick
+      test_deadline_in_section;
     Alcotest.test_case "outcome counters" `Quick test_counters;
     Alcotest.test_case "stepper allocation per step" `Quick
       test_stepper_allocation;

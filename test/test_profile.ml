@@ -1,6 +1,6 @@
 (** The source-level energy profiler: attribution conserves the ledger's
     energy over generated programs, the profile is byte-identical
-    between the closure-compiled and interpretive steppers and across
+    between the compiled and interpretive steppers and across
     pool sizes, profiling is a pure observer (every outcome field the
     baseline gates read is byte-identical with it on or off), and the
     JSON artifact of one decision-rich workload is golden-pinned. *)
