@@ -56,7 +56,9 @@ let ret_str = function
 
 (** First observable difference between two outcomes, if any: the
     return value of [main] and the final contents of every output
-    array. *)
+    array, read through [Sim.shared_array].  A global missing from
+    either outcome, or from both, is a difference: the program declares
+    it, so the simulator must report it. *)
 let first_diff ~(globals : string list) (a : Sim.outcome) (b : Sim.outcome) :
     string option =
   let ret_equal =
@@ -72,10 +74,7 @@ let first_diff ~(globals : string list) (a : Sim.outcome) (b : Sim.outcome) :
   else
     List.find_map
       (fun g ->
-        match
-          ( Hashtbl.find_opt a.Sim.shared_final g,
-            Hashtbl.find_opt b.Sim.shared_final g )
-        with
+        match (Sim.shared_array a g, Sim.shared_array b g) with
         | (Some xa, Some xb) ->
           if Array.length xa <> Array.length xb then
             Some (Printf.sprintf "%s: length %d vs %d" g (Array.length xa)
@@ -92,7 +91,8 @@ let first_diff ~(globals : string list) (a : Sim.outcome) (b : Sim.outcome) :
                          (Value.to_string xb.(i))))
               xa;
             !diff
-        | (None, None) -> None
+        | (None, None) ->
+          Some (Printf.sprintf "%s missing from both configurations" g)
         | _ -> Some (Printf.sprintf "%s missing from one configuration" g))
       globals
 

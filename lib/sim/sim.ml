@@ -19,17 +19,20 @@
       an opcode and four ints per instruction and for the terminator —
       with operands, memory arrays, call targets and costs resolved up
       front.  A block is data: no closure is built per instruction.
-      Each run of the core-local register instructions ([Const],
-      [Move], [Binop], [Unop], [Mac] and loads of frame and ROM arrays),
-      with the [Jmp] and [Br] terminators between them, executes in one
-      loop that makes no call and keeps the core's clock and ledger in
-      registers ({!run_section}); it crosses blocks, so a loop's
-      iterations share one section.  Every other instruction, and
-      [Ret], runs on its own in {!step_encoded}.
-      Registers are unboxed: each frame holds an [int array] and a
-      [float array], one per register class.  [Value.t] boxes remain at
-      the boundaries only: memory arrays, channel messages and the value
-      a core halts with;
+      Each run of register instructions ([Const], [Move], [Binop],
+      [Unop], [Mac], loads of frame and ROM arrays), loads and stores
+      of every array, shared ones included, and the [Jmp] and [Br]
+      terminators between them executes in one loop that makes no call
+      and keeps the core's clock and ledger in registers
+      ({!run_section}); it crosses blocks, so a loop's iterations share
+      one section.  Every other instruction ([Faa], calls, power
+      control, channels and barriers), and [Ret], runs on its own in
+      {!step_encoded}.
+      Registers and memory are unboxed: each frame holds an [int array]
+      and a [float array], one per register class, and each memory
+      array is a {!Value.mem} of its element type.  [Value.t] boxes
+      remain at the boundaries only: channel messages, the value a core
+      halts with, and the immediates a call passes or returns;
     - the {e interpretive} mode ([predecode = false], reachable through
       [LP_NO_SIM_PREDECODE=1] / [--no-sim-predecode]) keeps the original
       per-instruction match dispatch over [Value.t] registers and serves
@@ -109,7 +112,7 @@ type frame = {
       (** the compiled stepper's registers, unboxed: the int and the
           float registers, each at its slot in [Predecode.df_regs];
           [[||]] in an interpretive frame *)
-  farrs : Value.t array array;
+  farrs : Value.mem array;
       (** the frame arrays, in [Prog.frame_arrays] position order; a
           name resolves to its position through [dfunc.df_frame_idx] *)
   mutable block : Ir.label;
@@ -131,10 +134,10 @@ and cblock = {
   cb_n : int;
   cb_op : opc array;
   cb_code : int array;
-  cb_fk : float array;  (** float immediates of register instructions *)
+  cb_fk : float array;  (** float immediates of instructions *)
   cb_vals : Value.t array;
-      (** the immediates a store, send, call or return boxes, boxed once *)
-  cb_arrs : Value.t array array;  (** the ROM and shared arrays accessed *)
+      (** the immediates a send, call or return boxes, boxed once *)
+  cb_arrs : Value.mem array;  (** the ROM and shared arrays accessed *)
   cb_calls : call_site array;
   cb_db : Predecode.dblock;
       (** the decoded block: the symbol an out-of-bounds error names *)
@@ -160,8 +163,9 @@ and call_site = { cs_cf : cfun; cs_args : int array; cs_params : int array }
     load from a ROM array at a register index (docs/PERF.md, "Opcodes
     per operand shape", measures the generic paths against them).  The
     second group, from [Load_sh], is every other instruction, one opcode
-    per kind, and the terminators: {!run_section} runs [Jmp] and [Br]
-    itself, and the rest run only in {!step_encoded}. *)
+    per kind, and the terminators: {!run_section} runs [Load_sh],
+    [Store], [Jmp] and [Br] itself, and the rest run only in
+    {!step_encoded}. *)
 and opc =
   | Add_rr | Sub_rr | Mul_rr | Div_rr | Mod_rr | Shl_rr | Shr_rr | And_rr
   | Or_rr | Xor_rr | Lt_rr | Le_rr | Gt_rr | Ge_rr | Eq_rr | Ne_rr
@@ -289,7 +293,7 @@ type t = {
   fsyms : (string, cfun) Hashtbl.t;  (** every function, by name *)
   decoded_blocks : int;   (** total blocks decoded (once, at creation) *)
   cores : core array;          (** one per entry function *)
-  shared : (string, Value.t array) Hashtbl.t;
+  shared : (string, Value.mem) Hashtbl.t;
   chans : chan array;
   barriers : barrier_state array;
   bus_free : float array;
@@ -308,7 +312,7 @@ type t = {
   mutable batch_other : int;
       (** index of the runner-up core bounding the current batch, or
           -1; globally-visible instructions check their execution turn
-          against it (see {!visible_turn}) *)
+          against it (see {!my_turn}) *)
   mutable live_cores : int;
       (** cores not yet [Halted]; maintained at the two halt sites so
           the scheduler's are-we-done check is one integer compare
@@ -381,7 +385,8 @@ let dummy_cblock =
     cb_arrs = [||]; cb_calls = [||]; cb_db = Predecode.dummy_block;
     cb_slots = [||] }
 
-(* Every register starts at the zero of its class, in both steppers. *)
+(* Every register and every frame-array word starts at the zero of its
+   class, in both steppers. *)
 let make_frame (fcore : core) (cf : cfun) : frame =
   let fe = cf.cf_fe in
   let f = fe.fe_func in
@@ -389,9 +394,7 @@ let make_frame (fcore : core) (cf : cfun) : frame =
   let compiled = Array.length cf.cf_blocks > 0 in
   let farrs =
     Array.of_list
-      (List.map
-         (fun (_, ty, len) -> Array.make len (Value.zero_of_ty ty))
-         f.Prog.frame_arrays)
+      (List.map (fun (_, ty, len) -> Value.mem_make ty len) f.Prog.frame_arrays)
   in
   let cblk =
     if Array.length cf.cf_blocks > 0 then cf.cf_blocks.(f.Prog.entry)
@@ -416,16 +419,13 @@ let make_frame (fcore : core) (cf : cfun) : frame =
     cblk;
   }
 
-(* Boxing the initial [Value.t] image of a program's globals dominates
-   [create] for data-heavy programs (one allocation plus a write-barrier
-   store per initialised element), and the image is a pure function of
-   the program — so it is built once per program and block-copied per
-   simulation.  Values are immutable, so sharing the boxes across
-   simulations is invisible; the [Array.copy] keeps writes to [Shared]
-   arrays run-local.  Single entry, keyed by physical equality: drivers
-   (benchmarks, experiment sweeps) create many simulators of the same
-   program in a row. *)
-let shared_image_cache : (Prog.t * (string * Value.t array) list) option ref =
+(* The initial image of a program's globals is a pure function of the
+   program, so it is built once per program (walking each initialiser
+   list, with no box per element) and block-copied per simulation; the
+   copy keeps writes to [Shared] arrays run-local.  Single entry, keyed
+   by physical equality: drivers (benchmarks, experiment sweeps) create
+   many simulators of the same program in a row. *)
+let shared_image_cache : (Prog.t * (string * Value.mem) list) option ref =
   ref None
 
 let shared_image (prog : Prog.t) =
@@ -435,19 +435,20 @@ let shared_image (prog : Prog.t) =
     let img =
       List.map
         (fun (g : Prog.global) ->
-          let arr = Array.make g.Prog.gsize (Value.zero_of_ty g.Prog.gty) in
-          (match g.Prog.ginit with
-          | Some init ->
-            List.iteri
-              (fun i v ->
-                if i < g.Prog.gsize then
-                  arr.(i) <-
-                    (match g.Prog.gty with
-                    | Ir.I -> Value.Vint (Value.wrap32 v)
-                    | Ir.F -> Value.Vfloat (float_of_int v)))
-              init
-          | None -> ());
-          (g.Prog.gsym, arr))
+          let n = g.Prog.gsize in
+          let init = Option.value g.Prog.ginit ~default:[] in
+          let m =
+            match Value.mem_make g.Prog.gty n with
+            | Value.Ints a as m ->
+              List.iteri (fun i v -> if i < n then a.(i) <- Value.wrap32 v) init;
+              m
+            | Value.Floats a as m ->
+              List.iteri
+                (fun i v -> if i < n then Float.Array.set a i (float_of_int v))
+                init;
+              m
+          in
+          (g.Prog.gsym, m))
         prog.Prog.globals
     in
     shared_image_cache := Some (prog, img);
@@ -456,7 +457,7 @@ let shared_image (prog : Prog.t) =
 let init_shared (prog : Prog.t) =
   let shared = Hashtbl.create 16 in
   List.iter
-    (fun (sym, arr) -> Hashtbl.replace shared sym (Array.copy arr))
+    (fun (sym, m) -> Hashtbl.replace shared sym (Value.mem_copy m))
     (shared_image prog);
   shared
 
@@ -598,27 +599,29 @@ let local_miss t (c : core) =
 let runtime_err fmt = Format.kasprintf (fun s -> raise (Value.Runtime_error s)) fmt
 
 (* the verifier rejects a symbol that names no array *)
-let mem_array t (fr : frame) (s : Ir.sym) : Value.t array =
+let mem_array t (fr : frame) (s : Ir.sym) : Value.mem =
   match s.Ir.sym_space with
   | Ir.Shared | Ir.Rom -> Hashtbl.find t.shared s.Ir.sym_name
   | Ir.Frame ->
     fr.farrs.(Hashtbl.find fr.dfunc.Predecode.df_frame_idx s.Ir.sym_name)
 
-let oob_err what sym idx (a : Value.t array) (fr : frame) =
-  runtime_err "out-of-bounds %s %s[%d] (len %d) in %s" what sym idx
-    (Array.length a) fr.func.Prog.fname
+let oob_err what sym idx len (fr : frame) =
+  runtime_err "out-of-bounds %s %s[%d] (len %d) in %s" what sym idx len
+    fr.func.Prog.fname
 
+(* The interpreter's memory access: a word of the unboxed array, boxed
+   on the way out and unboxed on the way in. *)
 let mem_read t fr s idx =
   let a = mem_array t fr s in
-  if idx < 0 || idx >= Array.length a then
-    oob_err "read" (Ir.sym_to_string s) idx a fr;
-  a.(idx)
+  let len = Value.mem_length a in
+  if idx < 0 || idx >= len then oob_err "read" (Ir.sym_to_string s) idx len fr;
+  Value.mem_get a idx
 
 let mem_write t fr s idx v =
   let a = mem_array t fr s in
-  if idx < 0 || idx >= Array.length a then
-    oob_err "write" (Ir.sym_to_string s) idx a fr;
-  a.(idx) <- v
+  let len = Value.mem_length a in
+  if idx < 0 || idx >= len then oob_err "write" (Ir.sym_to_string s) idx len fr;
+  Value.mem_set a idx v
 
 (* ------------------------------------------------------------------ *)
 (* Instruction execution (interpretive mode)                           *)
@@ -1015,29 +1018,31 @@ let[@inline always] store_value (fr : frame) k v =
     Array.unsafe_set fr.fregs (k lsr 1) (Value.to_float v)
   else Array.unsafe_set fr.iregs (k lsr 1) (Value.to_int v)
 
-(** The turn guard of a {e globally-visible} instruction — one that
-    touches state other cores can observe (shared memory, the bus,
-    channels, barriers).  Such instructions must execute in the exact
-    (local time, core id) order of the per-step reference scheduler.
-    Core-local instructions commute with other cores' work, so batches
-    run through them freely and only the visible ones re-check the race
-    against the runner-up ([t.batch_other], -1 when there is none).
-    [false] when it is not [fr]'s core's turn: the instruction is then
-    rewound to replay when the core is re-picked (the attempt is not a
-    step, or step counts would diverge from the per-step reference) and
-    control goes back to the scheduler. *)
-let[@inline always] visible_turn t (fr : frame) =
-  let c = fr.fcore in
+(** The turn of a {e globally-visible} instruction — one that touches
+    state other cores can observe (shared memory, the bus, channels,
+    barriers).  Such instructions must execute in the exact (local time,
+    core id) order of the per-step reference scheduler.  Core-local
+    instructions commute with other cores' work, so batches run through
+    them freely and only the visible ones check the race against the
+    runner-up ([t.batch_other], -1 when there is none): [c] goes first
+    when its clock is below the runner-up's, ties going to the lower
+    id.  {!run_section} makes the same comparison with the runner-up's
+    clock and id read once per section. *)
+let my_turn t (c : core) =
   let oi = t.batch_other in
   oi < 0
   || (let o = Array.unsafe_get t.cores oi in
       c.clk.time < o.clk.time || (c.clk.time = o.clk.time && c.id < o.id))
-  || begin
-       fr.idx <- fr.idx - 1;
-       t.steps <- t.steps - 1;
-       t.sched_event <- true;
-       false
-     end
+
+(** The end of a one-word transfer that starts at [start]: the bus's
+    occupancy, then the off-bus latency of the symbol's tier. *)
+let[@inline always] bus_end t start far =
+  start +. t.bus_txn1_ns +. if far then t.far_extra_ns else t.shared_extra_ns
+
+(** When a one-word transfer asked for at [now] ends: it starts when
+    the bus frees. *)
+let[@inline always] bus_finish t now far =
+  bus_end t (fmax now (Array.unsafe_get t.bus_free 0)) far
 
 (** One-word shared-memory bus transaction (loads, stores, faa), the
     compiled {!shared_access}: the off-bus latency is the symbol's
@@ -1061,10 +1066,7 @@ let bus_word t (c : core) far =
     Array.unsafe_set sc 5 (Array.unsafe_get sc 5 +. t.bus_word_energy_nj)
   end;
   Array.unsafe_set t.bus_free 0 (start +. t.bus_txn1_ns);
-  let finish =
-    start +. t.bus_txn1_ns +. if far then t.far_extra_ns else t.shared_extra_ns
-  in
-  advance t c (finish -. c.clk.time) ~idle:false;
+  advance t c (bus_end t start far -. c.clk.time) ~idle:false;
   (* hand-inlined [Energy_ledger.charge ~category:Communication] *)
   let nj = t.bus_word_energy_nj in
   if nj < 0.0 then Energy_ledger.negative_energy ();
@@ -1131,8 +1133,8 @@ let pack_cost ~ci ~miss ~x ~n ~c =
   ci lor (if miss then 16 else 0) lor (x lsl 5) lor (n lsl 12) lor (c lsl 24)
 
 (* A memory access's flags in [cost_x]: its array is a global, in
-   [cb_arrs], not a frame array; a load into a float register; a load at
-   an immediate index; a symbol of the far tier; a shared store (a
+   [cb_arrs], not a frame array; a load into a float register; an access
+   at an immediate index; a symbol of the far tier; a shared access (a
    visible one, over the bus). *)
 let x_global = 1
 let x_float = 2
@@ -1188,7 +1190,7 @@ let drain pl =
 type pools = {
   fk : float pool;
   vals : Value.t pool;
-  arrs : Value.t array pool;
+  arrs : Value.mem pool;
   calls : call_site pool;
 }
 
@@ -1215,9 +1217,9 @@ let operand p (df : Predecode.dfunc) (o : Ir.operand) =
   | Ir.Imm (Ir.Cint n) -> (Value.wrap32 n lsl 2) lor k_iimm
   | Ir.Imm (Ir.Cfloat x) -> (add p.fk x lsl 2) lor k_fimm
 
-(** Operand [o] of a store, send, call or return: a register as
-    {!operand} encodes it, an immediate as its index among the block's
-    boxed values (kind [k_iimm], whatever its class). *)
+(** Operand [o] of a send, call or return: a register as {!operand}
+    encodes it, an immediate as its index among the block's boxed values
+    (kind [k_iimm], whatever its class). *)
 let boxed_operand p df (o : Ir.operand) =
   match o with
   | Ir.Reg _ -> operand p df o
@@ -1237,6 +1239,9 @@ let mem_x t (s : Ir.sym) =
   (if s.Ir.sym_space = Ir.Frame then 0 else x_global)
   lor if Hashtbl.mem t.far_syms s.Ir.sym_name then x_far else 0
 
+(* flags [x] of an access at index [e] ({!operand}) *)
+let mem_x_idx x e = if is_imm e then x lor x_imm else x
+
 let gate_mask comps =
   Component.Set.fold (fun comp m -> m lor (1 lsl Component.index comp)) comps 0
 
@@ -1251,9 +1256,11 @@ let enc_copy code b d e =
 
 (** Encode [di] at [code.(b)].  Beyond the register instructions, the
     words [f_d], [f_a], [f_b] are:
-    - [Load_sh]: the destination's code ([df_regs]), the index, the
+    - [Load_sh]: as a [Load]'s, the destination's slot, the index, the
       array;
-    - [Store]: the value ({!boxed_operand}), the index, the array;
+    - [Store]: the value ({!operand}: an int immediate in the word, a
+      float one in [cb_fk]), then, as a [Load]'s, the index and the
+      array;
     - [Faa]: the destination's slot, the amount, the array;
     - [Call]: the destination's code or -1, the call site's index in
       [cb_calls];
@@ -1325,39 +1332,36 @@ let encode t (df : Predecode.dfunc) p (di : Predecode.dinstr)
     code.(b + f_cost) <- pack_cost ~ci ~miss:false ~x:flags ~n ~c:(opv ec);
     if flags = 0 then Mac_rrr
     else Mac
-  | Ir.Load (d, s, idxo) when s.Ir.sym_space <> Ir.Shared -> (
-    let e = operand p df idxo in
-    let k = df.Predecode.df_regs.(d) in
-    code.(b + f_d) <- k lsr 1;
-    code.(b + f_a) <- opv e;
-    let rom = s.Ir.sym_space = Ir.Rom in
-    let pos = enc_sym t p df s in
-    let into_float = k land 1 = Verify.cls_float in
-    code.(b + f_b) <- pos;
-    code.(b + f_cost) <-
-      pack_cost ~ci ~miss:(t.cache_miss_period > 0)
-        ~x:
-          ((if rom then x_global else 0)
-          lor (if into_float then x_float else 0)
-          lor if is_imm e then x_imm else 0)
-        ~n:(1 + Machine.spm_latency_cycles t.machine) ~c:0;
-    if rom && not (into_float || is_imm e) then Load_ri
-    else Load)
   | Ir.Load (d, s, idxo) ->
     let e = operand p df idxo in
-    words code b (pack_cost ~ci ~miss:false ~x:(mem_x t s) ~n ~c:0)
-      df.Predecode.df_regs.(d) e (enc_sym t p df s);
-    Load_sh
+    let k = df.Predecode.df_regs.(d) in
+    let into_float = k land 1 = Verify.cls_float in
+    let x = mem_x t s lor (if into_float then x_float else 0) in
+    let pos = enc_sym t p df s in
+    if s.Ir.sym_space = Ir.Shared then begin
+      words code b
+        (pack_cost ~ci ~miss:false ~x:(mem_x_idx x e lor x_shared) ~n ~c:0)
+        (k lsr 1) (opv e) pos;
+      Load_sh
+    end
+    else begin
+      words code b
+        (pack_cost ~ci ~miss:(t.cache_miss_period > 0) ~x:(mem_x_idx x e)
+           ~n:(1 + Machine.spm_latency_cycles t.machine) ~c:0)
+        (k lsr 1) (opv e) pos;
+      if s.Ir.sym_space = Ir.Rom && not (into_float || is_imm e) then Load_ri
+      else Load
+    end
   | Ir.Store (s, idxo, vo) ->
     let ei = operand p df idxo in
-    let ev = boxed_operand p df vo in
+    let ev = operand p df vo in
     let shared = s.Ir.sym_space = Ir.Shared in
     words code b
       (pack_cost ~ci ~miss:((not shared) && t.cache_miss_period > 0)
-         ~x:(mem_x t s lor if shared then x_shared else 0)
+         ~x:(mem_x_idx (mem_x t s) ei lor if shared then x_shared else 0)
          ~n:(if shared then 1 else 1 + Machine.spm_latency_cycles t.machine)
          ~c:0)
-      ev ei (enc_sym t p df s);
+      ev (opv ei) (enc_sym t p df s);
     Store
   | Ir.Faa (d, s, amt) ->
     let e = operand p df amt in
@@ -1487,45 +1491,91 @@ let mem_sym (cb : cblock) i =
   | Ir.Load (_, s, _) | Ir.Store (s, _, _) | Ir.Faa (_, s, _) -> s
   | _ -> invalid_arg "Sim.mem_sym"
 
-let load_sym (fr : frame) b = mem_sym fr.cblk (b lsr enc_shift)
+(* [strict]: raise the interpreter's error for an out-of-bounds access
+   by the memory instruction at [code.(b)] of [fr]'s block, of an array
+   of [len] words *)
+let[@inline always] oob ~strict what (fr : frame) b idx len =
+  strict
+  && oob_err what (Ir.sym_to_string (mem_sym fr.cblk (b lsr enc_shift))) idx len
+       fr
 
-(* Read [arr.(idx)] into an int or float register.  Out of bounds:
-   [strict] raises the interpreter's error and the section loop returns
-   false.  The verifier makes every stored word its array's class, so
-   the other arm never runs. *)
-let[@inline always] load_i ~strict (fr : frame) b iregs d (arr : Value.t array)
-    idx =
-  if idx < 0 || idx >= Array.length arr then
-    strict && oob_err "read" (Ir.sym_to_string (load_sym fr b)) idx arr fr
-  else
-    match Array.unsafe_get arr idx with
-    | Value.Vint n -> set_i iregs d n
-    | Value.Vfloat _ -> strict && Value.not_int ()
+(* Read word [idx] of [m] into an int or float register, or write a
+   register's or an immediate's word there: the raw word, no box.  Out
+   of bounds, [strict] raises the interpreter's error and the section
+   loop gets false.  The verifier makes every stored value its array's
+   class and every load's destination too, so the other class's arm
+   never runs; it keeps an unchecked register access in bounds. *)
+let[@inline always] load_i ~strict (fr : frame) b iregs d (m : Value.mem) idx =
+  match m with
+  | Value.Ints arr ->
+    if idx < 0 || idx >= Array.length arr then
+      oob ~strict "read" fr b idx (Array.length arr)
+    else set_i iregs d (Array.unsafe_get arr idx)
+  | Value.Floats _ -> strict && Value.not_int ()
 
-let[@inline always] load_f ~strict (fr : frame) b fregs d (arr : Value.t array)
-    idx =
-  if idx < 0 || idx >= Array.length arr then
-    strict && oob_err "read" (Ir.sym_to_string (load_sym fr b)) idx arr fr
-  else
-    match Array.unsafe_get arr idx with
-    | Value.Vfloat x -> set_f fregs d x
-    | Value.Vint _ -> strict && Value.not_float ()
+let[@inline always] load_f ~strict (fr : frame) b fregs d (m : Value.mem) idx =
+  match m with
+  | Value.Floats arr ->
+    if idx < 0 || idx >= Float.Array.length arr then
+      oob ~strict "read" fr b idx (Float.Array.length arr)
+    else set_f fregs d (Float.Array.unsafe_get arr idx)
+  | Value.Ints _ -> strict && Value.not_float ()
+
+(* the value [e] ({!operand}) into word [idx] of [m] *)
+let[@inline always] store ~strict (fr : frame) b iregs fregs fk (m : Value.mem)
+    idx e =
+  match m with
+  | Value.Ints arr ->
+    if idx < 0 || idx >= Array.length arr then
+      oob ~strict "write" fr b idx (Array.length arr)
+    else if is_int e then begin
+      Array.unsafe_set arr idx (iopnd iregs (opv e) (is_imm e));
+      true
+    end
+    else strict && Value.not_int ()
+  | Value.Floats arr ->
+    if idx < 0 || idx >= Float.Array.length arr then
+      oob ~strict "write" fr b idx (Float.Array.length arr)
+    else if is_int e then strict && Value.not_float ()
+    else begin
+      Float.Array.unsafe_set arr idx (fopnd fregs fk (opv e) (is_imm e));
+      true
+    end
+
+(** The word a load ([load]) or a store at [code.(b)] moves: the
+    array, the index, then {!load_i}, {!load_f} or {!store}. *)
+let[@inline always] access ~strict ~load (fr : frame) (iregs : int array)
+    (fregs : float array) (farrs : Value.mem array) (code : int array)
+    (fk : float array) (arrs : Value.mem array) b =
+  let x = cost_x (Array.unsafe_get code (b + f_cost)) in
+  let d = Array.unsafe_get code (b + f_d) in
+  let m =
+    Array.unsafe_get
+      (if x land x_global <> 0 then arrs else farrs)
+      (Array.unsafe_get code (b + f_b))
+  in
+  let idx = iopnd iregs (Array.unsafe_get code (b + f_a)) (x land x_imm <> 0) in
+  if not load then store ~strict fr b iregs fregs fk m idx d
+  else if x land x_float <> 0 then load_f ~strict fr b fregs d m idx
+  else load_i ~strict fr b iregs d m idx
 
 (** The effect of the encoded instruction at [code.(b)]: its result
-    register, after its operands are read.  True when it took effect;
-    when it cannot (a division by zero, an out-of-bounds index), [strict]
-    raises the interpreter's error and the section loop, which passes
-    [~strict:false], gets false with nothing written.  Every other
-    opcode gives false: the section loop runs [Jmp] and [Br] itself. *)
+    register, or the word a store writes, after its operands are read.
+    True when it took effect; when it cannot (a division by zero, an
+    out-of-bounds index), [strict] raises the interpreter's error and
+    the section loop, which passes [~strict:false], gets false with
+    nothing written.  A shared load or store's effect is its word alone:
+    its bus transaction is the caller's.  Every other opcode gives
+    false: the section loop runs [Jmp] and [Br] itself. *)
 let[@inline always] effect ~strict (fr : frame) (iregs : int array)
-    (fregs : float array) (farrs : Value.t array array) (code : int array)
-    (fk : float array) (arrs : Value.t array array) b opc =
+    (fregs : float array) (farrs : Value.mem array) (code : int array)
+    (fk : float array) (arrs : Value.mem array) b opc =
   let d = Array.unsafe_get code (b + f_d) in
   let a = Array.unsafe_get code (b + f_a) in
   let y = Array.unsafe_get code (b + f_b) in
   match opc with
-  | Load_sh | Store | Faa | Call | Pg_off | Pg_on | Dvfs | Send | Recv
-  | Barrier | Jmp | Br | Ret ->
+  | Faa | Call | Pg_off | Pg_on | Dvfs | Send | Recv | Barrier | Jmp | Br
+  | Ret ->
     false
   | Add_rr -> set_i iregs d (iadd (iget iregs a) (iget iregs y))
   | Sub_rr -> set_i iregs d (isub (iget iregs a) (iget iregs y))
@@ -1608,20 +1658,16 @@ let[@inline always] effect ~strict (fr : frame) (iregs : int array)
   | Move_f -> set_f fregs d (fget fregs a)
   | Load_ri ->
     load_i ~strict fr b iregs d (Array.unsafe_get arrs y) (iget iregs a)
-  | Load ->
-    let x = cost_x (Array.unsafe_get code (b + f_cost)) in
-    let arr = Array.unsafe_get (if x land x_global <> 0 then arrs else farrs) y in
-    let idx = iopnd iregs a (x land x_imm <> 0) in
-    if x land x_float <> 0 then load_f ~strict fr b fregs d arr idx
-    else load_i ~strict fr b iregs d arr idx
+  | Load | Load_sh -> access ~strict ~load:true fr iregs fregs farrs code fk arrs b
+  | Store -> access ~strict ~load:false fr iregs fregs farrs code fk arrs b
 
-(** An int operand as {!operand} encodes it: the verifier makes every
-    index and fetch-add amount one. *)
+(** An int operand as {!operand} encodes it: a fetch-add's amount,
+    which the verifier makes one. *)
 let[@inline always] int_opnd (fr : frame) e =
   if opk e = k_ireg then ireg fr (opv e) else opv e
 
-(** An operand as {!boxed_operand} encodes it, boxed: a stored word, a
-    message, the value a core halts with. *)
+(** An operand as {!boxed_operand} encodes it, boxed: a message, the
+    value a core halts with. *)
 let[@inline always] boxed (fr : frame) (cb : cblock) e =
   let k = opk e in
   if k = k_ireg then Value.Vint (ireg fr (opv e))
@@ -1640,28 +1686,6 @@ let[@inline always] put (fr : frame) (cb : cblock) e (into : frame) k =
     Array.unsafe_set into.fregs (k lsr 1) (freg fr (opv e))
   else store_value into k (boxed fr cb e)
 
-(** One memory access of instruction [i], after its operands are read:
-    issue it (a local access on a cache machine takes the periodic
-    miss), then a shared access's bus transaction, then find the array
-    [pos] names ({!enc_sym}) and check [idx] against it ([what] names the
-    access in the error).  Returns the array. *)
-let[@inline always] access t (fr : frame) (cb : cblock) i k ~shared what pos
-    idx =
-  let c = fr.fcore in
-  let ci = cost_ci k and n = cost_n k and x = cost_x k in
-  if shared then begin
-    issue t c ci n (float_of_int n);
-    bus_word t c (x land x_far <> 0)
-  end
-  else issue_miss t c ci n (float_of_int n) ~miss:(cost_miss k);
-  let a =
-    if x land x_global <> 0 then Array.unsafe_get cb.cb_arrs pos
-    else Array.unsafe_get fr.farrs pos
-  in
-  if idx < 0 || idx >= Array.length a then
-    oob_err what (Ir.sym_to_string (mem_sym cb i)) idx a fr;
-  a
-
 (** Enter block [l] of the frame's function; the verifier rejected every
     branch to a label with no block. *)
 let[@inline always] goto (fr : frame) l =
@@ -1670,14 +1694,16 @@ let[@inline always] goto (fr : frame) l =
   fr.cblk <- Array.unsafe_get fr.cfun.cf_blocks l
 
 (** Run the instruction or terminator at [fr.idx] on its own: every
-    instruction but the register ones, [Ret], the register instruction
-    or branch that ends a section, and every step while profiling or
-    single-stepping.  Each arm takes the steps of its
+    instruction the section loop does not run, [Ret], the step that ends
+    a section, and every step while profiling or single-stepping.  A
+    visible instruction runs only on its core's turn ({!my_turn}), which
+    the batch loop checks first.  Each arm takes the steps of its
     [exec_instr] or [exec_term] arm in their order, so every check,
     charge, trace event and error happens at the same point.  A
-    register instruction runs through the issue helpers and {!effect}
-    [~strict:true], which raises the interpreter's error where the
-    section loop's [~strict:false] returns false. *)
+    register instruction, load or store runs through the issue helpers,
+    a shared access's {!bus_word}, then {!effect} [~strict:true], which
+    raises the interpreter's error where the section loop's
+    [~strict:false] returns false. *)
 let step_encoded t (fr : frame) =
   let c = fr.fcore in
   let cb = fr.cblk in
@@ -1694,30 +1720,18 @@ let step_encoded t (fr : frame) =
   let ci = cost_ci k and n = cost_n k in
   if i < cb.cb_n then fr.idx <- i + 1;
   match Array.unsafe_get cb.cb_op i with
-  | Load_sh ->
-    if visible_turn t fr then begin
-      let idx = int_opnd fr a in
-      let arr = access t fr cb i k ~shared:true "read" y idx in
-      store_value fr d (Array.unsafe_get arr idx);
-      bump c
-    end
-  | Store ->
-    let shared = cost_x k land x_shared <> 0 in
-    if (not shared) || visible_turn t fr then begin
-      let idx = int_opnd fr a in
-      let v = boxed fr cb d in
-      Array.unsafe_set (access t fr cb i k ~shared "write" y idx) idx v;
-      bump c
-    end
   | Faa ->
-    if visible_turn t fr then begin
-      let amount = int_opnd fr a in
-      let arr = access t fr cb i k ~shared:true "read" y 0 in
-      let old = Value.to_int arr.(0) in
-      arr.(0) <- Value.Vint (iadd old amount);
-      Array.unsafe_set fr.iregs d old;
-      bump c
-    end
+    let amount = int_opnd fr a in
+    issue t c ci n (float_of_int n);
+    bus_word t c (cost_x k land x_far <> 0);
+    (match Array.unsafe_get cb.cb_arrs y with
+    | Value.Ints arr when Array.length arr > 0 ->
+      let old = Array.unsafe_get arr 0 in
+      Array.unsafe_set arr 0 (iadd old amount);
+      Array.unsafe_set fr.iregs d old
+    | Value.Ints _ -> ignore (oob ~strict:true "read" fr b 0 0)
+    | Value.Floats _ -> Value.not_int ());
+    bump c
   | Call ->
     issue t c ci n (float_of_int n);
     let cs = Array.unsafe_get cb.cb_calls a in
@@ -1760,47 +1774,41 @@ let step_encoded t (fr : frame) =
     else spend t c 1;
     bump c
   | Send ->
-    if visible_turn t fr then begin
-      issue t c ci n (float_of_int n);
-      let v = boxed fr cb d in
-      let ch = t.chans.(a) in
-      if Queue.length ch.queue >= ch.cap then begin
-        c.send_blocks <- c.send_blocks + 1;
-        record t c (fun () -> Printf.sprintf "blocked sending on ch%d" a);
-        Queue.push c.id ch.waiting_senders;
-        c.status <- Blocked_send (a, v);
-        t.unblock_dirty <- true
-      end
-      else complete_send t c a v;
-      bump c
+    issue t c ci n (float_of_int n);
+    let v = boxed fr cb d in
+    let ch = t.chans.(a) in
+    if Queue.length ch.queue >= ch.cap then begin
+      c.send_blocks <- c.send_blocks + 1;
+      record t c (fun () -> Printf.sprintf "blocked sending on ch%d" a);
+      Queue.push c.id ch.waiting_senders;
+      c.status <- Blocked_send (a, v);
+      t.unblock_dirty <- true
     end
+    else complete_send t c a v;
+    bump c
   | Recv ->
-    if visible_turn t fr then begin
-      issue t c ci n (float_of_int n);
-      let ch = t.chans.(a) in
-      if Queue.is_empty ch.queue then begin
-        c.recv_blocks <- c.recv_blocks + 1;
-        record t c (fun () -> Printf.sprintf "blocked receiving on ch%d" a);
-        c.status <- Blocked_recv (a, d);
-        t.unblock_dirty <- true
-      end
-      else begin
-        let (v, ready) = Queue.pop ch.queue in
-        (* a slot freed: a blocked sender may now complete *)
-        t.sched_event <- true;
-        t.unblock_dirty <- true;
-        resume_at t c ready;
-        ch.last_pop <- fmax ch.last_pop c.clk.time;
-        store_value fr y v
-      end;
-      bump c
+    issue t c ci n (float_of_int n);
+    let ch = t.chans.(a) in
+    if Queue.is_empty ch.queue then begin
+      c.recv_blocks <- c.recv_blocks + 1;
+      record t c (fun () -> Printf.sprintf "blocked receiving on ch%d" a);
+      c.status <- Blocked_recv (a, d);
+      t.unblock_dirty <- true
     end
+    else begin
+      let (v, ready) = Queue.pop ch.queue in
+      (* a slot freed: a blocked sender may now complete *)
+      t.sched_event <- true;
+      t.unblock_dirty <- true;
+      resume_at t c ready;
+      ch.last_pop <- fmax ch.last_pop c.clk.time;
+      store_value fr y v
+    end;
+    bump c
   | Barrier ->
-    if visible_turn t fr then begin
-      issue t c ci n (float_of_int n);
-      arrive_barrier t c a;
-      bump c
-    end
+    issue t c ci n (float_of_int n);
+    arrive_barrier t c a;
+    bump c
   | Jmp ->
     branch t c;
     goto fr a
@@ -1830,19 +1838,33 @@ let step_encoded t (fr : frame) =
       caller.ret_dst <- -1)
   | opc ->
     issue_miss t c ci n (float_of_int n) ~miss:(cost_miss k);
+    (match opc with
+    | Load_sh | Store ->
+      let x = cost_x k in
+      if x land x_shared <> 0 then bus_word t c (x land x_far <> 0)
+    | _ -> ());
     ignore
       (effect ~strict:true fr fr.iregs fr.fregs fr.farrs code cb.cb_fk
          cb.cb_arrs b opc);
     bump c
 
 (** Whether [op] runs in {!run_section}: a register instruction's, a
-    [Jmp] or a [Br]. *)
+    load's or a store's, a [Jmp] or a [Br]. *)
 let[@inline always] in_section (op : opc) =
   match op with
-  | Load_sh | Store | Faa | Call | Pg_off | Pg_on | Dvfs | Send | Recv
-  | Barrier | Ret ->
-    false
+  | Faa | Call | Pg_off | Pg_on | Dvfs | Send | Recv | Barrier | Ret -> false
   | _ -> true
+
+(** Whether the instruction at [i] of [cb] is visible to other cores,
+    and so runs only on its core's turn ({!my_turn}): a shared load or
+    store, [Faa], a send, a receive or a barrier. *)
+let visible (cb : cblock) i =
+  match Array.unsafe_get cb.cb_op i with
+  | Load_sh | Faa | Send | Recv | Barrier -> true
+  | Store ->
+    cost_x (Array.unsafe_get cb.cb_code ((i lsl enc_shift) + f_cost))
+    land x_shared <> 0
+  | _ -> false
 
 (** The most steps one section runs: the batch loop checks the
     cooperative deadline once per section, and a section that crosses a
@@ -1850,26 +1872,29 @@ let[@inline always] in_section (op : opc) =
 let section_quantum = 4096
 
 (** Run [fr] from [fr.idx] of [fr.cblk], through its register
-    instructions and the [Jmp] and [Br] terminators, for at most [room]
-    steps, and return how many it ran.  It stops before an instruction
-    of another kind, or a step that needs a call: an implicit wakeup, a
-    negative charge, a cache machine's periodic miss, or an effect that
-    fails.  The frame's block and index are written back.
+    instructions, its loads and stores (shared ones included) and the
+    [Jmp] and [Br] terminators, for at most [room] steps, and return how
+    many it ran.  It stops before an instruction of another kind, or a
+    step that needs a call or must wait: an implicit wakeup, a negative
+    charge, a cache machine's periodic miss, an effect that fails, or a
+    shared access whose turn has not come (see {!my_turn}) or that the
+    fault hook must see.  The frame's block and index are written back.
     Profiling runs none ({!step_encoded} attributes each step).
 
     The core's time, busy time, dynamic and active-leakage category
     cells, ledger total and cycle count live in locals for the section:
     each instruction makes exactly the checks and float additions of
-    {!issue} then {!bump}, and each branch those of {!branch}, in the
-    same order, so every accumulator sums the same terms in the same
-    order as {!step_encoded} does one step at a time.  The checks come
-    first and the effect next, so a step that leaves the section has
-    changed nothing.  A branch checks no gated unit (a terminator never
-    wakes one, as in {!exec_term}); it makes the target block's arrays
-    the loop's.  The loop makes no call on any path: OCaml keeps a
-    float local in a register only where no call follows, and spills
-    every one around a call, so the write-back of [fr.cblk], a
-    [caml_modify], comes after it. *)
+    {!issue}, then a shared access's those of {!bus_word}, then
+    {!bump}'s, and each branch those of {!branch}, in the same order, so
+    every accumulator sums the same terms in the same order as
+    {!step_encoded} does one step at a time.  The checks come first and
+    the effect next, so a step that leaves the section has changed
+    nothing.  A branch checks no gated unit (a terminator never wakes
+    one, as in {!exec_term}); it makes the target block's arrays the
+    loop's.  The loop makes no call on any path: OCaml keeps a float
+    local in a register only where no call follows, and spills every
+    one around a call, so the write-back of [fr.cblk], a [caml_modify],
+    comes after it. *)
 let run_section t (fr : frame) room =
   let c = fr.fcore in
   if c.prof_on then 0
@@ -1882,7 +1907,21 @@ let run_section t (fr : frame) room =
     let iregs = fr.iregs and fregs = fr.fregs and farrs = fr.farrs in
     let powered = c.powered and dyn = c.dyn_row and comp = c.lg_comp in
     let npc = clk.ns_per_cycle and leak = clk.leak_mw in
-    let period = t.cache_miss_period in
+    (* A shared access runs here only on the core's turn ({!my_turn}):
+       its clock below [turn_by], or equal to it and [first_on_tie].  No
+       other core's clock moves in a batch, so the runner-up's clock and
+       id are read once.  With no runner-up every turn is the core's;
+       with the fault hook armed, or a negative bus or tier charge (each
+       a call), none is, and the access runs on its own.  Clocks are
+       never NaN. *)
+    let oi = t.batch_other in
+    let turn_by =
+      if t.faults_armed || t.bus_word_energy_nj < 0.0 || t.far_energy_nj < 0.0
+      then neg_infinity
+      else if oi < 0 then infinity
+      else (Array.unsafe_get t.cores oi).clk.time
+    in
+    let first_on_tie = oi < 0 || c.id < (Array.unsafe_get t.cores oi).id in
     let time = ref clk.time and busy = ref clk.busy_ns in
     let dyn_cat = ref (Array.unsafe_get c.lg_cat 0) in
     let leak_cat = ref (Array.unsafe_get c.lg_cat 1) in
@@ -1938,11 +1977,72 @@ let run_section t (fr : frame) room =
           incr terms
         end
         else lim := !i
+      | (Load_sh | Store) as op ->
+        let x = cost_x k in
+        let shared = x land x_shared <> 0 and far = x land x_far <> 0 in
+        if Array.unsafe_get powered ci
+           && (not (dt > 0.0 && lnj < 0.0))
+           && (not (dnj < 0.0))
+           && (if shared then
+                 (!time < turn_by || (!time = turn_by && first_on_tie))
+                 && begin
+                   (* [bus_word]'s advance, from the clock [issue] left *)
+                   let now = if dt > 0.0 then !time +. dt else !time in
+                   let dtb = bus_finish t now far -. now in
+                   not (dtb > 0.0 && leak *. dtb *. 1e-3 < 0.0)
+                 end
+               else not (miss && c.local_accs + 1 >= t.cache_miss_period))
+           && access ~strict:false ~load:(op == Load_sh) fr iregs fregs farrs
+                code_ !fk !arrs b
+        then begin
+          (* [issue]: as a register instruction's *)
+          cycles := !cycles + n;
+          if dt > 0.0 then begin
+            leak_cat := !leak_cat +. lnj;
+            total := !total +. lnj;
+            time := !time +. dt;
+            busy := !busy +. dt
+          end;
+          if miss then c.local_accs <- c.local_accs + 1;
+          dyn_cat := !dyn_cat +. dnj;
+          Array.unsafe_set comp ci (Array.unsafe_get comp ci +. dnj);
+          total := !total +. dnj;
+          if shared then begin
+            (* [bus_word]: the counters, the wait, the bus, the advance
+               to the end of the transfer, the Communication charge
+               (category, then total), then a far symbol's tier
+               charge, [charge]'s additions inlined *)
+            let start = fmax !time (Array.unsafe_get t.bus_free 0) in
+            c.bus_txns <- c.bus_txns + 1;
+            c.bus_words <- c.bus_words + 1;
+            clk.bus_wait_ns <- clk.bus_wait_ns +. (start -. !time);
+            Array.unsafe_set t.bus_free 0 (start +. t.bus_txn1_ns);
+            let dtb = bus_end t start far -. !time in
+            if dtb > 0.0 then begin
+              let lnj = leak *. dtb *. 1e-3 in
+              leak_cat := !leak_cat +. lnj;
+              total := !total +. lnj;
+              time := !time +. dtb;
+              busy := !busy +. dtb
+            end;
+            let cat = c.lg_cat in
+            let nj = t.bus_word_energy_nj in
+            Array.unsafe_set cat 5 (Array.unsafe_get cat 5 +. nj);
+            total := !total +. nj;
+            if far then begin
+              let nj = t.far_energy_nj in
+              Array.unsafe_set cat 5 (Array.unsafe_get cat 5 +. nj);
+              total := !total +. nj
+            end
+          end;
+          incr i
+        end
+        else lim := !i
       | op ->
         if Array.unsafe_get powered ci
            && (not (dt > 0.0 && lnj < 0.0))
            && (not (dnj < 0.0))
-           && (not (miss && c.local_accs + 1 >= period))
+           && (not (miss && c.local_accs + 1 >= t.cache_miss_period))
            && effect ~strict:false fr iregs fregs farrs code_ !fk !arrs b op
         then begin
           (* [spend]: the cycles, then [advance]'s leakage and clock *)
@@ -2157,8 +2257,8 @@ let create ?(opts = default_options) ~(machine : Machine.t) (prog : Prog.t) : t 
   | None -> ()
   | Some _ ->
     Hashtbl.iter
-      (fun name arr ->
-        if Machine.is_far machine (Array.length arr) then
+      (fun name m ->
+        if Machine.is_far machine (Value.mem_length m) then
           Hashtbl.replace far_syms name ())
       shared);
   let (cache_miss_period, cache_miss_penalty, cache_miss_energy_nj) =
@@ -2314,21 +2414,23 @@ let describe_blocked t =
 
     Core-local instructions (registers, frame and ROM memory, power
     state, calls) commute with other cores' work, so the batch runs
-    through them regardless of the clock race.  Globally-visible
-    instructions run a turn guard ({!visible_turn}) that yields back to
-    the scheduler exactly when the per-step reference would have run
-    the runner-up ([other_i], -1 when there is none) first: other ready
-    cores' clocks only move when they are stepped, so the runner-up
-    bound captured at pick time stays valid for the whole batch, and
-    shared memory, bus, channel and barrier operations execute in the
-    reference (time, id) order.  Skipped [unblock_pass] calls are
-    provably no-ops because every state change they react to raises
-    [t.sched_event].  A section can neither block, yield, call nor fire
-    an event, and it never runs past the step budget, so [t.steps]
-    reaches [Step_limit_exceeded] after exactly the same step as the
-    one-at-a-time loop.  The one observable batching reorders is the
-    interleaving of per-core entries in the event trace, which is why
-    {!run_loop} single-steps instead when tracing is on. *)
+    through them regardless of the clock race.  A globally-visible
+    instruction ({!visible}) runs only on the core's turn ({!my_turn}):
+    when the per-step reference would run the runner-up ([other_i], -1
+    when there is none) first, the batch yields back to the scheduler
+    before the step, running nothing (a section stops there for the
+    same reason).  Other ready cores' clocks only move when they are
+    stepped, so the runner-up bound captured at pick time stays valid
+    for the whole batch, and shared memory, bus, channel and barrier
+    operations execute in the reference (time, id) order.  Skipped
+    [unblock_pass] calls are provably no-ops because every state change
+    they react to raises [t.sched_event].  A section can neither block,
+    call nor fire an event, and it never runs past the step budget, so
+    [t.steps] reaches [Step_limit_exceeded] after exactly the same step
+    as the one-at-a-time loop (at a yield, the runner-up takes that
+    step).  The one observable batching reorders is the interleaving
+    of per-core entries in the event trace, which is why {!run_loop}
+    single-steps instead when tracing is on. *)
 let run_sched_batch t (c : core) ~other_i =
   let lim = t.opts.max_steps in
   t.batch_other <- other_i;
@@ -2352,9 +2454,14 @@ let run_sched_batch t (c : core) ~other_i =
       let room = if left < section_quantum then left else section_quantum in
       if room > 0 && in_section (Array.unsafe_get fr.cblk.cb_op fr.idx) then
         t.steps <- t.steps + run_section t fr room;
-      t.steps <- t.steps + 1;
-      if t.steps > lim then raise Step_limit_exceeded;
-      step_encoded t fr
+      if visible fr.cblk fr.idx && not (my_turn t c) then
+        (* the runner-up's turn: yield, with nothing run *)
+        t.sched_event <- true
+      else begin
+        t.steps <- t.steps + 1;
+        if t.steps > lim then raise Step_limit_exceeded;
+        step_encoded t fr
+      end
   done
 
 let run_loop t =
@@ -2448,7 +2555,9 @@ type outcome = {
   class_energy : (string * Energy_ledger.t) list;
       (** per-core-class breakdown, in class order; includes the unused
           cores of each class.  Singleton on homogeneous machines. *)
-  shared_final : (string, Value.t array) Hashtbl.t;
+  shared_final : (string, Value.mem) Hashtbl.t;
+      (** every global's final words, by name; {!shared_array} and
+          {!shared_cell} read them boxed *)
   instr_total : int;
   implicit_wakeups : int;
   gate_transitions : int;
@@ -2654,10 +2763,12 @@ let diag_of_exn : exn -> Lp_util.Diag.t option =
 (** Read back a global cell after the run (for correctness checks). *)
 let shared_cell (o : outcome) name idx =
   match Hashtbl.find_opt o.shared_final name with
-  | Some a when idx >= 0 && idx < Array.length a -> Some a.(idx)
+  | Some m when idx >= 0 && idx < Value.mem_length m -> Some (Value.mem_get m idx)
   | Some _ | None -> None
 
-let shared_array (o : outcome) name = Hashtbl.find_opt o.shared_final name
+(** A global's final words, boxed. *)
+let shared_array (o : outcome) name =
+  Option.map Value.mem_values (Hashtbl.find_opt o.shared_final name)
 
 (** Energy-delay product in nJ*ms — the metric of figure F2. *)
 let edp (o : outcome) = Energy_ledger.total o.energy *. (o.duration_ns *. 1e-6)

@@ -76,7 +76,44 @@ let mac a b c =
   let y = to_int b in
   Vint (Ir.imac (to_int a) y z)
 
-let zero_of_ty = function Ir.I -> Vint 0 | Ir.F -> Vfloat 0.0
+(* ------------------------------------------------------------------ *)
+(* Memory                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(** A memory array (shared, ROM or frame) in the unboxed representation
+    of its element type: a global's [gty], or a frame array's declared
+    type, picks the constructor.  A store writes the raw word, so it
+    allocates no box and makes no [caml_modify]. *)
+type mem = Ints of int array | Floats of Float.Array.t
+
+let mem_make (ty : Ir.ty) len =
+  match ty with
+  | Ir.I -> Ints (Array.make len 0)
+  | Ir.F -> Floats (Float.Array.make len 0.0)
+
+let mem_length = function
+  | Ints a -> Array.length a
+  | Floats a -> Float.Array.length a
+
+let mem_copy = function
+  | Ints a -> Ints (Array.copy a)
+  | Floats a -> Floats (Float.Array.copy a)
+
+(** The word at [i], boxed; [i] must be in bounds. *)
+let mem_get m i =
+  match m with
+  | Ints a -> Vint a.(i)
+  | Floats a -> Vfloat (Float.Array.get a i)
+
+(** Store [v] at [i], unboxed; the verifier makes every stored value its
+    array's class. *)
+let mem_set m i v =
+  match m with
+  | Ints a -> a.(i) <- to_int v
+  | Floats a -> Float.Array.set a i (to_float v)
+
+(** Every word, boxed. *)
+let mem_values m = Array.init (mem_length m) (mem_get m)
 
 let to_string = function
   | Vint n -> string_of_int n

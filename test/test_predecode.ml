@@ -33,9 +33,13 @@ let run_both source =
 
 (* ---------------- every observable, rendered exactly ---------------- *)
 
-(** Every field of an outcome but [predecode] itself, one field per
-    line, floats in hex ([%h]) so equal text means bit-equal values. *)
-let fingerprint (o : Sim.outcome) =
+(** Every field of an outcome of [prog] but [predecode] itself, one
+    field per line, floats in hex ([%h]) so equal text means bit-equal
+    values.  The final memory is each global of [prog], read through
+    [Sim.shared_array]: a global the outcome lacks, or holds at another
+    size, fails the test, so two runs that both lost their memory do not
+    compare equal. *)
+let fingerprint (prog : Lp_ir.Prog.t) (o : Sim.outcome) =
   let b = Buffer.create 4096 in
   let fl x = Printf.bprintf b " %h" x and int n = Printf.bprintf b " %d" n in
   let row name f xs =
@@ -59,9 +63,16 @@ let fingerprint (o : Sim.outcome) =
     o.Sim.core_ledgers;
   List.iter (fun (cls, l) -> ledger ("class " ^ cls) l) o.Sim.class_energy;
   List.iter
-    (fun (name, a) -> row ("shared " ^ name) value a)
-    (List.sort compare
-       (Hashtbl.fold (fun k a acc -> (k, a) :: acc) o.Sim.shared_final []));
+    (fun (g : Lp_ir.Prog.global) ->
+      let name = g.Lp_ir.Prog.gsym in
+      match Sim.shared_array o name with
+      | Some a when Array.length a = g.Lp_ir.Prog.gsize ->
+        row ("shared " ^ name) value a
+      | Some a ->
+        Alcotest.failf "global %s: %d words in the outcome, %d declared" name
+          (Array.length a) g.Lp_ir.Prog.gsize
+      | None -> Alcotest.failf "global %s: missing from the outcome" name)
+    prog.Lp_ir.Prog.globals;
   row "counts" int
     [| o.Sim.instr_total; o.Sim.implicit_wakeups; o.Sim.gate_transitions;
        o.Sim.dvfs_transitions; o.Sim.channel_msgs; o.Sim.steps;
@@ -132,7 +143,7 @@ let observe ~machine ~predecode ~instrumented source =
     Compile.run_result ~opts:(Compile.full ~n_cores:(Machine.n_cores machine))
       ~sim_opts ~machine source
   with
-  | Ok (_, o) -> fingerprint o
+  | Ok (compiled, o) -> fingerprint compiled.Compile.prog o
   | Error d -> "error " ^ Lp_util.Diag.to_string d
 
 (** First line where two fingerprints differ, for the failure report. *)
@@ -223,7 +234,7 @@ let hand_built ?(globals = []) ?(frame = []) ?(funcs = []) body =
 let observe_ir ~machine ~predecode prog =
   let opts = { Sim.default_options with Sim.predecode } in
   match Compile.guard (fun () -> Ok (Sim.run ~opts ~machine prog)) with
-  | Ok o -> fingerprint o
+  | Ok o -> fingerprint prog o
   | Error d -> "error " ^ Lp_util.Diag.to_string d
 
 let int n = Ir.Imm (Ir.Cint n)

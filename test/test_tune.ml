@@ -312,7 +312,7 @@ let prop_equal_digests_simulate_identically =
                   let outcome =
                     lazy
                       (match Compile.simulate_result c with
-                      | Ok o -> Test_predecode.fingerprint o
+                      | Ok o -> Test_predecode.fingerprint c.Compile.prog o
                       | Error d -> "error " ^ Lp_util.Diag.to_string d)
                   in
                   Some (Pipeline.to_spec t, Prog.digest c.Compile.prog, outcome))
