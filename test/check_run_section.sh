@@ -16,6 +16,13 @@
 # References to data (jump tables, the module block, the
 # Division_by_zero exception, the float negation mask) are not calls.
 #
+# It also prints the stack frame the prologue reserves.  OCaml 5 gives
+# a function whose frame, return address included, reaches
+# Stack_threshold (32 words, 256 bytes) a prologue stack-limit check,
+# whose slow path calls caml_call_realloc_stack: that call fails the
+# rule above, so the frame must stay at 240 bytes or less (232 reserved
+# plus the return address; frames are 16-byte aligned).
+#
 # Run from the root of a checkout after `dune build`:
 #   sh test/check_run_section.sh [OBJECT]
 set -eu
@@ -38,7 +45,9 @@ fi
 calls=$(printf '%s\n' "$dis" | awk '
   $2 == "R_X86_64_PLT32" { sub(/[-+]0x[0-9a-f]+$/, "", $3); n[$3]++ }
   END { for (s in n) printf "%s x%d\n", s, n[s] }' | sort)
-echo "run_section: $(printf '%s\n' "$dis" | wc -l) lines of objdump"
+frame=$(printf '%s\n' "$dis" | awk '
+  /sub +\$0x[0-9a-f]+,%rsp/ { sub(/.*\$/, ""); sub(/,.*/, ""); print; exit }')
+echo "run_section: $(printf '%s\n' "$dis" | wc -l) lines of objdump, frame ${frame:-0x0} bytes reserved"
 echo "$calls" | sed 's/^/  call /'
 
 status=0

@@ -432,6 +432,20 @@ let loop_wakeup =
           Builder.switch_to b join;
           reg r))
 
+(** The load/store unit gated before a loop whose every iteration
+    stores to and loads from a shared array: the section that enters
+    the loop through its [Jmp] and [Br] leaves at the first store for
+    its wakeup, and the loop's later iterations run in sections. *)
+let ldst_wakeup =
+  hand_built
+    ~globals:[ { Prog.gsym = "g"; gty = Ir.I; gsize = 4; ginit = None } ]
+    (fun b ->
+      gate b [ Lp_power.Component.Load_store ];
+      counted_loop b 6 (int 2) (fun b i x ->
+          let j = reg (Builder.binop b Ir.And i (int 3)) in
+          Builder.store b (shared "g") j x;
+          add b x (reg (Builder.load b (shared "g") j))))
+
 (** Hand-built programs that stop the compiled stepper's section loop
     at an instruction with encoded instructions before and after it,
     one program per way out of a section, per run-time fault
@@ -562,6 +576,35 @@ let exit_programs =
         (fun b ->
           counted_loop b 6 (int 0) (fun b i x ->
               add b x (reg (Builder.load b (rom "tab") i)))) );
+    ( "out-of-bounds shared read on the fourth iteration", `Error "E_RUNTIME",
+      hand_built ~globals:g4 (fun b ->
+          counted_loop b 6 (int 0) (fun b i x ->
+              Builder.store b (shared "g") (reg (Builder.binop b Ir.And i (int 3))) x;
+              add b x (reg (Builder.load b (shared "g") (add b i (int 1)))))) );
+    ( "out-of-bounds shared write on the fourth iteration", `Error "E_RUNTIME",
+      hand_built ~globals:g4 (fun b ->
+          counted_loop b 6 (int 0) (fun b i x ->
+              let j = reg (Builder.binop b Ir.And i (int 3)) in
+              let y = add b x (reg (Builder.load b (shared "g") j)) in
+              Builder.store b (shared "g") (add b i (int 1)) y;
+              y)) );
+    ("implicit wakeup of a gated ldst unit at a store", `Ok, ldst_wakeup);
+    ( "int and float immediates stored into int and float arrays", `Ok,
+      hand_built
+        ~globals:
+          [ { Prog.gsym = "g"; gty = Ir.I; gsize = 4; ginit = None };
+            { Prog.gsym = "gf"; gty = Ir.F; gsize = 4; ginit = None } ]
+        ~frame:[ ("loc", Ir.I, 4); ("floc", Ir.F, 4) ]
+        (fun b ->
+          let local name = { Ir.sym_name = name; sym_space = Ir.Frame } in
+          counted_loop b 4 (int 0) (fun b i x ->
+              Builder.store b (shared "g") i (int (-5));
+              Builder.store b (shared "gf") i (Ir.Imm (Ir.Cfloat (-2.75)));
+              Builder.store b (local "loc") i (int 0x7fffffff);
+              Builder.store b (local "floc") i (Ir.Imm (Ir.Cfloat 0.125));
+              let f = reg (Builder.load b (local "floc") i) in
+              Builder.store b (shared "gf") (int 3) f;
+              add b x (reg (Builder.load b (local "loc") (int 2))))) );
     ( "float stored into an int global, loaded into an unread register",
       `Error "E_VERIFY",
       hand_built ~globals:g4 (fun b ->
@@ -591,6 +634,32 @@ let miss_source =
   \    for (int i = 0; i < 16; i = i + 1) { s = (s ^ k) + a[i]; } }\n\
   \  return s; }"
 
+(** Loops for farmem-4c, whose local store is a cache that misses every
+    64th access and whose shared arrays of 1024 words or more live in
+    the far tier: one stores to and loads from a frame array, so its
+    sections leave at a store or a load for the periodic miss; one
+    stores to and loads from a far-tier global, so each access in a
+    section pays the tier's latency and energy. *)
+let farmem_programs =
+  let local name = { Ir.sym_name = name; sym_space = Ir.Frame } in
+  [
+    ( "frame-array stores across the periodic miss",
+      hand_built ~frame:[ ("loc", Ir.I, 8) ] (fun b ->
+          counted_loop b 50 (int 1) (fun b i x ->
+              let j = reg (Builder.binop b Ir.And i (int 7)) in
+              Builder.store b (local "loc") j x;
+              Builder.store b (local "loc") (int 7) i;
+              add b x (reg (Builder.load b (local "loc") j)))) );
+    ( "loads and stores of a far-tier global",
+      hand_built
+        ~globals:[ { Prog.gsym = "big"; gty = Ir.I; gsize = 2048; ginit = None } ]
+        (fun b ->
+          counted_loop b 30 (int 1) (fun b i x ->
+              let j = reg (Builder.binop b Ir.Mul i (int 67)) in
+              Builder.store b (shared "big") j x;
+              add b x (reg (Builder.load b (shared "big") (int 0))))) );
+  ]
+
 let test_section_exits () =
   let machine = Machine.generic ~n_cores:1 () in
   List.iter
@@ -616,14 +685,25 @@ let test_section_exits () =
     (fun prog ->
       Alcotest.(check int) "the wakeup happened" 1
         (Sim.run ~machine prog).Sim.implicit_wakeups)
-    [ implicit_wakeup; loop_wakeup ];
+    [ implicit_wakeup; loop_wakeup; ldst_wakeup ];
   let machine = Machine.farmem () in
   let on = observe ~machine ~predecode:true ~instrumented:false miss_source in
   let off = observe ~machine ~predecode:false ~instrumented:false miss_source in
   if on <> off then begin
     let (x, y) = first_diff on off in
     Alcotest.failf "farmem misses: compiled %S, interpretive %S" x y
-  end
+  end;
+  List.iter
+    (fun (name, prog) ->
+      let on = observe_ir ~machine ~predecode:true prog in
+      let off = observe_ir ~machine ~predecode:false prog in
+      if String.starts_with ~prefix:"error " on then
+        Alcotest.failf "farmem %s: %s" name on;
+      if on <> off then begin
+        let (x, y) = first_diff on off in
+        Alcotest.failf "farmem %s: compiled %S, interpretive %S" name x y
+      end)
+    farmem_programs
 
 (** [x] from 0 up by 3, then 1, until it passes 40, and return it: the
     loop's exit test is in the middle of its iteration.  56 steps: two
@@ -649,48 +729,86 @@ let budget_prog =
 
 let budget_steps = 56
 
-(** The step budget is exact in both steppers, wherever it falls: the
+(** The loop of {!budget_prog} with a shared store after the first add
+    and the second add's operand loaded back from the global: from 0
+    up by 3, stored, then loaded and up by 1, until it passes 40.  77
+    steps: two before the loop, seven for each of ten iterations, four
+    of the eleventh, whose test exits, and the return. *)
+let budget_mem_prog =
+  let bump b x k = ignore (Builder.emit b (Ir.Binop (Ir.Add, x, reg x, int k))) in
+  let g = shared "g" in
+  hand_built
+    ~globals:[ { Prog.gsym = "g"; gty = Ir.I; gsize = 1; ginit = None } ]
+    (fun b ->
+      let x = Builder.int_const b 0 in
+      let loop = Builder.new_block b and latch = Builder.new_block b in
+      let out = Builder.new_block b in
+      Builder.set_term b (Ir.Jmp loop.Ir.bid);
+      Builder.switch_to b loop;
+      bump b x 3;
+      Builder.store b g (int 0) (reg x);
+      let past = Builder.binop b Ir.Gt (reg x) (int 40) in
+      Builder.set_term b (Ir.Br (reg past, out.Ir.bid, latch.Ir.bid));
+      Builder.switch_to b latch;
+      ignore (Builder.emit b (Ir.Load (x, g, int 0)));
+      bump b x 1;
+      Builder.set_term b (Ir.Jmp loop.Ir.bid);
+      Builder.switch_to b out;
+      reg x)
+
+(** The step budget is exact in both steppers, wherever it falls: each
     program ends [Ok] under its own step count and [E_STEP_LIMIT] one
     step short, and under every smaller budget (one of them in the
-    middle of each iteration) the limit fires with the core in the same
-    state in both: the steps counted, the instructions, cycles, clock
-    and ledger, and where the frame stands. *)
+    middle of each iteration, and at each shared load and store) the
+    limit fires with the core in the same state in both: the steps
+    counted, the instructions, cycles, clock and ledger, its bus
+    transactions, and where the frame stands.  The third program is
+    farmem-4c's loop of frame-array stores, so a budget falls on each
+    side of the access that takes the periodic miss. *)
 let test_step_budget () =
-  let machine = Machine.generic ~n_cores:1 () in
+  let generic = Machine.generic ~n_cores:1 () in
   let opts predecode max_steps =
     { Sim.default_options with Sim.predecode; max_steps }
   in
   List.iter
-    (fun predecode ->
-      let run max_steps =
-        match
-          Compile.guard (fun () ->
-              Ok (Sim.run ~opts:(opts predecode max_steps) ~machine budget_prog))
-        with
-        | Ok o -> Printf.sprintf "ok %d steps" o.Sim.steps
-        | Error d -> d.Lp_util.Diag.code
+    (fun (machine, prog, steps) ->
+      List.iter
+        (fun predecode ->
+          let run max_steps =
+            match
+              Compile.guard (fun () ->
+                  Ok (Sim.run ~opts:(opts predecode max_steps) ~machine prog))
+            with
+            | Ok o -> Printf.sprintf "ok %d steps" o.Sim.steps
+            | Error d -> d.Lp_util.Diag.code
+          in
+          Alcotest.(check string) "ends under its own step count"
+            (Printf.sprintf "ok %d steps" steps) (run steps);
+          Alcotest.(check string) "one step short" "E_STEP_LIMIT"
+            (run (steps - 1)))
+        [ true; false ];
+      let at_limit predecode max_steps =
+        let t = Sim.create ~opts:(opts predecode max_steps) ~machine prog in
+        (match Sim.run_loop t with
+        | () -> Alcotest.failf "budget %d: no step limit" max_steps
+        | exception Sim.Step_limit_exceeded -> ());
+        let c = t.Sim.cores.(0) in
+        let fr = List.hd c.Sim.stack in
+        Printf.sprintf
+          "steps %d instrs %d cycles %d time %h total %h bus %d at %d.%d"
+          t.Sim.steps c.Sim.instr_count c.Sim.cycles c.Sim.clk.Sim.time
+          (Ledger.total c.Sim.ledger) c.Sim.bus_txns fr.Sim.block fr.Sim.idx
       in
-      Alcotest.(check string) "ends under its own step count"
-        (Printf.sprintf "ok %d steps" budget_steps) (run budget_steps);
-      Alcotest.(check string) "one step short" "E_STEP_LIMIT"
-        (run (budget_steps - 1)))
-    [ true; false ];
-  let at_limit predecode max_steps =
-    let t = Sim.create ~opts:(opts predecode max_steps) ~machine budget_prog in
-    (match Sim.run_loop t with
-    | () -> Alcotest.failf "budget %d: no step limit" max_steps
-    | exception Sim.Step_limit_exceeded -> ());
-    let c = t.Sim.cores.(0) in
-    let fr = List.hd c.Sim.stack in
-    Printf.sprintf "steps %d instrs %d cycles %d time %h total %h at %d.%d"
-      t.Sim.steps c.Sim.instr_count c.Sim.cycles c.Sim.clk.Sim.time
-      (Ledger.total c.Sim.ledger) fr.Sim.block fr.Sim.idx
-  in
-  for max_steps = 1 to budget_steps - 1 do
-    Alcotest.(check string)
-      (Printf.sprintf "state at the limit of %d steps" max_steps)
-      (at_limit false max_steps) (at_limit true max_steps)
-  done
+      for max_steps = 1 to steps - 1 do
+        Alcotest.(check string)
+          (Printf.sprintf "state at the limit of %d steps" max_steps)
+          (at_limit false max_steps) (at_limit true max_steps)
+      done)
+    [ (generic, budget_prog, budget_steps); (generic, budget_mem_prog, 77);
+      ( Machine.farmem (),
+        List.assoc "frame-array stores across the periodic miss"
+          farmem_programs,
+        756 ) ]
 
 (** A section that crosses a loop's back edge has no block end to stop
     at: the batch loop bounds it by {!Sim.section_quantum} steps, so the
@@ -742,13 +860,13 @@ let test_counters () =
 (** A deterministic proxy for the stepper's speed: minor-heap words per
     simulated step of a warm run (decode and the shared-memory image
     already cached by the first run) of every bundled workload under
-    [full] on generic-4c.  Each bound is the value before the encoded
-    pure-run loop plus 10%, rounded up to the next hundredth.  Typed
-    register files leave the allocation to [Sim.create], frames, memory
-    stores and channel traffic; a register write or a loop local that
-    boxes its value shows up here as several tenths of a word per step,
-    and an encoding that allocates more than the closures it replaced
-    shows up on the short runs (dotprod, crc32). *)
+    [full] on generic-4c.  Each bound is the value with typed memory
+    plus 10%, rounded up to the next hundredth.  Typed registers and
+    memory leave the allocation to [Sim.create], frames and channel
+    traffic; a register or memory write or a loop local that boxes its
+    value shows up here as several tenths of a word per step (fdotprod
+    read 0.467 while every float store boxed), and an encoding that
+    allocates more shows up on the short runs (dotprod, crc32). *)
 let test_stepper_allocation () =
   List.iter
     (fun (wname, bound) ->
@@ -766,12 +884,12 @@ let test_stepper_allocation () =
       if per_step > bound then
         Alcotest.failf "%s: %.3f minor words per step, bound %.2f" wname
           per_step bound)
-    [ ("fir", 0.04); ("dotprod", 0.19); ("fdotprod", 0.60); ("matmul", 0.04);
-      ("conv2d", 0.06); ("iir", 0.16); ("imgpipe", 0.77); ("jpegblocks", 0.15);
-      ("audio5", 1.83); ("prodcons", 1.14); ("susan", 0.12);
-      ("fraciter", 0.09); ("crc32", 0.13); ("stringsearch", 0.03);
-      ("histogram", 0.28); ("adpcm", 0.08); ("fft", 0.57); ("phases", 0.45);
-      ("memops", 0.30); ("peakdetect", 0.07); ("tri", 0.07) ]
+    [ ("fir", 0.02); ("dotprod", 0.13); ("fdotprod", 0.14); ("matmul", 0.02);
+      ("conv2d", 0.03); ("iir", 0.05); ("imgpipe", 0.74); ("jpegblocks", 0.10);
+      ("audio5", 1.74); ("prodcons", 1.08); ("susan", 0.10);
+      ("fraciter", 0.07); ("crc32", 0.08); ("stringsearch", 0.02);
+      ("histogram", 0.05); ("adpcm", 0.02); ("fft", 0.31); ("phases", 0.14);
+      ("memops", 0.09); ("peakdetect", 0.04); ("tri", 0.05) ]
 
 (* ---------------- BENCH_sim.json schema ---------------- *)
 

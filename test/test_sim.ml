@@ -66,6 +66,59 @@ let test_globals_init_and_persist () =
   | Some (Value.Vint 20) -> ()
   | _ -> fail "initialiser"
 
+(** The outcome's final memory is every global of the program at its
+    declared size, in both steppers, and [shared_array] and
+    [shared_cell] hand back each stored word bit for bit: a negative
+    int beside its initialisers, and floats computed and stored at run
+    time: a negative zero, an inexact sum and a NaN. *)
+let test_final_memory () =
+  let src =
+    "int gi[3] = {4, 5, 6};\nfloat gf[3];\nint s;\nfloat z;\n\
+     int main() { float x = 0.1; float y = 0.2; gi[1] = 0 - 2147483647;\n\
+     gf[0] = (0.0 - x) * 0.0; gf[1] = x + y; gf[2] = (x - x) / (y - y);\n\
+     s = -9; return 0; }"
+  in
+  let prog = lower src in
+  List.iter
+    (fun predecode ->
+      let o =
+        Sim.run ~opts:{ Sim.default_options with Sim.predecode }
+          ~machine:machine1 prog
+      in
+      check Alcotest.int "one final array per global"
+        (List.length prog.Prog.globals)
+        (Hashtbl.length o.Sim.shared_final);
+      List.iter
+        (fun (g : Prog.global) ->
+          match Sim.shared_array o g.Prog.gsym with
+          | Some a -> check Alcotest.int g.Prog.gsym g.Prog.gsize (Array.length a)
+          | None -> Alcotest.failf "%s missing from the outcome" g.Prog.gsym)
+        prog.Prog.globals;
+      let bits = function
+        | Some (Value.Vfloat x) -> Printf.sprintf "f%Lx" (Int64.bits_of_float x)
+        | Some (Value.Vint n) -> string_of_int n
+        | None -> "none"
+      in
+      let nan = (0.1 -. 0.1) /. (0.2 -. 0.2) in
+      List.iter
+        (fun (name, i, want) ->
+          check Alcotest.string
+            (Printf.sprintf "%s[%d], predecode %b" name i predecode)
+            (bits (Some want)) (bits (Sim.shared_cell o name i));
+          check Alcotest.string
+            (Printf.sprintf "%s[%d] of the array" name i)
+            (bits (Some want))
+            (bits (Option.map (fun a -> a.(i)) (Sim.shared_array o name))))
+        [ ("gi", 0, Value.Vint 4); ("gi", 1, Value.Vint (-2147483647));
+          ("gi", 2, Value.Vint 6); ("gf", 0, Value.Vfloat (-0.0));
+          ("gf", 1, Value.Vfloat (0.1 +. 0.2)); ("gf", 2, Value.Vfloat nan);
+          ("s", 0, Value.Vint (-9)); ("z", 0, Value.Vfloat 0.0) ];
+      check Alcotest.string "past the end" "none"
+        (bits (Sim.shared_cell o "gi" 3));
+      check Alcotest.string "no such global" "none"
+        (bits (Sim.shared_cell o "nowhere" 0)))
+    [ true; false ]
+
 (* ---------------- failure modes ---------------- *)
 
 let test_div_by_zero_traps () =
@@ -533,6 +586,8 @@ let suite =
     Alcotest.test_case "float ops" `Quick test_float_ops;
     Alcotest.test_case "recursion" `Quick test_recursion;
     Alcotest.test_case "globals init/persist" `Quick test_globals_init_and_persist;
+    Alcotest.test_case "final memory: every global, every word" `Quick
+      test_final_memory;
     Alcotest.test_case "div-by-zero traps" `Quick test_div_by_zero_traps;
     Alcotest.test_case "out-of-bounds traps" `Quick test_oob_traps;
     Alcotest.test_case "step limit" `Quick test_step_limit;
