@@ -1039,11 +1039,6 @@ let my_turn t (c : core) =
 let[@inline always] bus_end t start far =
   start +. t.bus_txn1_ns +. if far then t.far_extra_ns else t.shared_extra_ns
 
-(** When a one-word transfer asked for at [now] ends: it starts when
-    the bus frees. *)
-let[@inline always] bus_finish t now far =
-  bus_end t (fmax now (Array.unsafe_get t.bus_free 0)) far
-
 (** One-word shared-memory bus transaction (loads, stores, faa), the
     compiled {!shared_access}: the off-bus latency is the symbol's
     memory tier's, and a far-tier symbol ([far], resolved at encoding,
@@ -1239,8 +1234,19 @@ let mem_x t (s : Ir.sym) =
   (if s.Ir.sym_space = Ir.Frame then 0 else x_global)
   lor if Hashtbl.mem t.far_syms s.Ir.sym_name then x_far else 0
 
-(* flags [x] of an access at index [e] ({!operand}) *)
-let mem_x_idx x e = if is_imm e then x lor x_imm else x
+(** The cost word of a load or store of [s] at index [e] ({!operand}),
+    with the flags [x] besides: a shared access issues its [n] cycles
+    and is visible; a local one pays the local store's latency and, on
+    a cache machine, takes the periodic miss. *)
+let mem_cost t ~ci ~n (s : Ir.sym) e x =
+  let shared = s.Ir.sym_space = Ir.Shared in
+  pack_cost ~ci ~miss:((not shared) && t.cache_miss_period > 0)
+    ~x:
+      (mem_x t s lor x
+      lor (if is_imm e then x_imm else 0)
+      lor if shared then x_shared else 0)
+    ~n:(if shared then n else 1 + Machine.spm_latency_cycles t.machine)
+    ~c:0
 
 let gate_mask comps =
   Component.Set.fold (fun comp m -> m lor (1 lsl Component.index comp)) comps 0
@@ -1336,32 +1342,15 @@ let encode t (df : Predecode.dfunc) p (di : Predecode.dinstr)
     let e = operand p df idxo in
     let k = df.Predecode.df_regs.(d) in
     let into_float = k land 1 = Verify.cls_float in
-    let x = mem_x t s lor (if into_float then x_float else 0) in
-    let pos = enc_sym t p df s in
-    if s.Ir.sym_space = Ir.Shared then begin
-      words code b
-        (pack_cost ~ci ~miss:false ~x:(mem_x_idx x e lor x_shared) ~n ~c:0)
-        (k lsr 1) (opv e) pos;
-      Load_sh
-    end
-    else begin
-      words code b
-        (pack_cost ~ci ~miss:(t.cache_miss_period > 0) ~x:(mem_x_idx x e)
-           ~n:(1 + Machine.spm_latency_cycles t.machine) ~c:0)
-        (k lsr 1) (opv e) pos;
-      if s.Ir.sym_space = Ir.Rom && not (into_float || is_imm e) then Load_ri
-      else Load
-    end
+    words code b (mem_cost t ~ci ~n s e (if into_float then x_float else 0))
+      (k lsr 1) (opv e) (enc_sym t p df s);
+    if s.Ir.sym_space = Ir.Shared then Load_sh
+    else if s.Ir.sym_space = Ir.Rom && not (into_float || is_imm e) then Load_ri
+    else Load
   | Ir.Store (s, idxo, vo) ->
     let ei = operand p df idxo in
     let ev = operand p df vo in
-    let shared = s.Ir.sym_space = Ir.Shared in
-    words code b
-      (pack_cost ~ci ~miss:((not shared) && t.cache_miss_period > 0)
-         ~x:(mem_x_idx (mem_x t s) ei lor if shared then x_shared else 0)
-         ~n:(if shared then 1 else 1 + Machine.spm_latency_cycles t.machine)
-         ~c:0)
-      ev (opv ei) (enc_sym t p df s);
+    words code b (mem_cost t ~ci ~n s ei 0) ev (opv ei) (enc_sym t p df s);
     Store
   | Ir.Faa (d, s, amt) ->
     let e = operand p df amt in
@@ -1988,7 +1977,8 @@ let run_section t (fr : frame) room =
                  && begin
                    (* [bus_word]'s advance, from the clock [issue] left *)
                    let now = if dt > 0.0 then !time +. dt else !time in
-                   let dtb = bus_finish t now far -. now in
+                   let start = fmax now (Array.unsafe_get t.bus_free 0) in
+                   let dtb = bus_end t start far -. now in
                    not (dtb > 0.0 && leak *. dtb *. 1e-3 < 0.0)
                  end
                else not (miss && c.local_accs + 1 >= t.cache_miss_period))
