@@ -1,15 +1,11 @@
 (** The command-line surface shared by every executable: lpcc's
-    subcommands, lpccd and both bench drivers declare the runtime flags
+    subcommands, lpccd and the bench driver declare the runtime flags
     through these terms, so each flag has one spelling, one doc string
     and one resolution, {!Lp_util.Runtime_config.resolve} (flag >
     [LP_*] environment > default).  The resolved configuration is what
     {!Lowpower.Compile.with_session} takes. *)
 
 open Cmdliner
-
-(** [--no-sim-predecode], alone: the only runtime flag
-    [bench/sim_bench.exe] takes. *)
-val no_sim_predecode : bool Term.t
 
 (** The eight runtime flags ([--jobs], [--retries], [--faults],
     [--trace], [--report], [--no-analysis-cache], [--no-sim-predecode],

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Runs fixed lpcc invocations and prints, for each, its exit status,
-# stdout and stderr.  The dune runtest rule diffs the result against
+# stdout and stderr, then whether every help page renders.  It leaves
+# the energy profile of fir (profile-fir.json, profile-fir.folded)
+# behind.  The dune runtest rule diffs the result against
 # golden_cli.txt; after a deliberate CLI change, regenerate it with
-# `dune promote`.  Usage: run.sh PATH/TO/lpcc.exe
+# `dune promote`.  Usage: run.sh PATH/TO/lpcc.exe PATH/TO/lpccd.exe
 set -u
 LPCC=$1
-
-# the golden output is for the defaults: drop every LP_* override
-for v in $(env | sed -n 's/^\(LP_[A-Z_]*\)=.*/\1/p'); do unset "$v"; done
+LPCCD=$2
 
 show() {
   printf -- '--- exit %d\n--- stdout\n' "$1"
@@ -64,4 +64,54 @@ lpcc sweep -m bogus
 lpcc pipeline --passes 'constprop,fix(simplify-cfg,dce)'
 lpcc machines
 lpcc workloads
-rm -f out.txt err.txt report.json
+
+# the crossover the machine zoo exists to surface: fir's winning
+# configuration depends on the machine
+lpcc sweep -w fir -w memops -m generic -m biglittle -m farmem
+
+# a tuned schedule file replays through the normal driver
+lpcc tune --budget 20 --seed 1 --out tuned.sched
+printf -- '--- tuned.sched\n'
+cat tuned.sched
+printf '\n'
+lpcc run -w jpegblocks -k baseline --passes @tuned.sched
+
+# the profiler's artifacts, compactly: each run's exit status and
+# stderr, each file's schema and length, and the diff of two of them
+quiet() {
+  printf '=== lpcc %s\n' "$*"
+  "$LPCC" "$@" > out.txt 2> err.txt
+  printf -- '--- exit %d\n--- stderr\n' $?
+  cat err.txt
+  printf '\n'
+}
+quiet profile -w fir -k full --json profile-fir.json --flame profile-fir.folded
+quiet profile -w matmul -k full --json profile-matmul.json
+for f in profile-fir.json profile-matmul.json; do
+  printf '%s: %s, %d lines\n' "$f" "$(grep -m 1 -o '"schema": "[^"]*"' "$f")" \
+    "$(wc -l < "$f")"
+done
+printf 'profile-fir.folded: %d lines, %d not "stack weight"\n\n' \
+  "$(wc -l < profile-fir.folded)" \
+  "$(grep -c -v -E '^[^;]+;.+ [0-9]+$' profile-fir.folded)"
+lpcc profile --diff profile-fir.json profile-matmul.json
+
+# every help page renders: bad cmdliner markup in a doc string prints
+# "cmdliner error" instead
+printf '=== every help page\n'
+help() {
+  name=$1
+  shift
+  if "$@" --help=plain 2>&1 | grep -q 'cmdliner error'; then
+    printf '%s --help=plain: cmdliner error\n' "$name"
+  else
+    printf '%s --help=plain: ok\n' "$name"
+  fi
+}
+help lpcc "$LPCC"
+for cmd in $("$LPCC" --help=plain | sed -n '/^COMMANDS/,/^COMMON OPTIONS/p' |
+  awk '/^       [a-z]/ { print $1 }'); do
+  help "lpcc $cmd" "$LPCC" "$cmd"
+done
+help lpccd "$LPCCD"
+rm -f out.txt err.txt report.json tuned.sched profile-matmul.json

@@ -255,51 +255,6 @@ let test_custom_pipeline_runs () =
       fail "cut-down schedule changed the program's result"
   | _ -> fail "simulation returned no value"
 
-(* ---------------- compiled-IR golden ---------------- *)
-
-(** One digest of the printed IR per bundled program under baseline,
-    pg_dvfs and full on generic-4c.  Every change to what the compiler
-    emits shows here, including changes that move no simulated metric;
-    optimizer speed-ups must leave it untouched.  Regenerate after a
-    deliberate pipeline change with
-    [LP_UPDATE_GOLDEN=$PWD/test/golden_ir.txt dune test] (fails once
-    while rewriting the file, green on the rerun). *)
-let golden_ir () =
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun (w : W.t) ->
-      List.iter
-        (fun (config, opts) ->
-          let digest =
-            match Compile.compile ~opts ~machine w.W.source with
-            | c ->
-              Digest.to_hex
-                (Digest.string (Lp_ir.Printer.prog_to_string c.Compile.prog))
-            | exception Compile.Compile_error msg -> "error: " ^ msg
-          in
-          Printf.bprintf buf "%s/%s %s\n" w.W.name config digest)
-        [ ("baseline", Compile.baseline); ("pg_dvfs", Compile.pg_dvfs);
-          ("full", Compile.full ~n_cores:4) ])
-    Lp_workloads.Suite.all;
-  Buffer.contents buf
-
-let test_golden_ir () =
-  let got = golden_ir () in
-  match Sys.getenv_opt "LP_UPDATE_GOLDEN" with
-  | Some path when path <> "" ->
-    Out_channel.with_open_bin path (fun oc -> output_string oc got);
-    Alcotest.failf "golden rewritten to %s — rerun the test" path
-  | _ ->
-    (* cwd is _build/default/test under [dune runtest], the repo root
-       under a bare [dune exec]. *)
-    let file =
-      if Sys.file_exists "golden_ir.txt" then "golden_ir.txt"
-      else "test/golden_ir.txt"
-    in
-    check Alcotest.string "printed IR digests match golden"
-      (In_channel.with_open_bin file In_channel.input_all)
-      got
-
 let suite =
   [
     Alcotest.test_case "default prints stably" `Quick test_default_prints_stably;
@@ -323,5 +278,4 @@ let suite =
       test_no_cache_ctx_never_hits;
     Alcotest.test_case "custom --passes schedule runs" `Quick
       test_custom_pipeline_runs;
-    Alcotest.test_case "compiled IR matches golden" `Quick test_golden_ir;
   ]

@@ -5,8 +5,9 @@
     memory, the return value, and the diagnostic of a run that fails —
     not merely "close".
     The property below throws randomly generated parallel programs at
-    both modes on every zoo machine; the unit tests pin the new outcome
-    counters and the [BENCH_sim.json] schema tag. *)
+    both modes on every zoo machine, every bundled workload runs on every
+    zoo machine in both, and the unit tests pin the section loop's exits,
+    the outcome counters and the stepper's allocation. *)
 
 module Compile = Lowpower.Compile
 module Machine = Lp_machine.Machine
@@ -15,8 +16,6 @@ module Value = Lp_sim.Value
 module Profile = Lp_sim.Profile
 module Ledger = Lp_power.Energy_ledger
 module Gen = Lp_robust.Gen
-module Simbench = Lp_experiments.Simbench
-module J = Lp_util.Json
 
 let machine4 = Machine.generic ~n_cores:4 ()
 
@@ -159,9 +158,10 @@ let first_diff a b =
 
 (** The first disagreement between the two modes on [source], on any
     zoo machine, plain (tracing and profiling off: the batched
-    scheduler's fast path) or instrumented (a 64-event trace and the
-    energy profile on); [None] when they agree everywhere. *)
-let disagreement source =
+    scheduler's fast path) or, unless [plain_only], also instrumented (a
+    64-event trace and the energy profile on); [None] when they agree
+    everywhere. *)
+let disagreement ?(plain_only = false) source =
   List.find_map
     (fun (name, machine) ->
       List.find_map
@@ -175,7 +175,7 @@ let disagreement source =
               (Printf.sprintf "%s%s: compiled %S, interpretive %S" name
                  (if instrumented then " (traced, profiled)" else "")
                  x y))
-        [ false; true ])
+        (if plain_only then [ false ] else [ false; true ]))
     zoo
 
 let prop_modes_identical =
@@ -187,17 +187,23 @@ let prop_modes_identical =
       | None -> true
       | Some msg -> QCheck.Test.fail_report msg)
 
-(** Fixed programs the generator cannot produce: floating point (which
-    pacduo-2c, having no FPU, rejects at compile time), and DVFS
-    regions (generated programs never get one). *)
+(** Fixed programs the generator cannot produce: every bundled workload,
+    among them floating point (which pacduo-2c, having no FPU, rejects at
+    compile time) and DVFS regions (generated programs never get one).
+    Each runs plain on every zoo machine; fdotprod, histogram and
+    jpegblocks also run instrumented, since tracing and profiling every
+    workload would more than double the case's time. *)
 let test_modes_identical_workloads () =
   List.iter
-    (fun wname ->
-      let w = Lp_workloads.Suite.find_exn wname in
+    (fun (w : Lp_workloads.Workload.t) ->
+      let name = w.Lp_workloads.Workload.name in
+      let plain_only =
+        not (List.mem name [ "fdotprod"; "histogram"; "jpegblocks" ])
+      in
       Option.iter
-        (fun msg -> Alcotest.failf "%s: %s" wname msg)
-        (disagreement w.Lp_workloads.Workload.source))
-    [ "fdotprod"; "histogram"; "jpegblocks" ]
+        (fun msg -> Alcotest.failf "%s: %s" name msg)
+        (disagreement ~plain_only w.Lp_workloads.Workload.source))
+    Lp_workloads.Suite.all
 
 (* ---------------- every way out of the section loop ---------------- *)
 
@@ -891,78 +897,6 @@ let test_stepper_allocation () =
       ("histogram", 0.05); ("adpcm", 0.02); ("fft", 0.31); ("phases", 0.14);
       ("memops", 0.09); ("peakdetect", 0.04); ("tri", 0.05) ]
 
-(* ---------------- BENCH_sim.json schema ---------------- *)
-
-let stats runs ips cps =
-  {
-    Simbench.runs;
-    wall_s = float_of_int runs /. cps;
-    instrs_per_sec = ips;
-    cells_per_sec = cps;
-  }
-
-let bench_fixture =
-  {
-    Simbench.sb_machine = "generic4";
-    sb_config = "full";
-    sb_rows =
-      [
-        {
-          Simbench.sb_workload = "fir";
-          sb_instrs = 123_456;
-          sb_on = stats 40 4.0e7 160.0;
-          sb_off = stats 8 8.0e6 32.0;
-          sb_speedup = 5.0;
-        };
-      ];
-    sb_total_on = 4.0e7;
-    sb_total_off = 8.0e6;
-    sb_total_speedup = 5.0;
-  }
-
-(** [to_json] tags the artifact with its schema. *)
-let test_schema_tag () =
-  match J.member "schema" (Simbench.to_json bench_fixture) with
-  | Some (J.Str s) ->
-    Alcotest.(check string) "schema tag" Simbench.schema s
-  | _ -> Alcotest.fail "schema tag missing"
-
-(* ---------------- the metrics dump takes the product path ---------------- *)
-
-(** [Simbench.metrics] simulates through the product path, so its cell
-    for histogram on generic-4c (where [full] gates the unused cores)
-    equals what [Compile.run_result] reports for the same program. *)
-let test_metrics_product_path () =
-  let machine = machine4 in
-  let w = Lp_workloads.Suite.find_exn "histogram" in
-  let o =
-    match
-      Compile.run_result ~opts:(Compile.full ~n_cores:4) ~machine
-        w.Lp_workloads.Workload.source
-    with
-    | Ok (_, o) -> o
-    | Error d -> Alcotest.failf "run: %s" (Lp_util.Diag.to_string d)
-  in
-  let cell =
-    match J.member "cells" (Simbench.metrics ~predecode:true ()) with
-    | Some (J.List cells) ->
-      List.find
-        (fun c ->
-          J.member "workload" c = Some (J.Str "histogram")
-          && J.member "machine" c = Some (J.Str machine.Machine.name))
-        cells
-    | _ -> Alcotest.fail "metrics without cells"
-  in
-  let cycles =
-    Array.fold_left (fun a c -> a +. float_of_int c) 0.0 o.Sim.cycles_per_core
-  in
-  Alcotest.(check (option string)) "cycles"
-    (Some (J.to_string (J.Num cycles)))
-    (Option.map J.to_string (J.member "cycles" cell));
-  Alcotest.(check (option string)) "energy ledger"
-    (Some (J.to_string (Ledger.to_json o.Sim.energy)))
-    (Option.map J.to_string (J.member "energy" cell))
-
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_modes_identical;
@@ -977,7 +911,4 @@ let suite =
     Alcotest.test_case "outcome counters" `Quick test_counters;
     Alcotest.test_case "stepper allocation per step" `Quick
       test_stepper_allocation;
-    Alcotest.test_case "BENCH_sim.json schema tag" `Quick test_schema_tag;
-    Alcotest.test_case "sim metrics follow the product path" `Quick
-      test_metrics_product_path;
   ]

@@ -1,9 +1,10 @@
 (** The source-level energy profiler: attribution conserves the ledger's
     energy over generated programs, the profile is byte-identical
     between the compiled and interpretive steppers and across
-    pool sizes, profiling is a pure observer (every outcome field the
-    baseline gates read is byte-identical with it on or off), and the
-    JSON artifact of one decision-rich workload is golden-pinned. *)
+    pool sizes, and profiling is a pure observer (every outcome field
+    the baseline gates read is byte-identical with it on or off).  The
+    JSON artifact of one decision-rich workload is pinned by
+    test/golden_profile.json (see golden.ml). *)
 
 module Compile = Lowpower.Compile
 module PR = Lowpower.Profile_report
@@ -214,49 +215,6 @@ let test_diff () =
   | Ok _ -> Alcotest.fail "diff must reject a non-artifact"
   | Error _ -> ()
 
-(* ---------------- golden artifact ---------------- *)
-
-(** Decision-rich single source (gating + DVFS + both loops) pinned
-    byte-for-byte.  Regenerate with
-    [LP_UPDATE_GOLDEN=test/golden_profile.json dune exec test/test_main.exe -- test profile]. *)
-let golden_src =
-  "int a[32];\nint b[32];\n\
-   int main() {\n\
-  \  for (int i = 0; i < 32; i = i + 1) { a[i] = a[i] * 3; }\n\
-  \  for (int j = 0; j < 32; j = j + 1) { b[j] = a[j] + b[j]; }\n\
-  \  return a[31] + b[31];\n\
-   }"
-
-let golden_artifact () =
-  let machine = Machine.generic ~n_cores:2 () in
-  match
-    Compile.run_result ~opts:Compile.pg_dvfs ~sim_opts:prof_opts ~machine
-      golden_src
-  with
-  | Ok (_, o) ->
-    Json.to_string (PR.to_json ~source:"golden" ~machine:machine.Machine.name o)
-  | Error d -> Alcotest.failf "golden pipeline: %s" (Lp_util.Diag.to_string d)
-
-let test_golden () =
-  let got = golden_artifact () in
-  match Sys.getenv_opt "LP_UPDATE_GOLDEN" with
-  | Some path when path <> "" ->
-    let oc = open_out path in
-    output_string oc got;
-    close_out oc;
-    Alcotest.failf "golden rewritten to %s — rerun the test" path
-  | _ ->
-    (* cwd is _build/default/test under [dune runtest], the repo root
-       under a bare [dune exec]. *)
-    let file =
-      if Sys.file_exists "golden_profile.json" then "golden_profile.json"
-      else "test/golden_profile.json"
-    in
-    let ic = open_in_bin file in
-    let want = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    check Alcotest.string "profile JSON byte-identical to golden" want got
-
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_conservation;
@@ -271,6 +229,4 @@ let suite =
     Alcotest.test_case "text report and flamegraph render" `Quick
       test_text_and_flame;
     Alcotest.test_case "diff of two artifacts" `Quick test_diff;
-    Alcotest.test_case "golden profile artifact byte-stable" `Quick
-      test_golden;
   ]
